@@ -13,9 +13,7 @@
 
 use std::process::ExitCode;
 
-use pbo_bench::compare::{
-    compare, evaluate, evaluate_anytime, evaluate_bound_ladder, evaluate_scheduler_scaling, Gate,
-};
+use pbo_bench::compare::{compare, evaluate, evaluate_anytime, evaluate_bound_ladder, Gate};
 use pbo_bench::parse::parse;
 
 fn usage() -> ! {
@@ -81,11 +79,6 @@ fn main() -> ExitCode {
     let anytime = evaluate_anytime(&baseline, &current);
     println!("anytime gate: {} violation(s) against the baseline portfolio curve", anytime.len());
     violations.extend(anytime);
-    // Scheduler scaling: optimum preserved at every worker count, queue
-    // wait no order-of-magnitude blowup vs the baseline snapshot.
-    let sched = evaluate_scheduler_scaling(&baseline, &current);
-    println!("scheduler-scaling gate: {} violation(s)", sched.len());
-    violations.extend(sched);
     // Bound ladder: adaptive proves the fixed rungs' optima, stays
     // inside the wall-time slack, and beats fixed LPR at least once.
     // Self-contained in the current report (all three methods run in

@@ -45,8 +45,6 @@ const SITES: &[(&str, LbMethod)] = &[
     ("par.cube", LbMethod::None),
     ("par.resplit", LbMethod::None),
     ("sched.push", LbMethod::None),
-    ("sched.steal", LbMethod::None),
-    ("sched.park", LbMethod::None),
     ("bound.dispatch", LbMethod::Mis),
     ("bound.escalate", LbMethod::Adaptive),
     ("cell.offer", LbMethod::None),

@@ -14,11 +14,19 @@
 use pbo_bench::{
     budget_ms, family_instances, format_table, json, run_bound_ladder_probe,
     run_dynamic_rows_ablation, run_par_bb_probe, run_parls_probe, run_portfolio_probe,
-    run_residual_ablation, run_scheduler_scaling_probe, run_table, summarize_bound_ladder,
-    summarize_par_bb, summarize_parls, summarize_portfolio, FAMILIES,
+    run_residual_ablation, run_table, summarize_bound_ladder, summarize_par_bb, summarize_parls,
+    summarize_portfolio, FAMILIES,
 };
 use pbo_benchgen::SynthesisParams;
 use pbo_solver::LbMethod;
+
+fn usage() -> ! {
+    eprintln!(
+        "usage: table1 [--family grout|ptlcmos|synthesis|acc|all] [--timeout-ms N] [--seeds N] \
+         [--json PATH]"
+    );
+    std::process::exit(2);
+}
 
 fn main() {
     let mut family = String::from("all");
@@ -28,25 +36,21 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--family" => family = args.next().expect("--family needs a value"),
+            "--family" => family = args.next().unwrap_or_else(|| usage()),
             "--timeout-ms" => {
-                timeout_ms =
-                    args.next().expect("--timeout-ms needs a value").parse().expect("bad timeout")
+                timeout_ms = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
             }
             "--seeds" => {
-                seeds = args.next().expect("--seeds needs a value").parse().expect("bad seeds")
+                seeds = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
             }
-            "--json" => json_path = args.next().expect("--json needs a value"),
-            other => {
-                eprintln!("unknown argument `{other}`");
-                std::process::exit(2);
-            }
+            "--json" => json_path = args.next().unwrap_or_else(|| usage()),
+            _ => usage(),
         }
     }
-    let families: Vec<&str> = if family == "all" {
-        FAMILIES.to_vec()
-    } else {
-        vec![Box::leak(family.clone().into_boxed_str())]
+    let families: Vec<&str> = match FAMILIES.iter().find(|&&f| f == family) {
+        Some(&f) => vec![f],
+        None if family == "all" => FAMILIES.to_vec(),
+        None => usage(),
     };
     println!(
         "Reproduction of DATE'05 Table 1 — budget {} ms/instance, {} instances/family",
@@ -238,41 +242,6 @@ fn main() {
         par_bb_summary.time_speedup_geomean.map_or("-".into(), |r| format!("{:.2}x", r)),
     );
 
-    // Scheduler-scaling row: the deep-split stress instance (a pinned
-    // thousand-cube frontier) under the work-stealing scheduler at
-    // 1/2/4/8 workers. Complements par_bb: that probe asks whether
-    // splitting the search pays, this one whether the scheduler keeps up
-    // when hand-off volume dwarfs the worker pool. The recorded
-    // `available_parallelism` is what makes the row honest on CI — time
-    // columns beyond the host's cores measure oversubscription.
-    const SCHED_WORKERS: &[usize] = &[1, 2, 4, 8];
-    const SCHED_SPLIT_TARGET: usize = 2048;
-    let sched = run_scheduler_scaling_probe(
-        0,
-        budget_ms(40 * timeout_ms),
-        SCHED_WORKERS,
-        SCHED_SPLIT_TARGET,
-    );
-    println!();
-    println!(
-        "== scheduler scaling ({}, frontier {}, {} core(s)) ==",
-        sched.instance, sched.frontier, sched.available_parallelism
-    );
-    for r in &sched.runs {
-        println!(
-            "  {:>2} workers: {:>8.1} ms / {:>7} nodes ({}) | steals {:>4} | injected {:>5} \
-             | resplits {:>3} | wait {:>6.2} ms",
-            r.workers,
-            r.time.as_secs_f64() * 1e3,
-            r.nodes,
-            r.cost.map_or("-".into(), |c| c.to_string()),
-            r.steals,
-            r.injections,
-            r.resplits,
-            r.queue_wait.as_secs_f64() * 1e3,
-        );
-    }
-
     // Bound-ladder probe: the adaptive ladder vs the fixed rungs it is
     // built from (LGR, LPR) on the synthesis seeds, same budget all
     // three ways. The gate: same optima, wall time within slack of the
@@ -312,7 +281,6 @@ fn main() {
         &parls,
         PARLS_WORKERS,
         &par_bb,
-        Some(&sched),
         &ladder,
     );
     match std::fs::write(&json_path, &report) {

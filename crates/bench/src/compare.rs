@@ -260,95 +260,6 @@ pub fn evaluate_anytime(baseline: &JsonValue, current: &JsonValue) -> Vec<String
     violations
 }
 
-/// Queue-wait slack of the scheduler-scaling gate: the current report's
-/// 8-worker wait may grow to this multiple of the baseline's before the
-/// gate trips. Coarse on purpose — wall-clock waits on shared CI runners
-/// carry preemption noise; the gate exists to catch the busy-idling
-/// class of regression (the pre-parking scheduler prototype measured a
-/// 100x blowup), not millisecond drift.
-pub const SCHED_WAIT_SLACK: f64 = 10.0;
-
-/// Absolute floor (ms) under which the scheduler-scaling queue wait
-/// passes regardless of ratio.
-pub const SCHED_WAIT_FLOOR_MS: f64 = 50.0;
-
-/// One worker-count row of a report's scheduler-scaling section.
-#[derive(Clone, Debug)]
-pub struct SchedScalingRow {
-    /// Worker count.
-    pub workers: f64,
-    /// Final cost (None when the run found no solution).
-    pub cost: Option<i64>,
-    /// Whether the run proved optimality.
-    pub optimal: bool,
-    /// Total queue wait in milliseconds.
-    pub wait_ms: f64,
-}
-
-/// Extracts the scheduler-scaling rows from a report (`None` when the
-/// report predates the section).
-pub fn extract_scheduler_scaling(report: &JsonValue) -> Option<Vec<SchedScalingRow>> {
-    let runs = report.get("scheduler_scaling")?.get("runs")?.items()?;
-    Some(
-        runs.iter()
-            .filter_map(|r| {
-                Some(SchedScalingRow {
-                    workers: r.get("workers")?.as_f64()?,
-                    cost: r.get("cost").and_then(JsonValue::as_f64).map(|c| c as i64),
-                    optimal: r.get("optimal").and_then(JsonValue::as_bool).unwrap_or(false),
-                    wait_ms: r.get("queue_wait_ms")?.as_f64()?,
-                })
-            })
-            .collect(),
-    )
-}
-
-/// The scheduler-scaling gate. Within the current report: every worker
-/// count must reach the 1-worker run's optimum (a scheduler re-routes
-/// work, it must never change the answer). Against the baseline: the
-/// widest run's queue wait must stay within [`SCHED_WAIT_SLACK`] of the
-/// baseline's, floored at [`SCHED_WAIT_FLOOR_MS`] — the busy-idling
-/// regression detector. Reports without the section pass vacuously.
-pub fn evaluate_scheduler_scaling(baseline: &JsonValue, current: &JsonValue) -> Vec<String> {
-    let Some(cur) = extract_scheduler_scaling(current) else { return Vec::new() };
-    let mut violations = Vec::new();
-    if let Some(base_run) = cur.first() {
-        for run in cur.iter().skip(1) {
-            match (base_run.cost, run.cost) {
-                (Some(b), Some(c)) if c > b => violations.push(format!(
-                    "scheduler_scaling: {} workers found cost {c}, worse than the 1-worker \
-                     optimum {b}",
-                    run.workers
-                )),
-                (Some(b), None) => violations.push(format!(
-                    "scheduler_scaling: {} workers found no solution where 1 worker proved {b}",
-                    run.workers
-                )),
-                _ => {}
-            }
-            if base_run.optimal && !run.optimal {
-                violations.push(format!(
-                    "scheduler_scaling: {} workers failed to prove optimality where 1 worker did",
-                    run.workers
-                ));
-            }
-        }
-    }
-    if let (Some(base), Some(cur_widest)) =
-        (extract_scheduler_scaling(baseline).as_ref().and_then(|b| b.last()), cur.last())
-    {
-        let bound = (base.wait_ms * SCHED_WAIT_SLACK).max(SCHED_WAIT_FLOOR_MS);
-        if cur_widest.wait_ms > bound {
-            violations.push(format!(
-                "scheduler_scaling: queue wait at {} workers is {:.1}ms, over {bound:.1}ms \
-                 (baseline {:.1}ms x{SCHED_WAIT_SLACK} slack, {SCHED_WAIT_FLOOR_MS}ms floor)",
-                cur_widest.workers, cur_widest.wait_ms, base.wait_ms
-            ));
-        }
-    }
-    violations
-}
-
 /// Wall-time slack of the bound-ladder gate: the adaptive column may
 /// take up to this multiple of the best fixed rung's time on a gated
 /// instance. Coarse because the probe's fixed sides are measured in the
@@ -588,96 +499,6 @@ mod tests {
         assert!(evaluate_anytime(&base, &good).is_empty());
         let bad = portfolio_report(9, 350.0, "[[350.0, 9]]");
         assert!(!evaluate_anytime(&base, &bad).is_empty());
-    }
-
-    fn sched_report(runs: &str) -> JsonValue {
-        let text = format!(
-            r#"{{"budget_ms": 500, "seeds": 1, "families": [],
-                "portfolio": null,
-                "scheduler_scaling": {{"instance": "deepsplit-v48-c150-s0",
-                    "frontier": 2048, "split_target": 2048,
-                    "available_parallelism": 1, "runs": {runs}}},
-                "residual_ablation": null}}"#
-        );
-        parse(&text).unwrap()
-    }
-
-    fn sched_run(workers: usize, cost: i64, optimal: bool, wait_ms: f64) -> String {
-        format!(
-            r#"{{"workers": {workers}, "cost": {cost}, "optimal": {optimal},
-                "time_ms": 80.0, "nodes": 38831, "steals": 0, "injections": 2048,
-                "resplits": 0, "queue_wait_ms": {wait_ms}}}"#
-        )
-    }
-
-    #[test]
-    fn matching_scheduler_scaling_passes() {
-        let runs = format!("[{}, {}]", sched_run(1, 15, true, 0.0), sched_run(8, 15, true, 0.5));
-        let base = sched_report(&runs);
-        assert!(evaluate_scheduler_scaling(&base, &base).is_empty());
-    }
-
-    #[test]
-    fn scheduler_changing_the_answer_is_flagged() {
-        let base = sched_report(&format!(
-            "[{}, {}]",
-            sched_run(1, 15, true, 0.0),
-            sched_run(8, 15, true, 0.5)
-        ));
-        let worse_cost = sched_report(&format!(
-            "[{}, {}]",
-            sched_run(1, 15, true, 0.0),
-            sched_run(8, 16, true, 0.5)
-        ));
-        let violations = evaluate_scheduler_scaling(&base, &worse_cost);
-        assert!(violations.iter().any(|v| v.contains("worse than the 1-worker")), "{violations:?}");
-        let lost_proof = sched_report(&format!(
-            "[{}, {}]",
-            sched_run(1, 15, true, 0.0),
-            sched_run(8, 15, false, 0.5)
-        ));
-        let violations = evaluate_scheduler_scaling(&base, &lost_proof);
-        assert!(violations.iter().any(|v| v.contains("prove optimality")), "{violations:?}");
-    }
-
-    #[test]
-    fn queue_wait_blowup_is_flagged_but_noise_is_not() {
-        // The busy-idling class of regression: baseline waited 0.5ms at 8
-        // workers, current waits 54ms (the measured pre-parking figure) —
-        // over both the 10x slack and the 50ms floor.
-        let base = sched_report(&format!(
-            "[{}, {}]",
-            sched_run(1, 15, true, 0.0),
-            sched_run(8, 15, true, 0.5)
-        ));
-        let blowup = sched_report(&format!(
-            "[{}, {}]",
-            sched_run(1, 15, true, 0.0),
-            sched_run(8, 15, true, 54.0)
-        ));
-        let violations = evaluate_scheduler_scaling(&base, &blowup);
-        assert!(violations.iter().any(|v| v.contains("queue wait")), "{violations:?}");
-        // 30ms is a preemption outlier on a busy runner: under the floor.
-        let noisy = sched_report(&format!(
-            "[{}, {}]",
-            sched_run(1, 15, true, 0.0),
-            sched_run(8, 15, true, 30.0)
-        ));
-        assert!(evaluate_scheduler_scaling(&base, &noisy).is_empty());
-    }
-
-    #[test]
-    fn reports_without_scheduler_scaling_pass_vacuously() {
-        // PR-7-era snapshots predate the section on both sides, and an
-        // old baseline cannot gate a new current's queue wait.
-        let old = report(100.0, 1000);
-        assert!(evaluate_scheduler_scaling(&old, &old).is_empty());
-        let cur = sched_report(&format!(
-            "[{}, {}]",
-            sched_run(1, 15, true, 0.0),
-            sched_run(8, 15, true, 0.5)
-        ));
-        assert!(evaluate_scheduler_scaling(&old, &cur).is_empty());
     }
 
     fn ladder_report(runs: &str) -> JsonValue {

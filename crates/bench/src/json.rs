@@ -345,80 +345,6 @@ pub fn summarize_par_bb(probes: &[ParBbProbe]) -> ParBbSummary {
     }
 }
 
-/// One worker-count run of the scheduler-scaling row.
-#[derive(Clone, Debug)]
-pub struct SchedulerScalingRun {
-    /// Worker count of this run.
-    pub workers: usize,
-    /// Final cost.
-    pub cost: Option<i64>,
-    /// Whether this run proved optimality within the budget.
-    pub optimal: bool,
-    /// Wall time.
-    pub time: Duration,
-    /// Nodes: head start + splitter lookahead + all workers, summed.
-    pub nodes: u64,
-    /// Successful Chase–Lev steals across all workers.
-    pub steals: u64,
-    /// Cubes acquired through the injector (frontier + overflow lane).
-    pub injections: u64,
-    /// Dynamic re-splits performed across all workers.
-    pub resplits: u64,
-    /// Total wall time workers spent inside the acquire loop.
-    pub queue_wait: Duration,
-}
-
-/// The scheduler-scaling row: the deep-split stress instance (a 1k+
-/// open-cube frontier, `pbo_benchgen::DeepSplitParams`) solved by the
-/// work-stealing scheduler at each probed worker count. Unlike the
-/// `par_bb` probe (hardest synthesis seeds, default self-balancing
-/// frontier), this row pins `split_target` so every worker count pushes
-/// the same thousand-cube frontier through the injector — it measures
-/// the scheduler under load, not the search. `available_parallelism`
-/// records how many cores the host actually offers, because worker
-/// counts beyond it measure oversubscription, not scaling.
-#[derive(Clone, Debug)]
-pub struct SchedulerScaling {
-    /// Instance name.
-    pub instance: String,
-    /// Open cubes the splitter produced (the provoked frontier).
-    pub frontier: usize,
-    /// The pinned initial-frontier target.
-    pub split_target: usize,
-    /// `std::thread::available_parallelism()` on the measuring host.
-    pub available_parallelism: usize,
-    /// One run per probed worker count, ascending.
-    pub runs: Vec<SchedulerScalingRun>,
-}
-
-fn write_scheduler_scaling(out: &mut String, s: &SchedulerScaling) {
-    out.push_str("  \"scheduler_scaling\": {\n");
-    let _ = writeln!(out, "    \"instance\": \"{}\",", escape(&s.instance));
-    let _ = writeln!(out, "    \"frontier\": {},", s.frontier);
-    let _ = writeln!(out, "    \"split_target\": {},", s.split_target);
-    let _ = writeln!(out, "    \"available_parallelism\": {},", s.available_parallelism);
-    out.push_str("    \"runs\": [\n");
-    for (ri, r) in s.runs.iter().enumerate() {
-        let rcomma = if ri + 1 < s.runs.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "      {{\"workers\": {}, \"cost\": {}, \"optimal\": {}, \"time_ms\": {:.3}, \
-             \"nodes\": {}, \"steals\": {}, \"injections\": {}, \"resplits\": {}, \
-             \"queue_wait_ms\": {:.3}}}{rcomma}",
-            r.workers,
-            opt_i64(r.cost),
-            r.optimal,
-            ms(r.time),
-            r.nodes,
-            r.steals,
-            r.injections,
-            r.resplits,
-            ms(r.queue_wait),
-        );
-    }
-    out.push_str("    ]\n  },\n");
-}
-
 /// One method's run in the bound-ladder probe (`lgr`, `lpr` or
 /// `adaptive` on one gated instance, same budget for all three).
 #[derive(Clone, Debug)]
@@ -721,12 +647,11 @@ pub fn render_report(
     families: &[(String, Vec<Row>)],
     ablation: Option<&ResidualAblation>,
 ) -> String {
-    render_report_full(budget_ms, seeds, families, ablation, &[], None, &[], 0, &[], None, &[])
+    render_report_full(budget_ms, seeds, families, ablation, &[], None, &[], 0, &[], &[])
 }
 
 /// [`render_report`] with the portfolio probe, dynamic-rows ablation,
-/// ParLS, parallel-exact (par_bb), scheduler-scaling and bound-ladder
-/// sections included.
+/// ParLS, parallel-exact (par_bb) and bound-ladder sections included.
 #[allow(clippy::too_many_arguments)]
 pub fn render_report_full(
     budget_ms: u64,
@@ -738,7 +663,6 @@ pub fn render_report_full(
     parls: &[ParlsProbe],
     parls_workers: usize,
     par_bb: &[ParBbProbe],
-    scheduler_scaling: Option<&SchedulerScaling>,
     bound_ladder: &[BoundLadderProbe],
 ) -> String {
     let mut out = String::new();
@@ -795,10 +719,6 @@ pub fn render_report_full(
         out.push_str("  \"par_bb\": null,\n");
     } else {
         write_par_bb(&mut out, par_bb);
-    }
-    match scheduler_scaling {
-        Some(s) => write_scheduler_scaling(&mut out, s),
-        None => out.push_str("  \"scheduler_scaling\": null,\n"),
     }
     if bound_ladder.is_empty() {
         out.push_str("  \"bound_ladder\": null,\n");

@@ -442,53 +442,6 @@ pub fn run_par_bb_probe(
         .collect()
 }
 
-/// Runs the scheduler-scaling row: the deep-split stress instance
-/// (`pbo_benchgen::DeepSplitParams`, a 1k+ open-cube frontier at the
-/// pinned `split_target`) solved by the work-stealing scheduler at each
-/// probed worker count. Where `run_par_bb_probe` asks "does splitting
-/// the search pay off", this row asks "does the scheduler keep up when
-/// the frontier is three orders of magnitude wider than the worker
-/// pool" — cube hand-off volume is the load, per-cube search is noise.
-/// `available_parallelism` is recorded alongside because worker counts
-/// beyond the host's cores measure oversubscription: on a single-core
-/// CI runner every multi-worker figure shares one CPU, and only the
-/// queue-wait column (idle time, not progress) is expected to stay flat.
-pub fn run_scheduler_scaling_probe(
-    seed: u64,
-    budget: Budget,
-    worker_counts: &[usize],
-    split_target: usize,
-) -> json::SchedulerScaling {
-    let instance = pbo_benchgen::DeepSplitParams::default().generate(seed);
-    let frontier = pbo_solver::CubeSplitter::split(&instance, split_target).open.len();
-    let runs = worker_counts
-        .iter()
-        .map(|&w| {
-            let mut options = BsoloOptions::with_lb(LbMethod::Mis).budget(budget);
-            options.split_target = Some(split_target);
-            let result = pbo_solver::ParBsolo::new(options, w).solve(&instance);
-            json::SchedulerScalingRun {
-                workers: w,
-                cost: result.best_cost,
-                optimal: result.status == SolveStatus::Optimal,
-                time: result.stats.solve_time,
-                nodes: result.stats.decisions,
-                steals: result.stats.steals,
-                injections: result.stats.injections,
-                resplits: result.stats.resplits,
-                queue_wait: result.stats.queue_wait_total,
-            }
-        })
-        .collect();
-    json::SchedulerScaling {
-        instance: instance.name().to_string(),
-        frontier,
-        split_target,
-        available_parallelism: std::thread::available_parallelism().map_or(1, |p| p.get()),
-        runs,
-    }
-}
-
 /// Runs the bound-ladder probe: each instance solved three times under
 /// the same budget — fixed Lagrangian (the ladder's cheap rung), fixed
 /// LPR (the expensive rung) and the adaptive ladder — recording wall

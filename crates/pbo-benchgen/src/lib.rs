@@ -2,9 +2,9 @@
 //! the DATE'05 evaluation (Table 1).
 //!
 //! The original benchmark files are no longer retrievable (dead 2005
-//! URLs, proprietary conversions), so — per the substitution policy in
-//! `DESIGN.md` — each family is regenerated synthetically with the same
-//! constraint *structure* and constrainedness regime:
+//! URLs, proprietary conversions), so each family is regenerated
+//! synthetically with the same constraint *structure* and
+//! constrainedness regime:
 //!
 //! | Table 1 family | Generator | Character |
 //! |---|---|---|
@@ -14,11 +14,9 @@
 //! | `acc-tight:*` (ACC scheduling) | [`AccSchedParams`] | pure PB satisfaction, tight round-robin rows |
 //!
 //! [`RandomParams`] adds unstructured instances for tests and
-//! throughput benchmarks, and [`DeepSplitParams`] adds the deep-split
-//! scheduler stress regime (thousand-cube lookahead frontiers over a
-//! tie-heavy objective) behind the `queue_contention` A/B and the
-//! scheduler-scaling row. All generators are deterministic per seed
-//! (ChaCha8-based), so every table in `EXPERIMENTS.md` is reproducible.
+//! throughput benchmarks. All generators are deterministic per seed
+//! (ChaCha8-based), so every generated table and benchmark run is
+//! reproducible.
 //!
 //! # Examples
 //!
@@ -34,14 +32,12 @@
 #![warn(missing_docs)]
 
 mod acc_sched;
-mod deep_split;
 mod grout;
 mod ptl_cmos;
 mod random;
 mod synthesis;
 
 pub use acc_sched::AccSchedParams;
-pub use deep_split::DeepSplitParams;
 pub use grout::GroutParams;
 pub use ptl_cmos::PtlCmosParams;
 pub use random::RandomParams;

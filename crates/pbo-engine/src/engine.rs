@@ -431,7 +431,7 @@ impl Engine {
     ///
     /// Panics if called above decision level 0 (PB slack bookkeeping is
     /// only stable for constraints added at the root; backjump to level 0
-    /// first — see `DESIGN.md`).
+    /// first).
     pub fn add_constraint(&mut self, c: &PbConstraint) -> Result<(), RootConflict> {
         self.add_constraint_tainted(c, Taint::NONE)
     }

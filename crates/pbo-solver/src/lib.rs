@@ -70,9 +70,7 @@ pub use bsolo::Bsolo;
 pub use cuts::{cardinality_cost_cuts, cost_cuts, knapsack_cut};
 pub use linear_search::{LinearSearch, LinearSearchOptions};
 pub use milp::{MilpOptions, MilpSolver};
-pub use options::{
-    Branching, BsoloOptions, Budget, LbMethod, ResidualMode, SchedulerKind, SolveStrategy,
-};
+pub use options::{Branching, BsoloOptions, Budget, LbMethod, ResidualMode, SolveStrategy};
 pub use par::{Cube, CubeSplitter, ParBsolo, SplitOutcome};
 pub use portfolio::{
     diversified_options, run_pool_steps, IncumbentCell, LocalSearch, LsOptions, LsResult, LsStats,

@@ -16,8 +16,7 @@
 //! * [`LinearSearch::galena_like`] — additionally probes during
 //!   preprocessing and adds the cardinality cost cuts (eqs. 11–13) after
 //!   each solution, standing in for Galena's stronger (cutting-plane
-//!   flavoured) pseudo-Boolean reasoning. `DESIGN.md` records this
-//!   surrogate.
+//!   flavoured) pseudo-Boolean reasoning.
 
 use std::time::Instant;
 

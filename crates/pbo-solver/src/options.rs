@@ -102,34 +102,6 @@ impl SolveStrategy {
     }
 }
 
-/// Which cube scheduler a parallel solve ([`crate::ParBsolo`]) uses to
-/// hand subtrees to workers.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub enum SchedulerKind {
-    /// Work stealing: each worker owns a Chase–Lev-style deque (LIFO
-    /// push/pop keeps re-split arms hot in the owner's cache; thieves
-    /// steal the oldest — shallowest, hence largest — cube), the initial
-    /// frontier sits in a lock-free global injector, and termination is
-    /// an atomic pending count. The steady-state owner pop never takes a
-    /// lock; the default since frontiers grew past ~1k cubes.
-    #[default]
-    WorkStealing,
-    /// The PR 5/6 central `Mutex<VecDeque>` + `Condvar` queue, kept as
-    /// the in-process A/B baseline for the `queue_contention` microbench
-    /// and as the contention-free fallback reference.
-    MutexDeque,
-}
-
-impl SchedulerKind {
-    /// Short name used in benchmark tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulerKind::WorkStealing => "work-stealing",
-            SchedulerKind::MutexDeque => "mutex-deque",
-        }
-    }
-}
-
 /// Resource budget for a solve. All limits are optional; an empty budget
 /// runs to completion.
 #[derive(Copy, Clone, Debug, Default)]
@@ -239,17 +211,6 @@ pub struct BsoloOptions {
     /// continues on the deepened cube, keeping the frontier
     /// self-balancing (`None` disables re-splitting).
     pub resplit_conflicts: Option<u64>,
-    /// Initial cube-frontier target of a parallel solve, overriding the
-    /// default `threads × 1`. The deep-split stress harness raises this
-    /// into the thousands so the scheduler's injector, overflow lane and
-    /// steal paths are all exercised under a dense frontier; leave
-    /// `None` for the self-balancing default (a small frontier plus
-    /// demand-driven re-splits).
-    pub split_target: Option<usize>,
-    /// Cube scheduler of a parallel solve. Identical solve semantics
-    /// either way (same cubes, same partition invariant); only the
-    /// hand-off machinery differs. See [`SchedulerKind`].
-    pub scheduler: SchedulerKind,
     /// Deterministic parallel mode: clause sharing is off, workers
     /// re-split on a fixed conflict schedule regardless of queue
     /// pressure, each subtree runs against a private incumbent snapshot,
@@ -271,7 +232,7 @@ pub struct BsoloOptions {
     /// deadline from [`Budget::time`] at solve start and threads the
     /// token into every long-running layer — the engine's propagation
     /// loop, the LP relaxation's pivot loop, local-search steps and
-    /// scheduler parking — so a cancel (external, deadline, or memory
+    /// the parallel cube queue — so a cancel (external, deadline, or memory
     /// ceiling) tears the solve down in bounded time with the best
     /// verified incumbent intact and `SolverStats::cancelled` set.
     /// `None` keeps the seed behaviour: the budget is only checked
@@ -297,8 +258,6 @@ impl Default for BsoloOptions {
             restart_base: Some(2048),
             share_clauses: true,
             resplit_conflicts: Some(256),
-            split_target: None,
-            scheduler: SchedulerKind::WorkStealing,
             deterministic_join: false,
             trace: false,
             budget: Budget::unlimited(),
@@ -359,13 +318,6 @@ mod tests {
         assert_eq!(SolveStrategy::Exact.name(), "exact");
         assert_eq!(SolveStrategy::LsSeeded.name(), "ls-seeded");
         assert_eq!(SolveStrategy::Concurrent.name(), "concurrent");
-    }
-
-    #[test]
-    fn work_stealing_is_the_default_scheduler() {
-        assert_eq!(BsoloOptions::default().scheduler, SchedulerKind::WorkStealing);
-        assert_eq!(SchedulerKind::WorkStealing.name(), "work-stealing");
-        assert_eq!(SchedulerKind::MutexDeque.name(), "mutex-deque");
     }
 
     #[test]

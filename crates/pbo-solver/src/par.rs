@@ -14,7 +14,7 @@
 //!    solved leaves they cover the root exactly; a property the test
 //!    suite checks by enumeration).
 //! 2. **[`ParBsolo`]** spawns `threads` workers under
-//!    `std::thread::scope`. Each worker pulls cubes from the scheduler
+//!    `std::thread::scope`. Each worker pulls cubes from the cube queue
 //!    (see below) and solves each subtree with a private
 //!    `SearchState` — its own engine, bound pipeline and residual state,
 //!    all borrowing the *same* `&Instance` (and through it one read-only
@@ -48,12 +48,12 @@
 //!    INCUMBENT-tainted ones) and therefore sound in *any* cube.
 //!    Workers sync at init, restarts, and after every re-split.
 //! 5. **Dynamic re-splitting.** A worker that outlives its conflict
-//!    allowance on one cube while the scheduler starves (fewer takeable
+//!    allowance on one cube while the queue starves (fewer queued
 //!    cubes than idle workers) backjumps to its root, harvests the
 //!    complementary arms of its first decisions
-//!    ([`SearchState::resplit`]), hands them to the scheduler and
+//!    ([`SearchState::resplit`]), pushes them onto the queue and
 //!    continues on the deepened cube — the fixed initial frontier
-//!    becomes self-balancing, and the idle tail (workers parked while
+//!    becomes self-balancing, and the idle tail (workers waiting while
 //!    the last long cube finishes) disappears. Arms + deepened cube
 //!    partition the parent cube exactly, so the exact-partition
 //!    invariant is inductive; depth caps bound the recursion
@@ -62,36 +62,22 @@
 //!    completion in the cube beats the final global best — pruning only
 //!    ever used upper bounds that the final best also satisfies). The
 //!    solve is `Optimal`/`Infeasible` when the frontier — initial cubes
-//!    plus every re-split arm — is fully closed; an atomic `pending`
-//!    count (raised *before* arms become takeable, lowered only when a
-//!    cube closes) makes the growing frontier safe — the scheduler can
-//!    never report "all done" while arms are in transit, because the
-//!    re-splitting worker's own cube is still pending. A budget
+//!    plus every re-split arm — is fully closed. The growing frontier is
+//!    safe because the queue reports "all done" only when it is empty
+//!    *and* no cube is in flight: a re-splitting worker still holds its
+//!    own cube while it pushes the arms. A budget
 //!    exhaustion in any worker raises a global abort flag, remaining
 //!    cubes are dropped, and the result degrades to
 //!    `Feasible`/`Unknown` exactly like the sequential solver.
 //!
-//! **Scheduler choice.** Cube hand-off is work-stealing by default
-//! ([`SchedulerKind::WorkStealing`]): each worker owns a bounded
-//! Chase–Lev-style deque of cube ids — the owner pushes and pops LIFO at
-//! the bottom, so a re-split's arms stay hot in the cache of the worker
-//! whose prefix spawned them, while thieves steal FIFO from the top,
-//! taking the *oldest and shallowest* (hence largest) subtree — over an
-//! append-only cube slab of `OnceLock` slots; the initial frontier sits
-//! in a lock-free injector (an atomic cursor over the split order), and
-//! termination is the atomic `pending` count
-//! above. Everything is index-based safe Rust — the crate keeps
-//! `forbid(unsafe_code)` — and the steady-state owner path (push, pop,
-//! starving check) never takes a lock; the only mutex left guards the
-//! cold overflow lane for slab/ring saturation. PR 5/6 used a central
-//! `Mutex<VecDeque>` + `Condvar` queue, the right call while a solve
-//! processed tens of cubes; the deep-split stress family
-//! (`pbo-benchgen`) pushes frontiers past a thousand cubes, where every
-//! hand-off serializing on one lock (and every re-split paying a condvar
-//! round-trip) became the measured bottleneck — the `queue_contention`
-//! microbench holds the A/B, and [`SchedulerKind::MutexDeque`] keeps
-//! the old queue selectable as its in-process baseline. The reversal is
-//! recorded in `ROADMAP.md`.
+//! **Scheduler choice.** Cubes are handed out by one central queue
+//! (`CubeQueue`): a `Mutex<VecDeque>` plus a `Condvar` for idle workers.
+//! A solve starts from one cube per worker and grows only by re-split
+//! arms, so hand-offs are rare next to the search work per cube.
+//! Chase–Lev work stealing was measured against this queue and lost: it
+//! never recorded a steal, its queue wait on 2 cores was 3–4x this
+//! queue's, and 2-worker synthesis wall time, time to best and peak
+//! memory were the same with either.
 //!
 //! With `threads == 1` the driver delegates to the sequential
 //! [`Bsolo`] verbatim — bit-identical optimum, node count and stats —
@@ -103,9 +89,8 @@
 //! regardless of thread scheduling.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::{Condvar, Mutex};
+use std::time::Instant;
 
 use pbo_core::{verify_solution, Instance, Lit, Value, Var};
 use pbo_engine::Engine;
@@ -114,7 +99,7 @@ use pbo_ls::IncumbentCell;
 use pbo_trace::{TraceEvent, Tracer};
 
 use crate::bsolo::{Bsolo, SearchState};
-use crate::options::{BsoloOptions, SchedulerKind};
+use crate::options::BsoloOptions;
 use crate::result::{SolveResult, SolveStatus, SolverStats};
 use crate::share::{ClausePool, PoolHandle};
 
@@ -153,18 +138,6 @@ const RESPLIT_ARMS: usize = 4;
 /// their search content. Hitting this cap is counted in
 /// [`SolverStats::split_depth_truncated`].
 const RESPLIT_MAX_DEPTH: usize = 48;
-
-/// Per-worker steal-deque ring capacity (power of two). A worker only
-/// ever holds its own un-stolen re-split arms here — a handful per
-/// re-split, drained LIFO between cubes — so 256 slots are effectively
-/// unreachable; on overflow the arm spills to the injector's mutex lane
-/// (sound, just cold).
-const RING_CAP: usize = 256;
-
-/// Extra cube-slab slots beyond the initial frontier: headroom for
-/// re-split arms before saturation routes new arms through the
-/// injector's overflow lane instead.
-const SLAB_SLACK: usize = 4096;
 
 /// An open subtree of the branch-and-bound, described by the decision
 /// literals on the path from the root: the subtree contains exactly the
@@ -322,12 +295,11 @@ impl CubeSplitter {
     }
 }
 
-/// The PR-5/6 central work queue: a mutex-protected deque with a
-/// condvar for idle workers and a global abort flag (raised on budget
-/// exhaustion). Kept selectable as [`SchedulerKind::MutexDeque`] — the
-/// in-process baseline the `queue_contention` microbench measures the
-/// work-stealing scheduler against (see the module docs for why the
-/// default flipped).
+/// The cube scheduler: a mutex-protected FIFO deque with a condvar for
+/// idle workers and a global abort flag (raised on budget exhaustion).
+/// Termination is exact: a worker that finds the deque empty waits while
+/// any sibling still holds a cube in flight, because that sibling may
+/// yet re-split arms back into the deque.
 struct CubeQueue {
     state: Mutex<QueueState>,
     ready: Condvar,
@@ -392,6 +364,9 @@ impl CubeQueue {
         if cubes.is_empty() {
             return;
         }
+        // Probe fires before the arms are queued: a worker dying here
+        // loses the arms *and* its deepened cube together, which is
+        // exactly the parent cube its guard then quarantines.
         failpoint!("sched.push");
         let mut s = self.lock();
         s.cubes.extend(cubes);
@@ -453,565 +428,36 @@ impl CubeQueue {
     }
 }
 
-/// Append-only cube storage behind the work-stealing deques: the rings
-/// carry plain `usize` ids, the slab owns the cubes. Slots are written
-/// exactly once (a `fetch_add` claims a unique index, `OnceLock::set`
-/// fills it) and never freed — a solve hands out at most a few thousand
-/// cubes, each a short literal vector. A full slab is not an error:
-/// `insert` hands the cube back and the scheduler routes it through the
-/// injector's overflow lane instead.
-struct CubeSlab {
-    slots: Vec<OnceLock<Cube>>,
-    next: AtomicUsize,
-}
-
-impl CubeSlab {
-    fn new(capacity: usize) -> CubeSlab {
-        let mut slots = Vec::with_capacity(capacity);
-        slots.resize_with(capacity, OnceLock::new);
-        CubeSlab { slots, next: AtomicUsize::new(0) }
-    }
-
-    fn insert(&self, cube: Cube) -> Result<usize, Cube> {
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
-        if id >= self.slots.len() {
-            return Err(cube);
-        }
-        // The claimed index is unique, so the slot is necessarily empty.
-        let set = self.slots[id].set(cube);
-        debug_assert!(set.is_ok(), "slab index claimed twice");
-        Ok(id)
-    }
-
-    /// Only called with ids returned by [`CubeSlab::insert`] and
-    /// published through a deque or the injector, so the slot is always
-    /// initialized (`OnceLock` carries the release/acquire pairing).
-    fn get(&self, id: usize) -> &Cube {
-        self.slots[id].get().expect("cube id published before initialization")
-    }
-}
-
-/// One worker's bounded Chase–Lev-style deque of cube ids: the owner
-/// pushes and pops LIFO at `bottom` (no lock, no CAS except for the
-/// last-element race), thieves steal FIFO at `top` with a CAS. The ring
-/// stores raw ids into the [`CubeSlab`]; `top` only ever grows, so a
-/// stale ring read is harmless — the value is used only if the `top`
-/// CAS proves no thief (and no wrap-around push) intervened. Orderings
-/// follow the C11 Chase–Lev formulation (Lê et al.), which is what
-/// keeps the owner's steady-state path lock-free in safe Rust.
-struct StealDeque {
-    top: AtomicI64,
-    bottom: AtomicI64,
-    ring: Vec<AtomicUsize>,
-    mask: i64,
-}
-
-impl StealDeque {
-    fn new(capacity: usize) -> StealDeque {
-        let cap = capacity.next_power_of_two().max(2);
-        StealDeque {
-            top: AtomicI64::new(0),
-            bottom: AtomicI64::new(0),
-            ring: (0..cap).map(|_| AtomicUsize::new(0)).collect(),
-            mask: cap as i64 - 1,
-        }
-    }
-
-    /// Owner-only. `Err` hands the id back when the ring is full (the
-    /// caller spills it to the injector's overflow lane).
-    fn push(&self, id: usize) -> Result<(), usize> {
-        let b = self.bottom.load(Ordering::Relaxed);
-        let t = self.top.load(Ordering::Acquire);
-        if b - t >= self.ring.len() as i64 {
-            return Err(id);
-        }
-        self.ring[(b & self.mask) as usize].store(id, Ordering::Relaxed);
-        self.bottom.store(b + 1, Ordering::Release);
-        Ok(())
-    }
-
-    /// Owner-only LIFO pop: newest first, so a re-splitting worker
-    /// drains its own (cache-hot, deepest) arms before anything else.
-    fn pop(&self) -> Option<usize> {
-        let b = self.bottom.load(Ordering::Relaxed) - 1;
-        self.bottom.store(b, Ordering::Relaxed);
-        std::sync::atomic::fence(Ordering::SeqCst);
-        let t = self.top.load(Ordering::Relaxed);
-        if t > b {
-            // Empty: restore bottom.
-            self.bottom.store(b + 1, Ordering::Relaxed);
-            return None;
-        }
-        let id = self.ring[(b & self.mask) as usize].load(Ordering::Relaxed);
-        if t == b {
-            // Last element: race the thieves for it via `top`.
-            let won =
-                self.top.compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed).is_ok();
-            self.bottom.store(b + 1, Ordering::Relaxed);
-            return won.then_some(id);
-        }
-        Some(id)
-    }
-
-    /// Thief-side FIFO steal: oldest (shallowest, hence largest) subtree
-    /// first. Retries while losing CAS races to other thieves; returns
-    /// `None` once the deque looks empty.
-    fn steal(&self) -> Option<usize> {
-        loop {
-            let t = self.top.load(Ordering::Acquire);
-            std::sync::atomic::fence(Ordering::SeqCst);
-            let b = self.bottom.load(Ordering::Acquire);
-            if t >= b {
-                return None;
-            }
-            let id = self.ring[(t & self.mask) as usize].load(Ordering::Relaxed);
-            if self.top.compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed).is_ok() {
-                return Some(id);
-            }
-            // Lost to another thief; re-read a fresh `top`.
-        }
-    }
-}
-
-/// Where a worker's next cube came from (drives the `Steal` trace event
-/// and the `steals` counter; `Queue` is the mutex-deque baseline).
-enum CubeSource {
-    /// The worker's own deque (LIFO re-split arm).
-    Own,
-    /// The global injector: initial frontier or an overflow spill.
-    Inject,
-    /// Stolen FIFO from the named worker's deque.
-    Steal(usize),
-    /// The central mutex deque ([`SchedulerKind::MutexDeque`]).
-    Queue,
-}
-
-/// The work-stealing cube scheduler (default, see module docs): one
-/// [`StealDeque`] per worker over a shared [`CubeSlab`], a lock-free
-/// injector cursor over the initial frontier, a mutex-guarded overflow
-/// lane for slab/ring saturation (cold by construction), and atomic
-/// termination — `pending` counts open cubes (raised *before* arms
-/// become takeable, lowered only at close), `aborted` latches budget
-/// exhaustion or a worker panic, and `queued`/`in_flight` feed the
-/// lock-free [`StealScheduler::starving`] read that gates re-splitting.
-struct StealScheduler {
-    slab: CubeSlab,
-    /// Initial frontier, as slab ids in split order (cube-lexicographic
-    /// order under deterministic join).
-    frontier: Vec<usize>,
-    /// Next un-taken `frontier` index.
-    cursor: AtomicUsize,
-    deques: Vec<StealDeque>,
-    /// Cold lane: arms that missed the slab or a full ring, and every
-    /// arm under deterministic join (a shared FIFO keeps det-mode load
-    /// balancing equivalent to the old central queue).
-    overflow: Mutex<VecDeque<Cube>>,
-    /// Lock-free emptiness check for `overflow`.
-    overflow_len: AtomicUsize,
-    /// Open cubes: frontier + arms − closed. Zero means every leaf of
-    /// the (grown) frontier partition was closed — the termination
-    /// condition.
-    pending: AtomicI64,
-    /// Takeable cubes (not yet handed to a worker). Transiently stale by
-    /// design; only the starving heuristic reads it.
-    queued: AtomicI64,
-    /// Cubes currently held by workers. Same caveat as `queued`.
-    in_flight: AtomicI64,
-    /// Cubes abandoned by dying workers: out of flight and out of
-    /// `pending`, but never closed — a positive count means part of the
-    /// frontier partition went unexplored, so the join must not claim
-    /// exhaustion.
-    quarantined: AtomicI64,
-    aborted: AtomicBool,
-    /// Cleared under deterministic join: every arm then goes through the
-    /// shared overflow FIFO and no Steal event can ever fire.
-    stealing: bool,
-    /// Idle parking. A worker whose full acquire sweep (own deque,
-    /// injector, steals) came up empty blocks here instead of spinning:
-    /// on machines with fewer cores than workers, a spinning thread
-    /// competes with the workers still searching for the CPU and
-    /// lengthens the very drain it is waiting out (measured as a 100x
-    /// `queue_wait_total` blowup vs the condvar baseline on one core).
-    /// The lock is touched only by parked workers and by publishers that
-    /// observe `parked > 0`, so steady-state take/push stays lock-free.
-    park_lock: Mutex<()>,
-    park_cv: Condvar,
-    /// Workers currently inside the park protocol (SeqCst; Dekker-pairs
-    /// with the `queued`/`pending` updates of `push`/`close`, so either
-    /// a parker sees new work or the publisher sees the parker).
-    parked: AtomicUsize,
-}
-
-impl StealScheduler {
-    fn new(threads: usize, mut cubes: Vec<Cube>, det: bool) -> StealScheduler {
-        if det {
-            // A scheduling-independent hand-out order (the per-cube
-            // trajectories are already private; this pins the injector
-            // order itself).
-            cubes.sort_by(|a, b| a.lits.cmp(&b.lits));
-        }
-        let n = cubes.len();
-        let slab = CubeSlab::new(n.saturating_mul(4).saturating_add(SLAB_SLACK));
-        let frontier: Vec<usize> = cubes
-            .into_iter()
-            .map(|c| slab.insert(c).unwrap_or_else(|_| panic!("slab sized for the frontier")))
-            .collect();
-        StealScheduler {
-            slab,
-            frontier,
-            cursor: AtomicUsize::new(0),
-            deques: (0..threads.max(1)).map(|_| StealDeque::new(RING_CAP)).collect(),
-            overflow: Mutex::new(VecDeque::new()),
-            overflow_len: AtomicUsize::new(0),
-            pending: AtomicI64::new(n as i64),
-            queued: AtomicI64::new(n as i64),
-            in_flight: AtomicI64::new(0),
-            quarantined: AtomicI64::new(0),
-            aborted: AtomicBool::new(false),
-            stealing: !det,
-            park_lock: Mutex::new(()),
-            park_cv: Condvar::new(),
-            parked: AtomicUsize::new(0),
-        }
-    }
-
-    fn take(&self, cube: Cube, source: CubeSource) -> (Cube, CubeSource) {
-        // in_flight up *before* queued down: a termination probe between
-        // the two sees the cube somewhere, never nowhere.
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        self.queued.fetch_sub(1, Ordering::SeqCst);
-        (cube, source)
-    }
-
-    fn pop_frontier(&self) -> Option<usize> {
-        loop {
-            let i = self.cursor.load(Ordering::Relaxed);
-            if i >= self.frontier.len() {
-                return None;
-            }
-            if self
-                .cursor
-                .compare_exchange_weak(i, i + 1, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-            {
-                return Some(self.frontier[i]);
-            }
-        }
-    }
-
-    fn pop_overflow(&self) -> Option<Cube> {
-        if self.overflow_len.load(Ordering::Acquire) == 0 {
-            return None;
-        }
-        let mut q = self.overflow.lock().unwrap_or_else(|p| p.into_inner());
-        let cube = q.pop_front();
-        if cube.is_some() {
-            self.overflow_len.fetch_sub(1, Ordering::Release);
-        }
-        cube
-    }
-
-    fn spill(&self, cube: Cube) {
-        let mut q = self.overflow.lock().unwrap_or_else(|p| p.into_inner());
-        q.push_back(cube);
-        self.overflow_len.fetch_add(1, Ordering::Release);
-    }
-
-    /// The worker-side acquire loop: own deque (LIFO), injector
-    /// (frontier cursor, then overflow), then stealing sweeps over the
-    /// other deques — spinning with escalating backoff until work
-    /// appears, every open cube is closed (`None`), or the solve aborts
-    /// (`None`). The whole loop is what `queue_wait_total` times.
-    fn next(&self, worker: usize) -> Option<(Cube, CubeSource)> {
-        let mut spins = 0u32;
-        loop {
-            if self.aborted.load(Ordering::Acquire) {
-                return None;
-            }
-            if let Some(id) = self.deques[worker].pop() {
-                return Some(self.take(self.slab.get(id).clone(), CubeSource::Own));
-            }
-            if let Some(id) = self.pop_frontier() {
-                return Some(self.take(self.slab.get(id).clone(), CubeSource::Inject));
-            }
-            if let Some(cube) = self.pop_overflow() {
-                return Some(self.take(cube, CubeSource::Inject));
-            }
-            if self.stealing {
-                // Probe placed before any deque is touched: a panic here
-                // kills a worker that holds *no* cube, so nothing needs
-                // quarantining and the counters stay exact.
-                failpoint!("sched.steal");
-                for off in 1..self.deques.len() {
-                    let victim = (worker + off) % self.deques.len();
-                    if let Some(id) = self.deques[victim].steal() {
-                        return Some(
-                            self.take(self.slab.get(id).clone(), CubeSource::Steal(victim)),
-                        );
-                    }
-                }
-            }
-            if self.pending.load(Ordering::SeqCst) == 0 {
-                return None;
-            }
-            // The frontier is momentarily dry but some cube is still
-            // open (its owner may yet re-split): spin briefly for the
-            // racy case, then park until a publisher wakes us. The
-            // park re-check runs *after* raising `parked` (SeqCst), and
-            // `push`/`close` read `parked` *after* their `queued`/
-            // `pending` updates, so by the usual Dekker argument either
-            // we see the new work here or the publisher sees us and
-            // notifies under the lock we wait on; the timeout is a
-            // belt-and-braces backstop, not a correctness requirement.
-            spins += 1;
-            if spins < 8 {
-                std::hint::spin_loop();
-            } else if spins < 12 {
-                std::thread::yield_now();
-            } else {
-                // Before `parked` rises: a panic here never leaves the
-                // parked count elevated for `wake_parked` to chase.
-                failpoint!("sched.park");
-                self.parked.fetch_add(1, Ordering::SeqCst);
-                let guard = self.park_lock.lock().unwrap_or_else(|p| p.into_inner());
-                if !self.aborted.load(Ordering::Acquire)
-                    && self.pending.load(Ordering::SeqCst) != 0
-                    && self.queued.load(Ordering::SeqCst) <= 0
-                {
-                    // The timeout is deliberately long: a parked worker
-                    // that re-sweeps on a tight timer competes with the
-                    // workers still searching for the one core and
-                    // lengthens the drain it is waiting out. Wakes come
-                    // from `push`/`close`, not from here.
-                    let _ = self
-                        .park_cv
-                        .wait_timeout(guard, Duration::from_millis(50))
-                        .unwrap_or_else(|p| p.into_inner());
-                }
-                self.parked.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
-    }
-
-    /// Wakes parked workers after publishing work or deciding the solve
-    /// is over. Lock-free when nobody is parked (the common case).
-    fn wake_parked(&self) {
-        if self.parked.load(Ordering::SeqCst) > 0 {
-            // The lock orders this notify against the parkers' re-check:
-            // any parker past its check is already inside `wait_timeout`.
-            let _guard = self.park_lock.lock().unwrap_or_else(|p| p.into_inner());
-            self.park_cv.notify_all();
-        }
-    }
-
-    /// Publishes re-split arms. `pending` rises before any arm becomes
-    /// takeable, so a concurrent termination probe can never miss them
-    /// (the pusher's own cube is also still pending). Returns how many
-    /// arms went through the injector's overflow lane rather than the
-    /// worker's own deque (the `Inject` tally).
-    fn push(&self, worker: usize, arms: Vec<Cube>) -> u64 {
-        if arms.is_empty() {
-            return 0;
-        }
-        // Probe fires before `pending` rises: a worker dying here loses
-        // the arms *and* its deepened cube together, which is exactly
-        // the parent cube its guard then quarantines — one pending unit,
-        // one quarantine, partition accounting exact.
-        failpoint!("sched.push");
-        let n = arms.len() as i64;
-        self.pending.fetch_add(n, Ordering::SeqCst);
-        let mut spilled = 0u64;
-        for cube in arms {
-            if !self.stealing {
-                // Deterministic join: the shared FIFO, like the old
-                // central queue, so siblings can still pick arms up.
-                self.spill(cube);
-                spilled += 1;
-                continue;
-            }
-            match self.slab.insert(cube) {
-                Ok(id) => {
-                    if let Err(id) = self.deques[worker].push(id) {
-                        self.spill(self.slab.get(id).clone());
-                        spilled += 1;
-                    }
-                }
-                Err(cube) => {
-                    self.spill(cube);
-                    spilled += 1;
-                }
-            }
-        }
-        self.queued.fetch_add(n, Ordering::SeqCst);
-        self.wake_parked();
-        spilled
-    }
-
-    /// Lock-free starving probe (the re-split trigger): fewer takeable
-    /// cubes than idle workers. Two relaxed loads; transient staleness
-    /// only perturbs a heuristic.
-    fn starving(&self, threads: usize) -> bool {
-        let queued = self.queued.load(Ordering::Relaxed);
-        let idle = threads as i64 - self.in_flight.load(Ordering::Relaxed);
-        queued < idle
-    }
-
-    fn close(&self, abort: bool) {
-        if abort {
-            self.aborted.store(true, Ordering::Release);
-        }
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
-        // The last close (or an abort) must rouse everyone so the
-        // termination probe in `next` can observe `pending == 0`.
-        if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 || abort {
-            self.wake_parked();
-        }
-    }
-
-    /// Removes a dying worker's cube from the books without closing it:
-    /// `pending` drops (the survivors' termination probe must not wait
-    /// for a verdict that will never come) and the quarantine count
-    /// rises (the join must not read the drained frontier as a complete
-    /// proof). The solve is *not* aborted — that is the point.
-    fn quarantine(&self) {
-        self.quarantined.fetch_add(1, Ordering::SeqCst);
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
-        if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-            self.wake_parked();
-        }
-    }
-
-    /// Aborts the solve from outside a cube (cooperative cancellation).
-    fn abort(&self) {
-        self.aborted.store(true, Ordering::Release);
-        self.wake_parked();
-    }
-
-    fn quarantined_count(&self) -> u64 {
-        self.quarantined.load(Ordering::SeqCst).max(0) as u64
-    }
-
-    fn was_aborted(&self) -> bool {
-        self.aborted.load(Ordering::Acquire)
-    }
-}
-
-/// Scheduler dispatch: the work-stealing default and the PR-5/6 mutex
-/// deque kept as an in-process A/B baseline (`queue_contention` bench,
-/// [`SchedulerKind`]).
-enum Scheduler {
-    Stealing(StealScheduler),
-    Mutex(CubeQueue),
-}
-
-impl Scheduler {
-    /// Builds the scheduler over the initial frontier. The second value
-    /// is the frontier size *when it counts as injector traffic* — the
-    /// work-stealing racing path — for the driver's `Inject` event and
-    /// `injections` counter; zero for the mutex baseline and under
-    /// deterministic join (whose counters must stay
-    /// scheduling-independent, i.e. zero).
-    fn new(kind: SchedulerKind, threads: usize, cubes: Vec<Cube>, det: bool) -> (Scheduler, u64) {
-        match kind {
-            SchedulerKind::WorkStealing => {
-                let injected = if det { 0 } else { cubes.len() as u64 };
-                (Scheduler::Stealing(StealScheduler::new(threads, cubes, det)), injected)
-            }
-            SchedulerKind::MutexDeque => (Scheduler::Mutex(CubeQueue::new(cubes)), 0),
-        }
-    }
-
-    fn next(&self, worker: usize) -> Option<(Cube, CubeSource)> {
-        match self {
-            Scheduler::Stealing(s) => s.next(worker),
-            Scheduler::Mutex(q) => q.next().map(|c| (c, CubeSource::Queue)),
-        }
-    }
-
-    fn push(&self, worker: usize, arms: Vec<Cube>) -> u64 {
-        match self {
-            Scheduler::Stealing(s) => s.push(worker, arms),
-            Scheduler::Mutex(q) => {
-                q.push(arms);
-                0
-            }
-        }
-    }
-
-    fn starving(&self, threads: usize) -> bool {
-        match self {
-            Scheduler::Stealing(s) => s.starving(threads),
-            Scheduler::Mutex(q) => q.starving(threads),
-        }
-    }
-
-    fn close(&self, abort: bool) {
-        match self {
-            Scheduler::Stealing(s) => s.close(abort),
-            Scheduler::Mutex(q) => q.done(abort),
-        }
-    }
-
-    fn quarantine(&self) {
-        match self {
-            Scheduler::Stealing(s) => s.quarantine(),
-            Scheduler::Mutex(q) => q.quarantine(),
-        }
-    }
-
-    fn abort(&self) {
-        match self {
-            Scheduler::Stealing(s) => s.abort(),
-            Scheduler::Mutex(q) => q.abort(),
-        }
-    }
-
-    fn quarantined_count(&self) -> u64 {
-        match self {
-            Scheduler::Stealing(s) => s.quarantined_count(),
-            Scheduler::Mutex(q) => q.quarantined_count(),
-        }
-    }
-
-    fn was_aborted(&self) -> bool {
-        match self {
-            Scheduler::Stealing(s) => s.was_aborted(),
-            Scheduler::Mutex(q) => q.was_aborted(),
-        }
-    }
-}
-
 /// Unwind guard for an in-flight cube: a panic between
-/// [`Scheduler::next`] and [`WorkGuard::finish`] would otherwise leave
-/// the cube open forever — sibling workers would spin (or block, on the
-/// mutex baseline) for a verdict that never comes, and `thread::scope`
-/// would wait on those siblings instead of propagating the panic. On
-/// drop (unless defused by a normal [`WorkGuard::finish`]) the guard
-/// *quarantines* the cube: it leaves the books without closing, the
-/// surviving workers keep draining the rest of the frontier, and the
-/// positive quarantine count downgrades the final status — containment,
-/// not a solve-wide abort (that was the pre-PR-9 behaviour).
+/// [`CubeQueue::next`] and [`WorkGuard::finish`] would otherwise leave
+/// the cube in flight forever — sibling workers would block for a
+/// verdict that never comes, and `thread::scope` would wait on those
+/// siblings instead of propagating the panic. On drop (unless defused by
+/// a normal [`WorkGuard::finish`]) the guard *quarantines* the cube: it
+/// leaves the books without closing, the surviving workers keep draining
+/// the rest of the frontier, and the positive quarantine count
+/// downgrades the final status — containment, not a solve-wide abort.
 struct WorkGuard<'a> {
-    sched: &'a Scheduler,
+    queue: &'a CubeQueue,
     armed: bool,
 }
 
 impl<'a> WorkGuard<'a> {
-    fn new(sched: &'a Scheduler) -> WorkGuard<'a> {
-        WorkGuard { sched, armed: true }
+    fn new(queue: &'a CubeQueue) -> WorkGuard<'a> {
+        WorkGuard { queue, armed: true }
     }
 
     /// The normal completion path (defuses the guard).
     fn finish(mut self, abort: bool) {
         self.armed = false;
-        self.sched.close(abort);
+        self.queue.done(abort);
     }
 }
 
 impl Drop for WorkGuard<'_> {
     fn drop(&mut self) {
         if self.armed {
-            self.sched.quarantine();
+            self.queue.quarantine();
         }
     }
 }
@@ -1219,9 +665,7 @@ impl ParBsolo {
             return SolveResult { status: head_status, best_cost, best_assignment, stats };
         }
         let head_nodes = stats.decisions;
-        let target =
-            self.options.split_target.unwrap_or(self.threads * CUBES_PER_WORKER).max(self.threads);
-        let split = CubeSplitter::split(inst, target);
+        let split = CubeSplitter::split(inst, self.threads * CUBES_PER_WORKER);
         stats.decisions = head_nodes + split.decisions;
         stats.split_depth_truncated += split.depth_truncated;
         if split.decisions > 0 {
@@ -1248,16 +692,7 @@ impl ParBsolo {
                 driver_tracer.emit(TraceEvent::Solution { cost: *cost });
             }
         }
-        // Scheduler over the initial frontier. In the work-stealing
-        // racing mode the frontier is injector traffic: count it and
-        // emit one bulk Inject on the driver lane (reconciled exactly
-        // against `stats.injections` by the trace tests).
-        let (sched, injected) =
-            Scheduler::new(worker_options.scheduler, self.threads, split.open, det);
-        if injected > 0 {
-            stats.injections += injected;
-            driver_tracer.emit(TraceEvent::Inject { n: injected });
-        }
+        let queue = CubeQueue::new(split.open);
         stats.trace.extend(driver_tracer.drain());
 
         // Cross-worker clause sharing (see [`crate::share`]): racing
@@ -1278,7 +713,7 @@ impl ParBsolo {
             instance: inst,
             options: &worker_options,
             cell: run_cell,
-            sched: &sched,
+            queue: &queue,
             start,
             seed: &seed,
             pool: pool.as_ref(),
@@ -1297,7 +732,7 @@ impl ParBsolo {
                 .map(|h| match h.join() {
                     Ok(o) => o,
                     // A panic that escaped even the in-worker containment
-                    // (e.g. inside the scheduler acquire loop, where no
+                    // (e.g. while waiting on the queue, where no
                     // cube is held — the guard has already quarantined
                     // any in-flight cube during the unwind). The worker's
                     // counters are lost; record the death honestly and
@@ -1311,14 +746,14 @@ impl ParBsolo {
                 .collect()
         });
 
-        // Quarantine accounting is the scheduler's, not the workers':
+        // Quarantine accounting is the queue's, not the workers':
         // it is exact even when a worker died outside its own
         // containment. Any quarantined cube is an unexplored part of the
         // frontier partition — the solve may keep its verified incumbent
         // but must not claim exhaustion.
-        let quarantined = sched.quarantined_count();
+        let quarantined = queue.quarantined_count();
         stats.cubes_quarantined += quarantined;
-        let mut all_closed = !sched.was_aborted() && quarantined == 0;
+        let mut all_closed = !queue.was_aborted() && quarantined == 0;
         if let Some(dj) = det_join {
             // Fixed-order reduction: per-cube records sorted by cube
             // literals (a scheduling-independent key — every cube is a
@@ -1415,14 +850,13 @@ struct WorkerCtx<'a> {
     instance: &'a Instance,
     options: &'a BsoloOptions,
     cell: &'a IncumbentCell,
-    sched: &'a Scheduler,
+    queue: &'a CubeQueue,
     start: Instant,
     seed: &'a [Vec<Lit>],
     /// Shared-clause pool (`None`: sharing disabled, or deterministic
     /// mode). Each worker publishes on its own lane (`worker + 1`).
     pool: Option<&'a ClausePool>,
-    /// Worker count — the scheduler-starvation threshold for
-    /// re-splitting.
+    /// Worker count — the queue-starvation threshold for re-splitting.
     threads: usize,
     /// Deterministic-join state (`None` in the default racing mode).
     det: Option<&'a DetJoin>,
@@ -1459,22 +893,21 @@ fn run_worker(ctx: &WorkerCtx<'_>, worker: usize) -> SubtreeResult {
     let mut all_closed = true;
     loop {
         // Cooperative cancellation between cubes: stop taking work and
-        // abort the scheduler so parked siblings drain instead of
-        // re-parking against a frontier nobody will finish.
+        // abort the queue so waiting siblings drain instead of blocking
+        // on a frontier nobody will finish.
         if ctx.options.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
             total.cancelled = true;
             all_closed = false;
-            ctx.sched.abort();
+            ctx.queue.abort();
             break;
         }
-        // Wall time of the whole acquire loop — condvar blocks on the
-        // mutex baseline; failed pops, steal sweeps and idle backoff on
-        // the work-stealing path (see `SolverStats::queue_wait_total`).
+        // Wall time from asking the queue for a cube to receiving one,
+        // condvar blocks included (see `SolverStats::queue_wait_total`).
         let wait_from = Instant::now();
-        let Some((cube, source)) = ctx.sched.next(worker) else { break };
+        let Some(cube) = ctx.queue.next() else { break };
         // Armed before anything else touches the cube: from here to
         // `finish`, any unwind quarantines it instead of leaking it.
-        let guard = WorkGuard::new(ctx.sched);
+        let guard = WorkGuard::new(ctx.queue);
         let wait = wait_from.elapsed();
         total.queue_wait_total += wait;
         let mut stats = SolverStats::default();
@@ -1488,16 +921,11 @@ fn run_worker(ctx: &WorkerCtx<'_>, worker: usize) -> SubtreeResult {
             Tracer::off()
         };
         if ctx.det.is_none() {
-            // Queue-wait spans and steals are pure scheduling noise;
-            // deterministic join excludes them (it also zeroes the wait
-            // counter, and disables stealing outright).
+            // Queue-wait spans are pure scheduling noise; deterministic
+            // join excludes them (it also zeroes the wait counter).
             tracer.emit(TraceEvent::QueueWait {
                 wait_ns: u64::try_from(wait.as_nanos()).unwrap_or(u64::MAX),
             });
-            if let CubeSource::Steal(victim) = source {
-                stats.steals += 1;
-                tracer.emit(TraceEvent::Steal { victim: victim as u32 + 1 });
-            }
         }
         let depth = cube.lits.len() as u32;
         let cube_from = tracer.now_ns();
@@ -1549,10 +977,9 @@ fn run_worker(ctx: &WorkerCtx<'_>, worker: usize) -> SubtreeResult {
 /// Solves one subtree task to exhaustion (or budget): the sequential
 /// search loop, rooted in `cube` and seeded with the head start's
 /// learned clauses, publishing incumbents to (and adopting from) the
-/// shared cell — re-splitting its remaining subtree back to the
-/// scheduler whenever it outlives its conflict allowance while the
-/// scheduler starves. Returns the final status and the task's best
-/// (cost, model).
+/// shared cell — re-splitting its remaining subtree back to the queue
+/// whenever it outlives its conflict allowance while the queue starves.
+/// Returns the final status and the task's best (cost, model).
 fn solve_cube(
     ctx: &WorkerCtx<'_>,
     worker: usize,
@@ -1604,16 +1031,16 @@ fn solve_cube(
                 status
             } else {
                 loop {
-                    // Racing mode shortens the allowance while the scheduler
+                    // Racing mode shortens the allowance while the queue
                     // is starving, so a worker holding the last long cube
                     // hands work to idle peers within a fraction of the
                     // normal re-split period instead of a full one (the
                     // idle-tail killer on small subtrees). Deterministic
                     // mode keeps the fixed schedule — the allowance must not
-                    // depend on scheduler timing.
+                    // depend on queue timing.
                     let quantum = ctx.options.resplit_conflicts.map(|c| {
                         let c = c.max(1);
-                        if ctx.det.is_none() && ctx.sched.starving(ctx.threads) {
+                        if ctx.det.is_none() && ctx.queue.starving(ctx.threads) {
                             (c / 8).max(1)
                         } else {
                             c
@@ -1624,16 +1051,16 @@ fn solve_cube(
                         Some(status) => break status,
                         None => {
                             // The conflict allowance is burned on this cube.
-                            // Re-split if the scheduler is starving
+                            // Re-split if the queue is starving
                             // (deterministic mode re-splits unconditionally —
-                            // the schedule must not depend on scheduler
+                            // the schedule must not depend on queue
                             // timing); otherwise just raise the cap and keep
                             // searching.
                             if search.cube_depth() >= RESPLIT_MAX_DEPTH {
                                 stats.split_depth_truncated += 1;
                                 continue;
                             }
-                            if ctx.det.is_none() && !ctx.sched.starving(ctx.threads) {
+                            if ctx.det.is_none() && !ctx.queue.starving(ctx.threads) {
                                 continue;
                             }
                             let arms = search.resplit(RESPLIT_ARMS);
@@ -1648,18 +1075,8 @@ fn solve_cube(
                                 search
                                     .tracer()
                                     .emit(TraceEvent::Resplit { arms: arms.len() as u32 });
-                                let spilled = ctx.sched.push(
-                                    worker,
-                                    arms.into_iter().map(|lits| Cube { lits }).collect(),
-                                );
-                                if ctx.det.is_none() && spilled > 0 {
-                                    // Arms that overflowed the worker's own
-                                    // deque (or the slab) into the injector:
-                                    // bulk Inject, reconciled against
-                                    // `stats.injections`.
-                                    stats.injections += spilled;
-                                    search.tracer().emit(TraceEvent::Inject { n: spilled });
-                                }
+                                ctx.queue
+                                    .push(arms.into_iter().map(|lits| Cube { lits }).collect());
                                 // The re-split left the engine at the root:
                                 // publish/import with the pool while it is
                                 // legal (and cheap) to do so.
@@ -1949,55 +1366,48 @@ mod tests {
         // *quarantine* the in-flight cube — siblings keep draining the
         // rest of the frontier (including the pushed arm) instead of the
         // whole solve aborting — and the quarantine count must surface
-        // so the join cannot claim a complete proof. Both scheduler
-        // kinds carry the same guarantee.
+        // so the join cannot claim a complete proof.
         let cube = |i: usize, pos: bool| Cube { lits: vec![Lit::new(i, pos)] };
-        for kind in [SchedulerKind::WorkStealing, SchedulerKind::MutexDeque] {
-            let (sched, _) = Scheduler::new(kind, 2, vec![cube(0, true), cube(0, false)], false);
-            std::thread::scope(|s| {
-                let sched = &sched;
-                s.spawn(move || {
-                    let _ = catch_unwind(AssertUnwindSafe(|| {
-                        let _cube = sched.next(0).expect("first cube");
-                        let _guard = WorkGuard::new(sched);
-                        sched.push(
-                            0,
-                            vec![Cube { lits: vec![Lit::new(1, true), Lit::new(2, true)] }],
-                        );
-                        panic!("worker dies mid-re-split");
-                    }));
-                })
-                .join()
-                .expect("outer thread caught the panic");
-            });
-            assert!(!sched.was_aborted(), "{kind:?}: a dead worker must not abort the solve");
-            assert_eq!(sched.quarantined_count(), 1, "{kind:?}: the held cube is quarantined");
-            // The survivor drains the second frontier cube and the
-            // pushed arm, then sees a clean end-of-work.
-            let mut drained = 0;
-            while let Some(_take) = sched.next(1) {
-                drained += 1;
-                WorkGuard::new(&sched).finish(false);
-            }
-            assert_eq!(drained, 2, "{kind:?}: surviving frontier stays takeable");
-            assert!(!sched.was_aborted(), "{kind:?}: clean drain after the loss");
-            assert_eq!(sched.quarantined_count(), 1, "{kind:?}: count stable after drain");
+        let queue = CubeQueue::new(vec![cube(0, true), cube(0, false)]);
+        std::thread::scope(|s| {
+            let queue = &queue;
+            s.spawn(move || {
+                let _ = catch_unwind(AssertUnwindSafe(|| {
+                    let _cube = queue.next().expect("first cube");
+                    let _guard = WorkGuard::new(queue);
+                    queue.push(vec![Cube { lits: vec![Lit::new(1, true), Lit::new(2, true)] }]);
+                    panic!("worker dies mid-re-split");
+                }));
+            })
+            .join()
+            .expect("outer thread caught the panic");
+        });
+        assert!(!queue.was_aborted(), "a dead worker must not abort the solve");
+        assert_eq!(queue.quarantined_count(), 1, "the held cube is quarantined");
+        // The survivor drains the second frontier cube and the pushed
+        // arm, then sees a clean end-of-work.
+        let mut drained = 0;
+        while let Some(_cube) = queue.next() {
+            drained += 1;
+            WorkGuard::new(&queue).finish(false);
         }
+        assert_eq!(drained, 2, "surviving frontier stays takeable");
+        assert!(!queue.was_aborted(), "clean drain after the loss");
+        assert_eq!(queue.quarantined_count(), 1, "count stable after drain");
     }
 
     #[test]
     fn randomized_push_steal_panic_stress_keeps_exact_partition() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        use std::sync::Mutex as StdMutex;
-        // N producers × M thieves over the work-stealing scheduler:
-        // every worker repeatedly takes a cube and either closes it or
-        // splits it (recording `cube ∧ d` closed, pushing `cube ∧ ¬d`),
-        // under a seeded per-worker interleaving. After the frontier
-        // drains, the closed records must partition the root exactly —
-        // checked by enumeration — whatever steal/pop/overflow
-        // interleaving the OS produced. A final round repeats the run
-        // with one worker panicking mid-split and asserts the abort
-        // reaches every sibling.
+        use std::sync::atomic::{AtomicU64, Ordering};
+        // 2–4 workers over one cube queue: every worker repeatedly takes
+        // a cube and either closes it or splits it (recording `cube ∧ d`
+        // closed, pushing `cube ∧ ¬d`), under a seeded per-worker
+        // interleaving. After the frontier drains, the closed records
+        // must partition the root exactly — checked by enumeration —
+        // whatever push/take/wait interleaving the OS produced. A final
+        // round repeats the run with one worker panicking mid-split and
+        // asserts the siblings drain the rest without an abort.
         const N_VARS: usize = 10;
         let root_frontier = || -> Vec<Cube> {
             // Depth-2 prefix tree over v0, v1: four disjoint cubes
@@ -2012,27 +1422,21 @@ mod tests {
         };
         for trial in 0..8u64 {
             let threads = 2 + (trial as usize % 3); // 2..=4
-            let (sched, _) =
-                Scheduler::new(SchedulerKind::WorkStealing, threads, root_frontier(), false);
-            let closed: StdMutex<Vec<Vec<Lit>>> = StdMutex::new(Vec::new());
-            let steals = std::sync::atomic::AtomicU64::new(0);
+            let queue = CubeQueue::new(root_frontier());
+            let closed: Mutex<Vec<Vec<Lit>>> = Mutex::new(Vec::new());
             std::thread::scope(|s| {
                 for w in 0..threads {
-                    let sched = &sched;
+                    let queue = &queue;
                     let closed = &closed;
-                    let steals = &steals;
                     s.spawn(move || {
                         let mut rng = ChaCha8Rng::seed_from_u64(trial * 31 + w as u64);
-                        while let Some((cube, source)) = sched.next(w) {
-                            if matches!(source, CubeSource::Steal(_)) {
-                                steals.fetch_add(1, Ordering::Relaxed);
-                            }
-                            let guard = WorkGuard::new(sched);
+                        while let Some(cube) = queue.next() {
+                            let guard = WorkGuard::new(queue);
                             let depth = cube.lits.len();
                             if depth < N_VARS && rng.gen_bool(0.6) {
                                 // Split: branch on the next variable,
-                                // sometimes several arms deep (stresses
-                                // ring growth and overflow spills).
+                                // sometimes several arms deep (several
+                                // arms per push, like a real re-split).
                                 let arms = rng.gen_range(1..=3.min(N_VARS - depth));
                                 let mut kept = cube.lits.clone();
                                 let mut pushed = Vec::new();
@@ -2043,7 +1447,7 @@ mod tests {
                                     pushed.push(Cube { lits: arm });
                                     kept.push(Lit::new(var, true));
                                 }
-                                sched.push(w, pushed);
+                                queue.push(pushed);
                                 closed.lock().unwrap().push(kept);
                             } else {
                                 closed.lock().unwrap().push(cube.lits);
@@ -2053,7 +1457,7 @@ mod tests {
                     });
                 }
             });
-            assert!(!sched.was_aborted(), "trial {trial}: clean drain");
+            assert!(!queue.was_aborted(), "trial {trial}: clean drain");
             let closed = closed.into_inner().unwrap();
             // Exact partition of the root, by enumeration.
             for bits in 0..(1u32 << N_VARS) {
@@ -2071,31 +1475,31 @@ mod tests {
         // draining the surviving frontier to a clean end (no abort, no
         // hang — this scope join is itself the liveness assertion), and
         // exactly the one held cube lands in quarantine.
-        let (sched, _) = Scheduler::new(SchedulerKind::WorkStealing, 3, root_frontier(), false);
-        let drained = std::sync::atomic::AtomicU64::new(0);
+        let queue = CubeQueue::new(root_frontier());
+        let drained = AtomicU64::new(0);
         std::thread::scope(|s| {
-            let sched = &sched;
+            let queue = &queue;
             let drained = &drained;
             s.spawn(move || {
                 let _ = catch_unwind(AssertUnwindSafe(|| {
-                    let _take = sched.next(0).expect("a cube");
-                    let _guard = WorkGuard::new(sched);
-                    sched.push(0, vec![Cube { lits: vec![Lit::new(5, true)] }]);
+                    let _cube = queue.next().expect("a cube");
+                    let _guard = WorkGuard::new(queue);
+                    queue.push(vec![Cube { lits: vec![Lit::new(5, true)] }]);
                     panic!("stress worker dies mid-split");
                 }));
             });
-            for w in 1..3 {
+            for _ in 1..3 {
                 s.spawn(move || {
-                    while let Some((_, _)) = sched.next(w) {
-                        let guard = WorkGuard::new(sched);
+                    while let Some(_cube) = queue.next() {
+                        let guard = WorkGuard::new(queue);
                         drained.fetch_add(1, Ordering::Relaxed);
                         guard.finish(false);
                     }
                 });
             }
         });
-        assert!(!sched.was_aborted(), "a lost worker must not abort the stress run");
-        assert_eq!(sched.quarantined_count(), 1, "exactly the held cube is quarantined");
+        assert!(!queue.was_aborted(), "a lost worker must not abort the stress run");
+        assert_eq!(queue.quarantined_count(), 1, "exactly the held cube is quarantined");
         // 4 frontier cubes + 1 pushed arm − 1 quarantined = 4 drained.
         assert_eq!(drained.load(Ordering::Relaxed), 4, "survivors drain the rest");
     }
@@ -2227,60 +1631,9 @@ mod tests {
             // And the answer agrees with the sequential solver.
             assert_eq!(a.status, seq.status, "{label}: vs sequential status");
             assert_eq!(a.best_cost, seq.best_cost, "{label}: vs sequential cost");
-            // Sharing is structurally off in this mode, and scheduling
-            // artifacts (steals, injector traffic) are excluded from the
-            // deterministic claim by construction.
+            // Sharing is structurally off in this mode.
             assert_eq!(a.stats.clauses_shared, 0, "{label}: sharing off");
             assert_eq!(a.stats.clauses_imported, 0, "{label}: imports off");
-            assert_eq!(a.stats.steals, 0, "{label}: stealing off under det join");
-            assert_eq!(a.stats.injections, 0, "{label}: inject accounting off under det join");
-            // The deterministic claim also holds *across* scheduler
-            // kinds: per-cube trajectories depend only on (instance,
-            // options, cube, seed incumbent), so the mutex baseline must
-            // reduce to the identical result.
-            let mut mutex_options = options.clone();
-            mutex_options.scheduler = SchedulerKind::MutexDeque;
-            let m = ParBsolo::new(mutex_options, 3).solve(&inst);
-            assert_eq!(a.status, m.status, "{label}: cross-scheduler status");
-            assert_eq!(a.best_cost, m.best_cost, "{label}: cross-scheduler cost");
-            assert_eq!(a.best_assignment, m.best_assignment, "{label}: cross-scheduler model");
-            assert_eq!(a.stats.decisions, m.stats.decisions, "{label}: cross-scheduler decisions");
-            assert_eq!(a.stats.conflicts, m.stats.conflicts, "{label}: cross-scheduler conflicts");
-            assert_eq!(
-                a.stats.nodes_per_worker, m.stats.nodes_per_worker,
-                "{label}: cross-scheduler nodes"
-            );
-        }
-    }
-
-    #[test]
-    fn scheduler_kinds_agree_on_the_optimum() {
-        // Racing-mode parity: the mutex baseline and the work-stealing
-        // scheduler must verify the same optimum (node counts are
-        // timing-dependent, the answer is not).
-        let mut rng = ChaCha8Rng::seed_from_u64(0x57ea1);
-        for round in 0..12 {
-            let inst = random_instance(&mut rng, 9);
-            let expected = brute_force(&inst).cost();
-            for kind in [SchedulerKind::WorkStealing, SchedulerKind::MutexDeque] {
-                let mut options = BsoloOptions::with_lb(LbMethod::Mis);
-                options.scheduler = kind;
-                let got = ParBsolo::new(options, 4).solve(&inst);
-                match expected {
-                    Some(opt) => {
-                        assert_eq!(got.status, SolveStatus::Optimal, "round {round} {kind:?}");
-                        assert_eq!(got.best_cost, Some(opt), "round {round} {kind:?}");
-                    }
-                    None => {
-                        assert_eq!(got.status, SolveStatus::Infeasible, "round {round} {kind:?}");
-                    }
-                }
-                if kind == SchedulerKind::MutexDeque {
-                    // The baseline has no injector and no thieves.
-                    assert_eq!(got.stats.steals, 0, "round {round}: baseline steals");
-                    assert_eq!(got.stats.injections, 0, "round {round}: baseline injections");
-                }
-            }
         }
     }
 
@@ -2417,7 +1770,7 @@ mod tests {
     }
 
     /// The other harness sites: a fault at the re-split hand-off or the
-    /// scheduler push must still yield a sound, verified result with
+    /// queue push must still yield a sound, verified result with
     /// exact quarantine accounting (the partition loses exactly the
     /// dying worker's parent cube).
     #[cfg(feature = "failpoints")]

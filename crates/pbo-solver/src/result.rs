@@ -153,25 +153,11 @@ pub struct SolverStats {
     pub split_depth_truncated: u64,
     /// Time parallel workers spent without a cube to work on, **summed
     /// across workers** at join (the idle-tail metric that dynamic
-    /// re-splitting is meant to shrink). The measurement is the wall
-    /// time from a worker asking the scheduler for a cube to receiving
-    /// one (or to shutdown), regardless of scheduler: under the mutex
-    /// deque it is the condvar block, under work stealing it covers the
-    /// whole acquire loop — failed owner pops, unsuccessful steal
-    /// attempts and idle backoff spins alike. A *successful* steal or
-    /// injector pop on the first attempt contributes (only) its own
-    /// sub-microsecond probe time, so the two schedulers are directly
-    /// comparable. Divide by worker count before comparing against
-    /// `solve_time`; see [`SolverStats::utilization`].
+    /// re-splitting is meant to shrink): the wall time from a worker
+    /// asking the cube queue for a cube to receiving one (or to
+    /// shutdown), condvar blocks included. Divide by worker count before
+    /// comparing against `solve_time`; see [`SolverStats::utilization`].
     pub queue_wait_total: Duration,
-    /// Cubes a worker stole from another worker's deque (work-stealing
-    /// scheduler only; reconciled against [`pbo_trace::TraceEvent::Steal`]
-    /// events when tracing).
-    pub steals: u64,
-    /// Cubes that entered the global injector: the initial frontier
-    /// seeded by the driver plus any deque-overflow spills (reconciled
-    /// against [`pbo_trace::TraceEvent::Inject`] event weights).
-    pub injections: u64,
     /// Worker threads (B&B or LS) that died mid-solve and were
     /// contained: the solve continued on the survivors. Always 0 unless
     /// a worker panicked (engine bug, injected fault).
@@ -222,8 +208,6 @@ impl SolverStats {
         self.clauses_imported += other.clauses_imported;
         self.split_depth_truncated += other.split_depth_truncated;
         self.queue_wait_total += other.queue_wait_total;
-        self.steals += other.steals;
-        self.injections += other.injections;
         self.workers_lost += other.workers_lost;
         self.cubes_quarantined += other.cubes_quarantined;
         self.cancelled |= other.cancelled;
@@ -239,8 +223,7 @@ impl SolverStats {
     /// Units: `queue_wait_total` is worker-seconds (CPU-like, summed at
     /// join), `solve_time` is wall seconds — hence the division by
     /// `workers`. The numerator counts *all* time between asking the
-    /// scheduler for work and getting it (condvar blocks, failed steal
-    /// attempts, idle spins), so utilization is scheduler-comparable.
+    /// cube queue for work and getting it.
     pub fn utilization(&self) -> Option<f64> {
         let wall = self.solve_time.as_secs_f64();
         if wall <= 0.0 {
@@ -255,7 +238,9 @@ impl SolverStats {
     /// machine-readable path behind `pbo-solve --stats-json`. Durations
     /// are emitted in milliseconds with the `_ms` suffix; `*_total`
     /// fields keep their summed-across-workers semantics. The trace
-    /// buffer is not included (export it with `--trace`).
+    /// buffer is not included (export it with `--trace`). `steals` is
+    /// always 0: the cube queue has no stealing, and the key stays in the
+    /// schema for existing readers (`pbobench/run.py` sums it).
     pub fn to_json(&self) -> String {
         let ms = |d: Duration| d.as_secs_f64() * 1e3;
         let mut s = String::from("{");
@@ -267,8 +252,7 @@ impl SolverStats {
              \"restarts\":{},\"solutions_found\":{},\"backjump_levels\":{},\
              \"lp_iterations\":{},\"nodes\":{},\"resplits\":{},\"clauses_shared\":{},\
              \"clauses_imported\":{},\"split_depth_truncated\":{},\"queue_wait_total_ms\":{:.3},\
-             \"steals\":{},\"injections\":{},\"workers_lost\":{},\"cubes_quarantined\":{},\
-             \"cancelled\":{},",
+             \"steals\":0,\"workers_lost\":{},\"cubes_quarantined\":{},\"cancelled\":{},",
             self.decisions,
             self.conflicts,
             self.bound_conflicts,
@@ -289,8 +273,6 @@ impl SolverStats {
             self.clauses_imported,
             self.split_depth_truncated,
             ms(self.queue_wait_total),
-            self.steals,
-            self.injections,
             self.workers_lost,
             self.cubes_quarantined,
             self.cancelled,

@@ -54,8 +54,6 @@ struct Tally {
     bound_calls_by: [u64; 4],
     bound_prunes_by: [u64; 4],
     escalations: u64,
-    steals: u64,
-    injections: u64,
 }
 
 fn tally(events: &[Event]) -> Tally {
@@ -83,10 +81,6 @@ fn tally(events: &[Event]) -> Tally {
             TraceEvent::Resplit { .. } => t.resplits += 1,
             TraceEvent::ClausesShared { n } => t.clauses_shared += n,
             TraceEvent::ClausesImported { n } => t.clauses_imported += n,
-            // Scheduler traffic: one Steal per stolen cube, Inject in
-            // bulk (driver frontier seed, worker overflow spills).
-            TraceEvent::Steal { .. } => t.steals += 1,
-            TraceEvent::Inject { n } => t.injections += n,
             _ => {}
         }
     }
@@ -111,8 +105,6 @@ fn assert_coherent(label: &str, stats: &SolverStats) {
             "{label}: {name} bucket prunes"
         );
     }
-    assert_eq!(t.steals, stats.steals, "{label}: steals");
-    assert_eq!(t.injections, stats.injections, "{label}: injections");
 }
 
 fn traced(lb: LbMethod) -> BsoloOptions {
@@ -190,20 +182,16 @@ fn deterministic_join_trace_is_reproducible_and_coherent() {
                 ka, kb,
                 "round {round} {lb:?}: det-join event sequence drifted between runs"
             );
-            // Deterministic mode never shares clauses, never reports queue
-            // waits, and suppresses scheduler traffic (stealing is disabled,
-            // injections go untallied), so those event kinds must be absent
-            // outright.
+            // Deterministic mode never shares clauses and never reports
+            // queue waits, so those event kinds must be absent outright.
             assert!(
                 !a.stats.trace.iter().any(|e| matches!(
                     e.data,
                     TraceEvent::ClausesShared { .. }
                         | TraceEvent::ClausesImported { .. }
                         | TraceEvent::QueueWait { .. }
-                        | TraceEvent::Steal { .. }
-                        | TraceEvent::Inject { .. }
                 )),
-                "round {round} {lb:?}: sharing/queue/scheduler events in deterministic mode"
+                "round {round} {lb:?}: sharing/queue events in deterministic mode"
             );
         }
     }

@@ -17,7 +17,7 @@
 //!   and restarts, bound calls with method/outcome/margin, incumbent
 //!   publications and adoptions, LS restarts and cut installs, and the
 //!   cube lifecycle (dequeue wait, dive, re-split, close, clause
-//!   publish/import, scheduler steals and injector traffic).
+//!   publish/import, quarantine).
 //! * Exporters: [`write_jsonl`] (one event per line, stable schema) and
 //!   [`write_chrome`] (Chrome `trace_event` JSON that opens in
 //!   `chrome://tracing` / Perfetto with one lane per worker).
@@ -165,19 +165,6 @@ pub enum TraceEvent {
         /// Number of splitter lookahead decisions.
         n: u64,
     },
-    /// A worker stole one cube from another worker's deque (recorded on
-    /// the thief's lane; counted in `SolverStats::steals`).
-    Steal {
-        /// Lane of the worker whose deque lost the cube.
-        victim: u32,
-    },
-    /// Cubes entered the global injector (recorded in bulk: the driver
-    /// seeds the initial frontier, a worker spills deque overflow;
-    /// counted in `SolverStats::injections`).
-    Inject {
-        /// Number of cubes injected by this call.
-        n: u64,
-    },
     /// A worker thread died (panicked) and was contained; the solve
     /// continues with the survivors (counted in
     /// `SolverStats::workers_lost`).
@@ -212,8 +199,6 @@ impl TraceEvent {
             TraceEvent::QueueWait { .. } => "queue_wait",
             TraceEvent::DiveEnd { .. } => "dive_end",
             TraceEvent::SplitterDecisions { .. } => "splitter_decisions",
-            TraceEvent::Steal { .. } => "steal",
-            TraceEvent::Inject { .. } => "inject",
             TraceEvent::WorkerLost => "worker_lost",
             TraceEvent::CubeQuarantined { .. } => "cube_quarantined",
         }
@@ -253,12 +238,8 @@ impl Event {
             TraceEvent::CutsInstalled { n }
             | TraceEvent::ClausesShared { n }
             | TraceEvent::ClausesImported { n }
-            | TraceEvent::SplitterDecisions { n }
-            | TraceEvent::Inject { n } => {
+            | TraceEvent::SplitterDecisions { n } => {
                 let _ = write!(s, ":{n}");
-            }
-            TraceEvent::Steal { victim } => {
-                let _ = write!(s, ":{victim}");
             }
             TraceEvent::CubeStart { depth } | TraceEvent::CubeQuarantined { depth } => {
                 let _ = write!(s, ":{depth}");
@@ -414,12 +395,8 @@ pub fn write_jsonl(events: &[Event]) -> String {
             TraceEvent::CutsInstalled { n }
             | TraceEvent::ClausesShared { n }
             | TraceEvent::ClausesImported { n }
-            | TraceEvent::SplitterDecisions { n }
-            | TraceEvent::Inject { n } => {
+            | TraceEvent::SplitterDecisions { n } => {
                 let _ = write!(out, ",\"n\":{n}");
-            }
-            TraceEvent::Steal { victim } => {
-                let _ = write!(out, ",\"victim\":{victim}");
             }
             TraceEvent::CubeStart { depth } | TraceEvent::CubeQuarantined { depth } => {
                 let _ = write!(out, ",\"depth\":{depth}");
@@ -529,12 +506,6 @@ pub fn write_chrome(events: &[Event]) -> String {
             }
             TraceEvent::SplitterDecisions { n } => {
                 Some(instant(lane, e.t_ns, "splitter-decisions", &format!("\"n\":{n}")))
-            }
-            TraceEvent::Steal { victim } => {
-                Some(instant(lane, e.t_ns, "steal", &format!("\"victim\":{victim}")))
-            }
-            TraceEvent::Inject { n } => {
-                Some(instant(lane, e.t_ns, "inject", &format!("\"n\":{n}")))
             }
             TraceEvent::WorkerLost => Some(instant(lane, e.t_ns, "worker-lost", "")),
             TraceEvent::CubeQuarantined { depth } => {
@@ -652,8 +623,7 @@ impl MetricsRegistry {
                 TraceEvent::CutsInstalled { n }
                 | TraceEvent::ClausesShared { n }
                 | TraceEvent::ClausesImported { n }
-                | TraceEvent::SplitterDecisions { n }
-                | TraceEvent::Inject { n } => {
+                | TraceEvent::SplitterDecisions { n } => {
                     *reg.totals.entry(e.data.kind()).or_insert(0) += n;
                 }
                 _ => {}
@@ -813,21 +783,28 @@ mod tests {
 
     #[test]
     fn scheduler_events_round_trip_all_exporters() {
+        // Cube-queue traffic: a wait for a cube, arms pushed back by a
+        // re-split, and a cube quarantined by a dying worker.
         let events = vec![
-            ev(10, 0, TraceEvent::Inject { n: 8 }),
-            ev(20, 2, TraceEvent::Steal { victim: 1 }),
+            ev(1_500, 1, TraceEvent::QueueWait { wait_ns: 1_500 }),
+            ev(20_000, 2, TraceEvent::Resplit { arms: 4 }),
+            ev(30_000, 2, TraceEvent::CubeQuarantined { depth: 3 }),
         ];
-        assert_eq!(events[0].stable_key(), "0:inject:8");
-        assert_eq!(events[1].stable_key(), "2:steal:1");
+        assert_eq!(events[0].stable_key(), "1:queue_wait");
+        assert_eq!(events[1].stable_key(), "2:resplit:4");
+        assert_eq!(events[2].stable_key(), "2:cube_quarantined:3");
         let jsonl = write_jsonl(&events);
-        assert!(jsonl.contains("\"kind\":\"inject\",\"n\":8"));
-        assert!(jsonl.contains("\"kind\":\"steal\",\"victim\":1"));
+        assert!(jsonl.contains("\"kind\":\"queue_wait\",\"wait_ns\":1500"));
+        assert!(jsonl.contains("\"kind\":\"resplit\",\"arms\":4"));
+        assert!(jsonl.contains("\"kind\":\"cube_quarantined\",\"depth\":3"));
         let chrome = write_chrome(&events);
-        assert!(chrome.contains("\"name\":\"steal\""));
-        assert!(chrome.contains("\"name\":\"inject\""));
+        assert!(chrome.contains("\"name\":\"queue-wait\""));
+        assert!(chrome.contains("\"name\":\"resplit\""));
+        assert!(chrome.contains("\"name\":\"cube-quarantined\""));
         let reg = MetricsRegistry::from_events(&events);
-        assert_eq!(reg.counters["steal"], 1);
-        assert_eq!(reg.totals["inject"], 8);
+        assert_eq!(reg.counters["resplit"], 1);
+        assert_eq!(reg.counters["cube_quarantined"], 1);
+        assert_eq!(reg.histograms["queue_wait"].samples, 1);
     }
 
     #[test]

@@ -23,12 +23,12 @@
 //! (the default) is bit-identical to the sequential solver. Both thread
 //! flags accept `auto` (or `0`): the count resolves to the machine's
 //! available parallelism, and the resolved values are reported in
-//! `--stats-json`. Workers re-split long-running cubes back to the
-//! work-stealing scheduler and share cube-independent learned clauses
+//! `--stats-json`. Workers re-split long-running cubes back onto the
+//! shared cube queue and share cube-independent learned clauses
 //! through a pool sharded into per-worker lanes; `--deterministic`
 //! trades that racing for reproducibility (fixed re-split schedule, no
-//! sharing or stealing, cube-ordered join) so repeated runs report
-//! identical status, cost, model and counters.
+//! sharing, cube-ordered join) so repeated runs report identical
+//! status, cost, model and counters.
 //!
 //! Output follows the pseudo-Boolean competition conventions:
 //! `s OPTIMUM FOUND` / `s SATISFIABLE` / `s UNSATISFIABLE` /
@@ -48,9 +48,11 @@
 //! / `unknown`) and a `degraded` flag (true when any worker was lost or
 //! any cube quarantined) so service callers never parse the human text.
 //!
-//! Exit codes follow the PB-competition convention: 30 optimum found,
-//! 10 satisfiable (feasible but unproven — budget, degradation or
-//! cancellation), 20 unsatisfiable, 0 unknown, 2 usage or input error.
+//! Exit codes follow the PB-competition convention and always match the
+//! `s` line: 30 optimum found, 10 satisfiable (a decision instance
+//! solved, or an optimization instance feasible but unproven — budget,
+//! degradation or cancellation), 20 unsatisfiable, 0 unknown, 2 usage or
+//! input error.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -193,13 +195,8 @@ fn main() -> ExitCode {
         };
         Portfolio::new(portfolio).solve(&instance)
     };
-    match result.status {
-        SolveStatus::Optimal if instance.is_optimization() => println!("s OPTIMUM FOUND"),
-        SolveStatus::Optimal => println!("s SATISFIABLE"),
-        SolveStatus::Infeasible => println!("s UNSATISFIABLE"),
-        SolveStatus::Feasible => println!("s SATISFIABLE"),
-        SolveStatus::Unknown => println!("s UNKNOWN"),
-    }
+    let (s_line, exit_code) = verdict(result.status, instance.is_optimization());
+    println!("s {s_line}");
     if let Some(cost) = result.best_cost {
         if instance.is_optimization() {
             println!("o {cost}");
@@ -280,14 +277,20 @@ fn main() -> ExitCode {
         ));
         println!("{json}");
     }
-    // PB-competition exit codes (see module docs): feasible-but-unproven
-    // outcomes — budget exhaustion, degradation after a lost worker, or
-    // cancellation — all land on 10, with the JSON `status` field
-    // carrying the finer distinction.
-    ExitCode::from(match result.status {
-        SolveStatus::Optimal => 30,
-        SolveStatus::Feasible => 10,
-        SolveStatus::Infeasible => 20,
-        SolveStatus::Unknown => 0,
-    })
+    ExitCode::from(exit_code)
+}
+
+/// The PB-competition `s` line and exit code of a result, from one table
+/// so the two always agree. A decision instance solved to completion is
+/// `SATISFIABLE` (10), never `OPTIMUM FOUND` (30). Feasible-but-unproven
+/// outcomes — budget exhaustion, degradation after a lost worker, or
+/// cancellation — also land on 10; the `--stats-json` `status` field
+/// carries the finer distinction.
+fn verdict(status: SolveStatus, optimization: bool) -> (&'static str, u8) {
+    match status {
+        SolveStatus::Optimal if optimization => ("OPTIMUM FOUND", 30),
+        SolveStatus::Optimal | SolveStatus::Feasible => ("SATISFIABLE", 10),
+        SolveStatus::Infeasible => ("UNSATISFIABLE", 20),
+        SolveStatus::Unknown => ("UNKNOWN", 0),
+    }
 }

@@ -41,8 +41,8 @@
 //! | [`pbo_solver`] | bsolo + the LS/B&B portfolio + PBS-like, Galena-like and MILP baselines |
 //! | [`pbo_benchgen`] | seeded generators for the four Table 1 benchmark families |
 //!
-//! See `DESIGN.md` for the paper-to-code inventory and `EXPERIMENTS.md`
-//! for the reproduced evaluation.
+//! See `README.md` for the architecture notes and `pbobench/README.md`
+//! for the end-to-end benchmark.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

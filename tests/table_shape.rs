@@ -1,7 +1,7 @@
 //! The reproduction's headline claims, pinned as tests: the qualitative
 //! *shape* of Table 1 must hold on scaled-down instances with scaled-down
-//! budgets. These are the assertions EXPERIMENTS.md reports at full
-//! scale.
+//! budgets. `cargo run --release -p pbo-bench --bin table1` reproduces
+//! the same comparisons at full scale.
 
 use std::time::Duration;
 
