@@ -387,16 +387,12 @@ pub struct BoundLadderSummary {
     pub gated_instances: usize,
     /// On every gated instance, adaptive proved the same optimum.
     pub same_optima: bool,
-    /// Instances where adaptive beat fixed LPR outright: proved an
-    /// optimum LPR could not, or proved it in strictly less wall time.
-    pub beats_lpr: usize,
 }
 
 /// Aggregates bound-ladder probe rows into the gate metrics.
 pub fn summarize_bound_ladder(probes: &[BoundLadderProbe]) -> BoundLadderSummary {
     let mut gated = 0usize;
     let mut same_optima = true;
-    let mut beats_lpr = 0usize;
     for p in probes {
         let run = |m: &str| p.runs.iter().find(|r| r.method == m);
         let (Some(lgr), Some(lpr), Some(ada)) = (run("lgr"), run("lpr"), run("adaptive")) else {
@@ -407,11 +403,8 @@ pub fn summarize_bound_ladder(probes: &[BoundLadderProbe]) -> BoundLadderSummary
             gated += 1;
             same_optima &= ada.optimal && ada.cost == Some(best);
         }
-        if ada.optimal && (!lpr.optimal || ada.time < lpr.time) {
-            beats_lpr += 1;
-        }
     }
-    BoundLadderSummary { gated_instances: gated, same_optima, beats_lpr }
+    BoundLadderSummary { gated_instances: gated, same_optima }
 }
 
 fn write_bound_ladder(out: &mut String, probes: &[BoundLadderProbe]) {
@@ -442,8 +435,8 @@ fn write_bound_ladder(out: &mut String, probes: &[BoundLadderProbe]) {
     let s = summarize_bound_ladder(probes);
     let _ = writeln!(
         out,
-        "    \"summary\": {{\"gated_instances\": {}, \"same_optima\": {}, \"beats_lpr\": {}}}",
-        s.gated_instances, s.same_optima, s.beats_lpr,
+        "    \"summary\": {{\"gated_instances\": {}, \"same_optima\": {}}}",
+        s.gated_instances, s.same_optima,
     );
     out.push_str("  },\n");
 }

@@ -66,11 +66,8 @@ pub struct LprBound {
     /// The dynamic rows currently installed in the simplex, in row order
     /// after the instance's static rows. [`LprBound::install_rows`]
     /// diffs the incoming registry against this to take the incremental
-    /// path (rhs updates + basis-extending appends) instead of a full
-    /// rebuild.
+    /// path (basis-extending appends) instead of a full rebuild.
     installed: Vec<PbConstraint>,
-    /// Number of static instance rows (the dynamic region starts here).
-    num_static: usize,
     /// Re-roots served incrementally vs. by full rebuild (diagnostics
     /// and differential tests).
     install_appends: u64,
@@ -91,7 +88,6 @@ impl LprBound {
             trail_mode: false,
             cancel: (None, None),
             installed: Vec::new(),
-            num_static: instance.constraints().len(),
             install_appends: 0,
             install_rebuilds: 0,
         }
@@ -170,33 +166,18 @@ impl LprBound {
     /// warm-started solves are untouched.
     ///
     /// When the new registry extends the installed one — every already
-    /// installed row either reappears verbatim or keeps its support with
-    /// a new right-hand side (the objective cut tightens on each
-    /// incumbent), plus an appended suffix — the warm basis is *kept*:
-    /// rhs changes shift the maintained primal values in `O(m)` and new
-    /// rows extend the basis through
-    /// [`DualSimplex::append_row_ge`]. Only a structurally different
-    /// registry (rows removed or support changed) pays for a full
-    /// rebuild.
+    /// installed row reappears verbatim, plus an appended suffix — the
+    /// warm basis is *kept*: new rows extend the basis through
+    /// [`DualSimplex::append_row_ge`]. Any other registry (rows removed
+    /// or changed) pays for a full rebuild.
     pub fn install_rows(&mut self, instance: &Instance, rows: &DynamicRows) {
         let new_rows = rows.rows();
         if new_rows.is_empty() && self.installed.is_empty() {
             return;
         }
         let extends = new_rows.len() >= self.installed.len()
-            && new_rows
-                .iter()
-                .zip(&self.installed)
-                .all(|(r, old)| r.constraint.terms() == old.terms());
+            && new_rows.iter().zip(&self.installed).all(|(r, old)| r.constraint == *old);
         if extends {
-            for (k, r) in new_rows.iter().take(self.installed.len()).enumerate() {
-                let old = &mut self.installed[k];
-                if r.constraint != *old {
-                    let (_, rhs) = Self::lp_row(&r.constraint);
-                    self.simplex.update_row_rhs(self.num_static + k, rhs);
-                    *old = r.constraint.clone();
-                }
-            }
             for r in &new_rows[self.installed.len()..] {
                 let (terms, rhs) = Self::lp_row(&r.constraint);
                 self.simplex.append_row_ge(&terms, rhs);
@@ -226,7 +207,7 @@ impl LprBound {
     }
 
     /// How many [`LprBound::install_rows`] calls took the incremental
-    /// (rhs-update + append) path vs. a full rebuild.
+    /// (append) path vs. a full rebuild.
     pub fn install_counts(&self) -> (u64, u64) {
         (self.install_appends, self.install_rebuilds)
     }
@@ -592,18 +573,29 @@ mod tests {
         };
         check(&mut warm, &mut oracle, &rows);
 
-        // Re-root: the cardinality cut tightens (same support, new rhs),
-        // the promoted clause survives, and a new clause is appended —
-        // the exact shape an improving incumbent produces.
+        // Re-root: the rows survive verbatim and a new clause is
+        // appended — the shape a restart refresh of promoted clauses
+        // produces.
+        rows.begin_epoch();
+        rows.push(card(1), DynRowOrigin::CardinalityCut);
+        rows.push(clause.clone(), DynRowOrigin::PromotedClause);
+        rows.push(late.clone(), DynRowOrigin::PromotedClause);
+        warm.install_rows(&inst, &rows);
+        assert_eq!(warm.install_counts(), (2, 0), "verbatim prefix + append stays incremental");
+        force_rebuild(&mut oracle);
+        oracle.install_rows(&inst, &rows);
+        assert_eq!(oracle.install_counts().1, 3, "oracle keeps rebuilding");
+        check(&mut warm, &mut oracle, &rows);
+
+        // A tightened row (same support, new rhs) takes the rebuild path.
         rows.begin_epoch();
         rows.push(card(2), DynRowOrigin::CardinalityCut);
         rows.push(clause.clone(), DynRowOrigin::PromotedClause);
         rows.push(late.clone(), DynRowOrigin::PromotedClause);
         warm.install_rows(&inst, &rows);
-        assert_eq!(warm.install_counts(), (2, 0), "rhs change + append stays incremental");
+        assert_eq!(warm.install_counts(), (2, 1), "rhs change must rebuild");
         force_rebuild(&mut oracle);
         oracle.install_rows(&inst, &rows);
-        assert_eq!(oracle.install_counts().1, 3, "oracle keeps rebuilding");
         check(&mut warm, &mut oracle, &rows);
 
         // Shrinking the registry (taint path) falls back to a rebuild.
@@ -611,7 +603,7 @@ mod tests {
         shrunk.begin_epoch();
         shrunk.push(card(2), DynRowOrigin::CardinalityCut);
         warm.install_rows(&inst, &shrunk);
-        assert_eq!(warm.install_counts(), (2, 1), "row removal must rebuild");
+        assert_eq!(warm.install_counts(), (2, 2), "row removal must rebuild");
         force_rebuild(&mut oracle);
         oracle.install_rows(&inst, &shrunk);
         check(&mut warm, &mut oracle, &shrunk);

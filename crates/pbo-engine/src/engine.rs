@@ -128,7 +128,6 @@ struct PbData {
     /// Weight of non-false literals minus rhs, kept exact at all times.
     slack: i64,
     max_coeff: i64,
-    active: bool,
 }
 
 #[derive(Copy, Clone, Debug)]
@@ -166,7 +165,8 @@ pub struct Engine {
     watches: Vec<Vec<Watcher>>,
     pbs: Vec<PbData>,
     /// Flat term arena backing every stored PB constraint (spans in
-    /// [`PbData`]); append-only, so spans stay valid as cuts arrive.
+    /// [`PbData`]); grows as cuts arrive and shrinks only from the tail
+    /// ([`Engine::truncate_pbs`]), so spans stay valid.
     pb_terms: Vec<PbTerm>,
     pb_occur: Vec<Vec<PbOcc>>,
     /// Reusable scratch for implied-literal collection during PB
@@ -568,8 +568,7 @@ impl Engine {
         let slack = c.slack(&self.assignment);
         let start = self.pb_terms.len() as u32;
         self.pb_terms.extend_from_slice(c.terms());
-        let data =
-            PbData { start, len: c.len() as u32, rhs: c.rhs(), slack, max_coeff, active: true };
+        let data = PbData { start, len: c.len() as u32, rhs: c.rhs(), slack, max_coeff };
         for t in c.terms() {
             self.pb_occur[t.lit.code()].push(PbOcc { pb: id.0, coeff: t.coeff });
         }
@@ -609,11 +608,61 @@ impl Engine {
         &self.pb_terms[d.start as usize..(d.start + d.len) as usize]
     }
 
-    /// Deactivates a previously added PB constraint (used to drop
-    /// superseded upper-bound cuts). The constraint stops participating in
-    /// propagation; its slack bookkeeping continues harmlessly.
-    pub fn deactivate_pb(&mut self, id: PbId) {
-        self.pbs[id.0 as usize].active = false;
+    /// Number of stored PB constraints (instance rows and cuts): the
+    /// mark to hand to [`Engine::truncate_pbs`] later.
+    pub fn num_pbs(&self) -> usize {
+        self.pbs.len()
+    }
+
+    /// Deletes every PB constraint added after the store held `len` of
+    /// them — how a solver drops the cost cuts a better incumbent
+    /// superseded, which it always added last. Their terms, occurrence
+    /// entries (the tail of each occurrence list, since ids grow with
+    /// insertion) and taints go; ids from `len` on are reused by the next
+    /// additions. Root literals they implied stay assigned, with
+    /// [`Reason::None`]: such a literal remains implied whenever the
+    /// replacing cuts are at least as tight, as a re-rooted cost cut is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called above decision level 0.
+    pub fn truncate_pbs(&mut self, len: usize) {
+        assert_eq!(self.decision_level(), 0, "PB constraints must be deleted at level 0");
+        let Some(first) = self.pbs.get(len) else { return };
+        let first_term = first.start as usize;
+        for t in &self.pb_terms[first_term..] {
+            let occ = self.pb_occur[t.lit.code()].pop();
+            debug_assert!(occ.is_some_and(|o| o.pb as usize >= len), "occurrence order broken");
+        }
+        for &lit in &self.trail {
+            let reason = &mut self.reason[lit.var().index()];
+            if matches!(*reason, Reason::Pb(id) if id.0 as usize >= len) {
+                *reason = Reason::None;
+            }
+        }
+        self.pb_terms.truncate(first_term);
+        self.pbs.truncate(len);
+        self.pb_taint.truncate(len);
+    }
+
+    /// The whole PB store — per row its terms, rhs, slack and taint, and
+    /// per literal its occurrence list — for differential tests against
+    /// a freshly loaded engine.
+    #[cfg(test)]
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn pb_store(&self) -> (Vec<(Vec<PbTerm>, i64, i64, Taint)>, Vec<Vec<(u32, i64)>>) {
+        let rows = (0..self.pbs.len() as u32)
+            .map(|pb| {
+                let d = &self.pbs[pb as usize];
+                (self.pb_term_slice(pb).to_vec(), d.rhs, d.slack, self.pb_taint[pb as usize])
+            })
+            .collect();
+        let occur = self
+            .pb_occur
+            .iter()
+            .map(|list| list.iter().map(|o| (o.pb, o.coeff)).collect())
+            .collect();
+        (rows, occur)
     }
 
     /// The terms of a stored PB constraint (for diagnostics and
@@ -675,8 +724,8 @@ impl Engine {
     }
 
     /// Adds the normalized upper-bound ("knapsack", eq. 10) cut and
-    /// returns its id so it can be deactivated when superseded. Must be
-    /// called at level 0.
+    /// returns its id; [`Engine::truncate_pbs`] deletes it once
+    /// superseded. Must be called at level 0.
     ///
     /// # Errors
     ///
@@ -962,9 +1011,6 @@ impl Engine {
         for k in 0..self.pb_occur[code].len() {
             let occ = self.pb_occur[code][k];
             let pb_idx = occ.pb as usize;
-            if !self.pbs[pb_idx].active {
-                continue;
-            }
             let slack = self.pbs[pb_idx].slack;
             if slack < 0 {
                 return Some(Conflict::Pb(PbId(occ.pb)));

@@ -185,24 +185,140 @@ fn slack_restored_after_backjump() {
 }
 
 #[test]
-fn cut_addition_and_deactivation() {
+fn cut_addition_and_removal() {
     let mut e = Engine::new(2);
-    // Cut: ~x1 + ~x2 >= 1 (cost bound style).
-    let cut = PbConstraint::clause([lit(0, false), lit(1, false)]);
-    let id = e.add_pb_cut(
-        &PbConstraint::try_new(vec![(1, lit(0, false)), (1, lit(1, false))], 1).unwrap(),
-    );
-    // Clause-shaped cuts still go through the PB path via add_pb_cut.
-    let id = id.expect("cut addable");
+    let base = e.num_pbs();
+    // Cut: ~x1 + ~x2 >= 1 (cost bound style). Clause-shaped cuts still
+    // go through the PB path via add_pb_cut.
+    let id = e.add_pb_cut(&PbConstraint::clause([lit(0, false), lit(1, false)]));
+    assert_eq!(id.expect("cut addable").raw() as usize, base);
+    assert_eq!(e.num_pbs(), base + 1);
     e.decide(lit(0, true));
     assert!(e.propagate().is_none());
     assert!(e.assignment().is_true(lit(1, false)), "cut propagates ~x2");
     e.backjump_to(0);
-    e.deactivate_pb(id);
+    e.truncate_pbs(base);
+    assert_eq!(e.num_pbs(), base, "removed cut leaves the store");
     e.decide(lit(0, true));
     assert!(e.propagate().is_none());
-    assert!(e.assignment().is_unassigned(lit(1, false)), "deactivated cut is inert");
-    drop(cut);
+    assert!(e.assignment().is_unassigned(lit(1, false)), "removed cut is inert");
+}
+
+/// Re-rooting cost cuts deletes the superseded ones outright: after k
+/// re-roots the PB store holds exactly the instance's PB rows plus the
+/// live cuts, and every row (terms, rhs, slack, taint) and every
+/// occurrence list equals that of a fresh engine loaded with the same
+/// rows and root facts. No root literal keeps the reason of a deleted
+/// cut, and both engines agree on satisfiability.
+#[test]
+fn rerooted_cuts_leave_the_store_of_a_fresh_engine() {
+    use pbo_core::{normalize, RelOp};
+    use rand::{Rng, SeedableRng};
+
+    let load = |inst: &Instance, cuts: &[PbConstraint]| {
+        let mut e = Engine::new(inst.num_vars());
+        e.set_taint_tracking(true);
+        for c in inst.constraints() {
+            e.add_constraint(c).ok()?;
+        }
+        for c in cuts {
+            e.add_pb_cut_tainted(c, Taint::INCUMBENT).ok()?;
+        }
+        Some(e)
+    };
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xc7d1);
+    let mut reroots = 0;
+    for round in 0..80 {
+        let n = rng.gen_range(4..10);
+        let mut b = InstanceBuilder::new();
+        let vars = b.new_vars(n);
+        for _ in 0..rng.gen_range(2..7) {
+            let k = rng.gen_range(2..=n.min(5));
+            let mut idxs: Vec<usize> = (0..n).collect();
+            for i in 0..k {
+                let j = rng.gen_range(i..n);
+                idxs.swap(i, j);
+            }
+            let terms: Vec<(i64, Lit)> = idxs[..k]
+                .iter()
+                .map(|&i| (rng.gen_range(1..4), vars[i].lit(rng.gen_bool(0.7))))
+                .collect();
+            let max: i64 = terms.iter().map(|t| t.0).sum();
+            b.add_linear(terms, RelOp::Ge, rng.gen_range(1..=max));
+        }
+        let inst = b.build().unwrap();
+        // Cost-cut shaped templates: `sum_{S} c_j x_j <= upper - 1 - v`
+        // over random cost subsets, all tightening as `upper` falls.
+        let costs: Vec<(i64, Lit)> =
+            vars.iter().map(|v| (rng.gen_range(1..6), v.positive())).collect();
+        let templates: Vec<(Vec<(i64, Lit)>, i64)> = (0..rng.gen_range(1..4))
+            .map(|t| {
+                let subset =
+                    costs.iter().copied().filter(|_| t == 0 || rng.gen_bool(0.6)).collect();
+                (subset, if t == 0 { 0 } else { rng.gen_range(0..4) })
+            })
+            .collect();
+        let cuts_at = |upper: i64| -> Vec<PbConstraint> {
+            templates
+                .iter()
+                .flat_map(|(terms, v)| normalize(terms, RelOp::Le, upper - 1 - v).unwrap())
+                .collect()
+        };
+        let Some(mut e) = load(&inst, &[]) else { continue };
+        let base = e.num_pbs();
+        let mut upper: i64 = costs.iter().map(|c| c.0).sum::<i64>() + 1;
+        let mut live = Vec::new();
+        for _ in 0..rng.gen_range(1..6) {
+            // Wander below the root so slacks move, then re-root.
+            for _ in 0..rng.gen_range(0..4) {
+                let Some(v) = e.pick_branch_var() else { break };
+                e.decide(v.lit(rng.gen_bool(0.5)));
+                if e.propagate().is_some() {
+                    break;
+                }
+            }
+            e.backjump_to(0);
+            upper -= rng.gen_range(1i64..4);
+            // Some cuts sit a round out, so the store also shrinks.
+            let next: Vec<PbConstraint> =
+                cuts_at(upper).into_iter().filter(|_| rng.gen_bool(0.75)).collect();
+            e.truncate_pbs(base);
+            if next.iter().any(|c| e.add_pb_cut_tainted(c, Taint::INCUMBENT).is_err()) {
+                live.clear();
+                break; // the solver would finish here: nothing better exists
+            }
+            live = next;
+            reroots += 1;
+        }
+        if e.is_root_unsat() {
+            continue;
+        }
+        assert_eq!(e.num_pbs(), base + live.len(), "round {round}: dead cuts left in the store");
+        let Some(mut fresh) = load(&inst, &live) else {
+            panic!("round {round}: the live rows are consistent in the re-rooted engine");
+        };
+        for &l in e.trail() {
+            // A PB reason left on a root literal must be a live row that
+            // forces it, never the (reused) id of a deleted cut.
+            if let Reason::Pb(id) = e.reason_of(l.var()) {
+                assert!(id.raw() < e.num_pbs() as u32, "round {round}: {l:?} has a deleted reason");
+                let coeff = e.pb_terms(id).iter().find(|t| t.lit == l).map(|t| t.coeff);
+                assert!(
+                    coeff.is_some_and(|c| e.pb_slack(id) < c),
+                    "round {round}: {l:?} has a stale reason"
+                );
+            }
+            fresh.assume_at_root(l).expect("root facts are consistent");
+        }
+        assert_eq!(fresh.trail_len(), e.trail_len(), "round {round}: root facts differ");
+        assert_eq!(e.pb_store(), fresh.pb_store(), "round {round}: PB store differs");
+        let (got, want) = (solve(&mut e), solve(&mut fresh));
+        assert_eq!(got.is_some(), want.is_some(), "round {round}: satisfiability differs");
+        if let Some(model) = got {
+            assert!(live.iter().all(|c| c.is_satisfied_by(&model)), "round {round}: live cut");
+        }
+    }
+    assert!(reroots > 100, "too few re-roots exercised ({reroots})");
 }
 
 #[test]

@@ -379,31 +379,6 @@ impl DualSimplex {
         self.m = m_new;
     }
 
-    /// Replaces the right-hand side of row `i`, keeping the basis. The
-    /// duals and reduced costs do not depend on `b`, so dual feasibility
-    /// is untouched; the maintained basic values shift by
-    /// `delta * B^-1 e_i` and the next [`solve`](Self::solve) warm-starts
-    /// from the same basis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn update_row_rhs(&mut self, i: usize, rhs: f64) {
-        assert!(i < self.m, "row out of range");
-        let delta = rhs - self.rhs[i];
-        if delta == 0.0 {
-            return;
-        }
-        self.rhs[i] = rhs;
-        let m = self.m;
-        for k in 0..m {
-            let bv = self.binv[k * m + i];
-            if bv != 0.0 {
-                self.xb[k] += delta * bv;
-            }
-        }
-    }
-
     /// Applies a nonbasic value change of `delta` on column `j` to the
     /// maintained basic values: `x_B -= delta * B^-1 A_j`.
     fn shift_nonbasic(&mut self, j: usize, delta: f64) {

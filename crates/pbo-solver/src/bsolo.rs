@@ -41,11 +41,11 @@ use std::time::Instant;
 
 use pbo_bounds::DynRowOrigin;
 use pbo_core::{verify_solution, Instance, Lit, PbConstraint, Value, Var};
-use pbo_engine::{Conflict, Engine, LubyRestarts, PbId, Resolution, Taint};
+use pbo_engine::{Conflict, Engine, LubyRestarts, Resolution, Taint};
 use pbo_ls::{IncumbentCell, SharedCut};
 use pbo_trace::{TraceEvent, Tracer};
 
-use crate::cuts::{cost_cuts, knapsack_cut};
+use crate::cuts::CostCuts;
 use crate::options::{Branching, BsoloOptions, LbMethod};
 use crate::pipeline::BoundPipeline;
 use crate::preprocess::{probe, ProbeOutcome};
@@ -204,7 +204,12 @@ pub(crate) struct SearchState<'a> {
     start: Instant,
     best_cost: Option<i64>,
     best_model: Option<Vec<bool>>,
-    active_cuts: Vec<PbId>,
+    /// The eq. 10–13 cut templates, derived once per search.
+    cost_cuts: CostCuts,
+    /// PB-store size before the first cost cut: every re-root deletes
+    /// the superseded cuts back to it (nothing else adds PB rows once
+    /// the search starts).
+    cut_base: usize,
     /// Cost of the cheapest cell entry that failed verification (a buggy
     /// external producer); entries at or above it are not re-verified.
     rejected_external: Option<i64>,
@@ -339,6 +344,7 @@ impl<'a> SearchState<'a> {
         let mut restarts = options.restart_base.map(|base| LubyRestarts::new(base.max(1)));
         let next_restart =
             restarts.as_mut().map_or(u64::MAX, |r| r.next().expect("luby sequence is infinite"));
+        let cut_base = engine.num_pbs();
         let mut state = SearchState {
             instance,
             options,
@@ -348,7 +354,8 @@ impl<'a> SearchState<'a> {
             start,
             best_cost: None,
             best_model: None,
-            active_cuts: Vec::new(),
+            cost_cuts: CostCuts::new(instance),
+            cut_base,
             rejected_external: None,
             restarts,
             next_restart,
@@ -839,27 +846,24 @@ impl<'a> SearchState<'a> {
     /// finishes with the incumbent as the optimum.
     fn install_cost_cuts(&mut self, upper: i64, stats: &mut SolverStats) -> Result<(), ()> {
         self.engine.backjump_to(0);
-        for id in self.active_cuts.drain(..) {
-            self.engine.deactivate_pb(id);
-        }
+        self.engine.truncate_pbs(self.cut_base);
         // Trivial knapsack cut: every assignment is already cheaper,
         // which cannot happen for a just-found solution of this cost.
         debug_assert!(
-            knapsack_cut(self.instance, upper).is_some(),
+            self.cost_cuts.knapsack(upper).is_some(),
             "knapsack cut trivial for incumbent cost"
         );
         let cuts: Vec<PbConstraint> = if self.options.cardinality_cuts {
-            cost_cuts(self.instance, upper)
+            self.cost_cuts.cuts(upper)
         } else {
-            knapsack_cut(self.instance, upper).into_iter().collect()
+            self.cost_cuts.knapsack(upper).into_iter().collect()
         };
         for cut in &cuts {
             // Cost cuts are implied by instance + incumbent, never by
             // the instance alone: clauses learned through them must not
             // be shared as unconditional.
-            match self.engine.add_pb_cut_tainted(cut, Taint::INCUMBENT) {
-                Ok(id) => self.active_cuts.push(id),
-                Err(_) => return Err(()),
+            if self.engine.add_pb_cut_tainted(cut, Taint::INCUMBENT).is_err() {
+                return Err(());
             }
         }
         // Fold the new cut set (plus the engine's best short learned

@@ -23,7 +23,7 @@ use std::time::Instant;
 use pbo_core::Instance;
 use pbo_engine::{Engine, LubyRestarts, Resolution};
 
-use crate::cuts::{cardinality_cost_cuts, knapsack_cut};
+use crate::cuts::CostCuts;
 use crate::options::Budget;
 use crate::preprocess::{probe, ProbeOutcome};
 use crate::result::{SolveResult, SolveStatus, SolverStats};
@@ -148,7 +148,10 @@ impl LinearSearch {
         let mut restarts = self.options.restart_base.map(LubyRestarts::new);
         let mut conflicts_until_restart = restarts.as_mut().and_then(|r| r.next());
         let mut conflicts_at_last_restart = 0u64;
-        let mut active_cuts: Vec<pbo_engine::PbId> = Vec::new();
+        // The cost cuts are the tail of the PB store; each improvement
+        // deletes the superseded ones back to this mark.
+        let cut_base = engine.num_pbs();
+        let cost_cuts = CostCuts::new(instance);
 
         loop {
             if self.options.budget.exhausted(
@@ -200,25 +203,19 @@ impl LinearSearch {
                 // Tighten the cost bound (the linear-search step) and
                 // restart the SAT search.
                 engine.backjump_to(0);
-                for id in active_cuts.drain(..) {
-                    engine.deactivate_pb(id);
-                }
+                engine.truncate_pbs(cut_base);
                 let upper = best.as_ref().map(|(c, _)| *c).unwrap_or(0);
-                let Some(cut) = knapsack_cut(instance, upper) else {
+                let Some(cut) = cost_cuts.knapsack(upper) else {
                     return finish(SolveStatus::Optimal, best, stats, Some(&engine));
                 };
-                match engine.add_pb_cut(&cut) {
-                    Ok(id) => active_cuts.push(id),
-                    Err(_) => return finish(SolveStatus::Optimal, best, stats, Some(&engine)),
-                }
-                if self.options.cardinality_cuts {
-                    for c in cardinality_cost_cuts(instance, upper) {
-                        match engine.add_pb_cut(&c) {
-                            Ok(id) => active_cuts.push(id),
-                            Err(_) => {
-                                return finish(SolveStatus::Optimal, best, stats, Some(&engine))
-                            }
-                        }
+                let cardinality = if self.options.cardinality_cuts {
+                    cost_cuts.cardinality(upper)
+                } else {
+                    Vec::new()
+                };
+                for c in std::iter::once(&cut).chain(&cardinality) {
+                    if engine.add_pb_cut(c).is_err() {
+                        return finish(SolveStatus::Optimal, best, stats, Some(&engine));
                     }
                 }
                 continue;

@@ -9,8 +9,8 @@
 //! **dynamic-row registry**: on every incumbent re-root the learned cost
 //! cuts (eq. 10 and eqs. 11–13) and the best (LBD-selected) short
 //! learned clauses are folded into the residual problem as
-//! epoch-versioned dynamic rows, so MIS, LGR and LPR all bound against
-//! the relaxation the solver actually knows — with zero per-node rebuild
+//! epoch-versioned dynamic rows, so every bound sees the part of the
+//! relaxation the solver knows that can help it — with zero per-node rebuild
 //! (the region swap is O(region), and the rows ride the same O(Δ) trail
 //! protocol as static rows from then on).
 //!
@@ -18,15 +18,23 @@
 //!
 //! * **Per-method row filter.** The full registry is what the cut pool
 //!   publishes, but the region actually *installed* for the bound is
-//!   method-filtered: LGR keeps only [`DynRowOrigin::PromotedClause`]
-//!   rows — dualized cost-cut rows (objective and cardinality alike)
-//!   yield weak `omega_pl` explanations that were measured to *triple*
-//!   the LGR tree (1064 → 3226 nodes on the synthesis ablation; back to
-//!   1064 with the filter) — and additionally drops rows whose
-//!   multiplier stayed at zero through the previous epoch (they never
-//!   contributed to `L(mu)`, only to explanation width). MIS and LPR
-//!   install the full set. Dropping rows is always sound — any subset of
-//!   valid rows is valid.
+//!   method-filtered: LGR, LPR and the adaptive ladder keep only
+//!   [`DynRowOrigin::PromotedClause`] rows, and only MIS installs the
+//!   full set. Dropping rows is always sound — any subset of valid rows
+//!   is valid. For LGR, dualized cost-cut rows (objective and
+//!   cardinality alike) yield weak `omega_pl` explanations that were
+//!   measured to *triple* the tree (1064 → 3226 nodes on the synthesis
+//!   ablation; back to 1064 with the filter), and rows whose multiplier
+//!   stayed at zero through the previous epoch are dropped too (they
+//!   never contributed to `L(mu)`, only to explanation width). For LPR
+//!   the cost-cut rows are LP-implied: eq. 10 only turns `z_LP > U - 1`
+//!   into an infeasible LP, the same prune as `ceil(z_LP) >= U`, and
+//!   each eqs. 11–13 cut follows from its source row's relaxation plus
+//!   eq. 10 whenever the row's coefficient divides its degree (every
+//!   clause, every cardinality row the paper's families emit). While no
+//!   cut saturates (no cost above its degree), dropping them leaves
+//!   `z_LP` and every prune decision unchanged, and it halves a ptlcmos
+//!   LP whose cuts are dense near-copies of the objective.
 //! * **Restart refresh.** The promoted-clause portion of the region is
 //!   re-exported from the engine's learned-clause database on search
 //!   restarts, not only on incumbents — the LBD-best clauses shortly
@@ -144,7 +152,10 @@ pub(crate) struct BoundPipeline {
 
 impl BoundPipeline {
     pub fn new(instance: &Instance, options: &BsoloOptions, engine: &mut Engine) -> BoundPipeline {
-        let bound = match options.lb_method {
+        // A decision instance never computes a bound, so it builds none:
+        // an LP relaxation would cost a dense m x m inverse for nothing.
+        let method = if instance.is_optimization() { options.lb_method } else { LbMethod::None };
+        let bound = match method {
             LbMethod::None => Bound::None(NoBound::new()),
             LbMethod::Mis => Bound::Mis(MisBound::with_implied(options.mis_implied)),
             LbMethod::Lagrangian => Bound::Lgr(LagrangianBound::new(instance.num_constraints())),
@@ -182,7 +193,7 @@ impl BoundPipeline {
             out: LbOutcome::bound(0, Vec::new()),
             dynamic_enabled: options.dynamic_rows && instance.is_optimization(),
             mis_implied: options.mis_implied,
-            method: options.lb_method,
+            method,
             tracer: pbo_trace::Tracer::off(),
         }
     }
@@ -282,22 +293,19 @@ impl BoundPipeline {
     }
 
     /// Whether `row` joins the region installed for the active method.
-    /// LGR keeps promoted clauses only (dualized cost cuts were measured
-    /// to grow its tree ~3x) and drops rows whose multiplier never left
-    /// zero last epoch; every other method takes the full set. Dropping
-    /// rows is always sound.
+    /// LGR, LPR and the ladder keep promoted clauses only: dualized cost
+    /// cuts were measured to grow the LGR tree ~3x, and the LP already
+    /// implies them (see the module docs). LGR and the ladder also drop
+    /// rows whose multiplier never left zero last epoch (the list stays
+    /// empty under fixed LPR). MIS takes the full set. Dropping rows is
+    /// always sound.
     fn keep_for_method(&self, row: &DynRow) -> bool {
         match self.method {
-            // The ladder applies the LGR filter to *both* rungs: its
-            // cheap rung is LGR (same explanation-width pathology), and
-            // feeding the escalated LP the same thinner region is sound
-            // (any subset of valid rows is valid) and keeps the LP solve
-            // cheap — the point of escalating sparingly.
-            LbMethod::Lagrangian | LbMethod::Adaptive => {
+            LbMethod::Lagrangian | LbMethod::Lpr | LbMethod::Adaptive => {
                 row.origin == DynRowOrigin::PromotedClause
                     && !self.lgr_zero_mu.contains(&row.constraint)
             }
-            _ => true,
+            LbMethod::None | LbMethod::Mis => true,
         }
     }
 
