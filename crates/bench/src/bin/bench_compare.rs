@@ -13,7 +13,7 @@
 
 use std::process::ExitCode;
 
-use pbo_bench::compare::{compare, evaluate, evaluate_anytime, evaluate_bound_ladder, Gate};
+use pbo_bench::compare::{compare, evaluate, evaluate_anytime, Gate};
 use pbo_bench::parse::parse;
 
 fn usage() -> ! {
@@ -79,13 +79,6 @@ fn main() -> ExitCode {
     let anytime = evaluate_anytime(&baseline, &current);
     println!("anytime gate: {} violation(s) against the baseline portfolio curve", anytime.len());
     violations.extend(anytime);
-    // Bound ladder: adaptive proves the fixed rungs' optima, stays
-    // inside the wall-time slack, and beats fixed LPR at least once.
-    // Self-contained in the current report (all three methods run in
-    // one process), so no baseline is consulted.
-    let ladder = evaluate_bound_ladder(&current);
-    println!("bound-ladder gate: {} violation(s)", ladder.len());
-    violations.extend(ladder);
     if violations.is_empty() {
         println!("OK: no regression vs {baseline_path}");
         ExitCode::SUCCESS

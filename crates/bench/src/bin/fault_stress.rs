@@ -46,7 +46,6 @@ const SITES: &[(&str, LbMethod)] = &[
     ("par.resplit", LbMethod::None),
     ("sched.push", LbMethod::None),
     ("bound.dispatch", LbMethod::Mis),
-    ("bound.escalate", LbMethod::Adaptive),
     ("cell.offer", LbMethod::None),
     ("pool.publish", LbMethod::None),
     ("pool.import", LbMethod::None),

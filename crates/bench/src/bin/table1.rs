@@ -12,10 +12,9 @@
 //! ```
 
 use pbo_bench::{
-    budget_ms, family_instances, format_table, json, run_bound_ladder_probe,
-    run_dynamic_rows_ablation, run_par_bb_probe, run_parls_probe, run_portfolio_probe,
-    run_residual_ablation, run_table, summarize_bound_ladder, summarize_par_bb, summarize_parls,
-    summarize_portfolio, FAMILIES,
+    budget_ms, family_instances, format_table, json, run_dynamic_rows_ablation, run_par_bb_probe,
+    run_parls_probe, run_portfolio_probe, run_residual_ablation, run_table, summarize_par_bb,
+    summarize_parls, summarize_portfolio, FAMILIES,
 };
 use pbo_benchgen::SynthesisParams;
 use pbo_solver::LbMethod;
@@ -242,35 +241,6 @@ fn main() {
         par_bb_summary.time_speedup_geomean.map_or("-".into(), |r| format!("{:.2}x", r)),
     );
 
-    // Bound-ladder probe: the adaptive ladder vs the fixed rungs it is
-    // built from (LGR, LPR) on the synthesis seeds, same budget all
-    // three ways. The gate: same optima, wall time within slack of the
-    // best fixed rung, and strictly better than fixed LPR somewhere.
-    let ladder = run_bound_ladder_probe(&probe_instances, budget_ms(timeout_ms));
-    let ladder_summary = summarize_bound_ladder(&ladder);
-    println!();
-    println!("== bound ladder (synthesis) ==");
-    for p in &ladder {
-        println!("{}:", p.instance);
-        for r in &p.runs {
-            println!(
-                "  {:<8} {:>8.1} ms ({:>6}) | {:>6} nodes | {:>6} lb calls / {:>8.1} ms \
-                 | escalations {:>4}",
-                r.method,
-                r.time.as_secs_f64() * 1e3,
-                r.cost.map_or("-".into(), |c| c.to_string()),
-                r.nodes,
-                r.lb_calls,
-                r.lb_time.as_secs_f64() * 1e3,
-                r.escalations,
-            );
-        }
-    }
-    println!(
-        "gated instances: {} | same optima: {}",
-        ladder_summary.gated_instances, ladder_summary.same_optima,
-    );
-
     let report = json::render_report_full(
         timeout_ms,
         seeds,
@@ -281,7 +251,6 @@ fn main() {
         &parls,
         PARLS_WORKERS,
         &par_bb,
-        &ladder,
     );
     match std::fs::write(&json_path, &report) {
         Ok(()) => println!("\nwrote {json_path}"),

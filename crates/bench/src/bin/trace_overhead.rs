@@ -126,7 +126,6 @@ fn replay(
                 if let Some(tracer) = tracer {
                     tracer.emit(TraceEvent::Bound {
                         method: "mis",
-                        stage: "fixed",
                         outcome: if out.infeasible {
                             BoundOutcome::Infeasible
                         } else {

@@ -260,100 +260,6 @@ pub fn evaluate_anytime(baseline: &JsonValue, current: &JsonValue) -> Vec<String
     violations
 }
 
-/// Wall-time slack of the bound-ladder gate: the adaptive column may
-/// take up to this multiple of the best fixed rung's time on a gated
-/// instance. Coarse because the probe's fixed sides are measured in the
-/// same process on the same (possibly noisy) runner.
-pub const BOUND_LADDER_TIME_SLACK: f64 = 2.0;
-
-/// Absolute floor (ms) under which the bound-ladder wall-time arm passes
-/// regardless of ratio — sub-50 ms solves are scheduling noise.
-pub const BOUND_LADDER_TIME_FLOOR_MS: f64 = 50.0;
-
-/// One method's run extracted from a report's bound-ladder section.
-#[derive(Clone, Debug)]
-pub struct BoundLadderRow {
-    /// Method key (`lgr` / `lpr` / `adaptive`).
-    pub method: String,
-    /// Final cost.
-    pub cost: Option<i64>,
-    /// Whether the run proved optimality.
-    pub optimal: bool,
-    /// Wall time in milliseconds.
-    pub time_ms: f64,
-}
-
-/// Extracts the bound-ladder section as `instance → rows` (`None` when
-/// the report predates the section).
-pub fn extract_bound_ladder(report: &JsonValue) -> Option<BTreeMap<String, Vec<BoundLadderRow>>> {
-    let instances = report.get("bound_ladder")?.get("instances")?.items()?;
-    let mut out = BTreeMap::new();
-    for inst in instances {
-        let name = inst.get("instance").and_then(JsonValue::as_str).unwrap_or("?").to_string();
-        let rows = inst
-            .get("runs")
-            .and_then(JsonValue::items)
-            .map(|runs| {
-                runs.iter()
-                    .filter_map(|r| {
-                        Some(BoundLadderRow {
-                            method: r.get("method")?.as_str()?.to_string(),
-                            cost: r.get("cost").and_then(JsonValue::as_f64).map(|c| c as i64),
-                            optimal: r.get("optimal").and_then(JsonValue::as_bool).unwrap_or(false),
-                            time_ms: r.get("time_ms")?.as_f64()?,
-                        })
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        out.insert(name, rows);
-    }
-    Some(out)
-}
-
-/// The bound-ladder gate, evaluated within the current report (the
-/// probe runs all three methods in one process, so the comparison is
-/// machine-independent). On every gated instance — one where a fixed
-/// rung (LGR or LPR) proved optimality — the adaptive column must prove
-/// the same optimum and finish within [`BOUND_LADDER_TIME_SLACK`] of the
-/// best fixed rung's wall time (floored at
-/// [`BOUND_LADDER_TIME_FLOOR_MS`]). There is no "beats fixed LPR" arm:
-/// since fixed LPR installs the same thin row region as the ladder's LP
-/// rung, the two finish within noise of each other. Reports without the
-/// section pass vacuously.
-pub fn evaluate_bound_ladder(current: &JsonValue) -> Vec<String> {
-    let Some(instances) = extract_bound_ladder(current) else { return Vec::new() };
-    let mut violations = Vec::new();
-    for (name, rows) in &instances {
-        let run = |m: &str| rows.iter().find(|r| r.method == m);
-        let (Some(lgr), Some(lpr), Some(ada)) = (run("lgr"), run("lpr"), run("adaptive")) else {
-            violations.push(format!("{name}: bound_ladder runs incomplete ({rows:?})"));
-            continue;
-        };
-        let fixed: Vec<&BoundLadderRow> = [lgr, lpr].into_iter().filter(|r| r.optimal).collect();
-        let Some(best_cost) = fixed.iter().filter_map(|r| r.cost).min() else { continue };
-        if !ada.optimal || ada.cost != Some(best_cost) {
-            violations.push(format!(
-                "{name}: adaptive ladder missed the fixed-rung optimum {best_cost} \
-                 (optimal {}, cost {:?})",
-                ada.optimal, ada.cost
-            ));
-            continue;
-        }
-        let best_time = fixed.iter().map(|r| r.time_ms).fold(f64::INFINITY, f64::min);
-        let bound = (best_time * BOUND_LADDER_TIME_SLACK).max(BOUND_LADDER_TIME_FLOOR_MS);
-        if ada.time_ms > bound {
-            violations.push(format!(
-                "{name}: adaptive ladder took {:.1}ms, over {bound:.1}ms (best fixed rung \
-                 {best_time:.1}ms x{BOUND_LADDER_TIME_SLACK} slack, \
-                 {BOUND_LADDER_TIME_FLOOR_MS}ms floor)",
-                ada.time_ms
-            ));
-        }
-    }
-    violations
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -487,94 +393,6 @@ mod tests {
         assert!(evaluate_anytime(&base, &good).is_empty());
         let bad = portfolio_report(9, 350.0, "[[350.0, 9]]");
         assert!(!evaluate_anytime(&base, &bad).is_empty());
-    }
-
-    fn ladder_report(runs: &str) -> JsonValue {
-        let text = format!(
-            r#"{{"budget_ms": 500, "seeds": 1, "families": [],
-                "portfolio": null,
-                "bound_ladder": {{"instances": [
-                    {{"instance": "synth-0", "runs": {runs}}}
-                ], "summary": {{"gated_instances": 1, "same_optima": true}}}},
-                "residual_ablation": null}}"#
-        );
-        parse(&text).unwrap()
-    }
-
-    fn ladder_run(method: &str, cost: i64, optimal: bool, time_ms: f64) -> String {
-        format!(
-            r#"{{"method": "{method}", "cost": {cost}, "optimal": {optimal},
-                "time_ms": {time_ms}, "nodes": 100, "lb_calls": 50,
-                "lb_time_ms": 10.0, "escalations": 0}}"#
-        )
-    }
-
-    #[test]
-    fn healthy_ladder_passes() {
-        // LGR solves in 60ms, LPR exhausts the budget, adaptive matches
-        // LGR's optimum in 80ms: same optimum, inside 2x60ms, beats LPR.
-        let cur = ladder_report(&format!(
-            "[{}, {}, {}]",
-            ladder_run("lgr", 15, true, 60.0),
-            ladder_run("lpr", 15, false, 500.0),
-            ladder_run("adaptive", 15, true, 80.0)
-        ));
-        assert!(evaluate_bound_ladder(&cur).is_empty());
-    }
-
-    #[test]
-    fn ladder_missing_the_optimum_is_flagged() {
-        let cur = ladder_report(&format!(
-            "[{}, {}, {}]",
-            ladder_run("lgr", 15, true, 60.0),
-            ladder_run("lpr", 15, true, 200.0),
-            ladder_run("adaptive", 16, true, 80.0)
-        ));
-        let violations = evaluate_bound_ladder(&cur);
-        assert!(
-            violations.iter().any(|v| v.contains("missed the fixed-rung optimum")),
-            "{violations:?}"
-        );
-    }
-
-    #[test]
-    fn ladder_slower_than_slack_is_flagged_but_floor_protects_noise() {
-        // 300ms vs best fixed 100ms: over 2x slack.
-        let slow = ladder_report(&format!(
-            "[{}, {}, {}]",
-            ladder_run("lgr", 15, true, 100.0),
-            ladder_run("lpr", 15, true, 400.0),
-            ladder_run("adaptive", 15, true, 300.0)
-        ));
-        let violations = evaluate_bound_ladder(&slow);
-        assert!(violations.iter().any(|v| v.contains("over")), "{violations:?}");
-        // 40ms vs 10ms is over 2x but under the 50ms floor: noise.
-        let noisy = ladder_report(&format!(
-            "[{}, {}, {}]",
-            ladder_run("lgr", 15, true, 10.0),
-            ladder_run("lpr", 15, true, 45.0),
-            ladder_run("adaptive", 15, true, 40.0)
-        ));
-        assert!(evaluate_bound_ladder(&noisy).is_empty());
-    }
-
-    #[test]
-    fn ladder_slower_than_lpr_within_slack_passes() {
-        // Adaptive matches the optimum but is slower than LPR itself:
-        // inside the 2x slack that is no violation.
-        let cur = ladder_report(&format!(
-            "[{}, {}, {}]",
-            ladder_run("lgr", 15, true, 60.0),
-            ladder_run("lpr", 15, true, 30.0),
-            ladder_run("adaptive", 15, true, 40.0)
-        ));
-        assert!(evaluate_bound_ladder(&cur).is_empty());
-    }
-
-    #[test]
-    fn reports_without_bound_ladder_pass_vacuously() {
-        let old = report(100.0, 1000);
-        assert!(evaluate_bound_ladder(&old).is_empty());
     }
 
     #[test]

@@ -345,102 +345,6 @@ pub fn summarize_par_bb(probes: &[ParBbProbe]) -> ParBbSummary {
     }
 }
 
-/// One method's run in the bound-ladder probe (`lgr`, `lpr` or
-/// `adaptive` on one gated instance, same budget for all three).
-#[derive(Clone, Debug)]
-pub struct BoundLadderRun {
-    /// Method key: `"lgr"`, `"lpr"` or `"adaptive"`.
-    pub method: &'static str,
-    /// Final cost.
-    pub cost: Option<i64>,
-    /// Whether this run proved optimality within the budget.
-    pub optimal: bool,
-    /// Wall time.
-    pub time: Duration,
-    /// B&B nodes (decisions).
-    pub nodes: u64,
-    /// Lower-bound computations (ladder: both rungs counted).
-    pub lb_calls: u64,
-    /// Total time inside the bound procedures.
-    pub lb_time: Duration,
-    /// Cheap-rung → LPR escalations (0 for the fixed methods).
-    pub escalations: u64,
-}
-
-/// One instance of the bound-ladder probe: the two fixed rungs and the
-/// adaptive ladder on the same instance under the same budget.
-#[derive(Clone, Debug)]
-pub struct BoundLadderProbe {
-    /// Instance name.
-    pub instance: String,
-    /// Runs in `[lgr, lpr, adaptive]` order.
-    pub runs: Vec<BoundLadderRun>,
-}
-
-/// Aggregate of the bound-ladder probe: the CI gate numbers (the gate
-/// logic itself lives in [`crate::compare::evaluate_bound_ladder`] so
-/// `bench_compare` can re-derive it from any report).
-#[derive(Clone, Debug)]
-pub struct BoundLadderSummary {
-    /// Instances where at least one fixed rung proved optimality (the
-    /// gated population).
-    pub gated_instances: usize,
-    /// On every gated instance, adaptive proved the same optimum.
-    pub same_optima: bool,
-}
-
-/// Aggregates bound-ladder probe rows into the gate metrics.
-pub fn summarize_bound_ladder(probes: &[BoundLadderProbe]) -> BoundLadderSummary {
-    let mut gated = 0usize;
-    let mut same_optima = true;
-    for p in probes {
-        let run = |m: &str| p.runs.iter().find(|r| r.method == m);
-        let (Some(lgr), Some(lpr), Some(ada)) = (run("lgr"), run("lpr"), run("adaptive")) else {
-            continue;
-        };
-        let best_fixed_cost = [lgr, lpr].iter().filter(|r| r.optimal).filter_map(|r| r.cost).min();
-        if let Some(best) = best_fixed_cost {
-            gated += 1;
-            same_optima &= ada.optimal && ada.cost == Some(best);
-        }
-    }
-    BoundLadderSummary { gated_instances: gated, same_optima }
-}
-
-fn write_bound_ladder(out: &mut String, probes: &[BoundLadderProbe]) {
-    out.push_str("  \"bound_ladder\": {\n    \"instances\": [\n");
-    for (i, p) in probes.iter().enumerate() {
-        let comma = if i + 1 < probes.len() { "," } else { "" };
-        let _ = writeln!(out, "      {{\"instance\": \"{}\", \"runs\": [", escape(&p.instance));
-        for (ri, r) in p.runs.iter().enumerate() {
-            let rcomma = if ri + 1 < p.runs.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "        {{\"method\": \"{}\", \"cost\": {}, \"optimal\": {}, \
-                 \"time_ms\": {:.3}, \"nodes\": {}, \"lb_calls\": {}, \
-                 \"lb_time_ms\": {:.3}, \"escalations\": {}}}{rcomma}",
-                r.method,
-                opt_i64(r.cost),
-                r.optimal,
-                ms(r.time),
-                r.nodes,
-                r.lb_calls,
-                ms(r.lb_time),
-                r.escalations,
-            );
-        }
-        let _ = writeln!(out, "      ]}}{comma}");
-    }
-    out.push_str("    ],\n");
-    let s = summarize_bound_ladder(probes);
-    let _ = writeln!(
-        out,
-        "    \"summary\": {{\"gated_instances\": {}, \"same_optima\": {}}}",
-        s.gated_instances, s.same_optima,
-    );
-    out.push_str("  },\n");
-}
-
 /// Aggregate of a probe run: the numbers the CI gates assert on.
 #[derive(Clone, Debug)]
 pub struct PortfolioSummary {
@@ -640,11 +544,11 @@ pub fn render_report(
     families: &[(String, Vec<Row>)],
     ablation: Option<&ResidualAblation>,
 ) -> String {
-    render_report_full(budget_ms, seeds, families, ablation, &[], None, &[], 0, &[], &[])
+    render_report_full(budget_ms, seeds, families, ablation, &[], None, &[], 0, &[])
 }
 
 /// [`render_report`] with the portfolio probe, dynamic-rows ablation,
-/// ParLS, parallel-exact (par_bb) and bound-ladder sections included.
+/// ParLS and parallel-exact (par_bb) sections included.
 #[allow(clippy::too_many_arguments)]
 pub fn render_report_full(
     budget_ms: u64,
@@ -656,7 +560,6 @@ pub fn render_report_full(
     parls: &[ParlsProbe],
     parls_workers: usize,
     par_bb: &[ParBbProbe],
-    bound_ladder: &[BoundLadderProbe],
 ) -> String {
     let mut out = String::new();
     out.push_str("{\n");
@@ -712,11 +615,6 @@ pub fn render_report_full(
         out.push_str("  \"par_bb\": null,\n");
     } else {
         write_par_bb(&mut out, par_bb);
-    }
-    if bound_ladder.is_empty() {
-        out.push_str("  \"bound_ladder\": null,\n");
-    } else {
-        write_bound_ladder(&mut out, bound_ladder);
     }
     match dynamic_rows {
         Some(d) => {

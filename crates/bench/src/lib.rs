@@ -2,11 +2,10 @@
 //!
 //! The paper's single table (Table 1) compares seven solver columns —
 //! PBS, Galena, CPLEX, and bsolo with four lower-bound configurations —
-//! over four benchmark families; this reproduction adds columns for the
-//! adaptive bound ladder and the LS-seeded portfolio (anytime) mode.
-//! This crate provides:
+//! over four benchmark families; this reproduction adds a column for the
+//! LS-seeded portfolio (anytime) mode. This crate provides:
 //!
-//! * [`SolverKind`] — the nine columns, each mapped to the workspace
+//! * [`SolverKind`] — the eight columns, each mapped to the workspace
 //!   solver that reproduces its algorithm class;
 //! * [`family_instances`] — the four families, regenerated synthetically
 //!   (see `pbo_benchgen`) with ten seeded instances each;
@@ -42,10 +41,9 @@ pub mod parse;
 pub mod pr3;
 
 pub use json::{
-    summarize_bound_ladder, summarize_par_bb, summarize_parls, summarize_portfolio, AblationSide,
-    BoundLadderProbe, BoundLadderRun, BoundLadderSummary, DynRowsSide, DynamicRowsAblation,
-    ParBbProbe, ParBbRun, ParBbSummary, ParlsProbe, ParlsSummary, PortfolioProbe, PortfolioSummary,
-    ResidualAblation,
+    summarize_par_bb, summarize_parls, summarize_portfolio, AblationSide, DynRowsSide,
+    DynamicRowsAblation, ParBbProbe, ParBbRun, ParBbSummary, ParlsProbe, ParlsSummary,
+    PortfolioProbe, PortfolioSummary, ResidualAblation,
 };
 
 /// One column of Table 1.
@@ -65,18 +63,14 @@ pub enum SolverKind {
     BsoloLgr,
     /// bsolo with the LP-relaxation bound.
     BsoloLpr,
-    /// bsolo with the adaptive bound ladder (cheap Lagrangian rung,
-    /// escalating to the LP relaxation inside the online window).
-    BsoloAdaptive,
     /// LS-seeded portfolio: `pbo-ls` local search warm-starts bsolo-LPR's
     /// upper bound (the anytime configuration).
     BsoloPortfolio,
 }
 
 impl SolverKind {
-    /// All nine columns: the paper's seven plus the adaptive ladder and
-    /// the portfolio mode.
-    pub const ALL: [SolverKind; 9] = [
+    /// All eight columns: the paper's seven plus the portfolio mode.
+    pub const ALL: [SolverKind; 8] = [
         SolverKind::Pbs,
         SolverKind::Galena,
         SolverKind::Cplex,
@@ -84,7 +78,6 @@ impl SolverKind {
         SolverKind::BsoloMis,
         SolverKind::BsoloLgr,
         SolverKind::BsoloLpr,
-        SolverKind::BsoloAdaptive,
         SolverKind::BsoloPortfolio,
     ];
 
@@ -98,7 +91,6 @@ impl SolverKind {
             SolverKind::BsoloMis => "MIS",
             SolverKind::BsoloLgr => "LGR",
             SolverKind::BsoloLpr => "LPR",
-            SolverKind::BsoloAdaptive => "adaptive",
             SolverKind::BsoloPortfolio => "portfolio",
         }
     }
@@ -121,9 +113,6 @@ impl SolverKind {
             }
             SolverKind::BsoloLpr => {
                 Bsolo::new(BsoloOptions::with_lb(LbMethod::Lpr).budget(budget)).solve(instance)
-            }
-            SolverKind::BsoloAdaptive => {
-                Bsolo::new(BsoloOptions::with_lb(LbMethod::Adaptive).budget(budget)).solve(instance)
             }
             SolverKind::BsoloPortfolio => Portfolio::new(portfolio_options(budget)).solve(instance),
         }
@@ -442,43 +431,6 @@ pub fn run_par_bb_probe(
         .collect()
 }
 
-/// Runs the bound-ladder probe: each instance solved three times under
-/// the same budget — fixed Lagrangian (the ladder's cheap rung), fixed
-/// LPR (the expensive rung) and the adaptive ladder — recording wall
-/// time, tree size and per-method bound effort. The gated claims
-/// (`crate::compare::evaluate_bound_ladder`): adaptive proves the same
-/// optima as the best fixed rung, is never worse in wall time than that
-/// rung beyond a coarse slack, and beats fixed LPR outright on at least
-/// one gated seed — i.e. the ladder keeps LGR's price where LGR
-/// suffices and buys LPR's strength only where it pays.
-pub fn run_bound_ladder_probe(instances: &[Instance], budget: Budget) -> Vec<BoundLadderProbe> {
-    let methods: [(&'static str, LbMethod); 3] =
-        [("lgr", LbMethod::Lagrangian), ("lpr", LbMethod::Lpr), ("adaptive", LbMethod::Adaptive)];
-    instances
-        .iter()
-        .map(|inst| {
-            let runs = methods
-                .iter()
-                .map(|&(name, method)| {
-                    let result =
-                        Bsolo::new(BsoloOptions::with_lb(method).budget(budget)).solve(inst);
-                    BoundLadderRun {
-                        method: name,
-                        cost: result.best_cost,
-                        optimal: result.status == SolveStatus::Optimal,
-                        time: result.stats.solve_time,
-                        nodes: result.stats.decisions,
-                        lb_calls: result.stats.lb_calls,
-                        lb_time: result.stats.lb_time_total,
-                        escalations: result.stats.lb_escalations,
-                    }
-                })
-                .collect();
-            BoundLadderProbe { instance: inst.name().to_string(), runs }
-        })
-        .collect()
-}
-
 /// Runs the rebuild-vs-incremental residual-state ablation on one
 /// instance: the same solver configuration twice, differing only in
 /// [`pbo_solver::ResidualMode`], with per-node subproblem-maintenance
@@ -564,7 +516,7 @@ mod tests {
         let insts = family_instances("synthesis", 1);
         let rows = run_table(&insts, Budget::conflict_limit(5));
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].cells.len(), 9);
+        assert_eq!(rows[0].cells.len(), 8);
         let text = format_table(&rows);
         assert!(text.contains("#Solved"));
         assert!(text.contains("LPR"));

@@ -103,7 +103,6 @@ fn replay_script(
             mis.lower_bound_into(&view, Some(upper), out);
             tracer.emit(TraceEvent::Bound {
                 method: "mis",
-                stage: "fixed",
                 outcome: BoundOutcome::Open,
                 margin: out.bound,
                 dur_ns: 0,
@@ -114,7 +113,6 @@ fn replay_script(
             lgr.lower_bound_into(&view, Some(upper), out);
             tracer.emit(TraceEvent::Bound {
                 method: "lgr",
-                stage: "fixed",
                 outcome: BoundOutcome::Open,
                 margin: out.bound,
                 dur_ns: 0,

@@ -13,6 +13,15 @@
 //! which also serializes fault-injecting tests process-wide (the plan
 //! is global state).
 //!
+//! That serialization covers only the tests that hold a plan. A test
+//! that merely crosses a probe site, running concurrently with one that
+//! armed it, can take the other test's fault and fail for no reason of
+//! its own. Run probe-compiled test binaries single-threaded:
+//!
+//! ```text
+//! cargo test --features failpoints -p pbo-solver -p pbo-ls -p pbo-fault -- --test-threads=1
+//! ```
+//!
 //! # Examples
 //!
 //! Production code plants a probe:

@@ -1,17 +1,15 @@
-//! Differential tests for the adaptive bound ladder: pinned to a single
-//! rung it must be bit-identical to the fixed method it is built from,
-//! and unpinned its per-node outcome must equal the max of the rungs it
-//! actually ran — checked against fixed-method oracle kernels driven in
-//! lockstep.
+//! Accounting tests for the bound ladder — the four fixed bounding
+//! methods in ascending strength (plain, MIS, LGR, LPR), one
+//! [`SolverStats::lb_methods`] bucket per rung. Each pipeline is driven
+//! directly down a decision prefix, below the search loop, so a bucket
+//! that drifts from the global counters is caught at its charge site.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use pbo_bounds::{DynamicRows, LagrangianBound, LbOutcome, LowerBound, LprBound, Subproblem};
 use pbo_core::{Instance, InstanceBuilder, Value, Var};
 use pbo_engine::Engine;
 
-use crate::ladder::Rung;
 use crate::options::ResidualMode;
 use crate::pipeline::BoundPipeline;
 use crate::result::SolverStats;
@@ -39,187 +37,57 @@ fn covering_instance(rng: &mut ChaCha8Rng) -> Instance {
     b.build().unwrap()
 }
 
-fn engine_for(inst: &Instance) -> Engine {
+/// Drives one pipeline down a fixed decision prefix with a shrinking
+/// upper bound (loose, then tight enough to prune), one `compute` call
+/// per step, and returns the stats it charged.
+fn drive(inst: &Instance, method: LbMethod, mode: ResidualMode) -> (usize, SolverStats) {
+    let mut options = BsoloOptions::with_lb(method);
+    options.residual_mode = mode;
     let mut engine = Engine::new(inst.num_vars());
     for c in inst.constraints() {
         engine.add_constraint(c).unwrap();
     }
-    engine
-}
-
-fn total_cost(inst: &Instance) -> i64 {
-    inst.objective().expect("optimization").terms().iter().map(|&(c, _)| c).sum()
-}
-
-/// Drives one pipeline down a fixed decision prefix with a shrinking
-/// upper bound, collecting the outcome of every `compute` call.
-fn outcome_sequence(
-    inst: &Instance,
-    method: LbMethod,
-    pin: Option<Rung>,
-    uppers: &[Option<i64>],
-) -> (Vec<LbOutcome>, SolverStats) {
-    let options = BsoloOptions::with_lb(method);
-    let mut engine = engine_for(inst);
     let mut pipeline = BoundPipeline::new(inst, &options, &mut engine);
-    if let Some(rung) = pin {
-        pipeline.ladder_mut().expect("adaptive pipeline").pin = Some(rung);
-    }
+    let total: i64 = inst.objective().expect("optimization").terms().iter().map(|t| t.0).sum();
+    let steps = 7i64;
+    let mut uppers = vec![None];
+    uppers.extend((0..steps).map(|i| Some((total + 1 - i * (total / steps + 1)).max(1))));
     let mut stats = SolverStats::default();
-    let mut seq = Vec::new();
     for (i, &upper) in uppers.iter().enumerate() {
-        // Deepen the prefix by one conflict-free decision per step.
         let var = Var::new(i % inst.num_vars());
         if engine.assignment().value(var) == Value::Unassigned {
             engine.decide(var.positive());
             assert!(engine.propagate().is_none(), "positive decisions cannot conflict");
         }
         pipeline.compute(&mut engine, inst, upper, &mut stats);
-        seq.push(pipeline.last_outcome().clone());
     }
-    (seq, stats)
+    (uppers.len(), stats)
 }
 
-/// Upper-bound schedule mixing loose, shrinking and tight values (the
-/// tight tail forces margin-window escalations).
-fn upper_schedule(inst: &Instance) -> Vec<Option<i64>> {
-    let total = total_cost(inst);
-    let steps = 7i64;
-    (0..steps).map(|i| Some((total + 1 - i * (total / steps + 1)).max(1))).collect()
-}
-
-#[test]
-fn pinned_cheap_rung_is_bit_identical_to_fixed_lgr() {
-    let mut rng = ChaCha8Rng::seed_from_u64(0xadb1);
-    for round in 0..12 {
-        let inst = covering_instance(&mut rng);
-        let uppers = upper_schedule(&inst);
-        let (fixed, fixed_stats) = outcome_sequence(&inst, LbMethod::Lagrangian, None, &uppers);
-        let (pinned, pinned_stats) =
-            outcome_sequence(&inst, LbMethod::Adaptive, Some(Rung::Cheap), &uppers);
-        assert_eq!(fixed, pinned, "round {round}: pinned cheap rung drifted from fixed LGR");
-        assert_eq!(
-            fixed_stats.lb_methods[2].calls, pinned_stats.lb_methods[2].calls,
-            "round {round}: lgr bucket calls"
-        );
-        assert_eq!(pinned_stats.lb_methods[3].calls, 0, "round {round}: pinned cheap ran LPR");
-        assert_eq!(pinned_stats.lb_escalations, 0, "round {round}: pinned ladder escalated");
-    }
-}
-
-#[test]
-fn pinned_lpr_rung_is_bit_identical_to_fixed_lpr() {
-    let mut rng = ChaCha8Rng::seed_from_u64(0xadb2);
-    for round in 0..12 {
-        let inst = covering_instance(&mut rng);
-        let uppers = upper_schedule(&inst);
-        let (fixed, fixed_stats) = outcome_sequence(&inst, LbMethod::Lpr, None, &uppers);
-        let (pinned, pinned_stats) =
-            outcome_sequence(&inst, LbMethod::Adaptive, Some(Rung::Lpr), &uppers);
-        assert_eq!(fixed, pinned, "round {round}: pinned LPR rung drifted from fixed LPR");
-        assert_eq!(
-            fixed_stats.lb_methods[3].calls, pinned_stats.lb_methods[3].calls,
-            "round {round}: lpr bucket calls"
-        );
-        assert_eq!(pinned_stats.lb_methods[2].calls, 0, "round {round}: pinned LPR ran cheap");
-    }
-}
-
-/// The soundness contract: at every node the adaptive outcome equals
-/// the strongest of the rungs that actually ran, verified against
-/// oracle kernels (fresh `LagrangianBound` / `LprBound`) driven on
-/// exactly the same call sequence so their warm-start state stays in
-/// lockstep with the ladder's.
-#[test]
-fn adaptive_outcome_is_max_of_rungs_actually_run() {
-    let mut rng = ChaCha8Rng::seed_from_u64(0xadb3);
-    let mut escalated_total = 0u64;
-    let mut open_total = 0u64;
-    for round in 0..12 {
-        let inst = covering_instance(&mut rng);
-        // Rebuild mode makes the pipeline's view construction identical
-        // to the oracle's `Subproblem::with_rows` (no incremental
-        // residual state in the comparison).
-        let mut options = BsoloOptions::with_lb(LbMethod::Adaptive);
-        options.residual_mode = ResidualMode::Rebuild;
-        let mut engine = engine_for(&inst);
-        let mut pipeline = BoundPipeline::new(&inst, &options, &mut engine);
-        let mut stats = SolverStats::default();
-        let mut oracle_lgr = LagrangianBound::new(inst.num_constraints());
-        let mut oracle_lpr = LprBound::new(&inst);
-        let rows = DynamicRows::for_instance(&inst);
-        let mut og = LbOutcome::bound(0, Vec::new());
-        let mut ol = LbOutcome::bound(0, Vec::new());
-
-        let total = total_cost(&inst);
-        // Pre-incumbent probe first (escalates straight to LPR), then
-        // the shrinking-upper walk.
-        let mut uppers = vec![None];
-        uppers.extend(upper_schedule(&inst));
-        for (i, &upper) in uppers.iter().enumerate() {
-            if i > 0 {
-                let var = Var::new((i - 1) % inst.num_vars());
-                if engine.assignment().value(var) == Value::Unassigned {
-                    engine.decide(var.positive());
-                    assert!(engine.propagate().is_none());
-                }
-            }
-            let before = stats.lb_escalations;
-            pipeline.compute(&mut engine, &inst, upper, &mut stats);
-            let out = pipeline.last_outcome().clone();
-            let escalated = stats.lb_escalations > before;
-            let sub = Subproblem::with_rows(&inst, engine.assignment(), &rows);
-            // Mirror the rung sequence exactly: cheap ran iff an upper
-            // existed, LPR ran iff the ladder escalated.
-            if upper.is_some() {
-                oracle_lgr.lower_bound_into(&sub, upper, &mut og);
-            }
-            if escalated {
-                escalated_total += 1;
-                oracle_lpr.lower_bound_into(&sub, upper, &mut ol);
-                let expected = if ol.infeasible || upper.is_none() || og.bound <= ol.bound {
-                    &ol
-                } else {
-                    &og
-                };
-                assert_eq!(
-                    &out, expected,
-                    "round {round} step {i} (upper {upper:?}, total {total}): \
-                     escalated outcome is not the max of the rungs run"
-                );
-            } else {
-                open_total += 1;
-                assert_eq!(
-                    &out, &og,
-                    "round {round} step {i}: non-escalated outcome must be the cheap rung's"
-                );
-            }
-        }
-    }
-    assert!(escalated_total > 0, "schedule never escalated — test exercises nothing");
-    assert!(open_total > 0, "schedule always escalated — window policy untested");
-}
-
-/// Escalation accounting: under the ladder, every LPR bucket call is
-/// announced by exactly one `lb_escalations` increment, and the bucket
-/// totals sum to the global counters.
+/// Every rung charges exactly its own bucket, once per `compute` call,
+/// and the bucket totals sum to the global `lb_calls` / `lb_time_total`
+/// in both residual modes.
 #[test]
 fn ladder_buckets_reconcile_with_global_counters() {
+    let rungs = [LbMethod::None, LbMethod::Mis, LbMethod::Lagrangian, LbMethod::Lpr];
     let mut rng = ChaCha8Rng::seed_from_u64(0xadb4);
     for round in 0..8 {
         let inst = covering_instance(&mut rng);
-        let mut uppers = vec![None];
-        uppers.extend(upper_schedule(&inst));
-        let (_, stats) = outcome_sequence(&inst, LbMethod::Adaptive, None, &uppers);
-        let calls: u64 = stats.lb_methods.iter().map(|m| m.calls).sum();
-        assert_eq!(calls, stats.lb_calls, "round {round}: bucket calls drifted from lb_calls");
-        let time: std::time::Duration = stats.lb_methods.iter().map(|m| m.time_total).sum();
-        assert_eq!(time, stats.lb_time_total, "round {round}: bucket time drifted");
-        assert_eq!(
-            stats.lb_methods[3].calls, stats.lb_escalations,
-            "round {round}: every ladder LPR call must be an escalation"
-        );
-        assert_eq!(stats.lb_methods[0].calls, 0, "round {round}: plain bucket");
-        assert_eq!(stats.lb_methods[1].calls, 0, "round {round}: mis bucket");
+        for (rung, &method) in rungs.iter().enumerate() {
+            for mode in [ResidualMode::Incremental, ResidualMode::Rebuild] {
+                let label = format!("round {round}, {} ({mode:?})", method.name());
+                let (n_calls, stats) = drive(&inst, method, mode);
+                assert_eq!(stats.lb_calls, n_calls as u64, "{label}: lb_calls");
+                let calls: u64 = stats.lb_methods.iter().map(|m| m.calls).sum();
+                assert_eq!(calls, stats.lb_calls, "{label}: bucket calls drifted from lb_calls");
+                let time: std::time::Duration = stats.lb_methods.iter().map(|m| m.time_total).sum();
+                assert_eq!(time, stats.lb_time_total, "{label}: bucket time drifted");
+                for (i, bucket) in stats.lb_methods.iter().enumerate() {
+                    let want = if i == rung { stats.lb_calls } else { 0 };
+                    assert_eq!(bucket.calls, want, "{label}: bucket {i} calls");
+                    assert!(bucket.prunes <= bucket.calls, "{label}: bucket {i} prunes");
+                }
+            }
+        }
     }
 }

@@ -2,8 +2,7 @@
 //! baselines it is evaluated against.
 //!
 //! * [`Bsolo`] — SAT-based branch-and-bound with pluggable lower
-//!   bounding ([`LbMethod`]: plain / MIS / Lagrangian / LPR / adaptive
-//!   ladder),
+//!   bounding ([`LbMethod`]: plain / MIS / Lagrangian / LPR),
 //!   bound-conflict learning with non-chronological backtracking
 //!   (sec. 4), LP-guided branching and the cost cuts of sec. 5. This is
 //!   the paper's contribution.
@@ -55,7 +54,6 @@
 
 mod bsolo;
 mod cuts;
-mod ladder;
 mod linear_search;
 mod milp;
 mod options;

@@ -144,6 +144,10 @@ impl MilpSolver {
         // dropped and optimality claims are downgraded.
         let m = instance.num_constraints() as u64;
         simplex.set_max_iterations((2_000 + 4 * m).min(20_000));
+        // The time budget also bounds a single LP solve: a node cancelled
+        // at the deadline counts as lost (no optimality claim), and the
+        // next budget check ends the search.
+        simplex.set_cancel(self.options.budget.time.map(|t| start + t), None);
 
         let mut best: Option<(i64, Vec<bool>)> = None;
         // Pure satisfaction instances get depth-first selection (the

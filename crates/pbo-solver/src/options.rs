@@ -14,13 +14,6 @@ pub enum LbMethod {
     /// Linear-programming relaxation by dual simplex ("LPR").
     #[default]
     Lpr,
-    /// Adaptive bound ladder: run the cheap Lagrangian rung at every
-    /// gated node and escalate to the LP relaxation only when the cheap
-    /// margin lands inside an online escalation window below the
-    /// incumbent (or on a deterministic probe cadence). The reported
-    /// bound is the max of the rungs actually run, so it is as sound as
-    /// its strongest member.
-    Adaptive,
 }
 
 impl LbMethod {
@@ -31,7 +24,6 @@ impl LbMethod {
             LbMethod::Mis => "mis",
             LbMethod::Lagrangian => "lgr",
             LbMethod::Lpr => "lpr",
-            LbMethod::Adaptive => "adaptive",
         }
     }
 }
@@ -269,11 +261,8 @@ impl Default for BsoloOptions {
 impl BsoloOptions {
     /// The configuration matching one Table 1 column.
     pub fn with_lb(lb_method: LbMethod) -> BsoloOptions {
-        let branching = if matches!(lb_method, LbMethod::Lpr | LbMethod::Adaptive) {
-            Branching::LpGuided
-        } else {
-            Branching::Vsids
-        };
+        let branching =
+            if lb_method == LbMethod::Lpr { Branching::LpGuided } else { Branching::Vsids };
         BsoloOptions { lb_method, branching, ..BsoloOptions::default() }
     }
 
@@ -302,14 +291,12 @@ mod tests {
     fn with_lb_pairs_branching() {
         assert_eq!(BsoloOptions::with_lb(LbMethod::Lpr).branching, Branching::LpGuided);
         assert_eq!(BsoloOptions::with_lb(LbMethod::Mis).branching, Branching::Vsids);
-        assert_eq!(BsoloOptions::with_lb(LbMethod::Adaptive).branching, Branching::LpGuided);
     }
 
     #[test]
     fn lb_names() {
         assert_eq!(LbMethod::None.name(), "plain");
         assert_eq!(LbMethod::Lpr.name(), "lpr");
-        assert_eq!(LbMethod::Adaptive.name(), "adaptive");
     }
 
     #[test]

@@ -1474,22 +1474,28 @@ mod tests {
         // Panic round: worker 0 dies mid-split. The siblings must keep
         // draining the surviving frontier to a clean end (no abort, no
         // hang — this scope join is itself the liveness assertion), and
-        // exactly the one held cube lands in quarantine.
+        // exactly the one held cube lands in quarantine. The siblings
+        // start only once worker 0 holds its cube, so they cannot drain
+        // the whole frontier before it takes one.
         let queue = CubeQueue::new(root_frontier());
         let drained = AtomicU64::new(0);
+        let held = std::sync::Barrier::new(3);
         std::thread::scope(|s| {
             let queue = &queue;
             let drained = &drained;
+            let held = &held;
             s.spawn(move || {
                 let _ = catch_unwind(AssertUnwindSafe(|| {
                     let _cube = queue.next().expect("a cube");
                     let _guard = WorkGuard::new(queue);
+                    held.wait();
                     queue.push(vec![Cube { lits: vec![Lit::new(5, true)] }]);
                     panic!("stress worker dies mid-split");
                 }));
             });
             for _ in 1..3 {
                 s.spawn(move || {
+                    held.wait();
                     while let Some(_cube) = queue.next() {
                         let guard = WorkGuard::new(queue);
                         drained.fetch_add(1, Ordering::Relaxed);

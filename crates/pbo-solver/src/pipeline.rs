@@ -18,7 +18,7 @@
 //!
 //! * **Per-method row filter.** The full registry is what the cut pool
 //!   publishes, but the region actually *installed* for the bound is
-//!   method-filtered: LGR, LPR and the adaptive ladder keep only
+//!   method-filtered: LGR and LPR keep only
 //!   [`DynRowOrigin::PromotedClause`] rows, and only MIS installs the
 //!   full set. Dropping rows is always sound — any subset of valid rows
 //!   is valid. For LGR, dualized cost-cut rows (objective and
@@ -63,7 +63,6 @@ use pbo_core::{Instance, PbConstraint};
 use pbo_engine::{Engine, Taint, TrailObserver};
 use pbo_fault::failpoint;
 
-use crate::ladder::AdaptiveLadder;
 use crate::options::{BsoloOptions, LbMethod, ResidualMode};
 use crate::result::SolverStats;
 
@@ -83,31 +82,26 @@ enum Bound {
     Mis(MisBound),
     Lgr(LagrangianBound),
     Lpr(Box<LprBound>),
-    Adaptive(Box<AdaptiveLadder>),
 }
 
 impl Bound {
-    /// Fixed-method kernel dispatch. The adaptive ladder never routes
-    /// through here — it runs (and charges) its rungs itself.
     fn lower_bound_into(&mut self, sub: &Subproblem<'_>, upper: Option<i64>, out: &mut LbOutcome) {
         match self {
             Bound::None(b) => b.lower_bound_into(sub, upper, out),
             Bound::Mis(b) => b.lower_bound_into(sub, upper, out),
             Bound::Lgr(b) => b.lower_bound_into(sub, upper, out),
             Bound::Lpr(b) => b.lower_bound_into(sub, upper, out),
-            Bound::Adaptive(_) => unreachable!("the ladder dispatches per rung"),
         }
     }
 }
 
-/// `SolverStats::lb_methods` bucket of a fixed method.
+/// `SolverStats::lb_methods` bucket of a method.
 fn method_bucket(method: LbMethod) -> usize {
     match method {
         LbMethod::None => 0,
         LbMethod::Mis => 1,
         LbMethod::Lagrangian => 2,
         LbMethod::Lpr => 3,
-        LbMethod::Adaptive => unreachable!("the ladder charges per rung"),
     }
 }
 
@@ -160,9 +154,6 @@ impl BoundPipeline {
             LbMethod::Mis => Bound::Mis(MisBound::with_implied(options.mis_implied)),
             LbMethod::Lagrangian => Bound::Lgr(LagrangianBound::new(instance.num_constraints())),
             LbMethod::Lpr => Bound::Lpr(Box::new(LprBound::new(instance))),
-            LbMethod::Adaptive => {
-                Bound::Adaptive(Box::new(AdaptiveLadder::new(instance, options.deterministic_join)))
-            }
         };
         // The residual state only pays off where bounds are computed:
         // optimization instances (satisfaction search never bounds).
@@ -173,7 +164,7 @@ impl BoundPipeline {
         // In incremental mode the LP bound joins the trail protocol as a
         // second observer; rebuild mode keeps the O(vars) assignment diff
         // as the differential-testing oracle.
-        let lpr_obs = (incremental && matches!(bound, Bound::Lpr(_) | Bound::Adaptive(_)))
+        let lpr_obs = (incremental && matches!(bound, Bound::Lpr(_)))
             .then(|| engine.register_trail_observer());
         BoundPipeline {
             bound,
@@ -206,23 +197,11 @@ impl BoundPipeline {
         self.tracer = tracer;
     }
 
-    /// The LPR bound when the active method runs one (fixed LPR or the
-    /// adaptive ladder's escalated rung) — for LP-guided branching and
-    /// iteration accounting.
+    /// The LPR bound when the active method is LPR — for LP-guided
+    /// branching and iteration accounting.
     pub fn lpr(&self) -> Option<&LprBound> {
         match &self.bound {
             Bound::Lpr(b) => Some(b.as_ref()),
-            Bound::Adaptive(l) => Some(&l.lpr),
-            _ => None,
-        }
-    }
-
-    /// The adaptive ladder, for differential tests that pin it to a
-    /// single rung.
-    #[cfg(test)]
-    pub(crate) fn ladder_mut(&mut self) -> Option<&mut AdaptiveLadder> {
-        match &mut self.bound {
-            Bound::Adaptive(l) => Some(l),
             _ => None,
         }
     }
@@ -236,10 +215,8 @@ impl BoundPipeline {
         deadline: Option<Instant>,
         stop: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
     ) {
-        match &mut self.bound {
-            Bound::Lpr(b) => b.set_cancel(deadline, stop),
-            Bound::Adaptive(l) => l.lpr.set_cancel(deadline, stop),
-            _ => {}
+        if let Bound::Lpr(b) = &mut self.bound {
+            b.set_cancel(deadline, stop);
         }
     }
 
@@ -248,29 +225,16 @@ impl BoundPipeline {
     /// a subtree has *no* feasible completion; plain and LGR cannot, and
     /// plain-MIS infeasibility only duplicates slack propagation.
     pub fn can_act(&self, have_incumbent: bool) -> bool {
-        if have_incumbent {
-            return true;
-        }
-        match &self.bound {
-            // The ladder's escalated rung carries LPR's Farkas power, so
-            // it acts pre-incumbent too (skipping straight to the LP).
-            Bound::Adaptive(l) => l.can_act_pre_incumbent(),
-            _ => self.method == LbMethod::Lpr || (self.method == LbMethod::Mis && self.mis_implied),
-        }
+        have_incumbent
+            || self.method == LbMethod::Lpr
+            || (self.method == LbMethod::Mis && self.mis_implied)
     }
 
     /// Frequency gate: returns `true` when a bound should be computed at
-    /// this node (every `lb_frequency` eligible nodes). The adaptive
-    /// ladder stretches the interval (up to 4x) while its cheap rung's
-    /// rolling prune rate stays negligible — a bound that never acts is
-    /// not worth computing at every node.
+    /// this node (every `lb_frequency` eligible nodes).
     pub fn tick(&mut self) -> bool {
         self.decisions_since_lb += 1;
-        let stretch = match &self.bound {
-            Bound::Adaptive(l) => l.stretch(),
-            _ => 1,
-        };
-        if self.decisions_since_lb >= self.lb_frequency.saturating_mul(stretch) {
+        if self.decisions_since_lb >= self.lb_frequency {
             self.decisions_since_lb = 0;
             true
         } else {
@@ -293,15 +257,14 @@ impl BoundPipeline {
     }
 
     /// Whether `row` joins the region installed for the active method.
-    /// LGR, LPR and the ladder keep promoted clauses only: dualized cost
-    /// cuts were measured to grow the LGR tree ~3x, and the LP already
-    /// implies them (see the module docs). LGR and the ladder also drop
-    /// rows whose multiplier never left zero last epoch (the list stays
-    /// empty under fixed LPR). MIS takes the full set. Dropping rows is
-    /// always sound.
+    /// LGR and LPR keep promoted clauses only: dualized cost cuts were
+    /// measured to grow the LGR tree ~3x, and the LP already implies
+    /// them (see the module docs). LGR also drops rows whose multiplier
+    /// never left zero last epoch (the list stays empty under LPR). MIS
+    /// takes the full set. Dropping rows is always sound.
     fn keep_for_method(&self, row: &DynRow) -> bool {
         match self.method {
-            LbMethod::Lagrangian | LbMethod::Lpr | LbMethod::Adaptive => {
+            LbMethod::Lagrangian | LbMethod::Lpr => {
                 row.origin == DynRowOrigin::PromotedClause
                     && !self.lgr_zero_mu.contains(&row.constraint)
             }
@@ -312,11 +275,7 @@ impl BoundPipeline {
     /// Records which installed dynamic rows the LGR warm-start left at a
     /// zero multiplier, so the next region build can drop them.
     fn snapshot_lgr_zero_mu(&mut self, instance: &Instance) {
-        let lgr = match &self.bound {
-            Bound::Lgr(lgr) => lgr,
-            Bound::Adaptive(l) => &l.cheap,
-            _ => return,
-        };
+        let Bound::Lgr(lgr) = &self.bound else { return };
         let mu = lgr.multipliers();
         let num_static = instance.num_constraints();
         self.lgr_zero_mu.clear();
@@ -359,10 +318,8 @@ impl BoundPipeline {
         if let Some(state) = &mut self.residual {
             state.set_dynamic_rows(&self.method_rows);
         }
-        match &mut self.bound {
-            Bound::Lpr(lpr) => lpr.install_rows(instance, &self.method_rows),
-            Bound::Adaptive(l) => l.lpr.install_rows(instance, &self.method_rows),
-            _ => {}
+        if let Bound::Lpr(lpr) = &mut self.bound {
+            lpr.install_rows(instance, &self.method_rows);
         }
     }
 
@@ -422,16 +379,8 @@ impl BoundPipeline {
             ..
         } = self;
         // Keep the LP bound's variable fixings in lockstep with the
-        // trail (O(Δ) per node) through its own observer. The ladder's
-        // escalated rung stays synced even at nodes that never escalate
-        // — the sync is O(Δ) either way, and a stale mirror would make
-        // the *next* escalation O(trail).
-        let lpr_mirror = match &mut *bound {
-            Bound::Lpr(lpr) => Some(lpr.as_mut()),
-            Bound::Adaptive(l) => Some(&mut l.lpr),
-            _ => None,
-        };
-        if let (Some(obs), Some(lpr)) = (*lpr_obs, lpr_mirror) {
+        // trail (O(Δ) per node) through its own observer.
+        if let (Some(obs), Bound::Lpr(lpr)) = (*lpr_obs, &mut *bound) {
             let keep = engine.sync_trail(obs, lpr.synced_len());
             lpr.unwind_to(keep);
             for &lit in &engine.trail()[keep..] {
@@ -454,12 +403,6 @@ impl BoundPipeline {
         };
         stats.sub_time_total += sub_start.elapsed();
         let path = sub.path_cost();
-        // The adaptive ladder runs (and charges, and traces) its own
-        // rungs — one or two kernel calls per node.
-        if let Bound::Adaptive(ladder) = &mut *bound {
-            ladder.compute(&sub, upper, path, out, stats, tracer);
-            return;
-        }
         let lb_start = Instant::now();
         // Probe sits between starting the bound timer and charging it: a
         // panic here must leave `lb_calls`/`lb_time_total` uncharged, so
@@ -488,7 +431,6 @@ impl BoundPipeline {
             let margin = if out.infeasible { 0 } else { out.bound.saturating_sub(path).max(0) };
             tracer.emit(pbo_trace::TraceEvent::Bound {
                 method: method.name(),
-                stage: "fixed",
                 outcome,
                 margin,
                 dur_ns: u64::try_from(lb_elapsed.as_nanos()).unwrap_or(u64::MAX),
@@ -549,73 +491,5 @@ mod fault_tests {
         assert!(stats.lb_time_total >= charged_time);
         assert!(!pipeline.last_outcome().infeasible);
         assert!(pipeline.last_outcome().bound >= 1, "two disjoint covers force cost >= 1");
-    }
-
-    /// The `bound.escalate` probe sits between the cheap rung's
-    /// (committed) charge and the LP dispatch: an unwind there leaves
-    /// the cheap rung fully charged and the LP rung fully uncharged —
-    /// neither bucket is ever half-accounted — and the ladder stays
-    /// usable.
-    #[test]
-    fn bound_escalate_panic_never_half_charges_either_rung() {
-        let mut b = InstanceBuilder::new();
-        let x = b.new_vars(3);
-        b.add_at_least(1, [x[0].positive(), x[1].positive()]);
-        b.add_at_least(1, [x[1].positive(), x[2].positive()]);
-        b.minimize(x.iter().map(|v| (1, v.positive())));
-        let inst = b.build().unwrap();
-        let options = BsoloOptions::with_lb(LbMethod::Adaptive);
-        let mut engine = Engine::new(inst.num_vars());
-        for c in inst.constraints() {
-            engine.add_constraint(c).unwrap();
-        }
-        let mut pipeline = BoundPipeline::new(&inst, &options, &mut engine);
-        let mut stats = SolverStats::default();
-
-        // Pre-incumbent nodes escalate straight to the LP rung: a panic
-        // at the probe must leave *nothing* charged.
-        let guard = pbo_fault::install(pbo_fault::FaultPlan::new().panic_on("bound.escalate", 1));
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pipeline.compute(&mut engine, &inst, None, &mut stats);
-        }));
-        assert!(unwound.is_err(), "armed probe must fire");
-        drop(guard);
-        assert_eq!(stats.lb_calls, 0, "no rung ran, none may be counted");
-        assert_eq!(stats.lb_methods[3].calls, 0, "LP rung must stay uncharged");
-        assert_eq!(stats.lb_time_total, std::time::Duration::ZERO);
-        assert_eq!(stats.lb_escalations, 1, "the escalation decision itself is recorded");
-
-        // Recovery: the next pre-incumbent call runs and charges the LP
-        // rung exactly once.
-        pipeline.compute(&mut engine, &inst, None, &mut stats);
-        assert_eq!(stats.lb_calls, 1);
-        assert_eq!(stats.lb_methods[3].calls, 1);
-        assert_eq!(stats.lb_escalations, 2);
-
-        // Post-incumbent: walk the probe cadence to the next forced
-        // escalation (16 open cheap calls) and panic there — the cheap
-        // rung's charge must stand, the LP rung's must not exist.
-        let upper = Some(4); // total cost + 1: every cheap call stays open
-        for _ in 0..15 {
-            pipeline.compute(&mut engine, &inst, upper, &mut stats);
-            assert_eq!(stats.lb_escalations, 2, "loose upper must not escalate early");
-        }
-        assert_eq!(stats.lb_methods[2].calls, 15);
-        let guard = pbo_fault::install(pbo_fault::FaultPlan::new().panic_on("bound.escalate", 1));
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pipeline.compute(&mut engine, &inst, upper, &mut stats);
-        }));
-        assert!(unwound.is_err(), "probe-cadence escalation must fire the armed probe");
-        drop(guard);
-        assert_eq!(stats.lb_methods[2].calls, 16, "cheap rung stays fully charged");
-        assert_eq!(stats.lb_methods[3].calls, 1, "LP rung stays fully uncharged");
-        assert_eq!(stats.lb_escalations, 3);
-        let calls: u64 = stats.lb_methods.iter().map(|m| m.calls).sum();
-        assert_eq!(calls, stats.lb_calls, "buckets reconcile after the unwind");
-
-        // Still consistent: the next gated call computes a real bound.
-        pipeline.compute(&mut engine, &inst, upper, &mut stats);
-        assert_eq!(stats.lb_methods[2].calls, 17);
-        assert!(!pipeline.last_outcome().infeasible);
     }
 }

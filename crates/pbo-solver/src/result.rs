@@ -51,11 +51,9 @@ impl fmt::Display for SolveStatus {
 /// order (see [`SolverStats::lb_methods`]).
 pub const LB_METHOD_NAMES: [&str; 4] = ["plain", "mis", "lgr", "lpr"];
 
-/// Per-bounding-method effort breakdown: one bucket per concrete bound
-/// kernel. A fixed-method solve charges exactly one bucket; the adaptive
-/// ladder charges the bucket of each rung it actually ran, so the bucket
-/// totals always sum to [`SolverStats::lb_calls`] /
-/// [`SolverStats::lb_time_total`].
+/// Per-bounding-method effort breakdown: one bucket per bound kernel. A
+/// solve charges exactly one bucket, so the bucket totals always sum to
+/// [`SolverStats::lb_calls`] / [`SolverStats::lb_time_total`].
 #[derive(Copy, Clone, Default, Debug, PartialEq, Eq)]
 pub struct LbMethodStats {
     /// Bound-kernel calls charged to this method.
@@ -88,15 +86,8 @@ pub struct SolverStats {
     /// Lower-bound computations performed.
     pub lb_calls: u64,
     /// Per-method breakdown of `lb_calls`/`lb_time_total`, indexed in
-    /// [`LB_METHOD_NAMES`] order (`plain`, `mis`, `lgr`, `lpr`). Under
-    /// the adaptive ladder an escalated node charges two buckets (the
-    /// cheap rung's and `lpr`'s), so the breakdown exposes exactly where
-    /// bound time went.
+    /// [`LB_METHOD_NAMES`] order (`plain`, `mis`, `lgr`, `lpr`).
     pub lb_methods: [LbMethodStats; 4],
-    /// Nodes the adaptive ladder escalated from its cheap rung to the LP
-    /// relaxation (always 0 for fixed methods); reconciles with
-    /// [`pbo_trace::TraceEvent::Escalate`] events when tracing.
-    pub lb_escalations: u64,
     /// Sum over finite lower-bound outcomes of `bound - path_cost` (the
     /// per-node bound margin); divided by `lb_calls` this is the mean
     /// per-node bound strength the dynamic-rows ablation tracks.
@@ -193,7 +184,6 @@ impl SolverStats {
         for (mine, theirs) in self.lb_methods.iter_mut().zip(other.lb_methods.iter()) {
             mine.absorb(theirs);
         }
-        self.lb_escalations += other.lb_escalations;
         self.lb_margin_sum += other.lb_margin_sum;
         self.lb_time_total += other.lb_time_total;
         self.sub_time_total += other.sub_time_total;
@@ -290,7 +280,7 @@ impl SolverStats {
                 m.prunes
             );
         }
-        let _ = write!(s, "}},\"lb_escalations\":{},", self.lb_escalations);
+        s.push_str("},");
         let _ = write!(
             s,
             "\"utilization\":{},",

@@ -567,3 +567,28 @@ fn disabling_restarts_is_supported() {
         assert_eq!(got.stats.restarts, 0, "restart_base: None must never restart");
     }
 }
+
+/// The MILP baseline honours its time budget even when a single LP
+/// solve runs long: on the Table-1 acc shape one dual-simplex solve
+/// outlasts a 300 ms budget many times over, and the search must still
+/// end within a bounded overshoot, without an optimality claim.
+/// Wall-clock-sensitive, so ignored by default; the CI fault-injection
+/// job runs it explicitly.
+#[test]
+#[ignore = "timing-sensitive: run explicitly (CI fault-injection job)"]
+fn milp_deadline_bounds_a_long_lp_solve() {
+    use std::time::{Duration, Instant};
+    let budget = Budget::time_limit(Duration::from_millis(300));
+    for seed in 0..3 {
+        let inst = pbo_benchgen::AccSchedParams { teams: 10, home_away: true }.generate(seed);
+        let start = Instant::now();
+        let got = MilpSolver::new(budget).solve(&inst);
+        let elapsed = start.elapsed();
+        assert!(elapsed < Duration::from_secs(2), "seed {seed}: 300 ms budget ran {elapsed:?}");
+        assert!(
+            matches!(got.status, SolveStatus::Unknown | SolveStatus::Feasible),
+            "seed {seed}: {:?} under an expired budget",
+            got.status
+        );
+    }
+}

@@ -53,7 +53,6 @@ struct Tally {
     /// (pruned/infeasible), in [`LB_METHOD_NAMES`] order.
     bound_calls_by: [u64; 4],
     bound_prunes_by: [u64; 4],
-    escalations: u64,
 }
 
 fn tally(events: &[Event]) -> Tally {
@@ -71,7 +70,6 @@ fn tally(events: &[Event]) -> Tally {
                     t.bound_prunes_by[bucket] += 1;
                 }
             }
-            TraceEvent::Escalate { .. } => t.escalations += 1,
             TraceEvent::Decision => t.decisions += 1,
             // The splitter's lookahead decisions are recorded in bulk.
             TraceEvent::SplitterDecisions { n } => t.decisions += n,
@@ -97,7 +95,6 @@ fn assert_coherent(label: &str, stats: &SolverStats) {
     assert_eq!(t.clauses_shared, stats.clauses_shared, "{label}: clauses shared");
     assert_eq!(t.clauses_imported, stats.clauses_imported, "{label}: clauses imported");
     assert_eq!(t.bound_calls, stats.lb_calls, "{label}: bound calls");
-    assert_eq!(t.escalations, stats.lb_escalations, "{label}: escalations");
     for (i, name) in LB_METHOD_NAMES.iter().enumerate() {
         assert_eq!(t.bound_calls_by[i], stats.lb_methods[i].calls, "{label}: {name} bucket calls");
         assert_eq!(
@@ -105,6 +102,12 @@ fn assert_coherent(label: &str, stats: &SolverStats) {
             "{label}: {name} bucket prunes"
         );
     }
+    // The per-method buckets partition the global bound counters, also
+    // after the parallel join has absorbed every worker's stats.
+    let calls: u64 = stats.lb_methods.iter().map(|m| m.calls).sum();
+    assert_eq!(calls, stats.lb_calls, "{label}: bucket calls drifted from lb_calls");
+    let time: std::time::Duration = stats.lb_methods.iter().map(|m| m.time_total).sum();
+    assert_eq!(time, stats.lb_time_total, "{label}: bucket time drifted from lb_time_total");
 }
 
 fn traced(lb: LbMethod) -> BsoloOptions {
@@ -118,7 +121,7 @@ fn sequential_trace_counts_match_stats() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x7c0e);
     for round in 0..15 {
         let inst = random_instance(&mut rng, 9);
-        for lb in [LbMethod::Mis, LbMethod::Lpr, LbMethod::Adaptive] {
+        for lb in [LbMethod::Mis, LbMethod::Lagrangian, LbMethod::Lpr] {
             let result = Bsolo::new(traced(lb)).solve(&inst);
             // A root-level proof (preprocessing infeasibility) can be
             // event-free; a run that searched must have traced it.
@@ -146,10 +149,9 @@ fn parallel_racing_trace_counts_match_stats() {
     for round in 0..10 {
         let inst = random_instance(&mut rng, 9);
         for threads in [2usize, 4] {
-            // Mis exercises the classic fixed path, Adaptive the ladder
-            // (racing mode: the policy may consult wall-clock EMAs, but
-            // the event stream must still reconcile with the counters).
-            for lb in [LbMethod::Mis, LbMethod::Adaptive] {
+            // Lpr adds the LP trail mirror and the Farkas path to the
+            // MIS kernel's per-worker accounting.
+            for lb in [LbMethod::Mis, LbMethod::Lpr] {
                 let result = ParBsolo::new(traced(lb), threads).solve(&inst);
                 assert_coherent(&format!("round {round} {lb:?} x{threads}"), &result.stats);
             }
@@ -162,11 +164,9 @@ fn deterministic_join_trace_is_reproducible_and_coherent() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xde7);
     for round in 0..8 {
         let inst = random_instance(&mut rng, 9);
-        // Adaptive rides along: under det-join the ladder's escalation
-        // policy keys on counters and margins only, so the Escalate
-        // sequence (window/slack payloads included, via stable_key) must
-        // reproduce run-to-run like every other event.
-        for lb in [LbMethod::Mis, LbMethod::Adaptive] {
+        // Lpr rides along: its bound margins (via stable_key) must
+        // reproduce run-to-run like every other event payload.
+        for lb in [LbMethod::Mis, LbMethod::Lpr] {
             let mut options = traced(lb);
             options.deterministic_join = true;
             let a = ParBsolo::new(options.clone(), 4).solve(&inst);

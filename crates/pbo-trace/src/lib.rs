@@ -74,28 +74,12 @@ pub enum TraceEvent {
     Bound {
         /// Bounding method (`plain`, `mis`, `lgr`, `lpr`).
         method: &'static str,
-        /// Ladder position of this call: `fixed` for the classic
-        /// single-method pipeline, `cheap` for the adaptive ladder's
-        /// first rung, `escalated` for an LPR call the ladder promoted
-        /// to after the cheap rung left the node open.
-        stage: &'static str,
         /// What the bound did to the node.
         outcome: BoundOutcome,
         /// `lb - path_cost` at the call (0 when infeasible).
         margin: i64,
         /// Time spent inside the bound kernel.
         dur_ns: u64,
-    },
-    /// The adaptive bound ladder decided to escalate the current node
-    /// from its cheap rung to the LP relaxation. Always followed by a
-    /// [`TraceEvent::Bound`] with `stage: "escalated"` on the same lane
-    /// (unless the escalated call panicked under fault injection).
-    Escalate {
-        /// Escalation window the cheap margin was compared against.
-        window: i64,
-        /// `upper - (path_cost + cheap_lb)` — how far the cheap bound
-        /// landed below the incumbent.
-        slack: i64,
     },
     /// This worker found a new incumbent (counted in `solutions_found`).
     Solution {
@@ -186,7 +170,6 @@ impl TraceEvent {
             TraceEvent::Conflict => "conflict",
             TraceEvent::Restart => "restart",
             TraceEvent::Bound { .. } => "bound",
-            TraceEvent::Escalate { .. } => "escalate",
             TraceEvent::Solution { .. } => "solution",
             TraceEvent::Adopt { .. } => "adopt",
             TraceEvent::LsRestart => "ls_restart",
@@ -226,11 +209,8 @@ impl Event {
     pub fn stable_key(&self) -> String {
         let mut s = format!("{}:{}", self.lane, self.data.kind());
         match &self.data {
-            TraceEvent::Bound { method, stage, outcome, margin, .. } => {
-                let _ = write!(s, ":{method}:{stage}:{}:{margin}", outcome.name());
-            }
-            TraceEvent::Escalate { window, slack } => {
-                let _ = write!(s, ":{window}:{slack}");
+            TraceEvent::Bound { method, outcome, margin, .. } => {
+                let _ = write!(s, ":{method}:{}:{margin}", outcome.name());
             }
             TraceEvent::Solution { cost } | TraceEvent::Adopt { cost } => {
                 let _ = write!(s, ":{cost}");
@@ -379,15 +359,12 @@ pub fn write_jsonl(events: &[Event]) -> String {
         let _ =
             write!(out, "{{\"t_ns\":{},\"lane\":{},\"kind\":\"{}\"", e.t_ns, e.lane, e.data.kind());
         match &e.data {
-            TraceEvent::Bound { method, stage, outcome, margin, dur_ns } => {
+            TraceEvent::Bound { method, outcome, margin, dur_ns } => {
                 let _ = write!(
                     out,
-                    ",\"method\":\"{method}\",\"stage\":\"{stage}\",\"outcome\":\"{}\",\"margin\":{margin},\"dur_ns\":{dur_ns}",
+                    ",\"method\":\"{method}\",\"outcome\":\"{}\",\"margin\":{margin},\"dur_ns\":{dur_ns}",
                     outcome.name()
                 );
-            }
-            TraceEvent::Escalate { window, slack } => {
-                let _ = write!(out, ",\"window\":{window},\"slack\":{slack}");
             }
             TraceEvent::Solution { cost } | TraceEvent::Adopt { cost } => {
                 let _ = write!(out, ",\"cost\":{cost}");
@@ -514,8 +491,7 @@ pub fn write_chrome(events: &[Event]) -> String {
             TraceEvent::CubeStart { .. }
             | TraceEvent::Decision
             | TraceEvent::Conflict
-            | TraceEvent::Bound { .. }
-            | TraceEvent::Escalate { .. } => None,
+            | TraceEvent::Bound { .. } => None,
         };
         if let Some(entry) = entry {
             push_chrome(&mut out, &mut first, &entry);
@@ -708,13 +684,12 @@ mod tests {
                 0,
                 TraceEvent::Bound {
                     method: "mis",
-                    stage: "fixed",
                     outcome: BoundOutcome::Pruned,
                     margin: 4,
                     dur_ns: 1234,
                 },
             ),
-            ev(30, 0, TraceEvent::Escalate { window: 9, slack: 5 }),
+            ev(30, 0, TraceEvent::Solution { cost: 7 }),
         ];
         let text = write_jsonl(&events);
         let lines: Vec<&str> = text.lines().collect();
@@ -722,14 +697,11 @@ mod tests {
         assert_eq!(
             lines[0],
             "{\"t_ns\":10,\"lane\":0,\"kind\":\"bound\",\"method\":\"mis\",\
-             \"stage\":\"fixed\",\"outcome\":\"pruned\",\"margin\":4,\"dur_ns\":1234}"
+             \"outcome\":\"pruned\",\"margin\":4,\"dur_ns\":1234}"
         );
         assert_eq!(lines[1], "{\"t_ns\":20,\"lane\":1,\"kind\":\"conflict\"}");
-        assert_eq!(
-            lines[2],
-            "{\"t_ns\":30,\"lane\":0,\"kind\":\"escalate\",\"window\":9,\"slack\":5}"
-        );
-        assert_eq!(events[2].stable_key(), "0:escalate:9:5");
+        assert_eq!(lines[2], "{\"t_ns\":30,\"lane\":0,\"kind\":\"solution\",\"cost\":7}");
+        assert_eq!(events[1].stable_key(), "0:bound:mis:pruned:4");
     }
 
     #[test]
@@ -761,7 +733,6 @@ mod tests {
                 0,
                 TraceEvent::Bound {
                     method: "lgr",
-                    stage: "fixed",
                     outcome: BoundOutcome::Open,
                     margin: 0,
                     dur_ns: 500,

@@ -1,7 +1,7 @@
 //! Command-line PBO solver over OPB files.
 //!
 //! ```text
-//! pbo-solve [--lb plain|mis|lgr|lpr|adaptive] [--strategy exact|ls-seeded|concurrent]
+//! pbo-solve [--lb plain|mis|lgr|lpr] [--strategy exact|ls-seeded|concurrent]
 //!           [--ls-threads N|auto] [--bb-threads N|auto] [--deterministic]
 //!           [--timeout-ms N] [--stats] [--stats-json]
 //!           [--trace FILE] [--trace-format jsonl|chrome] [--metrics] <file.opb>
@@ -65,7 +65,7 @@ use pbo::{
 
 fn usage() -> ! {
     eprintln!(
-        "usage: pbo-solve [--lb plain|mis|lgr|lpr|adaptive] [--strategy exact|ls-seeded|concurrent] \
+        "usage: pbo-solve [--lb plain|mis|lgr|lpr] [--strategy exact|ls-seeded|concurrent] \
          [--ls-threads N|auto] [--bb-threads N|auto] [--deterministic] [--timeout-ms N] [--stats] \
          [--stats-json] [--trace FILE] [--trace-format jsonl|chrome] [--metrics] <file.opb>"
     );
@@ -116,7 +116,6 @@ fn main() -> ExitCode {
                     Some("mis") => LbMethod::Mis,
                     Some("lgr") => LbMethod::Lagrangian,
                     Some("lpr") => LbMethod::Lpr,
-                    Some("adaptive") => LbMethod::Adaptive,
                     _ => usage(),
                 }
             }
