@@ -38,7 +38,6 @@ use pbo_solver::{
 pub mod compare;
 pub mod json;
 pub mod parse;
-pub mod pr3;
 
 pub use json::{
     summarize_par_bb, summarize_parls, summarize_portfolio, AblationSide, DynRowsSide,

@@ -154,8 +154,10 @@ impl LprBound {
     }
 
     /// The bare LP relaxation of `instance` (static rows only) — exposed
-    /// for the `lp_pricing` microbench, which drives the simplex on the
-    /// exact problems the bound sees.
+    /// so callers can drive the simplex on the exact problems the bound
+    /// sees: the benchmark's per-layer probe (`pbobench/probe`) times its
+    /// warm re-solves, and the dense/Devex pricing differential test runs
+    /// on it.
     pub fn relaxation_problem(instance: &Instance) -> LpProblem {
         Self::build_problem(instance, &[]).0
     }
@@ -607,6 +609,77 @@ mod tests {
         force_rebuild(&mut oracle);
         oracle.install_rows(&inst, &shrunk);
         check(&mut warm, &mut oracle, &shrunk);
+    }
+
+    /// Differential at Table-1 size: the sparse Devex path must match the
+    /// dense legacy pricing path (the reference) on the
+    /// `synth-p70-m110-s{0,1,2}` relaxations, through a B&B-shaped walk
+    /// of warm re-solves — equal status at every step, equal optimum to
+    /// 1e-6 relative. Each step applies one batch of bound changes before
+    /// a single re-solve, as `lower_bound` applies a whole trail suffix:
+    /// descents draw 4–12 variables and fix the free ones, backtracks
+    /// relax 4–12 of the fixings, so the warm basis starts several
+    /// violations away from feasibility.
+    #[test]
+    fn devex_matches_dense_pricing_on_synthesis_relaxations() {
+        use pbo_lp::Pricing;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..3u64 {
+            let inst = pbo_benchgen::SynthesisParams {
+                primes: 70,
+                minterms: 110,
+                cover_density: 4.0,
+                exclusions: 10,
+                ..Default::default()
+            }
+            .generate(seed);
+            let problem = LprBound::relaxation_problem(&inst);
+            let mut dense = DualSimplex::new(&problem);
+            dense.set_pricing(Pricing::DenseLegacy);
+            let mut devex = DualSimplex::new(&problem);
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x1b9 ^ seed);
+            let n = inst.num_vars();
+            let mut fixed: Vec<usize> = Vec::new();
+            for step in 0..50 {
+                // Step 0 is the root solve.
+                if step > 0 {
+                    let relax = !fixed.is_empty() && (fixed.len() >= n / 2 || rng.gen_bool(0.3));
+                    for _ in 0..rng.gen_range(4..=12usize) {
+                        let (j, lo, hi) = if relax {
+                            if fixed.is_empty() {
+                                break;
+                            }
+                            (fixed.swap_remove(rng.gen_range(0..fixed.len())), 0.0, 1.0)
+                        } else {
+                            let j = rng.gen_range(0..n);
+                            if fixed.contains(&j) {
+                                continue;
+                            }
+                            fixed.push(j);
+                            // Fixing to 0 stresses the dual repair of a
+                            // covering LP and sometimes proves it
+                            // infeasible; both paths must agree on that.
+                            let v = if rng.gen_bool(0.7) { 1.0 } else { 0.0 };
+                            (j, v, v)
+                        };
+                        dense.set_var_bounds(j, lo, hi);
+                        devex.set_var_bounds(j, lo, hi);
+                    }
+                }
+                let (a, b) = (dense.solve(), devex.solve());
+                assert_eq!(a.status, b.status, "{} step {step}", inst.name());
+                if a.status == LpStatus::Optimal {
+                    let tol = 1e-6 * a.objective.abs().max(1.0);
+                    assert!(
+                        (a.objective - b.objective).abs() <= tol,
+                        "{} step {step}: dense {} vs devex {}",
+                        inst.name(),
+                        a.objective,
+                        b.objective
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -174,30 +174,6 @@ impl<'a> Subproblem<'a> {
         }
     }
 
-    /// Assembles a view (without dynamic rows) from *externally*
-    /// maintained parts: the hook for alternative residual-state
-    /// implementations — in-tree, the frozen PR-3 layout the
-    /// `bound_kernels` microbenchmark measures against. `active` must be
-    /// in ascending row order and `costs` dense per literal code, with
-    /// the same invariants [`ResidualState`](crate::ResidualState)
-    /// maintains.
-    pub fn from_maintained_parts(
-        instance: &'a Instance,
-        assignment: &'a Assignment,
-        path_cost: i64,
-        active: &'a [ActiveEntry],
-        costs: &'a [i64],
-    ) -> Subproblem<'a> {
-        Subproblem {
-            instance,
-            assignment,
-            path_cost,
-            active: ActiveSlice::Borrowed(active),
-            costs: Some(costs),
-            dyn_rows: &EMPTY_ROWS,
-        }
-    }
-
     /// Assembles a view from already-maintained parts (the incremental
     /// path; see [`ResidualState::view`](crate::ResidualState::view)).
     pub(crate) fn from_parts(

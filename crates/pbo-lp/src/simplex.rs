@@ -24,8 +24,8 @@
 //!   maintains reduced costs incrementally, selects the leaving row by
 //!   dual Devex reference weights and runs a bound-flipping ratio test;
 //!   the dense legacy path (full column scans, fresh reduced costs per
-//!   candidate, Harris-lite ratio test) is kept verbatim as a frozen
-//!   baseline for differential tests and the `lp_pricing` microbench;
+//!   candidate, Harris-lite ratio test) is kept verbatim as the reference
+//!   the sparse path is differential-tested against;
 //! * primal values and duals are maintained incrementally across pivots
 //!   and bound changes (the branch-and-bound hot path makes thousands of
 //!   one-pivot re-solves), and recomputed from scratch at every
@@ -57,11 +57,11 @@ const DEVEX_RESET: f64 = 1e7;
 /// Pricing strategy of the dual simplex (see [`DualSimplex::set_pricing`]).
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub enum Pricing {
-    /// Frozen dense baseline: leaving row by most-infeasible scan,
+    /// Dense reference path: leaving row by most-infeasible scan,
     /// entering column by a full scan over all columns computing the
     /// pivot-row coefficient *and* a fresh reduced cost per candidate
     /// (Harris-lite tie-break on pivot magnitude). Kept verbatim so the
-    /// sparse path can be differential-tested and benchmarked against it.
+    /// sparse path can be differential-tested against it.
     DenseLegacy,
     /// Sparse hot path: the pivot row is priced in a single pass over the
     /// matrix row nonzeros, reduced costs are maintained incrementally

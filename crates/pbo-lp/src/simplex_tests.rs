@@ -317,10 +317,11 @@ fn repeated_warm_starts_stay_consistent() {
     }
 }
 
-/// Differential: the sparse Devex path and the frozen dense baseline
+/// Differential: the sparse Devex path and the dense reference path
 /// must agree on status and optimal value across random LPs and random
 /// warm-start bound-change schedules (bases may differ on degenerate
-/// instances; objectives may not).
+/// instances; objectives may not). `pbo-bounds` runs the same check on
+/// Table-1-sized synthesis relaxations.
 #[test]
 fn devex_and_dense_pricing_agree() {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x4e);

@@ -500,10 +500,7 @@ impl<'a> SearchState<'a> {
             // Farkas certificate, and MIS's implication closure (plain
             // MIS infeasibility duplicates what slack propagation
             // already catches, and LGR/plain cannot prove infeasibility).
-            if self.instance.is_optimization()
-                && self.pipeline.can_act(self.best_cost.is_some())
-                && self.pipeline.tick()
-            {
+            if self.instance.is_optimization() && self.pipeline.can_act(self.best_cost.is_some()) {
                 let upper = self.best_cost;
                 self.pipeline.compute(&mut self.engine, self.instance, upper, stats);
                 let out = self.pipeline.last_outcome();

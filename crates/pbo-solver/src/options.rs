@@ -166,9 +166,6 @@ pub struct BsoloOptions {
     /// removal and clause subsumption (the paper applies these on the
     /// synthesis benchmark set).
     pub simplify: bool,
-    /// Compute the lower bound every `lb_frequency` decisions (1 = every
-    /// node, the paper's configuration).
-    pub lb_frequency: u32,
     /// How the residual subproblem is maintained between bound
     /// computations.
     pub residual_mode: ResidualMode,
@@ -190,13 +187,6 @@ pub struct BsoloOptions {
     /// (LBD-best selection), so the bounds keep seeing fresh structure
     /// between incumbents.
     pub restart_base: Option<u64>,
-    /// Share cube-independent learned clauses across the workers of a
-    /// parallel solve ([`crate::ParBsolo`]): clauses whose derivation
-    /// never touched a cube assumption (taint-tracked by the engine) are
-    /// published to an epoch-stamped pool, polled at restarts and cost
-    /// re-roots, and installed into peers' engines and dynamic-row
-    /// regions. No effect on sequential solves or one-worker runs.
-    pub share_clauses: bool,
     /// A parallel worker that has spent this many conflicts on one cube
     /// re-splits its remaining subtree: the complement cubes of its
     /// current decision prefix go back to the queue and the worker
@@ -243,12 +233,10 @@ impl Default for BsoloOptions {
             cardinality_cuts: true,
             probing: true,
             simplify: true,
-            lb_frequency: 1,
             residual_mode: ResidualMode::Incremental,
             dynamic_rows: true,
             mis_implied: true,
             restart_base: Some(2048),
-            share_clauses: true,
             resplit_conflicts: Some(256),
             deterministic_join: false,
             trace: false,

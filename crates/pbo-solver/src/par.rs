@@ -699,8 +699,7 @@ impl ParBsolo {
         // mode only — deterministic joins must not depend on which
         // worker published first. One pool lane per publisher: lane 0
         // for the driver, lane `w + 1` for worker `w`.
-        let pool =
-            (worker_options.share_clauses && !det).then(|| ClausePool::new(self.threads + 1));
+        let pool = (!det).then(|| ClausePool::new(self.threads + 1));
         // Deterministic join: the seed snapshot is taken *after* the
         // (deterministic) head and split contributed, so every cube task
         // starts from the same incumbent no matter when it is scheduled.

@@ -109,8 +109,6 @@ fn method_bucket(method: LbMethod) -> usize {
 /// trail observers, dynamic-row registry and gating policy.
 pub(crate) struct BoundPipeline {
     bound: Bound,
-    lb_frequency: u32,
-    decisions_since_lb: u32,
     /// Trail-mirrored residual problem ([`ResidualMode::Incremental`]);
     /// `None` in rebuild mode or when the instance never computes bounds.
     residual: Option<ResidualState>,
@@ -168,8 +166,6 @@ impl BoundPipeline {
             .then(|| engine.register_trail_observer());
         BoundPipeline {
             bound,
-            lb_frequency: options.lb_frequency,
-            decisions_since_lb: 0,
             residual,
             residual_obs,
             lpr_obs,
@@ -228,18 +224,6 @@ impl BoundPipeline {
         have_incumbent
             || self.method == LbMethod::Lpr
             || (self.method == LbMethod::Mis && self.mis_implied)
-    }
-
-    /// Frequency gate: returns `true` when a bound should be computed at
-    /// this node (every `lb_frequency` eligible nodes).
-    pub fn tick(&mut self) -> bool {
-        self.decisions_since_lb += 1;
-        if self.decisions_since_lb >= self.lb_frequency {
-            self.decisions_since_lb = 0;
-            true
-        } else {
-            false
-        }
     }
 
     /// `true` while a non-empty dynamic-row region is *installed* for

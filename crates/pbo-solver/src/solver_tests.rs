@@ -156,10 +156,6 @@ fn ablation_toggles_preserve_correctness() {
                 },
             ),
             (
-                "lb-every-4",
-                BsoloOptions { lb_frequency: 4, ..BsoloOptions::with_lb(LbMethod::Lpr) },
-            ),
-            (
                 "no-dynamic-rows",
                 BsoloOptions { dynamic_rows: false, ..BsoloOptions::with_lb(LbMethod::Lpr) },
             ),

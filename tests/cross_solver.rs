@@ -97,7 +97,6 @@ proptest! {
                 probing: false,
                 ..BsoloOptions::with_lb(LbMethod::Mis)
             },
-            BsoloOptions { lb_frequency: 3, ..BsoloOptions::with_lb(LbMethod::Lagrangian) },
         ];
         for (i, opts) in configs.into_iter().enumerate() {
             let got = Bsolo::new(opts).solve(&inst);
