@@ -73,8 +73,10 @@ pub enum SolveStrategy {
     Exact,
     /// Sequential portfolio: local search runs first under a small
     /// budget, its best verified solution seeds the upper bound (and the
-    /// eq. 10 cuts) of the branch-and-bound. Deterministic given a
-    /// deterministic LS budget; the default for anytime solving.
+    /// eq. 10 cuts) of the branch-and-bound; a decision instance ends
+    /// at the first verified model. Deterministic given a deterministic
+    /// LS budget. The default of every front door (`pbo::solve`,
+    /// `pbo-solve`): the fastest measured configuration.
     #[default]
     LsSeeded,
     /// Concurrent portfolio: local search races the branch-and-bound on

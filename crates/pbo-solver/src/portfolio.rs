@@ -11,7 +11,10 @@
 //!   small budget; its best verified solution warm-starts the
 //!   branch-and-bound's upper bound and eq. 10 cost cuts. The B&B then
 //!   proves optimality (or improves) with the pruning power of a
-//!   near-optimal bound from node one.
+//!   near-optimal bound from node one. A decision instance ends at its
+//!   first verified model: when the seed phase leaves one in the cell
+//!   and it verifies again, the solve returns it without building the
+//!   exact side at all.
 //! * **[`SolveStrategy::Concurrent`]**: LS keeps running on its own
 //!   `std::thread` for the whole solve. Every improving incumbent found
 //!   by either side is published to the cell; the B&B adopts external
@@ -26,12 +29,14 @@
 //!
 //! # When to prefer which strategy
 //!
-//! Under a wall-clock budget where a good solution *now* beats a perfect
-//! solution *later* (anytime solving), use `LsSeeded` (deterministic for
-//! a fixed LS step budget) or `Concurrent` (best anytime quality, timing
-//! dependent). For exact optimization with no budget pressure the warm
-//! start rarely hurts and usually shrinks the tree: `LsSeeded` is the
-//! default. `Exact` reproduces the paper's solver byte for byte.
+//! `LsSeeded` is the default everywhere — [`SolveStrategy::default`],
+//! `pbo::solve` and the `pbo-solve` CLI — because it is the fastest
+//! measured configuration: the warm start shrinks the tree on every
+//! gated benchmark workload, and under a wall-clock budget it is the
+//! anytime mode (deterministic for a fixed LS step budget).
+//! `Concurrent` gives the best anytime quality, timing dependent.
+//! `Exact` (`pbo-solve --strategy exact`, `pbo::solve_with`) reproduces
+//! the paper's solver byte for byte.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -42,11 +47,11 @@ pub use pbo_ls::{
     diversified_options, run_pool_steps, IncumbentCell, LocalSearch, LsOptions, LsResult, LsStats,
     PoolResult, SharedCut,
 };
-use pbo_trace::{Tracer, LS_LANE_BASE};
+use pbo_trace::{Event, Tracer, LS_LANE_BASE};
 
 use crate::options::{BsoloOptions, SolveStrategy};
 use crate::par::ParBsolo;
-use crate::result::SolveResult;
+use crate::result::{SolveResult, SolveStatus, SolverStats};
 
 /// LS steps per chunk between stop-flag/cell checks in concurrent mode.
 const CONCURRENT_CHUNK_STEPS: u64 = 16_384;
@@ -203,8 +208,8 @@ impl Portfolio {
             {
                 result.best_cost = Some(cost);
                 result.best_assignment = Some(model);
-                if result.status == crate::SolveStatus::Unknown {
-                    result.status = crate::SolveStatus::Feasible;
+                if result.status == SolveStatus::Unknown {
+                    result.status = SolveStatus::Feasible;
                 }
             }
         }
@@ -244,9 +249,12 @@ impl Portfolio {
         let deadline = phase_limit.map(|d| Instant::now() + d);
         let max_steps = self.options.ls.max_steps;
         let chunk = SEED_CHUNK_STEPS.min(max_steps.max(1));
+        // The solve's cancel token reaches the seed phase too, unless the
+        // LS options bring their own.
+        let cancel = self.options.ls.cancel.clone().or_else(|| self.options.bsolo.cancel.clone());
         let mut ls = LocalSearch::new(
             instance,
-            LsOptions { max_steps: chunk, time_limit: None, ..self.options.ls.clone() },
+            LsOptions { max_steps: chunk, time_limit: None, cancel, ..self.options.ls.clone() },
         );
         if self.options.bsolo.trace {
             ls.set_tracer(Tracer::buffered(LS_LANE_BASE, start));
@@ -273,14 +281,39 @@ impl Portfolio {
                 break;
             }
         }
+        let ls_time = start.elapsed();
+        // A decision instance ends at its first model: once the seed
+        // phase has left one in the cell and it verifies again (the cell
+        // stores, it does not vouch), no exact search can improve on it.
+        if !instance.is_optimization() {
+            if let Some((cost, model)) = cell.snapshot() {
+                if pbo_core::verify_solution(instance, &model) == Ok(cost) {
+                    let stats = SolverStats {
+                        ls_steps: ls.stats.steps,
+                        ls_time,
+                        trace: ls.drain_trace(),
+                        ..SolverStats::default()
+                    };
+                    return SolveResult {
+                        status: SolveStatus::Optimal,
+                        best_cost: Some(cost),
+                        best_assignment: Some(model),
+                        stats,
+                    };
+                }
+            }
+        }
         let mut bsolo_options = self.options.bsolo.clone();
         if let Some(t) = total_time {
             bsolo_options.budget.time =
-                Some(t.saturating_sub(start.elapsed()).max(Duration::from_millis(1)));
+                Some(t.saturating_sub(ls_time).max(Duration::from_millis(1)));
         }
         let mut result = ParBsolo::new(bsolo_options, self.options.resolved_bb_threads())
             .solve_with_cell(instance, Some(cell));
+        shift_trace(&mut result.stats.trace, ls_time);
         result.stats.trace.extend(ls.drain_trace());
+        result.stats.ls_steps = ls.stats.steps;
+        result.stats.ls_time = ls_time;
         result
     }
 
@@ -310,8 +343,10 @@ impl Portfolio {
                     trace_epoch,
                 )
             });
+            let exact_start = start.elapsed();
             let mut result = self.exact_solver().solve_with_cell(instance, Some(cell));
             stop.store(true, Ordering::Relaxed);
+            shift_trace(&mut result.stats.trace, exact_start);
             match ls_handle.join() {
                 Ok(pool) => {
                     result.stats.workers_lost += pool.workers_lost;
@@ -328,12 +363,23 @@ impl Portfolio {
     }
 }
 
+/// Moves the exact side's events onto the portfolio's trace epoch: the
+/// exact solver stamps its lanes from its own start, `offset` after the
+/// portfolio's.
+fn shift_trace(events: &mut [Event], offset: Duration) {
+    let offset_ns = offset.as_nanos() as u64;
+    for event in events {
+        event.t_ns += offset_ns;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bsolo::Bsolo;
     use crate::options::Budget;
-    use pbo_core::{brute_force, InstanceBuilder};
+    use pbo_benchgen::{PtlCmosParams, SynthesisParams};
+    use pbo_core::{brute_force, InstanceBuilder, RelOp};
 
     fn covering_instance() -> Instance {
         let mut b = InstanceBuilder::new();
@@ -527,5 +573,145 @@ mod tests {
         // Tiny instance: solved outright, well inside the budget.
         assert!(result.is_optimal());
         assert_eq!(result.best_cost, brute_force(&inst).cost());
+    }
+
+    /// Pure satisfaction instance: `x1 ∨ x2`, `¬x2 ∨ x3`.
+    fn decision_instance() -> Instance {
+        let mut b = InstanceBuilder::new();
+        let v = b.new_vars(3);
+        b.add_clause([v[0].positive(), v[1].positive()]);
+        b.add_clause([v[1].negative(), v[2].positive()]);
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn decision_instance_ends_at_the_first_verified_model() {
+        let inst = decision_instance();
+        let mut options = PortfolioOptions::default();
+        options.bsolo.trace = true;
+        let result = Portfolio::new(options).solve(&inst);
+        assert_eq!(result.status, crate::SolveStatus::Optimal);
+        let model = result.best_assignment.as_ref().expect("model present");
+        assert_eq!(pbo_core::verify_solution(&inst, model), Ok(0));
+        assert_eq!(result.stats.decisions, 0);
+        assert!(result.stats.ls_steps > 0, "the local search found the model");
+        // Not even adopted by an exact search: nothing ran on a B&B lane.
+        assert!(
+            result.stats.trace.iter().all(|e| e.lane >= LS_LANE_BASE),
+            "the branch-and-bound must not run: {:?}",
+            result.stats.trace
+        );
+    }
+
+    #[test]
+    fn infeasible_decision_instance_still_reaches_the_branch_and_bound() {
+        // Three pigeons, two holes: local search never finds a model, so
+        // only the exact side can end the solve, with a proof.
+        let mut b = InstanceBuilder::new();
+        let p = b.new_vars(6); // p[2 * pigeon + hole]
+        for pigeon in 0..3 {
+            b.add_clause([p[2 * pigeon].positive(), p[2 * pigeon + 1].positive()]);
+        }
+        for hole in 0..2 {
+            b.add_linear((0..3).map(|pigeon| (1, p[2 * pigeon + hole].positive())), RelOp::Le, 1);
+        }
+        let inst = b.build().unwrap();
+        assert!(!inst.is_optimization());
+        let result = Portfolio::default().solve(&inst);
+        assert_eq!(result.status, crate::SolveStatus::Infeasible);
+        assert!(result.stats.ls_steps > 0, "the seed phase ran first");
+    }
+
+    #[test]
+    fn unverifiable_cell_model_does_not_end_a_decision_solve() {
+        // The cell stores, it does not vouch: a model that fails
+        // verification must not become the answer, although the local
+        // search's own model (also cost 0) cannot displace it.
+        let inst = decision_instance();
+        let bogus = vec![false; 3];
+        assert!(pbo_core::verify_solution(&inst, &bogus).is_err());
+        let cell = IncumbentCell::new();
+        cell.offer(0, &bogus);
+        let result = Portfolio::default().solve_with_cell(&inst, &cell);
+        assert_eq!(result.status, crate::SolveStatus::Optimal);
+        let model = result.best_assignment.as_ref().expect("model present");
+        assert_eq!(pbo_core::verify_solution(&inst, model), Ok(0));
+    }
+
+    #[test]
+    fn seed_phase_effort_is_reported_apart() {
+        let inst = covering_instance();
+        let seeded = Portfolio::with_strategy(SolveStrategy::LsSeeded).solve(&inst);
+        assert!(seeded.stats.ls_steps > 0);
+        assert!(seeded.stats.ls_time > Duration::ZERO);
+        assert!(seeded.stats.ls_time <= seeded.stats.solve_time);
+        let json = seeded.stats.to_json();
+        assert!(json.contains(&format!("\"ls_steps\":{},", seeded.stats.ls_steps)), "{json}");
+        assert!(json.contains("\"ls_time_ms\":"), "{json}");
+        let exact = Portfolio::with_strategy(SolveStrategy::Exact).solve(&inst);
+        assert_eq!(exact.stats.ls_steps, 0);
+        assert_eq!(exact.stats.ls_time, Duration::ZERO);
+    }
+
+    #[test]
+    fn pre_cancelled_token_reaches_the_seed_phase() {
+        let inst = PtlCmosParams { gates: 60, fanin: 2.2, ..PtlCmosParams::default() }.generate(0);
+        let cancel = pbo_core::CancelToken::new();
+        cancel.cancel();
+        let bsolo = BsoloOptions { cancel: Some(cancel), trace: true, ..BsoloOptions::default() };
+        let options =
+            PortfolioOptions { strategy: SolveStrategy::LsSeeded, bsolo, ..Default::default() };
+        let result = Portfolio::new(options).solve(&inst);
+        assert!(
+            !result.stats.trace.iter().any(|e| matches!(e.data, pbo_trace::TraceEvent::LsRestart)),
+            "the local search must see the token before its first restart"
+        );
+        assert_eq!(result.stats.ls_steps, 0);
+        assert!(result.stats.cancelled, "the cancel must be reported");
+        assert!(
+            matches!(result.status, crate::SolveStatus::Feasible | crate::SolveStatus::Unknown),
+            "a cancelled solve cannot claim exhaustion: {:?}",
+            result.status
+        );
+    }
+
+    #[test]
+    fn deterministic_ls_seeded_solves_reproduce() {
+        let instances = [
+            PtlCmosParams { gates: 20, ..PtlCmosParams::default() }.generate(0),
+            SynthesisParams::default().generate(0),
+        ];
+        for (i, inst) in instances.iter().enumerate() {
+            for bb_threads in [1, 2] {
+                let options = PortfolioOptions {
+                    strategy: SolveStrategy::LsSeeded,
+                    bsolo: BsoloOptions { deterministic_join: true, ..BsoloOptions::default() },
+                    bb_threads,
+                    ..PortfolioOptions::default()
+                };
+                let a = Portfolio::new(options.clone()).solve(inst);
+                let b = Portfolio::new(options).solve(inst);
+                let label = format!("instance {i}, bb_threads {bb_threads}");
+                assert!(a.is_optimal(), "{label}: {:?}", a.status);
+                assert_eq!(a.status, b.status, "{label}: status");
+                assert_eq!(a.best_cost, b.best_cost, "{label}: cost");
+                assert_eq!(a.best_assignment, b.best_assignment, "{label}: model");
+                let counters = |r: &SolveResult| {
+                    let s = &r.stats;
+                    (
+                        s.ls_steps,
+                        s.decisions,
+                        s.conflicts,
+                        s.bound_conflicts,
+                        s.propagations,
+                        s.lb_calls,
+                        s.lp_iterations,
+                        s.solutions_found,
+                        s.nodes_per_worker.clone(),
+                    )
+                };
+                assert_eq!(counters(&a), counters(&b), "{label}: counters");
+            }
+        }
     }
 }

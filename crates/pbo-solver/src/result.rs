@@ -5,8 +5,8 @@
 //! `SolverStats` mixes two kinds of wall-clock measurement and the field
 //! names make the distinction explicit:
 //!
-//! * **Wall fields** (`solve_time`, `time_to_best`) measure elapsed time
-//!   on the driver thread. They are *not* summed at join.
+//! * **Wall fields** (`solve_time`, `time_to_best`, `ls_time`) measure
+//!   elapsed time on the driver thread. They are *not* summed at join.
 //! * **`*_total` fields** (`lb_time_total`, `sub_time_total`,
 //!   `queue_wait_total`) are summed across workers by
 //!   [`SolverStats::absorb`]; for an N-worker solve they read as CPU
@@ -108,6 +108,13 @@ pub struct SolverStats {
     /// first recorded (zero when no solution was found) — the anytime
     /// quality metric of the portfolio.
     pub time_to_best: Duration,
+    /// Local-search steps of the portfolio's seed phase
+    /// ([`crate::SolveStrategy::LsSeeded`]); zero for every other solve.
+    pub ls_steps: u64,
+    /// **Wall** time of the portfolio's seed phase, measured on the
+    /// driver thread before the branch-and-bound starts (part of
+    /// `solve_time`); zero when no seed phase ran.
+    pub ls_time: Duration,
     /// Literal propagations.
     pub propagations: u64,
     /// Restarts performed.
@@ -174,8 +181,8 @@ impl SolverStats {
     /// driver's join step): effort counters are summed — including the
     /// wall-clock effort spent *inside* the bound machinery, which
     /// therefore reads as CPU time, not elapsed time, for parallel
-    /// solves — while `solve_time` and `time_to_best` are left to the
-    /// driver.
+    /// solves — while the wall fields (`solve_time`, `time_to_best`,
+    /// `ls_time`) are left to the driver.
     pub fn absorb(&mut self, other: &SolverStats) {
         self.decisions += other.decisions;
         self.conflicts += other.conflicts;
@@ -187,6 +194,7 @@ impl SolverStats {
         self.lb_margin_sum += other.lb_margin_sum;
         self.lb_time_total += other.lb_time_total;
         self.sub_time_total += other.sub_time_total;
+        self.ls_steps += other.ls_steps;
         self.propagations += other.propagations;
         self.restarts += other.restarts;
         self.solutions_found += other.solutions_found;
@@ -238,7 +246,8 @@ impl SolverStats {
             s,
             "\"decisions\":{},\"conflicts\":{},\"bound_conflicts\":{},\"lb_calls\":{},\
              \"lb_margin_sum\":{},\"lb_time_total_ms\":{:.3},\"sub_time_total_ms\":{:.3},\
-             \"solve_time_ms\":{:.3},\"time_to_best_ms\":{:.3},\"propagations\":{},\
+             \"solve_time_ms\":{:.3},\"time_to_best_ms\":{:.3},\"ls_steps\":{},\
+             \"ls_time_ms\":{:.3},\"propagations\":{},\
              \"restarts\":{},\"solutions_found\":{},\"backjump_levels\":{},\
              \"lp_iterations\":{},\"nodes\":{},\"resplits\":{},\"clauses_shared\":{},\
              \"clauses_imported\":{},\"split_depth_truncated\":{},\"queue_wait_total_ms\":{:.3},\
@@ -252,6 +261,8 @@ impl SolverStats {
             ms(self.sub_time_total),
             ms(self.solve_time),
             ms(self.time_to_best),
+            self.ls_steps,
+            ms(self.ls_time),
             self.propagations,
             self.restarts,
             self.solutions_found,

@@ -9,9 +9,12 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use pbo_core::{Instance, InstanceBuilder, Lit, RelOp};
-use pbo_trace::{Event, TraceEvent};
+use pbo_trace::{Event, TraceEvent, LS_LANE_BASE};
 
-use crate::{Bsolo, BsoloOptions, LbMethod, ParBsolo, SolverStats, LB_METHOD_NAMES};
+use crate::{
+    Bsolo, BsoloOptions, LbMethod, ParBsolo, Portfolio, PortfolioOptions, SolveStrategy,
+    SolverStats, LB_METHOD_NAMES,
+};
 
 /// Random optimization instance (the solver_tests generator shape).
 fn random_instance(rng: &mut ChaCha8Rng, n_max: usize) -> Instance {
@@ -57,7 +60,9 @@ struct Tally {
 
 fn tally(events: &[Event]) -> Tally {
     let mut t = Tally::default();
-    for ev in events {
+    // LS lanes carry the local search's own incumbents and restarts,
+    // which the branch-and-bound counters do not include.
+    for ev in events.iter().filter(|e| e.lane < LS_LANE_BASE) {
         match ev.data {
             TraceEvent::Bound { method, outcome, .. } => {
                 t.bound_calls += 1;
@@ -235,4 +240,31 @@ fn adoption_is_an_adopt_event_not_a_solution() {
         result.stats.trace.iter().filter(|e| matches!(e.data, TraceEvent::Adopt { .. })).count();
     assert!(adopts >= 1, "adoption must be traced");
     assert_coherent("adoption", &result.stats);
+}
+
+#[test]
+fn ls_seeded_trace_shares_the_portfolio_epoch() {
+    // The seed phase runs before the branch-and-bound, so on the one
+    // portfolio clock every B&B event must come after every LS event.
+    let inst = pbo_benchgen::PtlCmosParams { gates: 24, ..Default::default() }.generate(0);
+    for bb_threads in [1usize, 2] {
+        let options = PortfolioOptions {
+            strategy: SolveStrategy::LsSeeded,
+            bsolo: traced(LbMethod::Lpr),
+            bb_threads,
+            ..PortfolioOptions::default()
+        };
+        let result = Portfolio::new(options).solve(&inst);
+        let (ls, exact): (Vec<&Event>, Vec<&Event>) =
+            result.stats.trace.iter().partition(|e| e.lane >= LS_LANE_BASE);
+        let last_ls = ls.iter().map(|e| e.t_ns).max().expect("the seed phase was traced");
+        assert!(!exact.is_empty(), "x{bb_threads}: the branch-and-bound was traced");
+        let first_exact = exact.iter().map(|e| e.t_ns).min().unwrap();
+        assert!(
+            first_exact >= last_ls,
+            "x{bb_threads}: B&B event at {first_exact} ns precedes LS event at {last_ls} ns"
+        );
+        assert!(last_ls as u128 <= result.stats.ls_time.as_nanos(), "x{bb_threads}: ls_time");
+        assert_coherent(&format!("ls-seeded x{bb_threads}"), &result.stats);
+    }
 }

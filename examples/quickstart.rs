@@ -1,6 +1,6 @@
 //! Quickstart: build a tiny weighted covering problem, solve it with the
-//! default configuration (bsolo + LP-relaxation lower bounding) and
-//! inspect the result.
+//! default configuration (local search seeding bsolo with LP-relaxation
+//! lower bounding) and inspect the result.
 //!
 //! ```text
 //! cargo run --example quickstart

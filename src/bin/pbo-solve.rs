@@ -1,20 +1,28 @@
 //! Command-line PBO solver over OPB files.
 //!
 //! ```text
-//! pbo-solve [--lb plain|mis|lgr|lpr] [--strategy exact|ls-seeded|concurrent]
+//! pbo-solve [--lb plain|mis|lgr|lpr] [--strategy ls-seeded|exact|concurrent]
 //!           [--ls-threads N|auto] [--bb-threads N|auto] [--deterministic]
 //!           [--timeout-ms N] [--stats] [--stats-json]
 //!           [--trace FILE] [--trace-format jsonl|chrome] [--metrics] <file.opb>
-//! cargo run --release --bin pbo-solve -- --strategy ls-seeded instance.opb
+//! cargo run --release --bin pbo-solve -- instance.opb
 //! ```
 //!
-//! `--strategy ls-seeded` / `--strategy concurrent` run the portfolio
-//! (stochastic local search seeding or racing the exact solver): under a
-//! `--timeout-ms` budget this is the anytime mode — a good verified
-//! solution fast, then proof effort with whatever time remains.
-//! `--ls-threads N` (concurrent mode) races a ParLS-style pool of N
-//! diversified local-search workers — per-worker seeds are derived
-//! deterministically from the base seed — against the exact solver.
+//! Every solve runs through the portfolio ([`pbo::Portfolio`]). The
+//! default strategy, `ls-seeded`, runs a short stochastic local search
+//! first: its best verified solution seeds the branch-and-bound's upper
+//! bound and eq. 10 cost cuts, and on a decision instance its first
+//! verified model is the answer (no branch-and-bound runs at all). It is
+//! the fastest measured configuration on every gated benchmark workload,
+//! and under `--timeout-ms` it is the anytime mode — a good verified
+//! solution fast, then proof effort with whatever time remains (the seed
+//! phase takes at most a fifth of the budget). `--strategy exact` is
+//! the paper's solver: branch-and-bound only, no local search.
+//! `--strategy concurrent` races local search against the exact solver
+//! for the whole solve; `--ls-threads N` makes that a ParLS-style pool
+//! of N diversified local-search workers (per-worker seeds derived
+//! deterministically from the base seed).
+//!
 //! `--bb-threads N` runs the exact side as a cube-split parallel
 //! branch-and-bound: the root is split into decision-literal cubes and
 //! N workers solve the subtrees over the shared term arena, racing
@@ -28,7 +36,10 @@
 //! through a pool sharded into per-worker lanes; `--deterministic`
 //! trades that racing for reproducibility (fixed re-split schedule, no
 //! sharing, cube-ordered join) so repeated runs report identical
-//! status, cost, model and counters.
+//! status, cost, model and counters — for the default strategy too,
+//! whose seed phase is step-bounded, as long as the solve finishes
+//! within its budget: under `--timeout-ms` the seed phase's wall-clock
+//! cap (a fifth of the budget) can cut it short at a different step.
 //!
 //! Output follows the pseudo-Boolean competition conventions:
 //! `s OPTIMUM FOUND` / `s SATISFIABLE` / `s UNSATISFIABLE` /
@@ -59,15 +70,21 @@ use std::time::Duration;
 
 use pbo::pbo_trace::{write_chrome, write_jsonl, MetricsRegistry};
 use pbo::{
-    parse_opb, solve_with, BsoloOptions, Budget, LbMethod, Portfolio, PortfolioOptions,
-    SolveStatus, SolveStrategy,
+    parse_opb, BsoloOptions, Budget, LbMethod, Portfolio, PortfolioOptions, SolveStatus,
+    SolveStrategy,
 };
 
 fn usage() -> ! {
     eprintln!(
-        "usage: pbo-solve [--lb plain|mis|lgr|lpr] [--strategy exact|ls-seeded|concurrent] \
+        "usage: pbo-solve [--lb plain|mis|lgr|lpr] [--strategy ls-seeded|exact|concurrent] \
          [--ls-threads N|auto] [--bb-threads N|auto] [--deterministic] [--timeout-ms N] [--stats] \
-         [--stats-json] [--trace FILE] [--trace-format jsonl|chrome] [--metrics] <file.opb>"
+         [--stats-json] [--trace FILE] [--trace-format jsonl|chrome] [--metrics] <file.opb>\n\
+         \n  --strategy ls-seeded   (default) local search seeds the branch-and-bound\
+         \n  --strategy exact       the paper's solver: branch-and-bound only\
+         \n  --strategy concurrent  local search races the branch-and-bound\
+         \n  --deterministic        reproducible runs when the solve finishes within its\
+         \n                         budget (under --timeout-ms the seed phase's budget/5\
+         \n                         wall-clock cap can end it at a different step)"
     );
     std::process::exit(2);
 }
@@ -90,7 +107,7 @@ enum TraceFormat {
 
 fn main() -> ExitCode {
     let mut lb = LbMethod::Lpr;
-    let mut strategy = SolveStrategy::Exact;
+    let mut strategy = SolveStrategy::default();
     let mut ls_threads = 1usize;
     let mut bb_threads = 1usize;
     let mut deterministic = false;
@@ -148,8 +165,8 @@ fn main() -> ExitCode {
         }
     }
     let Some(path) = path else { usage() };
-    // Resolve `auto` (0) once, up front, so the banner, the fast-path
-    // check and `--stats-json` all report the same concrete counts.
+    // Resolve `auto` (0) once, up front, so the banner and
+    // `--stats-json` report the same concrete counts.
     let ls_threads = PortfolioOptions::resolve_threads(ls_threads);
     let bb_threads = PortfolioOptions::resolve_threads(bb_threads);
     let text = match std::fs::read_to_string(&path) {
@@ -182,18 +199,14 @@ fn main() -> ExitCode {
     if let Some(ms) = timeout {
         options = options.budget(Budget::time_limit(Duration::from_millis(ms)));
     }
-    let result = if strategy == SolveStrategy::Exact && bb_threads == 1 {
-        solve_with(&instance, options)
-    } else {
-        let portfolio = PortfolioOptions {
-            strategy,
-            bsolo: options,
-            ls_threads,
-            bb_threads,
-            ..PortfolioOptions::default()
-        };
-        Portfolio::new(portfolio).solve(&instance)
+    let portfolio = PortfolioOptions {
+        strategy,
+        bsolo: options,
+        ls_threads,
+        bb_threads,
+        ..PortfolioOptions::default()
     };
+    let result = Portfolio::new(portfolio).solve(&instance);
     let (s_line, exit_code) = verdict(result.status, instance.is_optimization());
     println!("s {s_line}");
     if let Some(cost) = result.best_cost {

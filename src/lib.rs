@@ -69,9 +69,13 @@ pub use pbo_ls;
 pub use pbo_solver;
 pub use pbo_trace;
 
-/// Solves an instance with the paper's strongest configuration
-/// (bsolo + LP-relaxation lower bounding, LP-guided branching, cost
-/// cuts, probing) and no resource limit.
+/// Solves an instance with the default configuration and no resource
+/// limit: the [`Portfolio`] with [`SolveStrategy::LsSeeded`]. A short
+/// local search seeds the upper bound of the paper's strongest bsolo
+/// configuration (LP-relaxation lower bounding, LP-guided branching,
+/// cost cuts, probing), which then proves optimality; a decision
+/// instance is answered by the first verified model the local search
+/// finds. For the paper's solver alone, use [`solve_with`].
 ///
 /// # Examples
 ///
@@ -83,10 +87,11 @@ pub use pbo_trace;
 /// # Ok::<(), pbo::ParseOpbError>(())
 /// ```
 pub fn solve(instance: &Instance) -> SolveResult {
-    Bsolo::with_lb(LbMethod::Lpr).solve(instance)
+    Portfolio::default().solve(instance)
 }
 
-/// Solves an instance with explicit options.
+/// Solves an instance with the paper's solver — bsolo branch-and-bound,
+/// no local search — under explicit options.
 ///
 /// # Examples
 ///

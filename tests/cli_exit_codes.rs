@@ -52,7 +52,9 @@ fn exit_code_matches_the_s_line() {
     ];
     for (name, text, want_s, want_code) in cases {
         let path = write_instance(name, text);
-        for extra in [&[][..], &["--bb-threads", "2"][..]] {
+        // The default (local search first), the paper's solver alone,
+        // and the default over a two-worker exact side.
+        for extra in [&[][..], &["--strategy", "exact"][..], &["--bb-threads", "2"][..]] {
             let (s_line, code) = solve(&path, extra);
             assert_eq!(s_line, want_s, "{name} {extra:?}");
             assert_eq!(code, want_code, "{name} {extra:?}: exit code");
