@@ -2,10 +2,10 @@
 //!
 //! The static rows of the residual problem come from the instance; this
 //! module adds an **epoch-versioned registry of derived rows** — the
-//! eq. 10 objective ("knapsack") cut, the eqs. 11–13 cardinality cost
-//! cuts and selected learned clauses promoted to PB form — that the
-//! bounding procedures see exactly like static rows through the
-//! [`Subproblem`](crate::Subproblem) view.
+//! eq. 10 objective ("knapsack") cut and the eqs. 11–13 cardinality cost
+//! cuts — that the bounding procedures see exactly like static rows
+//! through the [`Subproblem`](crate::Subproblem) view. The solver
+//! installs them for MIS only.
 //!
 //! Every dynamic row must be *implied by the instance constraints
 //! together with the incumbent bound* `cost <= upper - 1`: a bound
@@ -16,8 +16,8 @@
 //! [`DynamicRows::epoch`] against the epoch they last installed and swap
 //! their row region instead of rebuilding any per-node state.
 //!
-//! Alongside the [`DynRow`] list (kept for deduplication, diagnostics
-//! and cut-pool publishing), the registry maintains a flat SoA
+//! Alongside the [`DynRow`] list (kept for deduplication and
+//! diagnostics), the registry maintains a flat SoA
 //! [`RowsArena`] mirror — the same contiguous-coefficients /
 //! contiguous-literals layout as the instance's
 //! [`TermArena`](pbo_core::TermArena) — which the residual state and the
@@ -25,17 +25,13 @@
 
 use pbo_core::{Instance, Lit, PbConstraint, RowView};
 
-/// Why a dynamic row exists (kept for diagnostics and bench ablations,
-/// and consumed by the per-method row filter in the solver's bound
-/// pipeline).
+/// Why a dynamic row exists (kept for diagnostics and bench ablations).
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum DynRowOrigin {
     /// The eq. 10 objective cut `sum c_j l_j <= upper - 1` (normalized).
     ObjectiveCut,
     /// An eqs. 11–13 cardinality cost cut.
     CardinalityCut,
-    /// A learned clause promoted to a PB row (`sum l_i >= 1`).
-    PromotedClause,
 }
 
 /// One derived row of the residual problem.
@@ -205,8 +201,8 @@ pub(crate) static EMPTY_ROWS: RowsArena = RowsArena::new();
 /// assert_eq!(rows.epoch(), 0);
 /// rows.begin_epoch();
 /// let clause = PbConstraint::clause([Lit::new(0, true), Lit::new(1, false)]);
-/// assert!(rows.push(clause.clone(), DynRowOrigin::PromotedClause));
-/// assert!(!rows.push(clause, DynRowOrigin::PromotedClause), "duplicate rejected");
+/// assert!(rows.push(clause.clone(), DynRowOrigin::CardinalityCut));
+/// assert!(!rows.push(clause, DynRowOrigin::CardinalityCut), "duplicate rejected");
 /// assert_eq!(rows.epoch(), 1);
 /// assert_eq!(rows.len(), 1);
 /// assert_eq!(rows.arena().len(), 1);
@@ -314,7 +310,7 @@ mod tests {
     fn epochs_version_the_row_set() {
         let mut rows = DynamicRows::new();
         rows.begin_epoch();
-        assert!(rows.push(PbConstraint::clause([Lit::new(0, true)]), DynRowOrigin::PromotedClause));
+        assert!(rows.push(PbConstraint::clause([Lit::new(0, true)]), DynRowOrigin::ObjectiveCut));
         assert_eq!((rows.epoch(), rows.len()), (1, 1));
         rows.begin_epoch();
         assert_eq!((rows.epoch(), rows.len()), (2, 0));
@@ -330,7 +326,7 @@ mod tests {
             PbConstraint::at_least(2, [Lit::new(0, true), Lit::new(1, true), Lit::new(2, true)]);
         assert!(rows.push(c.clone(), DynRowOrigin::CardinalityCut));
         assert!(!rows.push(c, DynRowOrigin::ObjectiveCut), "same row, any origin");
-        assert!(!rows.push(PbConstraint::clause([]), DynRowOrigin::PromotedClause));
+        assert!(!rows.push(PbConstraint::clause([]), DynRowOrigin::CardinalityCut));
         assert_eq!(rows.len(), 1);
         assert_eq!(rows.arena().len(), 1);
     }
@@ -355,7 +351,7 @@ mod tests {
         // A second row gets absolute positions and its own order (the
         // clause constructor normalizes to [x1, x2], cheapest first here).
         let clause = PbConstraint::clause([Lit::new(2, true), Lit::new(1, true)]);
-        arena.push_row(&clause, DynRowOrigin::PromotedClause, &costs);
+        arena.push_row(&clause, DynRowOrigin::CardinalityCut, &costs);
         assert_eq!(arena.cover_order(1), &[3, 4], "x1 (cost 1) before x2 (cost 4)");
         // The flat clone carries the order along.
         let mut copy = RowsArena::new();
@@ -377,7 +373,7 @@ mod tests {
             .unwrap();
         let b = PbConstraint::clause([Lit::new(2, true)]);
         rows.push(a.clone(), DynRowOrigin::ObjectiveCut);
-        rows.push(b.clone(), DynRowOrigin::PromotedClause);
+        rows.push(b.clone(), DynRowOrigin::CardinalityCut);
         let arena = rows.arena();
         assert_eq!(arena.len(), 2);
         for (k, c) in [a, b].iter().enumerate() {
@@ -386,7 +382,7 @@ mod tests {
             assert_eq!(terms, c.terms().to_vec(), "row {k}");
         }
         assert_eq!(arena.origin(0), DynRowOrigin::ObjectiveCut);
-        assert_eq!(arena.origin(1), DynRowOrigin::PromotedClause);
+        assert_eq!(arena.origin(1), DynRowOrigin::CardinalityCut);
         // The state-side copy path reuses allocations.
         let mut copy = RowsArena::new();
         copy.clone_from_arena(arena);

@@ -60,8 +60,9 @@ pub struct LprBound {
     /// diffing the whole assignment (O(changed vars) instead of O(vars)
     /// per node).
     trail_mode: bool,
-    /// Cancellation armed on the simplex; kept here so re-roots (which
-    /// rebuild the simplex) re-arm it (see [`LprBound::set_cancel`]).
+    /// Cancellation armed on the simplex; kept here so
+    /// [`LprBound::install_rows`] rebuilds re-arm it (see
+    /// [`LprBound::set_cancel`]).
     cancel: (Option<Instant>, Option<Arc<AtomicBool>>),
     /// The dynamic rows currently installed in the simplex, in row order
     /// after the instance's static rows. [`LprBound::install_rows`]
@@ -164,8 +165,10 @@ impl LprBound {
 
     /// Installs the registry's dynamic rows after the instance rows
     /// (matching the row indices of a [`Subproblem`] view carrying the
-    /// same rows). Called once per incumbent re-root — the per-node
-    /// warm-started solves are untouched.
+    /// same rows). No solver path calls this — the solver's relaxation
+    /// holds the instance's rows only, since the cost cuts are LP-implied
+    /// — but the benchmark's per-layer probe (`pbobench/probe`) still
+    /// times it.
     ///
     /// When the new registry extends the installed one — every already
     /// installed row reappears verbatim, plus an appended suffix — the
@@ -544,7 +547,7 @@ mod tests {
         let mut rows = DynamicRows::for_instance(&inst);
         rows.begin_epoch();
         rows.push(card(1), DynRowOrigin::CardinalityCut);
-        rows.push(clause.clone(), DynRowOrigin::PromotedClause);
+        rows.push(clause.clone(), DynRowOrigin::CardinalityCut);
 
         // Warm side: installs land on the incremental path throughout.
         let mut warm = LprBound::new(&inst);
@@ -556,7 +559,7 @@ mod tests {
         let force_rebuild = |oracle: &mut LprBound| {
             let mut decoy = DynamicRows::for_instance(&inst);
             decoy.begin_epoch();
-            decoy.push(late.clone(), DynRowOrigin::PromotedClause);
+            decoy.push(late.clone(), DynRowOrigin::CardinalityCut);
             oracle.install_rows(&inst, &decoy);
         };
         let mut oracle = LprBound::new(&inst);
@@ -576,12 +579,11 @@ mod tests {
         check(&mut warm, &mut oracle, &rows);
 
         // Re-root: the rows survive verbatim and a new clause is
-        // appended — the shape a restart refresh of promoted clauses
-        // produces.
+        // appended.
         rows.begin_epoch();
         rows.push(card(1), DynRowOrigin::CardinalityCut);
-        rows.push(clause.clone(), DynRowOrigin::PromotedClause);
-        rows.push(late.clone(), DynRowOrigin::PromotedClause);
+        rows.push(clause.clone(), DynRowOrigin::CardinalityCut);
+        rows.push(late.clone(), DynRowOrigin::CardinalityCut);
         warm.install_rows(&inst, &rows);
         assert_eq!(warm.install_counts(), (2, 0), "verbatim prefix + append stays incremental");
         force_rebuild(&mut oracle);
@@ -592,15 +594,15 @@ mod tests {
         // A tightened row (same support, new rhs) takes the rebuild path.
         rows.begin_epoch();
         rows.push(card(2), DynRowOrigin::CardinalityCut);
-        rows.push(clause.clone(), DynRowOrigin::PromotedClause);
-        rows.push(late.clone(), DynRowOrigin::PromotedClause);
+        rows.push(clause.clone(), DynRowOrigin::CardinalityCut);
+        rows.push(late.clone(), DynRowOrigin::CardinalityCut);
         warm.install_rows(&inst, &rows);
         assert_eq!(warm.install_counts(), (2, 1), "rhs change must rebuild");
         force_rebuild(&mut oracle);
         oracle.install_rows(&inst, &rows);
         check(&mut warm, &mut oracle, &rows);
 
-        // Shrinking the registry (taint path) falls back to a rebuild.
+        // Shrinking the registry falls back to a rebuild.
         let mut shrunk = DynamicRows::for_instance(&inst);
         shrunk.begin_epoch();
         shrunk.push(card(2), DynRowOrigin::CardinalityCut);

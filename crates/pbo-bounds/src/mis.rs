@@ -950,7 +950,7 @@ mod tests {
         costless.push(cut.clone(), DynRowOrigin::ObjectiveCut);
         let mut proper = DynamicRows::for_instance(&inst);
         proper.begin_epoch();
-        proper.push(cut, DynRowOrigin::PromotedClause);
+        proper.push(cut, DynRowOrigin::CardinalityCut);
         assert_ne!(
             costless.arena().cover_order(0),
             proper.arena().cover_order(0),

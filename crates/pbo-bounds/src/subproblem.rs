@@ -97,9 +97,8 @@ impl<'a> Subproblem<'a> {
     }
 
     /// Like [`Subproblem::new`], but the residual problem additionally
-    /// contains the given dynamic rows (learned cost cuts, promoted
-    /// clauses), appended after the instance constraints in registry
-    /// order — the rebuild oracle for
+    /// contains the given dynamic rows (the eq. 10–13 cost cuts),
+    /// appended after the instance constraints in registry order — the rebuild oracle for
     /// [`ResidualState::set_dynamic_rows`](crate::ResidualState::set_dynamic_rows).
     pub fn with_rows(
         instance: &'a Instance,

@@ -186,7 +186,7 @@ fn mixed_polarity_instance(seed: u64) -> Instance {
 
 /// Rebuilds the dynamic-row registry for a fake incumbent of cost
 /// `upper`: the eq. 10 objective cut plus a couple of random
-/// promoted-clause rows, like a solver re-root does.
+/// clause-shaped rows standing in for eqs. 11–13 cuts.
 fn reroot_rows(rows: &mut DynamicRows, instance: &Instance, upper: i64, rng: &mut ChaCha8Rng) {
     rows.begin_epoch();
     if let Some(obj) = instance.objective() {
@@ -207,7 +207,7 @@ fn reroot_rows(rows: &mut DynamicRows, instance: &Instance, upper: i64, rng: &mu
         }
         let lits: Vec<Lit> =
             idxs[..k].iter().map(|&i| pbo_core::Var::new(i).lit(rng.gen_bool(0.5))).collect();
-        rows.push(pbo_core::PbConstraint::clause(lits), DynRowOrigin::PromotedClause);
+        rows.push(pbo_core::PbConstraint::clause(lits), DynRowOrigin::CardinalityCut);
     }
 }
 
@@ -486,7 +486,7 @@ fn implied_mis_soundness_on_small_random_instances() {
         let upper = opt + rng.gen_range(1i64..5);
         let mut rows = DynamicRows::for_instance(&inst);
         reroot_rows(&mut rows, &inst, upper, &mut rng);
-        // Promoted clauses from reroot_rows are random, not implied:
+        // The clause rows from reroot_rows are random, not implied:
         // keep only the genuine objective cut for the soundness claim.
         let mut genuine = DynamicRows::for_instance(&inst);
         genuine.begin_epoch();

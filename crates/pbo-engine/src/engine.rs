@@ -473,9 +473,9 @@ impl Engine {
     /// Installs an externally learned clause (e.g. from the parallel
     /// shared-clause pool) at the root: simplified against the root
     /// assignment, stored as a *learnt* clause with the given LBD — so
-    /// it competes in LBD-best exports and dynamic-row promotion like a
-    /// locally learned clause — and stamped `taint | `[`Taint::IMPORTED`]
-    /// (imported clauses are already global and are never re-exported by
+    /// it competes in LBD-best exports like a locally learned clause —
+    /// and stamped `taint | `[`Taint::IMPORTED`] (imported clauses are
+    /// already global and are never re-exported by
     /// [`Engine::export_shareable_learnts`]).
     ///
     /// # Errors
@@ -1293,9 +1293,8 @@ impl Engine {
     }
 
     /// Exports up to `max_count` learned clauses of length at most
-    /// `max_len`, best first — the hook that lets the bounding subsystem
-    /// promote learned clauses into the residual problem's dynamic-row
-    /// region (and the local search fold them into its constraint set).
+    /// `max_len`, best first — the hook the parallel driver seeds cube
+    /// workers with from its head start.
     ///
     /// Selection is **LBD-primary** (Glucose-style: few decision levels
     /// at learn time ⇒ the clause captures real structure), with
@@ -1305,29 +1304,10 @@ impl Engine {
     /// literal vectors are snapshots, valid regardless of later database
     /// reductions.
     pub fn export_learnts(&self, max_len: usize, max_count: usize) -> Vec<Vec<Lit>> {
-        self.export_learnts_excluding(max_len, max_count, Taint::NONE)
-    }
-
-    /// [`Engine::export_learnts`] restricted to clauses whose taint does
-    /// **not** intersect `exclude` — e.g. pass [`Taint::ASSUMPTION`] to
-    /// export only clauses valid outside the current cube (the dynamic-row
-    /// promotion filter of a cube worker with clause sharing on).
-    /// `exclude = Taint::NONE` excludes nothing.
-    pub fn export_learnts_excluding(
-        &self,
-        max_len: usize,
-        max_count: usize,
-        exclude: Taint,
-    ) -> Vec<Vec<Lit>> {
         let mut candidates: Vec<(u32, f64, ClauseId)> = self
             .clauses
             .iter()
-            .filter(|(_, c)| {
-                c.is_learnt()
-                    && !c.is_empty()
-                    && c.len() <= max_len
-                    && !c.taint().intersects(exclude)
-            })
+            .filter(|(_, c)| c.is_learnt() && !c.is_empty() && c.len() <= max_len)
             .map(|(id, c)| (c.lbd(), c.activity(), id))
             .collect();
         candidates.sort_unstable_by(|a, b| {

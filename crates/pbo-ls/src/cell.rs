@@ -1,45 +1,19 @@
 //! The shared incumbent cell: where local search and branch-and-bound
-//! exchange solutions — and, since the dynamic-row work, learned cost
-//! cuts.
+//! exchange solutions.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use pbo_core::Lit;
 use pbo_fault::failpoint;
 
 /// `cost` value meaning "no incumbent yet".
 const EMPTY: i64 = i64::MAX;
 
-/// One learned cost cut in normalized `>=` form, as shared through the
-/// cell's cut pool: `sum coeff * lit >= rhs`.
-///
-/// Every shared cut must be implied by the instance constraints together
-/// with the incumbent bound `cost <= best - 1` — consumers may use it to
-/// steer search away from non-improving regions, but never to declare a
-/// *better* solution infeasible.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct SharedCut {
-    /// The weighted literals of the cut.
-    pub terms: Vec<(i64, Lit)>,
-    /// The right-hand side.
-    pub rhs: i64,
-}
-
 struct CellInner {
     model: Option<Vec<bool>>,
     /// Improving offers in arrival order, for incumbent trajectories.
     history: Vec<(Instant, i64)>,
-    /// The current cut pool (replaced wholesale on each publish).
-    cuts: Vec<SharedCut>,
-    /// Upper bound the current pool was derived for (`EMPTY` when the
-    /// pool is empty or was published unconditionally). With several
-    /// exact producers racing — the parallel B&B's cube workers — the
-    /// pool from the *tightest* incumbent wins: a stale producer with a
-    /// weaker upper bound must not overwrite cuts derived from a better
-    /// one.
-    cuts_upper: i64,
 }
 
 /// A thread-safe best-solution cell shared between solution producers.
@@ -71,9 +45,6 @@ struct CellInner {
 /// ```
 pub struct IncumbentCell {
     cost: AtomicI64,
-    /// Epoch of the cut pool; bumped on every publish so consumers can
-    /// poll for changes without taking the lock.
-    cuts_epoch: AtomicU64,
     inner: Mutex<CellInner>,
 }
 
@@ -82,13 +53,7 @@ impl IncumbentCell {
     pub fn new() -> IncumbentCell {
         IncumbentCell {
             cost: AtomicI64::new(EMPTY),
-            cuts_epoch: AtomicU64::new(0),
-            inner: Mutex::new(CellInner {
-                model: None,
-                history: Vec::new(),
-                cuts: Vec::new(),
-                cuts_upper: EMPTY,
-            }),
+            inner: Mutex::new(CellInner { model: None, history: Vec::new() }),
         }
     }
 
@@ -149,54 +114,6 @@ impl IncumbentCell {
             .map(|&(at, cost)| (at.saturating_duration_since(start), cost))
             .collect()
     }
-
-    /// Replaces the cut pool with `cuts` and bumps the pool epoch. The
-    /// producer (the branch-and-bound re-rooting its dynamic rows)
-    /// vouches that every cut is implied by the instance plus its
-    /// current incumbent bound.
-    pub fn publish_cuts(&self, cuts: Vec<SharedCut>) {
-        let mut inner = self.lock();
-        inner.cuts = cuts;
-        inner.cuts_upper = EMPTY;
-        self.cuts_epoch.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Like [`IncumbentCell::publish_cuts`], but tagged with the upper
-    /// bound the cuts were derived for. The pool is replaced only when
-    /// `upper` is at least as tight as the bound behind the current pool
-    /// (an untagged pool counts as loosest), so concurrent exact
-    /// producers — the parallel B&B's cube workers, each re-rooting on
-    /// its own schedule — converge on the cuts of the best incumbent
-    /// instead of last-writer-wins. Returns `true` if the pool was
-    /// replaced.
-    pub fn publish_cuts_for(&self, upper: i64, cuts: Vec<SharedCut>) -> bool {
-        let mut inner = self.lock();
-        if upper > inner.cuts_upper {
-            return false;
-        }
-        inner.cuts = cuts;
-        inner.cuts_upper = upper;
-        self.cuts_epoch.fetch_add(1, Ordering::AcqRel);
-        true
-    }
-
-    /// Current cut-pool epoch (0 = nothing published yet); lock-free.
-    #[inline]
-    pub fn cuts_epoch(&self) -> u64 {
-        self.cuts_epoch.load(Ordering::Acquire)
-    }
-
-    /// Clones the cut pool if its epoch differs from `seen`, returning
-    /// the new epoch alongside. `None` means "nothing new" — the common
-    /// case, answered by one atomic load.
-    pub fn cuts_snapshot(&self, seen: u64) -> Option<(u64, Vec<SharedCut>)> {
-        if self.cuts_epoch() == seen {
-            return None;
-        }
-        let inner = self.lock();
-        let epoch = self.cuts_epoch();
-        Some((epoch, inner.cuts.clone()))
-    }
 }
 
 impl Default for IncumbentCell {
@@ -244,26 +161,6 @@ mod tests {
         let history = cell.history_since(start);
         let costs: Vec<i64> = history.iter().map(|&(_, c)| c).collect();
         assert_eq!(costs, vec![10, 4]);
-    }
-
-    #[test]
-    fn tighter_producer_wins_the_cut_pool() {
-        let cell = IncumbentCell::new();
-        let cut = |rhs| SharedCut { terms: vec![(1, Lit::new(0, true))], rhs };
-        assert!(cell.publish_cuts_for(10, vec![cut(1)]));
-        let e1 = cell.cuts_epoch();
-        // A looser producer (stale worker) must not overwrite.
-        assert!(!cell.publish_cuts_for(12, vec![cut(9)]));
-        assert_eq!(cell.cuts_epoch(), e1);
-        assert_eq!(cell.cuts_snapshot(0).unwrap().1, vec![cut(1)]);
-        // Equal upper republishes (restart refresh), tighter replaces.
-        assert!(cell.publish_cuts_for(10, vec![cut(2)]));
-        assert!(cell.publish_cuts_for(7, vec![cut(3)]));
-        assert_eq!(cell.cuts_snapshot(0).unwrap().1, vec![cut(3)]);
-        // The untagged legacy publish counts as loosest afterwards.
-        cell.publish_cuts(vec![cut(4)]);
-        assert!(cell.publish_cuts_for(100, vec![cut(5)]));
-        assert_eq!(cell.cuts_snapshot(0).unwrap().1, vec![cut(5)]);
     }
 
     /// Satellite of the robustness PR: a producer that panics while

@@ -78,7 +78,7 @@ mod cell;
 mod pool;
 mod search;
 
-pub use cell::{IncumbentCell, SharedCut};
+pub use cell::IncumbentCell;
 pub use pool::{
     diversified_options, run_pool_racing, run_pool_racing_traced, run_pool_steps, PoolResult,
     PoolRun,

@@ -126,9 +126,9 @@ pub fn run_pool_steps(
 
 /// Runs `workers` diversified engines with **live sharing** through
 /// `cell` until `stop` is raised: every verified improvement is
-/// published, external improvements re-seed each worker's restarts, and
-/// the freshest cut pool is folded in at restarts. Returns the
-/// per-worker effort counters (the best solution lives in the cell).
+/// published and external improvements re-seed each worker's restarts.
+/// Returns the per-worker effort counters (the best solution lives in
+/// the cell).
 ///
 /// Each worker's walk is deterministic given its derived seed *and* the
 /// sequence of external incumbents it adopts; with one worker and no
@@ -157,7 +157,7 @@ pub struct PoolRun {
 }
 
 /// [`run_pool_racing`] with telemetry: when `trace_epoch` is given, every
-/// worker buffers its restart/cut-install/incumbent events on lane
+/// worker buffers its restart/incumbent events on lane
 /// [`LS_LANE_BASE`]` + worker` with timestamps relative to that epoch
 /// (pass the solve's start instant so LS lanes align with the exact
 /// side's lanes). The merged event stream rides alongside the per-worker

@@ -3,12 +3,12 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use pbo_core::{verify_solution, Instance, PbTerm, TermArena, Var};
+use pbo_core::{verify_solution, Instance, TermArena, Var};
 use pbo_trace::{TraceEvent, Tracer};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::cell::{IncumbentCell, SharedCut};
+use crate::cell::IncumbentCell;
 
 /// Weights are halved across the board once any reaches this cap, so the
 /// landscape reshaping never runs away numerically.
@@ -94,9 +94,6 @@ pub struct LsStats {
     pub restarts: u64,
     /// Weight-bump (local-minimum escape) events.
     pub weight_bumps: u64,
-    /// Cut-pool adoptions: how often the walk folded a fresh set of
-    /// learned cost cuts into its constraint set.
-    pub cuts_adopted: u64,
     /// Verified improving incumbents recorded.
     pub incumbents: u64,
     /// Candidate incumbents rejected by verification (always 0 unless the
@@ -115,13 +112,6 @@ pub struct LsResult {
     pub best_model: Option<Vec<bool>>,
     /// Cumulative effort counters (across all `run` calls).
     pub stats: LsStats,
-}
-
-/// One occurrence of a literal in a constraint.
-#[derive(Copy, Clone, Debug)]
-struct Occ {
-    constraint: u32,
-    coeff: i64,
 }
 
 /// Stochastic local search over complete assignments of one instance.
@@ -157,25 +147,12 @@ pub struct LocalSearch<'a> {
     /// walk entirely.
     hopeless: bool,
     // --- static per-instance data ---
-    /// Number of instance constraints; rows at or above this index are
-    /// adopted cut rows.
-    base_rows: usize,
     /// The instance's flat CSR/SoA arena: row terms and the literal →
-    /// occurrence CSR of the static rows, **borrowed, never copied** —
-    /// every worker of a parallel pool shares this one read-only block.
+    /// occurrence CSR of the rows, **borrowed, never copied** — every
+    /// worker of a parallel pool shares this one read-only block.
     arena: &'a TermArena,
-    /// Occurrence lists of the adopted cut rows only, indexed by literal
-    /// code (sparse; the handful of touched lists is tracked in
-    /// `cut_touched` so an epoch swap clears in O(region)).
-    cut_occ: Vec<Vec<Occ>>,
-    /// Literal codes with a non-empty `cut_occ` list.
-    cut_touched: Vec<u32>,
-    /// Right-hand side per row (instance rows, then cut rows).
+    /// Right-hand side per row.
     rhs: Vec<i64>,
-    /// Adopted cut rows (terms only; `rhs` holds their right-hand side).
-    extra: Vec<Vec<PbTerm>>,
-    /// Cut-pool epoch last adopted from the cell.
-    cuts_seen: u64,
     /// Objective cost per literal code.
     lit_cost: Vec<i64>,
     /// Best possible objective value (offset): the perfection test.
@@ -233,13 +210,8 @@ impl<'a> LocalSearch<'a> {
             created: Instant::now(),
             optimization: instance.is_optimization(),
             hopeless,
-            base_rows: m,
             arena: instance.arena(),
-            cut_occ: vec![Vec::new(); 2 * n],
-            cut_touched: Vec::new(),
             rhs,
-            extra: Vec::new(),
-            cuts_seen: 0,
             lit_cost,
             min_cost,
             values: vec![false; n],
@@ -259,8 +231,8 @@ impl<'a> LocalSearch<'a> {
         ls
     }
 
-    /// Installs a telemetry tracer: restarts, cut installs and verified
-    /// incumbents are emitted into its buffer. Drain with
+    /// Installs a telemetry tracer: restarts and verified incumbents are
+    /// emitted into its buffer. Drain with
     /// [`LocalSearch::drain_trace`] when the walk is done.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
@@ -274,102 +246,6 @@ impl<'a> LocalSearch<'a> {
     /// The best verified solution found so far.
     pub fn best(&self) -> Option<(i64, &[bool])> {
         self.best.as_ref().map(|(c, m)| (*c, m.as_slice()))
-    }
-
-    /// Number of adopted cut rows currently in the constraint set.
-    pub fn num_cut_rows(&self) -> usize {
-        self.extra.len()
-    }
-
-    /// Number of terms in row `ci` (instance or cut row).
-    #[inline]
-    fn row_len(&self, ci: usize) -> usize {
-        if ci < self.base_rows {
-            self.arena.row_len(ci)
-        } else {
-            self.extra[ci - self.base_rows].len()
-        }
-    }
-
-    /// Term `k` of row `ci` (instance rows read from the shared arena).
-    #[inline]
-    fn term_at(&self, ci: usize, k: usize) -> PbTerm {
-        if ci < self.base_rows {
-            let row = self.arena.row(ci);
-            PbTerm::new(row.coeffs[k], row.lits[k])
-        } else {
-            self.extra[ci - self.base_rows][k]
-        }
-    }
-
-    /// Replaces the adopted cut rows with `cuts`: the per-row arrays are
-    /// rebuilt and the new rows' true-weight counters and violated-set
-    /// membership are computed against the current assignment, so the
-    /// walk can continue immediately.
-    ///
-    /// Cut rows are *guidance*: they are implied by "the instance plus
-    /// `cost < incumbent`", so no improving solution ever violates one
-    /// (the incumbent check in `record_incumbent` is unaffected), while
-    /// the weighted walk is steered away from regions the exact solver
-    /// has refuted.
-    pub fn install_cuts(&mut self, cuts: &[SharedCut]) {
-        // Drop the old cut rows from the violated set.
-        let stale: Vec<u32> =
-            self.violated.iter().copied().filter(|&c| c as usize >= self.base_rows).collect();
-        for c in stale {
-            self.remove_violated(c);
-        }
-        // Clear only the occurrence lists the old region touched.
-        for &code in &self.cut_touched {
-            self.cut_occ[code as usize].clear();
-        }
-        self.cut_touched.clear();
-        self.rhs.truncate(self.base_rows);
-        self.lhs.truncate(self.base_rows);
-        self.weights.truncate(self.base_rows);
-        self.extra.clear();
-        for cut in cuts {
-            // Rows over variables this instance does not have (a foreign
-            // producer) are ignored outright.
-            if cut.terms.iter().any(|&(_, l)| l.var().index() >= self.values.len()) {
-                continue;
-            }
-            let ci = (self.base_rows + self.extra.len()) as u32;
-            let mut lhs = 0i64;
-            for &(coeff, lit) in &cut.terms {
-                if self.cut_occ[lit.code()].is_empty() {
-                    self.cut_touched.push(lit.code() as u32);
-                }
-                self.cut_occ[lit.code()].push(Occ { constraint: ci, coeff });
-                if self.values[lit.var().index()] == lit.is_positive() {
-                    lhs += coeff;
-                }
-            }
-            self.extra.push(cut.terms.iter().map(|&(c, l)| PbTerm::new(c, l)).collect());
-            self.rhs.push(cut.rhs);
-            self.lhs.push(lhs);
-            self.weights.push(1);
-        }
-        self.vio_pos.resize(self.base_rows + self.extra.len(), NOT_VIOLATED);
-        for k in 0..self.extra.len() {
-            let ci = self.base_rows + k;
-            if self.lhs[ci] < self.rhs[ci] {
-                self.add_violated(ci as u32);
-            }
-        }
-        self.tracer.emit(TraceEvent::CutsInstalled { n: self.extra.len() as u64 });
-    }
-
-    /// Adopts a fresh cut pool from the cell, if its epoch moved.
-    /// Returns `true` when the constraint set changed (the caller must
-    /// re-seed before stepping).
-    fn adopt_cuts(&mut self, cell: Option<&IncumbentCell>) -> bool {
-        let Some(cell) = cell else { return false };
-        let Some((epoch, cuts)) = cell.cuts_snapshot(self.cuts_seen) else { return false };
-        self.cuts_seen = epoch;
-        self.stats.cuts_adopted += 1;
-        self.install_cuts(&cuts);
-        true
     }
 
     /// Runs the search until the per-call step budget, the per-call time
@@ -408,10 +284,6 @@ impl<'a> LocalSearch<'a> {
                 // restarts exactly as often as one long run would — even
                 // when every chunk is shorter than the interval.
                 if self.stats.steps > 0 && self.stats.steps.is_multiple_of(restart_every) {
-                    // Restarts are the cut-adoption point: a re-seeded
-                    // walk starts with `lhs` and the violated set already
-                    // covering the freshly folded rows.
-                    self.adopt_cuts(cell);
                     self.restart();
                 }
                 self.step(cell);
@@ -462,20 +334,18 @@ impl<'a> LocalSearch<'a> {
         // Candidates: variables of false literals of `ci`, sampled from a
         // random rotation so subsampling has no positional bias.
         self.cand.clear();
-        let len = self.row_len(ci);
+        let row = self.arena.row(ci);
+        let len = row.lits.len();
         let start = if len == 0 { 0 } else { self.rng.gen_range(0..len) };
-        let mut cand = std::mem::take(&mut self.cand);
         for k in 0..len {
-            if cand.len() >= self.options.max_candidates {
+            if self.cand.len() >= self.options.max_candidates {
                 break;
             }
-            let t = self.term_at(ci, (start + k) % len);
-            let is_true = self.values[t.lit.var().index()] == t.lit.is_positive();
-            if !is_true {
-                cand.push(t.lit.var().index());
+            let lit = row.lits[(start + k) % len];
+            if self.values[lit.var().index()] != lit.is_positive() {
+                self.cand.push(lit.var().index());
             }
         }
-        self.cand = cand;
         self.choose_and_flip();
     }
 
@@ -538,8 +408,7 @@ impl<'a> LocalSearch<'a> {
     }
 
     /// Weighted deficiency delta of flipping `v`: negative is good. The
-    /// static-row occurrences come straight off the shared arena CSR;
-    /// adopted cut rows ride the sparse `cut_occ` side lists.
+    /// occurrences come straight off the shared arena CSR.
     fn score_flip(&self, v: usize) -> i128 {
         let now_true = Var::new(v).lit(!self.values[v]);
         let now_false = !now_true;
@@ -556,18 +425,6 @@ impl<'a> LocalSearch<'a> {
             let ci = rows[k] as usize;
             let before = (self.rhs[ci] - self.lhs[ci]).max(0);
             let after = (self.rhs[ci] - (self.lhs[ci] - coeffs[k])).max(0);
-            delta += self.weights[ci] as i128 * (after - before) as i128;
-        }
-        for &Occ { constraint, coeff } in &self.cut_occ[now_true.code()] {
-            let ci = constraint as usize;
-            let before = (self.rhs[ci] - self.lhs[ci]).max(0);
-            let after = (self.rhs[ci] - (self.lhs[ci] + coeff)).max(0);
-            delta += self.weights[ci] as i128 * (after - before) as i128;
-        }
-        for &Occ { constraint, coeff } in &self.cut_occ[now_false.code()] {
-            let ci = constraint as usize;
-            let before = (self.rhs[ci] - self.lhs[ci]).max(0);
-            let after = (self.rhs[ci] - (self.lhs[ci] - coeff)).max(0);
             delta += self.weights[ci] as i128 * (after - before) as i128;
         }
         if let Some(u) = self.upper {
@@ -587,10 +444,8 @@ impl<'a> LocalSearch<'a> {
     }
 
     /// Flips `v`, updating counters and the violated set in
-    /// O(occurrences of `v`). Static-row occurrences are read from the
-    /// shared arena CSR (two contiguous arrays), cut rows from the
-    /// sparse side lists — the same visit order the merged per-literal
-    /// lists used to produce.
+    /// O(occurrences of `v`), read from the shared arena CSR (two
+    /// contiguous arrays).
     fn flip(&mut self, v: usize) {
         self.stats.flips += 1;
         let now_true = Var::new(v).lit(!self.values[v]);
@@ -606,15 +461,6 @@ impl<'a> LocalSearch<'a> {
                 self.remove_violated(rows[k]);
             }
         }
-        for k in 0..self.cut_occ[now_true.code()].len() {
-            let Occ { constraint, coeff } = self.cut_occ[now_true.code()][k];
-            let ci = constraint as usize;
-            let was = self.lhs[ci];
-            self.lhs[ci] = was + coeff;
-            if was < self.rhs[ci] && self.lhs[ci] >= self.rhs[ci] {
-                self.remove_violated(constraint);
-            }
-        }
         let (rows, coeffs) = arena.occurrences(now_false);
         for k in 0..rows.len() {
             let ci = rows[k] as usize;
@@ -622,15 +468,6 @@ impl<'a> LocalSearch<'a> {
             self.lhs[ci] = was - coeffs[k];
             if was >= self.rhs[ci] && self.lhs[ci] < self.rhs[ci] {
                 self.add_violated(rows[k]);
-            }
-        }
-        for k in 0..self.cut_occ[now_false.code()].len() {
-            let Occ { constraint, coeff } = self.cut_occ[now_false.code()][k];
-            let ci = constraint as usize;
-            let was = self.lhs[ci];
-            self.lhs[ci] = was - coeff;
-            if was >= self.rhs[ci] && self.lhs[ci] < self.rhs[ci] {
-                self.add_violated(constraint);
             }
         }
         self.cost += self.lit_cost[now_true.code()] - self.lit_cost[now_false.code()];
@@ -777,11 +614,11 @@ impl<'a> LocalSearch<'a> {
         self.violated.clear();
         self.vio_pos.fill(NOT_VIOLATED);
         for ci in 0..self.rhs.len() {
+            let row = self.arena.row(ci);
             let mut lhs = 0i64;
-            for k in 0..self.row_len(ci) {
-                let t = self.term_at(ci, k);
-                if self.values[t.lit.var().index()] == t.lit.is_positive() {
-                    lhs += t.coeff;
+            for (&coeff, &lit) in row.coeffs.iter().zip(row.lits) {
+                if self.values[lit.var().index()] == lit.is_positive() {
+                    lhs += coeff;
                 }
             }
             self.lhs[ci] = lhs;
@@ -917,51 +754,6 @@ mod tests {
         let mut ls = LocalSearch::new(&inst, LsOptions::default());
         let result = ls.run(None, Some(&stop));
         assert_eq!(result.stats.steps, 0, "pre-raised stop flag halts before any step");
-    }
-
-    #[test]
-    fn adopts_cuts_from_the_cell_on_restart() {
-        let inst = covering_instance();
-        let cell = IncumbentCell::new();
-        // Publish a genuine cost cut for upper = 7: 2~x1 + 3~x2 + 2~x3 >= 1
-        // (i.e. cost <= 6), as the exact solver's re-root would.
-        let v: Vec<Var> = (0..3).map(Var::new).collect();
-        cell.publish_cuts(vec![SharedCut {
-            terms: vec![(2, v[0].negative()), (3, v[1].negative()), (2, v[2].negative())],
-            rhs: 1,
-        }]);
-        let opts = LsOptions { restart_interval: 500, max_steps: 5_000, ..LsOptions::default() };
-        let mut ls = LocalSearch::new(&inst, opts);
-        let result = ls.run(Some(&cell), None);
-        assert!(ls.stats.cuts_adopted >= 1, "the pool epoch moved, LS must fold the cuts");
-        assert_eq!(ls.num_cut_rows(), 1);
-        // The cut never blocks improving solutions: optimum still found
-        // and verified.
-        assert_eq!(result.best_cost, Some(3));
-        assert_eq!(result.stats.verify_rejects, 0);
-    }
-
-    #[test]
-    fn cut_pool_epoch_swap_replaces_rows() {
-        let inst = covering_instance();
-        let mut ls = LocalSearch::new(&inst, LsOptions::default());
-        let v: Vec<Var> = (0..3).map(Var::new).collect();
-        ls.install_cuts(&[
-            SharedCut { terms: vec![(1, v[0].negative()), (1, v[1].negative())], rhs: 1 },
-            SharedCut { terms: vec![(1, v[2].negative())], rhs: 1 },
-        ]);
-        assert_eq!(ls.num_cut_rows(), 2);
-        // A fresh epoch replaces, never accumulates; out-of-range rows
-        // are ignored.
-        ls.install_cuts(&[SharedCut { terms: vec![(1, Var::new(99).positive())], rhs: 1 }]);
-        assert_eq!(ls.num_cut_rows(), 0, "foreign-variable cut must be dropped");
-        // `~x1 >= 1` is consistent with the optimum (x2 alone): the walk
-        // is steered toward it, never away.
-        ls.install_cuts(&[SharedCut { terms: vec![(1, v[0].negative())], rhs: 1 }]);
-        assert_eq!(ls.num_cut_rows(), 1);
-        // After a reset the walk still verifies and finds the optimum.
-        let result = ls.run(None, None);
-        assert_eq!(result.best_cost, Some(3));
     }
 
     #[test]

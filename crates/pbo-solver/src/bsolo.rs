@@ -7,7 +7,10 @@
 //!
 //! * an upper bound `P.upper` maintained from improving solutions, with
 //!   the knapsack cut of eq. 10 (and optionally the cardinality cost cuts
-//!   of eqs. 11–13) re-added at the root after each improvement;
+//!   of eqs. 11–13) re-added at the root after each improvement; under
+//!   MIS the cuts also become rows of the residual problem
+//!   ([`BsoloOptions::dynamic_rows`]), while learned clauses never leave
+//!   the engine;
 //! * a pluggable lower-bound procedure called at every node; when
 //!   `P.path + P.lower >= P.upper` (eq. 7) the solver builds the bound
 //!   conflict clause `omega_bc = omega_pp ∪ omega_pl` (eqs. 8–9) and
@@ -39,10 +42,9 @@
 use std::collections::HashSet;
 use std::time::Instant;
 
-use pbo_bounds::DynRowOrigin;
 use pbo_core::{verify_solution, Instance, Lit, PbConstraint, Value, Var};
 use pbo_engine::{Conflict, Engine, LubyRestarts, Resolution, Taint};
-use pbo_ls::{IncumbentCell, SharedCut};
+use pbo_ls::IncumbentCell;
 use pbo_trace::{TraceEvent, Tracer};
 
 use crate::cuts::CostCuts;
@@ -196,7 +198,7 @@ pub(crate) struct SearchState<'a> {
     options: &'a BsoloOptions,
     engine: Engine,
     /// The bounding subsystem: bound procedure, residual state, trail
-    /// observers, dynamic-row registry and gating policy.
+    /// observers, MIS's dynamic-row region and gating policy.
     pipeline: BoundPipeline,
     /// Shared incumbent cell of the portfolio, if any.
     cell: Option<&'a IncumbentCell>,
@@ -220,16 +222,6 @@ pub(crate) struct SearchState<'a> {
     /// Conflict count that triggers the next restart (`u64::MAX` when
     /// restarts are disabled).
     next_restart: u64,
-    /// Whether promoted-clause rows may join the cell's shared cut pool.
-    /// A cube worker's learned clauses are implied by *instance ∧ cube*,
-    /// not the instance alone, so sharing them would poison siblings and
-    /// the local search; only the root search (empty cube) shares them.
-    /// (With taint tracking on, the engine's assumption-clean clauses
-    /// *are* safely shared — through [`SearchState::sync_share`] and the
-    /// dedicated clause pool, not this cut-pool path.) The eq. 10–13
-    /// cost cuts are implied by instance + incumbent bound and are
-    /// always safe to share.
-    share_promoted: bool,
     /// The cube this search is rooted in (empty for the sequential
     /// solver), *extended in place* by [`SearchState::resplit`] as the
     /// worker deepens — so re-split arm cubes always carry the full
@@ -359,7 +351,6 @@ impl<'a> SearchState<'a> {
             rejected_external: None,
             restarts,
             next_restart,
-            share_promoted: cube.is_empty(),
             cube: cube.to_vec(),
             pool,
             pool_seen: PoolWatermarks::default(),
@@ -459,17 +450,11 @@ impl<'a> SearchState<'a> {
                 stats.cancelled = true;
                 return Some(self.budget_status());
             }
-            // Luby restart: back to the root (learned clauses kept), and
-            // the dynamic-row region's promoted clauses are re-exported
-            // from the learned-clause database — the bounds see the
-            // freshest low-LBD structure, not the snapshot taken at the
-            // last incumbent. Restarts are also the clause-sharing
-            // cadence: publish what we learned, import what peers did.
+            // Luby restart: back to the root (learned clauses kept).
+            // Restarts are also the clause-sharing cadence: publish what
+            // we learned, import what peers did.
             if self.engine.stats.conflicts >= self.next_restart {
                 self.engine.restart();
-                if self.pipeline.refresh_on_restart(self.instance, &self.engine) {
-                    self.publish_cut_pool();
-                }
                 if self.sync_share(stats).is_err() {
                     return Some(self.exhausted_status());
                 }
@@ -513,10 +498,10 @@ impl<'a> SearchState<'a> {
                     // A *true* infeasibility explanation stands on its
                     // own: no completion exists regardless of cost, so
                     // the omega_pp cost literals would only weaken the
-                    // learned clause. With dynamic rows installed,
-                    // though, "infeasible" is conditional on the
-                    // incumbent bound (the rows are implied by it), so
-                    // omega_pp must stay in the clause.
+                    // learned clause. With MIS's cost-cut rows
+                    // installed, though, "infeasible" is conditional on
+                    // the incumbent bound (the rows are implied by it),
+                    // so omega_pp must stay in the clause.
                     let include_pp = !out.infeasible || self.pipeline.has_dynamic_rows();
                     let omega_bc = self.build_bound_conflict(&out.explanation, include_pp);
                     let taint = self.adhoc_taint();
@@ -546,9 +531,8 @@ impl<'a> SearchState<'a> {
     /// bound explanations list *all* false literals of the rows they
     /// used, so cube-derived level-0 literals surface in conflict
     /// analysis and taint the clause through the standard drop rule —
-    /// and the rows themselves are cube-independent, because under
-    /// taint tracking the region's promotion filter admits only
-    /// assumption-clean clauses (see `BoundPipeline::rebuild_regions`).
+    /// and the rows themselves are cube-independent: the instance's rows
+    /// and, under MIS, the cost cuts.
     fn adhoc_taint(&self) -> Taint {
         if self.best_cost.is_some() {
             Taint::INCUMBENT
@@ -863,39 +847,12 @@ impl<'a> SearchState<'a> {
                 return Err(());
             }
         }
-        // Fold the new cut set (plus the engine's best short learned
-        // clauses) into the residual problem as dynamic rows, and share
-        // it with any local-search sibling through the cell's cut pool.
-        self.pipeline.reroot(self.instance, &self.engine, &cuts);
-        self.publish_cut_pool();
+        // MIS folds the new cut set into its residual problem as dynamic
+        // rows; the other bounds see the instance's rows only.
+        self.pipeline.reroot(&cuts);
         // A re-root is also a sharing point: we are at level 0 with a
         // fresh (tighter) upper bound to stamp INCUMBENT clauses with.
         self.sync_share(stats)
-    }
-
-    /// Publishes the dynamic-row registry to the shared cell's cut pool
-    /// (the LS siblings fold it into their constraint sets at restarts).
-    /// Called on incumbent re-roots and restart refreshes. Cube workers
-    /// publish only the cost-cut rows — their promoted clauses are
-    /// cube-conditional (see [`SearchState::share_promoted`]) — and the
-    /// pool keeps whichever producer holds the tightest upper bound.
-    fn publish_cut_pool(&self) {
-        let Some(cell) = self.cell else { return };
-        let Some(upper) = self.best_cost else { return };
-        let rows = self.pipeline.dynamic_rows();
-        let shared: Vec<SharedCut> = rows
-            .rows()
-            .iter()
-            .filter(|r| self.share_promoted || r.origin != DynRowOrigin::PromotedClause)
-            .map(|r| SharedCut {
-                terms: r.constraint.terms().iter().map(|t| (t.coeff, t.lit)).collect(),
-                rhs: r.constraint.rhs(),
-            })
-            .collect();
-        if shared.is_empty() {
-            return;
-        }
-        cell.publish_cuts_for(upper, shared);
     }
 
     /// Adopts a strictly better incumbent from the shared cell, if one
@@ -1025,4 +982,82 @@ impl<'a> SearchState<'a> {
 enum SolutionStep {
     Finished(SolveStatus),
     Continue,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// No learned clause leaves the engine, and only MIS bounds over rows
+    /// the instance does not have: after a restart-heavy solve, LGR, LPR
+    /// and plain never installed a row, and MIS's region holds exactly
+    /// the cost cuts of its last re-root — deduplicated, in order, with
+    /// no clause row beside them.
+    #[test]
+    fn only_mis_installs_rows_and_only_its_cost_cuts() {
+        let inst = pbo_benchgen::SynthesisParams {
+            primes: 30,
+            minterms: 50,
+            cover_density: 3.0,
+            exclusions: 5,
+            ..pbo_benchgen::SynthesisParams::default()
+        }
+        .generate(0);
+        let mut optima = Vec::new();
+        for lb in [LbMethod::None, LbMethod::Mis, LbMethod::Lagrangian, LbMethod::Lpr] {
+            let options = BsoloOptions { restart_base: Some(2), ..BsoloOptions::with_lb(lb) };
+            // The cell records every incumbent in order; it only ever
+            // holds this search's own offers, so it never steers it.
+            let cell = IncumbentCell::new();
+            let start = Instant::now();
+            let mut stats = SolverStats::default();
+            let mut search = SearchState::init(
+                &inst,
+                &options,
+                Some(&cell),
+                start,
+                &mut stats,
+                &[],
+                &[],
+                None,
+                Tracer::off(),
+            )
+            .expect("synthesis instances are feasible");
+            assert_eq!(search.run(start, &mut stats), SolveStatus::Optimal, "{lb:?}");
+            assert!(search.engine.stats.restarts > 0, "{lb:?}: base-2 Luby restarts must fire");
+            optima.push(search.best_cost);
+            let region = search.pipeline.installed_rows();
+            if lb != LbMethod::Mis {
+                assert_eq!(region.epoch(), 0, "{lb:?} must never install a row");
+                assert!(!search.pipeline.has_dynamic_rows(), "{lb:?}");
+                if let Some(lpr) = search.pipeline.lpr() {
+                    assert_eq!(lpr.install_counts(), (0, 0), "the LP keeps the instance's rows");
+                }
+                continue;
+            }
+            // One re-root per incumbent and nothing else (no restart
+            // refresh); only the last can fail (its cut contradicting the
+            // root ends the search), so epoch k holds the cuts of the k-th
+            // incumbent.
+            let history = cell.history_since(start);
+            let epoch = region.epoch() as usize;
+            assert!(
+                epoch >= 1 && (history.len() - 1..=history.len()).contains(&epoch),
+                "{epoch} region epochs for {} incumbents",
+                history.len()
+            );
+            let upper = history[epoch - 1].1;
+            let mut expected: Vec<PbConstraint> = Vec::new();
+            for cut in search.cost_cuts.cuts(upper) {
+                if !cut.is_empty() && !expected.contains(&cut) {
+                    expected.push(cut);
+                }
+            }
+            let installed: Vec<&PbConstraint> =
+                region.rows().iter().map(|r| &r.constraint).collect();
+            assert_eq!(installed, expected.iter().collect::<Vec<_>>(), "MIS region at U={upper}");
+            assert!(search.pipeline.has_dynamic_rows());
+        }
+        assert!(optima.windows(2).all(|w| w[0] == w[1]), "methods disagree: {optima:?}");
+    }
 }

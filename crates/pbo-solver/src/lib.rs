@@ -72,7 +72,7 @@ pub use options::{Branching, BsoloOptions, Budget, LbMethod, ResidualMode, Solve
 pub use par::{Cube, CubeSplitter, ParBsolo, SplitOutcome};
 pub use portfolio::{
     diversified_options, run_pool_steps, IncumbentCell, LocalSearch, LsOptions, LsResult, LsStats,
-    PoolResult, Portfolio, PortfolioOptions, SharedCut,
+    PoolResult, Portfolio, PortfolioOptions,
 };
 pub use preprocess::{probe, simplify, ProbeOutcome};
 pub use result::{

@@ -171,10 +171,10 @@ pub struct BsoloOptions {
     /// How the residual subproblem is maintained between bound
     /// computations.
     pub residual_mode: ResidualMode,
-    /// Fold the learned cost cuts (eq. 10 / eqs. 11–13) and the most
-    /// active short learned clauses into the residual problem as dynamic
-    /// rows on each incumbent re-root, so every bounding procedure
-    /// computes against the relaxation the solver actually knows.
+    /// Fold the cost cuts (eq. 10 / eqs. 11–13) into MIS's residual
+    /// problem as dynamic rows on each incumbent re-root. Applies to
+    /// [`LbMethod::Mis`] only: LGR and LPR always bound over the
+    /// instance's rows alone.
     ///
     /// The row region rides the cut re-root, so this has no effect when
     /// [`BsoloOptions::knapsack_cuts`] is disabled (no re-root happens).
@@ -184,10 +184,8 @@ pub struct BsoloOptions {
     /// can prove infeasibility beyond single-row propagation).
     pub mis_implied: bool,
     /// Luby restart base interval in conflicts (`None` disables
-    /// restarts). On each restart the dynamic-row region's promoted
-    /// clauses are re-exported from the learned-clause database
-    /// (LBD-best selection), so the bounds keep seeing fresh structure
-    /// between incumbents.
+    /// restarts). A restart backjumps to the root and keeps the learned
+    /// clauses; in a parallel solve it is also a clause-sharing point.
     pub restart_base: Option<u64>,
     /// A parallel worker that has spent this many conflicts on one cube
     /// re-splits its remaining subtree: the complement cubes of its

@@ -2,9 +2,9 @@
 //! shared term arena.
 //!
 //! PR 4 made every hot data structure shared and read-only — the
-//! instance's flat `TermArena` CSR, the cut pool, the lock-free
-//! [`IncumbentCell`] — but the exact search was still one sequential
-//! loop. This module closes that gap cube-and-conquer style:
+//! instance's flat `TermArena` CSR and the lock-free [`IncumbentCell`]
+//! — but the exact search was still one sequential loop. This module
+//! closes that gap cube-and-conquer style:
 //!
 //! 1. **[`CubeSplitter`]** runs a learning-free lookahead from the root
 //!    for a bounded number of decisions and harvests the open frontier
@@ -36,16 +36,16 @@
 //! 4. **Sharing.** Incumbents flow through the [`IncumbentCell`]: every
 //!    worker publishes verified improvements and adopts strictly better
 //!    external ones mid-search (re-rooting its eq. 10–13 cost cuts).
-//!    Cost-cut rows go to the cell's cut pool (implied by instance +
-//!    incumbent bound; tightest-upper producer wins). Learned *clauses*
-//!    cross workers through the epoch-stamped [`ClausePool`]: the
-//!    engine's taint tracking marks every clause whose derivation leaned
-//!    on a cube assumption ([`pbo_engine::Taint`]), conflict analysis
-//!    keeps assumption-falsified root literals in the clause (up to a
-//!    budget) instead of strengthening them away so most clauses stay
+//!    Learned *clauses* cross workers through the epoch-stamped
+//!    [`ClausePool`]: the engine's taint tracking marks every clause
+//!    whose derivation leaned on a cube assumption
+//!    ([`pbo_engine::Taint`]), conflict analysis keeps
+//!    assumption-falsified root literals in the clause (up to a budget)
+//!    instead of strengthening them away so most clauses stay
 //!    assumption-clean, and `export_shareable_learnts` publishes (on the
-//!    worker's private pool lane) only those — implied by the instance (plus a stamped cost bound for
-//!    INCUMBENT-tainted ones) and therefore sound in *any* cube.
+//!    worker's private pool lane) only those — implied by the instance
+//!    (plus a stamped cost bound for INCUMBENT-tainted ones) and
+//!    therefore sound in *any* cube.
 //!    Workers sync at init, restarts, and after every re-split.
 //! 5. **Dynamic re-splitting.** A worker that outlives its conflict
 //!    allowance on one cube while the queue starves (fewer queued

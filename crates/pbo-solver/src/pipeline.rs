@@ -5,75 +5,50 @@
 //! bound-procedure dispatch, the incremental [`ResidualState`], its
 //! engine trail observer, the LP bound's second observer, and the
 //! per-method gating rules were separate fields threaded through the
-//! search loop. [`BoundPipeline`] owns all of it, plus the
-//! **dynamic-row registry**: on every incumbent re-root the learned cost
-//! cuts (eq. 10 and eqs. 11–13) and the best (LBD-selected) short
-//! learned clauses are folded into the residual problem as
-//! epoch-versioned dynamic rows, so every bound sees the part of the
-//! relaxation the solver knows that can help it — with zero per-node rebuild
-//! (the region swap is O(region), and the rows ride the same O(Δ) trail
-//! protocol as static rows from then on).
+//! search loop. [`BoundPipeline`] owns all of it, plus MIS's
+//! **dynamic-row region**: on every incumbent re-root the eq. 10 and
+//! eqs. 11–13 cost cuts are folded into the residual problem as
+//! epoch-versioned dynamic rows, with zero per-node rebuild (the region
+//! swap is O(region), and the rows ride the same O(Δ) trail protocol as
+//! static rows from then on).
 //!
-//! Two refinements sit on top of the registry:
-//!
-//! * **Per-method row filter.** The full registry is what the cut pool
-//!   publishes, but the region actually *installed* for the bound is
-//!   method-filtered: LGR and LPR keep only
-//!   [`DynRowOrigin::PromotedClause`] rows, and only MIS installs the
-//!   full set. Dropping rows is always sound — any subset of valid rows
-//!   is valid. For LGR, dualized cost-cut rows (objective and
-//!   cardinality alike) yield weak `omega_pl` explanations that were
-//!   measured to *triple* the tree (1064 → 3226 nodes on the synthesis
-//!   ablation; back to 1064 with the filter), and rows whose multiplier
-//!   stayed at zero through the previous epoch are dropped too (they
-//!   never contributed to `L(mu)`, only to explanation width). For LPR
-//!   the cost-cut rows are LP-implied: eq. 10 only turns `z_LP > U - 1`
-//!   into an infeasible LP, the same prune as `ceil(z_LP) >= U`, and
-//!   each eqs. 11–13 cut follows from its source row's relaxation plus
-//!   eq. 10 whenever the row's coefficient divides its degree (every
-//!   clause, every cardinality row the paper's families emit). While no
-//!   cut saturates (no cost above its degree), dropping them leaves
-//!   `z_LP` and every prune decision unchanged, and it halves a ptlcmos
-//!   LP whose cuts are dense near-copies of the objective.
-//! * **Restart refresh.** The promoted-clause portion of the region is
-//!   re-exported from the engine's learned-clause database on search
-//!   restarts, not only on incumbents — the LBD-best clauses shortly
-//!   after a restart are much fresher than the ones captured at the last
-//!   incumbent.
+//! Only MIS takes the region (and only with
+//! [`BsoloOptions::dynamic_rows`]); LGR and LPR see the instance's rows
+//! alone, and no learned clause ever leaves the engine. For LPR the cost
+//! cuts are LP-implied: eq. 10 only turns `z_LP > U - 1` into an
+//! infeasible LP, the same prune as `ceil(z_LP) >= U`, and each eqs.
+//! 11–13 cut follows from its source row's relaxation plus eq. 10
+//! whenever the row's coefficient divides its degree (every clause,
+//! every cardinality row the paper's families emit). For LGR, dualized
+//! cost cuts yield weak `omega_pl` explanations that were measured to
+//! triple the tree (1064 → 3226 nodes on the synthesis ablation).
+//! Learned clauses stay in the engine: promoting the LBD-best ones into
+//! the LGR/LPR region moved decisions by under 0.2% on `ptlcmos-seq`.
 //!
 //! The per-node path is **steady-state allocation-free**: the pipeline
 //! owns one [`LbOutcome`] whose explanation buffer is reused by
 //! [`LowerBound::lower_bound_into`] on every call.
 //!
-//! Soundness note: dynamic rows are implied by the instance *plus* the
+//! Soundness note: the cost cuts are implied by the instance *plus* the
 //! incumbent bound `cost <= upper - 1`, so a bound (or infeasibility)
 //! derived over them holds for completions cheaper than the incumbent —
 //! exactly the set eq. 7 pruning quantifies over. The solver must treat
-//! an infeasibility verdict obtained while dynamic rows are installed as
-//! a *bound* conflict (keep `omega_pp`), which
+//! an infeasibility verdict obtained while the region is installed as a
+//! *bound* conflict (keep `omega_pp`), which
 //! [`BoundPipeline::has_dynamic_rows`] exposes.
 
 use std::time::Instant;
 
 use pbo_bounds::{
-    DynRow, DynRowOrigin, DynamicRows, LagrangianBound, LbOutcome, LowerBound, LprBound, MisBound,
-    NoBound, ResidualState, Subproblem,
+    DynRowOrigin, DynamicRows, LagrangianBound, LbOutcome, LowerBound, LprBound, MisBound, NoBound,
+    ResidualState, Subproblem,
 };
 use pbo_core::{Instance, PbConstraint};
-use pbo_engine::{Engine, Taint, TrailObserver};
+use pbo_engine::{Engine, TrailObserver};
 use pbo_fault::failpoint;
 
 use crate::options::{BsoloOptions, LbMethod, ResidualMode};
 use crate::result::SolverStats;
-
-/// Learned clauses promoted into the dynamic-row region per re-root:
-/// only short ones (a long clause is a weak PB row) ...
-const PROMOTE_MAX_LEN: usize = 8;
-/// ... and only the best (lowest-LBD) few (the region swap is O(region)).
-const PROMOTE_MAX_COUNT: usize = 24;
-
-/// Multipliers at or below this are "stayed zero" for the LGR row drop.
-const LGR_MU_ZERO: f64 = 1e-7;
 
 /// Lower-bound procedure dispatch (avoids `Box<dyn>` so the LPR state
 /// can also serve the branching heuristic).
@@ -106,7 +81,7 @@ fn method_bucket(method: LbMethod) -> usize {
 }
 
 /// Owner of the bounding subsystem: bound procedure, residual state,
-/// trail observers, dynamic-row registry and gating policy.
+/// trail observers, MIS's dynamic-row region and gating policy.
 pub(crate) struct BoundPipeline {
     bound: Bound,
     /// Trail-mirrored residual problem ([`ResidualMode::Incremental`]);
@@ -117,21 +92,13 @@ pub(crate) struct BoundPipeline {
     /// Engine trail observer backing the LP bound's variable-fixing
     /// mirror (incremental mode with [`LbMethod::Lpr`] only).
     lpr_obs: Option<TrailObserver>,
-    /// The full dynamic-row registry, re-rooted on each improving
-    /// incumbent — what the cut pool publishes.
+    /// The cost cuts of the most recent re-root, installed into the
+    /// residual state (empty unless `dynamic_enabled`).
     rows: DynamicRows,
-    /// The method-filtered registry actually installed into the residual
-    /// state and the LP relaxation (see the module docs).
-    method_rows: DynamicRows,
-    /// Rows whose LGR multiplier stayed zero through the previous
-    /// installed epoch: dropped from the next LGR region.
-    lgr_zero_mu: Vec<PbConstraint>,
-    /// Cost cuts of the most recent re-root, kept so restart refreshes
-    /// can rebuild the region without a new incumbent.
-    last_cuts: Vec<PbConstraint>,
     /// Reusable per-node outcome (explanation buffer included).
     out: LbOutcome,
-    /// Whether re-roots install dynamic rows at all.
+    /// Whether re-roots install the cost cuts as dynamic rows: MIS with
+    /// [`BsoloOptions::dynamic_rows`] on an optimization instance.
     dynamic_enabled: bool,
     /// Whether the MIS bound runs its implied-literal reasoning (gates
     /// pre-incumbent MIS calls).
@@ -169,16 +136,13 @@ impl BoundPipeline {
             residual,
             residual_obs,
             lpr_obs,
-            // Both registries carry the instance's objective costs so
-            // every pushed row's fractional-cover order is precomputed
-            // at push time (no per-bound-call sorting, and worker-local
-            // region swaps clone the order along with the terms).
+            // The region carries the instance's objective costs so every
+            // pushed row's fractional-cover order is precomputed at push
+            // time (no per-bound-call sorting, and the residual state's
+            // region swap clones the order along with the terms).
             rows: DynamicRows::for_instance(instance),
-            method_rows: DynamicRows::for_instance(instance),
-            lgr_zero_mu: Vec::new(),
-            last_cuts: Vec::new(),
             out: LbOutcome::bound(0, Vec::new()),
-            dynamic_enabled: options.dynamic_rows && instance.is_optimization(),
+            dynamic_enabled: options.dynamic_rows && method == LbMethod::Mis,
             mis_implied: options.mis_implied,
             method,
             tracer: pbo_trace::Tracer::off(),
@@ -231,111 +195,31 @@ impl BoundPipeline {
     /// bound conflicts (include `omega_pp`), since the rows are
     /// incumbent-conditional.
     pub fn has_dynamic_rows(&self) -> bool {
-        !self.method_rows.is_empty()
+        !self.rows.is_empty()
     }
 
-    /// The full registry (for sharing the rows with the LS cut pool;
-    /// the installed region may be a method-filtered subset).
-    pub fn dynamic_rows(&self) -> &DynamicRows {
+    /// The dynamic-row region currently installed for the bound.
+    #[cfg(test)]
+    pub fn installed_rows(&self) -> &DynamicRows {
         &self.rows
     }
 
-    /// Whether `row` joins the region installed for the active method.
-    /// LGR and LPR keep promoted clauses only: dualized cost cuts were
-    /// measured to grow the LGR tree ~3x, and the LP already implies
-    /// them (see the module docs). LGR also drops rows whose multiplier
-    /// never left zero last epoch (the list stays empty under LPR). MIS
-    /// takes the full set. Dropping rows is always sound.
-    fn keep_for_method(&self, row: &DynRow) -> bool {
-        match self.method {
-            LbMethod::Lagrangian | LbMethod::Lpr => {
-                row.origin == DynRowOrigin::PromotedClause
-                    && !self.lgr_zero_mu.contains(&row.constraint)
-            }
-            LbMethod::None | LbMethod::Mis => true,
+    /// Re-roots MIS's dynamic-row region for a new incumbent: the freshly
+    /// installed cost cuts become the new region and the residual state
+    /// swaps to it in O(region). A no-op for every other method.
+    pub fn reroot(&mut self, cuts: &[PbConstraint]) {
+        if !self.dynamic_enabled {
+            return;
         }
-    }
-
-    /// Records which installed dynamic rows the LGR warm-start left at a
-    /// zero multiplier, so the next region build can drop them.
-    fn snapshot_lgr_zero_mu(&mut self, instance: &Instance) {
-        let Bound::Lgr(lgr) = &self.bound else { return };
-        let mu = lgr.multipliers();
-        let num_static = instance.num_constraints();
-        self.lgr_zero_mu.clear();
-        for (k, row) in self.method_rows.rows().iter().enumerate() {
-            if mu.get(num_static + k).is_none_or(|m| m.abs() <= LGR_MU_ZERO) {
-                self.lgr_zero_mu.push(row.constraint.clone());
-            }
-        }
-    }
-
-    /// Rebuilds both registries from `cuts` plus the engine's current
-    /// LBD-best short learned clauses, and installs the method-filtered
-    /// region into the residual state / LP relaxation.
-    fn rebuild_regions(&mut self, instance: &Instance, engine: &Engine, cuts: &[PbConstraint]) {
-        self.snapshot_lgr_zero_mu(instance);
         self.rows.begin_epoch();
         for (i, cut) in cuts.iter().enumerate() {
             let origin =
                 if i == 0 { DynRowOrigin::ObjectiveCut } else { DynRowOrigin::CardinalityCut };
             self.rows.push(cut.clone(), origin);
         }
-        // Under taint tracking (a cube worker with clause sharing on)
-        // only assumption-clean clauses may enter the region: a bound
-        // conflict derived through a promoted row is tainted only by the
-        // literals the explanation mentions, so a cube-dependent row —
-        // valid under the cube beyond what its literals say — would let
-        // a cube-dependent learned clause escape into the shareable set
-        // untainted. Imported pool clauses (already globally valid) pass
-        // the filter and flow into the region as the pool intends.
-        let exclude = if engine.taint_tracking() { Taint::ASSUMPTION } else { Taint::NONE };
-        for lits in engine.export_learnts_excluding(PROMOTE_MAX_LEN, PROMOTE_MAX_COUNT, exclude) {
-            self.rows.push(PbConstraint::clause(lits), DynRowOrigin::PromotedClause);
-        }
-        self.method_rows.begin_epoch();
-        for row in self.rows.rows() {
-            if self.keep_for_method(row) {
-                self.method_rows.push(row.constraint.clone(), row.origin);
-            }
-        }
         if let Some(state) = &mut self.residual {
-            state.set_dynamic_rows(&self.method_rows);
+            state.set_dynamic_rows(&self.rows);
         }
-        if let Bound::Lpr(lpr) = &mut self.bound {
-            lpr.install_rows(instance, &self.method_rows);
-        }
-    }
-
-    /// Re-roots the dynamic-row region for a new incumbent: the freshly
-    /// installed cost cuts plus the engine's best short learned clauses
-    /// become the new region, the residual state swaps to it in
-    /// O(region), and the LP relaxation is rebuilt with the rows
-    /// appended (once per incumbent — per-node solves stay warm).
-    pub fn reroot(&mut self, instance: &Instance, engine: &Engine, cuts: &[PbConstraint]) {
-        if !self.dynamic_enabled {
-            return;
-        }
-        self.last_cuts.clear();
-        self.last_cuts.extend_from_slice(cuts);
-        self.rebuild_regions(instance, engine, cuts);
-    }
-
-    /// Refreshes the promoted-clause portion of the region after a
-    /// search restart: same cost cuts, freshly exported (LBD-best)
-    /// learned clauses. A no-op before the first re-root — promoted
-    /// clauses learned under installed cuts are incumbent-conditional,
-    /// so the region only ever exists alongside an incumbent. Returns
-    /// `true` when the region was rebuilt (so the caller can republish
-    /// the cut pool).
-    pub fn refresh_on_restart(&mut self, instance: &Instance, engine: &Engine) -> bool {
-        if !self.dynamic_enabled || self.rows.epoch() == 0 {
-            return false;
-        }
-        let cuts = std::mem::take(&mut self.last_cuts);
-        self.rebuild_regions(instance, engine, &cuts);
-        self.last_cuts = cuts;
-        true
     }
 
     /// Computes the lower bound at the current node: syncs the residual
@@ -352,15 +236,7 @@ impl BoundPipeline {
     ) {
         let sub_start = Instant::now();
         let BoundPipeline {
-            bound,
-            residual,
-            residual_obs,
-            lpr_obs,
-            method_rows,
-            out,
-            method,
-            tracer,
-            ..
+            bound, residual, residual_obs, lpr_obs, rows, out, method, tracer, ..
         } = self;
         // Keep the LP bound's variable fixings in lockstep with the
         // trail (O(Δ) per node) through its own observer.
@@ -383,7 +259,7 @@ impl BoundPipeline {
                 }
                 state.view(instance, engine.assignment())
             }
-            _ => Subproblem::with_rows(instance, engine.assignment(), method_rows),
+            _ => Subproblem::with_rows(instance, engine.assignment(), rows),
         };
         stats.sub_time_total += sub_start.elapsed();
         let path = sub.path_cost();

@@ -45,7 +45,7 @@ use pbo_core::Instance;
 use pbo_ls::run_pool_racing_traced;
 pub use pbo_ls::{
     diversified_options, run_pool_steps, IncumbentCell, LocalSearch, LsOptions, LsResult, LsStats,
-    PoolResult, SharedCut,
+    PoolResult,
 };
 use pbo_trace::{Event, Tracer, LS_LANE_BASE};
 
@@ -86,18 +86,18 @@ pub struct PortfolioOptions {
     /// pool: worker 0 runs [`PortfolioOptions::ls`] verbatim, later
     /// workers get derived seeds, higher noise and staggered restarts —
     /// see [`pbo_ls::diversified_options`]). All workers share the
-    /// incumbent cell and the cut pool; the instance's flat term arena
-    /// is shared read-only, so extra workers cost per-worker counters
-    /// only. Ignored by the other strategies.
+    /// incumbent cell; the instance's flat term arena is shared
+    /// read-only, so extra workers cost per-worker counters only.
+    /// Ignored by the other strategies.
     pub ls_threads: usize,
     /// Number of exact branch-and-bound workers (default 1 = the
     /// sequential solver, bit-identical to [`crate::Bsolo`]). With more
     /// workers the exact side runs as [`crate::ParBsolo`]: the root is
     /// split into cubes and solved by a pool sharing the instance's
-    /// read-only term arena, incumbents and cost cuts flowing through
-    /// the cell. Applies to every strategy — `Exact` becomes pure
-    /// parallel B&B, `Concurrent` races `ls_threads` LS workers *and*
-    /// `bb_threads` exact workers against one cell.
+    /// read-only term arena, incumbents flowing through the cell.
+    /// Applies to every strategy — `Exact` becomes pure parallel B&B,
+    /// `Concurrent` races `ls_threads` LS workers *and* `bb_threads`
+    /// exact workers against one cell.
     ///
     /// Both thread counts accept `0` as "auto": resolved to the
     /// machine's available parallelism at solve time (the CLI spells it
@@ -319,9 +319,9 @@ impl Portfolio {
 
     /// Concurrent mode: a pool of diversified LS workers races the exact
     /// side — sequential bsolo, or the `bb_threads`-strong cube-split
-    /// pool — until the exact side finishes. Incumbents and the cut pool
-    /// flow through the shared cell; every worker on both sides shares
-    /// the instance's read-only term arena.
+    /// pool — until the exact side finishes. Incumbents flow through the
+    /// shared cell; every worker on both sides shares the instance's
+    /// read-only term arena.
     fn solve_concurrent(
         &self,
         instance: &Instance,

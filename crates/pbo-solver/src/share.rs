@@ -1,9 +1,7 @@
 //! Cross-worker shared-clause pool for the parallel exact search.
 //!
-//! Generalizes the PR-3 cost-cut pool (see [`crate::cuts`] /
-//! `IncumbentCell::publish_cuts_for`): where the cut pool broadcasts the
-//! handful of *upper-bound* constraints derived from the incumbent, this
-//! pool carries the stream of **cube-independent learned clauses** —
+//! Incumbents cross workers through the `IncumbentCell`; this pool
+//! carries the stream of **cube-independent learned clauses** —
 //! clauses whose first-UIP derivation never resolved on a root
 //! assumption (`Taint::ASSUMPTION` unset, tracked by `pbo-engine`).
 //! Such clauses are implied by the instance alone (or by instance ∧

@@ -155,10 +155,7 @@ fn ablation_toggles_preserve_correctness() {
                     ..BsoloOptions::with_lb(LbMethod::Lpr)
                 },
             ),
-            (
-                "no-dynamic-rows",
-                BsoloOptions { dynamic_rows: false, ..BsoloOptions::with_lb(LbMethod::Lpr) },
-            ),
+            ("lpr", BsoloOptions::with_lb(LbMethod::Lpr)),
             (
                 "dynamic-rows-mis",
                 BsoloOptions { dynamic_rows: true, ..BsoloOptions::with_lb(LbMethod::Mis) },
@@ -171,10 +168,7 @@ fn ablation_toggles_preserve_correctness() {
                     ..BsoloOptions::with_lb(LbMethod::Mis)
                 },
             ),
-            (
-                "dynamic-rows-lgr",
-                BsoloOptions { dynamic_rows: true, ..BsoloOptions::with_lb(LbMethod::Lagrangian) },
-            ),
+            ("lgr", BsoloOptions::with_lb(LbMethod::Lagrangian)),
             (
                 "dynamic-rows-rebuild",
                 BsoloOptions {
@@ -419,10 +413,9 @@ fn lpr_farkas_prunes_before_first_incumbent() {
 
 #[test]
 fn aggressive_restarts_preserve_correctness_and_fire() {
-    // A tiny Luby base forces many restarts (each refreshing the
-    // promoted-clause region when dynamic rows are installed); the
-    // search must still prove the brute-force optimum, and the restart
-    // counter must show the machinery actually ran.
+    // A tiny Luby base forces many restarts; the search must still
+    // prove the brute-force optimum, and the restart counter must show
+    // the machinery actually ran.
     let mut rng = ChaCha8Rng::seed_from_u64(0x4e57);
     for round in 0..20 {
         let inst = random_instance(&mut rng, 10);

@@ -91,13 +91,8 @@ pub enum TraceEvent {
         /// Objective value of the adopted incumbent.
         cost: i64,
     },
-    /// Local-search restart (cut-adoption cadence).
+    /// Local-search restart.
     LsRestart,
-    /// Local search installed shared cost cuts into its evaluation.
-    CutsInstalled {
-        /// Number of cuts installed.
-        n: u64,
-    },
     /// A worker dequeued a cube and started its subtree search.
     CubeStart {
         /// Number of decision literals fixed by the cube.
@@ -173,7 +168,6 @@ impl TraceEvent {
             TraceEvent::Solution { .. } => "solution",
             TraceEvent::Adopt { .. } => "adopt",
             TraceEvent::LsRestart => "ls_restart",
-            TraceEvent::CutsInstalled { .. } => "cuts_installed",
             TraceEvent::CubeStart { .. } => "cube_start",
             TraceEvent::CubeEnd { .. } => "cube_end",
             TraceEvent::Resplit { .. } => "resplit",
@@ -215,8 +209,7 @@ impl Event {
             TraceEvent::Solution { cost } | TraceEvent::Adopt { cost } => {
                 let _ = write!(s, ":{cost}");
             }
-            TraceEvent::CutsInstalled { n }
-            | TraceEvent::ClausesShared { n }
+            TraceEvent::ClausesShared { n }
             | TraceEvent::ClausesImported { n }
             | TraceEvent::SplitterDecisions { n } => {
                 let _ = write!(s, ":{n}");
@@ -369,8 +362,7 @@ pub fn write_jsonl(events: &[Event]) -> String {
             TraceEvent::Solution { cost } | TraceEvent::Adopt { cost } => {
                 let _ = write!(out, ",\"cost\":{cost}");
             }
-            TraceEvent::CutsInstalled { n }
-            | TraceEvent::ClausesShared { n }
+            TraceEvent::ClausesShared { n }
             | TraceEvent::ClausesImported { n }
             | TraceEvent::SplitterDecisions { n } => {
                 let _ = write!(out, ",\"n\":{n}");
@@ -472,9 +464,6 @@ pub fn write_chrome(events: &[Event]) -> String {
             }
             TraceEvent::Restart => Some(instant(lane, e.t_ns, "restart", "")),
             TraceEvent::LsRestart => Some(instant(lane, e.t_ns, "ls-restart", "")),
-            TraceEvent::CutsInstalled { n } => {
-                Some(instant(lane, e.t_ns, "cuts-installed", &format!("\"n\":{n}")))
-            }
             TraceEvent::ClausesShared { n } => {
                 Some(instant(lane, e.t_ns, "clauses-shared", &format!("\"n\":{n}")))
             }
@@ -596,8 +585,7 @@ impl MetricsRegistry {
                 TraceEvent::DiveEnd { dur_ns, .. } => {
                     reg.histograms.entry("dive").or_default().observe(*dur_ns);
                 }
-                TraceEvent::CutsInstalled { n }
-                | TraceEvent::ClausesShared { n }
+                TraceEvent::ClausesShared { n }
                 | TraceEvent::ClausesImported { n }
                 | TraceEvent::SplitterDecisions { n } => {
                     *reg.totals.entry(e.data.kind()).or_insert(0) += n;
