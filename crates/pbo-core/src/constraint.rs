@@ -142,7 +142,8 @@ impl PbConstraint {
         if rhs <= 0 {
             return Err(ConstraintError::NonPositiveRhs(rhs));
         }
-        let mut out: Vec<PbTerm> = Vec::new();
+        let terms = terms.into_iter();
+        let mut out: Vec<PbTerm> = Vec::with_capacity(terms.size_hint().0);
         for (coeff, lit) in terms {
             if coeff <= 0 {
                 return Err(ConstraintError::NonPositiveCoefficient(coeff));

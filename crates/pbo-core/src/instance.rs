@@ -7,7 +7,7 @@ use crate::arena::TermArena;
 use crate::assignment::Assignment;
 use crate::constraint::{ConstraintState, PbConstraint};
 use crate::lit::{Lit, Var};
-use crate::normalize::{normalize, NormalizeError, RelOp};
+use crate::normalize::{NormalizeError, RelOp, TermFold};
 use crate::objective::{Objective, ObjectiveError};
 
 /// A linear pseudo-Boolean optimization (or satisfaction) instance.
@@ -199,7 +199,11 @@ impl From<ObjectiveError> for BuildError {
 #[derive(Clone, Debug, Default)]
 pub struct InstanceBuilder {
     num_vars: usize,
-    raw: Vec<crate::normalize::RawConstraint>,
+    /// Raw `(coeff, lit)` terms of every added constraint, row after row.
+    terms: Vec<(i64, Lit)>,
+    /// Per added constraint: where its terms end in `terms`, its operator
+    /// and its right-hand side.
+    rows: Vec<(usize, RelOp, i64)>,
     objective: Option<(Vec<(i64, Lit)>, i64)>,
     name: String,
 }
@@ -209,7 +213,8 @@ impl InstanceBuilder {
     pub fn new() -> InstanceBuilder {
         InstanceBuilder {
             num_vars: 0,
-            raw: Vec::new(),
+            terms: Vec::new(),
+            rows: Vec::new(),
             objective: None,
             name: String::from("unnamed"),
         }
@@ -252,7 +257,8 @@ impl InstanceBuilder {
         op: RelOp,
         rhs: i64,
     ) -> &mut InstanceBuilder {
-        self.raw.push((terms.into_iter().collect(), op, rhs));
+        self.terms.extend(terms);
+        self.rows.push((self.terms.len(), op, rhs));
         self
     }
 
@@ -325,12 +331,17 @@ impl InstanceBuilder {
                 Ok(())
             }
         };
-        let mut constraints = Vec::new();
-        for (terms, op, rhs) in &self.raw {
+        // One fold scratch for every row.
+        let mut fold = TermFold::default();
+        let mut constraints = Vec::with_capacity(self.rows.len());
+        let mut start = 0;
+        for &(end, op, rhs) in &self.rows {
+            let terms = &self.terms[start..end];
+            start = end;
             for &(_, l) in terms {
                 check_var(l)?;
             }
-            constraints.extend(normalize(terms, *op, *rhs)?);
+            fold.normalize_into(terms, op, rhs, &mut constraints)?;
         }
         let objective = match &self.objective {
             Some((terms, offset)) => {

@@ -10,11 +10,10 @@
 //! rewritten such that all coefficients and right-hand sides be
 //! non-negative").
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::constraint::{ConstraintError, PbConstraint};
-use crate::lit::{Lit, Var};
+use crate::lit::Lit;
 
 /// Relational operator of a raw linear constraint.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -37,9 +36,9 @@ impl fmt::Display for RelOp {
     }
 }
 
-/// A raw (unnormalized) linear constraint as collected by builders and
-/// parsers: arbitrary-sign `(coeff, literal)` terms, a relational
-/// operator, and a right-hand side.
+/// A raw (unnormalized) linear constraint, owned: arbitrary-sign
+/// `(coeff, literal)` terms, a relational operator, and a right-hand
+/// side — the arguments of [`normalize`].
 pub type RawConstraint = (Vec<(i64, Lit)>, RelOp, i64);
 
 /// Error returned when a constraint cannot be normalized.
@@ -71,6 +70,114 @@ impl From<ConstraintError> for NormalizeError {
     }
 }
 
+/// Scratch of the sort-and-merge fold behind [`normalize`] and
+/// [`Objective::with_offset`](crate::Objective::with_offset).
+///
+/// A row's terms are copied in, sorted by variable and merged run by run
+/// into one term per variable, so a caller folding many rows (the
+/// [`InstanceBuilder`](crate::InstanceBuilder)) reuses two buffers
+/// instead of building a map per row.
+#[derive(Default)]
+pub(crate) struct TermFold {
+    /// The row being folded, sorted by variable.
+    sorted: Vec<(i64, Lit)>,
+    /// The folded row: one term per variable with a nonzero net
+    /// coefficient, ascending by variable, every coefficient positive.
+    folded: Vec<(i64, Lit)>,
+}
+
+impl TermFold {
+    /// Folds `terms` (each coefficient negated when `negate` is set) into
+    /// [`TermFold::folded`] and returns the constant `k` the rewrite moves
+    /// out of the sum: `sum c_i * l_i == k + sum folded`. Returns `None`
+    /// when a folded coefficient does not fit `i64`.
+    fn fold(&mut self, terms: impl IntoIterator<Item = (i64, Lit)>, negate: bool) -> Option<i128> {
+        self.sorted.clear();
+        self.sorted.extend(terms);
+        self.sorted.sort_unstable_by_key(|&(_, l)| l.var());
+        self.folded.clear();
+        let mut k: i128 = 0;
+        for run in self.sorted.chunk_by(|a, b| a.1.var() == b.1.var()) {
+            // Net coefficient of the run's variable on its positive literal.
+            let mut net: i128 = 0;
+            for &(c, l) in run {
+                let c = if negate { -(c as i128) } else { c as i128 };
+                if l.is_positive() {
+                    net += c;
+                } else {
+                    // c * ~x  ==  c - c*x
+                    k += c;
+                    net -= c;
+                }
+            }
+            let var = run[0].1.var();
+            if net > 0 {
+                self.folded.push((i64::try_from(net).ok()?, var.positive()));
+            } else if net < 0 {
+                // -|a|*x  ==  |a|*~x - |a|
+                k += net;
+                self.folded.push((i64::try_from(-net).ok()?, var.negative()));
+            }
+        }
+        Some(k)
+    }
+
+    /// Folds `terms` once and hands back the folded row with its constant
+    /// `k` (see [`TermFold::fold`]): the one-off fold of an objective.
+    pub(crate) fn fold_owned(
+        mut self,
+        terms: impl IntoIterator<Item = (i64, Lit)>,
+    ) -> Option<(Vec<(i64, Lit)>, i128)> {
+        let k = self.fold(terms, false)?;
+        Some((self.folded, k))
+    }
+
+    /// Pushes the normalized form of `sum c_i * l_i >= rhs` (every `c_i`
+    /// negated when `negate` is set) onto `out`, unless it is trivially
+    /// true.
+    fn push_ge(
+        &mut self,
+        terms: &[(i64, Lit)],
+        negate: bool,
+        rhs: i64,
+        out: &mut Vec<PbConstraint>,
+    ) -> Result<(), NormalizeError> {
+        let k = self.fold(terms.iter().copied(), negate).ok_or(NormalizeError::Overflow)?;
+        // The constant k moves across the inequality.
+        let b = i64::try_from(rhs as i128 - k).map_err(|_| NormalizeError::Overflow)?;
+        if b > 0 {
+            out.push(PbConstraint::try_new(self.folded.iter().copied(), b)?);
+        }
+        Ok(())
+    }
+
+    /// [`normalize`] into a caller-owned vector: pushes the zero, one or
+    /// two normalized constraints of `sum terms OP rhs` onto `out`.
+    pub(crate) fn normalize_into(
+        &mut self,
+        terms: &[(i64, Lit)],
+        op: RelOp,
+        rhs: i64,
+        out: &mut Vec<PbConstraint>,
+    ) -> Result<(), NormalizeError> {
+        match op {
+            RelOp::Ge => self.push_ge(terms, false, rhs, out),
+            RelOp::Le => {
+                // sum c l <= b  <=>  sum (-c) l >= -b
+                if terms.iter().any(|&(c, _)| c == i64::MIN) {
+                    return Err(NormalizeError::Overflow);
+                }
+                let nrhs = rhs.checked_neg().ok_or(NormalizeError::Overflow)?;
+                self.push_ge(terms, true, nrhs, out)
+            }
+            RelOp::Eq => {
+                self.normalize_into(terms, RelOp::Ge, rhs, out)?;
+                self.normalize_into(terms, RelOp::Le, rhs, out)
+            }
+        }
+    }
+}
+
 /// Normalizes one raw `>=` constraint given as `(coeff, lit)` pairs.
 ///
 /// Returns `Ok(None)` when the constraint is trivially true (normalized
@@ -85,37 +192,9 @@ pub fn normalize_ge(
     terms: &[(i64, Lit)],
     rhs: i64,
 ) -> Result<Option<PbConstraint>, NormalizeError> {
-    // Net coefficient per variable, expressed on the positive literal.
-    let mut net: BTreeMap<usize, i128> = BTreeMap::new();
-    let mut b = rhs as i128;
-    for &(c, l) in terms {
-        let c = c as i128;
-        if l.is_positive() {
-            *net.entry(l.var().index()).or_insert(0) += c;
-        } else {
-            // c * ~x  ==  c - c*x : constant c moves to the rhs.
-            b -= c;
-            *net.entry(l.var().index()).or_insert(0) -= c;
-        }
-    }
-    let mut out: Vec<(i64, Lit)> = Vec::new();
-    for (v, a) in net {
-        if a > 0 {
-            let a64 = i64::try_from(a).map_err(|_| NormalizeError::Overflow)?;
-            out.push((a64, Var::new(v).positive()));
-        } else if a < 0 {
-            // -|a|*x  ==  |a|*~x - |a| : the constant -|a| moves across the
-            // inequality, *raising* the right-hand side by |a|.
-            b -= a;
-            let a64 = i64::try_from(-a).map_err(|_| NormalizeError::Overflow)?;
-            out.push((a64, Var::new(v).negative()));
-        }
-    }
-    let b = i64::try_from(b).map_err(|_| NormalizeError::Overflow)?;
-    if b <= 0 {
-        return Ok(None);
-    }
-    Ok(Some(PbConstraint::try_new(out, b)?))
+    let mut out = Vec::new();
+    TermFold::default().push_ge(terms, false, rhs, &mut out)?;
+    Ok(out.pop())
 }
 
 /// Normalizes a raw constraint with any relational operator into zero, one
@@ -143,33 +222,142 @@ pub fn normalize(
     rhs: i64,
 ) -> Result<Vec<PbConstraint>, NormalizeError> {
     let mut out = Vec::new();
-    match op {
-        RelOp::Ge => {
-            if let Some(c) = normalize_ge(terms, rhs)? {
-                out.push(c);
+    TermFold::default().normalize_into(terms, op, rhs, &mut out)?;
+    Ok(out)
+}
+
+/// The per-row `BTreeMap` folds that [`TermFold`] replaced, kept as the
+/// oracle of the fold tests here and in the objective module.
+#[cfg(test)]
+pub(crate) mod btree_reference {
+    use std::collections::BTreeMap;
+
+    use rand::Rng;
+
+    use super::{NormalizeError, RelOp};
+    use crate::constraint::PbConstraint;
+    use crate::lit::{Lit, Var};
+    use crate::objective::ObjectiveError;
+
+    /// The reference [`normalize_ge`](super::normalize_ge).
+    pub(crate) fn normalize_ge(
+        terms: &[(i64, Lit)],
+        rhs: i64,
+    ) -> Result<Option<PbConstraint>, NormalizeError> {
+        let mut net: BTreeMap<usize, i128> = BTreeMap::new();
+        let mut b = rhs as i128;
+        for &(c, l) in terms {
+            let c = c as i128;
+            if l.is_positive() {
+                *net.entry(l.var().index()).or_insert(0) += c;
+            } else {
+                b -= c;
+                *net.entry(l.var().index()).or_insert(0) -= c;
             }
         }
-        RelOp::Le => {
-            // sum c l <= b  <=>  sum (-c) l >= -b
-            let negated: Vec<(i64, Lit)> = terms
-                .iter()
-                .map(|&(c, l)| c.checked_neg().map(|n| (n, l)).ok_or(NormalizeError::Overflow))
-                .collect::<Result<_, _>>()?;
-            let nrhs = rhs.checked_neg().ok_or(NormalizeError::Overflow)?;
-            if let Some(c) = normalize_ge(&negated, nrhs)? {
-                out.push(c);
+        let mut out: Vec<(i64, Lit)> = Vec::new();
+        for (v, a) in net {
+            if a > 0 {
+                let a64 = i64::try_from(a).map_err(|_| NormalizeError::Overflow)?;
+                out.push((a64, Var::new(v).positive()));
+            } else if a < 0 {
+                b -= a;
+                let a64 = i64::try_from(-a).map_err(|_| NormalizeError::Overflow)?;
+                out.push((a64, Var::new(v).negative()));
             }
         }
-        RelOp::Eq => {
-            out.extend(normalize(terms, RelOp::Ge, rhs)?);
-            out.extend(normalize(terms, RelOp::Le, rhs)?);
+        let b = i64::try_from(b).map_err(|_| NormalizeError::Overflow)?;
+        if b <= 0 {
+            return Ok(None);
+        }
+        Ok(Some(PbConstraint::try_new(out, b)?))
+    }
+
+    /// The reference [`normalize`](super::normalize).
+    pub(crate) fn normalize(
+        terms: &[(i64, Lit)],
+        op: RelOp,
+        rhs: i64,
+    ) -> Result<Vec<PbConstraint>, NormalizeError> {
+        let mut out = Vec::new();
+        match op {
+            RelOp::Ge => out.extend(normalize_ge(terms, rhs)?),
+            RelOp::Le => {
+                let negated: Vec<(i64, Lit)> = terms
+                    .iter()
+                    .map(|&(c, l)| c.checked_neg().map(|n| (n, l)).ok_or(NormalizeError::Overflow))
+                    .collect::<Result<_, _>>()?;
+                let nrhs = rhs.checked_neg().ok_or(NormalizeError::Overflow)?;
+                out.extend(normalize_ge(&negated, nrhs)?);
+            }
+            RelOp::Eq => {
+                out.extend(normalize(terms, RelOp::Ge, rhs)?);
+                out.extend(normalize(terms, RelOp::Le, rhs)?);
+            }
+        }
+        Ok(out)
+    }
+
+    /// The reference [`Objective::with_offset`](crate::Objective::with_offset),
+    /// as its terms and offset.
+    pub(crate) fn objective(
+        terms: &[(i64, Lit)],
+        offset: i64,
+    ) -> Result<(Vec<(i64, Lit)>, i64), ObjectiveError> {
+        let mut per_var: BTreeMap<usize, i128> = BTreeMap::new();
+        let mut off = offset as i128;
+        for &(c, lit) in terms {
+            let c = c as i128;
+            if lit.is_positive() {
+                *per_var.entry(lit.var().index()).or_insert(0) += c;
+            } else {
+                off += c;
+                *per_var.entry(lit.var().index()).or_insert(0) -= c;
+            }
+        }
+        let mut out: Vec<(i64, Lit)> = Vec::new();
+        for (v, c) in per_var {
+            if c > 0 {
+                let c64 = i64::try_from(c).map_err(|_| ObjectiveError::Overflow)?;
+                out.push((c64, Var::new(v).positive()));
+            } else if c < 0 {
+                off += c;
+                let c64 = i64::try_from(-c).map_err(|_| ObjectiveError::Overflow)?;
+                out.push((c64, Var::new(v).negative()));
+            }
+        }
+        let off = i64::try_from(off).map_err(|_| ObjectiveError::Overflow)?;
+        Ok((out, off))
+    }
+
+    /// A coefficient, right-hand side or offset: mostly small, often at
+    /// or next to the `i64` limits.
+    pub(crate) fn value(rng: &mut impl Rng) -> i64 {
+        match rng.gen_range(0..12u32) {
+            0 => i64::MAX,
+            1 => i64::MIN,
+            2 => i64::MAX - rng.gen_range(1..4i64),
+            3 => i64::MIN + rng.gen_range(1..4i64),
+            4 => rng.gen_range(-(1i64 << 62)..=(1i64 << 62)),
+            _ => rng.gen_range(-6..=6i64),
         }
     }
-    Ok(out)
+
+    /// A row over a few variables, so literals repeat and meet their
+    /// complements.
+    pub(crate) fn terms(rng: &mut impl Rng) -> Vec<(i64, Lit)> {
+        let vars = rng.gen_range(1..6usize);
+        (0..rng.gen_range(0..9usize))
+            .map(|_| (value(rng), Lit::new(rng.gen_range(0..vars), rng.gen_bool(0.5))))
+            .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
     use super::*;
 
     fn lit(i: usize, pos: bool) -> Lit {
@@ -290,5 +478,35 @@ mod tests {
                 assert_eq!(raw_ok, norm_ok, "terms under {vals:?} ({op:?} {rhs})");
             }
         }
+    }
+
+    #[test]
+    fn sort_merge_fold_matches_the_btree_fold() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0xf01d);
+        let (mut kept, mut dropped, mut overflow, mut invalid) = (0, 0, 0, 0);
+        for round in 0..20_000 {
+            let terms = btree_reference::terms(&mut rng);
+            let rhs = btree_reference::value(&mut rng);
+            let op = [RelOp::Ge, RelOp::Le, RelOp::Eq][rng.gen_range(0..3usize)];
+            let got = normalize(&terms, op, rhs);
+            assert_eq!(got, btree_reference::normalize(&terms, op, rhs), "round {round}");
+            assert_eq!(
+                normalize_ge(&terms, rhs),
+                btree_reference::normalize_ge(&terms, rhs),
+                "round {round}"
+            );
+            match got {
+                Ok(cs) if cs.is_empty() => dropped += 1,
+                Ok(_) => kept += 1,
+                Err(NormalizeError::Overflow) => overflow += 1,
+                Err(NormalizeError::Invalid(_)) => invalid += 1,
+            }
+        }
+        // Every outcome must be reached, or the generator is too tame to
+        // pin the fold.
+        assert!(
+            kept > 0 && dropped > 0 && overflow > 0 && invalid > 0,
+            "kept {kept}, dropped {dropped}, overflow {overflow}, invalid {invalid}"
+        );
     }
 }

@@ -12,6 +12,7 @@ use std::fmt;
 
 use crate::assignment::{Assignment, Value};
 use crate::lit::{Lit, Var};
+use crate::normalize::TermFold;
 
 /// A normalized minimization objective: `minimize offset + sum c_j * l_j`
 /// with all `c_j >= 1` and distinct variables.
@@ -78,34 +79,11 @@ impl Objective {
         terms: impl IntoIterator<Item = (i64, Lit)>,
         offset: i64,
     ) -> Result<Objective, ObjectiveError> {
-        // Net cost per variable on the positive literal.
-        let mut per_var: std::collections::BTreeMap<usize, i128> =
-            std::collections::BTreeMap::new();
-        let mut off = offset as i128;
-        for (c, lit) in terms {
-            let c = c as i128;
-            if lit.is_positive() {
-                *per_var.entry(lit.var().index()).or_insert(0) += c;
-            } else {
-                // c * ~x == c - c * x
-                off += c;
-                *per_var.entry(lit.var().index()).or_insert(0) -= c;
-            }
-        }
-        let mut out: Vec<(i64, Lit)> = Vec::new();
-        for (v, c) in per_var {
-            if c > 0 {
-                let c64 = i64::try_from(c).map_err(|_| ObjectiveError::Overflow)?;
-                out.push((c64, Var::new(v).positive()));
-            } else if c < 0 {
-                // -|c| * x == -|c| + |c| * ~x
-                off += c;
-                let c64 = i64::try_from(-c).map_err(|_| ObjectiveError::Overflow)?;
-                out.push((c64, Var::new(v).negative()));
-            }
-        }
-        let off = i64::try_from(off).map_err(|_| ObjectiveError::Overflow)?;
-        Ok(Objective { terms: out, offset: off })
+        // c * ~x == c - c * x and -|c| * x == -|c| + |c| * ~x: the fold
+        // returns the constant both rewrites move into the offset.
+        let (terms, k) = TermFold::default().fold_owned(terms).ok_or(ObjectiveError::Overflow)?;
+        let offset = i64::try_from(offset as i128 + k).map_err(|_| ObjectiveError::Overflow)?;
+        Ok(Objective { terms, offset })
     }
 
     /// An objective with no terms (constant zero): pure satisfaction.
@@ -306,5 +284,28 @@ mod tests {
         assert!(obj.is_constant());
         assert_eq!(obj.evaluate(&[]), 0);
         assert_eq!(Objective::default(), obj);
+    }
+
+    #[test]
+    fn sort_merge_fold_matches_the_btree_fold() {
+        use rand::{Rng, SeedableRng};
+
+        use crate::normalize::btree_reference;
+
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x0b1);
+        let (mut ok, mut overflow) = (0, 0);
+        for round in 0..20_000 {
+            let terms = btree_reference::terms(&mut rng);
+            let offset = if rng.gen_bool(0.5) { 0 } else { btree_reference::value(&mut rng) };
+            let got = Objective::with_offset(terms.iter().copied(), offset)
+                .map(|o| (o.terms().to_vec(), o.offset()));
+            assert_eq!(got, btree_reference::objective(&terms, offset), "round {round}");
+            if got.is_ok() {
+                ok += 1;
+            } else {
+                overflow += 1;
+            }
+        }
+        assert!(ok > 0 && overflow > 0, "ok {ok}, overflow {overflow}");
     }
 }

@@ -13,8 +13,42 @@
 //! Literals are `x<k>` (1-based) or `~x<k>` for the negation. Parsing goes
 //! through [`InstanceBuilder`], so arbitrary coefficients and operators are
 //! accepted and normalized.
+//!
+//! # Reading contract
+//!
+//! [`parse_opb`] reads the text in one pass; its tokens borrow from the
+//! input. The rules below are pinned by a differential test against a
+//! line-by-line reference reader.
+//!
+//! * **Lines.** `\n` is the only line break. A statement's line is 1 plus
+//!   the number of `\n` before its first token.
+//! * **Whitespace** is exactly what [`str::split_whitespace`] splits on,
+//!   [`char::is_whitespace`]: besides the blank, `\t`, `\x0B`, `\x0C` and
+//!   `\r` (so CRLF line ends are fine), and non-ASCII spaces such as
+//!   U+0085, U+00A0 and U+3000.
+//! * **Comments.** A line whose first non-whitespace char is `*` is skipped
+//!   whole, even inside a statement spread over several lines. A `*`
+//!   anywhere else is an ordinary token character.
+//! * **Tokens** are the maximal runs of chars that are neither whitespace
+//!   nor `;`. A `;` ends the current statement, also when glued to a token
+//!   (`>= 1;`). Empty statements are skipped, a statement may span lines,
+//!   and the last one may omit its `;`.
+//! * **Statements.** One starting with the token `min:`, or the tokens
+//!   `min` and `:`, is the objective: `coefficient literal` pairs. Any
+//!   other is a constraint: `coefficient literal` pairs, one of `>=`, `<=`
+//!   and `=`, then exactly one right-hand side. Coefficients and
+//!   right-hand sides are `i64` and variable numbers `usize`, both in the
+//!   syntax of [`str::parse`], which takes a leading `+` (`x+3` is `x3`).
+//! * **Errors.** The first error in statement order is returned, with that
+//!   statement's line. Within an objective, a second objective is reported
+//!   before its terms are read; within a constraint, a missing operator
+//!   comes first, then a right-hand side that is missing or not alone,
+//!   then a malformed one, then the terms from left to right. Every
+//!   [`ParseOpbError::Syntax`] comes before any [`ParseOpbError::Build`]:
+//!   the instance is normalized only once the whole document is read.
 
 use std::fmt;
+use std::ops::Range;
 
 use crate::instance::{BuildError, Instance, InstanceBuilder};
 use crate::lit::Lit;
@@ -64,13 +98,185 @@ fn syntax(line: usize, message: impl Into<String>) -> ParseOpbError {
 /// The cap is far above every benchmark family this crate targets.
 pub const MAX_OPB_VARS: usize = 10_000_000;
 
+/// Scanner class of a byte.
+#[derive(Copy, Clone, PartialEq, Eq)]
+enum Class {
+    /// Part of a token.
+    Token,
+    /// ASCII whitespace other than `\n`.
+    Space,
+    /// `\n`, the only line break.
+    Newline,
+    /// `;`, which ends a statement and is never part of a token.
+    Semi,
+    /// The first byte of a multi-byte char, classified by decoding it.
+    NonAscii,
+}
+
+/// [`Class`] of every byte. The ASCII whitespace entries are the ASCII
+/// chars for which [`char::is_whitespace`] holds.
+const CLASS: [Class; 256] = {
+    let mut table = [Class::Token; 256];
+    let mut b = 0x80;
+    while b < 256 {
+        table[b] = Class::NonAscii;
+        b += 1;
+    }
+    table[b'\t' as usize] = Class::Space;
+    table[0x0B] = Class::Space;
+    table[0x0C] = Class::Space;
+    table[b'\r' as usize] = Class::Space;
+    table[b' ' as usize] = Class::Space;
+    table[b'\n' as usize] = Class::Newline;
+    table[b';' as usize] = Class::Semi;
+    table
+};
+
+/// One pass over an OPB document, handing out its `;`-separated
+/// statements as tokens borrowed from the text.
+struct Scanner<'a> {
+    text: &'a str,
+    pos: usize,
+    /// 1-based line of `pos`.
+    line: usize,
+    /// Nothing but whitespace seen since the last line break: a `*` here
+    /// starts a comment line.
+    line_start: bool,
+}
+
+impl<'a> Scanner<'a> {
+    fn new(text: &'a str) -> Scanner<'a> {
+        Scanner { text, pos: 0, line: 1, line_start: true }
+    }
+
+    /// The char starting at byte `at`.
+    fn char_at(&self, at: usize) -> char {
+        self.text[at..].chars().next().expect("scanner positions start a char")
+    }
+
+    /// Replaces the contents of `toks` with the tokens of the next
+    /// non-empty statement and returns the line of its first token, or
+    /// `None` at the end of the text.
+    fn next_statement(&mut self, toks: &mut Vec<&'a str>) -> Option<usize> {
+        toks.clear();
+        let bytes = self.text.as_bytes();
+        let mut pos = self.pos;
+        let mut first_line = 0;
+        while let Some(&b) = bytes.get(pos) {
+            match CLASS[b as usize] {
+                Class::Newline => {
+                    self.line += 1;
+                    self.line_start = true;
+                    pos += 1;
+                    continue;
+                }
+                Class::Space => {
+                    pos += 1;
+                    continue;
+                }
+                Class::Semi => {
+                    pos += 1;
+                    self.line_start = false;
+                    if toks.is_empty() {
+                        continue;
+                    }
+                    break;
+                }
+                Class::NonAscii => {
+                    let c = self.char_at(pos);
+                    if c.is_whitespace() {
+                        pos += c.len_utf8();
+                        continue;
+                    }
+                }
+                Class::Token => {
+                    if self.line_start && b == b'*' {
+                        // Comment line: resume at its line break.
+                        pos = bytes[pos..]
+                            .iter()
+                            .position(|&b| b == b'\n')
+                            .map_or(bytes.len(), |i| pos + i);
+                        continue;
+                    }
+                }
+            }
+            // A token starts here; it runs to the next whitespace or `;`.
+            let start = pos;
+            while let Some(&b) = bytes.get(pos) {
+                match CLASS[b as usize] {
+                    Class::Token => pos += 1,
+                    Class::NonAscii => {
+                        let c = self.char_at(pos);
+                        if c.is_whitespace() {
+                            break;
+                        }
+                        pos += c.len_utf8();
+                    }
+                    _ => break,
+                }
+            }
+            if toks.is_empty() {
+                first_line = self.line;
+            }
+            toks.push(&self.text[start..pos]);
+            self.line_start = false;
+        }
+        self.pos = pos;
+        (!toks.is_empty()).then_some(first_line)
+    }
+}
+
+/// Parses a literal token, raising `max_var` to its variable number.
+fn parse_lit(tok: &str, line: usize, max_var: &mut usize) -> Result<Lit, ParseOpbError> {
+    let (neg, rest) = match tok.strip_prefix('~') {
+        Some(r) => (true, r),
+        None => (false, tok),
+    };
+    let rest = rest
+        .strip_prefix('x')
+        .ok_or_else(|| syntax(line, format!("expected literal, found `{tok}`")))?;
+    let idx: usize =
+        rest.parse().map_err(|_| syntax(line, format!("bad variable number in `{tok}`")))?;
+    if idx == 0 {
+        return Err(syntax(line, "variable numbers are 1-based"));
+    }
+    if idx > MAX_OPB_VARS {
+        return Err(syntax(line, format!("variable number in `{tok}` exceeds {MAX_OPB_VARS}")));
+    }
+    *max_var = (*max_var).max(idx);
+    Ok(Lit::new(idx - 1, !neg))
+}
+
+/// Parses the `coefficient literal` pairs that start at even positions
+/// of `body[..end]` onto `out`. A pair's literal may be `body[end]`
+/// itself (which then fails as a literal); `missing` is the message for
+/// a pair cut off by the end of `body`.
+fn parse_terms(
+    body: &[&str],
+    end: usize,
+    line: usize,
+    missing: &str,
+    out: &mut Vec<(i64, Lit)>,
+    max_var: &mut usize,
+) -> Result<(), ParseOpbError> {
+    for i in (0..end).step_by(2) {
+        let coeff: i64 = body[i]
+            .parse()
+            .map_err(|_| syntax(line, format!("expected coefficient, found `{}`", body[i])))?;
+        let lit = parse_lit(body.get(i + 1).ok_or_else(|| syntax(line, missing))?, line, max_var)?;
+        out.push((coeff, lit));
+    }
+    Ok(())
+}
+
 /// Parses an OPB document into an [`Instance`].
 ///
 /// # Errors
 ///
 /// Returns [`ParseOpbError`] on malformed input or if normalization fails.
 /// A variable index above [`MAX_OPB_VARS`] is rejected as malformed
-/// rather than allocated.
+/// rather than allocated. See the [module docs](self) for which error a
+/// document with several faults reports.
 ///
 /// # Examples
 ///
@@ -86,130 +292,68 @@ pub const MAX_OPB_VARS: usize = 10_000_000;
 /// # Ok::<(), pbo_core::ParseOpbError>(())
 /// ```
 pub fn parse_opb(text: &str) -> Result<Instance, ParseOpbError> {
-    let mut builder = InstanceBuilder::new();
+    let mut scanner = Scanner::new(text);
+    let mut toks: Vec<&str> = Vec::new();
     let mut max_var = 0usize;
-    let mut statements: Vec<(usize, Vec<String>)> = Vec::new();
+    // The raw terms of every statement, flat; constraints and the
+    // objective keep spans into it.
+    let mut terms: Vec<(i64, Lit)> = Vec::new();
+    let mut constraints: Vec<(Range<usize>, RelOp, i64)> = Vec::new();
+    let mut objective: Option<Range<usize>> = None;
 
-    // Split into `;`-terminated statements, remembering line numbers.
-    let mut current: Vec<String> = Vec::new();
-    let mut current_line = 1usize;
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('*') {
-            continue;
-        }
-        let cleaned = line.replace(';', " ; ");
-        for tok in cleaned.split_whitespace() {
-            if tok == ";" {
-                if !current.is_empty() {
-                    statements.push((current_line, std::mem::take(&mut current)));
+    while let Some(line) = scanner.next_statement(&mut toks) {
+        let start = terms.len();
+        match toks[..] {
+            ["min:", ref body @ ..] | ["min", ":", ref body @ ..] => {
+                if objective.is_some() {
+                    return Err(syntax(line, "duplicate objective"));
                 }
-            } else {
-                if current.is_empty() {
-                    current_line = lineno + 1;
+                let end = body.len();
+                parse_terms(
+                    body,
+                    end,
+                    line,
+                    "objective term missing literal",
+                    &mut terms,
+                    &mut max_var,
+                )?;
+                objective = Some(start..terms.len());
+            }
+            ref body => {
+                let op_pos = body
+                    .iter()
+                    .position(|&t| t == ">=" || t == "<=" || t == "=")
+                    .ok_or_else(|| syntax(line, "constraint missing relational operator"))?;
+                let op = match body[op_pos] {
+                    ">=" => RelOp::Ge,
+                    "<=" => RelOp::Le,
+                    _ => RelOp::Eq,
+                };
+                if op_pos + 2 != body.len() {
+                    return Err(syntax(line, "expected single right-hand side after operator"));
                 }
-                current.push(tok.to_string());
-            }
-        }
-    }
-    if !current.is_empty() {
-        statements.push((current_line, current));
-    }
-
-    let mut parse_lit = |tok: &str, line: usize| -> Result<Lit, ParseOpbError> {
-        let (neg, rest) = match tok.strip_prefix('~') {
-            Some(r) => (true, r),
-            None => (false, tok),
-        };
-        let rest = rest
-            .strip_prefix('x')
-            .ok_or_else(|| syntax(line, format!("expected literal, found `{tok}`")))?;
-        let idx: usize =
-            rest.parse().map_err(|_| syntax(line, format!("bad variable number in `{tok}`")))?;
-        if idx == 0 {
-            return Err(syntax(line, "variable numbers are 1-based"));
-        }
-        if idx > MAX_OPB_VARS {
-            return Err(syntax(line, format!("variable number in `{tok}` exceeds {MAX_OPB_VARS}")));
-        }
-        max_var = max_var.max(idx);
-        Ok(Lit::new(idx - 1, !neg))
-    };
-
-    let mut objective: Option<Vec<(i64, Lit)>> = None;
-    let mut constraints: Vec<crate::normalize::RawConstraint> = Vec::new();
-
-    for (line, toks) in statements {
-        let (is_min, body) = if toks[0] == "min:" {
-            (true, &toks[1..])
-        } else if toks[0] == "min" && toks.len() > 1 && toks[1] == ":" {
-            (true, &toks[2..])
-        } else {
-            (false, &toks[..])
-        };
-        if is_min {
-            if objective.is_some() {
-                return Err(syntax(line, "duplicate objective"));
-            }
-            let mut terms = Vec::new();
-            let mut i = 0;
-            while i < body.len() {
-                let coeff: i64 = body[i].parse().map_err(|_| {
-                    syntax(line, format!("expected coefficient, found `{}`", body[i]))
+                let rhs: i64 = body[op_pos + 1].parse().map_err(|_| {
+                    syntax(line, format!("bad right-hand side `{}`", body[op_pos + 1]))
                 })?;
-                let lit = parse_lit(
-                    body.get(i + 1)
-                        .ok_or_else(|| syntax(line, "objective term missing literal"))?,
+                parse_terms(
+                    body,
+                    op_pos,
                     line,
+                    "constraint term missing literal",
+                    &mut terms,
+                    &mut max_var,
                 )?;
-                terms.push((coeff, lit));
-                i += 2;
+                constraints.push((start..terms.len(), op, rhs));
             }
-            objective = Some(terms);
-        } else {
-            // constraint: terms .. op rhs
-            let op_pos = body
-                .iter()
-                .position(|t| t == ">=" || t == "<=" || t == "=")
-                .ok_or_else(|| syntax(line, "constraint missing relational operator"))?;
-            let op = match body[op_pos].as_str() {
-                ">=" => RelOp::Ge,
-                "<=" => RelOp::Le,
-                _ => RelOp::Eq,
-            };
-            if op_pos + 2 != body.len() {
-                return Err(syntax(line, "expected single right-hand side after operator"));
-            }
-            let rhs: i64 = body[op_pos + 1]
-                .parse()
-                .map_err(|_| syntax(line, format!("bad right-hand side `{}`", body[op_pos + 1])))?;
-            let mut terms = Vec::new();
-            let mut i = 0;
-            while i < op_pos {
-                let coeff: i64 = body[i].parse().map_err(|_| {
-                    syntax(line, format!("expected coefficient, found `{}`", body[i]))
-                })?;
-                let lit = parse_lit(
-                    body.get(i + 1)
-                        .ok_or_else(|| syntax(line, "constraint term missing literal"))?,
-                    line,
-                )?;
-                terms.push((coeff, lit));
-                i += 2;
-            }
-            constraints.push((terms, op, rhs));
         }
     }
 
-    // Declare variables, then feed everything through the builder.
-    for _ in 0..max_var {
-        builder.new_var();
+    let mut builder = InstanceBuilder::with_vars(max_var);
+    for (span, op, rhs) in constraints {
+        builder.add_linear(terms[span].iter().copied(), op, rhs);
     }
-    for (terms, op, rhs) in constraints {
-        builder.add_linear(terms, op, rhs);
-    }
-    if let Some(obj) = objective {
-        builder.minimize(obj);
+    if let Some(span) = objective {
+        builder.minimize(terms[span].iter().copied());
     }
     Ok(builder.build()?)
 }
@@ -353,6 +497,15 @@ min: +3 x1 +5 x3 ;
     #[test]
     fn zero_variable_number_rejected() {
         assert!(parse_opb("+1 x0 >= 1 ;").is_err());
+    }
+
+    #[test]
+    fn byte_classes_agree_with_char_is_whitespace() {
+        for b in 0u8..0x80 {
+            let space = matches!(CLASS[b as usize], Class::Space | Class::Newline);
+            assert_eq!(space, (b as char).is_whitespace(), "byte {b:#04x}");
+        }
+        assert!(CLASS[0x80..].iter().all(|&c| c == Class::NonAscii));
     }
 }
 

@@ -48,9 +48,10 @@
 //!
 //! Observability: `--trace FILE` records the structured event stream
 //! (decisions, conflicts, bound calls, incumbents, cube lifecycle) of
-//! every worker and writes it at exit — one JSON object per line by
-//! default, or a Chrome `trace_event` file (`--trace-format chrome`,
-//! open in Perfetto / `chrome://tracing`, one lane per worker).
+//! every worker and writes it when the solve ends, before the `s` line:
+//! one JSON object per line by default, or a Chrome `trace_event` file
+//! (`--trace-format chrome`, open in Perfetto / `chrome://tracing`, one
+//! lane per worker).
 //! `--metrics` prints event-derived counters and duration histograms as
 //! `c`-prefixed comment lines; `--stats-json` prints the merged
 //! [`pbo::SolverStats`] as one JSON object on stdout (machine-readable
@@ -63,8 +64,10 @@
 //! `s` line: 30 optimum found, 10 satisfiable (a decision instance
 //! solved, or an optimization instance feasible but unproven — budget,
 //! degradation or cancellation), 20 unsatisfiable, 0 unknown, 2 usage or
-//! input error.
+//! input error. A `--trace` file that cannot be created is an input
+//! error, reported before any solving and without an `s` line.
 
+use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -183,6 +186,18 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    // Create the trace file before solving: an unwritable path is an
+    // input error (exit 2, no `s` line), not a finding after the solve.
+    let mut trace_out = match trace_path.as_deref() {
+        Some(out) => match std::fs::File::create(out) {
+            Ok(file) => Some((file, out)),
+            Err(e) => {
+                eprintln!("cannot write {out}: {e}");
+                return ExitCode::from(2);
+            }
+        },
+        None => None,
+    };
     println!(
         "c {} vars, {} constraints, lb={}, strategy={}{}",
         instance.num_vars(),
@@ -207,6 +222,25 @@ fn main() -> ExitCode {
         ..PortfolioOptions::default()
     };
     let result = Portfolio::new(portfolio).solve(&instance);
+    // The trace is written before the `s` line, so a failed write still
+    // exits 2 without one.
+    let mut trace_events = 0;
+    if let Some((file, out)) = &mut trace_out {
+        // Buffers are merged per worker at join; interleave by timestamp
+        // for the export (lane is the tiebreak, so equal stamps are
+        // stable across runs).
+        let mut events = result.stats.trace.clone();
+        events.sort_by_key(|e| (e.t_ns, e.lane));
+        let text = match trace_format {
+            TraceFormat::Jsonl => write_jsonl(&events),
+            TraceFormat::Chrome => write_chrome(&events),
+        };
+        if let Err(e) = file.write_all(text.as_bytes()) {
+            eprintln!("cannot write {out}: {e}");
+            return ExitCode::from(2);
+        }
+        trace_events = events.len();
+    }
     let (s_line, exit_code) = verdict(result.status, instance.is_optimization());
     println!("s {s_line}");
     if let Some(cost) = result.best_cost {
@@ -258,21 +292,8 @@ fn main() -> ExitCode {
             println!("c {line}");
         }
     }
-    if let Some(out) = &trace_path {
-        // Buffers are merged per worker at join; interleave by timestamp
-        // for the export (lane is the tiebreak, so equal stamps are
-        // stable across runs).
-        let mut events = result.stats.trace.clone();
-        events.sort_by_key(|e| (e.t_ns, e.lane));
-        let text = match trace_format {
-            TraceFormat::Jsonl => write_jsonl(&events),
-            TraceFormat::Chrome => write_chrome(&events),
-        };
-        if let Err(e) = std::fs::write(out, text) {
-            eprintln!("cannot write {out}: {e}");
-            return ExitCode::from(2);
-        }
-        println!("c trace: {} events written to {out}", events.len());
+    if let Some((_, out)) = &trace_out {
+        println!("c trace: {trace_events} events written to {out}");
     }
     if stats_json {
         // Splice the resolved thread counts into the stats object —

@@ -1,6 +1,7 @@
 //! The `pbo-solve` exit code agrees with the PB-competition `s` line it
 //! prints: 30 for `OPTIMUM FOUND`, 10 for `SATISFIABLE` (including a
-//! decision instance solved to completion), 20 for `UNSATISFIABLE`.
+//! decision instance solved to completion), 20 for `UNSATISFIABLE`. An
+//! input error exits 2 and prints no `s` line at all.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -62,4 +63,30 @@ fn exit_code_matches_the_s_line() {
         }
         let _ = std::fs::remove_file(path);
     }
+}
+
+#[test]
+fn unwritable_trace_path_exits_2_without_an_s_line() {
+    let path = write_instance(
+        "trace-dir",
+        "min: +2 x1 +3 x2 +2 x3 ;\n+1 x1 +1 x2 >= 1 ;\n+1 x2 +1 x3 >= 1 ;\n",
+    );
+    let trace = std::env::temp_dir()
+        .join(format!("pbo-cli-{}-no-such-dir", std::process::id()))
+        .join("t.jsonl");
+    let out = Command::new(env!("CARGO_BIN_EXE_pbo-solve"))
+        .arg("--trace")
+        .arg(&trace)
+        .arg("--stats-json")
+        .arg(&path)
+        .output()
+        .expect("pbo-solve runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(2), "stdout: {stdout}");
+    assert!(!stdout.lines().any(|l| l.starts_with("s ")), "an s line was printed: {stdout}");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("cannot write"),
+        "stderr names the trace path"
+    );
+    let _ = std::fs::remove_file(path);
 }
