@@ -11,12 +11,15 @@
 //!     [--timeout-ms N] [--seeds N] [--json PATH]
 //! ```
 
+use std::fs::File;
+use std::io::Write as _;
+
+use pbo_bench::parse::serialize;
 use pbo_bench::{
-    budget_ms, family_instances, format_table, json, run_dynamic_rows_ablation, run_par_bb_probe,
+    budget_ms, family_instances, format_table, run_dynamic_rows_ablation, run_par_bb_probe,
     run_parls_probe, run_portfolio_probe, run_residual_ablation, run_table, summarize_par_bb,
-    summarize_parls, summarize_portfolio, FAMILIES,
+    summarize_parls, summarize_portfolio, Report, FAMILIES,
 };
-use pbo_benchgen::SynthesisParams;
 use pbo_solver::LbMethod;
 
 fn usage() -> ! {
@@ -51,6 +54,12 @@ fn main() {
         None if family == "all" => FAMILIES.to_vec(),
         None => usage(),
     };
+    // Claim the report file before any solving, so a path that cannot be
+    // written fails at once instead of after the whole run.
+    let mut json_file = File::create(&json_path).unwrap_or_else(|err| {
+        eprintln!("cannot create {json_path}: {err}");
+        std::process::exit(2);
+    });
     println!(
         "Reproduction of DATE'05 Table 1 — budget {} ms/instance, {} instances/family",
         timeout_ms, seeds
@@ -78,17 +87,10 @@ fn main() {
         println!();
     }
 
-    // Residual-state ablation on a Table-1-style synthesis instance: the
-    // per-node maintenance cost is the number this PR's tentpole moves.
-    let ablation_instance = SynthesisParams {
-        primes: 70,
-        minterms: 110,
-        cover_density: 4.0,
-        exclusions: 10,
-        ..SynthesisParams::default()
-    }
-    .generate(0);
-    let ablation = run_residual_ablation(&ablation_instance, LbMethod::Mis, 4_000);
+    // Residual-state ablation on the first Table-1 synthesis instance:
+    // per-node subproblem maintenance, rebuilt vs incremental.
+    let ablation_instances = family_instances("synthesis", 2);
+    let ablation = run_residual_ablation(&ablation_instances[0], LbMethod::Mis, 4_000);
     println!("== residual-state ablation ({}) ==", ablation.instance);
     println!(
         "rebuild:     {:>8.0} ns/call over {} lb calls",
@@ -107,17 +109,10 @@ fn main() {
     // (off) — nodes and per-node bound strength are the gated numbers.
     // A decision budget (not wall clock) keeps both sides deterministic,
     // so the CI gate compares exact node counts, machine speed aside.
-    let dyn_rows_instance = SynthesisParams {
-        primes: 70,
-        minterms: 110,
-        cover_density: 4.0,
-        exclusions: 10,
-        ..SynthesisParams::default()
-    }
-    .generate(1);
     let dyn_rows_budget =
         pbo_solver::Budget { decisions: Some(30_000), ..pbo_solver::Budget::default() };
-    let dyn_rows = run_dynamic_rows_ablation(&dyn_rows_instance, LbMethod::Mis, dyn_rows_budget);
+    let dyn_rows =
+        run_dynamic_rows_ablation(&ablation_instances[1], LbMethod::Mis, dyn_rows_budget);
     println!();
     println!("== dynamic-rows ablation ({}, {}) ==", dyn_rows.instance, dyn_rows.lb_method);
     println!(
@@ -140,7 +135,6 @@ fn main() {
     // numbers (time-to-target, warm-start node shrinkage, LS gap).
     let probe_instances = family_instances("synthesis", 3);
     let probes = run_portfolio_probe(&probe_instances, budget_ms(timeout_ms), 200_000);
-    let summary = summarize_portfolio(&probes);
     println!();
     println!("== portfolio probe (synthesis) ==");
     for p in &probes {
@@ -157,13 +151,7 @@ fn main() {
             p.ls_gap.map_or("-".into(), |g| format!("{:.1}%", g * 100.0)),
         );
     }
-    println!(
-        "time-to-target ratio: {} | nodes warm/cold: {}/{} | worst LS gap: {}",
-        summary.time_to_target_ratio.map_or("-".into(), |r| format!("{:.3}", r)),
-        summary.nodes_warm,
-        summary.nodes_cold,
-        summary.max_ls_gap.map_or("-".into(), |g| format!("{:.1}%", g * 100.0)),
-    );
+    print!("summary: {}", serialize(&summarize_portfolio(&probes)));
 
     // ParLS ablation: one deterministic LS worker vs a diversified
     // 4-worker pool under the same per-worker step budget, gaps against
@@ -171,7 +159,6 @@ fn main() {
     const PARLS_WORKERS: usize = 4;
     let parls_targets: Vec<Option<i64>> = probes.iter().map(|p| p.target_cost).collect();
     let parls = run_parls_probe(&probe_instances, &parls_targets, 50_000, PARLS_WORKERS);
-    let parls_summary = summarize_parls(&parls, PARLS_WORKERS);
     println!();
     println!("== parls ablation (synthesis, {PARLS_WORKERS} workers) ==");
     for p in &parls {
@@ -185,12 +172,7 @@ fn main() {
             p.pool_gap.map_or("-".into(), |g| format!("{:.1}%", g * 100.0)),
         );
     }
-    println!(
-        "worst gap single: {} | pool: {} | pool never worse: {}",
-        parls_summary.max_single_gap.map_or("-".into(), |g| format!("{:.1}%", g * 100.0)),
-        parls_summary.max_pool_gap.map_or("-".into(), |g| format!("{:.1}%", g * 100.0)),
-        parls_summary.pool_never_worse,
-    );
+    print!("summary: {}", serialize(&summarize_parls(&parls)));
 
     // Parallel-exact scaling probe: the cube-split pool at 1/2/4/8
     // workers on the two hardest synthesis seeds — ranked by sequential
@@ -204,7 +186,6 @@ fn main() {
     // the gate is about proven optima and complete trees, not budget
     // truncation.
     let par_bb = run_par_bb_probe(&par_bb_pool, budget_ms(40 * timeout_ms), PAR_BB_WORKERS, 2);
-    let par_bb_summary = summarize_par_bb(&par_bb);
     println!();
     println!("== par_bb scaling (synthesis, workers {PAR_BB_WORKERS:?}) ==");
     for p in &par_bb {
@@ -233,26 +214,20 @@ fn main() {
             );
         }
     }
-    println!(
-        "never worse optimum: {} | max nodes ratio: {} | {}-worker time speedup geomean: {}",
-        par_bb_summary.never_worse_optimum,
-        par_bb_summary.max_nodes_ratio.map_or("-".into(), |r| format!("{:.2}x", r)),
-        par_bb_summary.workers,
-        par_bb_summary.time_speedup_geomean.map_or("-".into(), |r| format!("{:.2}x", r)),
-    );
+    print!("summary: {}", serialize(&summarize_par_bb(&par_bb)));
 
-    let report = json::render_report_full(
-        timeout_ms,
+    let report = Report {
+        budget_ms: timeout_ms,
         seeds,
-        &family_rows,
-        Some(&ablation),
-        &probes,
-        Some(&dyn_rows),
-        &parls,
-        PARLS_WORKERS,
-        &par_bb,
-    );
-    match std::fs::write(&json_path, &report) {
+        families: family_rows,
+        residual_ablation: Some(ablation),
+        dynamic_rows: Some(dyn_rows),
+        portfolio: probes,
+        parls,
+        parls_workers: PARLS_WORKERS,
+        par_bb,
+    };
+    match json_file.write_all(serialize(&report.to_json()).as_bytes()) {
         Ok(()) => println!("\nwrote {json_path}"),
         Err(err) => {
             eprintln!("failed to write {json_path}: {err}");

@@ -1,12 +1,14 @@
-//! Snapshot comparison: flags node-throughput or wall-time regressions
-//! between two `BENCH_table1.json` reports.
+//! Snapshot comparison: the gates `bench_compare` runs once per
+//! baseline, flagging node-throughput, wall-time or anytime regressions
+//! of the current `BENCH_table1.json` against a committed snapshot (the
+//! gates on the current report alone are in [`crate::gates`]).
 //!
 //! Per-PR snapshots live under `benches/snapshots/`; CI regenerates the
-//! report with the same parameters and runs `bench_compare` against the
-//! previous snapshot. Wall times move with the machine, so the gates are
-//! deliberately coarse ratios over geometric means: they catch a hot
-//! path collapsing (an accidental O(instance) per node, a pruning bug
-//! exploding the tree), not percent-level noise.
+//! report with the same parameters and compares it against them. Wall
+//! times move with the machine, so these gates are deliberately coarse
+//! ratios over geometric means: they catch a hot path collapsing (an
+//! accidental O(instance) per node, a pruning bug exploding the tree),
+//! not percent-level noise.
 
 use std::collections::BTreeMap;
 
@@ -26,27 +28,22 @@ pub struct CellPerf {
 /// `(family, instance, solver)` → performance, for every cell of the
 /// report.
 pub fn extract_cells(report: &JsonValue) -> BTreeMap<(String, String, String), CellPerf> {
+    let text =
+        |v: &JsonValue, key| v.get(key).and_then(JsonValue::as_str).unwrap_or("?").to_string();
+    let number = |v: &JsonValue, key| v.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0);
+    fn items<'a>(v: &'a JsonValue, key: &str) -> &'a [JsonValue] {
+        v.get(key).and_then(JsonValue::items).unwrap_or_default()
+    }
     let mut out = BTreeMap::new();
-    let Some(families) = report.get("families").and_then(JsonValue::items) else {
-        return out;
-    };
-    for fam in families {
-        let family = fam.get("family").and_then(JsonValue::as_str).unwrap_or("?").to_string();
-        let Some(instances) = fam.get("instances").and_then(JsonValue::items) else { continue };
-        for inst in instances {
-            let name = inst.get("instance").and_then(JsonValue::as_str).unwrap_or("?").to_string();
-            let Some(cells) = inst.get("cells").and_then(JsonValue::items) else { continue };
-            for cell in cells {
-                let solver =
-                    cell.get("solver").and_then(JsonValue::as_str).unwrap_or("?").to_string();
-                let time_ms = cell.get("time_ms").and_then(JsonValue::as_f64).unwrap_or(0.0);
-                let nodes = cell.get("nodes").and_then(JsonValue::as_f64).unwrap_or(0.0);
-                let status = cell.get("status").and_then(JsonValue::as_str).unwrap_or("");
+    for fam in items(report, "families") {
+        for inst in items(fam, "instances") {
+            for cell in items(inst, "cells") {
+                let status = text(cell, "status");
                 out.insert(
-                    (family.clone(), name.clone(), solver),
+                    (text(fam, "family"), text(inst, "instance"), text(cell, "solver")),
                     CellPerf {
-                        time_ms,
-                        nodes,
+                        time_ms: number(cell, "time_ms"),
+                        nodes: number(cell, "nodes"),
                         solved: status == "optimal" || status == "infeasible",
                     },
                 );
@@ -70,7 +67,8 @@ pub struct Comparison {
     pub time_ratio: Option<f64>,
 }
 
-fn geomean(ratios: &[f64]) -> Option<f64> {
+/// Geometric mean of the finite positive ratios, if there are any.
+pub(crate) fn geomean(ratios: &[f64]) -> Option<f64> {
     let logs: Vec<f64> =
         ratios.iter().copied().filter(|r| r.is_finite() && *r > 0.0).map(f64::ln).collect();
     if logs.is_empty() {
@@ -105,27 +103,18 @@ pub fn compare(baseline: &JsonValue, current: &JsonValue) -> Comparison {
     }
 }
 
-/// Regression thresholds.
-#[derive(Copy, Clone, Debug)]
-pub struct Gate {
-    /// Fail when the throughput geomean drops below this (e.g. `0.1` =
-    /// a >10x slowdown in nodes/second).
-    pub min_throughput_ratio: f64,
-    /// Fail when the solved-instance wall-time geomean rises above this.
-    pub max_time_ratio: f64,
-}
+/// Fail when the throughput geomean drops below this (a >10x slowdown
+/// in nodes/second). Coarse by design: CI runners and dev laptops differ
+/// by small integer factors; an order of magnitude means a real
+/// regression.
+pub const MIN_THROUGHPUT_RATIO: f64 = 0.1;
 
-impl Default for Gate {
-    fn default() -> Gate {
-        // Coarse by design: CI runners and dev laptops differ by small
-        // integer factors; an order of magnitude means a real regression.
-        Gate { min_throughput_ratio: 0.1, max_time_ratio: 10.0 }
-    }
-}
+/// Fail when the solved-instance wall-time geomean rises above this.
+pub const MAX_TIME_RATIO: f64 = 10.0;
 
-/// Evaluates a comparison against the gate; the returned list of
-/// violations is empty on pass.
-pub fn evaluate(comparison: &Comparison, gate: Gate) -> Vec<String> {
+/// Evaluates a comparison against [`MIN_THROUGHPUT_RATIO`] and
+/// [`MAX_TIME_RATIO`]; the returned list of violations is empty on pass.
+pub fn evaluate(comparison: &Comparison) -> Vec<String> {
     let mut violations = Vec::new();
     if comparison.common_cells == 0 {
         violations
@@ -144,18 +133,16 @@ pub fn evaluate(comparison: &Comparison, gate: Gate) -> Vec<String> {
         return violations;
     }
     if let Some(tp) = comparison.throughput_ratio {
-        if tp < gate.min_throughput_ratio {
+        if tp < MIN_THROUGHPUT_RATIO {
             violations.push(format!(
-                "node throughput regressed to {:.3}x of the baseline (gate {:.3}x)",
-                tp, gate.min_throughput_ratio
+                "node throughput regressed to {tp:.3}x of the baseline (gate {MIN_THROUGHPUT_RATIO:.3}x)"
             ));
         }
     }
     if let Some(t) = comparison.time_ratio {
-        if t > gate.max_time_ratio {
+        if t > MAX_TIME_RATIO {
             violations.push(format!(
-                "solved-instance wall time rose to {:.3}x of the baseline (gate {:.3}x)",
-                t, gate.max_time_ratio
+                "solved-instance wall time rose to {t:.3}x of the baseline (gate {MAX_TIME_RATIO:.3}x)"
             ));
         }
     }
@@ -287,7 +274,7 @@ mod tests {
         assert_eq!(c.common_cells, 1);
         assert!((c.throughput_ratio.unwrap() - 1.0).abs() < 1e-9);
         assert!((c.time_ratio.unwrap() - 1.0).abs() < 1e-9);
-        assert!(evaluate(&c, Gate::default()).is_empty());
+        assert!(evaluate(&c).is_empty());
     }
 
     #[test]
@@ -296,7 +283,7 @@ mod tests {
         let base = report(100.0, 1000);
         let cur = report(2000.0, 1000);
         let c = compare(&base, &cur);
-        let violations = evaluate(&c, Gate::default());
+        let violations = evaluate(&c);
         assert!(!violations.is_empty(), "{c:?}");
         assert!(violations.iter().any(|v| v.contains("throughput")), "{violations:?}");
     }
@@ -307,7 +294,7 @@ mod tests {
         let base = report(100.0, 1000);
         let cur = report(200.0, 1000);
         let c = compare(&base, &cur);
-        assert!(evaluate(&c, Gate::default()).is_empty());
+        assert!(evaluate(&c).is_empty());
     }
 
     #[test]
@@ -330,7 +317,7 @@ mod tests {
         .unwrap();
         let c = compare(&base, &collapsed);
         assert_eq!(c.common_cells, 1);
-        let violations = evaluate(&c, Gate::default());
+        let violations = evaluate(&c);
         assert!(!violations.is_empty(), "{c:?}");
         assert!(violations.iter().any(|v| v.contains("no comparable cells")), "{violations:?}");
     }
@@ -405,6 +392,6 @@ mod tests {
         .unwrap();
         let c = compare(&base, &other);
         assert_eq!(c.common_cells, 0);
-        assert!(!evaluate(&c, Gate::default()).is_empty());
+        assert!(!evaluate(&c).is_empty());
     }
 }

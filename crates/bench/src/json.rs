@@ -1,37 +1,20 @@
-//! Machine-readable benchmark output (`BENCH_table1.json`).
-//!
-//! The workspace builds offline with no serde, so this module hand-rolls
-//! the small amount of JSON the benchmark harness emits: per-instance
-//! wall time, nodes (decisions), lower-bound calls and lower-bound /
-//! subproblem-maintenance time per solver column, plus the
-//! residual-state ablation that tracks the perf trajectory across PRs.
+//! The `BENCH_table1.json` report, built as one [`JsonValue`] tree by
+//! [`Report::to_json`]: the schema [`crate::parse::serialize`] writes and
+//! the gates of [`crate::gates`] read. Times are milliseconds rounded to
+//! the microsecond, ratios to four decimals; an infinite ratio is `null`.
 
-use std::fmt::Write as _;
 use std::time::Duration;
 
+use crate::compare::geomean;
+use crate::parse::JsonValue;
 use crate::{Row, SolverKind};
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+fn ms(d: Duration) -> f64 {
+    (d.as_secs_f64() * 1e6).round() / 1e3
 }
 
-fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
+fn ratio(x: Option<f64>) -> JsonValue {
+    x.map(|x| (x * 1e4).round() / 1e4).into()
 }
 
 /// One side of the residual-state ablation.
@@ -57,17 +40,14 @@ impl AblationSide {
         }
     }
 
-    fn write(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "{{\"lb_calls\": {}, \"decisions\": {}, \"sub_time_ms\": {:.3}, \
-             \"lb_time_ms\": {:.3}, \"sub_ns_per_call\": {:.0}}}",
-            self.lb_calls,
-            self.decisions,
-            ms(self.sub_time),
-            ms(self.lb_time),
-            self.sub_ns_per_call(),
-        );
+    fn to_json(&self) -> JsonValue {
+        JsonValue::object([
+            ("lb_calls", self.lb_calls.into()),
+            ("decisions", self.decisions.into()),
+            ("sub_time_ms", ms(self.sub_time).into()),
+            ("lb_time_ms", ms(self.lb_time).into()),
+            ("sub_ns_per_call", self.sub_ns_per_call().round().into()),
+        ])
     }
 }
 
@@ -95,6 +75,16 @@ impl ResidualAblation {
             self.rebuild.sub_ns_per_call() / incr
         }
     }
+
+    fn to_json(&self) -> JsonValue {
+        JsonValue::object([
+            ("instance", self.instance.as_str().into()),
+            ("lb_method", self.lb_method.into()),
+            ("rebuild", self.rebuild.to_json()),
+            ("incremental", self.incremental.to_json()),
+            ("maintenance_speedup", ratio(Some(self.maintenance_speedup()))),
+        ])
+    }
 }
 
 /// One side of the dynamic-rows ablation (`dynamic_rows` off / on).
@@ -116,18 +106,15 @@ pub struct DynRowsSide {
 }
 
 impl DynRowsSide {
-    fn write(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "{{\"solved\": {}, \"decisions\": {}, \"lb_calls\": {}, \
-             \"bound_conflicts\": {}, \"mean_lb_margin\": {:.3}, \"time_ms\": {:.3}}}",
-            self.solved,
-            self.decisions,
-            self.lb_calls,
-            self.bound_conflicts,
-            self.mean_lb_margin,
-            ms(self.solve_time),
-        );
+    fn to_json(&self) -> JsonValue {
+        JsonValue::object([
+            ("solved", self.solved.into()),
+            ("decisions", self.decisions.into()),
+            ("lb_calls", self.lb_calls.into()),
+            ("bound_conflicts", self.bound_conflicts.into()),
+            ("mean_lb_margin", ratio(Some(self.mean_lb_margin))),
+            ("time_ms", ms(self.solve_time).into()),
+        ])
     }
 }
 
@@ -144,6 +131,17 @@ pub struct DynamicRowsAblation {
     pub off: DynRowsSide,
     /// `dynamic_rows: true` measurements.
     pub on: DynRowsSide,
+}
+
+impl DynamicRowsAblation {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::object([
+            ("instance", self.instance.as_str().into()),
+            ("lb_method", self.lb_method.into()),
+            ("off", self.off.to_json()),
+            ("on", self.on.to_json()),
+        ])
+    }
 }
 
 /// One instance of the portfolio probe: cold bsolo-LPR vs the LS-seeded
@@ -201,45 +199,22 @@ pub struct ParlsProbe {
     pub pool_gap: Option<f64>,
 }
 
-/// Aggregate of the ParLS probe: the CI gate numbers.
-#[derive(Clone, Debug)]
-pub struct ParlsSummary {
-    /// Worker count of the pool side.
-    pub workers: usize,
-    /// Worst single-worker gap across instances.
-    pub max_single_gap: Option<f64>,
-    /// Worst pool gap across instances.
-    pub max_pool_gap: Option<f64>,
-    /// Whether the pool cost was `<=` the single cost on every instance
-    /// (guaranteed by construction — worker 0 replays the single run —
-    /// asserted to catch diversification/seeding bugs).
-    pub pool_never_worse: bool,
-}
-
-/// Aggregates ParLS probe rows into the gate metrics.
-pub fn summarize_parls(probes: &[ParlsProbe], workers: usize) -> ParlsSummary {
-    let mut max_single: Option<f64> = None;
-    let mut max_pool: Option<f64> = None;
-    let mut never_worse = true;
-    for p in probes {
-        if let Some(g) = p.single_gap {
-            max_single = Some(max_single.map_or(g, |m: f64| m.max(g)));
-        }
-        if let Some(g) = p.pool_gap {
-            max_pool = Some(max_pool.map_or(g, |m: f64| m.max(g)));
-        }
-        match (p.pool_cost, p.single_cost) {
-            (Some(pool), Some(single)) => never_worse &= pool <= single,
-            (None, Some(_)) => never_worse = false,
-            _ => {}
-        }
-    }
-    ParlsSummary {
-        workers,
-        max_single_gap: max_single,
-        max_pool_gap: max_pool,
-        pool_never_worse: never_worse,
-    }
+/// The ParLS probe's summary, the numbers its gates read: the worst
+/// single-worker and pool gaps, and whether the pool cost was `<=` the
+/// single cost on every instance (guaranteed by construction — worker 0
+/// replays the single run — and checked to catch diversification or
+/// seeding bugs).
+pub fn summarize_parls(probes: &[ParlsProbe]) -> JsonValue {
+    let never_worse = probes.iter().all(|p| match (p.pool_cost, p.single_cost) {
+        (Some(pool), Some(single)) => pool <= single,
+        (None, Some(_)) => false,
+        _ => true,
+    });
+    JsonValue::object([
+        ("max_single_gap", ratio(probes.iter().filter_map(|p| p.single_gap).reduce(f64::max))),
+        ("max_pool_gap", ratio(probes.iter().filter_map(|p| p.pool_gap).reduce(f64::max))),
+        ("pool_never_worse", never_worse.into()),
+    ])
 }
 
 /// One worker-count run of the par_bb scaling probe.
@@ -281,97 +256,55 @@ pub struct ParBbProbe {
     pub runs: Vec<ParBbRun>,
 }
 
-/// Aggregate of the par_bb scaling probe: the CI gate numbers.
-#[derive(Clone, Debug)]
-pub struct ParBbSummary {
-    /// The largest probed worker count (the wall-speedup gate's run).
-    pub workers: usize,
-    /// No parallel run ever returned a worse optimum: at every probed
-    /// worker count, wherever the 1-worker run has a cost the parallel
-    /// cost exists and is `<=` it, and wherever the 1-worker run proved
-    /// optimality, so did the parallel run.
-    pub never_worse_optimum: bool,
-    /// Worst `nodes(w) / nodes(1)` over all instances and worker counts
-    /// solved on both sides — the duplicated-work bound the gate caps
-    /// at 2x.
-    pub max_nodes_ratio: Option<f64>,
-    /// Geometric mean of `time(1) / time(max workers)` over instances
-    /// solved at both counts — the scaling number the PR-6 gate floors
-    /// at 1.8x.
-    pub time_speedup_geomean: Option<f64>,
-}
-
-/// Aggregates par_bb scaling rows into the gate metrics. The baseline of
-/// every comparison is each instance's 1-worker run (`runs[0]`).
-pub fn summarize_par_bb(probes: &[ParBbProbe]) -> ParBbSummary {
-    let mut never_worse = true;
-    let mut max_ratio: Option<f64> = None;
-    let mut speedups: Vec<f64> = Vec::new();
+/// The par_bb probe's summary, the numbers its gates read. Every
+/// comparison is against the instance's 1-worker run (`runs[0]`):
+/// `never_worse_optimum` holds when at every other worker count the cost
+/// exists and is `<=` wherever the 1-worker run has one, and optimality is
+/// proved wherever the 1-worker run proved it; `max_nodes_ratio` is the
+/// worst `nodes(w) / nodes(1)` over runs optimal on both sides;
+/// `time_speedup_geomean` is the geometric mean of `time(1) /
+/// time(workers)` at the largest probed count `workers`.
+pub fn summarize_par_bb(probes: &[ParBbProbe]) -> JsonValue {
     let max_workers =
         probes.iter().flat_map(|p| p.runs.iter().map(|r| r.workers)).max().unwrap_or(1);
+    let mut never_worse = true;
+    let (mut node_ratios, mut speedups) = (Vec::new(), Vec::new());
     for p in probes {
-        let Some(base) = p.runs.first() else { continue };
-        for run in p.runs.iter().skip(1) {
-            match (base.cost, run.cost) {
-                (Some(s), Some(q)) => never_worse &= q <= s,
-                (Some(_), None) => never_worse = false,
-                _ => {}
-            }
-            if base.optimal {
-                never_worse &= run.optimal;
-            }
+        let Some((base, runs)) = p.runs.split_first() else { continue };
+        for run in runs {
+            let cost_ok = match (base.cost, run.cost) {
+                (Some(s), Some(q)) => q <= s,
+                (Some(_), None) => false,
+                _ => true,
+            };
+            never_worse &= cost_ok && (run.optimal || !base.optimal);
             if base.optimal && run.optimal && base.nodes > 0 {
-                let ratio = run.nodes as f64 / base.nodes as f64;
-                max_ratio = Some(max_ratio.map_or(ratio, |m: f64| m.max(ratio)));
-                if run.workers == max_workers {
-                    let (s, q) = (base.time.as_secs_f64(), run.time.as_secs_f64());
-                    if s > 0.0 && q > 0.0 {
-                        speedups.push(s / q);
-                    }
+                node_ratios.push(run.nodes as f64 / base.nodes as f64);
+                let (s, q) = (base.time.as_secs_f64(), run.time.as_secs_f64());
+                if run.workers == max_workers && s > 0.0 && q > 0.0 {
+                    speedups.push(s / q);
                 }
             }
         }
     }
-    let geomean = if speedups.is_empty() {
-        None
-    } else {
-        Some((speedups.iter().map(|r| r.ln()).sum::<f64>() / speedups.len() as f64).exp())
-    };
-    ParBbSummary {
-        workers: max_workers,
-        never_worse_optimum: never_worse,
-        max_nodes_ratio: max_ratio,
-        time_speedup_geomean: geomean,
-    }
+    JsonValue::object([
+        ("workers", max_workers.into()),
+        ("never_worse_optimum", never_worse.into()),
+        ("max_nodes_ratio", ratio(node_ratios.into_iter().reduce(f64::max))),
+        ("time_speedup_geomean", ratio(geomean(&speedups))),
+    ])
 }
 
-/// Aggregate of a probe run: the numbers the CI gates assert on.
-#[derive(Clone, Debug)]
-pub struct PortfolioSummary {
-    /// `sum(warm_time_to_target) / sum(exact_time)` over instances where
-    /// the warm side reached the target.
-    pub time_to_target_ratio: Option<f64>,
-    /// Instances where the warm side never reached the target.
-    pub missed_targets: usize,
-    /// Total B&B nodes with the LS warm start.
-    pub nodes_warm: u64,
-    /// Total B&B nodes cold.
-    pub nodes_cold: u64,
-    /// Worst LS optimality gap across instances.
-    pub max_ls_gap: Option<f64>,
-}
-
-/// Aggregates probe rows into the gate metrics.
-pub fn summarize_portfolio(probes: &[PortfolioProbe]) -> PortfolioSummary {
+/// The portfolio probe's summary, the numbers its gates read:
+/// `time_to_target_ratio` is `sum(warm_time_to_target) / sum(exact_time)`
+/// over instances where the warm side reached the target,
+/// `missed_targets` counts the instances where it never did, and the node
+/// totals and worst LS gap follow.
+pub fn summarize_portfolio(probes: &[PortfolioProbe]) -> JsonValue {
     let mut reach_num = 0.0f64;
     let mut reach_den = 0.0f64;
     let mut missed = 0usize;
-    let mut nodes_warm = 0u64;
-    let mut nodes_cold = 0u64;
-    let mut max_gap: Option<f64> = None;
     for p in probes {
-        nodes_warm += p.warm_nodes;
-        nodes_cold += p.exact_nodes;
         match p.warm_time_to_target {
             Some(t) if p.target_cost.is_some() => {
                 reach_num += t.as_secs_f64();
@@ -380,346 +313,244 @@ pub fn summarize_portfolio(probes: &[PortfolioProbe]) -> PortfolioSummary {
             _ if p.target_cost.is_some() => missed += 1,
             _ => {}
         }
-        if let Some(g) = p.ls_gap {
-            max_gap = Some(max_gap.map_or(g, |m: f64| m.max(g)));
-        }
     }
-    PortfolioSummary {
-        time_to_target_ratio: (reach_den > 0.0).then(|| reach_num / reach_den),
-        missed_targets: missed,
-        nodes_warm,
-        nodes_cold,
-        max_ls_gap: max_gap,
-    }
+    JsonValue::object([
+        ("time_to_target_ratio", ratio((reach_den > 0.0).then(|| reach_num / reach_den))),
+        ("missed_targets", missed.into()),
+        ("nodes_warm", probes.iter().map(|p| p.warm_nodes).sum::<u64>().into()),
+        ("nodes_cold", probes.iter().map(|p| p.exact_nodes).sum::<u64>().into()),
+        ("max_ls_gap", ratio(probes.iter().filter_map(|p| p.ls_gap).reduce(f64::max))),
+    ])
 }
 
-fn opt_i64(v: Option<i64>) -> String {
-    v.map_or("null".to_string(), |c| c.to_string())
+fn portfolio_json(probes: &[PortfolioProbe]) -> JsonValue {
+    let instances = probes.iter().map(|p| {
+        JsonValue::object([
+            ("instance", p.instance.as_str().into()),
+            ("target_cost", p.target_cost.into()),
+            ("exact_optimal", p.exact_optimal.into()),
+            ("exact_time_ms", ms(p.exact_time).into()),
+            ("exact_nodes", p.exact_nodes.into()),
+            ("warm_time_to_target_ms", p.warm_time_to_target.map(ms).into()),
+            ("warm_time_ms", ms(p.warm_time).into()),
+            ("warm_nodes", p.warm_nodes.into()),
+            ("warm_cost", p.warm_cost.into()),
+            ("ls_cost", p.ls_cost.into()),
+            ("ls_time_ms", ms(p.ls_time).into()),
+            ("ls_gap", ratio(p.ls_gap)),
+            (
+                "anytime",
+                p.anytime
+                    .iter()
+                    .map(|&(t, c)| JsonValue::Array(vec![ms(t).into(), c.into()]))
+                    .collect(),
+            ),
+        ])
+    });
+    JsonValue::object([
+        ("instances", instances.collect()),
+        ("summary", summarize_portfolio(probes)),
+    ])
 }
 
-fn opt_ms(v: Option<Duration>) -> String {
-    v.map_or("null".to_string(), |d| format!("{:.3}", ms(d)))
+fn parls_json(probes: &[ParlsProbe], workers: usize) -> JsonValue {
+    let instances = probes.iter().map(|p| {
+        JsonValue::object([
+            ("instance", p.instance.as_str().into()),
+            ("target_cost", p.target_cost.into()),
+            ("single_cost", p.single_cost.into()),
+            ("pool_cost", p.pool_cost.into()),
+            ("single_gap", ratio(p.single_gap)),
+            ("pool_gap", ratio(p.pool_gap)),
+        ])
+    });
+    JsonValue::object([
+        ("workers", workers.into()),
+        ("instances", instances.collect()),
+        ("summary", summarize_parls(probes)),
+    ])
 }
 
-fn opt_f64(v: Option<f64>) -> String {
-    match v {
-        Some(x) if x.is_finite() => format!("{x:.4}"),
-        _ => "null".to_string(),
-    }
+fn par_bb_json(probes: &[ParBbProbe]) -> JsonValue {
+    let run_json = |r: &ParBbRun| {
+        JsonValue::object([
+            ("workers", r.workers.into()),
+            ("cost", r.cost.into()),
+            ("optimal", r.optimal.into()),
+            ("time_ms", ms(r.time).into()),
+            ("nodes", r.nodes.into()),
+            ("resplits", r.resplits.into()),
+            ("clauses_shared", r.clauses_shared.into()),
+            ("clauses_imported", r.clauses_imported.into()),
+            ("depth_truncated", r.depth_truncated.into()),
+            ("queue_wait_ms", ms(r.queue_wait).into()),
+            ("nodes_per_worker", r.nodes_per_worker.iter().map(|&n| n.into()).collect()),
+        ])
+    };
+    let instances = probes.iter().map(|p| {
+        JsonValue::object([
+            ("instance", p.instance.as_str().into()),
+            ("runs", p.runs.iter().map(run_json).collect()),
+        ])
+    });
+    let workers = probes.first().map_or(&[][..], |p| &p.runs);
+    JsonValue::object([
+        ("workers", workers.iter().map(|r| r.workers.into()).collect()),
+        ("instances", instances.collect()),
+        ("summary", summarize_par_bb(probes)),
+    ])
 }
 
-/// Renders an anytime curve as a JSON array of `[time_ms, cost]` pairs.
-fn anytime_json(curve: &[(Duration, i64)]) -> String {
-    let pairs: Vec<String> = curve.iter().map(|&(t, c)| format!("[{:.3}, {c}]", ms(t))).collect();
-    format!("[{}]", pairs.join(", "))
+fn families_json(families: &[(String, Vec<Row>)]) -> JsonValue {
+    let cell_json = |(kind, cell): (&SolverKind, &pbo_solver::SolveResult)| {
+        JsonValue::object([
+            ("solver", kind.name().into()),
+            ("status", JsonValue::String(cell.status.to_string())),
+            ("cost", cell.best_cost.into()),
+            ("time_ms", ms(cell.stats.solve_time).into()),
+            ("nodes", cell.stats.decisions.into()),
+            ("lb_calls", cell.stats.lb_calls.into()),
+            ("lb_time_ms", ms(cell.stats.lb_time_total).into()),
+            ("sub_time_ms", ms(cell.stats.sub_time_total).into()),
+        ])
+    };
+    let row_json = |row: &Row| {
+        JsonValue::object([
+            ("instance", row.instance.as_str().into()),
+            ("cells", SolverKind::ALL.iter().zip(&row.cells).map(cell_json).collect()),
+        ])
+    };
+    families
+        .iter()
+        .map(|(family, rows)| {
+            JsonValue::object([
+                ("family", family.as_str().into()),
+                ("instances", rows.iter().map(row_json).collect()),
+            ])
+        })
+        .collect()
 }
 
-fn write_portfolio(out: &mut String, probes: &[PortfolioProbe]) {
-    out.push_str("  \"portfolio\": {\n    \"instances\": [\n");
-    for (i, p) in probes.iter().enumerate() {
-        let comma = if i + 1 < probes.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "      {{\"instance\": \"{}\", \"target_cost\": {}, \"exact_optimal\": {}, \
-             \"exact_time_ms\": {:.3}, \"exact_nodes\": {}, \
-             \"warm_time_to_target_ms\": {}, \"warm_time_ms\": {:.3}, \
-             \"warm_nodes\": {}, \"warm_cost\": {}, \
-             \"ls_cost\": {}, \"ls_time_ms\": {:.3}, \"ls_gap\": {}, \
-             \"anytime\": {}}}{comma}",
-            escape(&p.instance),
-            opt_i64(p.target_cost),
-            p.exact_optimal,
-            ms(p.exact_time),
-            p.exact_nodes,
-            opt_ms(p.warm_time_to_target),
-            ms(p.warm_time),
-            p.warm_nodes,
-            opt_i64(p.warm_cost),
-            opt_i64(p.ls_cost),
-            ms(p.ls_time),
-            opt_f64(p.ls_gap),
-            anytime_json(&p.anytime),
-        );
-    }
-    out.push_str("    ],\n");
-    let s = summarize_portfolio(probes);
-    let _ = writeln!(
-        out,
-        "    \"summary\": {{\"time_to_target_ratio\": {}, \"missed_targets\": {}, \
-         \"nodes_warm\": {}, \"nodes_cold\": {}, \"max_ls_gap\": {}}}",
-        opt_f64(s.time_to_target_ratio),
-        s.missed_targets,
-        s.nodes_warm,
-        s.nodes_cold,
-        opt_f64(s.max_ls_gap),
-    );
-    out.push_str("  },\n");
+/// The whole benchmark report. Empty probe lists and absent ablations
+/// are written as `null` sections.
+#[derive(Clone, Debug, Default)]
+pub struct Report {
+    /// Per-instance budget of the Table-1 matrix.
+    pub budget_ms: u64,
+    /// Instances per family.
+    pub seeds: u64,
+    /// The Table-1 rows of each family.
+    pub families: Vec<(String, Vec<Row>)>,
+    /// The rebuild-vs-incremental residual-state ablation.
+    pub residual_ablation: Option<ResidualAblation>,
+    /// The dynamic-rows ablation.
+    pub dynamic_rows: Option<DynamicRowsAblation>,
+    /// The portfolio probe.
+    pub portfolio: Vec<PortfolioProbe>,
+    /// The ParLS probe.
+    pub parls: Vec<ParlsProbe>,
+    /// Worker count of the ParLS pool side.
+    pub parls_workers: usize,
+    /// The par_bb scaling probe.
+    pub par_bb: Vec<ParBbProbe>,
 }
 
-fn write_parls(out: &mut String, probes: &[ParlsProbe], workers: usize) {
-    let _ = writeln!(out, "  \"parls\": {{\n    \"workers\": {workers},\n    \"instances\": [");
-    for (i, p) in probes.iter().enumerate() {
-        let comma = if i + 1 < probes.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "      {{\"instance\": \"{}\", \"target_cost\": {}, \"single_cost\": {}, \
-             \"pool_cost\": {}, \"single_gap\": {}, \"pool_gap\": {}}}{comma}",
-            escape(&p.instance),
-            opt_i64(p.target_cost),
-            opt_i64(p.single_cost),
-            opt_i64(p.pool_cost),
-            opt_f64(p.single_gap),
-            opt_f64(p.pool_gap),
-        );
+impl Report {
+    /// The report as the JSON tree `BENCH_table1.json` holds.
+    pub fn to_json(&self) -> JsonValue {
+        JsonValue::object([
+            ("budget_ms", self.budget_ms.into()),
+            ("seeds", self.seeds.into()),
+            ("families", families_json(&self.families)),
+            (
+                "portfolio",
+                (!self.portfolio.is_empty()).then(|| portfolio_json(&self.portfolio)).into(),
+            ),
+            (
+                "parls",
+                (!self.parls.is_empty())
+                    .then(|| parls_json(&self.parls, self.parls_workers))
+                    .into(),
+            ),
+            ("par_bb", (!self.par_bb.is_empty()).then(|| par_bb_json(&self.par_bb)).into()),
+            ("dynamic_rows", self.dynamic_rows.as_ref().map(DynamicRowsAblation::to_json).into()),
+            (
+                "residual_ablation",
+                self.residual_ablation.as_ref().map(ResidualAblation::to_json).into(),
+            ),
+        ])
     }
-    out.push_str("    ],\n");
-    let s = summarize_parls(probes, workers);
-    let _ = writeln!(
-        out,
-        "    \"summary\": {{\"max_single_gap\": {}, \"max_pool_gap\": {}, \
-         \"pool_never_worse\": {}}}",
-        opt_f64(s.max_single_gap),
-        opt_f64(s.max_pool_gap),
-        s.pool_never_worse,
-    );
-    out.push_str("  },\n");
-}
-
-fn write_par_bb(out: &mut String, probes: &[ParBbProbe]) {
-    let counts: Vec<String> = probes
-        .first()
-        .map(|p| p.runs.iter().map(|r| r.workers.to_string()).collect())
-        .unwrap_or_default();
-    let _ = writeln!(
-        out,
-        "  \"par_bb\": {{\n    \"workers\": [{}],\n    \"instances\": [",
-        counts.join(", ")
-    );
-    for (i, p) in probes.iter().enumerate() {
-        let comma = if i + 1 < probes.len() { "," } else { "" };
-        let _ = writeln!(out, "      {{\"instance\": \"{}\", \"runs\": [", escape(&p.instance));
-        for (ri, r) in p.runs.iter().enumerate() {
-            let rcomma = if ri + 1 < p.runs.len() { "," } else { "" };
-            let per: Vec<String> = r.nodes_per_worker.iter().map(u64::to_string).collect();
-            let _ = writeln!(
-                out,
-                "        {{\"workers\": {}, \"cost\": {}, \"optimal\": {}, \
-                 \"time_ms\": {:.3}, \"nodes\": {}, \"resplits\": {}, \
-                 \"clauses_shared\": {}, \"clauses_imported\": {}, \
-                 \"depth_truncated\": {}, \"queue_wait_ms\": {:.3}, \
-                 \"nodes_per_worker\": [{}]}}{rcomma}",
-                r.workers,
-                opt_i64(r.cost),
-                r.optimal,
-                ms(r.time),
-                r.nodes,
-                r.resplits,
-                r.clauses_shared,
-                r.clauses_imported,
-                r.depth_truncated,
-                ms(r.queue_wait),
-                per.join(", "),
-            );
-        }
-        let _ = writeln!(out, "      ]}}{comma}");
-    }
-    out.push_str("    ],\n");
-    let s = summarize_par_bb(probes);
-    let _ = writeln!(
-        out,
-        "    \"summary\": {{\"workers\": {}, \"never_worse_optimum\": {}, \
-         \"max_nodes_ratio\": {}, \"time_speedup_geomean\": {}}}",
-        s.workers,
-        s.never_worse_optimum,
-        opt_f64(s.max_nodes_ratio),
-        opt_f64(s.time_speedup_geomean),
-    );
-    out.push_str("  },\n");
-}
-
-/// Renders the whole benchmark report as a JSON document.
-pub fn render_report(
-    budget_ms: u64,
-    seeds: u64,
-    families: &[(String, Vec<Row>)],
-    ablation: Option<&ResidualAblation>,
-) -> String {
-    render_report_full(budget_ms, seeds, families, ablation, &[], None, &[], 0, &[])
-}
-
-/// [`render_report`] with the portfolio probe, dynamic-rows ablation,
-/// ParLS and parallel-exact (par_bb) sections included.
-#[allow(clippy::too_many_arguments)]
-pub fn render_report_full(
-    budget_ms: u64,
-    seeds: u64,
-    families: &[(String, Vec<Row>)],
-    ablation: Option<&ResidualAblation>,
-    portfolio: &[PortfolioProbe],
-    dynamic_rows: Option<&DynamicRowsAblation>,
-    parls: &[ParlsProbe],
-    parls_workers: usize,
-    par_bb: &[ParBbProbe],
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"budget_ms\": {},", budget_ms);
-    let _ = writeln!(out, "  \"seeds\": {},", seeds);
-    out.push_str("  \"families\": [\n");
-    for (fi, (family, rows)) in families.iter().enumerate() {
-        let _ = writeln!(out, "    {{\"family\": \"{}\", \"instances\": [", escape(family));
-        for (ri, row) in rows.iter().enumerate() {
-            let _ =
-                write!(out, "      {{\"instance\": \"{}\", \"cells\": [", escape(&row.instance));
-            for (ci, (kind, cell)) in SolverKind::ALL.iter().zip(row.cells.iter()).enumerate() {
-                if ci > 0 {
-                    out.push_str(", ");
-                }
-                let cost = match cell.best_cost {
-                    Some(c) => c.to_string(),
-                    None => "null".to_string(),
-                };
-                let _ = write!(
-                    out,
-                    "{{\"solver\": \"{}\", \"status\": \"{}\", \"cost\": {}, \
-                     \"time_ms\": {:.3}, \"nodes\": {}, \"lb_calls\": {}, \
-                     \"lb_time_ms\": {:.3}, \"sub_time_ms\": {:.3}}}",
-                    kind.name(),
-                    cell.status,
-                    cost,
-                    ms(cell.stats.solve_time),
-                    cell.stats.decisions,
-                    cell.stats.lb_calls,
-                    ms(cell.stats.lb_time_total),
-                    ms(cell.stats.sub_time_total),
-                );
-            }
-            let comma = if ri + 1 < rows.len() { "," } else { "" };
-            let _ = writeln!(out, "]}}{comma}");
-        }
-        let comma = if fi + 1 < families.len() { "," } else { "" };
-        let _ = writeln!(out, "    ]}}{comma}");
-    }
-    out.push_str("  ],\n");
-    if portfolio.is_empty() {
-        out.push_str("  \"portfolio\": null,\n");
-    } else {
-        write_portfolio(&mut out, portfolio);
-    }
-    if parls.is_empty() {
-        out.push_str("  \"parls\": null,\n");
-    } else {
-        write_parls(&mut out, parls, parls_workers);
-    }
-    if par_bb.is_empty() {
-        out.push_str("  \"par_bb\": null,\n");
-    } else {
-        write_par_bb(&mut out, par_bb);
-    }
-    match dynamic_rows {
-        Some(d) => {
-            out.push_str("  \"dynamic_rows\": {\n");
-            let _ = writeln!(out, "    \"instance\": \"{}\",", escape(&d.instance));
-            let _ = writeln!(out, "    \"lb_method\": \"{}\",", d.lb_method);
-            out.push_str("    \"off\": ");
-            d.off.write(&mut out);
-            out.push_str(",\n    \"on\": ");
-            d.on.write(&mut out);
-            out.push_str("\n  },\n");
-        }
-        None => out.push_str("  \"dynamic_rows\": null,\n"),
-    }
-    match ablation {
-        Some(a) => {
-            out.push_str("  \"residual_ablation\": {\n");
-            let _ = writeln!(out, "    \"instance\": \"{}\",", escape(&a.instance));
-            let _ = writeln!(out, "    \"lb_method\": \"{}\",", a.lb_method);
-            out.push_str("    \"rebuild\": ");
-            a.rebuild.write(&mut out);
-            out.push_str(",\n    \"incremental\": ");
-            a.incremental.write(&mut out);
-            // JSON has no Infinity/NaN literal: a degenerate measurement
-            // (e.g. zero lower-bound calls within budget) becomes null.
-            let speedup = a.maintenance_speedup();
-            if speedup.is_finite() {
-                let _ = writeln!(out, ",\n    \"maintenance_speedup\": {speedup:.2}");
-            } else {
-                let _ = writeln!(out, ",\n    \"maintenance_speedup\": null");
-            }
-            out.push_str("  }\n");
-        }
-        None => {
-            out.push_str("  \"residual_ablation\": null\n");
-        }
-    }
-    out.push_str("}\n");
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parse::{parse, serialize};
     use crate::{family_instances, run_table};
     use pbo_solver::Budget;
 
+    fn side(lb_calls: u64, sub_time: Duration) -> AblationSide {
+        AblationSide { lb_calls, sub_time, lb_time: Duration::from_micros(500), decisions: 120 }
+    }
+
     #[test]
     fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("plain"), "plain");
+        let report =
+            Report { families: vec![("a\"b\\c\nd".into(), Vec::new())], ..Report::default() };
+        let text = serialize(&report.to_json());
+        assert!(text.contains(r#""family": "a\"b\\c\nd""#), "{text}");
+        assert_eq!(parse(&text).unwrap(), report.to_json());
     }
 
     #[test]
     fn report_is_parseable_shape() {
         let insts = family_instances("synthesis", 1);
         let rows = run_table(&insts, Budget::conflict_limit(5));
-        let ablation = ResidualAblation {
-            instance: "synthesis-0".into(),
-            lb_method: "mis",
-            rebuild: AblationSide {
-                lb_calls: 100,
-                sub_time: Duration::from_micros(900),
-                lb_time: Duration::from_micros(500),
-                decisions: 120,
-            },
-            incremental: AblationSide {
-                lb_calls: 100,
-                sub_time: Duration::from_micros(100),
-                lb_time: Duration::from_micros(500),
-                decisions: 120,
-            },
+        let report = Report {
+            budget_ms: 5000,
+            seeds: 1,
+            families: vec![("synthesis".into(), rows)],
+            residual_ablation: Some(ResidualAblation {
+                instance: "synthesis-0".into(),
+                lb_method: "mis",
+                rebuild: side(100, Duration::from_micros(900)),
+                incremental: side(100, Duration::from_micros(100)),
+            }),
+            ..Report::default()
         };
-        let text = render_report(5000, 1, &[("synthesis".into(), rows)], Some(&ablation));
-        // Structural smoke checks (no JSON parser in the workspace).
-        assert!(text.starts_with("{\n"));
-        assert!(text.trim_end().ends_with('}'));
-        assert!(text.contains("\"residual_ablation\""));
-        assert!(text.contains("\"maintenance_speedup\": 9.00"));
-        assert!(text.contains("\"solver\": \"LPR\""));
-        assert_eq!(text.matches("\"instance\"").count(), 2);
-        // Balanced braces and brackets.
-        let opens = text.matches('{').count();
-        let closes = text.matches('}').count();
-        assert_eq!(opens, closes);
-        assert_eq!(text.matches('[').count(), text.matches(']').count());
+        let v = parse(&serialize(&report.to_json())).unwrap();
+        assert_eq!(v, report.to_json());
+        let ablation = v.get("residual_ablation").unwrap();
+        assert_eq!(ablation.get("maintenance_speedup").and_then(JsonValue::as_f64), Some(9.0));
+        assert_eq!(
+            ablation.get("rebuild").unwrap().get("sub_ns_per_call").unwrap().as_f64(),
+            Some(9000.0)
+        );
+        let family = &v.get("families").unwrap().items().unwrap()[0];
+        let cells = family.get("instances").unwrap().items().unwrap()[0].get("cells").unwrap();
+        let solvers: Vec<_> = cells
+            .items()
+            .unwrap()
+            .iter()
+            .map(|c| c.get("solver").unwrap().as_str().unwrap())
+            .collect();
+        assert_eq!(solvers, SolverKind::ALL.map(SolverKind::name));
+        for section in ["portfolio", "parls", "par_bb", "dynamic_rows"] {
+            assert_eq!(v.get(section), Some(&JsonValue::Null), "{section}");
+        }
     }
 
     #[test]
     fn speedup_of_zero_incremental_cost_is_infinite() {
-        let side = |ns: u64| AblationSide {
-            lb_calls: 10,
-            sub_time: Duration::from_nanos(ns * 10),
-            lb_time: Duration::ZERO,
-            decisions: 10,
-        };
         let a = ResidualAblation {
             instance: "x".into(),
             lb_method: "mis",
-            rebuild: side(500),
-            incremental: side(0),
+            rebuild: side(10, Duration::from_nanos(5000)),
+            incremental: side(10, Duration::ZERO),
         };
         assert!(a.maintenance_speedup().is_infinite());
         // JSON has no Infinity literal: the report must degrade to null.
-        let text = render_report(100, 1, &[], Some(&a));
+        let text = serialize(&Report { residual_ablation: Some(a), ..Report::default() }.to_json());
         assert!(text.contains("\"maintenance_speedup\": null"), "{text}");
         assert!(!text.contains("inf"), "{text}");
     }

@@ -13,10 +13,12 @@
 //!   paper-style textual table (times for solved instances, `ub <v>` at
 //!   budget exhaustion, a `#Solved` summary row).
 //!
-//! The `table1` binary drives everything:
+//! The `table1` binary drives everything and writes one [`json::Report`];
+//! `bench_compare` checks it against [`gates`] and baseline snapshots:
 //!
 //! ```text
 //! cargo run --release -p pbo-bench --bin table1 -- --family all --timeout-ms 5000
+//! cargo run --release -p pbo-bench --bin bench_compare -- <baseline.json>... BENCH_table1.json
 //! ```
 
 #![forbid(unsafe_code)]
@@ -36,13 +38,14 @@ use pbo_solver::{
 };
 
 pub mod compare;
+pub mod gates;
 pub mod json;
 pub mod parse;
 
 pub use json::{
     summarize_par_bb, summarize_parls, summarize_portfolio, AblationSide, DynRowsSide,
-    DynamicRowsAblation, ParBbProbe, ParBbRun, ParBbSummary, ParlsProbe, ParlsSummary,
-    PortfolioProbe, PortfolioSummary, ResidualAblation,
+    DynamicRowsAblation, ParBbProbe, ParBbRun, ParlsProbe, PortfolioProbe, Report,
+    ResidualAblation,
 };
 
 /// One column of Table 1.

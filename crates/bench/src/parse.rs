@@ -1,15 +1,15 @@
-//! A minimal JSON reader for the benchmark-comparison tooling.
+//! The report model: one JSON value tree, read and written here.
 //!
-//! The workspace builds offline with no serde; `bench_compare` only needs
-//! to *read back* the reports this crate itself writes, so a small
-//! recursive-descent parser over a value enum is plenty. It accepts
-//! standard JSON (objects, arrays, strings with the escapes
-//! [`crate::json::escape`] emits, numbers, booleans, null) and rejects
-//! anything else with a byte offset.
+//! The workspace builds offline with no serde. `BENCH_table1.json` is
+//! built as a [`JsonValue`] tree ([`crate::json::Report::to_json`]),
+//! written by [`serialize`] and read back by [`parse`], so the writer and
+//! the gates of [`crate::gates`] share one schema. The reader accepts
+//! standard JSON (objects, arrays, strings, numbers, booleans, null) and
+//! rejects anything else with a byte offset.
 
 use std::collections::BTreeMap;
 
-/// A parsed JSON value.
+/// A JSON value: the report model, parsed from text or built in code.
 #[derive(Clone, PartialEq, Debug)]
 pub enum JsonValue {
     /// `null`.
@@ -27,6 +27,11 @@ pub enum JsonValue {
 }
 
 impl JsonValue {
+    /// An object with the given members.
+    pub(crate) fn object<'a>(members: impl IntoIterator<Item = (&'a str, JsonValue)>) -> JsonValue {
+        JsonValue::Object(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
     /// Member access for objects; `None` otherwise.
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
@@ -66,6 +71,108 @@ impl JsonValue {
             _ => None,
         }
     }
+}
+
+macro_rules! from_scalar {
+    ($($t:ty => |$x:ident| $value:expr,)*) => {$(
+        impl From<$t> for JsonValue {
+            fn from($x: $t) -> JsonValue {
+                $value
+            }
+        }
+    )*};
+}
+
+from_scalar! {
+    bool => |b| JsonValue::Bool(b),
+    i64 => |x| JsonValue::Number(x as f64),
+    u64 => |x| JsonValue::Number(x as f64),
+    usize => |x| JsonValue::Number(x as f64),
+    &str => |s| JsonValue::String(s.to_string()),
+    // JSON has no literal for infinities or NaN.
+    f64 => |x| if x.is_finite() { JsonValue::Number(x) } else { JsonValue::Null },
+}
+
+/// `None` is `null`.
+impl<T: Into<JsonValue>> From<Option<T>> for JsonValue {
+    fn from(v: Option<T>) -> JsonValue {
+        v.map_or(JsonValue::Null, Into::into)
+    }
+}
+
+impl FromIterator<JsonValue> for JsonValue {
+    fn from_iter<I: IntoIterator<Item = JsonValue>>(items: I) -> JsonValue {
+        JsonValue::Array(items.into_iter().collect())
+    }
+}
+
+/// Writes a value as JSON text that [`parse`] reads back to the same
+/// value, with a final newline. A non-finite number is written as `null`.
+/// A container with an object nested anywhere inside it is laid out one
+/// member per line; any other container stays on one line.
+pub fn serialize(value: &JsonValue) -> String {
+    let mut out = String::new();
+    write_value(&mut out, value, 0);
+    out.push('\n');
+    out
+}
+
+fn write_value(out: &mut String, value: &JsonValue, depth: usize) {
+    let (brackets, members): (_, Vec<(Option<&str>, &JsonValue)>) = match value {
+        JsonValue::Array(items) => ("[]", items.iter().map(|v| (None, v)).collect()),
+        JsonValue::Object(map) => ("{}", map.iter().map(|(k, v)| (Some(k.as_str()), v)).collect()),
+        JsonValue::String(s) => return write_string(out, s),
+        JsonValue::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
+        JsonValue::Number(x) if x.is_finite() => return out.push_str(&x.to_string()),
+        JsonValue::Number(_) | JsonValue::Null => return out.push_str("null"),
+    };
+    let expand = holds_object(value);
+    let newline = |out: &mut String, depth| out.push_str(&format!("\n{}", "  ".repeat(depth)));
+    out.push_str(&brackets[..1]);
+    for (i, (key, member)) in members.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(if expand { "," } else { ", " });
+        }
+        if expand {
+            newline(out, depth + 1);
+        }
+        if let Some(key) = key {
+            write_string(out, key);
+            out.push_str(": ");
+        }
+        write_value(out, member, depth + 1);
+    }
+    if expand {
+        newline(out, depth);
+    }
+    out.push_str(&brackets[1..]);
+}
+
+/// Whether an object is nested anywhere inside `value`.
+fn holds_object(value: &JsonValue) -> bool {
+    let nested = |v: &JsonValue| matches!(v, JsonValue::Object(_)) || holds_object(v);
+    match value {
+        JsonValue::Array(items) => items.iter().any(nested),
+        JsonValue::Object(map) => map.values().any(nested),
+        _ => false,
+    }
+}
+
+/// Writes a JSON string, escaping quotes, backslashes and control chars.
+fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Error with the byte offset where parsing failed.
@@ -260,7 +367,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -290,18 +397,74 @@ mod tests {
 
     #[test]
     fn roundtrips_own_reports() {
-        use crate::json::escape;
-        let text = format!("{{\"k\": \"{}\"}}", escape("a\"b\\c\nd"));
-        let v = parse(&text).unwrap();
-        assert_eq!(v.get("k").unwrap().as_str(), Some("a\"b\\c\nd"));
+        let v = JsonValue::object([
+            ("k", "a\"b\\c\nd\u{1}".into()),
+            ("n", JsonValue::Number(-0.125)),
+            (
+                "deep",
+                JsonValue::object([("xs", vec![1u64, 2].into_iter().map(Into::into).collect())]),
+            ),
+        ]);
+        let text = serialize(&v);
+        assert!(text.contains(r#""k": "a\"b\\c\nd\u0001""#), "{text}");
+        assert_eq!(parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn non_finite_numbers_serialize_as_null() {
+        for x in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            assert_eq!(JsonValue::from(x), JsonValue::Null);
+            assert_eq!(serialize(&JsonValue::Array(vec![JsonValue::Number(x)])), "[null]\n");
+        }
+    }
+
+    #[test]
+    fn containers_expand_only_around_objects() {
+        let v = JsonValue::object([
+            (
+                "row",
+                JsonValue::object([
+                    ("a", 1u64.into()),
+                    ("b", vec![1u64.into()].into_iter().collect()),
+                ]),
+            ),
+            ("empty", JsonValue::Array(Vec::new())),
+        ]);
+        assert_eq!(serialize(&v), "{\n  \"empty\": [],\n  \"row\": {\"a\": 1, \"b\": [1]}\n}\n");
+    }
+
+    /// The committed report and the snapshots `bench_compare` gates it
+    /// against, by path from the repository root.
+    pub(crate) const COMMITTED: [&str; 4] = [
+        "BENCH_table1.json",
+        "benches/snapshots/BENCH_table1_pr7.json",
+        "benches/snapshots/BENCH_table1_pr8.json",
+        "benches/snapshots/BENCH_table1_pr10.json",
+    ];
+
+    /// Reads a committed report (a path from the repository root).
+    pub(crate) fn committed(path: &str) -> JsonValue {
+        let full = format!("{}/../../{path}", env!("CARGO_MANIFEST_DIR"));
+        parse(&std::fs::read_to_string(&full).expect("committed report")).expect("valid JSON")
+    }
+
+    /// The committed report and its baselines survive a write/read cycle
+    /// unchanged.
+    #[test]
+    fn serialize_round_trips_committed_reports() {
+        for path in COMMITTED {
+            let v = committed(path);
+            assert_eq!(parse(&serialize(&v)).unwrap(), v, "{path}");
+        }
     }
 
     #[test]
     fn parses_a_real_rendered_report() {
-        use crate::json::render_report;
-        let report = render_report(100, 1, &[], None);
-        let v = parse(&report).unwrap();
+        use crate::json::Report;
+        let report = Report { budget_ms: 100, seeds: 1, ..Report::default() };
+        let v = parse(&serialize(&report.to_json())).unwrap();
         assert_eq!(v.get("budget_ms").and_then(JsonValue::as_f64), Some(100.0));
         assert_eq!(v.get("portfolio"), Some(&JsonValue::Null));
+        assert_eq!(v, report.to_json());
     }
 }

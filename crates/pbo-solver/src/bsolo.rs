@@ -48,7 +48,7 @@ use pbo_ls::IncumbentCell;
 use pbo_trace::{TraceEvent, Tracer};
 
 use crate::cuts::CostCuts;
-use crate::options::{Branching, BsoloOptions, LbMethod};
+use crate::options::{BsoloOptions, LbMethod};
 use crate::pipeline::BoundPipeline;
 use crate::preprocess::{probe, ProbeOutcome};
 use crate::result::{SolveResult, SolveStatus, SolverStats};
@@ -948,30 +948,30 @@ impl<'a> SearchState<'a> {
         SolutionStep::Continue
     }
 
-    /// Branch selection (sec. 5): LP-guided when available, else VSIDS
-    /// with saved phases.
+    /// Branch selection (sec. 5): LP-guided exactly when the bound is
+    /// LPR — the fractional LP variable closest to 0.5 — else, or when
+    /// the last relaxation has no fractional free variable, VSIDS with
+    /// saved phases.
     fn pick_branch(&mut self) -> Option<Lit> {
-        if self.options.branching == Branching::LpGuided {
-            if let Some(lpr) = self.pipeline.lpr() {
-                let x = lpr.last_solution();
-                let mut best: Option<(Var, f64)> = None;
-                for (v, &frac) in x.iter().enumerate().take(self.instance.num_vars()) {
-                    let var = Var::new(v);
-                    if self.engine.assignment().value(var) != Value::Unassigned {
-                        continue;
-                    }
-                    if frac <= 1e-6 || frac >= 1.0 - 1e-6 {
-                        continue;
-                    }
-                    let dist = (frac - 0.5).abs();
-                    if best.is_none_or(|(_, d)| dist < d - 1e-12) {
-                        best = Some((var, dist));
-                    }
+        if let Some(lpr) = self.pipeline.lpr() {
+            let x = lpr.last_solution();
+            let mut best: Option<(Var, f64)> = None;
+            for (v, &frac) in x.iter().enumerate().take(self.instance.num_vars()) {
+                let var = Var::new(v);
+                if self.engine.assignment().value(var) != Value::Unassigned {
+                    continue;
                 }
-                if let Some((var, _)) = best {
-                    let frac = x[var.index()];
-                    return Some(var.lit(frac > 0.5));
+                if frac <= 1e-6 || frac >= 1.0 - 1e-6 {
+                    continue;
                 }
+                let dist = (frac - 0.5).abs();
+                if best.is_none_or(|(_, d)| dist < d - 1e-12) {
+                    best = Some((var, dist));
+                }
+            }
+            if let Some((var, _)) = best {
+                let frac = x[var.index()];
+                return Some(var.lit(frac > 0.5));
             }
         }
         let var = self.engine.pick_branch_var()?;

@@ -68,7 +68,7 @@ pub use bsolo::Bsolo;
 pub use cuts::{cardinality_cost_cuts, cost_cuts, knapsack_cut};
 pub use linear_search::{LinearSearch, LinearSearchOptions};
 pub use milp::{MilpOptions, MilpSolver};
-pub use options::{Branching, BsoloOptions, Budget, LbMethod, ResidualMode, SolveStrategy};
+pub use options::{BsoloOptions, Budget, LbMethod, ResidualMode, SolveStrategy};
 pub use par::{Cube, CubeSplitter, ParBsolo, SplitOutcome};
 pub use portfolio::{
     diversified_options, run_pool_steps, IncumbentCell, LocalSearch, LsOptions, LsResult, LsStats,
@@ -81,7 +81,7 @@ pub use result::{
 pub use share::{ClausePool, PoolHandle, PoolWatermarks, SharedClause};
 
 #[cfg(test)]
-mod ladder_tests;
+mod method_bucket_tests;
 #[cfg(test)]
 mod solver_tests;
 #[cfg(test)]

@@ -1,8 +1,9 @@
-//! Accounting tests for the bound ladder — the four fixed bounding
-//! methods in ascending strength (plain, MIS, LGR, LPR), one
-//! [`SolverStats::lb_methods`] bucket per rung. Each pipeline is driven
-//! directly down a decision prefix, below the search loop, so a bucket
-//! that drifts from the global counters is caught at its charge site.
+//! Per-method bucket reconciliation: each of the four bounding methods
+//! (plain, MIS, LGR, LPR) charges its own [`SolverStats::lb_methods`]
+//! bucket, and the buckets sum to the global bound counters. Each
+//! pipeline is driven directly down a decision prefix, below the search
+//! loop, so a bucket that drifts from the global counters is caught at
+//! its charge site.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -64,16 +65,16 @@ fn drive(inst: &Instance, method: LbMethod, mode: ResidualMode) -> (usize, Solve
     (uppers.len(), stats)
 }
 
-/// Every rung charges exactly its own bucket, once per `compute` call,
-/// and the bucket totals sum to the global `lb_calls` / `lb_time_total`
-/// in both residual modes.
+/// Every method charges exactly its own bucket, once per `compute`
+/// call, and the bucket totals sum to the global `lb_calls` /
+/// `lb_time_total` in both residual modes.
 #[test]
-fn ladder_buckets_reconcile_with_global_counters() {
-    let rungs = [LbMethod::None, LbMethod::Mis, LbMethod::Lagrangian, LbMethod::Lpr];
+fn method_buckets_reconcile_with_global_counters() {
+    let methods = [LbMethod::None, LbMethod::Mis, LbMethod::Lagrangian, LbMethod::Lpr];
     let mut rng = ChaCha8Rng::seed_from_u64(0xadb4);
     for round in 0..8 {
         let inst = covering_instance(&mut rng);
-        for (rung, &method) in rungs.iter().enumerate() {
+        for (own_bucket, &method) in methods.iter().enumerate() {
             for mode in [ResidualMode::Incremental, ResidualMode::Rebuild] {
                 let label = format!("round {round}, {} ({mode:?})", method.name());
                 let (n_calls, stats) = drive(&inst, method, mode);
@@ -83,7 +84,7 @@ fn ladder_buckets_reconcile_with_global_counters() {
                 let time: std::time::Duration = stats.lb_methods.iter().map(|m| m.time_total).sum();
                 assert_eq!(time, stats.lb_time_total, "{label}: bucket time drifted");
                 for (i, bucket) in stats.lb_methods.iter().enumerate() {
-                    let want = if i == rung { stats.lb_calls } else { 0 };
+                    let want = if i == own_bucket { stats.lb_calls } else { 0 };
                     assert_eq!(bucket.calls, want, "{label}: bucket {i} calls");
                     assert!(bucket.prunes <= bucket.calls, "{label}: bucket {i} prunes");
                 }

@@ -1,4 +1,4 @@
-//! Solver configuration: lower-bound method, branching, cuts, budgets.
+//! Solver configuration: lower-bound method, cuts, budgets.
 
 use std::time::Duration;
 
@@ -51,18 +51,6 @@ impl ResidualMode {
             ResidualMode::Incremental => "incremental",
         }
     }
-}
-
-/// Branching variable selection.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub enum Branching {
-    /// VSIDS activity (Chaff), the SAT default.
-    Vsids,
-    /// LP-guided (sec. 5): branch on the fractional LP variable closest
-    /// to 0.5, VSIDS tie-break; falls back to VSIDS when no LP solution
-    /// is available. Only effective together with [`LbMethod::Lpr`].
-    #[default]
-    LpGuided,
 }
 
 /// How the portfolio driver combines the stochastic local search with
@@ -148,10 +136,10 @@ impl Budget {
 /// Configuration of the bsolo branch-and-bound solver.
 #[derive(Clone, Debug)]
 pub struct BsoloOptions {
-    /// Lower-bound procedure (sec. 3).
+    /// Lower-bound procedure (sec. 3). It also picks the branching
+    /// heuristic (sec. 5): LP-guided under [`LbMethod::Lpr`], whose
+    /// relaxation supplies the fractional solution, VSIDS otherwise.
     pub lb_method: LbMethod,
-    /// Branching heuristic (sec. 5).
-    pub branching: Branching,
     /// Learn bound-conflict clauses and backtrack non-chronologically
     /// (sec. 4). When disabled, bound conflicts backtrack chronologically
     /// — the ablation of the paper's central claim.
@@ -227,7 +215,6 @@ impl Default for BsoloOptions {
     fn default() -> BsoloOptions {
         BsoloOptions {
             lb_method: LbMethod::Lpr,
-            branching: Branching::LpGuided,
             bound_conflict_learning: true,
             knapsack_cuts: true,
             cardinality_cuts: true,
@@ -249,9 +236,7 @@ impl Default for BsoloOptions {
 impl BsoloOptions {
     /// The configuration matching one Table 1 column.
     pub fn with_lb(lb_method: LbMethod) -> BsoloOptions {
-        let branching =
-            if lb_method == LbMethod::Lpr { Branching::LpGuided } else { Branching::Vsids };
-        BsoloOptions { lb_method, branching, ..BsoloOptions::default() }
+        BsoloOptions { lb_method, ..BsoloOptions::default() }
     }
 
     /// Builder-style budget override.
@@ -275,10 +260,18 @@ mod tests {
         assert!(!Budget::unlimited().exhausted(Duration::from_secs(3600), u64::MAX - 1, 1));
     }
 
+    /// Branching follows the bound (LP-guided exactly under LPR), so
+    /// `with_lb` sets the bound and leaves every other field at its
+    /// default: no second knob needs pairing with it.
     #[test]
     fn with_lb_pairs_branching() {
-        assert_eq!(BsoloOptions::with_lb(LbMethod::Lpr).branching, Branching::LpGuided);
-        assert_eq!(BsoloOptions::with_lb(LbMethod::Mis).branching, Branching::Vsids);
+        let default = format!("{:?}", BsoloOptions::default());
+        for method in [LbMethod::None, LbMethod::Mis, LbMethod::Lagrangian, LbMethod::Lpr] {
+            let options = BsoloOptions::with_lb(method);
+            assert_eq!(options.lb_method, method);
+            let rest = BsoloOptions { lb_method: LbMethod::Lpr, ..options };
+            assert_eq!(format!("{rest:?}"), default, "{method:?}");
+        }
     }
 
     #[test]

@@ -60,6 +60,15 @@ const CONCURRENT_CHUNK_STEPS: u64 = 16_384;
 /// between chunks, so the phase ends within one chunk of the limit.
 const SEED_CHUNK_STEPS: u64 = 8_192;
 
+/// Adaptive seeding split: the LS phase ends once this many steps pass
+/// without a verified improvement, handing the remaining budget to the
+/// branch-and-bound instead of burning the whole static share on a
+/// stagnant walk. Step-based, so a step-bounded seeding phase stays
+/// deterministic. One chunk was measured and rejected: it sped up
+/// covering instances but handed grout a worse upper bound, its walk
+/// still improving after one stagnant chunk.
+const LS_STAGNATION_STEPS: u64 = 3 * SEED_CHUNK_STEPS;
+
 /// Configuration of the [`Portfolio`] driver.
 #[derive(Clone, Debug)]
 pub struct PortfolioOptions {
@@ -75,12 +84,6 @@ pub struct PortfolioOptions {
     /// budget is imposed when none is set); in `Concurrent` mode the LS
     /// thread runs until the exact side finishes.
     pub ls: LsOptions,
-    /// Adaptive seeding split: end the LS phase once this many steps
-    /// pass without a verified improvement, handing the remaining budget
-    /// to the branch-and-bound — instead of burning the whole static
-    /// share on a stagnant walk. Step-based, so a step-bounded seeding
-    /// phase stays deterministic.
-    pub ls_stagnation_steps: u64,
     /// Number of local-search worker threads in
     /// [`SolveStrategy::Concurrent`] mode (ParLS-PBO-style diversified
     /// pool: worker 0 runs [`PortfolioOptions::ls`] verbatim, later
@@ -134,7 +137,6 @@ impl Default for PortfolioOptions {
             strategy: SolveStrategy::default(),
             bsolo: BsoloOptions::default(),
             ls: LsOptions::default(),
-            ls_stagnation_steps: 3 * SEED_CHUNK_STEPS,
             ls_threads: 1,
             bb_threads: 1,
         }
@@ -231,7 +233,7 @@ impl Portfolio {
 
     /// Sequential mode: a bounded LS phase, then B&B on what's left of
     /// the wall-clock budget. The phase ends early on stagnation (no
-    /// verified improvement for `ls_stagnation_steps` steps), so a
+    /// verified improvement for `LS_STAGNATION_STEPS` steps), so a
     /// converged walk hands its unused share straight to the B&B.
     fn solve_ls_seeded(
         &self,
@@ -274,7 +276,7 @@ impl Portfolio {
             } else {
                 stagnant += advanced;
             }
-            if stagnant >= self.options.ls_stagnation_steps
+            if stagnant >= LS_STAGNATION_STEPS
                 || ls.stats.steps >= max_steps
                 || deadline.is_some_and(|d| Instant::now() >= d)
             {

@@ -148,13 +148,6 @@ fn ablation_toggles_preserve_correctness() {
                 },
             ),
             ("no-probing", BsoloOptions { probing: false, ..BsoloOptions::with_lb(LbMethod::Mis) }),
-            (
-                "vsids-branching",
-                BsoloOptions {
-                    branching: crate::Branching::Vsids,
-                    ..BsoloOptions::with_lb(LbMethod::Lpr)
-                },
-            ),
             ("lpr", BsoloOptions::with_lb(LbMethod::Lpr)),
             (
                 "dynamic-rows-mis",

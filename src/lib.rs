@@ -54,9 +54,8 @@ pub use pbo_core::{
     ParseOpbError, PbConstraint, PbTerm, RelOp, Value, Var,
 };
 pub use pbo_solver::{
-    Branching, Bsolo, BsoloOptions, Budget, IncumbentCell, LbMethod, LinearSearch, LocalSearch,
-    LsOptions, MilpSolver, Portfolio, PortfolioOptions, SolveResult, SolveStatus, SolveStrategy,
-    SolverStats,
+    Bsolo, BsoloOptions, Budget, IncumbentCell, LbMethod, LinearSearch, LocalSearch, LsOptions,
+    MilpSolver, Portfolio, PortfolioOptions, SolveResult, SolveStatus, SolveStrategy, SolverStats,
 };
 
 // The underlying crates, for users needing full access.
