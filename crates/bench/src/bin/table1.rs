@@ -17,8 +17,8 @@ use std::io::Write as _;
 use pbo_bench::parse::serialize;
 use pbo_bench::{
     budget_ms, family_instances, format_table, run_dynamic_rows_ablation, run_par_bb_probe,
-    run_parls_probe, run_portfolio_probe, run_residual_ablation, run_table, summarize_par_bb,
-    summarize_parls, summarize_portfolio, Report, FAMILIES,
+    run_portfolio_probe, run_residual_ablation, run_table, summarize_par_bb, summarize_portfolio,
+    Report, FAMILIES,
 };
 use pbo_solver::LbMethod;
 
@@ -153,27 +153,6 @@ fn main() {
     }
     print!("summary: {}", serialize(&summarize_portfolio(&probes)));
 
-    // ParLS ablation: one deterministic LS worker vs a diversified
-    // 4-worker pool under the same per-worker step budget, gaps against
-    // the targets the portfolio probe already solved for.
-    const PARLS_WORKERS: usize = 4;
-    let parls_targets: Vec<Option<i64>> = probes.iter().map(|p| p.target_cost).collect();
-    let parls = run_parls_probe(&probe_instances, &parls_targets, 50_000, PARLS_WORKERS);
-    println!();
-    println!("== parls ablation (synthesis, {PARLS_WORKERS} workers) ==");
-    for p in &parls {
-        println!(
-            "{:<24} target {:>5} | single {:>5} ({}) | pool {:>5} ({})",
-            p.instance,
-            p.target_cost.map_or("-".into(), |c| c.to_string()),
-            p.single_cost.map_or("-".into(), |c| c.to_string()),
-            p.single_gap.map_or("-".into(), |g| format!("{:.1}%", g * 100.0)),
-            p.pool_cost.map_or("-".into(), |c| c.to_string()),
-            p.pool_gap.map_or("-".into(), |g| format!("{:.1}%", g * 100.0)),
-        );
-    }
-    print!("summary: {}", serialize(&summarize_parls(&parls)));
-
     // Parallel-exact scaling probe: the cube-split pool at 1/2/4/8
     // workers on the two hardest synthesis seeds — ranked by sequential
     // tree size over a wider seed pool, because parallel search only
@@ -223,8 +202,6 @@ fn main() {
         residual_ablation: Some(ablation),
         dynamic_rows: Some(dyn_rows),
         portfolio: probes,
-        parls,
-        parls_workers: PARLS_WORKERS,
         par_bb,
     };
     match json_file.write_all(serialize(&report.to_json()).as_bytes()) {

@@ -43,11 +43,9 @@ pub enum Check {
     Equals(f64),
     /// A number `<` the number at the path.
     Below(&'static str),
-    /// A number `<=` the number at the path; holds when that is `null`.
-    AtMostIfSet(&'static str),
 }
 
-use Check::{AtLeast, AtMost, AtMostIfSet, Below, Equals, True};
+use Check::{AtLeast, AtMost, Below, Equals, True};
 
 const fn gate(name: &'static str, value: &'static str, check: Check) -> ReportGate {
     ReportGate { name, value, check }
@@ -90,18 +88,6 @@ pub const REPORT_GATES: &[ReportGate] = &[
         "dynamic rows: fewer nodes with rows on",
         "dynamic_rows.on.decisions",
         Below("dynamic_rows.off.decisions"),
-    ),
-    // A diversified 4-worker LS pool must never be worse than the single
-    // worker (worker 0 replays the single run; the pool takes the min),
-    // and its gap must clear the same 5% bar the single-LS gate uses
-    // (local reference: the pool strictly improves the two harder
-    // synthesis seeds).
-    gate("parls: pool never worse", "parls.summary.pool_never_worse", True),
-    gate("parls: worst pool gap", "parls.summary.max_pool_gap", AtMost(0.05)),
-    gate(
-        "parls: pool gap within single gap",
-        "parls.summary.max_pool_gap",
-        AtMostIfSet("parls.summary.max_single_gap"),
     ),
     // Parallel-exact scaling: the cube-split pool at every probed worker
     // count {1, 2, 4, 8} vs its own 1-worker run (the sequential solver,
@@ -205,18 +191,15 @@ impl ReportGate {
             AtMost(b) => ("<=", f64::le, Ok(Some(b))),
             Equals(b) => ("==", f64::eq, Ok(Some(b))),
             Below(path) => ("<", f64::lt, number(report, path)),
-            AtMostIfSet(path) => ("<=", f64::le, number(report, path)),
         };
-        let skipped = matches!((self.check, &limit), (AtMostIfSet(_), Ok(None)));
         let value = number(report, self.value);
-        let passed = skipped || matches!((&value, &limit), (Ok(Some(v)), Ok(Some(b))) if cmp(v, b));
+        let passed = matches!((&value, &limit), (Ok(Some(v)), Ok(Some(b))) if cmp(v, b));
         let shown = |x: Result<Option<f64>, String>| match x {
             Ok(Some(x)) => show(x),
             Ok(None) => "null".to_string(),
             Err(e) => e,
         };
-        let note = if skipped { ": skipped" } else { "" };
-        let reading = format!("{} (gate {op} {}{note})", shown(value), shown(limit));
+        let reading = format!("{} (gate {op} {})", shown(value), shown(limit));
         Verdict { gate: *self, reading, passed }
     }
 
@@ -254,7 +237,7 @@ mod tests {
     /// The paths a gate reads: its value and a bound read from the report.
     fn reads(gate: &ReportGate) -> Vec<&'static str> {
         match gate.check {
-            Below(p) | AtMostIfSet(p) => vec![gate.value, p],
+            Below(p) => vec![gate.value, p],
             _ => vec![gate.value],
         }
     }
@@ -285,10 +268,6 @@ mod tests {
             AtMost(b) => JsonValue::Number(b + nudge(b)),
             Equals(b) => JsonValue::Number(b + 1.0),
             Below(p) => JsonValue::Number(number(report, p).unwrap().unwrap()),
-            AtMostIfSet(p) => {
-                let b = number(report, p).unwrap().unwrap();
-                JsonValue::Number(b + nudge(b))
-            }
         };
         let mut copy = report.clone();
         *first_mut(&mut copy, gate.value) = moved;
@@ -309,10 +288,9 @@ mod tests {
     }
 
     /// A gate's value moved just past its bound, or set to `null`, fails
-    /// that gate, and any other gate that fails reads the same value (the
-    /// worst pool gap is also the left side of "pool gap within the single
-    /// gap"). Removing the gate's section fails exactly the gates reading
-    /// that section.
+    /// that gate, and any other gate that fails reads the same value.
+    /// Removing the gate's section fails exactly the gates reading that
+    /// section.
     #[test]
     fn each_gate_fails_on_its_own_value_null_or_missing_section() {
         let report = committed(COMMITTED[0]);
@@ -342,14 +320,6 @@ mod tests {
                 names(&|g| reads(g).iter().any(|p| p.split('.').next() == Some(section)));
             assert_eq!(violated(&removed), in_section, "`{section}` removed");
         }
-    }
-
-    #[test]
-    fn a_null_single_gap_skips_the_pool_comparison() {
-        let mut report = committed(COMMITTED[0]);
-        *first_mut(&mut report, "parls.summary.max_single_gap") = JsonValue::Null;
-        *first_mut(&mut report, "parls.summary.max_pool_gap") = JsonValue::Number(0.049);
-        assert_eq!(violated(&report), Vec::<&str>::new());
     }
 
     #[test]

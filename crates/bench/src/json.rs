@@ -180,43 +180,6 @@ pub struct PortfolioProbe {
     pub anytime: Vec<(Duration, i64)>,
 }
 
-/// One instance of the parallel-LS (ParLS) probe: a single deterministic
-/// LS worker vs a diversified pool under the same per-worker step
-/// budget, gaps measured against the exact solver's cost.
-#[derive(Clone, Debug)]
-pub struct ParlsProbe {
-    /// Instance name.
-    pub instance: String,
-    /// The exact side's cost (the gap reference), if known.
-    pub target_cost: Option<i64>,
-    /// Best cost of the single worker (worker 0, base options).
-    pub single_cost: Option<i64>,
-    /// Best cost of the diversified pool (includes worker 0).
-    pub pool_cost: Option<i64>,
-    /// Relative gap of the single worker vs the target.
-    pub single_gap: Option<f64>,
-    /// Relative gap of the pool vs the target.
-    pub pool_gap: Option<f64>,
-}
-
-/// The ParLS probe's summary, the numbers its gates read: the worst
-/// single-worker and pool gaps, and whether the pool cost was `<=` the
-/// single cost on every instance (guaranteed by construction — worker 0
-/// replays the single run — and checked to catch diversification or
-/// seeding bugs).
-pub fn summarize_parls(probes: &[ParlsProbe]) -> JsonValue {
-    let never_worse = probes.iter().all(|p| match (p.pool_cost, p.single_cost) {
-        (Some(pool), Some(single)) => pool <= single,
-        (None, Some(_)) => false,
-        _ => true,
-    });
-    JsonValue::object([
-        ("max_single_gap", ratio(probes.iter().filter_map(|p| p.single_gap).reduce(f64::max))),
-        ("max_pool_gap", ratio(probes.iter().filter_map(|p| p.pool_gap).reduce(f64::max))),
-        ("pool_never_worse", never_worse.into()),
-    ])
-}
-
 /// One worker-count run of the par_bb scaling probe.
 #[derive(Clone, Debug)]
 pub struct ParBbRun {
@@ -353,24 +316,6 @@ fn portfolio_json(probes: &[PortfolioProbe]) -> JsonValue {
     ])
 }
 
-fn parls_json(probes: &[ParlsProbe], workers: usize) -> JsonValue {
-    let instances = probes.iter().map(|p| {
-        JsonValue::object([
-            ("instance", p.instance.as_str().into()),
-            ("target_cost", p.target_cost.into()),
-            ("single_cost", p.single_cost.into()),
-            ("pool_cost", p.pool_cost.into()),
-            ("single_gap", ratio(p.single_gap)),
-            ("pool_gap", ratio(p.pool_gap)),
-        ])
-    });
-    JsonValue::object([
-        ("workers", workers.into()),
-        ("instances", instances.collect()),
-        ("summary", summarize_parls(probes)),
-    ])
-}
-
 fn par_bb_json(probes: &[ParBbProbe]) -> JsonValue {
     let run_json = |r: &ParBbRun| {
         JsonValue::object([
@@ -447,10 +392,6 @@ pub struct Report {
     pub dynamic_rows: Option<DynamicRowsAblation>,
     /// The portfolio probe.
     pub portfolio: Vec<PortfolioProbe>,
-    /// The ParLS probe.
-    pub parls: Vec<ParlsProbe>,
-    /// Worker count of the ParLS pool side.
-    pub parls_workers: usize,
     /// The par_bb scaling probe.
     pub par_bb: Vec<ParBbProbe>,
 }
@@ -465,12 +406,6 @@ impl Report {
             (
                 "portfolio",
                 (!self.portfolio.is_empty()).then(|| portfolio_json(&self.portfolio)).into(),
-            ),
-            (
-                "parls",
-                (!self.parls.is_empty())
-                    .then(|| parls_json(&self.parls, self.parls_workers))
-                    .into(),
             ),
             ("par_bb", (!self.par_bb.is_empty()).then(|| par_bb_json(&self.par_bb)).into()),
             ("dynamic_rows", self.dynamic_rows.as_ref().map(DynamicRowsAblation::to_json).into()),
@@ -535,7 +470,7 @@ mod tests {
             .map(|c| c.get("solver").unwrap().as_str().unwrap())
             .collect();
         assert_eq!(solvers, SolverKind::ALL.map(SolverKind::name));
-        for section in ["portfolio", "parls", "par_bb", "dynamic_rows"] {
+        for section in ["portfolio", "par_bb", "dynamic_rows"] {
             assert_eq!(v.get(section), Some(&JsonValue::Null), "{section}");
         }
     }

@@ -43,9 +43,8 @@ pub mod json;
 pub mod parse;
 
 pub use json::{
-    summarize_par_bb, summarize_parls, summarize_portfolio, AblationSide, DynRowsSide,
-    DynamicRowsAblation, ParBbProbe, ParBbRun, ParlsProbe, PortfolioProbe, Report,
-    ResidualAblation,
+    summarize_par_bb, summarize_portfolio, AblationSide, DynRowsSide, DynamicRowsAblation,
+    ParBbProbe, ParBbRun, PortfolioProbe, Report, ResidualAblation,
 };
 
 /// One column of Table 1.
@@ -316,45 +315,6 @@ pub fn run_portfolio_probe(
                 ls_time,
                 ls_gap,
                 anytime,
-            }
-        })
-        .collect()
-}
-
-/// Runs the ParLS probe: on each instance, a single deterministic LS
-/// worker vs a diversified `workers`-strong pool under the same
-/// per-worker step budget ([`pbo_solver::run_pool_steps`]; worker 0 of
-/// the pool replays the single run verbatim, so the pool can never lose
-/// — the property the CI gate asserts). `targets[i]` is the exact
-/// solver's cost for `instances[i]` (reused from the portfolio probe so
-/// the exact side is solved once).
-pub fn run_parls_probe(
-    instances: &[Instance],
-    targets: &[Option<i64>],
-    ls_steps: u64,
-    workers: usize,
-) -> Vec<ParlsProbe> {
-    let base = LsOptions::default();
-    instances
-        .iter()
-        .zip(targets)
-        .map(|(inst, &target_cost)| {
-            let pool = pbo_solver::run_pool_steps(inst, &base, workers, ls_steps);
-            // Worker 0 of the pool runs the base options verbatim, so
-            // its result *is* the single-worker run — no second pass.
-            let single_cost = pool.worker_costs[0];
-            let gap = |cost: Option<i64>| match (cost, target_cost) {
-                (Some(l), Some(t)) if t > 0 => Some((l - t) as f64 / t as f64),
-                (Some(l), Some(t)) => Some(if l <= t { 0.0 } else { f64::INFINITY }),
-                _ => None,
-            };
-            ParlsProbe {
-                instance: inst.name().to_string(),
-                target_cost,
-                single_cost,
-                pool_cost: pool.best_cost,
-                single_gap: gap(single_cost),
-                pool_gap: gap(pool.best_cost),
             }
         })
         .collect()

@@ -2,23 +2,19 @@
 //!
 //! A [`CancelToken`] is a cheap, clonable handle shared between a solve
 //! and its caller (and between the solve's own threads). It latches
-//! three independent stop conditions into one flag:
+//! two independent stop conditions into one flag:
 //!
 //! * an **external cancel** ([`CancelToken::cancel`]) — the service
 //!   caller pulling the plug;
 //! * a **deadline** ([`CancelToken::set_deadline`]) — checked lazily by
 //!   [`CancelToken::is_cancelled`], so inner loops that poll the token
-//!   enforce wall-clock limits *inside* a node, not just between nodes;
-//! * a **soft memory ceiling** ([`CancelToken::set_mem_limit`]) over
-//!   bytes explicitly charged with [`CancelToken::charge_mem`] (shared
-//!   clause lanes, dynamic bound rows — the solve's unbounded growth
-//!   paths).
+//!   enforce wall-clock limits *inside* a node, not just between nodes.
 //!
-//! Once any condition trips, the flag stays set: every poll site sees
+//! Once either condition trips, the flag stays set: every poll site sees
 //! the same answer and the solve tears down in bounded time with its
 //! best verified incumbent intact.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -43,19 +39,11 @@ use std::time::{Duration, Instant};
 pub struct CancelToken {
     /// The latch itself, handed out raw to dependency-free pollers.
     flag: Arc<AtomicBool>,
-    inner: Arc<Inner>,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    deadline: Mutex<Option<Instant>>,
-    /// Soft ceiling in bytes; 0 means no ceiling.
-    mem_limit: AtomicUsize,
-    mem_used: AtomicUsize,
+    deadline: Arc<Mutex<Option<Instant>>>,
 }
 
 impl CancelToken {
-    /// A fresh, untripped token with no deadline and no memory ceiling.
+    /// A fresh, untripped token with no deadline.
     pub fn new() -> CancelToken {
         CancelToken::default()
     }
@@ -67,7 +55,7 @@ impl CancelToken {
 
     /// Arms (or replaces) the wall-clock deadline.
     pub fn set_deadline(&self, deadline: Instant) {
-        *lock(&self.inner.deadline) = Some(deadline);
+        *lock(&self.deadline) = Some(deadline);
     }
 
     /// Convenience: a deadline `limit` from now.
@@ -78,35 +66,7 @@ impl CancelToken {
     /// The armed deadline, if any — pollers that keep their own clock
     /// (the LP simplex) read it once per solve instead of per check.
     pub fn deadline(&self) -> Option<Instant> {
-        *lock(&self.inner.deadline)
-    }
-
-    /// Arms the soft memory ceiling (bytes); 0 removes it.
-    pub fn set_mem_limit(&self, bytes: usize) {
-        self.inner.mem_limit.store(bytes, Ordering::Relaxed);
-    }
-
-    /// Records `bytes` of tracked allocation (shared clause lanes,
-    /// dynamic rows). Trips the token when the ceiling is exceeded.
-    pub fn charge_mem(&self, bytes: usize) {
-        let used = self.inner.mem_used.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        let limit = self.inner.mem_limit.load(Ordering::Relaxed);
-        if limit != 0 && used > limit {
-            self.cancel();
-        }
-    }
-
-    /// Returns `bytes` of tracked allocation (saturating at zero).
-    pub fn release_mem(&self, bytes: usize) {
-        let _ = self
-            .inner
-            .mem_used
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |u| Some(u.saturating_sub(bytes)));
-    }
-
-    /// Bytes currently charged against the ceiling.
-    pub fn mem_used(&self) -> usize {
-        self.inner.mem_used.load(Ordering::Relaxed)
+        *lock(&self.deadline)
     }
 
     /// Whether the token has tripped. Latches an expired deadline as a
@@ -115,7 +75,7 @@ impl CancelToken {
         if self.flag.load(Ordering::Acquire) {
             return true;
         }
-        if lock(&self.inner.deadline).is_some_and(|d| Instant::now() >= d) {
+        if lock(&self.deadline).is_some_and(|d| Instant::now() >= d) {
             self.cancel();
             return true;
         }
@@ -123,8 +83,8 @@ impl CancelToken {
     }
 
     /// The raw latch, for dependency-free layers that poll an
-    /// `AtomicBool` instead of this type. Deadline and memory trips
-    /// surface here too (once some poller latched them).
+    /// `AtomicBool` instead of this type. A deadline trip surfaces here
+    /// too (once some poller latched it).
     pub fn flag(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.flag)
     }
@@ -166,21 +126,5 @@ mod tests {
         t.deadline_in(Duration::from_secs(3600));
         assert!(!t.is_cancelled());
         assert!(t.deadline().is_some());
-    }
-
-    #[test]
-    fn mem_ceiling_trips_only_past_limit() {
-        let t = CancelToken::new();
-        t.set_mem_limit(1000);
-        t.charge_mem(600);
-        assert!(!t.is_cancelled());
-        t.charge_mem(300);
-        assert!(!t.is_cancelled());
-        assert_eq!(t.mem_used(), 900);
-        t.release_mem(200);
-        t.charge_mem(250);
-        assert!(!t.is_cancelled());
-        t.charge_mem(100);
-        assert!(t.is_cancelled());
     }
 }

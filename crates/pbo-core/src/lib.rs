@@ -22,8 +22,8 @@
 //! * [`verify_solution`] — the single feasibility/cost arbiter every
 //!   solution producer (branch-and-bound, local search, portfolio glue)
 //!   runs its candidates through;
-//! * [`CancelToken`] — cooperative cancellation (external cancel,
-//!   deadline, soft memory ceiling) shared by every layer of a solve.
+//! * [`CancelToken`] — cooperative cancellation (external cancel or
+//!   deadline) shared by every layer of a solve.
 //!
 //! # Examples
 //!

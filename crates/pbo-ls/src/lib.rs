@@ -19,8 +19,9 @@
 //! * **Repair moves.** While hard constraints are violated, pick a random
 //!   violated constraint and flip the variable minimizing the *weighted
 //!   deficiency delta* — the change in `sum_c w_c * max(0, rhs_c -
-//!   lhs_c)` over all constraints touched by the flip — with a noise
-//!   probability of taking a random repair instead (WalkSAT).
+//!   lhs_c)` over all constraints touched by the flip, among at most 16
+//!   candidates — with a 12% noise probability of taking a random
+//!   repair instead (WalkSAT).
 //! * **Dynamic constraint weighting.** When the best candidate cannot
 //!   reduce the weighted deficiency (a local minimum), the weights of all
 //!   currently violated constraints are bumped, reshaping the landscape
@@ -31,10 +32,14 @@
 //!   with its own weight, and candidate ties always break toward the
 //!   cheaper flip — the search is pulled toward improving solutions, not
 //!   just feasible ones.
-//! * **Restarts with best-solution caching.** Every `restart_interval`
-//!   steps the search re-seeds from the best known solution (randomly
-//!   perturbed) or, before any incumbent exists, from a fresh
-//!   objective-biased random assignment.
+//! * **Restarts with best-solution caching.** Every 8,000 steps the
+//!   search re-seeds from the best known solution (randomly perturbed)
+//!   or, before any incumbent exists, from a fresh objective-biased
+//!   random assignment.
+//!
+//! These three settings are fixed constants; [`LsOptions`] holds only
+//! the seed, the per-call step budget and time limit, and the cancel
+//! token.
 //! * **Verified incumbents.** Every improving solution passes through
 //!   [`pbo_core::verify_solution`] before being recorded or published —
 //!   the LS counters are never trusted across a component boundary.
@@ -49,8 +54,9 @@
 //! [`IncumbentCell::offer`], the branch-and-bound adopts whatever is
 //! cheaper than its own best, and vice versa — incumbents flow both ways
 //! ([`LocalSearch::run`] polls the cell and re-seeds restarts from
-//! external improvements). See `pbo_solver`'s `portfolio` module for the
-//! driver.
+//! external improvements). The portfolio runs one walker, ahead of the
+//! branch-and-bound or racing it on its own thread; see `pbo_solver`'s
+//! `portfolio` module for the driver.
 //!
 //! # Examples
 //!
@@ -75,12 +81,7 @@
 #![warn(missing_docs)]
 
 mod cell;
-mod pool;
 mod search;
 
 pub use cell::IncumbentCell;
-pub use pool::{
-    diversified_options, run_pool_racing, run_pool_racing_traced, run_pool_steps, PoolResult,
-    PoolRun,
-};
 pub use search::{LocalSearch, LsOptions, LsResult, LsStats};

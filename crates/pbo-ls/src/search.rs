@@ -17,25 +17,27 @@ const WEIGHT_CAP: u64 = 1 << 24;
 /// Sentinel for "constraint not in the violated list".
 const NOT_VIOLATED: u32 = u32::MAX;
 
-/// Tuning knobs of the local search.
+/// Restart (from the cached best solution, perturbed) every this many
+/// cumulative steps.
+const RESTART_INTERVAL: u64 = 8_000;
+
+/// Probability of a random walk move when no improving flip exists.
+const NOISE: f64 = 0.12;
+
+/// Candidate flips examined per move (larger constraints are subsampled
+/// from a random rotation).
+const MAX_CANDIDATES: usize = 16;
+
+/// Run-control options of the local search: seed, budgets and
+/// cancellation.
 #[derive(Clone, Debug)]
 pub struct LsOptions {
     /// RNG seed; equal seeds give bit-identical runs (no time limit).
     pub seed: u64,
     /// Maximum flips/steps per [`LocalSearch::run`] call.
     pub max_steps: u64,
-    /// Restart (from the cached best solution, perturbed) every this many
-    /// steps.
-    pub restart_interval: u64,
-    /// Probability of a random walk move when no improving flip exists.
-    pub noise: f64,
     /// Wall-clock cap per [`LocalSearch::run`] call.
     pub time_limit: Option<Duration>,
-    /// Stop as soon as an incumbent with cost `<= target` is found.
-    pub target: Option<i64>,
-    /// Candidate flips examined per move (larger constraints are
-    /// subsampled from a random rotation).
-    pub max_candidates: usize,
     /// Cooperative cancellation, polled at the same cadence as `stop`
     /// and the time limit; a tripped token ends the run with the best
     /// verified incumbent so far.
@@ -44,16 +46,7 @@ pub struct LsOptions {
 
 impl Default for LsOptions {
     fn default() -> LsOptions {
-        LsOptions {
-            seed: 0xb50d,
-            max_steps: 200_000,
-            restart_interval: 8_000,
-            noise: 0.12,
-            time_limit: None,
-            target: None,
-            max_candidates: 16,
-            cancel: None,
-        }
+        LsOptions { seed: 0xb50d, max_steps: 200_000, time_limit: None, cancel: None }
     }
 }
 
@@ -148,8 +141,9 @@ pub struct LocalSearch<'a> {
     hopeless: bool,
     // --- static per-instance data ---
     /// The instance's flat CSR/SoA arena: row terms and the literal →
-    /// occurrence CSR of the rows, **borrowed, never copied** — every
-    /// worker of a parallel pool shares this one read-only block.
+    /// occurrence CSR of the rows, **borrowed, never copied** — the
+    /// walker and the exact side's workers share this one read-only
+    /// block.
     arena: &'a TermArena,
     /// Right-hand side per row.
     rhs: Vec<i64>,
@@ -249,14 +243,14 @@ impl<'a> LocalSearch<'a> {
     }
 
     /// Runs the search until the per-call step budget, the per-call time
-    /// limit, the `target`, or `stop` ends it; returns the cumulative
+    /// limit, the cancel token, or `stop` ends it, or nothing is left to
+    /// improve; returns the cumulative
     /// result. `cell` (when given) receives every verified improving
     /// incumbent and is polled for external improvements, which re-seed
     /// the walk.
     pub fn run(&mut self, cell: Option<&IncumbentCell>, stop: Option<&AtomicBool>) -> LsResult {
         let deadline = self.options.time_limit.map(|d| Instant::now() + d);
         let start_steps = self.stats.steps;
-        let restart_every = self.options.restart_interval.max(1);
         if !self.hopeless {
             loop {
                 let done = self.stats.steps - start_steps;
@@ -283,7 +277,7 @@ impl<'a> LocalSearch<'a> {
                 // chunked seeding phase, the concurrent-portfolio loop)
                 // restarts exactly as often as one long run would — even
                 // when every chunk is shorter than the interval.
-                if self.stats.steps > 0 && self.stats.steps.is_multiple_of(restart_every) {
+                if self.stats.steps > 0 && self.stats.steps.is_multiple_of(RESTART_INTERVAL) {
                     self.restart();
                 }
                 self.step(cell);
@@ -296,18 +290,12 @@ impl<'a> LocalSearch<'a> {
         }
     }
 
-    /// True when no further improvement is possible or wanted: the target
-    /// is met, a satisfaction instance is satisfied, or the incumbent
-    /// already attains the objective's unconstrained minimum.
+    /// True when no further improvement is possible: a satisfaction
+    /// instance is satisfied, or the incumbent already attains the
+    /// objective's unconstrained minimum.
     fn satisfied_with_best(&self) -> bool {
         let Some((best, _)) = &self.best else { return false };
-        if !self.optimization {
-            return true;
-        }
-        if self.options.target.is_some_and(|t| *best <= t) {
-            return true;
-        }
-        *best <= self.min_cost
+        !self.optimization || *best <= self.min_cost
     }
 
     /// One search step: record a feasible improvement, or repair a
@@ -338,7 +326,7 @@ impl<'a> LocalSearch<'a> {
         let len = row.lits.len();
         let start = if len == 0 { 0 } else { self.rng.gen_range(0..len) };
         for k in 0..len {
-            if self.cand.len() >= self.options.max_candidates {
+            if self.cand.len() >= MAX_CANDIDATES {
                 break;
             }
             let lit = row.lits[(start + k) % len];
@@ -360,7 +348,7 @@ impl<'a> LocalSearch<'a> {
         }
         let start = self.rng.gen_range(0..terms.len());
         for k in 0..terms.len() {
-            if self.cand.len() >= self.options.max_candidates {
+            if self.cand.len() >= MAX_CANDIDATES {
                 break;
             }
             let (_, l) = terms[(start + k) % terms.len()];
@@ -397,7 +385,7 @@ impl<'a> LocalSearch<'a> {
             self.flip(v);
             return;
         }
-        if self.rng.gen_bool(self.options.noise) {
+        if self.rng.gen_bool(NOISE) {
             let v = self.cand[self.rng.gen_range(0..self.cand.len())];
             self.flip(v);
             return;
@@ -754,15 +742,5 @@ mod tests {
         let mut ls = LocalSearch::new(&inst, LsOptions::default());
         let result = ls.run(None, Some(&stop));
         assert_eq!(result.stats.steps, 0, "pre-raised stop flag halts before any step");
-    }
-
-    #[test]
-    fn target_short_circuits() {
-        let inst = covering_instance();
-        let opts = LsOptions { target: Some(5), ..LsOptions::default() };
-        let mut ls = LocalSearch::new(&inst, opts);
-        let result = ls.run(None, None);
-        let cost = result.best_cost.unwrap();
-        assert!(cost <= 5);
     }
 }

@@ -442,8 +442,8 @@ impl<'a> SearchState<'a> {
             ) {
                 return Some(self.budget_status());
             }
-            // Cooperative cancellation (external cancel, a deadline
-            // tighter than the budget, or the memory ceiling). Checked
+            // Cooperative cancellation (external cancel, or a deadline
+            // tighter than the budget). Checked
             // after the budget so a budget-derived deadline expiring is
             // reported as budget exhaustion, not as a cancellation.
             if self.options.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
@@ -782,24 +782,8 @@ impl<'a> SearchState<'a> {
 
     /// The paper's `omega_bc = omega_pp ∪ omega_pl` (sec. 4); with
     /// `include_omega_pp` unset only `omega_pl` is used (infeasibility
-    /// conflicts, where cost literals are irrelevant). With
-    /// bound-conflict learning disabled (ablation), the clause is instead
-    /// the negation of all current decisions, which forces chronological
-    /// backtracking.
+    /// conflicts, where cost literals are irrelevant).
     fn build_bound_conflict(&self, omega_pl: &[Lit], include_omega_pp: bool) -> Vec<Lit> {
-        if !self.options.bound_conflict_learning {
-            return self
-                .engine
-                .trail()
-                .iter()
-                .copied()
-                .filter(|&l| {
-                    matches!(self.engine.reason_of(l.var()), pbo_engine::Reason::None)
-                        && self.engine.level_of(l.var()) > 0
-                })
-                .map(|l| !l)
-                .collect();
-        }
         let mut omega = Vec::new();
         // omega_pp (eq. 8): costed literals currently true; flipping one
         // is the only way to reduce P.path.
@@ -894,7 +878,7 @@ impl<'a> SearchState<'a> {
             // solve (mirror of `record_solution`).
             return Some(SolveStatus::Optimal);
         }
-        if self.options.knapsack_cuts && self.install_cost_cuts(cost, stats).is_err() {
+        if self.install_cost_cuts(cost, stats).is_err() {
             return Some(self.exhausted_status());
         }
         None
@@ -925,25 +909,11 @@ impl<'a> SearchState<'a> {
             // Pure satisfaction: done at the first solution.
             return SolutionStep::Finished(SolveStatus::Optimal);
         }
+        // Install the cost cuts at the root and continue searching for a
+        // strictly better solution.
         let upper = self.best_cost.unwrap();
-        if self.options.knapsack_cuts {
-            // Install the cost cuts at the root and continue searching
-            // for a strictly better solution.
-            if self.install_cost_cuts(upper, stats).is_err() {
-                return SolutionStep::Finished(SolveStatus::Optimal);
-            }
-        } else {
-            // Without eq. 10 cuts the engine has no reason to leave the
-            // current (complete) solution: force the search onward with an
-            // ad-hoc "improve on omega_pp" conflict, built *at the
-            // solution state* (its literals must be false right now;
-            // resolve_conflict performs the backtracking itself).
-            let omega = self.build_bound_conflict(&[], true);
-            let taint = self.adhoc_taint();
-            match self.engine.resolve_conflict_tainted(Conflict::AdHoc(omega), taint) {
-                Resolution::Unsat => return SolutionStep::Finished(SolveStatus::Optimal),
-                Resolution::Backjumped { .. } => {}
-            }
+        if self.install_cost_cuts(upper, stats).is_err() {
+            return SolutionStep::Finished(SolveStatus::Optimal);
         }
         SolutionStep::Continue
     }

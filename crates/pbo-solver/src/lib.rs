@@ -71,8 +71,7 @@ pub use milp::{MilpOptions, MilpSolver};
 pub use options::{BsoloOptions, Budget, LbMethod, ResidualMode, SolveStrategy};
 pub use par::{Cube, CubeSplitter, ParBsolo, SplitOutcome};
 pub use portfolio::{
-    diversified_options, run_pool_steps, IncumbentCell, LocalSearch, LsOptions, LsResult, LsStats,
-    PoolResult, Portfolio, PortfolioOptions,
+    IncumbentCell, LocalSearch, LsOptions, LsResult, LsStats, Portfolio, PortfolioOptions,
 };
 pub use preprocess::{probe, simplify, ProbeOutcome};
 pub use result::{

@@ -64,7 +64,8 @@ pub enum SolveStrategy {
     /// eq. 10 cuts) of the branch-and-bound; a decision instance ends
     /// at the first verified model. Deterministic given a deterministic
     /// LS budget. The default of every front door (`pbo::solve`,
-    /// `pbo-solve`): the fastest measured configuration.
+    /// `pbo-solve`); on decision instances the fastest measured
+    /// configuration.
     #[default]
     LsSeeded,
     /// Concurrent portfolio: local search races the branch-and-bound on
@@ -140,14 +141,9 @@ pub struct BsoloOptions {
     /// heuristic (sec. 5): LP-guided under [`LbMethod::Lpr`], whose
     /// relaxation supplies the fractional solution, VSIDS otherwise.
     pub lb_method: LbMethod,
-    /// Learn bound-conflict clauses and backtrack non-chronologically
-    /// (sec. 4). When disabled, bound conflicts backtrack chronologically
-    /// — the ablation of the paper's central claim.
-    pub bound_conflict_learning: bool,
-    /// Add the knapsack cut `sum c_j x_j <= upper - 1` on each improved
-    /// solution (eq. 10).
-    pub knapsack_cuts: bool,
-    /// Infer cost cuts from cardinality constraints (eqs. 11–13).
+    /// Infer cost cuts from cardinality constraints (eqs. 11–13) on each
+    /// improved solution, next to the knapsack cut
+    /// `sum c_j x_j <= upper - 1` of eq. 10 that is always added.
     pub cardinality_cuts: bool,
     /// Probe variables during preprocessing to detect necessary
     /// assignments (sec. 5 / Savelsbergh-style).
@@ -163,9 +159,6 @@ pub struct BsoloOptions {
     /// problem as dynamic rows on each incumbent re-root. Applies to
     /// [`LbMethod::Mis`] only: LGR and LPR always bound over the
     /// instance's rows alone.
-    ///
-    /// The row region rides the cut re-root, so this has no effect when
-    /// [`BsoloOptions::knapsack_cuts`] is disabled (no re-root happens).
     pub dynamic_rows: bool,
     /// Run the MIS bound's implied-literal closure and reduced-cost
     /// fixing (and allow MIS to bound pre-incumbent, where its closure
@@ -202,9 +195,9 @@ pub struct BsoloOptions {
     /// deadline from [`Budget::time`] at solve start and threads the
     /// token into every long-running layer — the engine's propagation
     /// loop, the LP relaxation's pivot loop, local-search steps and
-    /// the parallel cube queue — so a cancel (external, deadline, or memory
-    /// ceiling) tears the solve down in bounded time with the best
-    /// verified incumbent intact and `SolverStats::cancelled` set.
+    /// the parallel cube queue — so a cancel (external or deadline) tears
+    /// the solve down in bounded time with the best verified incumbent
+    /// intact and `SolverStats::cancelled` set.
     /// `None` keeps the seed behaviour: the budget is only checked
     /// between search-loop iterations, which an expensive LP solve can
     /// overshoot.
@@ -215,8 +208,6 @@ impl Default for BsoloOptions {
     fn default() -> BsoloOptions {
         BsoloOptions {
             lb_method: LbMethod::Lpr,
-            bound_conflict_learning: true,
-            knapsack_cuts: true,
             cardinality_cuts: true,
             probing: true,
             simplify: true,

@@ -30,11 +30,14 @@
 //! # When to prefer which strategy
 //!
 //! `LsSeeded` is the default everywhere — [`SolveStrategy::default`],
-//! `pbo::solve` and the `pbo-solve` CLI — because it is the fastest
-//! measured configuration: the warm start shrinks the tree on every
-//! gated benchmark workload, and under a wall-clock budget it is the
-//! anytime mode (deterministic for a fixed LS step budget).
-//! `Concurrent` gives the best anytime quality, timing dependent.
+//! `pbo::solve` and the `pbo-solve` CLI. The warm start shrinks the tree
+//! on every gated benchmark workload, a decision instance ends in the
+//! seed phase, and under a wall-clock budget it is the anytime mode
+//! (deterministic for a fixed LS step budget). It is not the fastest
+//! everywhere: on a 2-core box `Concurrent` solved the optimization
+//! workloads (`ptlcmos-seq`, `synthesis-par2`) in about half the wall
+//! time and lost on the decision workload (`acc-seq`), where the seed
+//! phase alone answers. `Concurrent` is timing dependent.
 //! `Exact` (`pbo-solve --strategy exact`, `pbo::solve_with`) reproduces
 //! the paper's solver byte for byte.
 
@@ -42,12 +45,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use pbo_core::Instance;
-use pbo_ls::run_pool_racing_traced;
-pub use pbo_ls::{
-    diversified_options, run_pool_steps, IncumbentCell, LocalSearch, LsOptions, LsResult, LsStats,
-    PoolResult,
-};
-use pbo_trace::{Event, Tracer, LS_LANE_BASE};
+pub use pbo_ls::{IncumbentCell, LocalSearch, LsOptions, LsResult, LsStats};
+use pbo_trace::{Event, TraceEvent, Tracer, LS_LANE_BASE};
 
 use crate::options::{BsoloOptions, SolveStrategy};
 use crate::par::ParBsolo;
@@ -81,30 +80,22 @@ pub struct PortfolioOptions {
     pub bsolo: BsoloOptions,
     /// The local-search configuration. In `LsSeeded` mode `max_steps` /
     /// `time_limit` cap the seeding phase (a fifth of the total time
-    /// budget is imposed when none is set); in `Concurrent` mode the LS
-    /// thread runs until the exact side finishes.
+    /// budget is imposed when none is set); in `Concurrent` mode the one
+    /// LS thread walks until the exact side finishes, whatever its step
+    /// budget and time limit.
     pub ls: LsOptions,
-    /// Number of local-search worker threads in
-    /// [`SolveStrategy::Concurrent`] mode (ParLS-PBO-style diversified
-    /// pool: worker 0 runs [`PortfolioOptions::ls`] verbatim, later
-    /// workers get derived seeds, higher noise and staggered restarts —
-    /// see [`pbo_ls::diversified_options`]). All workers share the
-    /// incumbent cell; the instance's flat term arena is shared
-    /// read-only, so extra workers cost per-worker counters only.
-    /// Ignored by the other strategies.
-    pub ls_threads: usize,
     /// Number of exact branch-and-bound workers (default 1 = the
     /// sequential solver, bit-identical to [`crate::Bsolo`]). With more
     /// workers the exact side runs as [`crate::ParBsolo`]: the root is
     /// split into cubes and solved by a pool sharing the instance's
     /// read-only term arena, incumbents flowing through the cell.
     /// Applies to every strategy — `Exact` becomes pure parallel B&B,
-    /// `Concurrent` races `ls_threads` LS workers *and* `bb_threads`
-    /// exact workers against one cell.
+    /// `Concurrent` races one LS thread *and* `bb_threads` exact workers
+    /// against one cell.
     ///
-    /// Both thread counts accept `0` as "auto": resolved to the
-    /// machine's available parallelism at solve time (the CLI spells it
-    /// `--bb-threads auto`). See [`PortfolioOptions::resolve_threads`].
+    /// `0` means "auto": resolved to the machine's available parallelism
+    /// at solve time (the CLI spells it `--bb-threads auto`). See
+    /// [`PortfolioOptions::resolve_threads`].
     pub bb_threads: usize,
 }
 
@@ -124,11 +115,6 @@ impl PortfolioOptions {
     pub fn resolved_bb_threads(&self) -> usize {
         Self::resolve_threads(self.bb_threads)
     }
-
-    /// Local-search worker count after `auto` resolution.
-    pub fn resolved_ls_threads(&self) -> usize {
-        Self::resolve_threads(self.ls_threads)
-    }
 }
 
 impl Default for PortfolioOptions {
@@ -137,7 +123,6 @@ impl Default for PortfolioOptions {
             strategy: SolveStrategy::default(),
             bsolo: BsoloOptions::default(),
             ls: LsOptions::default(),
-            ls_threads: 1,
             bb_threads: 1,
         }
     }
@@ -268,7 +253,7 @@ impl Portfolio {
             let result = ls.run(Some(cell), None);
             let advanced = ls.stats.steps - before;
             if advanced == 0 {
-                break; // satisfied, hopeless, or target reached
+                break; // satisfied, hopeless, or cancelled
             }
             if result.best_cost.is_some() && result.best_cost != last_best {
                 last_best = result.best_cost;
@@ -319,11 +304,11 @@ impl Portfolio {
         result
     }
 
-    /// Concurrent mode: a pool of diversified LS workers races the exact
-    /// side — sequential bsolo, or the `bb_threads`-strong cube-split
-    /// pool — until the exact side finishes. Incumbents flow through the
-    /// shared cell; every worker on both sides shares the instance's
-    /// read-only term arena.
+    /// Concurrent mode: one LS thread races the exact side — sequential
+    /// bsolo, or the `bb_threads`-strong cube-split pool — until the
+    /// exact side finishes. Incumbents flow through the shared cell; the
+    /// walker's steps are added to `ls_steps`, while `ls_time` stays the
+    /// seed phase's (zero here).
     fn solve_concurrent(
         &self,
         instance: &Instance,
@@ -331,34 +316,57 @@ impl Portfolio {
         start: Instant,
     ) -> SolveResult {
         let stop = AtomicBool::new(false);
-        let workers = self.options.resolved_ls_threads();
-        let trace_epoch = self.options.bsolo.trace.then_some(start);
+        let traced = self.options.bsolo.trace;
         std::thread::scope(|scope| {
             let ls_handle = scope.spawn(|| {
-                run_pool_racing_traced(
-                    instance,
-                    &self.options.ls,
-                    workers,
-                    CONCURRENT_CHUNK_STEPS,
-                    cell,
-                    &stop,
-                    trace_epoch,
-                )
+                let options = LsOptions {
+                    max_steps: CONCURRENT_CHUNK_STEPS,
+                    time_limit: None,
+                    ..self.options.ls.clone()
+                };
+                let mut ls = LocalSearch::new(instance, options);
+                // Built inside the thread: the buffer is the walker's
+                // own, and only the drained events cross back at join.
+                if traced {
+                    ls.set_tracer(Tracer::buffered(LS_LANE_BASE, start));
+                }
+                loop {
+                    let before = ls.stats.steps;
+                    ls.run(Some(cell), Some(&stop));
+                    if stop.load(Ordering::Relaxed) {
+                        break (ls.stats.steps, ls.drain_trace());
+                    }
+                    if ls.stats.steps == before {
+                        // Nothing left to improve: idle until the stop
+                        // flag rises.
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
             });
             let exact_start = start.elapsed();
             let mut result = self.exact_solver().solve_with_cell(instance, Some(cell));
             stop.store(true, Ordering::Relaxed);
             shift_trace(&mut result.stats.trace, exact_start);
             match ls_handle.join() {
-                Ok(pool) => {
-                    result.stats.workers_lost += pool.workers_lost;
-                    result.stats.trace.extend(pool.events);
+                Ok((steps, events)) => {
+                    result.stats.ls_steps += steps;
+                    result.stats.trace.extend(events);
                 }
-                // The pool driver itself died (each worker is already
-                // unwind-contained, so this is the driver thread). The
-                // exact answer stands — the LS side only ever feeds
-                // incumbents — but the loss is recorded honestly.
-                Err(_) => result.stats.workers_lost += workers as u64,
+                // The walker died (engine bug, injected fault) and its
+                // trace buffer with it. The exact answer stands — the LS
+                // side only ever feeds incumbents, and every one it
+                // published is already in the cell — but the loss is
+                // recorded, on its lane too.
+                Err(_) => {
+                    result.stats.workers_lost += 1;
+                    if traced {
+                        result.stats.trace.push(Event {
+                            t_ns: start.elapsed().as_nanos() as u64,
+                            lane: LS_LANE_BASE,
+                            data: TraceEvent::WorkerLost,
+                        });
+                    }
+                }
             }
             result
         })
@@ -379,7 +387,7 @@ fn shift_trace(events: &mut [Event], offset: Duration) {
 mod tests {
     use super::*;
     use crate::bsolo::Bsolo;
-    use crate::options::Budget;
+    use crate::options::{Budget, LbMethod};
     use pbo_benchgen::{PtlCmosParams, SynthesisParams};
     use pbo_core::{brute_force, InstanceBuilder, RelOp};
 
@@ -513,9 +521,8 @@ mod tests {
         // parallelism (≥ 1), explicit counts pass through untouched.
         assert!(PortfolioOptions::resolve_threads(0) >= 1);
         assert_eq!(PortfolioOptions::resolve_threads(3), 3);
-        let auto = PortfolioOptions { ls_threads: 0, bb_threads: 0, ..Default::default() };
+        let auto = PortfolioOptions { bb_threads: 0, ..Default::default() };
         assert!(auto.resolved_bb_threads() >= 1);
-        assert!(auto.resolved_ls_threads() >= 1);
         // And an auto-threaded solve still verifies its optimum.
         let inst = covering_instance();
         let expected = brute_force(&inst).cost();
@@ -531,15 +538,16 @@ mod tests {
 
     #[test]
     fn concurrent_worker_pool_finds_the_optimum() {
+        // The one LS thread races a two-worker cube-split exact side.
         let inst = covering_instance();
         let expected = brute_force(&inst).cost();
         let options = PortfolioOptions {
             strategy: SolveStrategy::Concurrent,
-            ls_threads: 4,
+            bb_threads: 2,
             ..PortfolioOptions::default()
         };
         let result = Portfolio::new(options).solve(&inst);
-        assert!(result.is_optimal(), "4-worker concurrent portfolio must prove optimality");
+        assert!(result.is_optimal(), "concurrent portfolio must prove optimality");
         assert_eq!(result.best_cost, expected);
         let model = result.best_assignment.expect("model present");
         assert_eq!(pbo_core::verify_solution(&inst, &model), Ok(expected.unwrap()));
@@ -653,6 +661,37 @@ mod tests {
         let exact = Portfolio::with_strategy(SolveStrategy::Exact).solve(&inst);
         assert_eq!(exact.stats.ls_steps, 0);
         assert_eq!(exact.stats.ls_time, Duration::ZERO);
+    }
+
+    #[test]
+    fn concurrent_solve_reports_its_racing_walk() {
+        // Plain bounding cannot close this Table-1-sized tree within the
+        // budget, so the exact side runs long after the walker's first
+        // incumbent.
+        let params = SynthesisParams {
+            primes: 70,
+            minterms: 110,
+            cover_density: 4.0,
+            exclusions: 10,
+            ..SynthesisParams::default()
+        };
+        let inst = params.generate(0);
+        let budget = Budget::time_limit(Duration::from_millis(200));
+        let bsolo = BsoloOptions { trace: true, ..BsoloOptions::with_lb(LbMethod::None) };
+        let options = PortfolioOptions {
+            strategy: SolveStrategy::Concurrent,
+            bsolo: bsolo.budget(budget),
+            ..PortfolioOptions::default()
+        };
+        let result = Portfolio::new(options).solve(&inst);
+        let ls_incumbent =
+            |e: &Event| e.lane == LS_LANE_BASE && matches!(e.data, TraceEvent::Solution { .. });
+        assert!(
+            result.stats.trace.iter().any(ls_incumbent),
+            "the racing walker published an incumbent"
+        );
+        assert!(result.stats.ls_steps > 0, "the racing walker's steps are reported");
+        assert_eq!(result.stats.ls_time, Duration::ZERO, "no seed phase ran");
     }
 
     #[test]

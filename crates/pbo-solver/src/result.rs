@@ -108,12 +108,14 @@ pub struct SolverStats {
     /// first recorded (zero when no solution was found) — the anytime
     /// quality metric of the portfolio.
     pub time_to_best: Duration,
-    /// Local-search steps of the portfolio's seed phase
-    /// ([`crate::SolveStrategy::LsSeeded`]); zero for every other solve.
+    /// Local-search steps of the portfolio: the seed phase's under
+    /// [`crate::SolveStrategy::LsSeeded`], the racing thread's under
+    /// [`crate::SolveStrategy::Concurrent`]; zero for every other solve.
     pub ls_steps: u64,
     /// **Wall** time of the portfolio's seed phase, measured on the
     /// driver thread before the branch-and-bound starts (part of
-    /// `solve_time`); zero when no seed phase ran.
+    /// `solve_time`); zero when no seed phase ran — a racing LS thread
+    /// runs alongside the branch-and-bound and adds none.
     pub ls_time: Duration,
     /// Literal propagations.
     pub propagations: u64,
@@ -165,9 +167,8 @@ pub struct SolverStats {
     /// `Optimal`/`Infeasible` to `Feasible`/`Unknown` — part of the
     /// search space was never visited.
     pub cubes_quarantined: u64,
-    /// Whether a cooperative cancellation (deadline, external cancel,
-    /// memory ceiling) ended the solve before the budget or the search
-    /// space did.
+    /// Whether a cooperative cancellation (deadline or external cancel)
+    /// ended the solve before the budget or the search space did.
     pub cancelled: bool,
     /// Telemetry events recorded when tracing was enabled (empty
     /// otherwise). Per-worker buffers are appended here at join by

@@ -133,19 +133,8 @@ fn ablation_toggles_preserve_correctness() {
         let expected = brute_force(&inst);
         for (label, options) in [
             (
-                "no-bound-learning",
-                BsoloOptions {
-                    bound_conflict_learning: false,
-                    ..BsoloOptions::with_lb(LbMethod::Lpr)
-                },
-            ),
-            (
                 "no-cuts",
-                BsoloOptions {
-                    knapsack_cuts: false,
-                    cardinality_cuts: false,
-                    ..BsoloOptions::with_lb(LbMethod::Lpr)
-                },
+                BsoloOptions { cardinality_cuts: false, ..BsoloOptions::with_lb(LbMethod::Lpr) },
             ),
             ("no-probing", BsoloOptions { probing: false, ..BsoloOptions::with_lb(LbMethod::Mis) }),
             ("lpr", BsoloOptions::with_lb(LbMethod::Lpr)),

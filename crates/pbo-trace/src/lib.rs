@@ -1,23 +1,22 @@
 //! Structured solver telemetry for the bsolo reproduction.
 //!
 //! The solver runs N-way parallel branch-and-bound plus a local-search
-//! pool; the flat `SolverStats` counters merged at join say *how much*
+//! walker; the flat `SolverStats` counters merged at join say *how much*
 //! happened but not *when* or *where*. This crate adds the missing event
 //! stream without touching hot-path cost when disabled:
 //!
-//! * [`TraceSink`] — the recording abstraction. [`NoopSink`] is the
-//!   zero-cost default; [`BufferSink`] appends to a plain `Vec`.
 //! * [`Tracer`] — the handle the solver threads through engine, bound
-//!   pipeline, search state, and LS. It enum-dispatches over "off" and
-//!   "buffered": the off path is a single branch, allocation-free, and
-//!   `#[inline]`. Each worker owns its buffer behind an `Rc` (the handle
-//!   is deliberately `!Send`), so the hot path never takes a lock; the
-//!   drained `Vec<Event>` is what crosses threads at join.
+//!   pipeline, search state, and LS. It is either off or buffered: the
+//!   off path is a single branch, allocation-free, and `#[inline]`; the
+//!   buffered one appends to a plain `Vec<Event>`. Each worker owns its
+//!   buffer behind an `Rc` (the handle is deliberately `!Send`), so the
+//!   hot path never takes a lock; the drained `Vec<Event>` is what
+//!   crosses threads at join.
 //! * [`TraceEvent`] — the typed vocabulary: engine decisions, conflicts
 //!   and restarts, bound calls with method/outcome/margin, incumbent
-//!   publications and adoptions, LS restarts and cut installs, and the
-//!   cube lifecycle (dequeue wait, dive, re-split, close, clause
-//!   publish/import, quarantine).
+//!   publications and adoptions, LS restarts, and the cube lifecycle
+//!   (dequeue wait, dive, re-split, close, clause publish/import,
+//!   quarantine).
 //! * Exporters: [`write_jsonl`] (one event per line, stable schema) and
 //!   [`write_chrome`] (Chrome `trace_event` JSON that opens in
 //!   `chrome://tracing` / Perfetto with one lane per worker).
@@ -183,7 +182,7 @@ impl TraceEvent {
 }
 
 /// One recorded event: a timestamp relative to the run epoch, the lane
-/// (0 = driver/sequential, 1..=N = B&B workers, 64+ = LS workers), and
+/// (0 = driver/sequential, 1..=N = B&B workers, 64 = the LS walker), and
 /// the typed payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Event {
@@ -237,38 +236,6 @@ impl Event {
     }
 }
 
-/// Recording abstraction. The solver is wired against [`Tracer`], which
-/// enum-dispatches between [`NoopSink`] semantics (off) and a buffered
-/// sink; the trait exists so exporters and tests can capture events from
-/// any source.
-pub trait TraceSink {
-    /// Record one event.
-    fn record(&mut self, event: Event);
-}
-
-/// The zero-cost default sink: drops every event.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {
-    #[inline(always)]
-    fn record(&mut self, _event: Event) {}
-}
-
-/// A sink that appends events to an owned `Vec`.
-#[derive(Debug, Default)]
-pub struct BufferSink {
-    /// Recorded events, in emission order.
-    pub events: Vec<Event>,
-}
-
-impl TraceSink for BufferSink {
-    #[inline]
-    fn record(&mut self, event: Event) {
-        self.events.push(event);
-    }
-}
-
 /// The handle the solver threads through its layers.
 ///
 /// Cloning shares the underlying buffer (engine, bound pipeline and
@@ -277,7 +244,8 @@ impl TraceSink for BufferSink {
 /// one worker thread, and only the drained `Vec<Event>` crosses threads.
 #[derive(Clone, Debug)]
 pub struct Tracer {
-    buf: Option<Rc<RefCell<BufferSink>>>,
+    /// Recorded events in emission order; `None` when tracing is off.
+    buf: Option<Rc<RefCell<Vec<Event>>>>,
     epoch: Instant,
     lane: u32,
 }
@@ -296,7 +264,7 @@ impl Tracer {
 
     /// A buffered tracer for `lane`, timestamping relative to `epoch`.
     pub fn buffered(lane: u32, epoch: Instant) -> Self {
-        Tracer { buf: Some(Rc::new(RefCell::new(BufferSink::default()))), epoch, lane }
+        Tracer { buf: Some(Rc::new(RefCell::new(Vec::new()))), epoch, lane }
     }
 
     /// Whether events are being recorded. Callers can use this to skip
@@ -323,7 +291,7 @@ impl Tracer {
     pub fn emit(&self, data: TraceEvent) {
         if let Some(buf) = &self.buf {
             let t_ns = self.now_ns();
-            buf.borrow_mut().record(Event { t_ns, lane: self.lane, data });
+            buf.borrow_mut().push(Event { t_ns, lane: self.lane, data });
         }
     }
 
@@ -331,7 +299,7 @@ impl Tracer {
     /// empty. Call once per worker at join; the returned `Vec` is `Send`.
     pub fn drain(&self) -> Vec<Event> {
         match &self.buf {
-            Some(buf) => std::mem::take(&mut buf.borrow_mut().events),
+            Some(buf) => std::mem::take(&mut *buf.borrow_mut()),
             None => Vec::new(),
         }
     }
@@ -498,7 +466,8 @@ fn lane_name(lane: u32) -> String {
     }
 }
 
-/// First lane used by local-search workers; B&B workers take `1..=N`.
+/// The local-search walker's lane (the portfolio runs one walker); B&B
+/// workers take `1..=N`, the driver lane 0.
 pub const LS_LANE_BASE: u32 = 64;
 
 fn instant(lane: u32, t_ns: u64, name: &str, args: &str) -> String {

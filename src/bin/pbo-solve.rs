@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! pbo-solve [--lb plain|mis|lgr|lpr] [--strategy ls-seeded|exact|concurrent]
-//!           [--ls-threads N|auto] [--bb-threads N|auto] [--deterministic]
+//!           [--bb-threads N|auto] [--deterministic]
 //!           [--timeout-ms N] [--stats] [--stats-json]
 //!           [--trace FILE] [--trace-format jsonl|chrome] [--metrics] <file.opb>
 //! cargo run --release --bin pbo-solve -- instance.opb
@@ -13,24 +13,24 @@
 //! first: its best verified solution seeds the branch-and-bound's upper
 //! bound and eq. 10 cost cuts, and on a decision instance its first
 //! verified model is the answer (no branch-and-bound runs at all). It is
-//! the fastest measured configuration on every gated benchmark workload,
-//! and under `--timeout-ms` it is the anytime mode — a good verified
-//! solution fast, then proof effort with whatever time remains (the seed
-//! phase takes at most a fifth of the budget). `--strategy exact` is
-//! the paper's solver: branch-and-bound only, no local search.
-//! `--strategy concurrent` races local search against the exact solver
-//! for the whole solve; `--ls-threads N` makes that a ParLS-style pool
-//! of N diversified local-search workers (per-worker seeds derived
-//! deterministically from the base seed).
+//! deterministic, the fastest measured configuration on decision
+//! instances, and under `--timeout-ms` it is the anytime mode — a good
+//! verified solution fast, then proof effort with whatever time remains
+//! (the seed phase takes at most a fifth of the budget). `--strategy
+//! exact` is the paper's solver: branch-and-bound only, no local search.
+//! `--strategy concurrent` races one local-search thread against the
+//! exact solver for the whole solve; on optimization instances it
+//! measured faster than the default on a 2-core box, but its runs are
+//! timing dependent.
 //!
 //! `--bb-threads N` runs the exact side as a cube-split parallel
 //! branch-and-bound: the root is split into decision-literal cubes and
 //! N workers solve the subtrees over the shared term arena, racing
 //! incumbents (and eq. 10–13 cost cuts) through the shared cell; with
 //! `--strategy exact` this is pure parallel B&B, and `--bb-threads 1`
-//! (the default) is bit-identical to the sequential solver. Both thread
-//! flags accept `auto` (or `0`): the count resolves to the machine's
-//! available parallelism, and the resolved values are reported in
+//! (the default) is bit-identical to the sequential solver. The flag
+//! accepts `auto` (or `0`): the count resolves to the machine's
+//! available parallelism, and the resolved value is reported in
 //! `--stats-json`. Workers re-split long-running cubes back onto the
 //! shared cube queue and share cube-independent learned clauses
 //! through a pool sharded into per-worker lanes; `--deterministic`
@@ -80,11 +80,11 @@ use pbo::{
 fn usage() -> ! {
     eprintln!(
         "usage: pbo-solve [--lb plain|mis|lgr|lpr] [--strategy ls-seeded|exact|concurrent] \
-         [--ls-threads N|auto] [--bb-threads N|auto] [--deterministic] [--timeout-ms N] [--stats] \
-         [--stats-json] [--trace FILE] [--trace-format jsonl|chrome] [--metrics] <file.opb>\n\
+         [--bb-threads N|auto] [--deterministic] [--timeout-ms N] [--stats] [--stats-json] \
+         [--trace FILE] [--trace-format jsonl|chrome] [--metrics] <file.opb>\n\
          \n  --strategy ls-seeded   (default) local search seeds the branch-and-bound\
          \n  --strategy exact       the paper's solver: branch-and-bound only\
-         \n  --strategy concurrent  local search races the branch-and-bound\
+         \n  --strategy concurrent  one local-search thread races the branch-and-bound\
          \n  --deterministic        reproducible runs when the solve finishes within its\
          \n                         budget (under --timeout-ms the seed phase's budget/5\
          \n                         wall-clock cap can end it at a different step)"
@@ -111,7 +111,6 @@ enum TraceFormat {
 fn main() -> ExitCode {
     let mut lb = LbMethod::Lpr;
     let mut strategy = SolveStrategy::default();
-    let mut ls_threads = 1usize;
     let mut bb_threads = 1usize;
     let mut deterministic = false;
     let mut timeout: Option<u64> = None;
@@ -124,9 +123,6 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--ls-threads" => {
-                ls_threads = args.next().and_then(parse_threads).unwrap_or_else(|| usage())
-            }
             "--bb-threads" => {
                 bb_threads = args.next().and_then(parse_threads).unwrap_or_else(|| usage())
             }
@@ -169,8 +165,7 @@ fn main() -> ExitCode {
     }
     let Some(path) = path else { usage() };
     // Resolve `auto` (0) once, up front, so the banner and
-    // `--stats-json` report the same concrete counts.
-    let ls_threads = PortfolioOptions::resolve_threads(ls_threads);
+    // `--stats-json` report the same concrete count.
     let bb_threads = PortfolioOptions::resolve_threads(bb_threads);
     let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
@@ -214,13 +209,8 @@ fn main() -> ExitCode {
     if let Some(ms) = timeout {
         options = options.budget(Budget::time_limit(Duration::from_millis(ms)));
     }
-    let portfolio = PortfolioOptions {
-        strategy,
-        bsolo: options,
-        ls_threads,
-        bb_threads,
-        ..PortfolioOptions::default()
-    };
+    let portfolio =
+        PortfolioOptions { strategy, bsolo: options, bb_threads, ..PortfolioOptions::default() };
     let result = Portfolio::new(portfolio).solve(&instance);
     // The trace is written before the `s` line, so a failed write still
     // exits 2 without one.
@@ -296,15 +286,14 @@ fn main() -> ExitCode {
         println!("c trace: {trace_events} events written to {out}");
     }
     if stats_json {
-        // Splice the resolved thread counts into the stats object —
-        // they are a solve-level fact the merged stats cannot know
-        // (especially under `auto`).
+        // Splice the resolved thread count into the stats object — it
+        // is a solve-level fact the merged stats cannot know (especially
+        // under `auto`).
         let mut json = result.stats.to_json();
         debug_assert!(json.ends_with('}'));
         json.pop();
         json.push_str(&format!(
-            ",\"ls_threads\":{ls_threads},\"bb_threads\":{bb_threads},\"status\":\"{}\",\
-             \"degraded\":{}}}",
+            ",\"bb_threads\":{bb_threads},\"status\":\"{}\",\"degraded\":{}}}",
             result.service_status(),
             result.degraded()
         ));

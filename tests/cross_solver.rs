@@ -86,18 +86,11 @@ proptest! {
     fn ablations_match_enumeration(raw in raw_instance()) {
         let inst = materialize(&raw);
         let expected = brute_force(&inst).cost();
-        let configs = [
-            BsoloOptions {
-                bound_conflict_learning: false,
-                ..BsoloOptions::with_lb(LbMethod::Lpr)
-            },
-            BsoloOptions {
-                knapsack_cuts: false,
-                cardinality_cuts: false,
-                probing: false,
-                ..BsoloOptions::with_lb(LbMethod::Mis)
-            },
-        ];
+        let configs = [BsoloOptions {
+            cardinality_cuts: false,
+            probing: false,
+            ..BsoloOptions::with_lb(LbMethod::Mis)
+        }];
         for (i, opts) in configs.into_iter().enumerate() {
             let got = Bsolo::new(opts).solve(&inst);
             prop_assert_eq!(got.best_cost, expected, "config {}", i);
