@@ -54,9 +54,12 @@
 //! [`IncumbentCell::offer`], the branch-and-bound adopts whatever is
 //! cheaper than its own best, and vice versa — incumbents flow both ways
 //! ([`LocalSearch::run`] polls the cell and re-seeds restarts from
-//! external improvements). The portfolio runs one walker, ahead of the
-//! branch-and-bound or racing it on its own thread; see `pbo_solver`'s
-//! `portfolio` module for the driver.
+//! external improvements). By default the portfolio runs one walker
+//! ahead of the branch-and-bound, then one walker per branch-and-bound
+//! search that polishes each of its improving incumbents in a short,
+//! step-bounded walk; `Concurrent` instead races one walker against the
+//! branch-and-bound on its own thread. See `pbo_solver`'s `portfolio`
+//! module for the driver.
 //!
 //! # Examples
 //!

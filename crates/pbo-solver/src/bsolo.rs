@@ -37,15 +37,18 @@
 //!   solution found here is published back, and strictly better external
 //!   incumbents are adopted mid-search (with the eq. 10 cuts re-rooted) —
 //!   the mechanism behind the portfolio driver
-//!   ([`Portfolio`](crate::Portfolio)).
+//!   ([`Portfolio`](crate::Portfolio)). Under the portfolio's default
+//!   strategy each improving solution is also polished by a short
+//!   local-search walk through the cell before the cuts are installed
+//!   (crate-private; the public solvers never polish).
 
 use std::collections::HashSet;
 use std::time::Instant;
 
 use pbo_core::{verify_solution, Instance, Lit, PbConstraint, Value, Var};
 use pbo_engine::{Conflict, Engine, LubyRestarts, Resolution, Taint};
-use pbo_ls::IncumbentCell;
-use pbo_trace::{TraceEvent, Tracer};
+use pbo_ls::{IncumbentCell, LocalSearch, LsOptions};
+use pbo_trace::{TraceEvent, Tracer, LS_LANE_BASE};
 
 use crate::cuts::CostCuts;
 use crate::options::{BsoloOptions, LbMethod};
@@ -60,6 +63,12 @@ const SHARE_MAX_LEN: usize = 24;
 const SHARE_MAX_LBD: u32 = 6;
 /// Most clauses offered per publish (LBD-best first).
 const SHARE_MAX_COUNT: usize = 64;
+
+/// Steps of the local-search walk that polishes each improving
+/// incumbent when a search polishes (see [`SearchState::polish`]).
+/// Walks of 1,024 and 4,096 steps measured within noise of this one;
+/// 8,192 cost more than they saved on covering instances.
+const POLISH_STEPS: u64 = 2_048;
 
 /// The bsolo branch-and-bound PBO solver.
 ///
@@ -125,6 +134,18 @@ impl Bsolo {
         instance: &Instance,
         cell: Option<&IncumbentCell>,
     ) -> SolveResult {
+        self.solve_with_polish(instance, cell, None)
+    }
+
+    /// [`Bsolo::solve_with_cell`], polishing every improving incumbent
+    /// with a walk configured by `polish` (its seed and cancel token)
+    /// when given — the portfolio's default strategy.
+    pub(crate) fn solve_with_polish(
+        &self,
+        instance: &Instance,
+        cell: Option<&IncumbentCell>,
+        polish: Option<&LsOptions>,
+    ) -> SolveResult {
         let start = Instant::now();
         let mut stats = SolverStats::default();
         // A cancel token without its own deadline inherits the wall-clock
@@ -157,6 +178,7 @@ impl Bsolo {
             &[],
             None,
             tracer.clone(),
+            polish,
         ) {
             Ok(s) => s,
             Err(()) => {
@@ -242,6 +264,13 @@ pub(crate) struct SearchState<'a> {
     /// Telemetry handle shared with the engine and the bound pipeline
     /// (one lane per worker); [`Tracer::off`] when tracing is disabled.
     tracer: Tracer,
+    /// The polish walk's configuration when this search polishes its
+    /// improving incumbents ([`SearchState::polish`]).
+    polish: Option<LsOptions>,
+    /// The polish walker: built at the first improving solution and
+    /// reused after it, so its weights and its cumulative restart clock
+    /// carry over from walk to walk.
+    walker: Option<LocalSearch<'a>>,
 }
 
 impl<'a> SearchState<'a> {
@@ -270,6 +299,9 @@ impl<'a> SearchState<'a> {
     /// pool's current contents are imported immediately; the search then
     /// publishes cube-independent learned clauses and polls for peers'
     /// at every restart and cost re-root ([`SearchState::sync_share`]).
+    ///
+    /// `polish` (seed and cancel token of the walk) turns on the polish
+    /// walk of every improving solution ([`SearchState::polish`]).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn init(
         instance: &'a Instance,
@@ -281,6 +313,7 @@ impl<'a> SearchState<'a> {
         seed: &[Vec<Lit>],
         pool: Option<PoolHandle<'a>>,
         tracer: Tracer,
+        polish: Option<&LsOptions>,
     ) -> Result<SearchState<'a>, ()> {
         let mut engine = Engine::new(instance.num_vars());
         engine.set_tracer(tracer.clone());
@@ -356,6 +389,12 @@ impl<'a> SearchState<'a> {
             pool_seen: PoolWatermarks::default(),
             my_keys: HashSet::new(),
             tracer,
+            polish: polish.map(|o| LsOptions {
+                max_steps: POLISH_STEPS,
+                time_limit: None,
+                ..o.clone()
+            }),
+            walker: None,
         };
         // Late-launching workers start with everything already pooled.
         if state.sync_share(stats).is_err() {
@@ -374,8 +413,13 @@ impl<'a> SearchState<'a> {
 
     /// Folds the engine- and pipeline-side effort counters into `stats`
     /// (the assignment half of result assembly, shared by the sequential
-    /// driver and the parallel workers).
-    pub(crate) fn finish_stats(&self, stats: &mut SolverStats) {
+    /// driver and the parallel workers), with the polish walker's steps
+    /// and trace events.
+    pub(crate) fn finish_stats(&mut self, stats: &mut SolverStats) {
+        if let Some(walker) = &mut self.walker {
+            stats.ls_steps = walker.stats.steps;
+            stats.trace.extend(walker.drain_trace());
+        }
         stats.decisions = self.engine.stats.decisions;
         stats.conflicts = self.engine.stats.conflicts;
         stats.propagations = self.engine.stats.propagations;
@@ -482,9 +526,8 @@ impl<'a> SearchState<'a> {
             // Bound step (eq. 7). With an incumbent the bound prunes on
             // cost. Before the first incumbent only procedures that can
             // prove a subtree has *no* feasible completion run: LPR's
-            // Farkas certificate, and MIS's implication closure (plain
-            // MIS infeasibility duplicates what slack propagation
-            // already catches, and LGR/plain cannot prove infeasibility).
+            // Farkas certificate, and MIS's implication closure (LGR and
+            // plain cannot prove infeasibility).
             if self.instance.is_optimization() && self.pipeline.can_act(self.best_cost.is_some()) {
                 let upper = self.best_cost;
                 self.pipeline.compute(&mut self.engine, self.instance, upper, stats);
@@ -843,6 +886,22 @@ impl<'a> SearchState<'a> {
     /// appeared: verified, recorded, cost cuts re-rooted. Returns a final
     /// status when the cut proves nothing better can exist.
     fn adopt_external(&mut self, stats: &mut SolverStats) -> Option<SolveStatus> {
+        let cost = self.take_external(stats)?;
+        if !self.instance.is_optimization() {
+            // Pure satisfaction: a verified external model finishes the
+            // solve (mirror of `record_solution`).
+            return Some(SolveStatus::Optimal);
+        }
+        if self.install_cost_cuts(cost, stats).is_err() {
+            return Some(self.exhausted_status());
+        }
+        None
+    }
+
+    /// Takes a strictly better incumbent from the shared cell, if one
+    /// appeared and verifies, as this search's best, and returns its
+    /// cost; installing its cost cuts is left to the caller.
+    fn take_external(&mut self, stats: &mut SolverStats) -> Option<i64> {
         let cell = self.cell?;
         let ext = cell.best_cost()?;
         if self.best_cost.is_some_and(|b| ext >= b) {
@@ -873,15 +932,29 @@ impl<'a> SearchState<'a> {
         // adopting worker in a parallel solve.
         stats.time_to_best = self.start.elapsed();
         self.tracer.emit(TraceEvent::Adopt { cost });
-        if !self.instance.is_optimization() {
-            // Pure satisfaction: a verified external model finishes the
-            // solve (mirror of `record_solution`).
-            return Some(SolveStatus::Optimal);
-        }
-        if self.install_cost_cuts(cost, stats).is_err() {
-            return Some(self.exhausted_status());
-        }
-        None
+        Some(cost)
+    }
+
+    /// The polish walk (the portfolio's default strategy only): after an
+    /// improving solution is published, [`POLISH_STEPS`] local-search
+    /// steps through the cell — the walk re-seeds from the cell's best,
+    /// which is that solution unless a peer published a cheaper one —
+    /// and a cheaper find is adopted on the spot, so the caller installs
+    /// the cost cuts once, for the cheaper of the two. Step-bounded and
+    /// seeded, so a sequential or deterministic-join search stays
+    /// reproducible. The walk traces on lane `LS_LANE_BASE` plus this
+    /// search's lane.
+    fn polish(&mut self, stats: &mut SolverStats) {
+        let (Some(options), Some(cell)) = (&self.polish, self.cell) else { return };
+        let walker = self.walker.get_or_insert_with(|| {
+            let mut walker = LocalSearch::new(self.instance, options.clone());
+            if self.tracer.enabled() {
+                walker.set_tracer(Tracer::buffered(LS_LANE_BASE + self.tracer.lane(), self.start));
+            }
+            walker
+        });
+        walker.run(Some(cell), None);
+        self.take_external(stats);
     }
 
     fn record_solution(&mut self, stats: &mut SolverStats) -> SolutionStep {
@@ -908,6 +981,9 @@ impl<'a> SearchState<'a> {
         if !self.instance.is_optimization() {
             // Pure satisfaction: done at the first solution.
             return SolutionStep::Finished(SolveStatus::Optimal);
+        }
+        if improved {
+            self.polish(stats);
         }
         // Install the cost cuts at the root and continue searching for a
         // strictly better solution.
@@ -991,6 +1067,7 @@ mod tests {
                 &[],
                 None,
                 Tracer::off(),
+                None,
             )
             .expect("synthesis instances are feasible");
             assert_eq!(search.run(start, &mut stats), SolveStatus::Optimal, "{lb:?}");

@@ -59,18 +59,22 @@ impl ResidualMode {
 pub enum SolveStrategy {
     /// Branch-and-bound only — the paper's solver, no local search.
     Exact,
-    /// Sequential portfolio: local search runs first under a small
-    /// budget, its best verified solution seeds the upper bound (and the
-    /// eq. 10 cuts) of the branch-and-bound; a decision instance ends
-    /// at the first verified model. Deterministic given a deterministic
-    /// LS budget. The default of every front door (`pbo::solve`,
-    /// `pbo-solve`); on decision instances the fastest measured
-    /// configuration.
+    /// Sequential portfolio: local search runs first until two 8,192-step
+    /// chunks in a row bring no new verified incumbent, and its best
+    /// seeds the upper bound (and the eq. 10 cuts) of the
+    /// branch-and-bound; a decision instance ends at the first verified
+    /// model. On an optimization instance every improving solution the
+    /// branch-and-bound records is polished by a 2,048-step walk from
+    /// it, whose cheaper find the search adopts. Deterministic given a
+    /// deterministic LS budget. The default of every front door
+    /// (`pbo::solve`, `pbo-solve`); on decision instances the fastest
+    /// measured configuration.
     #[default]
     LsSeeded,
     /// Concurrent portfolio: local search races the branch-and-bound on
     /// its own `std::thread`, incumbents flowing both ways through the
-    /// shared cell for the whole solve.
+    /// shared cell for the whole solve. Timing dependent; nothing is
+    /// polished (the racing walker re-seeds from the B&B's incumbents).
     Concurrent,
 }
 
@@ -160,10 +164,6 @@ pub struct BsoloOptions {
     /// [`LbMethod::Mis`] only: LGR and LPR always bound over the
     /// instance's rows alone.
     pub dynamic_rows: bool,
-    /// Run the MIS bound's implied-literal closure and reduced-cost
-    /// fixing (and allow MIS to bound pre-incumbent, where its closure
-    /// can prove infeasibility beyond single-row propagation).
-    pub mis_implied: bool,
     /// Luby restart base interval in conflicts (`None` disables
     /// restarts). A restart backjumps to the root and keeps the learned
     /// clauses; in a parallel solve it is also a clause-sharing point.
@@ -213,7 +213,6 @@ impl Default for BsoloOptions {
             simplify: true,
             residual_mode: ResidualMode::Incremental,
             dynamic_rows: true,
-            mis_implied: true,
             restart_base: Some(2048),
             resplit_conflicts: Some(256),
             deterministic_join: false,

@@ -95,8 +95,8 @@ use std::time::Instant;
 use pbo_core::{verify_solution, Instance, Lit, Value, Var};
 use pbo_engine::Engine;
 use pbo_fault::failpoint;
-use pbo_ls::IncumbentCell;
-use pbo_trace::{TraceEvent, Tracer};
+use pbo_ls::{IncumbentCell, LsOptions};
+use pbo_trace::{TraceEvent, Tracer, LS_LANE_BASE};
 
 use crate::bsolo::{Bsolo, SearchState};
 use crate::options::BsoloOptions;
@@ -536,8 +536,22 @@ impl ParBsolo {
         instance: &Instance,
         cell: Option<&IncumbentCell>,
     ) -> SolveResult {
+        self.solve_with_polish(instance, cell, None)
+    }
+
+    /// [`ParBsolo::solve_with_cell`], with `polish` handed to the head
+    /// start and every cube task: each polishes its improving incumbents
+    /// with a walker of its own (see [`Bsolo`]'s crate-private
+    /// counterpart). The portfolio's default strategy only.
+    pub(crate) fn solve_with_polish(
+        &self,
+        instance: &Instance,
+        cell: Option<&IncumbentCell>,
+        polish: Option<&LsOptions>,
+    ) -> SolveResult {
         if self.threads == 1 {
-            let mut result = Bsolo::new(self.options.clone()).solve_with_cell(instance, cell);
+            let mut result =
+                Bsolo::new(self.options.clone()).solve_with_polish(instance, cell, polish);
             result.stats.nodes_per_worker = vec![result.stats.decisions];
             return result;
         }
@@ -630,6 +644,7 @@ impl ParBsolo {
             &[],
             None,
             driver_tracer.clone(),
+            polish,
         ) {
             Ok(mut search) => {
                 let status = search.run(start, &mut stats);
@@ -718,6 +733,7 @@ impl ParBsolo {
             pool: pool.as_ref(),
             threads: self.threads,
             det: det_join.as_ref(),
+            polish,
         };
         let outcomes: Vec<SubtreeResult> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..self.threads)
@@ -779,8 +795,10 @@ impl ParBsolo {
                 // index, but the sorted cube position is deterministic —
                 // after this rewrite the whole event sequence is a pure
                 // function of instance + options, like the counters.
+                // Polish walks keep to the LS lane of their B&B lane.
+                let lane = (i + 1) as u32;
                 for ev in &mut r.stats.trace {
-                    ev.lane = (i + 1) as u32;
+                    ev.lane = if ev.lane >= LS_LANE_BASE { LS_LANE_BASE + lane } else { lane };
                 }
                 stats.absorb(&r.stats);
                 nodes_per_worker.push(r.stats.decisions);
@@ -859,6 +877,9 @@ struct WorkerCtx<'a> {
     threads: usize,
     /// Deterministic-join state (`None` in the default racing mode).
     det: Option<&'a DetJoin>,
+    /// The polish walk's configuration, when cube tasks polish their
+    /// improving incumbents.
+    polish: Option<&'a LsOptions>,
 }
 
 /// Deterministic-join bookkeeping: the incumbent snapshot every cube
@@ -1015,6 +1036,7 @@ fn solve_cube(
         ctx.seed,
         ctx.pool.map(|pool| PoolHandle { pool, lane: worker + 1 }),
         tracer,
+        ctx.polish,
     ) {
         Ok(mut search) => {
             // Grab a primal bound before proving anything: one greedy
@@ -1325,6 +1347,7 @@ mod tests {
                 &[],
                 None,
                 Tracer::off(),
+                None,
             ) else {
                 continue;
             };
@@ -1578,6 +1601,7 @@ mod tests {
                     &[],
                     Some(crate::share::PoolHandle { pool: &pool, lane }),
                     Tracer::off(),
+                    None,
                 ) {
                     let _ = search.run(start, &mut stats);
                 }

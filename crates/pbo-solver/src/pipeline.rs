@@ -100,9 +100,6 @@ pub(crate) struct BoundPipeline {
     /// Whether re-roots install the cost cuts as dynamic rows: MIS with
     /// [`BsoloOptions::dynamic_rows`] on an optimization instance.
     dynamic_enabled: bool,
-    /// Whether the MIS bound runs its implied-literal reasoning (gates
-    /// pre-incumbent MIS calls).
-    mis_implied: bool,
     method: LbMethod,
     /// Telemetry sink; emits one [`pbo_trace::TraceEvent::Bound`] per
     /// [`BoundPipeline::compute`] call (off by default).
@@ -116,7 +113,7 @@ impl BoundPipeline {
         let method = if instance.is_optimization() { options.lb_method } else { LbMethod::None };
         let bound = match method {
             LbMethod::None => Bound::None(NoBound::new()),
-            LbMethod::Mis => Bound::Mis(MisBound::with_implied(options.mis_implied)),
+            LbMethod::Mis => Bound::Mis(MisBound::new()),
             LbMethod::Lagrangian => Bound::Lgr(LagrangianBound::new(instance.num_constraints())),
             LbMethod::Lpr => Bound::Lpr(Box::new(LprBound::new(instance))),
         };
@@ -143,7 +140,6 @@ impl BoundPipeline {
             rows: DynamicRows::for_instance(instance),
             out: LbOutcome::bound(0, Vec::new()),
             dynamic_enabled: options.dynamic_rows && method == LbMethod::Mis,
-            mis_implied: options.mis_implied,
             method,
             tracer: pbo_trace::Tracer::off(),
         }
@@ -182,12 +178,9 @@ impl BoundPipeline {
 
     /// Gating policy: which methods may act before the first incumbent.
     /// LPR's Farkas certificate and MIS's implication closure can prove
-    /// a subtree has *no* feasible completion; plain and LGR cannot, and
-    /// plain-MIS infeasibility only duplicates slack propagation.
+    /// a subtree has *no* feasible completion; plain and LGR cannot.
     pub fn can_act(&self, have_incumbent: bool) -> bool {
-        have_incumbent
-            || self.method == LbMethod::Lpr
-            || (self.method == LbMethod::Mis && self.mis_implied)
+        have_incumbent || matches!(self.method, LbMethod::Lpr | LbMethod::Mis)
     }
 
     /// `true` while a non-empty dynamic-row region is *installed* for

@@ -7,22 +7,26 @@
 //! orders of magnitude faster than tree search; this module wires the two
 //! together around a shared [`IncumbentCell`]:
 //!
-//! * **[`SolveStrategy::LsSeeded`]** (default): LS runs first under a
-//!   small budget; its best verified solution warm-starts the
-//!   branch-and-bound's upper bound and eq. 10 cost cuts. The B&B then
-//!   proves optimality (or improves) with the pruning power of a
-//!   near-optimal bound from node one. A decision instance ends at its
-//!   first verified model: when the seed phase leaves one in the cell
-//!   and it verifies again, the solve returns it without building the
-//!   exact side at all.
+//! * **[`SolveStrategy::LsSeeded`]** (default): LS runs first, in
+//!   8,192-step chunks, until two consecutive chunks bring no new
+//!   verified incumbent; its best warm-starts the branch-and-bound's upper bound
+//!   and eq. 10 cost cuts. On an optimization instance the B&B then
+//!   polishes every improving solution it records: a 2,048-step walk
+//!   from it through the cell, whose cheaper find the B&B adopts before
+//!   installing its cost cuts. Local search thus runs as a primal
+//!   heuristic at deterministic points of the tree, under a step budget.
+//!   A decision instance ends at its first verified model: when the seed
+//!   phase leaves one in the cell and it verifies again, the solve
+//!   returns it without building the exact side at all.
 //! * **[`SolveStrategy::Concurrent`]**: LS keeps running on its own
 //!   `std::thread` for the whole solve. Every improving incumbent found
 //!   by either side is published to the cell; the B&B adopts external
 //!   improvements mid-search (re-rooting its cuts), and LS re-seeds its
-//!   restarts from external improvements.
+//!   restarts from external improvements. Nothing is polished: the
+//!   racing walker already re-seeds from the B&B's incumbents.
 //! * **[`SolveStrategy::Exact`]**: plain branch-and-bound (the paper's
 //!   solver), for when reproducibility of the exact search matters more
-//!   than anytime behaviour.
+//!   than anytime behaviour. It never polishes.
 //!
 //! Every solution crossing a component boundary is re-verified with
 //! [`pbo_core::verify_solution`] — the cell stores, it does not vouch.
@@ -30,14 +34,17 @@
 //! # When to prefer which strategy
 //!
 //! `LsSeeded` is the default everywhere — [`SolveStrategy::default`],
-//! `pbo::solve` and the `pbo-solve` CLI. The warm start shrinks the tree
-//! on every gated benchmark workload, a decision instance ends in the
-//! seed phase, and under a wall-clock budget it is the anytime mode
-//! (deterministic for a fixed LS step budget). It is not the fastest
-//! everywhere: on a 2-core box `Concurrent` solved the optimization
-//! workloads (`ptlcmos-seq`, `synthesis-par2`) in about half the wall
-//! time and lost on the decision workload (`acc-seq`), where the seed
-//! phase alone answers. `Concurrent` is timing dependent.
+//! `pbo::solve` and the `pbo-solve` CLI. The warm start and the polish
+//! walks shrink the tree on every gated benchmark workload, a decision
+//! instance ends in the seed phase, and every walk is step-bounded and
+//! seeded, so a sequential or `deterministic_join` solve reproduces run
+//! to run (under a wall-clock budget the seed phase's time cap can cut
+//! it at a different step). `Concurrent` is timing dependent, and
+//! whether it wins depends on a free second core: on a 2-core box it
+//! has both beaten and lost to the polishing default on the
+//! optimization workloads (`ptlcmos-seq`, `synthesis-par2`) from one
+//! session to the next, and it loses on the decision workload
+//! (`acc-seq`), where the seed phase alone answers.
 //! `Exact` (`pbo-solve --strategy exact`, `pbo::solve_with`) reproduces
 //! the paper's solver byte for byte.
 
@@ -55,18 +62,27 @@ use crate::result::{SolveResult, SolveStatus, SolverStats};
 /// LS steps per chunk between stop-flag/cell checks in concurrent mode.
 const CONCURRENT_CHUNK_STEPS: u64 = 16_384;
 
-/// LS steps per chunk in the seeding phase; stagnation is assessed
-/// between chunks, so the phase ends within one chunk of the limit.
+/// LS steps per chunk of the seed phase. Step-based, so a step-bounded
+/// seed phase stays deterministic. Shorter chunks were measured and
+/// rejected: 4,096-step chunks took `acc-seq` from 65 to 164 ms and
+/// grout 17% longer.
 const SEED_CHUNK_STEPS: u64 = 8_192;
 
-/// Adaptive seeding split: the LS phase ends once this many steps pass
-/// without a verified improvement, handing the remaining budget to the
-/// branch-and-bound instead of burning the whole static share on a
-/// stagnant walk. Step-based, so a step-bounded seeding phase stays
-/// deterministic. One chunk was measured and rejected: it sped up
-/// covering instances but handed grout a worse upper bound, its walk
-/// still improving after one stagnant chunk.
-const LS_STAGNATION_STEPS: u64 = 3 * SEED_CHUNK_STEPS;
+/// Consecutive chunks without a new verified incumbent that end the seed
+/// phase once it has found a model. One was measured and rejected: on
+/// grout, whose walk still improves after a stagnant chunk, polishing
+/// did not make up for the shorter walk (6–10% more decisions and
+/// 10–19% more wall time on two sets of 60 and 48 grout files). Three,
+/// the old rule, spent nearly 40% of a `ptlcmos-seq` solve on chunks
+/// that improved nothing.
+const SEED_STAGNANT_CHUNKS: u64 = 2;
+
+/// Chunks the seed phase walks for a first model before it hands the
+/// instance to the branch-and-bound without an upper bound. Giving up
+/// after one took a grout instance whose first model came in the second
+/// chunk from 0.7 to 10.3 s; giving up after two cost grout 4% more
+/// decisions than after three.
+const SEED_MODEL_CHUNKS: u64 = 3;
 
 /// Configuration of the [`Portfolio`] driver.
 #[derive(Clone, Debug)]
@@ -79,10 +95,11 @@ pub struct PortfolioOptions {
     /// gets the remainder).
     pub bsolo: BsoloOptions,
     /// The local-search configuration. In `LsSeeded` mode `max_steps` /
-    /// `time_limit` cap the seeding phase (a fifth of the total time
-    /// budget is imposed when none is set); in `Concurrent` mode the one
-    /// LS thread walks until the exact side finishes, whatever its step
-    /// budget and time limit.
+    /// `time_limit` cap the seed phase (a fifth of the total time budget
+    /// is imposed when none is set), and every polish walk takes `seed`
+    /// and `cancel` but a fixed 2,048-step budget; in `Concurrent` mode
+    /// the one LS thread walks until the exact side finishes, whatever
+    /// its step budget and time limit.
     pub ls: LsOptions,
     /// Number of exact branch-and-bound workers (default 1 = the
     /// sequential solver, bit-identical to [`crate::Bsolo`]). With more
@@ -217,57 +234,15 @@ impl Portfolio {
     }
 
     /// Sequential mode: a bounded LS phase, then B&B on what's left of
-    /// the wall-clock budget. The phase ends early on stagnation (no
-    /// verified improvement for `LS_STAGNATION_STEPS` steps), so a
-    /// converged walk hands its unused share straight to the B&B.
+    /// the wall-clock budget, polishing each improving incumbent of an
+    /// optimization instance with a short walk of its own.
     fn solve_ls_seeded(
         &self,
         instance: &Instance,
         cell: &IncumbentCell,
         start: Instant,
     ) -> SolveResult {
-        let total_time = self.options.bsolo.budget.time;
-        // An explicit LS time limit wins (so callers can make the seed
-        // phase step-bounded and deterministic); a fifth of the total
-        // wall-clock budget is imposed as a hard cap only when none is
-        // set — stagnation usually ends the phase well before either.
-        let seed_cap = total_time.map(|t| t / 5);
-        let phase_limit = self.options.ls.time_limit.or(seed_cap);
-        let deadline = phase_limit.map(|d| Instant::now() + d);
-        let max_steps = self.options.ls.max_steps;
-        let chunk = SEED_CHUNK_STEPS.min(max_steps.max(1));
-        // The solve's cancel token reaches the seed phase too, unless the
-        // LS options bring their own.
-        let cancel = self.options.ls.cancel.clone().or_else(|| self.options.bsolo.cancel.clone());
-        let mut ls = LocalSearch::new(
-            instance,
-            LsOptions { max_steps: chunk, time_limit: None, cancel, ..self.options.ls.clone() },
-        );
-        if self.options.bsolo.trace {
-            ls.set_tracer(Tracer::buffered(LS_LANE_BASE, start));
-        }
-        let mut last_best: Option<i64> = None;
-        let mut stagnant: u64 = 0;
-        loop {
-            let before = ls.stats.steps;
-            let result = ls.run(Some(cell), None);
-            let advanced = ls.stats.steps - before;
-            if advanced == 0 {
-                break; // satisfied, hopeless, or cancelled
-            }
-            if result.best_cost.is_some() && result.best_cost != last_best {
-                last_best = result.best_cost;
-                stagnant = 0;
-            } else {
-                stagnant += advanced;
-            }
-            if stagnant >= LS_STAGNATION_STEPS
-                || ls.stats.steps >= max_steps
-                || deadline.is_some_and(|d| Instant::now() >= d)
-            {
-                break;
-            }
-        }
+        let mut ls = self.seed_phase(instance, cell, start);
         let ls_time = start.elapsed();
         // A decision instance ends at its first model: once the seed
         // phase has left one in the cell and it verifies again (the cell
@@ -291,17 +266,82 @@ impl Portfolio {
             }
         }
         let mut bsolo_options = self.options.bsolo.clone();
-        if let Some(t) = total_time {
+        if let Some(t) = self.options.bsolo.budget.time {
             bsolo_options.budget.time =
                 Some(t.saturating_sub(ls_time).max(Duration::from_millis(1)));
         }
+        // Every polish walk takes the seed walker's seed and cancel token.
+        let polish = LsOptions { cancel: self.ls_cancel(), ..self.options.ls.clone() };
         let mut result = ParBsolo::new(bsolo_options, self.options.resolved_bb_threads())
-            .solve_with_cell(instance, Some(cell));
+            .solve_with_polish(instance, Some(cell), Some(&polish));
         shift_trace(&mut result.stats.trace, ls_time);
         result.stats.trace.extend(ls.drain_trace());
-        result.stats.ls_steps = ls.stats.steps;
+        result.stats.ls_steps += ls.stats.steps;
         result.stats.ls_time = ls_time;
         result
+    }
+
+    /// The seed phase of `LsSeeded`: one walker in 8,192-step chunks,
+    /// publishing to `cell`, until two consecutive chunks bring no new
+    /// verified incumbent (three while it has none), the step budget or
+    /// the time cap runs out, or nothing is left to improve. Returns the
+    /// walker.
+    fn seed_phase<'i>(
+        &self,
+        instance: &'i Instance,
+        cell: &IncumbentCell,
+        start: Instant,
+    ) -> LocalSearch<'i> {
+        // An explicit LS time limit wins (so callers can make the seed
+        // phase step-bounded and deterministic); a fifth of the total
+        // wall-clock budget is imposed as a hard cap only when none is
+        // set — stagnation usually ends the phase well before either.
+        let seed_cap = self.options.bsolo.budget.time.map(|t| t / 5);
+        let phase_limit = self.options.ls.time_limit.or(seed_cap);
+        let deadline = phase_limit.map(|d| Instant::now() + d);
+        let max_steps = self.options.ls.max_steps;
+        let chunk = SEED_CHUNK_STEPS.min(max_steps.max(1));
+        let mut ls = LocalSearch::new(
+            instance,
+            LsOptions {
+                max_steps: chunk,
+                time_limit: None,
+                cancel: self.ls_cancel(),
+                ..self.options.ls.clone()
+            },
+        );
+        if self.options.bsolo.trace {
+            ls.set_tracer(Tracer::buffered(LS_LANE_BASE, start));
+        }
+        let mut last_best: Option<i64> = None;
+        let mut stagnant = 0;
+        loop {
+            let before = ls.stats.steps;
+            let best = ls.run(Some(cell), None).best_cost;
+            if ls.stats.steps == before {
+                break; // satisfied, hopeless, or cancelled
+            }
+            if best == last_best {
+                stagnant += 1;
+            } else {
+                last_best = best;
+                stagnant = 0;
+            }
+            let patience = if best.is_some() { SEED_STAGNANT_CHUNKS } else { SEED_MODEL_CHUNKS };
+            if stagnant >= patience
+                || ls.stats.steps >= max_steps
+                || deadline.is_some_and(|d| Instant::now() >= d)
+            {
+                break;
+            }
+        }
+        ls
+    }
+
+    /// The cancel token of every walk of the solve: the LS options' own,
+    /// else the solve's.
+    fn ls_cancel(&self) -> Option<pbo_core::CancelToken> {
+        self.options.ls.cancel.clone().or_else(|| self.options.bsolo.cancel.clone())
     }
 
     /// Concurrent mode: one LS thread races the exact side — sequential
@@ -344,8 +384,12 @@ impl Portfolio {
                 }
             });
             let exact_start = start.elapsed();
+            // Raised on every exit from the exact side, an unwinding
+            // panic included: the scope joins the walker before it
+            // rethrows, and the walker stops only on the flag.
+            let raise_stop = RaiseOnDrop(&stop);
             let mut result = self.exact_solver().solve_with_cell(instance, Some(cell));
-            stop.store(true, Ordering::Relaxed);
+            drop(raise_stop);
             shift_trace(&mut result.stats.trace, exact_start);
             match ls_handle.join() {
                 Ok((steps, events)) => {
@@ -370,6 +414,15 @@ impl Portfolio {
             }
             result
         })
+    }
+}
+
+/// Raises a stop flag when dropped.
+struct RaiseOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for RaiseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
     }
 }
 
@@ -716,12 +769,36 @@ mod tests {
         );
     }
 
+    /// The effort counters a parity check compares.
+    fn counters(r: &SolveResult) -> (u64, u64, u64, u64, u64, u64, u64, u64, Vec<u64>) {
+        let s = &r.stats;
+        (
+            s.ls_steps,
+            s.decisions,
+            s.conflicts,
+            s.bound_conflicts,
+            s.propagations,
+            s.lb_calls,
+            s.lp_iterations,
+            s.solutions_found,
+            s.nodes_per_worker.clone(),
+        )
+    }
+
+    /// A covering instance whose default solve finds incumbents in the
+    /// branch-and-bound.
+    fn ptlcmos_60() -> Instance {
+        PtlCmosParams { gates: 60, ..PtlCmosParams::default() }.generate(0)
+    }
+
     #[test]
     fn deterministic_ls_seeded_solves_reproduce() {
         let instances = [
             PtlCmosParams { gates: 20, ..PtlCmosParams::default() }.generate(0),
             SynthesisParams::default().generate(0),
+            ptlcmos_60(),
         ];
+        let mut polished = false;
         for (i, inst) in instances.iter().enumerate() {
             for bb_threads in [1, 2] {
                 let options = PortfolioOptions {
@@ -731,28 +808,80 @@ mod tests {
                     ..PortfolioOptions::default()
                 };
                 let a = Portfolio::new(options.clone()).solve(inst);
-                let b = Portfolio::new(options).solve(inst);
+                let b = Portfolio::new(options.clone()).solve(inst);
                 let label = format!("instance {i}, bb_threads {bb_threads}");
                 assert!(a.is_optimal(), "{label}: {:?}", a.status);
                 assert_eq!(a.status, b.status, "{label}: status");
                 assert_eq!(a.best_cost, b.best_cost, "{label}: cost");
                 assert_eq!(a.best_assignment, b.best_assignment, "{label}: model");
-                let counters = |r: &SolveResult| {
-                    let s = &r.stats;
-                    (
-                        s.ls_steps,
-                        s.decisions,
-                        s.conflicts,
-                        s.bound_conflicts,
-                        s.propagations,
-                        s.lb_calls,
-                        s.lp_iterations,
-                        s.solutions_found,
-                        s.nodes_per_worker.clone(),
-                    )
-                };
                 assert_eq!(counters(&a), counters(&b), "{label}: counters");
+                // Steps beyond the seed phase's own are polish walks.
+                let seed =
+                    Portfolio::new(options).seed_phase(inst, &IncumbentCell::new(), Instant::now());
+                polished |= a.stats.ls_steps > seed.stats.steps;
             }
         }
+        assert!(polished, "no polish walk ran, so nothing above tested its reproducibility");
+    }
+
+    #[test]
+    fn branch_and_bound_adopts_its_polish_walk_finds() {
+        let mut options = PortfolioOptions::default();
+        options.bsolo.trace = true;
+        let result = Portfolio::new(options).solve(&ptlcmos_60());
+        assert!(result.is_optimal());
+        let mut events: Vec<&Event> = result.stats.trace.iter().collect();
+        events.sort_by_key(|e| e.t_ns);
+        let exact_solution =
+            |e: &&Event| e.lane < LS_LANE_BASE && matches!(e.data, TraceEvent::Solution { .. });
+        let first = events.iter().position(exact_solution).expect("the B&B found an incumbent");
+        // A polish walk's incumbent: on an LS lane, after the seed phase
+        // handed over to the branch-and-bound, and adopted there.
+        let polished = events[first..].iter().enumerate().find_map(|(i, e)| match e.data {
+            TraceEvent::Solution { cost } if e.lane >= LS_LANE_BASE => Some((first + i, cost)),
+            _ => None,
+        });
+        let (at, cost) = polished.expect("a polish walk found an incumbent");
+        assert!(
+            events[at..].iter().any(|e| e.lane < LS_LANE_BASE
+                && matches!(e.data, TraceEvent::Adopt { cost: c } if c <= cost)),
+            "the branch-and-bound adopted the polish walk's incumbent of cost {cost}"
+        );
+        assert!(result.stats.ls_time < result.stats.solve_time);
+    }
+
+    #[test]
+    fn exact_strategy_never_polishes() {
+        let inst = ptlcmos_60();
+        let exact = Portfolio::with_strategy(SolveStrategy::Exact).solve(&inst);
+        let mut bsolo = Bsolo::new(BsoloOptions::default()).solve(&inst);
+        // The portfolio's exact side reports its one worker's nodes.
+        bsolo.stats.nodes_per_worker = vec![bsolo.stats.decisions];
+        assert_eq!(exact.stats.ls_steps, 0);
+        assert_eq!(exact.best_cost, bsolo.best_cost);
+        assert_eq!(counters(&exact), counters(&bsolo));
+    }
+
+    /// A panic escaping the exact side of a `Concurrent` solve reaches
+    /// the caller instead of leaving the scope waiting on the walker,
+    /// whose stop flag only the exact side's exit raises.
+    #[cfg(feature = "failpoints")]
+    #[test]
+    fn concurrent_exact_side_panic_reaches_the_caller() {
+        let _guard = pbo_fault::install(pbo_fault::FaultPlan::new().panic_on("bound.dispatch", 1));
+        let (tx, rx) = std::sync::mpsc::channel();
+        // Not scoped: a hung solve must fail the test, not hang it too.
+        let solver = std::thread::spawn(move || {
+            let inst = ptlcmos_60();
+            let solve = std::panic::catch_unwind(|| {
+                Portfolio::with_strategy(SolveStrategy::Concurrent).solve(&inst)
+            });
+            let _ = tx.send(solve.is_err());
+        });
+        match rx.recv_timeout(Duration::from_secs(10)) {
+            Ok(panicked) => assert!(panicked, "the injected panic must reach the caller"),
+            Err(_) => panic!("the concurrent solve hung after its exact side panicked"),
+        }
+        solver.join().expect("the solve's panic was caught inside the thread");
     }
 }

@@ -108,9 +108,11 @@ pub struct SolverStats {
     /// first recorded (zero when no solution was found) — the anytime
     /// quality metric of the portfolio.
     pub time_to_best: Duration,
-    /// Local-search steps of the portfolio: the seed phase's under
-    /// [`crate::SolveStrategy::LsSeeded`], the racing thread's under
-    /// [`crate::SolveStrategy::Concurrent`]; zero for every other solve.
+    /// Local-search steps of the portfolio: under
+    /// [`crate::SolveStrategy::LsSeeded`] the seed phase's plus every
+    /// polish walk's (summed across workers at join), under
+    /// [`crate::SolveStrategy::Concurrent`] the racing thread's; zero for
+    /// every other solve.
     pub ls_steps: u64,
     /// **Wall** time of the portfolio's seed phase, measured on the
     /// driver thread before the branch-and-bound starts (part of

@@ -143,12 +143,8 @@ fn ablation_toggles_preserve_correctness() {
                 BsoloOptions { dynamic_rows: true, ..BsoloOptions::with_lb(LbMethod::Mis) },
             ),
             (
-                "plain-mis",
-                BsoloOptions {
-                    mis_implied: false,
-                    dynamic_rows: false,
-                    ..BsoloOptions::with_lb(LbMethod::Mis)
-                },
+                "mis-no-rows",
+                BsoloOptions { dynamic_rows: false, ..BsoloOptions::with_lb(LbMethod::Mis) },
             ),
             ("lgr", BsoloOptions::with_lb(LbMethod::Lagrangian)),
             (

@@ -466,8 +466,10 @@ fn lane_name(lane: u32) -> String {
     }
 }
 
-/// The local-search walker's lane (the portfolio runs one walker); B&B
-/// workers take `1..=N`, the driver lane 0.
+/// The first local-search lane. B&B lanes are `0` (the sequential
+/// search or the parallel driver) and `1..=N` (workers); the walker that
+/// polishes the incumbents of B&B lane `L` traces on `LS_LANE_BASE + L`,
+/// and the portfolio's seed walker and racing walker on `LS_LANE_BASE`.
 pub const LS_LANE_BASE: u32 = 64;
 
 fn instant(lane: u32, t_ns: u64, name: &str, args: &str) -> String {

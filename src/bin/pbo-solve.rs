@@ -10,18 +10,22 @@
 //!
 //! Every solve runs through the portfolio ([`pbo::Portfolio`]). The
 //! default strategy, `ls-seeded`, runs a short stochastic local search
-//! first: its best verified solution seeds the branch-and-bound's upper
-//! bound and eq. 10 cost cuts, and on a decision instance its first
-//! verified model is the answer (no branch-and-bound runs at all). It is
-//! deterministic, the fastest measured configuration on decision
-//! instances, and under `--timeout-ms` it is the anytime mode — a good
-//! verified solution fast, then proof effort with whatever time remains
-//! (the seed phase takes at most a fifth of the budget). `--strategy
-//! exact` is the paper's solver: branch-and-bound only, no local search.
-//! `--strategy concurrent` races one local-search thread against the
-//! exact solver for the whole solve; on optimization instances it
-//! measured faster than the default on a 2-core box, but its runs are
-//! timing dependent.
+//! first, until two 8,192-step chunks in a row bring no new incumbent:
+//! its best verified solution seeds the branch-and-bound's upper bound
+//! and eq. 10 cost cuts, and on a decision instance its first verified
+//! model is the answer (no branch-and-bound runs at all). On an
+//! optimization instance every improving solution the branch-and-bound
+//! finds is then polished by a 2,048-step walk from it, and the search
+//! adopts what the walk finds cheaper. It is deterministic, the fastest
+//! measured configuration on decision instances, and under
+//! `--timeout-ms` it is the anytime mode — a good verified solution
+//! fast, then proof effort with whatever time remains (the seed phase
+//! takes at most a fifth of the budget). `--strategy exact` is the paper's solver:
+//! branch-and-bound only, no local search. `--strategy concurrent` races
+//! one local-search thread against the exact solver for the whole solve;
+//! on optimization instances it has measured both faster and slower
+//! than the default on a 2-core box, and its runs are timing
+//! dependent.
 //!
 //! `--bb-threads N` runs the exact side as a cube-split parallel
 //! branch-and-bound: the root is split into decision-literal cubes and
@@ -83,6 +87,7 @@ fn usage() -> ! {
          [--bb-threads N|auto] [--deterministic] [--timeout-ms N] [--stats] [--stats-json] \
          [--trace FILE] [--trace-format jsonl|chrome] [--metrics] <file.opb>\n\
          \n  --strategy ls-seeded   (default) local search seeds the branch-and-bound\
+         \n                         and polishes each incumbent it finds\
          \n  --strategy exact       the paper's solver: branch-and-bound only\
          \n  --strategy concurrent  one local-search thread races the branch-and-bound\
          \n  --deterministic        reproducible runs when the solve finishes within its\
