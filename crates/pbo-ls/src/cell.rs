@@ -97,6 +97,33 @@ impl IncumbentCell {
         true
     }
 
+    /// Merges a cell that another search ran against: `other`'s history
+    /// entries that beat this cell's running best are appended with the
+    /// instants they were found at, and `other`'s model is taken if it is
+    /// cheaper. A speculative or deterministic-join search works on a
+    /// private cell; this hands its incumbents to the shared one without
+    /// restamping them as found at the merge.
+    pub fn absorb(&self, other: &IncumbentCell) {
+        let (history, model) = {
+            let theirs = other.lock();
+            (theirs.history.clone(), theirs.model.clone())
+        };
+        let Some(model) = model else { return };
+        let mut inner = self.lock();
+        let mut best = self.cost.load(Ordering::Acquire);
+        for &(at, cost) in &history {
+            if cost < best {
+                inner.history.push((at, cost));
+                best = cost;
+            }
+        }
+        // `other`'s last history entry is the cost of its model.
+        if best < self.cost.load(Ordering::Acquire) {
+            self.cost.store(best, Ordering::Release);
+            inner.model = Some(model);
+        }
+    }
+
     /// Clones the current best solution, if any.
     pub fn snapshot(&self) -> Option<(i64, Vec<bool>)> {
         let inner = self.lock();
@@ -184,6 +211,46 @@ mod tests {
         // ...and the cell keeps accepting offers after recovery.
         assert!(cell.offer(7, &[false, true]));
         assert_eq!(cell.snapshot(), Some((7, vec![false, true])));
+    }
+
+    #[test]
+    fn absorb_keeps_instants_and_a_strictly_improving_history() {
+        let start = Instant::now();
+        let shared = IncumbentCell::new();
+        shared.offer(10, &[true, true]);
+        let private = IncumbentCell::new();
+        private.offer(12, &[true, false]); // worse than the shared best
+        private.offer(10, &[false, true]); // only equal to it
+        private.offer(7, &[false, false]);
+        private.offer(5, &[true, false]);
+        let found: Vec<(Duration, i64)> = private.history_since(start);
+        shared.absorb(&private);
+        let history = shared.history_since(start);
+        let costs: Vec<i64> = history.iter().map(|&(_, c)| c).collect();
+        assert_eq!(costs, vec![10, 7, 5]);
+        assert_eq!(&history[1..], &found[2..], "the instants of the finds are kept");
+        assert_eq!(shared.snapshot(), Some((5, vec![true, false])));
+    }
+
+    #[test]
+    fn absorb_never_replaces_a_cheaper_model() {
+        let start = Instant::now();
+        let shared = IncumbentCell::new();
+        shared.offer(3, &[true]);
+        let private = IncumbentCell::new();
+        private.offer(8, &[false]);
+        private.offer(4, &[false]);
+        shared.absorb(&private);
+        assert_eq!(shared.snapshot(), Some((3, vec![true])));
+        assert_eq!(shared.history_since(start).len(), 1, "nothing beat the running best");
+        // Absorbing an empty cell changes nothing; absorbing into an
+        // empty cell copies the trajectory.
+        shared.absorb(&IncumbentCell::new());
+        assert_eq!(shared.best_cost(), Some(3));
+        let fresh = IncumbentCell::new();
+        fresh.absorb(&private);
+        assert_eq!(fresh.snapshot(), Some((4, vec![false])));
+        assert_eq!(fresh.history_since(start), private.history_since(start));
     }
 
     #[test]

@@ -232,6 +232,13 @@ impl<'a> LocalSearch<'a> {
         self.tracer = tracer;
     }
 
+    /// Sets the step budget of the next [`run`](LocalSearch::run) calls.
+    /// A walk run in several calls takes the same steps as one long call
+    /// when every call but the last is a multiple of the 512-step poll.
+    pub fn set_max_steps(&mut self, max_steps: u64) {
+        self.options.max_steps = max_steps;
+    }
+
     /// Drains the buffered telemetry events recorded so far.
     pub fn drain_trace(&mut self) -> Vec<pbo_trace::Event> {
         self.tracer.drain()

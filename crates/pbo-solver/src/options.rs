@@ -59,16 +59,20 @@ impl ResidualMode {
 pub enum SolveStrategy {
     /// Branch-and-bound only — the paper's solver, no local search.
     Exact,
-    /// Sequential portfolio: local search runs first until two 8,192-step
+    /// Seeded portfolio: local search runs first until two 8,192-step
     /// chunks in a row bring no new verified incumbent, and its best
     /// seeds the upper bound (and the eq. 10 cuts) of the
     /// branch-and-bound; a decision instance ends at the first verified
     /// model. On an optimization instance every improving solution the
     /// branch-and-bound records is polished by a 2,048-step walk from
-    /// it, whose cheaper find the search adopts. Deterministic given a
-    /// deterministic LS budget. The default of every front door
-    /// (`pbo::solve`, `pbo-solve`); on decision instances the fastest
-    /// measured configuration.
+    /// it, whose cheaper find the search adopts. With a second core the
+    /// branch-and-bound starts speculatively from the walk's best while
+    /// the walk finishes its stagnant chunks, and is kept only when the
+    /// walk ends with that same best, so answers and counters are those
+    /// of the sequential order; pinned to one core the two run in turn.
+    /// Deterministic given a deterministic LS budget. The default of
+    /// every front door (`pbo::solve`, `pbo-solve`); on decision
+    /// instances the fastest measured configuration.
     #[default]
     LsSeeded,
     /// Concurrent portfolio: local search races the branch-and-bound on

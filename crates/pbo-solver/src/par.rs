@@ -589,9 +589,9 @@ impl ParBsolo {
         // Deterministic-join mode runs the head and every cube task
         // against *private* incumbent cells — seeded once from whatever
         // the outer cell held at solve start — so no timing-dependent
-        // incumbent race can steer any subtree; the final best is
-        // offered to the outer cell only at the end. See
-        // [`BsoloOptions::deterministic_join`].
+        // incumbent race can steer any subtree; the final best reaches
+        // the outer cell only at the end, merged with the instants its
+        // finds were made at. See [`BsoloOptions::deterministic_join`].
         let det = worker_options.deterministic_join;
         let det_cell_store;
         let run_cell: &IncumbentCell = if det {
@@ -668,10 +668,8 @@ impl ParBsolo {
             }
             let verified =
                 head_result.filter(|(cost, model)| verify_solution(inst, model) == Ok(*cost));
-            if det {
-                if let Some((c, m)) = &verified {
-                    outer_cell.offer(*c, m);
-                }
+            if det && verified.is_some() {
+                outer_cell.absorb(run_cell);
             }
             let (best_cost, best_assignment) = match verified {
                 Some((c, m)) => (Some(c), Some(m)),
@@ -788,6 +786,7 @@ impl ParBsolo {
                 stats.cancelled |= o.stats.cancelled;
             }
             let mut best = dj.seed_incumbent;
+            let mut winner = None;
             let mut nodes_per_worker = Vec::with_capacity(records.len());
             for (i, r) in records.iter_mut().enumerate() {
                 // Re-lane by cube position: the lane a record's events
@@ -806,15 +805,23 @@ impl ParBsolo {
                 if let (Some(c), Some(m)) = (r.cost, &r.model) {
                     if best.as_ref().is_none_or(|(bc, _)| c < *bc) {
                         best = Some((c, m.clone()));
+                        winner = Some(i);
                     }
                 }
             }
             stats.nodes_per_worker = nodes_per_worker;
             stats.queue_wait_total = std::time::Duration::ZERO;
             let best = best.filter(|(cost, model)| verify_solution(inst, model) == Ok(*cost));
-            if let Some((c, m)) = &best {
-                outer_cell.offer(*c, m);
-                stats.time_to_best = start.elapsed();
+            if best.is_some() {
+                // The head's finds, then the winning cube's beyond the
+                // seed incumbent, each at the instant it was found.
+                outer_cell.absorb(run_cell);
+                if let Some(i) = winner {
+                    outer_cell.absorb(&records[i].cell);
+                }
+                if let Some((at, _)) = outer_cell.history_since(start).last() {
+                    stats.time_to_best = *at;
+                }
             }
             let status = match (&best, all_closed) {
                 (Some(_), true) => SolveStatus::Optimal,
@@ -901,6 +908,9 @@ struct CubeRecord {
     cost: Option<i64>,
     /// The matching model.
     model: Option<Vec<bool>>,
+    /// The task's private incumbent cell: its history carries the
+    /// instants the task's incumbents were found.
+    cell: IncumbentCell,
     /// The task's private effort counters.
     stats: SolverStats,
 }
@@ -957,9 +967,22 @@ fn run_worker(ctx: &WorkerCtx<'_>, worker: usize) -> SubtreeResult {
         // charges its timer before returning, so nothing double-counts),
         // and the surviving N−1 workers keep draining the frontier.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            solve_cube(ctx, worker, &cube, &mut stats, tracer.clone())
+            // Deterministic mode: a private incumbent cell per cube task,
+            // seeded once — the subtree's trajectory depends only on
+            // (instance, options, cube, seed incumbent), never on what
+            // sibling workers found first.
+            let det_cell = ctx.det.map(|det| {
+                let cell = IncumbentCell::new();
+                if let Some((c, m)) = &det.seed_incumbent {
+                    cell.offer(*c, m);
+                }
+                cell
+            });
+            let cell = det_cell.as_ref().unwrap_or(ctx.cell);
+            let (status, best) = solve_cube(ctx, worker, &cube, cell, &mut stats, tracer.clone());
+            (status, best, det_cell)
         }));
-        let (status, best) = match outcome {
+        let (status, best, det_cell) = match outcome {
             Ok(r) => r,
             Err(_) => {
                 total.workers_lost += 1;
@@ -979,10 +1002,11 @@ fn run_worker(ctx: &WorkerCtx<'_>, worker: usize) -> SubtreeResult {
             dur_ns: tracer.now_ns().saturating_sub(cube_from),
         });
         stats.trace.extend(tracer.drain());
-        if let Some(det) = ctx.det {
+        if let (Some(det), Some(cell)) = (ctx.det, det_cell) {
             let (cost, model) = best;
-            let mut records = det.records.lock().unwrap_or_else(|p| p.into_inner());
-            records.push(CubeRecord { cube: cube.lits, closed, cost, model, stats: stats.clone() });
+            let record =
+                CubeRecord { cube: cube.lits, closed, cost, model, cell, stats: stats.clone() };
+            det.records.lock().unwrap_or_else(|p| p.into_inner()).push(record);
         }
         total.absorb(&stats);
         guard.finish(!closed);
@@ -996,14 +1020,16 @@ fn run_worker(ctx: &WorkerCtx<'_>, worker: usize) -> SubtreeResult {
 
 /// Solves one subtree task to exhaustion (or budget): the sequential
 /// search loop, rooted in `cube` and seeded with the head start's
-/// learned clauses, publishing incumbents to (and adopting from) the
-/// shared cell — re-splitting its remaining subtree back to the queue
-/// whenever it outlives its conflict allowance while the queue starves.
-/// Returns the final status and the task's best (cost, model).
+/// learned clauses, publishing incumbents to (and adopting from) `cell`
+/// (the shared cell, or the task's private one under deterministic
+/// join) — re-splitting its remaining subtree back to the queue whenever
+/// it outlives its conflict allowance while the queue starves. Returns
+/// the final status and the task's best (cost, model).
 fn solve_cube(
     ctx: &WorkerCtx<'_>,
     worker: usize,
     cube: &Cube,
+    cell: &IncumbentCell,
     stats: &mut SolverStats,
     tracer: Tracer,
 ) -> (SolveStatus, (Option<i64>, Option<Vec<bool>>)) {
@@ -1011,21 +1037,6 @@ fn solve_cube(
     // hand": fires before any search state exists, so the quarantine
     // path is exercised with zero partial work to account for.
     failpoint!("par.cube");
-    // Deterministic mode: a private incumbent cell per cube task, seeded
-    // once — the subtree's trajectory depends only on (instance,
-    // options, cube, seed incumbent), never on what sibling workers
-    // found first.
-    let det_cell;
-    let cell: &IncumbentCell = match ctx.det {
-        Some(det) => {
-            det_cell = IncumbentCell::new();
-            if let Some((c, m)) = &det.seed_incumbent {
-                det_cell.offer(*c, m);
-            }
-            &det_cell
-        }
-        None => ctx.cell,
-    };
     match SearchState::init(
         ctx.instance,
         ctx.options,

@@ -17,7 +17,15 @@
 //!   heuristic at deterministic points of the tree, under a step budget.
 //!   A decision instance ends at its first verified model: when the seed
 //!   phase leaves one in the cell and it verifies again, the solve
-//!   returns it without building the exact side at all.
+//!   returns it without building the exact side at all. With a second
+//!   core, the B&B of an optimization instance starts *speculatively*
+//!   while the walk finishes its stagnant chunks: from the walk's best,
+//!   once 1,024 steps have passed without a new incumbent, on a scoped
+//!   thread against a private cell. If the seed phase ends with that
+//!   same best, the run is the B&B the sequential order would have
+//!   started, so its result is kept; if the walk improves first, the
+//!   run is cancelled and another starts from the new best. Answers and
+//!   counters never depend on which happened.
 //! * **[`SolveStrategy::Concurrent`]**: LS keeps running on its own
 //!   `std::thread` for the whole solve. Every improving incumbent found
 //!   by either side is published to the cell; the B&B adopts external
@@ -39,19 +47,21 @@
 //! instance ends in the seed phase, and every walk is step-bounded and
 //! seeded, so a sequential or `deterministic_join` solve reproduces run
 //! to run (under a wall-clock budget the seed phase's time cap can cut
-//! it at a different step). `Concurrent` is timing dependent, and
-//! whether it wins depends on a free second core: on a 2-core box it
-//! has both beaten and lost to the polishing default on the
-//! optimization workloads (`ptlcmos-seq`, `synthesis-par2`) from one
-//! session to the next, and it loses on the decision workload
-//! (`acc-seq`), where the seed phase alone answers.
+//! it at a different step) — on two cores as on one, since a
+//! speculative branch-and-bound is kept only when it is the one the
+//! one-core order would run. `Concurrent` is timing dependent. On a
+//! 2-core box it still beats the default on the optimization workloads
+//! (`ptlcmos-seq` and `synthesis-par2` per-file sums 15% and 17% lower),
+//! is level with it or loses pinned to one core, and loses on the
+//! decision workload (`acc-seq`), where the seed phase alone answers.
 //! `Exact` (`pbo-solve --strategy exact`, `pbo::solve_with`) reproduces
 //! the paper's solver byte for byte.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
-use pbo_core::Instance;
+use pbo_core::{CancelToken, Instance};
 pub use pbo_ls::{IncumbentCell, LocalSearch, LsOptions, LsResult, LsStats};
 use pbo_trace::{Event, TraceEvent, Tracer, LS_LANE_BASE};
 
@@ -67,6 +77,15 @@ const CONCURRENT_CHUNK_STEPS: u64 = 16_384;
 /// rejected: 4,096-step chunks took `acc-seq` from 65 to 164 ms and
 /// grout 17% longer.
 const SEED_CHUNK_STEPS: u64 = 8_192;
+
+/// LS steps per piece of a seed chunk. A piece that ends with the
+/// cell's best it started with starts a speculative branch-and-bound
+/// from that best (see [`Portfolio::solve_ls_seeded`]); the stop rules
+/// still read chunk ends only. A multiple of the walker's 512-step
+/// poll, so a chunk walked in pieces takes exactly the steps of one
+/// call. Starting only at chunk ends left `ptlcmos-seq` at 0.652 s of
+/// per-file sums against 0.602 s for this rule.
+const SEED_PIECE_STEPS: u64 = 1_024;
 
 /// Consecutive chunks without a new verified incumbent that end the seed
 /// phase once it has found a model. One was measured and rejected: on
@@ -193,14 +212,31 @@ impl Portfolio {
     }
 
     /// Solves `instance`, exchanging incumbents through `cell` — pass a
-    /// caller-owned cell to observe the incumbent trajectory
-    /// ([`IncumbentCell::history_since`]) or to seed the solve with a
-    /// known solution.
+    /// caller-owned cell to read the incumbent trajectory
+    /// ([`IncumbentCell::history_since`]) after the solve, or to seed the
+    /// solve with a known solution.
+    ///
+    /// Under [`SolveStrategy::LsSeeded`] with a second core, the
+    /// branch-and-bound whose result is returned may have run against a
+    /// private cell: its incumbents reach `cell` when it ends, merged with
+    /// the instants they were found at ([`IncumbentCell::absorb`]), so the
+    /// trajectory read afterwards is the one a sequential solve records.
+    /// A caller watching `cell` while the solve runs sees the seed walk's
+    /// incumbents live, and the exact side's only at the end. Under
+    /// `deterministic_join` the same holds for every strategy.
     pub fn solve_with_cell(&self, instance: &Instance, cell: &IncumbentCell) -> SolveResult {
         let start = Instant::now();
         let mut result = match self.options.strategy {
             SolveStrategy::Exact => self.exact_solver().solve_with_cell(instance, Some(cell)),
-            SolveStrategy::LsSeeded => self.solve_ls_seeded(instance, cell, start),
+            SolveStrategy::LsSeeded => {
+                // `available_parallelism` honours the affinity mask, so a
+                // solve pinned to one core walks and searches in turn. It
+                // reads cgroup files (about 20 µs), so a decision
+                // instance, which never speculates, does not ask.
+                let speculate = instance.is_optimization()
+                    && std::thread::available_parallelism().is_ok_and(|cores| cores.get() > 1);
+                self.solve_ls_seeded(instance, cell, start, speculate)
+            }
             SolveStrategy::Concurrent => self.solve_concurrent(instance, cell, start),
         };
         // An incumbent can land in the cell after the B&B's last
@@ -233,64 +269,161 @@ impl Portfolio {
         ParBsolo::new(self.options.bsolo.clone(), self.options.resolved_bb_threads())
     }
 
-    /// Sequential mode: a bounded LS phase, then B&B on what's left of
-    /// the wall-clock budget, polishing each improving incumbent of an
+    /// The default strategy: a bounded LS phase, then B&B on what's left
+    /// of the wall-clock budget, polishing each improving incumbent of an
     /// optimization instance with a short walk of its own.
+    ///
+    /// With `speculate` (a second core), the B&B of an optimization
+    /// instance starts early on a scoped thread: after every seed piece
+    /// that ends with the cell's best it started with, from that best,
+    /// against a private copy of the cell, while the walk goes on. A run
+    /// whose starting best the walk beats is cancelled; a run that
+    /// started from the cell's final best is exactly the B&B the
+    /// sequential order would start now, so its result is kept and its
+    /// incumbents are merged into `cell`. Answers and counters are those
+    /// of the sequential order either way; only wall time moves.
     fn solve_ls_seeded(
         &self,
         instance: &Instance,
         cell: &IncumbentCell,
         start: Instant,
+        speculate: bool,
     ) -> SolveResult {
-        let mut ls = self.seed_phase(instance, cell, start);
-        let ls_time = start.elapsed();
-        // A decision instance ends at its first model: once the seed
-        // phase has left one in the cell and it verifies again (the cell
-        // stores, it does not vouch), no exact search can improve on it.
-        if !instance.is_optimization() {
-            if let Some((cost, model)) = cell.snapshot() {
-                if pbo_core::verify_solution(instance, &model) == Ok(cost) {
-                    let stats = SolverStats {
-                        ls_steps: ls.stats.steps,
-                        ls_time,
-                        trace: ls.drain_trace(),
-                        ..SolverStats::default()
-                    };
-                    return SolveResult {
-                        status: SolveStatus::Optimal,
-                        best_cost: Some(cost),
-                        best_assignment: Some(model),
-                        stats,
-                    };
+        // Nothing is speculated without a model, and a decision instance
+        // ends at its first.
+        let speculate = speculate && instance.is_optimization();
+        std::thread::scope(|scope| {
+            let mut runs = Speculation::default();
+            let mut piece_from = cell.best_cost();
+            let mut ls = self.seed_phase(instance, cell, start, || {
+                if !speculate {
+                    return;
+                }
+                // The cell's best only falls, so a run it left behind can
+                // never be kept: cancel it now, join it later.
+                let best = cell.best_cost();
+                runs.abort_unless_from(best);
+                if best.is_some() && best == piece_from && runs.live.is_none() {
+                    runs.join_finished();
+                    runs.live = cell
+                        .snapshot()
+                        .map(|(from, model)| self.speculate(scope, instance, start, from, model));
+                }
+                piece_from = best;
+            });
+            let seed_time = start.elapsed();
+            // A decision instance ends at its first model: once the seed
+            // phase has left one in the cell and it verifies again (the
+            // cell stores, it does not vouch), no exact search can improve
+            // on it.
+            if !instance.is_optimization() {
+                if let Some((cost, model)) = cell.snapshot() {
+                    if pbo_core::verify_solution(instance, &model) == Ok(cost) {
+                        let stats = SolverStats {
+                            ls_steps: ls.stats.steps,
+                            ls_time: seed_time,
+                            trace: ls.drain_trace(),
+                            ..SolverStats::default()
+                        };
+                        return SolveResult {
+                            status: SolveStatus::Optimal,
+                            best_cost: Some(cost),
+                            best_assignment: Some(model),
+                            stats,
+                        };
+                    }
                 }
             }
-        }
+            runs.abort_unless_from(cell.best_cost());
+            let (mut result, ls_time) = match runs.live.take() {
+                Some(run) => {
+                    let (result, run_cell) = join(run.handle);
+                    cell.absorb(&run_cell);
+                    (result, run.started)
+                }
+                None => (
+                    self.exact_side(instance, cell, seed_time, self.options.bsolo.cancel.clone()),
+                    seed_time,
+                ),
+            };
+            for handle in std::mem::take(&mut runs.aborted) {
+                join(handle);
+            }
+            shift_trace(&mut result.stats.trace, ls_time);
+            result.stats.trace.extend(ls.drain_trace());
+            result.stats.ls_steps += ls.stats.steps;
+            result.stats.ls_time = ls_time;
+            result.stats.speculations_aborted = runs.aborts;
+            result
+        })
+    }
+
+    /// Starts the exact side on a scoped thread from the incumbent
+    /// `(from, model)`, against a private cell seeded with it, under a
+    /// child of the solve's cancel token.
+    fn speculate<'scope, 'env>(
+        &'env self,
+        scope: &'scope Scope<'scope, 'env>,
+        instance: &'env Instance,
+        start: Instant,
+        from: i64,
+        model: Vec<bool>,
+    ) -> SpecRun<'scope> {
+        let started = start.elapsed();
+        let cancel =
+            self.options.bsolo.cancel.as_ref().map_or_else(CancelToken::new, CancelToken::child);
+        let token = cancel.clone();
+        let handle = scope.spawn(move || {
+            let run_cell = IncumbentCell::new();
+            run_cell.offer(from, &model);
+            let result = self.exact_side(instance, &run_cell, started, Some(token));
+            (result, run_cell)
+        });
+        SpecRun { from, started, cancel, handle }
+    }
+
+    /// The exact side of `LsSeeded`, started `started` into the solve: the
+    /// B&B on what is left of the wall-clock budget, stopped by `cancel`,
+    /// polishing each improving incumbent. Every polish walk takes the
+    /// seed walker's seed, and the LS options' own cancel token, else
+    /// `cancel`.
+    fn exact_side(
+        &self,
+        instance: &Instance,
+        cell: &IncumbentCell,
+        started: Duration,
+        cancel: Option<CancelToken>,
+    ) -> SolveResult {
         let mut bsolo_options = self.options.bsolo.clone();
         if let Some(t) = self.options.bsolo.budget.time {
             bsolo_options.budget.time =
-                Some(t.saturating_sub(ls_time).max(Duration::from_millis(1)));
+                Some(t.saturating_sub(started).max(Duration::from_millis(1)));
         }
-        // Every polish walk takes the seed walker's seed and cancel token.
-        let polish = LsOptions { cancel: self.ls_cancel(), ..self.options.ls.clone() };
-        let mut result = ParBsolo::new(bsolo_options, self.options.resolved_bb_threads())
-            .solve_with_polish(instance, Some(cell), Some(&polish));
-        shift_trace(&mut result.stats.trace, ls_time);
-        result.stats.trace.extend(ls.drain_trace());
-        result.stats.ls_steps += ls.stats.steps;
-        result.stats.ls_time = ls_time;
-        result
+        let polish = LsOptions {
+            cancel: self.options.ls.cancel.clone().or_else(|| cancel.clone()),
+            ..self.options.ls.clone()
+        };
+        bsolo_options.cancel = cancel;
+        ParBsolo::new(bsolo_options, self.options.resolved_bb_threads()).solve_with_polish(
+            instance,
+            Some(cell),
+            Some(&polish),
+        )
     }
 
     /// The seed phase of `LsSeeded`: one walker in 8,192-step chunks,
-    /// publishing to `cell`, until two consecutive chunks bring no new
-    /// verified incumbent (three while it has none), the step budget or
-    /// the time cap runs out, or nothing is left to improve. Returns the
-    /// walker.
+    /// each walked in [`SEED_PIECE_STEPS`]-step pieces with
+    /// `after_piece` called after every piece that stepped, publishing to
+    /// `cell`, until two consecutive chunks bring no new verified
+    /// incumbent (three while it has none), the step budget or the time
+    /// cap runs out — the stop rules read chunk ends only — or nothing is
+    /// left to improve. Returns the walker.
     fn seed_phase<'i>(
         &self,
         instance: &'i Instance,
         cell: &IncumbentCell,
         start: Instant,
+        mut after_piece: impl FnMut(),
     ) -> LocalSearch<'i> {
         // An explicit LS time limit wins (so callers can make the seed
         // phase step-bounded and deterministic); a fifth of the total
@@ -303,24 +436,25 @@ impl Portfolio {
         let chunk = SEED_CHUNK_STEPS.min(max_steps.max(1));
         let mut ls = LocalSearch::new(
             instance,
-            LsOptions {
-                max_steps: chunk,
-                time_limit: None,
-                cancel: self.ls_cancel(),
-                ..self.options.ls.clone()
-            },
+            LsOptions { time_limit: None, cancel: self.ls_cancel(), ..self.options.ls.clone() },
         );
         if self.options.bsolo.trace {
             ls.set_tracer(Tracer::buffered(LS_LANE_BASE, start));
         }
         let mut last_best: Option<i64> = None;
         let mut stagnant = 0;
-        loop {
-            let before = ls.stats.steps;
-            let best = ls.run(Some(cell), None).best_cost;
-            if ls.stats.steps == before {
-                break; // satisfied, hopeless, or cancelled
+        'phase: loop {
+            let chunk_end = ls.stats.steps + chunk;
+            while ls.stats.steps < chunk_end {
+                let before = ls.stats.steps;
+                ls.set_max_steps(SEED_PIECE_STEPS.min(chunk_end - before));
+                ls.run(Some(cell), None);
+                if ls.stats.steps == before {
+                    break 'phase; // satisfied, hopeless, or cancelled
+                }
+                after_piece();
             }
+            let best = ls.best().map(|(cost, _)| cost);
             if best == last_best {
                 stagnant += 1;
             } else {
@@ -340,7 +474,7 @@ impl Portfolio {
 
     /// The cancel token of every walk of the solve: the LS options' own,
     /// else the solve's.
-    fn ls_cancel(&self) -> Option<pbo_core::CancelToken> {
+    fn ls_cancel(&self) -> Option<CancelToken> {
         self.options.ls.cancel.clone().or_else(|| self.options.bsolo.cancel.clone())
     }
 
@@ -426,6 +560,68 @@ impl Drop for RaiseOnDrop<'_> {
     }
 }
 
+/// The result of a speculative run and the private cell it ran against.
+type SpecOutcome = (SolveResult, IncumbentCell);
+
+/// A speculative branch-and-bound of `LsSeeded`.
+struct SpecRun<'scope> {
+    /// The cell's best it started from.
+    from: i64,
+    /// When it started, from the solve's start.
+    started: Duration,
+    /// Its own token, a child of the solve's.
+    cancel: CancelToken,
+    handle: ScopedJoinHandle<'scope, SpecOutcome>,
+}
+
+/// The speculative runs of one `LsSeeded` solve. Dropping it cancels
+/// the live run, so a walk that unwinds does not leave
+/// `std::thread::scope` waiting out a whole branch-and-bound.
+#[derive(Default)]
+struct Speculation<'scope> {
+    /// The run started from the cell's current best, if any.
+    live: Option<SpecRun<'scope>>,
+    /// Cancelled runs not joined yet.
+    aborted: Vec<ScopedJoinHandle<'scope, SpecOutcome>>,
+    /// Runs cancelled so far.
+    aborts: u64,
+}
+
+impl Speculation<'_> {
+    /// Cancels the live run unless it started from `best`. The walk does
+    /// not wait for it to wind down.
+    fn abort_unless_from(&mut self, best: Option<i64>) {
+        if let Some(run) = self.live.take_if(|run| Some(run.from) != best) {
+            run.cancel.cancel();
+            self.aborted.push(run.handle);
+            self.aborts += 1;
+        }
+    }
+
+    /// Joins the cancelled runs that have wound down.
+    fn join_finished(&mut self) {
+        let (done, running) =
+            std::mem::take(&mut self.aborted).into_iter().partition(|h| h.is_finished());
+        self.aborted = running;
+        for handle in done {
+            join(handle);
+        }
+    }
+}
+
+impl Drop for Speculation<'_> {
+    fn drop(&mut self) {
+        if let Some(run) = &self.live {
+            run.cancel.cancel();
+        }
+    }
+}
+
+/// Joins a speculative run, re-raising its panic on the caller's thread.
+fn join(handle: ScopedJoinHandle<'_, SpecOutcome>) -> SpecOutcome {
+    handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+}
+
 /// Moves the exact side's events onto the portfolio's trace epoch: the
 /// exact solver stamps its lanes from its own start, `offset` after the
 /// portfolio's.
@@ -441,7 +637,7 @@ mod tests {
     use super::*;
     use crate::bsolo::Bsolo;
     use crate::options::{Budget, LbMethod};
-    use pbo_benchgen::{PtlCmosParams, SynthesisParams};
+    use pbo_benchgen::{GroutParams, PtlCmosParams, SynthesisParams};
     use pbo_core::{brute_force, InstanceBuilder, RelOp};
 
     fn covering_instance() -> Instance {
@@ -816,8 +1012,12 @@ mod tests {
                 assert_eq!(a.best_assignment, b.best_assignment, "{label}: model");
                 assert_eq!(counters(&a), counters(&b), "{label}: counters");
                 // Steps beyond the seed phase's own are polish walks.
-                let seed =
-                    Portfolio::new(options).seed_phase(inst, &IncumbentCell::new(), Instant::now());
+                let seed = Portfolio::new(options).seed_phase(
+                    inst,
+                    &IncumbentCell::new(),
+                    Instant::now(),
+                    || {},
+                );
                 polished |= a.stats.ls_steps > seed.stats.steps;
             }
         }
@@ -862,6 +1062,142 @@ mod tests {
         assert_eq!(counters(&exact), counters(&bsolo));
     }
 
+    /// An `LsSeeded` solve with speculation switched as given, as
+    /// [`Portfolio::solve_with_cell`] runs it on two cores and on one.
+    fn speculated(options: &PortfolioOptions, inst: &Instance, speculate: bool) -> SolveResult {
+        Portfolio::new(options.clone()).solve_ls_seeded(
+            inst,
+            &IncumbentCell::new(),
+            Instant::now(),
+            speculate,
+        )
+    }
+
+    fn assert_same_solve(label: &str, on: &SolveResult, off: &SolveResult) {
+        assert_eq!(on.status, off.status, "{label}: status");
+        assert_eq!(on.best_cost, off.best_cost, "{label}: cost");
+        assert_eq!(on.best_assignment, off.best_assignment, "{label}: model");
+        assert_eq!(counters(on), counters(off), "{label}: counters");
+    }
+
+    #[test]
+    fn speculation_leaves_answers_and_counters_unchanged() {
+        let ptlcmos = (0..4).map(|seed| {
+            (PtlCmosParams { gates: 60, ..PtlCmosParams::default() }.generate(seed), 1)
+        });
+        let synthesis = SynthesisParams {
+            primes: 70,
+            minterms: 110,
+            cover_density: 4.0,
+            exclusions: 10,
+            ..SynthesisParams::default()
+        };
+        let mut kept_early = false;
+        for (i, (inst, bb_threads)) in ptlcmos.chain([(synthesis.generate(0), 2)]).enumerate() {
+            let options = PortfolioOptions {
+                bsolo: BsoloOptions { deterministic_join: true, ..BsoloOptions::default() },
+                bb_threads,
+                ..PortfolioOptions::default()
+            };
+            let on = speculated(&options, &inst, true);
+            let off = speculated(&options, &inst, false);
+            assert!(on.is_optimal(), "instance {i}: {:?}", on.status);
+            assert_same_solve(&format!("instance {i}, bb_threads {bb_threads}"), &on, &off);
+            assert_eq!(off.stats.speculations_aborted, 0, "instance {i}: nothing speculated");
+            // A kept speculative run started before the walk ended.
+            kept_early |= on.stats.ls_time < off.stats.ls_time;
+        }
+        assert!(kept_early, "no speculative run was kept, so nothing above compared one");
+    }
+
+    #[test]
+    fn rolled_back_speculation_keeps_the_sequential_answer() {
+        // Grout's walk keeps improving after quiet stretches: here it
+        // beats the best a speculative run started from, which is then
+        // cancelled and rolled back.
+        let inst = GroutParams {
+            width: 6,
+            height: 6,
+            nets: 20,
+            paths_per_net: 6,
+            capacity: 3,
+            bend_penalty: 2,
+        }
+        .generate(0);
+        let options = PortfolioOptions::default();
+        let on = speculated(&options, &inst, true);
+        let off = speculated(&options, &inst, false);
+        assert!(on.is_optimal(), "{:?}", on.status);
+        assert!(on.stats.speculations_aborted > 0, "a speculative run must have been rolled back");
+        assert_same_solve("grout 6x6, 20 nets", &on, &off);
+        let json = on.stats.to_json();
+        let field = format!("\"speculations_aborted\":{},", on.stats.speculations_aborted);
+        assert!(json.contains(&field), "{json}");
+    }
+
+    #[test]
+    fn caller_deadline_stops_a_speculative_run() {
+        // Plain bounding cannot close this tree in seconds, even from the
+        // optimum. With the optimum already in the cell the walk never
+        // improves on it, so the run speculated after its first piece is
+        // kept, and only the caller's deadline, reaching the run through
+        // its child token, can end the solve.
+        let inst = PtlCmosParams { gates: 90, ..PtlCmosParams::default() }.generate(0);
+        let optimum = Portfolio::default().solve(&inst);
+        let cell = IncumbentCell::new();
+        cell.offer(optimum.best_cost.unwrap(), optimum.best_assignment.as_ref().unwrap());
+        let budget = Duration::from_secs(1);
+        let cancel = pbo_core::CancelToken::new();
+        cancel.deadline_in(budget);
+        let bsolo = BsoloOptions {
+            cancel: Some(cancel),
+            trace: true,
+            ..BsoloOptions::with_lb(LbMethod::None)
+        };
+        let options = PortfolioOptions { bsolo, ..PortfolioOptions::default() };
+        let begun = Instant::now();
+        let result = Portfolio::new(options).solve_ls_seeded(&inst, &cell, begun, true);
+        let elapsed = begun.elapsed();
+        assert!(result.stats.cancelled, "the deadline must be reported");
+        assert_eq!(result.status, crate::SolveStatus::Feasible);
+        assert_eq!(result.best_cost, optimum.best_cost);
+        assert!(elapsed < budget + Duration::from_secs(1), "overshoot: {elapsed:?} for {budget:?}");
+        // The exact side started while the walk went on (no polish walk
+        // runs: nothing beats the optimum), so it was the speculative run.
+        let ls_time = result.stats.ls_time.as_nanos() as u64;
+        assert!(
+            result.stats.trace.iter().any(|e| e.lane >= LS_LANE_BASE && e.t_ns > ls_time),
+            "the seed walk must have gone on beside the exact side"
+        );
+        assert_eq!(result.stats.speculations_aborted, 0);
+    }
+
+    #[test]
+    fn deterministic_join_reports_when_its_best_was_found() {
+        // A cube task publishes its best only at the join, but with the
+        // instant it found it: before the cube's own `CubeEnd`, so before
+        // the exact side's last event.
+        let bsolo =
+            BsoloOptions { deterministic_join: true, trace: true, ..BsoloOptions::default() };
+        let options = PortfolioOptions { bsolo, bb_threads: 2, ..PortfolioOptions::default() };
+        let cell = IncumbentCell::new();
+        let start = Instant::now();
+        let result = Portfolio::new(options).solve_with_cell(&ptlcmos_60(), &cell);
+        assert!(result.is_optimal());
+        assert!(result.stats.solutions_found > 0, "the exact side improved on the warm start");
+        let last_exact =
+            result.stats.trace.iter().filter(|e| e.lane < LS_LANE_BASE).map(|e| e.t_ns);
+        let last_exact = last_exact.max().expect("the branch-and-bound was traced");
+        let time_to_best = result.stats.time_to_best.as_nanos() as u64;
+        assert!(
+            time_to_best < last_exact,
+            "time to best {time_to_best} ns is not before the last B&B event at {last_exact} ns"
+        );
+        let history = cell.history_since(start);
+        assert_eq!(history.last().map(|&(_, cost)| cost), result.best_cost);
+        assert!(history.windows(2).all(|w| w[1].1 < w[0].1), "{history:?}");
+    }
+
     /// A panic escaping the exact side of a `Concurrent` solve reaches
     /// the caller instead of leaving the scope waiting on the walker,
     /// whose stop flag only the exact side's exit raises.
@@ -881,6 +1217,34 @@ mod tests {
         match rx.recv_timeout(Duration::from_secs(10)) {
             Ok(panicked) => assert!(panicked, "the injected panic must reach the caller"),
             Err(_) => panic!("the concurrent solve hung after its exact side panicked"),
+        }
+        solver.join().expect("the solve's panic was caught inside the thread");
+    }
+
+    /// A panic in a speculative branch-and-bound is re-raised on the
+    /// caller's thread.
+    #[cfg(feature = "failpoints")]
+    #[test]
+    fn speculative_run_panic_reaches_the_caller() {
+        let _guard = pbo_fault::install(pbo_fault::FaultPlan::new().panic_on("bound.dispatch", 1));
+        let (tx, rx) = std::sync::mpsc::channel();
+        // Not scoped: a hung solve must fail the test, not hang it too.
+        let solver = std::thread::spawn(move || {
+            let inst = ptlcmos_60();
+            let solve = std::panic::catch_unwind(|| {
+                let options = PortfolioOptions::default();
+                Portfolio::new(options).solve_ls_seeded(
+                    &inst,
+                    &IncumbentCell::new(),
+                    Instant::now(),
+                    true,
+                )
+            });
+            let _ = tx.send(solve.is_err());
+        });
+        match rx.recv_timeout(Duration::from_secs(10)) {
+            Ok(panicked) => assert!(panicked, "the injected panic must reach the caller"),
+            Err(_) => panic!("the solve hung after its speculative run panicked"),
         }
         solver.join().expect("the solve's panic was caught inside the thread");
     }

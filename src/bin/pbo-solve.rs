@@ -16,7 +16,15 @@
 //! model is the answer (no branch-and-bound runs at all). On an
 //! optimization instance every improving solution the branch-and-bound
 //! finds is then polished by a 2,048-step walk from it, and the search
-//! adopts what the walk finds cheaper. It is deterministic, the fastest
+//! adopts what the walk finds cheaper. On a machine with a second core
+//! the branch-and-bound starts speculatively, from the walk's best
+//! once 1,024 steps pass without a new incumbent, while the walk
+//! finishes its chunks; it is kept only if the walk ends with that same
+//! best, and restarted otherwise, so the output and the `--stats-json`
+//! counters are those of a one-core run (`taskset -c 0`) — only the
+//! times differ, with `ls_time_ms` the time until the kept
+//! branch-and-bound started and `speculations_aborted` the runs
+//! restarted. It is deterministic, the fastest
 //! measured configuration on decision instances, and under
 //! `--timeout-ms` it is the anytime mode — a good verified solution
 //! fast, then proof effort with whatever time remains (the seed phase
@@ -87,7 +95,9 @@ fn usage() -> ! {
          [--bb-threads N|auto] [--deterministic] [--timeout-ms N] [--stats] [--stats-json] \
          [--trace FILE] [--trace-format jsonl|chrome] [--metrics] <file.opb>\n\
          \n  --strategy ls-seeded   (default) local search seeds the branch-and-bound\
-         \n                         and polishes each incumbent it finds\
+         \n                         and polishes each incumbent it finds; with a second\
+         \n                         core the branch-and-bound starts speculatively\
+         \n                         from the walk's best, with the same answer\
          \n  --strategy exact       the paper's solver: branch-and-bound only\
          \n  --strategy concurrent  one local-search thread races the branch-and-bound\
          \n  --deterministic        reproducible runs when the solve finishes within its\
