@@ -52,8 +52,6 @@ const SITES: &[(&str, LbMethod)] = &[
     ("sched.push", LbMethod::None),
     ("bound.dispatch", LbMethod::Mis),
     ("cell.offer", LbMethod::None),
-    ("pool.publish", LbMethod::None),
-    ("pool.import", LbMethod::None),
 ];
 
 /// Random covering instance: wide enough that the sequential head start
@@ -76,8 +74,8 @@ fn covering_instance(rng: &mut ChaCha8Rng, n: usize) -> Instance {
 }
 
 /// Racing-mode options tuned so the machinery behind every probe site
-/// is exercised: aggressive re-splitting (re-split + push), constant
-/// restarts (publish + import), a weak head (workers actually launch).
+/// is exercised: aggressive re-splitting (re-split + push), frequent
+/// restarts, a weak head (workers actually launch).
 fn racing_options(lb: LbMethod) -> BsoloOptions {
     let mut options = BsoloOptions::with_lb(lb);
     options.probing = false;

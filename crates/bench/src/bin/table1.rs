@@ -179,15 +179,13 @@ fn main() {
             };
             println!(
                 "  {:>2} workers: {:>8.1} ms ({:>6}) / {:>6} nodes ({}) | resplits {:>3} \
-                 | shared {:>4} | imported {:>4} | depth-trunc {:>2} | wait {:>6.1} ms",
+                 | depth-trunc {:>2} | wait {:>6.1} ms",
                 r.workers,
                 r.time.as_secs_f64() * 1e3,
                 speedup,
                 r.nodes,
                 r.cost.map_or("-".into(), |c| c.to_string()),
                 r.resplits,
-                r.clauses_shared,
-                r.clauses_imported,
                 r.depth_truncated,
                 r.queue_wait.as_secs_f64() * 1e3,
             );

@@ -196,10 +196,6 @@ pub struct ParBbRun {
     pub nodes: u64,
     /// Dynamic re-splits performed across all workers.
     pub resplits: u64,
-    /// Cube-independent clauses published to the shared pool.
-    pub clauses_shared: u64,
-    /// Pool clauses imported into worker engines.
-    pub clauses_imported: u64,
     /// Cube splits truncated at the maximum split depth.
     pub depth_truncated: u64,
     /// Total wall time workers spent blocked on the cube queue.
@@ -325,8 +321,6 @@ fn par_bb_json(probes: &[ParBbProbe]) -> JsonValue {
             ("time_ms", ms(r.time).into()),
             ("nodes", r.nodes.into()),
             ("resplits", r.resplits.into()),
-            ("clauses_shared", r.clauses_shared.into()),
-            ("clauses_imported", r.clauses_imported.into()),
             ("depth_truncated", r.depth_truncated.into()),
             ("queue_wait_ms", ms(r.queue_wait).into()),
             ("nodes_per_worker", r.nodes_per_worker.iter().map(|&n| n.into()).collect()),

@@ -366,8 +366,6 @@ pub fn run_par_bb_probe(
         time: result.stats.solve_time,
         nodes: result.stats.decisions,
         resplits: result.stats.resplits,
-        clauses_shared: result.stats.clauses_shared,
-        clauses_imported: result.stats.clauses_imported,
         depth_truncated: result.stats.split_depth_truncated,
         queue_wait: result.stats.queue_wait_total,
         nodes_per_worker: result.stats.nodes_per_worker.clone(),

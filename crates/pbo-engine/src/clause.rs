@@ -4,66 +4,6 @@
 
 use pbo_core::Lit;
 
-/// Provenance of a derivation beyond the instance's own constraints — a
-/// small bit set threaded through constraint loading, propagation and
-/// conflict analysis (see `Engine::set_taint_tracking`).
-///
-/// A learned clause with [`Taint::NONE`] is implied by the instance
-/// alone and therefore sound to share across cube workers; the other
-/// bits record what else the derivation leaned on:
-///
-/// * [`Taint::ASSUMPTION`] — a root assumption
-///   (`Engine::assume_at_root`, i.e. a cube literal) was resolved away
-///   or dropped at level 0. The clause is valid only inside the cube.
-/// * [`Taint::INCUMBENT`] — an upper-bound cost cut (or a constraint
-///   itself conditional on an incumbent) entered the derivation. The
-///   clause is implied by *instance ∧ (cost ≤ upper − 1)* for the
-///   producer's incumbent `upper` at the time.
-/// * [`Taint::IMPORTED`] — the clause arrived through the shared-clause
-///   pool; it is already globally known and is never re-exported.
-#[derive(Copy, Clone, PartialEq, Eq, Default, Debug)]
-pub struct Taint(u8);
-
-impl Taint {
-    /// Implied by the instance alone.
-    pub const NONE: Taint = Taint(0);
-    /// Derivation used a root assumption (cube literal).
-    pub const ASSUMPTION: Taint = Taint(1);
-    /// Derivation used an incumbent-conditional constraint (cost cut,
-    /// head-seed clause, ad-hoc bound conflict under an upper bound).
-    pub const INCUMBENT: Taint = Taint(2);
-    /// Installed from the shared pool (already global; never re-export).
-    pub const IMPORTED: Taint = Taint(4);
-
-    /// Returns `true` if any bit of `other` is set in `self`.
-    #[inline]
-    pub fn intersects(self, other: Taint) -> bool {
-        self.0 & other.0 != 0
-    }
-
-    /// Returns `true` if no bit is set: the derivation used nothing
-    /// beyond the instance.
-    #[inline]
-    pub fn is_none(self) -> bool {
-        self.0 == 0
-    }
-}
-
-impl std::ops::BitOr for Taint {
-    type Output = Taint;
-    #[inline]
-    fn bitor(self, rhs: Taint) -> Taint {
-        Taint(self.0 | rhs.0)
-    }
-}
-
-impl std::ops::BitOrAssign for Taint {
-    #[inline]
-    fn bitor_assign(&mut self, rhs: Taint) {
-        self.0 |= rhs.0;
-    }
-}
-
 /// Stable identifier of a clause in the [`ClauseDb`].
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct ClauseId(pub(crate) u32);
@@ -85,10 +25,6 @@ pub struct Clause {
     /// Literal block distance at learn time (number of distinct decision
     /// levels among the clause's literals); 0 for problem clauses.
     lbd: u32,
-    /// What the clause's derivation depended on beyond the instance
-    /// ([`Taint::NONE`] unless taint tracking was on when it was
-    /// learned/added).
-    taint: Taint,
 }
 
 impl Clause {
@@ -124,13 +60,6 @@ impl Clause {
         self.lbd
     }
 
-    /// Derivation provenance recorded when the clause entered the
-    /// database (see [`Taint`]).
-    #[inline]
-    pub fn taint(&self) -> Taint {
-        self.taint
-    }
-
     /// Number of literals.
     #[inline]
     pub fn len(&self) -> usize {
@@ -164,7 +93,7 @@ impl ClauseDb {
         if learnt {
             self.num_learnt += 1;
         }
-        let clause = Clause { lits, learnt, activity: 0.0, lbd: 0, taint: Taint::NONE };
+        let clause = Clause { lits, learnt, activity: 0.0, lbd: 0 };
         if let Some(slot) = self.free.pop() {
             self.slots[slot as usize] = Some(clause);
             ClauseId(slot)
@@ -177,11 +106,6 @@ impl ClauseDb {
     /// Records the LBD of a (just-learned) clause.
     pub fn set_lbd(&mut self, id: ClauseId, lbd: u32) {
         self.get_mut(id).lbd = lbd;
-    }
-
-    /// Records the derivation provenance of a (just-inserted) clause.
-    pub fn set_taint(&mut self, id: ClauseId, taint: Taint) {
-        self.get_mut(id).taint = taint;
     }
 
     /// Removes a clause (its id may be reused later).
@@ -303,25 +227,6 @@ mod tests {
         db.remove(a);
         let ids: Vec<ClauseId> = db.iter().map(|(id, _)| id).collect();
         assert_eq!(ids.len(), 1);
-    }
-
-    #[test]
-    fn taint_bit_algebra() {
-        let t = Taint::ASSUMPTION | Taint::INCUMBENT;
-        assert!(t.intersects(Taint::ASSUMPTION));
-        assert!(t.intersects(Taint::INCUMBENT));
-        assert!(!t.intersects(Taint::IMPORTED));
-        assert!(!Taint::NONE.intersects(t));
-        assert!(Taint::NONE.is_none());
-        assert!(!t.is_none());
-        let mut u = Taint::NONE;
-        u |= Taint::IMPORTED;
-        assert!(u.intersects(Taint::IMPORTED));
-        let mut db = ClauseDb::new();
-        let a = db.insert(vec![lit(0, true)], true);
-        assert!(db.get(a).taint().is_none());
-        db.set_taint(a, t);
-        assert_eq!(db.get(a).taint(), t);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use pbo_core::{Assignment, Lit, PbConstraint, PbTerm, Value, Var};
 
-use crate::clause::{ClauseDb, ClauseId, Taint};
+use crate::clause::{ClauseDb, ClauseId};
 use crate::vsids::Vsids;
 
 /// Trail pops between cancellation polls inside [`Engine::propagate`]:
@@ -180,17 +180,6 @@ pub struct Engine {
     phase: Vec<bool>,
     seen: Vec<bool>,
     root_unsat: bool,
-    /// Assumption-dependency tracking (off by default; a parallel worker
-    /// that wants to share learned clauses turns it on). When on, every
-    /// assignment records the union of taints of the constraints its
-    /// derivation used, and every learned clause is stamped with the
-    /// taint of its resolution proof.
-    track_taint: bool,
-    /// Per-variable derivation taint of the *current* assignment
-    /// (overwritten on every enqueue; meaningless for unassigned vars).
-    var_taint: Vec<Taint>,
-    /// Per-PB-constraint taint, parallel to `pbs`.
-    pb_taint: Vec<Taint>,
     /// Per-observer low watermark: the lowest trail length reached since
     /// that observer's last [`Engine::sync_trail`] call — its
     /// reconciliation point. Indexed by [`TrailObserver`].
@@ -244,9 +233,6 @@ impl Engine {
             phase: vec![false; num_vars],
             seen: vec![false; num_vars],
             root_unsat: false,
-            track_taint: false,
-            var_taint: vec![Taint::NONE; num_vars],
-            pb_taint: Vec::new(),
             trail_low: Vec::new(),
             tracer: pbo_trace::Tracer::off(),
             cancel: None,
@@ -361,33 +347,6 @@ impl Engine {
         self.root_unsat
     }
 
-    /// Turns assumption-dependency tracking on or off (see [`Taint`]).
-    ///
-    /// Enable it *before* the first [`Engine::assume_at_root`] or
-    /// tainted constraint; everything assigned earlier is treated as
-    /// implied by the instance alone (correct for constraints loaded
-    /// from the instance and for probing-derived facts). When off — the
-    /// default — the tracking adds no work to the hot paths and every
-    /// clause reports [`Taint::NONE`].
-    pub fn set_taint_tracking(&mut self, on: bool) {
-        self.track_taint = on;
-    }
-
-    /// Whether assumption-dependency tracking is on.
-    pub fn taint_tracking(&self) -> bool {
-        self.track_taint
-    }
-
-    /// The recorded provenance of a clause (see [`Taint`]) — for tests
-    /// and diagnostics of the sharing layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the clause was removed.
-    pub fn clause_taint(&self, id: ClauseId) -> Taint {
-        self.clauses.get(id).taint()
-    }
-
     /// Saved phase (preferred polarity) of a variable.
     pub fn phase_of(&self, var: Var) -> bool {
         self.phase[var.index()]
@@ -433,24 +392,6 @@ impl Engine {
     /// only stable for constraints added at the root; backjump to level 0
     /// first).
     pub fn add_constraint(&mut self, c: &PbConstraint) -> Result<(), RootConflict> {
-        self.add_constraint_tainted(c, Taint::NONE)
-    }
-
-    /// [`Engine::add_constraint`] with an explicit derivation taint:
-    /// `taint` records what, beyond the instance, implies `c` (e.g.
-    /// [`Taint::INCUMBENT`] for a clause implied by instance + cost cut).
-    /// The taint flows into every propagation and learned clause that
-    /// uses the constraint when tracking is on.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RootConflict`] if the constraint (together with earlier
-    /// root propagations) is contradictory.
-    pub fn add_constraint_tainted(
-        &mut self,
-        c: &PbConstraint,
-        taint: Taint,
-    ) -> Result<(), RootConflict> {
         assert_eq!(self.decision_level(), 0, "constraints must be added at level 0");
         if self.root_unsat {
             return Err(RootConflict);
@@ -460,9 +401,9 @@ impl Engine {
             return Err(RootConflict);
         }
         let result = if c.class() == pbo_core::ConstraintClass::Clause {
-            self.add_root_clause(c.terms().iter().map(|t| t.lit).collect(), taint, false, 0)
+            self.add_root_clause(c.terms().iter().map(|t| t.lit).collect())
         } else {
-            self.add_root_pb(c, taint)
+            self.add_root_pb(c)
         };
         if result.is_err() {
             self.root_unsat = true;
@@ -470,57 +411,8 @@ impl Engine {
         result
     }
 
-    /// Installs an externally learned clause (e.g. from the parallel
-    /// shared-clause pool) at the root: simplified against the root
-    /// assignment, stored as a *learnt* clause with the given LBD — so
-    /// it competes in LBD-best exports like a locally learned clause —
-    /// and stamped `taint | `[`Taint::IMPORTED`] (imported clauses are
-    /// already global and are never re-exported by
-    /// [`Engine::export_shareable_learnts`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RootConflict`] if the clause is contradictory with the
-    /// root assignment (for a cube worker under cost cuts: the subtree
-    /// holds nothing better than the incumbent — search exhausted).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called above decision level 0.
-    pub fn add_learnt_clause(
-        &mut self,
-        lits: Vec<Lit>,
-        taint: Taint,
-        lbd: u32,
-    ) -> Result<(), RootConflict> {
-        assert_eq!(self.decision_level(), 0, "learnt clauses must be imported at level 0");
-        if self.root_unsat {
-            return Err(RootConflict);
-        }
-        let result = self.add_root_clause(lits, taint | Taint::IMPORTED, true, lbd);
-        if result.is_err() {
-            self.root_unsat = true;
-        }
-        result
-    }
-
-    fn add_root_clause(
-        &mut self,
-        mut lits: Vec<Lit>,
-        mut taint: Taint,
-        learnt: bool,
-        lbd: u32,
-    ) -> Result<(), RootConflict> {
-        // Root-level simplification. A literal dropped because it is
-        // false at level 0 makes the simplified clause depend on that
-        // literal's derivation: fold its taint in.
-        if self.track_taint {
-            for &l in &lits {
-                if self.assignment.is_false(l) && self.level[l.var().index()] == 0 {
-                    taint |= self.var_taint[l.var().index()];
-                }
-            }
-        }
+    fn add_root_clause(&mut self, mut lits: Vec<Lit>) -> Result<(), RootConflict> {
+        // Root-level simplification.
         lits.retain(|&l| !self.assignment.is_false(l) || self.level[l.var().index()] != 0);
         if lits.iter().any(|&l| self.assignment.is_true(l) && self.level[l.var().index()] == 0) {
             return Ok(());
@@ -537,32 +429,20 @@ impl Engine {
                 if !self.enqueue(lit, Reason::None) {
                     return Err(RootConflict);
                 }
-                if self.track_taint {
-                    // The unit fact inherits the clause's taint (enqueue
-                    // recorded NONE for the reasonless assignment); set it
-                    // before propagating so downstream taints see it.
-                    self.var_taint[lit.var().index()] = taint;
-                }
                 if self.propagate().is_some() {
                     return Err(RootConflict);
                 }
                 Ok(())
             }
             _ => {
-                let id = self.clauses.insert(lits, learnt);
-                if learnt {
-                    self.clauses.set_lbd(id, lbd);
-                }
-                if self.track_taint {
-                    self.clauses.set_taint(id, taint);
-                }
+                let id = self.clauses.insert(lits, false);
                 self.attach_clause(id);
                 Ok(())
             }
         }
     }
 
-    fn add_root_pb(&mut self, c: &PbConstraint, taint: Taint) -> Result<(), RootConflict> {
+    fn add_root_pb(&mut self, c: &PbConstraint) -> Result<(), RootConflict> {
         let id = PbId(self.pbs.len() as u32);
         let max_coeff = c.terms().iter().map(|t| t.coeff).max().unwrap_or(0);
         let slack = c.slack(&self.assignment);
@@ -573,7 +453,6 @@ impl Engine {
             self.pb_occur[t.lit.code()].push(PbOcc { pb: id.0, coeff: t.coeff });
         }
         self.pbs.push(data);
-        self.pb_taint.push(taint);
         if slack < 0 {
             return Err(RootConflict);
         }
@@ -618,7 +497,7 @@ impl Engine {
     /// them — how a solver drops the cost cuts a better incumbent
     /// superseded, which it always added last. Their terms, occurrence
     /// entries (the tail of each occurrence list, since ids grow with
-    /// insertion) and taints go; ids from `len` on are reused by the next
+    /// insertion) go; ids from `len` on are reused by the next
     /// additions. Root literals they implied stay assigned, with
     /// [`Reason::None`]: such a literal remains implied whenever the
     /// replacing cuts are at least as tight, as a re-rooted cost cut is.
@@ -642,19 +521,18 @@ impl Engine {
         }
         self.pb_terms.truncate(first_term);
         self.pbs.truncate(len);
-        self.pb_taint.truncate(len);
     }
 
-    /// The whole PB store — per row its terms, rhs, slack and taint, and
+    /// The whole PB store — per row its terms, rhs and slack, and
     /// per literal its occurrence list — for differential tests against
     /// a freshly loaded engine.
     #[cfg(test)]
     #[allow(clippy::type_complexity)]
-    pub(crate) fn pb_store(&self) -> (Vec<(Vec<PbTerm>, i64, i64, Taint)>, Vec<Vec<(u32, i64)>>) {
+    pub(crate) fn pb_store(&self) -> (Vec<(Vec<PbTerm>, i64, i64)>, Vec<Vec<(u32, i64)>>) {
         let rows = (0..self.pbs.len() as u32)
             .map(|pb| {
                 let d = &self.pbs[pb as usize];
-                (self.pb_term_slice(pb).to_vec(), d.rhs, d.slack, self.pb_taint[pb as usize])
+                (self.pb_term_slice(pb).to_vec(), d.rhs, d.slack)
             })
             .collect();
         let occur = self
@@ -688,8 +566,9 @@ impl Engine {
     /// cube-and-conquer worker roots itself in its assigned subtree: the
     /// cube's decision literals are assumed one by one onto a fresh
     /// engine, and everything the worker learns afterwards is implied by
-    /// *instance ∧ cube* (valid within the subtree, private to the
-    /// worker). Must be called at decision level 0.
+    /// *instance ∧ cube*: conflict analysis drops root-false literals, so
+    /// a learned clause is valid within the subtree only and stays with
+    /// the engine that learned it. Must be called at decision level 0.
     ///
     /// # Errors
     ///
@@ -709,11 +588,6 @@ impl Engine {
             Value::Unassigned => {
                 let ok = self.enqueue(lit, Reason::None);
                 debug_assert!(ok);
-                if self.track_taint {
-                    // Everything derived from this fact depends on the
-                    // cube; mark before propagating so the taint flows.
-                    self.var_taint[lit.var().index()] = Taint::ASSUMPTION;
-                }
                 if self.propagate().is_some() {
                     self.root_unsat = true;
                     return Err(RootConflict);
@@ -732,30 +606,13 @@ impl Engine {
     /// Returns [`RootConflict`] if the cut is contradictory with the root
     /// assignment — meaning no solution better than the bound exists.
     pub fn add_pb_cut(&mut self, c: &PbConstraint) -> Result<PbId, RootConflict> {
-        self.add_pb_cut_tainted(c, Taint::NONE)
-    }
-
-    /// [`Engine::add_pb_cut`] with an explicit derivation taint — cost
-    /// cuts installed after an incumbent carry [`Taint::INCUMBENT`] so
-    /// that clauses learned through them are not exported as
-    /// instance-implied.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RootConflict`] if the cut is contradictory with the root
-    /// assignment — meaning no solution better than the bound exists.
-    pub fn add_pb_cut_tainted(
-        &mut self,
-        c: &PbConstraint,
-        taint: Taint,
-    ) -> Result<PbId, RootConflict> {
         assert_eq!(self.decision_level(), 0, "cuts must be added at level 0");
         if c.is_unsatisfiable() {
             self.root_unsat = true;
             return Err(RootConflict);
         }
         let id = PbId(self.pbs.len() as u32);
-        self.add_root_pb(c, taint).map(|()| id).inspect_err(|_| {
+        self.add_root_pb(c).map(|()| id).inspect_err(|_| {
             self.root_unsat = true;
         })
     }
@@ -794,12 +651,6 @@ impl Engine {
             Value::False => false,
             Value::Unassigned => {
                 let vi = lit.var().index();
-                if self.track_taint {
-                    // Overwrite (not OR): the variable's previous taint
-                    // belongs to an unwound assignment. Overwrite-on-assign
-                    // means backjumps need no taint cleanup.
-                    self.var_taint[vi] = self.reason_taint(lit, reason);
-                }
                 self.assignment.assign_lit(lit);
                 self.level[vi] = self.decision_level();
                 self.reason[vi] = reason;
@@ -814,37 +665,6 @@ impl Engine {
                     self.pbs[occ.pb as usize].slack -= occ.coeff;
                 }
                 true
-            }
-        }
-    }
-
-    /// The taint an assignment inherits from its reason constraint: the
-    /// constraint's own taint joined with the taints of the other
-    /// (currently false) literals forcing the propagation. Decisions and
-    /// root facts default to [`Taint::NONE`]; callers installing tainted
-    /// root facts (assumptions, unit clauses) overwrite afterwards.
-    fn reason_taint(&self, lit: Lit, reason: Reason) -> Taint {
-        match reason {
-            Reason::None => Taint::NONE,
-            Reason::Clause(id) => {
-                let c = self.clauses.get(id);
-                let mut t = c.taint();
-                for &l in c.lits() {
-                    if l != lit {
-                        t |= self.var_taint[l.var().index()];
-                    }
-                }
-                t
-            }
-            Reason::Pb(id) => {
-                let mut t = self.pb_taint[id.0 as usize];
-                for k in 0..self.pbs[id.0 as usize].len as usize {
-                    let term = self.pb_terms[self.pbs[id.0 as usize].start as usize + k];
-                    if term.lit != lit && self.assignment.is_false(term.lit) {
-                        t |= self.var_taint[term.lit.var().index()];
-                    }
-                }
-                t
             }
         }
     }
@@ -1078,43 +898,14 @@ impl Engine {
     /// asserts its head literal. Handles conflicts whose literals live
     /// below the current decision level (bound conflicts) by first
     /// backtracking to the highest involved level.
-    pub fn resolve_conflict(&mut self, conflict: Conflict) -> Resolution {
-        self.resolve_conflict_tainted(conflict, Taint::NONE)
-    }
-
-    /// [`Engine::resolve_conflict`] with an explicit *extra* taint folded
-    /// into the learned clause's provenance — used by the bounding layer
-    /// for [`Conflict::AdHoc`] bound conflicts, whose derivation (the
-    /// lower-bound argument against the incumbent) lives outside the
-    /// engine: pass [`Taint::INCUMBENT`] when an upper bound was in play.
     ///
-    /// When taint tracking is on, the learned clause's taint is the join
-    /// of: `extra`, the conflicting constraint's taint, the taints of
-    /// every reason constraint resolved on during the first-UIP walk,
-    /// and the taints of literals dropped because they are false at
-    /// level 0 (this last is the MiniSat-`analyzeFinal` step that makes
-    /// cube-assumption dependencies visible). Root-false literals whose
-    /// provenance includes [`Taint::ASSUMPTION`] are *kept* in the clause
-    /// (up to a small budget) rather than dropped: dropping them is a
-    /// strengthening step outside the resolution chain, so skipping it is
-    /// sound, and the longer clause stays implied without the cube — the
-    /// difference between a worker-private and a shareable clause.
-    pub fn resolve_conflict_tainted(&mut self, conflict: Conflict, extra: Taint) -> Resolution {
-        /// Per-conflict budget of assumption-dependent root-false
-        /// literals kept in the learned clause; beyond it the remainder
-        /// is dropped and tainted as before, bounding clause growth in
-        /// deep cubes.
-        const MAX_KEPT_ROOT_LITS: usize = 12;
+    /// Literals false at level 0 are dropped from the learned clause, so
+    /// the clause is implied by the stored constraints together with the
+    /// root facts: under [`Engine::assume_at_root`] assumptions it holds
+    /// only inside their subtree.
+    pub fn resolve_conflict(&mut self, conflict: Conflict) -> Resolution {
         self.stats.conflicts += 1;
         self.tracer.emit(pbo_trace::TraceEvent::Conflict);
-        let mut taint = extra;
-        if self.track_taint {
-            taint |= match &conflict {
-                Conflict::Clause(id) => self.clauses.get(*id).taint(),
-                Conflict::Pb(id) => self.pb_taint[id.0 as usize],
-                Conflict::AdHoc(_) => Taint::NONE,
-            };
-        }
         if matches!(conflict, Conflict::AdHoc(_)) {
             self.stats.adhoc_conflicts += 1;
         }
@@ -1145,7 +936,6 @@ impl Engine {
         let mut path_count: u32 = 0;
         let mut index = self.trail.len();
         let mut to_clear: Vec<Var> = Vec::new();
-        let mut kept_root = 0usize;
 
         let mut pending: Vec<Lit> = conflict_lits;
         let asserted;
@@ -1161,29 +951,6 @@ impl Engine {
                         path_count += 1;
                     } else {
                         learnt.push(q);
-                    }
-                } else if lvl == 0 && self.track_taint && !self.seen[v.index()] {
-                    let t = self.var_taint[v.index()];
-                    if t.intersects(Taint::ASSUMPTION) && kept_root < MAX_KEPT_ROOT_LITS {
-                        // MiniSat-`analyzeFinal` style: *keep* the
-                        // root-false literal instead of strengthening the
-                        // clause with the assumption-derived fact that
-                        // falsified it. One literal longer, but the
-                        // clause no longer depends on the cube — the
-                        // difference between a worker-private clause and
-                        // a globally shareable one. (Dropping it is an
-                        // extra strengthening step, not part of the
-                        // resolution chain, so skipping it is sound.)
-                        self.seen[v.index()] = true;
-                        to_clear.push(v);
-                        learnt.push(q);
-                        kept_root += 1;
-                    } else {
-                        // The literal is silently dropped because it is
-                        // false at the root — the learned clause depends
-                        // on whatever made it false there (assumptions
-                        // past the keep budget, imported facts, …).
-                        taint |= t;
                     }
                 }
             }
@@ -1202,13 +969,6 @@ impl Engine {
                 break;
             }
             pending = self.reason_literals(p);
-            if self.track_taint {
-                taint |= match self.reason[p.var().index()] {
-                    Reason::Clause(id) => self.clauses.get(id).taint(),
-                    Reason::Pb(id) => self.pb_taint[id.0 as usize],
-                    Reason::None => Taint::NONE,
-                };
-            }
             if let Reason::Clause(id) = self.reason[p.var().index()] {
                 self.clauses.bump_activity(id);
             }
@@ -1240,27 +1000,17 @@ impl Engine {
         self.stats.learnt_clauses += 1;
         self.stats.learnt_literals += learnt.len() as u64;
         let learnt_len = learnt.len();
-        let (learnt_id, ok) = if learnt_len == 1 {
-            let id = self.clauses.insert(learnt.clone(), true);
-            self.clauses.set_lbd(id, lbd);
-            if self.track_taint {
-                self.clauses.set_taint(id, taint);
-            }
-            (Some(id), self.enqueue(learnt[0], Reason::Clause(id)))
-        } else {
-            let id = self.clauses.insert(learnt.clone(), true);
-            self.clauses.set_lbd(id, lbd);
-            if self.track_taint {
-                self.clauses.set_taint(id, taint);
-            }
+        let id = self.clauses.insert(learnt, true);
+        self.clauses.set_lbd(id, lbd);
+        if learnt_len > 1 {
             self.attach_clause(id);
             self.clauses.bump_activity(id);
-            (Some(id), self.enqueue(learnt[0], Reason::Clause(id)))
-        };
+        }
+        let ok = self.enqueue(asserted, Reason::Clause(id));
         debug_assert!(ok, "asserted literal must be enqueuable after backjump");
         self.vsids.decay();
         self.clauses.decay_activity();
-        Resolution::Backjumped { level: backjump_level, asserted, learnt_len, learnt_id }
+        Resolution::Backjumped { level: backjump_level, asserted, learnt_len, learnt_id: Some(id) }
     }
 
     /// Number of distinct decision levels among `lits` (the literal
@@ -1319,48 +1069,6 @@ impl Engine {
             .into_iter()
             .take(max_count)
             .map(|(_, _, id)| self.clauses.get(id).lits().to_vec())
-            .collect()
-    }
-
-    /// Exports up to `max_count` learned clauses that are sound to share
-    /// with other cube workers: learnt, length ≤ `max_len`, LBD ≤
-    /// `max_lbd`, and whose derivation never touched a root assumption
-    /// ([`Taint::ASSUMPTION`]) nor came in through the pool
-    /// ([`Taint::IMPORTED`] — already global, re-exporting would only
-    /// echo). Clauses may still carry [`Taint::INCUMBENT`]; the caller
-    /// must stamp them with the upper bound they are conditional on.
-    /// Returns `(literals, taint, lbd)` triples, LBD-best first (same
-    /// ordering as [`Engine::export_learnts`]).
-    pub fn export_shareable_learnts(
-        &self,
-        max_len: usize,
-        max_count: usize,
-        max_lbd: u32,
-    ) -> Vec<(Vec<Lit>, Taint, u32)> {
-        let mut candidates: Vec<(u32, f64, ClauseId)> = self
-            .clauses
-            .iter()
-            .filter(|(_, c)| {
-                c.is_learnt()
-                    && !c.is_empty()
-                    && c.len() <= max_len
-                    && c.lbd() <= max_lbd
-                    && !c.taint().intersects(Taint::ASSUMPTION | Taint::IMPORTED)
-            })
-            .map(|(id, c)| (c.lbd(), c.activity(), id))
-            .collect();
-        candidates.sort_unstable_by(|a, b| {
-            a.0.cmp(&b.0)
-                .then_with(|| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal))
-                .then_with(|| a.2 .0.cmp(&b.2 .0))
-        });
-        candidates
-            .into_iter()
-            .take(max_count)
-            .map(|(_, _, id)| {
-                let c = self.clauses.get(id);
-                (c.lits().to_vec(), c.taint(), c.lbd())
-            })
             .collect()
     }
 

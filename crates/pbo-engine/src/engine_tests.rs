@@ -206,7 +206,7 @@ fn cut_addition_and_removal() {
 
 /// Re-rooting cost cuts deletes the superseded ones outright: after k
 /// re-roots the PB store holds exactly the instance's PB rows plus the
-/// live cuts, and every row (terms, rhs, slack, taint) and every
+/// live cuts, and every row (terms, rhs, slack) and every
 /// occurrence list equals that of a fresh engine loaded with the same
 /// rows and root facts. No root literal keeps the reason of a deleted
 /// cut, and both engines agree on satisfiability.
@@ -217,12 +217,11 @@ fn rerooted_cuts_leave_the_store_of_a_fresh_engine() {
 
     let load = |inst: &Instance, cuts: &[PbConstraint]| {
         let mut e = Engine::new(inst.num_vars());
-        e.set_taint_tracking(true);
         for c in inst.constraints() {
             e.add_constraint(c).ok()?;
         }
         for c in cuts {
-            e.add_pb_cut_tainted(c, Taint::INCUMBENT).ok()?;
+            e.add_pb_cut(c).ok()?;
         }
         Some(e)
     };
@@ -283,7 +282,7 @@ fn rerooted_cuts_leave_the_store_of_a_fresh_engine() {
             let next: Vec<PbConstraint> =
                 cuts_at(upper).into_iter().filter(|_| rng.gen_bool(0.75)).collect();
             e.truncate_pbs(base);
-            if next.iter().any(|c| e.add_pb_cut_tainted(c, Taint::INCUMBENT).is_err()) {
+            if next.iter().any(|c| e.add_pb_cut(c).is_err()) {
                 live.clear();
                 break; // the solver would finish here: nothing better exists
             }
@@ -538,225 +537,4 @@ fn trail_observers_have_independent_watermarks() {
     assert_eq!(e.sync_trail(a, 3), 1);
     // `a`'s ack must not have reset `b`'s watermark.
     assert_eq!(e.sync_trail(b, 3), 1);
-}
-
-// ----------------------------------------------------------------------
-// Assumption-dependency (taint) tracking
-// ----------------------------------------------------------------------
-
-use crate::clause::Taint;
-
-/// Runs the minimal CDCL driver and returns the final engine state
-/// (ignoring the model), for inspecting the learned-clause database.
-fn solve_tracked(e: &mut Engine) -> Option<Vec<bool>> {
-    solve(e)
-}
-
-#[test]
-fn assumption_root_literal_is_kept_not_tainted() {
-    // With x0 assumed at the root, deciding x1 conflicts:
-    //   (~x0 \/ ~x1 \/ x2) and (~x0 \/ ~x1 \/ ~x2).
-    // Instead of dropping ~x0 (false at level 0 via the assumption) and
-    // tainting the clause cube-private, analysis keeps the literal: the
-    // learned clause (~x0 \/ ~x1) is a pure resolvent of the two input
-    // clauses, implied by the instance alone, and therefore shareable.
-    let mut e = Engine::new(3);
-    e.set_taint_tracking(true);
-    e.add_constraint(&PbConstraint::clause([lit(0, false), lit(1, false), lit(2, true)])).unwrap();
-    e.add_constraint(&PbConstraint::clause([lit(0, false), lit(1, false), lit(2, false)])).unwrap();
-    e.assume_at_root(lit(0, true)).unwrap();
-    assert!(e.propagate().is_none());
-    e.decide(lit(1, true));
-    let confl = e.propagate().expect("decision must conflict");
-    match e.resolve_conflict(confl) {
-        Resolution::Backjumped { learnt_id: Some(id), learnt_len, .. } => {
-            assert!(
-                !e.clause_taint(id).intersects(Taint::ASSUMPTION),
-                "kept assumption literal must leave the clause untainted"
-            );
-            assert_eq!(learnt_len, 2, "clause keeps ~x0 alongside ~x1");
-        }
-        r => panic!("expected a learned clause, got {r:?}"),
-    }
-    // The kept-literal clause is globally valid and exported as such.
-    assert_eq!(e.export_shareable_learnts(8, 16, 30).len(), 1);
-    let shared = &e.export_shareable_learnts(8, 16, 30)[0];
-    assert!(shared.0.contains(&lit(0, false)), "~x0 must appear in the shared clause");
-}
-
-#[test]
-fn kept_root_literal_budget_falls_back_to_taint() {
-    // A conflict touching more assumption-falsified root literals than
-    // the per-conflict keep budget (12): assume x0..x13 at the root, and
-    // make deciding y conflict through all of them. The overflow is
-    // dropped and tainted, so the clause stays cube-private.
-    const N: usize = 14;
-    let y = N;
-    let z = N + 1;
-    let mut e = Engine::new(N + 2);
-    e.set_taint_tracking(true);
-    let mut base: Vec<Lit> = (0..N).map(|i| lit(i, false)).collect();
-    base.push(lit(y, false));
-    let mut c1 = base.clone();
-    c1.push(lit(z, true));
-    let mut c2 = base;
-    c2.push(lit(z, false));
-    e.add_constraint(&PbConstraint::clause(c1)).unwrap();
-    e.add_constraint(&PbConstraint::clause(c2)).unwrap();
-    for i in 0..N {
-        e.assume_at_root(lit(i, true)).unwrap();
-    }
-    assert!(e.propagate().is_none());
-    e.decide(lit(y, true));
-    let confl = e.propagate().expect("decision must conflict");
-    match e.resolve_conflict(confl) {
-        Resolution::Backjumped { learnt_id: Some(id), .. } => {
-            assert!(
-                e.clause_taint(id).intersects(Taint::ASSUMPTION),
-                "past the keep budget the clause must be tainted"
-            );
-        }
-        r => panic!("expected a learned clause, got {r:?}"),
-    }
-    assert!(e.export_shareable_learnts(32, 16, 30).is_empty());
-}
-
-#[test]
-fn instance_only_learnt_is_untainted_and_shareable() {
-    // Same clauses, but x0 is forced by a *unit instance clause* instead
-    // of an assumption: the learned clause is implied by the instance
-    // alone and must be NONE-tainted / shareable.
-    let mut e = Engine::new(3);
-    e.set_taint_tracking(true);
-    e.add_constraint(&PbConstraint::clause([lit(0, true)])).unwrap();
-    e.add_constraint(&PbConstraint::clause([lit(0, false), lit(1, false), lit(2, true)])).unwrap();
-    e.add_constraint(&PbConstraint::clause([lit(0, false), lit(1, false), lit(2, false)])).unwrap();
-    assert!(e.propagate().is_none());
-    e.decide(lit(1, true));
-    let confl = e.propagate().expect("decision must conflict");
-    match e.resolve_conflict(confl) {
-        Resolution::Backjumped { learnt_id: Some(id), .. } => {
-            assert!(e.clause_taint(id).is_none());
-        }
-        r => panic!("expected a learned clause, got {r:?}"),
-    }
-    let shareable = e.export_shareable_learnts(8, 16, 30);
-    assert_eq!(shareable.len(), 1);
-    assert!(shareable[0].1.is_none());
-}
-
-#[test]
-fn incumbent_tainted_cut_flows_into_learnts() {
-    // A PB cut installed with INCUMBENT taint participates in the
-    // conflict; the learned clause must inherit the bit (it is only
-    // implied by instance + cost bound, not by the instance alone).
-    let mut e = Engine::new(3);
-    e.set_taint_tracking(true);
-    e.add_constraint(&PbConstraint::clause([lit(0, true), lit(1, true), lit(2, true)])).unwrap();
-    // "Cost cut": at most one of x0, x1 may be true, conditional on an
-    // incumbent -> ~x0 + ~x1 >= 1 as a PB row.
-    let cut = pbo_core::normalize(&[(1, lit(0, true)), (1, lit(1, true))], pbo_core::RelOp::Le, 1)
-        .unwrap()
-        .pop()
-        .unwrap();
-    // An instance clause requiring x1 under x0: deciding x0 conflicts
-    // with the cut (x0 -> x1 via the clause, but the cut forbids both).
-    e.add_constraint_tainted(&PbConstraint::clause([lit(0, false), lit(1, true)]), Taint::NONE)
-        .unwrap();
-    e.add_pb_cut_tainted(&cut, Taint::INCUMBENT).unwrap();
-    e.decide(lit(0, true));
-    if let Some(confl) = e.propagate() {
-        if let Resolution::Backjumped { learnt_id: Some(id), .. } = e.resolve_conflict(confl) {
-            assert!(e.clause_taint(id).intersects(Taint::INCUMBENT));
-        }
-    } else {
-        panic!("expected a conflict through the tainted cut");
-    }
-    // INCUMBENT-tainted clauses are still exportable as shareable (the
-    // caller stamps the bound), but not ASSUMPTION-excluded-filtered out.
-    let shareable = e.export_shareable_learnts(8, 16, 30);
-    assert_eq!(shareable.len(), 1);
-    assert!(shareable[0].1.intersects(Taint::INCUMBENT));
-}
-
-#[test]
-fn imported_clause_is_learnt_but_never_reexported() {
-    let mut e = Engine::new(4);
-    e.set_taint_tracking(true);
-    e.add_constraint(&PbConstraint::clause([lit(0, true), lit(1, true)])).unwrap();
-    e.add_learnt_clause(vec![lit(2, true), lit(3, true)], Taint::NONE, 2).unwrap();
-    assert_eq!(e.num_learnts(), 1);
-    // Plain export (the head start's seed for cube workers) sees it ...
-    assert_eq!(e.export_learnts(8, 16).len(), 1);
-    // ... but it is never echoed back to the pool.
-    assert!(e.export_shareable_learnts(8, 16, 30).is_empty());
-    // Importing a unit clause installs a root fact.
-    e.add_learnt_clause(vec![lit(1, false)], Taint::NONE, 1).unwrap();
-    assert!(e.assignment().is_true(lit(0, true)), "unit import must propagate");
-    // Importing a clause contradicting the root assignment closes search.
-    assert!(e.add_learnt_clause(vec![lit(0, false), lit(1, true)], Taint::NONE, 1).is_err());
-    assert!(e.is_root_unsat());
-}
-
-#[test]
-fn untainted_learnts_are_implied_by_instance_alone_randomized() {
-    // The soundness contract behind cross-worker sharing: solve random
-    // instances under a random root assumption with tracking on; every
-    // learned clause NOT carrying the ASSUMPTION bit must hold in every
-    // feasible assignment of the instance (brute force).
-    use rand::{Rng, SeedableRng};
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x7a1a7);
-    for round in 0..80 {
-        let n = rng.gen_range(3..8);
-        let mut b = InstanceBuilder::new();
-        let vars = b.new_vars(n);
-        let m = rng.gen_range(2..9);
-        for _ in 0..m {
-            let len = rng.gen_range(1..=3.min(n));
-            let mut idxs: Vec<usize> = (0..n).collect();
-            for i in 0..len {
-                let j = rng.gen_range(i..n);
-                idxs.swap(i, j);
-            }
-            let terms: Vec<(i64, Lit)> = idxs[..len]
-                .iter()
-                .map(|&i| (rng.gen_range(1..4), vars[i].lit(rng.gen_bool(0.5))))
-                .collect();
-            let max: i64 = terms.iter().map(|t| t.0).sum();
-            let rhs = rng.gen_range(1..=max);
-            b.add_linear(terms, pbo_core::RelOp::Ge, rhs);
-        }
-        let inst = b.build().unwrap();
-        let mut e = Engine::new(inst.num_vars());
-        e.set_taint_tracking(true);
-        let mut load_ok = true;
-        for c in inst.constraints() {
-            if e.add_constraint(c).is_err() {
-                load_ok = false;
-                break;
-            }
-        }
-        if !load_ok {
-            continue;
-        }
-        let cube = vars[rng.gen_range(0..n)].lit(rng.gen_bool(0.5));
-        if e.assume_at_root(cube).is_err() {
-            continue;
-        }
-        let _ = solve_tracked(&mut e);
-        for (lits, taint, _) in e.export_shareable_learnts(usize::MAX, usize::MAX, u32::MAX) {
-            assert!(!taint.intersects(Taint::ASSUMPTION));
-            for mask in 0u64..(1 << n) {
-                let vals: Vec<bool> = (0..n).map(|i| (mask >> i) & 1 == 1).collect();
-                if inst.is_feasible(&vals) {
-                    let sat = lits.iter().any(|&l| vals[l.var().index()] == l.is_positive());
-                    assert!(
-                        sat,
-                        "round {round}: shared clause {lits:?} (taint {taint:?}) \
-                         kills feasible assignment {vals:?} under cube {cube:?}"
-                    );
-                }
-            }
-        }
-    }
 }

@@ -43,7 +43,7 @@ mod engine;
 mod luby;
 mod vsids;
 
-pub use clause::{Clause, ClauseDb, ClauseId, Taint};
+pub use clause::{Clause, ClauseDb, ClauseId};
 pub use engine::{
     Conflict, Engine, EngineStats, PbId, Reason, Resolution, RootConflict, TrailObserver,
 };

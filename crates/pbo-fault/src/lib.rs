@@ -29,11 +29,11 @@
 //! ```
 //! use pbo_fault::failpoint;
 //!
-//! fn publish_batch() {
-//!     failpoint!("pool.publish");
+//! fn push_cubes() {
+//!     failpoint!("sched.push");
 //!     // ... the real work ...
 //! }
-//! # publish_batch();
+//! # push_cubes();
 //! ```
 //!
 //! A test (built with `--features failpoints`) injects a panic at the
@@ -43,11 +43,11 @@
 //! # #[cfg(feature = "failpoints")] {
 //! use pbo_fault::{install, FaultPlan};
 //!
-//! let guard = install(FaultPlan::new().panic_on("pool.publish", 2));
-//! pbo_fault::fire("pool.publish"); // first hit: passes
-//! let err = std::panic::catch_unwind(|| pbo_fault::fire("pool.publish"));
+//! let guard = install(FaultPlan::new().panic_on("sched.push", 2));
+//! pbo_fault::fire("sched.push"); // first hit: passes
+//! let err = std::panic::catch_unwind(|| pbo_fault::fire("sched.push"));
 //! assert!(err.is_err()); // second hit: panics
-//! assert_eq!(guard.hits("pool.publish"), 2);
+//! assert_eq!(guard.hits("sched.push"), 2);
 //! # }
 //! ```
 

@@ -9,8 +9,10 @@
 //!   the knapsack cut of eq. 10 (and optionally the cardinality cost cuts
 //!   of eqs. 11–13) re-added at the root after each improvement; under
 //!   MIS the cuts also become rows of the residual problem
-//!   ([`BsoloOptions::dynamic_rows`]), while learned clauses never leave
-//!   the engine;
+//!   ([`BsoloOptions::dynamic_rows`]), while learned clauses serve only
+//!   the search that derived them (a parallel solve's head start also
+//!   seeds its cube workers with its best ones, see
+//!   [`ParBsolo`](crate::ParBsolo));
 //! * a pluggable lower-bound procedure called at every node; when
 //!   `P.path + P.lower >= P.upper` (eq. 7) the solver builds the bound
 //!   conflict clause `omega_bc = omega_pp ∪ omega_pl` (eqs. 8–9) and
@@ -42,11 +44,12 @@
 //!   local-search walk through the cell before the cuts are installed
 //!   (crate-private; the public solvers never polish).
 
-use std::collections::HashSet;
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 use std::time::Instant;
 
 use pbo_core::{verify_solution, Instance, Lit, PbConstraint, Value, Var};
-use pbo_engine::{Conflict, Engine, LubyRestarts, Resolution, Taint};
+use pbo_engine::{Conflict, Engine, LubyRestarts, Resolution};
 use pbo_ls::{IncumbentCell, LocalSearch, LsOptions};
 use pbo_trace::{TraceEvent, Tracer, LS_LANE_BASE};
 
@@ -55,14 +58,6 @@ use crate::options::{BsoloOptions, LbMethod};
 use crate::pipeline::BoundPipeline;
 use crate::preprocess::{probe, ProbeOutcome};
 use crate::result::{SolveResult, SolveStatus, SolverStats};
-use crate::share::{PoolHandle, PoolWatermarks, SharedClause};
-
-/// Longest clause a worker offers to the shared pool.
-const SHARE_MAX_LEN: usize = 24;
-/// Worst LBD a worker offers to the shared pool.
-const SHARE_MAX_LBD: u32 = 6;
-/// Most clauses offered per publish (LBD-best first).
-const SHARE_MAX_COUNT: usize = 64;
 
 /// Steps of the local-search walk that polishes each improving
 /// incumbent when a search polishes (see [`SearchState::polish`]).
@@ -148,35 +143,22 @@ impl Bsolo {
     ) -> SolveResult {
         let start = Instant::now();
         let mut stats = SolverStats::default();
-        // A cancel token without its own deadline inherits the wall-clock
-        // budget, so the deadline reaches the layers the between-node
-        // budget check cannot: the LP pivot loop and the propagation loop.
-        if let Some(cancel) = &self.options.cancel {
-            if let (Some(t), None) = (self.options.budget.time, cancel.deadline()) {
-                cancel.deadline_in(t);
-            }
-        }
+        let (options, lp_stop) = under_budget_deadline(&self.options);
         // Covering-style simplification preserves the variable space and
         // the exact feasible set, so models and costs transfer 1:1 (which
         // is also what lets incumbents cross between the simplified
         // search and unsimplified external producers).
-        let simplified;
-        let instance = if self.options.simplify {
-            simplified = crate::preprocess::simplify(instance);
-            &simplified
-        } else {
-            instance
-        };
-        let tracer = if self.options.trace { Tracer::buffered(0, start) } else { Tracer::off() };
+        let instance = &crate::preprocess::simplify(instance);
+        let tracer = if options.trace { Tracer::buffered(0, start) } else { Tracer::off() };
         let mut search = match SearchState::init(
             instance,
-            &self.options,
+            &options,
             cell,
             start,
             &mut stats,
             &[],
             &[],
-            None,
+            lp_stop,
             tracer.clone(),
             polish,
         ) {
@@ -203,6 +185,32 @@ impl Bsolo {
             stats,
         }
     }
+}
+
+/// The options a solve runs under, and the raw flag its LP pivot loop
+/// polls. A wall-clock budget reaches the layers the between-node budget
+/// check cannot — the LP pivot loop and the propagation loop — through
+/// the cancel token's deadline. When the caller's token has none of its
+/// own, the solve runs under a [`CancelToken::child`] carrying the
+/// budget's deadline, so the caller's token leaves the solve as it came
+/// in and can be reused. A child latches its raw flag only when something
+/// polls it, so the LP keeps polling the caller's flag, beside the
+/// child's deadline.
+///
+/// [`CancelToken::child`]: pbo_core::CancelToken::child
+pub(crate) fn under_budget_deadline(
+    options: &BsoloOptions,
+) -> (BsoloOptions, Option<Arc<AtomicBool>>) {
+    let mut options = options.clone();
+    let lp_stop = options.cancel.as_ref().map(|cancel| cancel.flag());
+    if let (Some(cancel), Some(t)) = (&options.cancel, options.budget.time) {
+        if cancel.deadline().is_none() {
+            let child = cancel.child();
+            child.deadline_in(t);
+            options.cancel = Some(child);
+        }
+    }
+    (options, lp_stop)
 }
 
 /// The per-(sub)tree search state: one engine, one bound pipeline, one
@@ -249,18 +257,6 @@ pub(crate) struct SearchState<'a> {
     /// worker deepens — so re-split arm cubes always carry the full
     /// current prefix.
     cube: Vec<Lit>,
-    /// Cross-worker shared-clause pool handle (the pool plus this
-    /// publisher's lane), when clause sharing is on.
-    pool: Option<PoolHandle<'a>>,
-    /// Per-lane read watermarks into the pool (entries before them were
-    /// already imported).
-    pool_seen: PoolWatermarks,
-    /// Canonical keys of every clause this search ever offered to the
-    /// pool *or imported from it* — publisher-side this stops round-
-    /// tripping our own clauses back in, importer-side it is the dedup
-    /// the sharded pool no longer does globally (two workers may publish
-    /// the same clause on different lanes; it installs here once).
-    my_keys: HashSet<Vec<Lit>>,
     /// Telemetry handle shared with the engine and the bound pipeline
     /// (one lane per worker); [`Tracer::off`] when tracing is disabled.
     tracer: Tracer,
@@ -294,11 +290,9 @@ impl<'a> SearchState<'a> {
     /// was ever installed and the clauses are implied by the instance
     /// alone.
     ///
-    /// When `pool` is given, the engine's assumption-dependency (taint)
-    /// tracking is switched on *before* the cube is assumed, and the
-    /// pool's current contents are imported immediately; the search then
-    /// publishes cube-independent learned clauses and polls for peers'
-    /// at every restart and cost re-root ([`SearchState::sync_share`]).
+    /// The LP pivot loop polls `lp_stop` (the caller's raw cancel flag,
+    /// see [`under_budget_deadline`]) when given, else the raw flag of
+    /// `options.cancel`, beside that token's deadline.
     ///
     /// `polish` (seed and cancel token of the walk) turns on the polish
     /// walk of every improving solution ([`SearchState::polish`]).
@@ -311,18 +305,12 @@ impl<'a> SearchState<'a> {
         stats: &mut SolverStats,
         cube: &[Lit],
         seed: &[Vec<Lit>],
-        pool: Option<PoolHandle<'a>>,
+        lp_stop: Option<Arc<AtomicBool>>,
         tracer: Tracer,
         polish: Option<&LsOptions>,
     ) -> Result<SearchState<'a>, ()> {
         let mut engine = Engine::new(instance.num_vars());
         engine.set_tracer(tracer.clone());
-        // Tracking must precede the first assumption or tainted fact;
-        // instance constraints and probing are instance-implied, so the
-        // order relative to them is irrelevant.
-        if pool.is_some() {
-            engine.set_taint_tracking(true);
-        }
         for c in instance.constraints() {
             if engine.add_constraint(c).is_err() {
                 return Err(());
@@ -341,19 +329,8 @@ impl<'a> SearchState<'a> {
                 return Err(());
             }
         }
-        // Head-start seed clauses are implied by instance + the head's
-        // cost cuts when the cell already holds an incumbent, and by the
-        // instance alone otherwise (see the doc comment above).
-        let seed_taint = if cell.is_some_and(|c| c.best_cost().is_some()) {
-            Taint::INCUMBENT
-        } else {
-            Taint::NONE
-        };
         for lits in seed {
-            if engine
-                .add_constraint_tainted(&PbConstraint::clause(lits.iter().copied()), seed_taint)
-                .is_err()
-            {
+            if engine.add_constraint(&PbConstraint::clause(lits.iter().copied())).is_err() {
                 return Err(());
             }
         }
@@ -364,13 +341,13 @@ impl<'a> SearchState<'a> {
         // relaxation's pivot loop.
         if let Some(cancel) = &options.cancel {
             engine.set_cancel(cancel.clone());
-            pipeline.set_cancel(cancel.deadline(), Some(cancel.flag()));
+            pipeline.set_cancel(cancel.deadline(), Some(lp_stop.unwrap_or_else(|| cancel.flag())));
         }
         let mut restarts = options.restart_base.map(|base| LubyRestarts::new(base.max(1)));
         let next_restart =
             restarts.as_mut().map_or(u64::MAX, |r| r.next().expect("luby sequence is infinite"));
         let cut_base = engine.num_pbs();
-        let mut state = SearchState {
+        Ok(SearchState {
             instance,
             options,
             engine,
@@ -385,9 +362,6 @@ impl<'a> SearchState<'a> {
             restarts,
             next_restart,
             cube: cube.to_vec(),
-            pool,
-            pool_seen: PoolWatermarks::default(),
-            my_keys: HashSet::new(),
             tracer,
             polish: polish.map(|o| LsOptions {
                 max_steps: POLISH_STEPS,
@@ -395,12 +369,7 @@ impl<'a> SearchState<'a> {
                 ..o.clone()
             }),
             walker: None,
-        };
-        // Late-launching workers start with everything already pooled.
-        if state.sync_share(stats).is_err() {
-            return Err(());
-        }
-        Ok(state)
+        })
     }
 
     /// Exports the engine's best (LBD-first) learned clauses — the
@@ -495,13 +464,8 @@ impl<'a> SearchState<'a> {
                 return Some(self.budget_status());
             }
             // Luby restart: back to the root (learned clauses kept).
-            // Restarts are also the clause-sharing cadence: publish what
-            // we learned, import what peers did.
             if self.engine.stats.conflicts >= self.next_restart {
                 self.engine.restart();
-                if self.sync_share(stats).is_err() {
-                    return Some(self.exhausted_status());
-                }
                 let budget = self
                     .restarts
                     .as_mut()
@@ -547,8 +511,7 @@ impl<'a> SearchState<'a> {
                     // so omega_pp must stay in the clause.
                     let include_pp = !out.infeasible || self.pipeline.has_dynamic_rows();
                     let omega_bc = self.build_bound_conflict(&out.explanation, include_pp);
-                    let taint = self.adhoc_taint();
-                    match self.engine.resolve_conflict_tainted(Conflict::AdHoc(omega_bc), taint) {
+                    match self.engine.resolve_conflict(Conflict::AdHoc(omega_bc)) {
                         Resolution::Unsat => return Some(self.exhausted_status()),
                         Resolution::Backjumped { .. } => continue,
                     }
@@ -562,92 +525,6 @@ impl<'a> SearchState<'a> {
             };
             self.engine.decide(lit);
         }
-    }
-
-    /// The taint of an ad-hoc bound conflict: its derivation (the
-    /// lower-bound argument) quantifies against the incumbent's cost
-    /// once one exists — the learned clause is implied by instance ∧
-    /// cost bound, not the instance alone. Pre-incumbent bound conflicts
-    /// (pure infeasibility proofs over instance + dynamic rows, which
-    /// are themselves absent before the first re-root) are
-    /// instance-implied. Cube dependencies need no handling here: the
-    /// bound explanations list *all* false literals of the rows they
-    /// used, so cube-derived level-0 literals surface in conflict
-    /// analysis and taint the clause through the standard drop rule —
-    /// and the rows themselves are cube-independent: the instance's rows
-    /// and, under MIS, the cost cuts.
-    fn adhoc_taint(&self) -> Taint {
-        if self.best_cost.is_some() {
-            Taint::INCUMBENT
-        } else {
-            Taint::NONE
-        }
-    }
-
-    /// Two-way sync with the shared-clause pool (no-op without one):
-    /// publishes this engine's assumption-clean learned clauses —
-    /// incumbent-conditional ones stamped with the current upper bound —
-    /// and imports everything peers published since the last sync.
-    /// Must be called at decision level 0 (restart, re-root, init).
-    ///
-    /// Returns `Err(())` when an imported clause contradicts the root
-    /// assignment: under this worker's cube + cost cuts nothing better
-    /// remains, so the caller closes the subtree via
-    /// [`SearchState::exhausted_status`].
-    fn sync_share(&mut self, stats: &mut SolverStats) -> Result<(), ()> {
-        let Some(handle) = self.pool else { return Ok(()) };
-        debug_assert_eq!(self.engine.decision_level(), 0);
-        // Publish. A clause carrying INCUMBENT is implied by
-        // instance ∧ (cost ≤ upper − 1); without a local incumbent there
-        // is no bound to stamp it with, so it stays private until one
-        // appears (the taint is set pre-incumbent only by head seeds).
-        let mut batch = Vec::new();
-        for (lits, taint, lbd) in
-            self.engine.export_shareable_learnts(SHARE_MAX_LEN, SHARE_MAX_COUNT, SHARE_MAX_LBD)
-        {
-            let upper = if taint.intersects(Taint::INCUMBENT) {
-                match self.best_cost {
-                    Some(u) => Some(u),
-                    None => continue,
-                }
-            } else {
-                None
-            };
-            let clause = SharedClause { lits, lbd, upper };
-            // Remember every offer (accepted or deduplicated away) so we
-            // never round-trip our own clauses back in.
-            if self.my_keys.insert(clause.key()) {
-                batch.push(clause);
-            }
-        }
-        let published = handle.pool.publish(handle.lane, batch);
-        stats.clauses_shared += published;
-        if published > 0 {
-            self.tracer.emit(TraceEvent::ClausesShared { n: published });
-        }
-        // Import. `my_keys` absorbs every installed key, so a clause two
-        // workers published on separate lanes still installs only once.
-        if let Some(incoming) = handle.pool.snapshot_since(&mut self.pool_seen) {
-            let mut imported = 0u64;
-            for c in incoming {
-                if !self.my_keys.insert(c.key()) {
-                    continue;
-                }
-                let taint = if c.upper.is_some() { Taint::INCUMBENT } else { Taint::NONE };
-                stats.clauses_imported += 1;
-                imported += 1;
-                if self.engine.add_learnt_clause(c.lits, taint, c.lbd).is_err() {
-                    if imported > 0 {
-                        self.tracer.emit(TraceEvent::ClausesImported { n: imported });
-                    }
-                    return Err(());
-                }
-            }
-            if imported > 0 {
-                self.tracer.emit(TraceEvent::ClausesImported { n: imported });
-            }
-        }
-        Ok(())
     }
 
     /// Dynamic re-split (the guiding-path step): takes the first
@@ -700,25 +577,6 @@ impl<'a> SearchState<'a> {
             }
         }
         arms
-    }
-
-    /// Sharing sync at a re-split pause: [`SearchState::resplit`] left
-    /// the engine at the root, which is exactly where publish/import is
-    /// legal — so every re-split doubles as a sharing beat, giving
-    /// subtree workers (whose Luby restarts rarely fire before the cube
-    /// closes) a cadence proportional to how long they run. Maps a root
-    /// contradiction from an imported clause to the closed-subtree
-    /// status; the arms already handed to the queue stay valid — they
-    /// partition the rest of the parent cube regardless of how this
-    /// deepened remainder closes.
-    pub(crate) fn sync_share_after_resplit(
-        &mut self,
-        stats: &mut SolverStats,
-    ) -> Option<SolveStatus> {
-        match self.sync_share(stats) {
-            Ok(()) => None,
-            Err(()) => Some(self.exhausted_status()),
-        }
     }
 
     /// A single greedy cost-avoiding descent from the root, run on a
@@ -852,7 +710,7 @@ impl<'a> SearchState<'a> {
     /// Returns `Err(())` when a cut is contradictory with the root
     /// assignment — no solution better than `upper` exists, so the caller
     /// finishes with the incumbent as the optimum.
-    fn install_cost_cuts(&mut self, upper: i64, stats: &mut SolverStats) -> Result<(), ()> {
+    fn install_cost_cuts(&mut self, upper: i64) -> Result<(), ()> {
         self.engine.backjump_to(0);
         self.engine.truncate_pbs(self.cut_base);
         // Trivial knapsack cut: every assignment is already cheaper,
@@ -867,19 +725,14 @@ impl<'a> SearchState<'a> {
             self.cost_cuts.knapsack(upper).into_iter().collect()
         };
         for cut in &cuts {
-            // Cost cuts are implied by instance + incumbent, never by
-            // the instance alone: clauses learned through them must not
-            // be shared as unconditional.
-            if self.engine.add_pb_cut_tainted(cut, Taint::INCUMBENT).is_err() {
+            if self.engine.add_pb_cut(cut).is_err() {
                 return Err(());
             }
         }
         // MIS folds the new cut set into its residual problem as dynamic
         // rows; the other bounds see the instance's rows only.
         self.pipeline.reroot(&cuts);
-        // A re-root is also a sharing point: we are at level 0 with a
-        // fresh (tighter) upper bound to stamp INCUMBENT clauses with.
-        self.sync_share(stats)
+        Ok(())
     }
 
     /// Adopts a strictly better incumbent from the shared cell, if one
@@ -892,7 +745,7 @@ impl<'a> SearchState<'a> {
             // solve (mirror of `record_solution`).
             return Some(SolveStatus::Optimal);
         }
-        if self.install_cost_cuts(cost, stats).is_err() {
+        if self.install_cost_cuts(cost).is_err() {
             return Some(self.exhausted_status());
         }
         None
@@ -988,7 +841,7 @@ impl<'a> SearchState<'a> {
         // Install the cost cuts at the root and continue searching for a
         // strictly better solution.
         let upper = self.best_cost.unwrap();
-        if self.install_cost_cuts(upper, stats).is_err() {
+        if self.install_cost_cuts(upper).is_err() {
             return SolutionStep::Finished(SolveStatus::Optimal);
         }
         SolutionStep::Continue

@@ -62,7 +62,6 @@ mod pipeline;
 mod portfolio;
 mod preprocess;
 mod result;
-mod share;
 
 pub use bsolo::Bsolo;
 pub use cuts::{cardinality_cost_cuts, cost_cuts, knapsack_cut};
@@ -77,7 +76,6 @@ pub use preprocess::{probe, simplify, ProbeOutcome};
 pub use result::{
     LbMethodStats, ServiceStatus, SolveResult, SolveStatus, SolverStats, LB_METHOD_NAMES,
 };
-pub use share::{ClausePool, PoolHandle, PoolWatermarks, SharedClause};
 
 #[cfg(test)]
 mod method_bucket_tests;

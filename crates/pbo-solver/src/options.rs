@@ -156,10 +156,6 @@ pub struct BsoloOptions {
     /// Probe variables during preprocessing to detect necessary
     /// assignments (sec. 5 / Savelsbergh-style).
     pub probing: bool,
-    /// Covering-style simplification before the search: duplicate
-    /// removal and clause subsumption (the paper applies these on the
-    /// synthesis benchmark set).
-    pub simplify: bool,
     /// How the residual subproblem is maintained between bound
     /// computations.
     pub residual_mode: ResidualMode,
@@ -170,7 +166,7 @@ pub struct BsoloOptions {
     pub dynamic_rows: bool,
     /// Luby restart base interval in conflicts (`None` disables
     /// restarts). A restart backjumps to the root and keeps the learned
-    /// clauses; in a parallel solve it is also a clause-sharing point.
+    /// clauses.
     pub restart_base: Option<u64>,
     /// A parallel worker that has spent this many conflicts on one cube
     /// re-splits its remaining subtree: the complement cubes of its
@@ -178,11 +174,10 @@ pub struct BsoloOptions {
     /// continues on the deepened cube, keeping the frontier
     /// self-balancing (`None` disables re-splitting).
     pub resplit_conflicts: Option<u64>,
-    /// Deterministic parallel mode: clause sharing is off, workers
-    /// re-split on a fixed conflict schedule regardless of queue
-    /// pressure, each subtree runs against a private incumbent snapshot,
-    /// and cube results are reduced in a fixed (cube-lexicographic)
-    /// order — so a parallel run's status, cost, model and merged
+    /// Deterministic parallel mode: workers re-split on a fixed conflict
+    /// schedule regardless of queue pressure, each subtree runs against
+    /// a private incumbent snapshot, and cube results are reduced in a
+    /// fixed (cube-lexicographic) order — so a parallel run's status, cost, model and merged
     /// counters are a pure function of instance + options, independent
     /// of thread scheduling. Costs some pruning (no cross-worker
     /// incumbent races); intended for parity suites and debugging.
@@ -195,13 +190,15 @@ pub struct BsoloOptions {
     pub trace: bool,
     /// Resource budget.
     pub budget: Budget,
-    /// Cooperative cancellation token. When set, the solver derives a
-    /// deadline from [`Budget::time`] at solve start and threads the
-    /// token into every long-running layer — the engine's propagation
-    /// loop, the LP relaxation's pivot loop, local-search steps and
-    /// the parallel cube queue — so a cancel (external or deadline) tears
+    /// Cooperative cancellation token. When set, the solver threads it
+    /// into every long-running layer — the engine's propagation loop,
+    /// the LP relaxation's pivot loop, local-search steps and the
+    /// parallel cube queue — so a cancel (external or deadline) tears
     /// the solve down in bounded time with the best verified incumbent
-    /// intact and `SolverStats::cancelled` set.
+    /// intact and `SolverStats::cancelled` set. A token without a
+    /// deadline of its own gets [`Budget::time`]'s through a child token
+    /// the solve runs under, so the token itself leaves the solve
+    /// unchanged and can be reused.
     /// `None` keeps the seed behaviour: the budget is only checked
     /// between search-loop iterations, which an expensive LP solve can
     /// overshoot.
@@ -214,7 +211,6 @@ impl Default for BsoloOptions {
             lb_method: LbMethod::Lpr,
             cardinality_cuts: true,
             probing: true,
-            simplify: true,
             residual_mode: ResidualMode::Incremental,
             dynamic_rows: true,
             restart_base: Some(2048),

@@ -21,8 +21,8 @@
 //!    `TermArena` block). The cube's literals are assumed at level 0
 //!    (`Engine::assume_at_root`), so conflict analysis can never leave
 //!    the subtree and everything a worker learns is implied by
-//!    *instance ∧ cube* — unless conflict analysis can show otherwise:
-//!    see sharing below.
+//!    *instance ∧ cube*: learned clauses stay with the cube task that
+//!    derived them.
 //! 3. **Primal dives.** A cube task's first act is one greedy
 //!    cost-avoiding descent ([`SearchState::primal_dive`]) — objective
 //!    literals decided false, largest coefficient first, propagation but
@@ -36,17 +36,12 @@
 //! 4. **Sharing.** Incumbents flow through the [`IncumbentCell`]: every
 //!    worker publishes verified improvements and adopts strictly better
 //!    external ones mid-search (re-rooting its eq. 10–13 cost cuts).
-//!    Learned *clauses* cross workers through the epoch-stamped
-//!    [`ClausePool`]: the engine's taint tracking marks every clause
-//!    whose derivation leaned on a cube assumption
-//!    ([`pbo_engine::Taint`]), conflict analysis keeps
-//!    assumption-falsified root literals in the clause (up to a budget)
-//!    instead of strengthening them away so most clauses stay
-//!    assumption-clean, and `export_shareable_learnts` publishes (on the
-//!    worker's private pool lane) only those — implied by the instance
-//!    (plus a stamped cost bound for INCUMBENT-tainted ones) and
-//!    therefore sound in *any* cube.
-//!    Workers sync at init, restarts, and after every re-split.
+//!    Learned clauses reach the workers once: the sequential head start
+//!    that runs before the split seeds every cube task with its best
+//!    ones. Workers do not trade clauses. A cross-worker clause pool,
+//!    kept sound by assumption-taint tracking in the engine, was
+//!    measured against no pool and won no measurement (wall time,
+//!    decisions, the Table-1 `par_bb` gates), so it was deleted.
 //! 5. **Dynamic re-splitting.** A worker that outlives its conflict
 //!    allowance on one cube while the queue starves (fewer queued
 //!    cubes than idle workers) backjumps to its root, harvests the
@@ -83,13 +78,14 @@
 //! [`Bsolo`] verbatim — bit-identical optimum, node count and stats —
 //! so the parallel path is strictly opt-in. With
 //! [`BsoloOptions::deterministic_join`] set, every cube task runs
-//! against a private incumbent cell, the clause pool is disabled, the
-//! re-split schedule ignores queue timing, and results reduce in
+//! against a private incumbent cell, the re-split schedule ignores
+//! queue timing, and results reduce in
 //! cube-lexicographic order — the same optimum and stats on every run
 //! regardless of thread scheduling.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::AtomicBool;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use pbo_core::{verify_solution, Instance, Lit, Value, Var};
@@ -98,10 +94,9 @@ use pbo_fault::failpoint;
 use pbo_ls::{IncumbentCell, LsOptions};
 use pbo_trace::{TraceEvent, Tracer, LS_LANE_BASE};
 
-use crate::bsolo::{Bsolo, SearchState};
+use crate::bsolo::{under_budget_deadline, Bsolo, SearchState};
 use crate::options::BsoloOptions;
 use crate::result::{SolveResult, SolveStatus, SolverStats};
-use crate::share::{ClausePool, PoolHandle};
 
 /// Cubes harvested per worker for the *initial* frontier. One: dynamic
 /// re-splitting now provides the slack an early-finishing worker needs
@@ -556,28 +551,15 @@ impl ParBsolo {
             return result;
         }
         let start = Instant::now();
-        // Same deadline inheritance as the sequential driver: a cancel
-        // token without its own deadline picks up the wall-clock budget,
-        // reaching the LP pivot loops and propagation loops of every
-        // worker (the clone each one holds shares this token's state).
-        if let Some(cancel) = &self.options.cancel {
-            if let (Some(t), None) = (self.options.budget.time, cancel.deadline()) {
-                cancel.deadline_in(t);
-            }
-        }
+        // Same deadline handling as the sequential driver: one child
+        // token carries the wall-clock budget into the head start and
+        // every worker (the clone each one holds shares its state).
+        let (worker_options, lp_stop) = under_budget_deadline(&self.options);
         // Simplify once; the workers all borrow the simplified instance
         // (and its shared arena). Covering-style simplification preserves
         // the variable space and the exact feasible set, so models and
         // costs transfer 1:1 across the cell.
-        let simplified;
-        let inst: &Instance = if self.options.simplify {
-            simplified = crate::preprocess::simplify(instance);
-            &simplified
-        } else {
-            instance
-        };
-        let mut worker_options = self.options.clone();
-        worker_options.simplify = false;
+        let inst = &crate::preprocess::simplify(instance);
         let owned_cell;
         let outer_cell: &IncumbentCell = match cell {
             Some(c) => c,
@@ -631,9 +613,6 @@ impl ParBsolo {
         };
         let mut head_options = worker_options.clone();
         head_options.budget = head_budget;
-        // The head runs without the shared pool: its learned clauses
-        // reach the workers wholesale through the seed set, so pooling
-        // them too would only round-trip duplicates.
         let (head_status, head_result, seed) = match SearchState::init(
             inst,
             &head_options,
@@ -642,7 +621,7 @@ impl ParBsolo {
             &mut stats,
             &[],
             &[],
-            None,
+            lp_stop.clone(),
             driver_tracer.clone(),
             polish,
         ) {
@@ -708,11 +687,6 @@ impl ParBsolo {
         let queue = CubeQueue::new(split.open);
         stats.trace.extend(driver_tracer.drain());
 
-        // Cross-worker clause sharing (see [`crate::share`]): racing
-        // mode only — deterministic joins must not depend on which
-        // worker published first. One pool lane per publisher: lane 0
-        // for the driver, lane `w + 1` for worker `w`.
-        let pool = (!det).then(|| ClausePool::new(self.threads + 1));
         // Deterministic join: the seed snapshot is taken *after* the
         // (deterministic) head and split contributed, so every cube task
         // starts from the same incumbent no matter when it is scheduled.
@@ -728,7 +702,7 @@ impl ParBsolo {
             queue: &queue,
             start,
             seed: &seed,
-            pool: pool.as_ref(),
+            lp_stop: lp_stop.as_ref(),
             threads: self.threads,
             det: det_join.as_ref(),
             polish,
@@ -877,9 +851,9 @@ struct WorkerCtx<'a> {
     queue: &'a CubeQueue,
     start: Instant,
     seed: &'a [Vec<Lit>],
-    /// Shared-clause pool (`None`: sharing disabled, or deterministic
-    /// mode). Each worker publishes on its own lane (`worker + 1`).
-    pool: Option<&'a ClausePool>,
+    /// The raw cancel flag the workers' LP pivot loops poll (see
+    /// [`under_budget_deadline`]).
+    lp_stop: Option<&'a Arc<AtomicBool>>,
     /// Worker count — the queue-starvation threshold for re-splitting.
     threads: usize,
     /// Deterministic-join state (`None` in the default racing mode).
@@ -979,7 +953,7 @@ fn run_worker(ctx: &WorkerCtx<'_>, worker: usize) -> SubtreeResult {
                 cell
             });
             let cell = det_cell.as_ref().unwrap_or(ctx.cell);
-            let (status, best) = solve_cube(ctx, worker, &cube, cell, &mut stats, tracer.clone());
+            let (status, best) = solve_cube(ctx, &cube, cell, &mut stats, tracer.clone());
             (status, best, det_cell)
         }));
         let (status, best, det_cell) = match outcome {
@@ -1027,7 +1001,6 @@ fn run_worker(ctx: &WorkerCtx<'_>, worker: usize) -> SubtreeResult {
 /// the final status and the task's best (cost, model).
 fn solve_cube(
     ctx: &WorkerCtx<'_>,
-    worker: usize,
     cube: &Cube,
     cell: &IncumbentCell,
     stats: &mut SolverStats,
@@ -1045,7 +1018,7 @@ fn solve_cube(
         stats,
         &cube.lits,
         ctx.seed,
-        ctx.pool.map(|pool| PoolHandle { pool, lane: worker + 1 }),
+        ctx.lp_stop.cloned(),
         tracer,
         ctx.polish,
     ) {
@@ -1109,12 +1082,6 @@ fn solve_cube(
                                     .emit(TraceEvent::Resplit { arms: arms.len() as u32 });
                                 ctx.queue
                                     .push(arms.into_iter().map(|lits| Cube { lits }).collect());
-                                // The re-split left the engine at the root:
-                                // publish/import with the pool while it is
-                                // legal (and cheap) to do so.
-                                if let Some(status) = search.sync_share_after_resplit(stats) {
-                                    break status;
-                                }
                             }
                         }
                     }
@@ -1166,7 +1133,7 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// A denser generator for the re-split / sharing tests: enough
+    /// A denser generator for the re-split tests: enough
     /// constraint structure that a search survives a few dozen conflicts
     /// (the sparse `random_instance` family often closes in one or two,
     /// which never triggers the pause-and-re-split machinery).
@@ -1544,10 +1511,10 @@ mod tests {
     }
 
     #[test]
-    fn resplitting_and_sharing_match_brute_force() {
+    fn resplitting_and_restarting_match_brute_force() {
         // Stress the PR-6 machinery end to end: re-split on every
-        // conflict, restart (= share clauses) constantly, and check the
-        // verified optimum against brute force at 2/4/8 workers.
+        // conflict, restart on every conflict, and check the verified
+        // optimum against brute force at 2/4/8 workers.
         let mut rng = ChaCha8Rng::seed_from_u64(0x6a11);
         for round in 0..20 {
             let inst = random_instance(&mut rng, 9);
@@ -1570,78 +1537,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn published_clauses_are_cube_independent() {
-        // Solver-level half of the sharing soundness argument (the
-        // engine-level half lives in `pbo-engine`'s randomized test):
-        // run cube-rooted searches against one pool and check by
-        // enumeration that every published clause is implied by the
-        // instance alone (unstamped) or by instance ∧ cost-bound
-        // (stamped) — never by the cube it was learned under.
-        let mut rng = ChaCha8Rng::seed_from_u64(0x50a9);
-        let mut checked = 0usize;
-        for _ in 0..12 {
-            let n_vars = rng.gen_range(10..=12);
-            let inst = dense_instance(&mut rng, n_vars);
-            let mut options = BsoloOptions::with_lb(LbMethod::None);
-            options.probing = false;
-            options.cardinality_cuts = false;
-            options.restart_base = Some(1);
-            let split = CubeSplitter::split_to_depth(&inst, 3, 2);
-            let pool = ClausePool::new(split.open.len() + 1);
-            let start = Instant::now();
-            // Root search first (empty cube: everything it learns is
-            // assumption-free and publishable), then the cube workers —
-            // which import the pooled clauses under their cubes, and
-            // whose own cube-dependent learnts the taint filter must
-            // keep *out* of the pool (the enumeration below would catch
-            // a leak as an excluded feasible completion).
-            let mut tasks: Vec<Vec<Lit>> = vec![Vec::new()];
-            tasks.extend(split.open.iter().map(|c| c.lits.clone()));
-            for (lane, cube) in tasks.iter().enumerate() {
-                let mut stats = SolverStats::default();
-                if let Ok(mut search) = SearchState::init(
-                    &inst,
-                    &options,
-                    None,
-                    start,
-                    &mut stats,
-                    cube,
-                    &[],
-                    Some(crate::share::PoolHandle { pool: &pool, lane }),
-                    Tracer::off(),
-                    None,
-                ) {
-                    let _ = search.run(start, &mut stats);
-                }
-            }
-            let n = inst.num_vars();
-            let mut marks = crate::share::PoolWatermarks::default();
-            let Some(clauses) = pool.snapshot_since(&mut marks) else { continue };
-            for c in clauses {
-                checked += 1;
-                for bits in 0..(1u32 << n) {
-                    let assignment: Vec<bool> = (0..n).map(|v| bits & (1 << v) != 0).collect();
-                    if !inst.is_feasible(&assignment) {
-                        continue;
-                    }
-                    if let Some(u) = c.upper {
-                        if inst.cost_of(&assignment) > u - 1 {
-                            continue;
-                        }
-                    }
-                    assert!(
-                        c.lits.iter().any(|l| assignment[l.var().index()] == l.is_positive()),
-                        "shared clause {:?} (upper {:?}) excludes a feasible completion",
-                        c.lits,
-                        c.upper
-                    );
-                }
-            }
-        }
-        assert!(checked > 0, "no clauses were ever shared");
     }
 
     #[test]
@@ -1671,9 +1566,6 @@ mod tests {
             // And the answer agrees with the sequential solver.
             assert_eq!(a.status, seq.status, "{label}: vs sequential status");
             assert_eq!(a.best_cost, seq.best_cost, "{label}: vs sequential cost");
-            // Sharing is structurally off in this mode.
-            assert_eq!(a.stats.clauses_shared, 0, "{label}: sharing off");
-            assert_eq!(a.stats.clauses_imported, 0, "{label}: imports off");
         }
     }
 

@@ -360,7 +360,8 @@ impl Portfolio {
 
     /// Starts the exact side on a scoped thread from the incumbent
     /// `(from, model)`, against a private cell seeded with it, under a
-    /// child of the solve's cancel token.
+    /// child of the solve's cancel token that carries the wall-clock
+    /// budget's deadline, so the run's polish walks stop at it too.
     fn speculate<'scope, 'env>(
         &'env self,
         scope: &'scope Scope<'scope, 'env>,
@@ -372,6 +373,9 @@ impl Portfolio {
         let started = start.elapsed();
         let cancel =
             self.options.bsolo.cancel.as_ref().map_or_else(CancelToken::new, CancelToken::child);
+        if let Some(t) = self.options.bsolo.budget.time {
+            cancel.set_deadline(start + t);
+        }
         let token = cancel.clone();
         let handle = scope.spawn(move || {
             let run_cell = IncumbentCell::new();

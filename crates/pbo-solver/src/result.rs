@@ -152,11 +152,6 @@ pub struct SolverStats {
     /// long-running cube and returns the complement cubes of the
     /// worker's current decision prefix to the queue.
     pub resplits: u64,
-    /// Cube-independent learned clauses this solve published to the
-    /// shared pool (after the pool's global dedup).
-    pub clauses_shared: u64,
-    /// Shared clauses imported from the pool into a worker's engine.
-    pub clauses_imported: u64,
     /// Times a cube split stopped descending because it hit the maximum
     /// split depth (frontier truncated coarser than requested) — see
     /// [`crate::SplitOutcome::depth_truncated`].
@@ -214,8 +209,6 @@ impl SolverStats {
         self.lp_iterations += other.lp_iterations;
         self.nodes += other.nodes;
         self.resplits += other.resplits;
-        self.clauses_shared += other.clauses_shared;
-        self.clauses_imported += other.clauses_imported;
         self.split_depth_truncated += other.split_depth_truncated;
         self.queue_wait_total += other.queue_wait_total;
         self.workers_lost += other.workers_lost;
@@ -248,9 +241,11 @@ impl SolverStats {
     /// machine-readable path behind `pbo-solve --stats-json`. Durations
     /// are emitted in milliseconds with the `_ms` suffix; `*_total`
     /// fields keep their summed-across-workers semantics. The trace
-    /// buffer is not included (export it with `--trace`). `steals` is
-    /// always 0: the cube queue has no stealing, and the key stays in the
-    /// schema for existing readers (`pbobench/run.py` sums it).
+    /// buffer is not included (export it with `--trace`). `steals`,
+    /// `clauses_shared` and `clauses_imported` are always 0: the cube
+    /// queue has no stealing and workers trade no clauses, and the keys
+    /// stay in the schema for existing readers (`pbobench/run.py` reads
+    /// them).
     pub fn to_json(&self) -> String {
         let ms = |d: Duration| d.as_secs_f64() * 1e3;
         let mut s = String::from("{");
@@ -261,8 +256,8 @@ impl SolverStats {
              \"solve_time_ms\":{:.3},\"time_to_best_ms\":{:.3},\"ls_steps\":{},\
              \"ls_time_ms\":{:.3},\"speculations_aborted\":{},\"propagations\":{},\
              \"restarts\":{},\"solutions_found\":{},\"backjump_levels\":{},\
-             \"lp_iterations\":{},\"nodes\":{},\"resplits\":{},\"clauses_shared\":{},\
-             \"clauses_imported\":{},\"split_depth_truncated\":{},\"queue_wait_total_ms\":{:.3},\
+             \"lp_iterations\":{},\"nodes\":{},\"resplits\":{},\"clauses_shared\":0,\
+             \"clauses_imported\":0,\"split_depth_truncated\":{},\"queue_wait_total_ms\":{:.3},\
              \"steals\":0,\"workers_lost\":{},\"cubes_quarantined\":{},\"cancelled\":{},",
             self.decisions,
             self.conflicts,
@@ -283,8 +278,6 @@ impl SolverStats {
             self.lp_iterations,
             self.nodes,
             self.resplits,
-            self.clauses_shared,
-            self.clauses_imported,
             self.split_depth_truncated,
             ms(self.queue_wait_total),
             self.workers_lost,

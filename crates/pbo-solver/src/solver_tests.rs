@@ -263,6 +263,30 @@ fn budget_exhaustion_reports_incumbent() {
     }
 }
 
+/// A budgeted solve runs under a child of the caller's cancel token, so
+/// the token comes back without a deadline and a later unbudgeted solve
+/// on the same token runs to its optimum, sequential and parallel.
+#[test]
+fn budgeted_solve_leaves_a_reused_cancel_token_unarmed() {
+    use std::time::Duration;
+    let inst = pbo_benchgen::PtlCmosParams { gates: 60, ..Default::default() }.generate(0);
+    for threads in [1usize, 2] {
+        let cancel = pbo_core::CancelToken::new();
+        let options = BsoloOptions { cancel: Some(cancel.clone()), ..BsoloOptions::default() };
+        let solve = |options: BsoloOptions| match threads {
+            1 => Bsolo::new(options).solve(&inst),
+            n => crate::ParBsolo::new(options, n).solve(&inst),
+        };
+        solve(options.clone().budget(Budget::time_limit(Duration::from_millis(1))));
+        // Past the budget's deadline, had it been left in the token.
+        std::thread::sleep(Duration::from_millis(5));
+        let reused = solve(options);
+        assert_eq!(reused.status, SolveStatus::Optimal, "{threads} thread(s)");
+        assert!(!reused.stats.cancelled, "{threads} thread(s): cancelled");
+        assert_eq!(cancel.deadline(), None, "{threads} thread(s): the token kept a deadline");
+    }
+}
+
 #[test]
 fn lpr_prunes_more_than_plain() {
     // On a cost-dominated instance the LPR configuration must explore

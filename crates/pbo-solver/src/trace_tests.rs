@@ -49,8 +49,6 @@ struct Tally {
     restarts: u64,
     solutions: u64,
     resplits: u64,
-    clauses_shared: u64,
-    clauses_imported: u64,
     bound_calls: u64,
     /// Per-method splits of `bound_calls` and of closing outcomes
     /// (pruned/infeasible), in [`LB_METHOD_NAMES`] order.
@@ -82,8 +80,6 @@ fn tally(events: &[Event]) -> Tally {
             TraceEvent::Restart => t.restarts += 1,
             TraceEvent::Solution { .. } => t.solutions += 1,
             TraceEvent::Resplit { .. } => t.resplits += 1,
-            TraceEvent::ClausesShared { n } => t.clauses_shared += n,
-            TraceEvent::ClausesImported { n } => t.clauses_imported += n,
             _ => {}
         }
     }
@@ -97,8 +93,6 @@ fn assert_coherent(label: &str, stats: &SolverStats) {
     assert_eq!(t.restarts, stats.restarts, "{label}: restarts");
     assert_eq!(t.solutions, stats.solutions_found, "{label}: solutions");
     assert_eq!(t.resplits, stats.resplits, "{label}: resplits");
-    assert_eq!(t.clauses_shared, stats.clauses_shared, "{label}: clauses shared");
-    assert_eq!(t.clauses_imported, stats.clauses_imported, "{label}: clauses imported");
     assert_eq!(t.bound_calls, stats.lb_calls, "{label}: bound calls");
     for (i, name) in LB_METHOD_NAMES.iter().enumerate() {
         assert_eq!(t.bound_calls_by[i], stats.lb_methods[i].calls, "{label}: {name} bucket calls");
@@ -187,16 +181,11 @@ fn deterministic_join_trace_is_reproducible_and_coherent() {
                 ka, kb,
                 "round {round} {lb:?}: det-join event sequence drifted between runs"
             );
-            // Deterministic mode never shares clauses and never reports
-            // queue waits, so those event kinds must be absent outright.
+            // Deterministic mode never reports queue waits, so that
+            // event kind must be absent outright.
             assert!(
-                !a.stats.trace.iter().any(|e| matches!(
-                    e.data,
-                    TraceEvent::ClausesShared { .. }
-                        | TraceEvent::ClausesImported { .. }
-                        | TraceEvent::QueueWait { .. }
-                )),
-                "round {round} {lb:?}: sharing/queue events in deterministic mode"
+                !a.stats.trace.iter().any(|e| matches!(e.data, TraceEvent::QueueWait { .. })),
+                "round {round} {lb:?}: queue events in deterministic mode"
             );
         }
     }

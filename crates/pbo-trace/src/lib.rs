@@ -15,8 +15,7 @@
 //! * [`TraceEvent`] — the typed vocabulary: engine decisions, conflicts
 //!   and restarts, bound calls with method/outcome/margin, incumbent
 //!   publications and adoptions, LS restarts, and the cube lifecycle
-//!   (dequeue wait, dive, re-split, close, clause publish/import,
-//!   quarantine).
+//!   (dequeue wait, dive, re-split, close, quarantine).
 //! * Exporters: [`write_jsonl`] (one event per line, stable schema) and
 //!   [`write_chrome`] (Chrome `trace_event` JSON that opens in
 //!   `chrome://tracing` / Perfetto with one lane per worker).
@@ -112,16 +111,6 @@ pub enum TraceEvent {
         /// Number of child cubes produced.
         arms: u32,
     },
-    /// Published learned clauses to the shared pool.
-    ClausesShared {
-        /// Number of clauses published by this call.
-        n: u64,
-    },
-    /// Imported learned clauses from the shared pool.
-    ClausesImported {
-        /// Number of clauses imported by this call.
-        n: u64,
-    },
     /// Time a worker spent blocked on the cube queue.
     QueueWait {
         /// Wall time spent waiting.
@@ -170,8 +159,6 @@ impl TraceEvent {
             TraceEvent::CubeStart { .. } => "cube_start",
             TraceEvent::CubeEnd { .. } => "cube_end",
             TraceEvent::Resplit { .. } => "resplit",
-            TraceEvent::ClausesShared { .. } => "clauses_shared",
-            TraceEvent::ClausesImported { .. } => "clauses_imported",
             TraceEvent::QueueWait { .. } => "queue_wait",
             TraceEvent::DiveEnd { .. } => "dive_end",
             TraceEvent::SplitterDecisions { .. } => "splitter_decisions",
@@ -208,9 +195,7 @@ impl Event {
             TraceEvent::Solution { cost } | TraceEvent::Adopt { cost } => {
                 let _ = write!(s, ":{cost}");
             }
-            TraceEvent::ClausesShared { n }
-            | TraceEvent::ClausesImported { n }
-            | TraceEvent::SplitterDecisions { n } => {
+            TraceEvent::SplitterDecisions { n } => {
                 let _ = write!(s, ":{n}");
             }
             TraceEvent::CubeStart { depth } | TraceEvent::CubeQuarantined { depth } => {
@@ -330,9 +315,7 @@ pub fn write_jsonl(events: &[Event]) -> String {
             TraceEvent::Solution { cost } | TraceEvent::Adopt { cost } => {
                 let _ = write!(out, ",\"cost\":{cost}");
             }
-            TraceEvent::ClausesShared { n }
-            | TraceEvent::ClausesImported { n }
-            | TraceEvent::SplitterDecisions { n } => {
+            TraceEvent::SplitterDecisions { n } => {
                 let _ = write!(out, ",\"n\":{n}");
             }
             TraceEvent::CubeStart { depth } | TraceEvent::CubeQuarantined { depth } => {
@@ -378,8 +361,9 @@ fn push_chrome(out: &mut String, first: &mut bool, entry: &str) {
 ///
 /// The file opens directly in `chrome://tracing` or Perfetto with one
 /// lane (`tid`) per worker: cube subtrees, queue waits and dives render
-/// as duration spans; incumbents, adoptions, re-splits, restarts and
-/// clause traffic render as instant markers. High-frequency per-node
+/// as duration spans; incumbents, adoptions, re-splits, restarts,
+/// splitter decisions and worker losses render as instant markers.
+/// High-frequency per-node
 /// events (decisions, conflicts, bound calls) are deliberately left to
 /// the JSONL exporter — a trace viewer does not need millions of
 /// sub-microsecond instants.
@@ -432,12 +416,6 @@ pub fn write_chrome(events: &[Event]) -> String {
             }
             TraceEvent::Restart => Some(instant(lane, e.t_ns, "restart", "")),
             TraceEvent::LsRestart => Some(instant(lane, e.t_ns, "ls-restart", "")),
-            TraceEvent::ClausesShared { n } => {
-                Some(instant(lane, e.t_ns, "clauses-shared", &format!("\"n\":{n}")))
-            }
-            TraceEvent::ClausesImported { n } => {
-                Some(instant(lane, e.t_ns, "clauses-imported", &format!("\"n\":{n}")))
-            }
             TraceEvent::SplitterDecisions { n } => {
                 Some(instant(lane, e.t_ns, "splitter-decisions", &format!("\"n\":{n}")))
             }
@@ -533,7 +511,7 @@ impl DurationHistogram {
 pub struct MetricsRegistry {
     /// Event counts per kind (one count per event, unweighted).
     pub counters: BTreeMap<&'static str, u64>,
-    /// Weighted totals for bulk events (`clauses_shared` sums `n`, …).
+    /// Weighted totals for bulk events (`splitter_decisions` sums `n`).
     pub totals: BTreeMap<&'static str, u64>,
     /// Duration histograms keyed by metric name (`lb_time`,
     /// `queue_wait`, `dive`).
@@ -556,9 +534,7 @@ impl MetricsRegistry {
                 TraceEvent::DiveEnd { dur_ns, .. } => {
                     reg.histograms.entry("dive").or_default().observe(*dur_ns);
                 }
-                TraceEvent::ClausesShared { n }
-                | TraceEvent::ClausesImported { n }
-                | TraceEvent::SplitterDecisions { n } => {
+                TraceEvent::SplitterDecisions { n } => {
                     *reg.totals.entry(e.data.kind()).or_insert(0) += n;
                 }
                 _ => {}
@@ -698,12 +674,12 @@ mod tests {
                 },
             ),
             ev(4, 1, TraceEvent::QueueWait { wait_ns: 2_000_000 }),
-            ev(5, 1, TraceEvent::ClausesShared { n: 12 }),
+            ev(5, 0, TraceEvent::SplitterDecisions { n: 12 }),
         ];
         let reg = MetricsRegistry::from_events(&events);
         assert_eq!(reg.counters["decision"], 2);
-        assert_eq!(reg.counters["clauses_shared"], 1);
-        assert_eq!(reg.totals["clauses_shared"], 12);
+        assert_eq!(reg.counters["splitter_decisions"], 1);
+        assert_eq!(reg.totals["splitter_decisions"], 12);
         assert_eq!(reg.histograms["lb_time"].counts[0], 1);
         assert_eq!(reg.histograms["queue_wait"].counts[4], 1);
         let text = reg.render();

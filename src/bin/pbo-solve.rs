@@ -44,10 +44,9 @@
 //! accepts `auto` (or `0`): the count resolves to the machine's
 //! available parallelism, and the resolved value is reported in
 //! `--stats-json`. Workers re-split long-running cubes back onto the
-//! shared cube queue and share cube-independent learned clauses
-//! through a pool sharded into per-worker lanes; `--deterministic`
-//! trades that racing for reproducibility (fixed re-split schedule, no
-//! sharing, cube-ordered join) so repeated runs report identical
+//! shared cube queue; `--deterministic` trades the incumbent racing for
+//! reproducibility (private incumbent snapshots, fixed re-split
+//! schedule, cube-ordered join) so repeated runs report identical
 //! status, cost, model and counters — for the default strategy too,
 //! whose seed phase is step-bounded, as long as the solve finishes
 //! within its budget: under `--timeout-ms` the seed phase's wall-clock
@@ -278,12 +277,9 @@ fn main() -> ExitCode {
         );
         if bb_threads > 1 {
             println!(
-                "c resplits={} depth_truncated={} clauses_shared={} clauses_imported={} \
-                 queue_wait={:.3}s",
+                "c resplits={} depth_truncated={} queue_wait={:.3}s",
                 s.resplits,
                 s.split_depth_truncated,
-                s.clauses_shared,
-                s.clauses_imported,
                 s.queue_wait_total.as_secs_f64()
             );
         }
