@@ -157,8 +157,7 @@ impl LprBound {
     /// The bare LP relaxation of `instance` (static rows only) — exposed
     /// so callers can drive the simplex on the exact problems the bound
     /// sees: the benchmark's per-layer probe (`pbobench/probe`) times its
-    /// warm re-solves, and the dense/Devex pricing differential test runs
-    /// on it.
+    /// warm re-solves on it.
     pub fn relaxation_problem(instance: &Instance) -> LpProblem {
         Self::build_problem(instance, &[]).0
     }
@@ -194,9 +193,7 @@ impl LprBound {
         let extra: Vec<&PbConstraint> = new_rows.iter().map(|r| &r.constraint).collect();
         let (problem, const_shift) = Self::build_problem(instance, &extra);
         let iterations = self.simplex.total_iterations;
-        let pricing = self.simplex.pricing();
         self.simplex = DualSimplex::new(&problem);
-        self.simplex.set_pricing(pricing);
         self.simplex.total_iterations = iterations;
         self.simplex.set_cancel(self.cancel.0, self.cancel.1.clone());
         self.const_shift = const_shift;
@@ -284,14 +281,15 @@ impl LprBound {
         }
     }
 
-    fn explanation_from_rows(sub: &Subproblem<'_>, rows: &[usize]) -> Vec<Lit> {
-        let mut out: Vec<Lit> = Vec::new();
-        for &i in rows {
+    /// Writes the false literals of `rows` into `out`, sorted and
+    /// deduplicated.
+    fn explain(sub: &Subproblem<'_>, rows: impl Iterator<Item = usize>, out: &mut Vec<Lit>) {
+        out.clear();
+        for i in rows {
             out.extend(sub.false_literals(i));
         }
-        out.sort();
+        out.sort_unstable();
         out.dedup();
-        out
     }
 }
 
@@ -300,7 +298,7 @@ impl LowerBound for LprBound {
         "lpr"
     }
 
-    fn lower_bound(&mut self, sub: &Subproblem<'_>, upper: Option<i64>) -> LbOutcome {
+    fn lower_bound_into(&mut self, sub: &Subproblem<'_>, upper: Option<i64>, out: &mut LbOutcome) {
         if self.trail_mode {
             // The caller already synced the bounds through the trail
             // protocol; the mirror must agree with the assignment.
@@ -312,38 +310,41 @@ impl LowerBound for LprBound {
         } else {
             self.sync_bounds(sub);
         }
-        let sol = self.simplex.solve();
-        match sol.status {
+        let lp = &mut self.simplex;
+        match lp.reoptimize() {
             LpStatus::Optimal => {
-                let z = sol.objective + self.const_shift;
-                let bound = (z - 1e-6).ceil() as i64;
+                let z = lp.objective() + self.const_shift;
+                out.bound = (z - 1e-6).ceil() as i64;
+                out.infeasible = false;
                 // Pre-incumbent calls (`upper == None`) exist only to
                 // catch Farkas-infeasible subtrees; they must not steer
                 // LP-guided branching, or the descent to the first
                 // solution changes character. Branching guidance starts
                 // with the first incumbent, as in the paper.
                 if upper.is_some() {
-                    self.last_fractional.copy_from_slice(&sol.x);
+                    self.last_fractional.copy_from_slice(lp.x());
                 }
-                // S = tight rows, union rows with nonzero dual (eq. 9).
-                let mut s: Vec<usize> = sol.tight_rows.clone();
-                for (i, &y) in sol.duals.iter().enumerate() {
-                    if y.abs() > 1e-7 {
-                        s.push(i);
-                    }
-                }
-                s.sort_unstable();
-                s.dedup();
-                LbOutcome::bound(bound, Self::explanation_from_rows(sub, &s))
+                // S = tight rows, union rows with nonzero dual (eq. 9),
+                // merged in row order.
+                let mut tight = lp.tight_rows().iter().copied().peekable();
+                let s = lp.duals().iter().enumerate().filter_map(|(i, &y)| {
+                    let is_tight = tight.next_if_eq(&i).is_some();
+                    (is_tight || y.abs() > 1e-7).then_some(i)
+                });
+                Self::explain(sub, s, &mut out.explanation);
             }
             LpStatus::Infeasible => {
-                LbOutcome::infeasible(Self::explanation_from_rows(sub, &sol.farkas_rows))
+                out.bound = i64::MAX;
+                out.infeasible = true;
+                Self::explain(sub, lp.farkas_rows().iter().copied(), &mut out.explanation);
             }
             LpStatus::IterationLimit | LpStatus::Cancelled => {
                 // Sound fallback: no pruning information. A cancelled
                 // solve additionally means the search is tearing down;
                 // the caller notices the token at its own poll sites.
-                LbOutcome::bound(sub.path_cost(), Vec::new())
+                out.bound = sub.path_cost();
+                out.infeasible = false;
+                out.explanation.clear();
             }
         }
     }
@@ -611,77 +612,6 @@ mod tests {
         force_rebuild(&mut oracle);
         oracle.install_rows(&inst, &shrunk);
         check(&mut warm, &mut oracle, &shrunk);
-    }
-
-    /// Differential at Table-1 size: the sparse Devex path must match the
-    /// dense legacy pricing path (the reference) on the
-    /// `synth-p70-m110-s{0,1,2}` relaxations, through a B&B-shaped walk
-    /// of warm re-solves — equal status at every step, equal optimum to
-    /// 1e-6 relative. Each step applies one batch of bound changes before
-    /// a single re-solve, as `lower_bound` applies a whole trail suffix:
-    /// descents draw 4–12 variables and fix the free ones, backtracks
-    /// relax 4–12 of the fixings, so the warm basis starts several
-    /// violations away from feasibility.
-    #[test]
-    fn devex_matches_dense_pricing_on_synthesis_relaxations() {
-        use pbo_lp::Pricing;
-        use rand::{Rng, SeedableRng};
-        for seed in 0..3u64 {
-            let inst = pbo_benchgen::SynthesisParams {
-                primes: 70,
-                minterms: 110,
-                cover_density: 4.0,
-                exclusions: 10,
-                ..Default::default()
-            }
-            .generate(seed);
-            let problem = LprBound::relaxation_problem(&inst);
-            let mut dense = DualSimplex::new(&problem);
-            dense.set_pricing(Pricing::DenseLegacy);
-            let mut devex = DualSimplex::new(&problem);
-            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x1b9 ^ seed);
-            let n = inst.num_vars();
-            let mut fixed: Vec<usize> = Vec::new();
-            for step in 0..50 {
-                // Step 0 is the root solve.
-                if step > 0 {
-                    let relax = !fixed.is_empty() && (fixed.len() >= n / 2 || rng.gen_bool(0.3));
-                    for _ in 0..rng.gen_range(4..=12usize) {
-                        let (j, lo, hi) = if relax {
-                            if fixed.is_empty() {
-                                break;
-                            }
-                            (fixed.swap_remove(rng.gen_range(0..fixed.len())), 0.0, 1.0)
-                        } else {
-                            let j = rng.gen_range(0..n);
-                            if fixed.contains(&j) {
-                                continue;
-                            }
-                            fixed.push(j);
-                            // Fixing to 0 stresses the dual repair of a
-                            // covering LP and sometimes proves it
-                            // infeasible; both paths must agree on that.
-                            let v = if rng.gen_bool(0.7) { 1.0 } else { 0.0 };
-                            (j, v, v)
-                        };
-                        dense.set_var_bounds(j, lo, hi);
-                        devex.set_var_bounds(j, lo, hi);
-                    }
-                }
-                let (a, b) = (dense.solve(), devex.solve());
-                assert_eq!(a.status, b.status, "{} step {step}", inst.name());
-                if a.status == LpStatus::Optimal {
-                    let tol = 1e-6 * a.objective.abs().max(1.0);
-                    assert!(
-                        (a.objective - b.objective).abs() <= tol,
-                        "{} step {step}: dense {} vs devex {}",
-                        inst.name(),
-                        a.objective,
-                        b.objective
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Steady-state allocation test for the per-node bound kernels.
 //!
 //! The per-node hot path — residual-state `apply`/`unwind_to`, the
-//! `view` snapshot, and the MIS / LGR bound kernels through
-//! `lower_bound_into` — must not allocate once warmed up: every scratch
+//! `view` snapshot, and the MIS / LGR / LPR bound kernels through
+//! `lower_bound_into` (LPR with its warm dual simplex and its trail
+//! mirror) — must not allocate once warmed up: every scratch
 //! buffer is reusable and epoch-stamped, the hot sorts are unstable
 //! (stable sorts allocate merge buffers), and the explanation is built
 //! into the caller's reusable `LbOutcome`. This test installs a global
@@ -15,7 +16,8 @@ use std::cell::Cell;
 
 use pbo_benchgen::RandomParams;
 use pbo_bounds::{
-    DynRowOrigin, DynamicRows, LagrangianBound, LbOutcome, LowerBound, MisBound, ResidualState,
+    DynRowOrigin, DynamicRows, LagrangianBound, LbOutcome, LowerBound, LprBound, MisBound,
+    ResidualState,
 };
 use pbo_core::{normalize, Assignment, Instance, Lit, RelOp, Var};
 use pbo_trace::{BoundOutcome, TraceEvent, Tracer};
@@ -198,6 +200,87 @@ fn mis_and_lgr_per_node_calls_are_allocation_free_at_steady_state() {
         delta, 0,
         "per-node apply/view/bound/unwind performed {delta} heap allocations at steady state"
     );
+}
+
+/// The LPR per-node script: the pipeline's shape for the LP bound —
+/// mirror the batch into the LP bounds through the trail protocol, bound
+/// with one warm re-solve, unwind the mirror.
+#[allow(clippy::too_many_arguments)]
+fn replay_lpr_script(
+    instance: &Instance,
+    state: &mut ResidualState,
+    assignment: &mut Assignment,
+    lpr: &mut LprBound,
+    out: &mut LbOutcome,
+    tracer: &Tracer,
+    upper: i64,
+    script: &[Vec<Lit>],
+) -> u64 {
+    let mut infeasible = 0;
+    for batch in script {
+        for &lit in batch {
+            assignment.assign_lit(lit);
+            state.apply(instance, lit);
+            lpr.apply(lit);
+        }
+        let view = state.view(instance, assignment);
+        lpr.lower_bound_into(&view, Some(upper), out);
+        infeasible += out.infeasible as u64;
+        tracer.emit(TraceEvent::Bound {
+            method: "lpr",
+            outcome: BoundOutcome::Open,
+            margin: out.bound,
+            dur_ns: 0,
+        });
+        for &lit in batch.iter().rev() {
+            assignment.unassign(lit.var());
+        }
+        state.unwind_to(instance, 0);
+        lpr.unwind_to(0);
+    }
+    infeasible
+}
+
+#[test]
+fn lpr_per_node_call_is_allocation_free_at_steady_state() {
+    let instance = probe_instance();
+    let total_cost: i64 =
+        instance.objective().expect("optimization").terms().iter().map(|&(c, _)| c).sum();
+    let upper = (2 * total_cost) / 3 + 1;
+    let mut state = ResidualState::new(&instance);
+    let mut assignment = Assignment::new(instance.num_vars());
+    let mut lpr = LprBound::new(&instance);
+    let mut out = LbOutcome::bound(0, Vec::new());
+    let tracer = Tracer::off();
+
+    // Batches of fixings, mostly to 0, so that some nodes are proven
+    // LP-infeasible and the Farkas path is replayed too.
+    let script: Vec<Vec<Lit>> = (0..12)
+        .map(|round| {
+            (0..3 + round % 5)
+                .map(|k| Var::new((round * 7 + k * 3) % instance.num_vars()).lit(k % 3 == 0))
+                .collect()
+        })
+        .collect();
+    let replay = |state: &mut ResidualState,
+                  assignment: &mut Assignment,
+                  lpr: &mut LprBound,
+                  out: &mut LbOutcome| {
+        replay_lpr_script(&instance, state, assignment, lpr, out, &tracer, upper, &script)
+    };
+
+    // Warm-up: grow every scratch buffer (the simplex's included) to
+    // its steady-state capacity.
+    for _ in 0..3 {
+        replay(&mut state, &mut assignment, &mut lpr, &mut out);
+    }
+    let pivots = lpr.simplex_iterations();
+    let before = allocs();
+    let infeasible = replay(&mut state, &mut assignment, &mut lpr, &mut out);
+    let delta = allocs() - before;
+    assert_eq!(delta, 0, "warm LPR per-node calls performed {delta} heap allocations");
+    assert!(lpr.simplex_iterations() > pivots, "the replay must pivot");
+    assert!(infeasible > 0, "the replay must reach an LP-infeasible node");
 }
 
 #[test]

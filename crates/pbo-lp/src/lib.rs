@@ -42,8 +42,10 @@ mod simplex;
 mod solution;
 
 pub use problem::{LpProblem, RowId};
-pub use simplex::{DualSimplex, Pricing};
+pub use simplex::DualSimplex;
 pub use solution::{LpSolution, LpStatus};
 
+#[cfg(test)]
+mod dense_oracle;
 #[cfg(test)]
 mod simplex_tests;

@@ -1,10 +1,13 @@
 //! Dual simplex tests: known optima, infeasibility certificates, warm
-//! starts, and randomized KKT / relaxation-bound property checks.
+//! starts, randomized KKT / relaxation-bound property checks, and the
+//! differential walks of the kernel-form basis against the dense-inverse
+//! oracle.
 
 use rand::{Rng, SeedableRng};
 
+use crate::dense_oracle::DenseSimplex;
 use crate::problem::LpProblem;
-use crate::simplex::{DualSimplex, Pricing};
+use crate::simplex::DualSimplex;
 use crate::solution::LpStatus;
 
 fn assert_close(a: f64, b: f64, tol: f64) {
@@ -317,62 +320,317 @@ fn repeated_warm_starts_stay_consistent() {
     }
 }
 
-/// Differential: the sparse Devex path and the dense reference path
-/// must agree on status and optimal value across random LPs and random
-/// warm-start bound-change schedules (bases may differ on degenerate
-/// instances; objectives may not). `pbo-bounds` runs the same check on
-/// Table-1-sized synthesis relaxations.
+/// Drives the kernel-form solver and the dense-inverse oracle through the
+/// same walk of bound changes and row appends, mirroring every change
+/// into an [`LpProblem`] so that a Farkas certificate can be checked on
+/// its own rows.
+struct Walk {
+    kernel: DualSimplex,
+    oracle: DenseSimplex,
+    mirror: LpProblem,
+    optimal: usize,
+    infeasible: usize,
+}
+
+impl Walk {
+    fn new(problem: &LpProblem) -> Walk {
+        Walk {
+            kernel: DualSimplex::new(problem),
+            oracle: DenseSimplex::new(problem),
+            mirror: problem.clone(),
+            optimal: 0,
+            infeasible: 0,
+        }
+    }
+
+    fn set_bounds(&mut self, j: usize, lo: f64, hi: f64) {
+        self.kernel.set_var_bounds(j, lo, hi);
+        self.oracle.set_var_bounds(j, lo, hi);
+        self.mirror.set_bounds(j, lo, hi);
+    }
+
+    fn append_row(&mut self, terms: &[(usize, f64)], rhs: f64) {
+        self.kernel.append_row_ge(terms, rhs);
+        self.oracle.append_row_ge(terms, rhs);
+        self.mirror.add_row_ge(terms, rhs);
+    }
+
+    /// Solves both sides: the status must agree, optimal values within
+    /// 1e-6 relative, and an infeasible step's Farkas rows must be
+    /// infeasible on their own under the current bounds.
+    fn solve(&mut self, label: &str) -> LpStatus {
+        let a = self.kernel.solve();
+        let b = self.oracle.solve();
+        assert_eq!(a.status, b.status, "{label}: kernel vs dense oracle");
+        match a.status {
+            LpStatus::Optimal => {
+                self.optimal += 1;
+                let tol = 1e-6 * b.objective.abs().max(1.0);
+                assert!(
+                    (a.objective - b.objective).abs() <= tol,
+                    "{label}: kernel {} vs dense oracle {}",
+                    a.objective,
+                    b.objective
+                );
+            }
+            LpStatus::Infeasible => {
+                self.infeasible += 1;
+                assert!(!a.farkas_rows.is_empty(), "{label}: empty Farkas certificate");
+                let mut only = LpProblem::new(self.mirror.num_vars());
+                for j in 0..self.mirror.num_vars() {
+                    only.set_bounds(j, self.mirror.lower()[j], self.mirror.upper()[j]);
+                }
+                let rows: Vec<_> = self.mirror.rows().collect();
+                for &i in &a.farkas_rows {
+                    only.add_row_ge(rows[i].0, rows[i].1);
+                }
+                assert_eq!(
+                    DenseSimplex::new(&only).solve().status,
+                    LpStatus::Infeasible,
+                    "{label}: Farkas rows {:?} do not certify infeasibility",
+                    a.farkas_rows
+                );
+            }
+            LpStatus::IterationLimit | LpStatus::Cancelled => {
+                panic!("{label}: {:?} without a limit or token", a.status)
+            }
+        }
+        a.status
+    }
+}
+
+/// A random `>=` row over `n` columns with mixed-sign coefficients.
+fn random_row(rng: &mut rand_chacha::ChaCha8Rng, n: usize) -> (Vec<(usize, f64)>, f64) {
+    let mut terms = Vec::new();
+    for j in 0..n {
+        if rng.gen_bool(0.5) {
+            let c = rng.gen_range(-2..4) as f64;
+            if c != 0.0 {
+                terms.push((j, c));
+            }
+        }
+    }
+    if terms.is_empty() {
+        terms.push((rng.gen_range(0..n), 1.0));
+    }
+    let max_act: f64 = terms.iter().map(|&(_, c): &(usize, f64)| c.max(0.0)).sum();
+    let rhs = rng.gen_range(-1.0..(0.6 * max_act).max(0.5));
+    (terms, rhs)
+}
+
+/// Differential: the kernel-form basis must agree with the dense-inverse
+/// oracle on status and optimal value across random LPs and random
+/// warm-start schedules of bound changes and mid-walk row appends (bases
+/// may differ on degenerate instances; objectives may not). The walks are
+/// long enough to cross several refactorizations, and infeasible steps
+/// must come with a Farkas certificate.
 #[test]
-fn devex_and_dense_pricing_agree() {
+fn kernel_basis_matches_dense_oracle() {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x4e);
+    let (mut pivots, mut optimal, mut infeasible) = (0, 0, 0);
     for round in 0..60 {
-        let n = rng.gen_range(2..10);
-        let m = rng.gen_range(1..10);
+        let n = rng.gen_range(2..14);
+        let m = rng.gen_range(1..14);
         let mut p = LpProblem::new(n);
         for j in 0..n {
             p.set_cost(j, rng.gen_range(-3..7) as f64);
         }
         for _ in 0..m {
-            let mut terms = Vec::new();
-            for j in 0..n {
-                if rng.gen_bool(0.5) {
-                    let c = rng.gen_range(-2..4) as f64;
-                    if c != 0.0 {
-                        terms.push((j, c));
-                    }
+            let (terms, rhs) = random_row(&mut rng, n);
+            p.add_row_ge(&terms, rhs);
+        }
+        let mut walk = Walk::new(&p);
+        // Root solve plus a random schedule of warm starts; an
+        // infeasible step is followed by relaxations only.
+        let mut last = LpStatus::Optimal;
+        for step in 0..40 {
+            if step > 0 {
+                if rng.gen_bool(0.05) {
+                    let (terms, rhs) = random_row(&mut rng, n);
+                    walk.append_row(&terms, rhs);
+                }
+                for _ in 0..rng.gen_range(1..4) {
+                    let j = rng.gen_range(0..n);
+                    let pick = if last == LpStatus::Infeasible { 0 } else { rng.gen_range(0..8) };
+                    let (lo, hi) = match pick {
+                        0..=4 => (0.0, 1.0),
+                        5 => (0.0, 0.0),
+                        _ => (1.0, 1.0),
+                    };
+                    walk.set_bounds(j, lo, hi);
                 }
             }
-            if terms.is_empty() {
-                terms.push((0, 1.0));
-            }
-            let max_act: f64 = terms.iter().map(|&(_, c): &(usize, f64)| c.max(0.0)).sum();
-            p.add_row_ge(&terms, rng.gen_range(-1.0..max_act.max(0.5)));
+            last = walk.solve(&format!("round {round} step {step}"));
         }
-        let mut devex = DualSimplex::new(&p);
-        assert_eq!(devex.pricing(), Pricing::DevexSparse);
-        let mut dense = DualSimplex::new(&p);
-        dense.set_pricing(Pricing::DenseLegacy);
-        // Root solve plus a random fix/unfix schedule of warm starts.
-        for step in 0..8 {
-            if step > 0 {
-                let j = rng.gen_range(0..n);
-                let (lo, hi) = match rng.gen_range(0..3) {
-                    0 => (0.0, 1.0),
-                    1 => (0.0, 0.0),
-                    _ => (1.0, 1.0),
-                };
-                devex.set_var_bounds(j, lo, hi);
-                dense.set_var_bounds(j, lo, hi);
-            }
-            let a = devex.solve();
-            let b = dense.solve();
-            assert_eq!(a.status, b.status, "round {round} step {step}");
-            if a.status == LpStatus::Optimal {
-                assert_close(a.objective, b.objective, 1e-5);
-            }
-            assert_eq!(b.bound_flips, 0, "dense baseline has no flipping ratio test");
+        pivots += walk.kernel.total_iterations;
+        optimal += walk.optimal;
+        infeasible += walk.infeasible;
+    }
+    assert!(pivots > 4 * 80, "walks too short to cross refactorizations: {pivots} pivots");
+    assert!(optimal > 500 && infeasible > 100, "{optimal} optimal, {infeasible} infeasible");
+}
+
+/// The LP relaxation `min cx, Ax >= b, 0 <= x <= 1` of a PB instance in
+/// variable space, as the LPR bound builds it (negative literals flip the
+/// coefficient and move a constant to the right-hand side).
+fn relaxation(instance: &pbo_core::Instance) -> LpProblem {
+    let n = instance.num_vars();
+    let mut p = LpProblem::new(n);
+    if let Some(obj) = instance.objective() {
+        let mut costs = vec![0.0; n];
+        for &(c, l) in obj.terms() {
+            costs[l.var().index()] += if l.is_positive() { c as f64 } else { -(c as f64) };
+        }
+        for (j, &c) in costs.iter().enumerate() {
+            p.set_cost(j, c);
         }
     }
+    for c in instance.constraints() {
+        let mut rhs = c.rhs() as f64;
+        let terms: Vec<(usize, f64)> = c
+            .terms()
+            .iter()
+            .map(|t| {
+                let a = t.coeff as f64;
+                if t.lit.is_positive() {
+                    (t.lit.var().index(), a)
+                } else {
+                    rhs -= a;
+                    (t.lit.var().index(), -a)
+                }
+            })
+            .collect();
+        p.add_row_ge(&terms, rhs);
+    }
+    p
+}
+
+/// One relaxation of each benchmark family at its Table-1 size, except
+/// acc: its Table-1 relaxation (495 columns, 1,245 rows) takes the
+/// dense oracle seconds per solve, so the walks use the generator's
+/// default six-team round robin.
+fn family_relaxation(family: &str, seed: u64) -> (String, LpProblem) {
+    use pbo_benchgen::{AccSchedParams, GroutParams, PtlCmosParams, SynthesisParams};
+    let inst = match family {
+        "synthesis" => SynthesisParams {
+            primes: 70,
+            minterms: 110,
+            cover_density: 4.0,
+            exclusions: 10,
+            ..Default::default()
+        }
+        .generate(seed),
+        "ptlcmos" => PtlCmosParams { gates: 90, fanin: 2.2, ..Default::default() }.generate(seed),
+        "grout" => GroutParams {
+            width: 6,
+            height: 6,
+            nets: 22,
+            paths_per_net: 6,
+            capacity: 3,
+            bend_penalty: 2,
+        }
+        .generate(seed),
+        "acc" => AccSchedParams::default().generate(seed),
+        other => panic!("unknown family {other}"),
+    };
+    (inst.name().to_string(), relaxation(&inst))
+}
+
+/// A branch-and-bound-shaped walk of warm re-solves on `problem`. Each
+/// step applies one batch of bound changes before a single re-solve, as
+/// the LPR bound applies a whole trail suffix: descents draw 4–12
+/// variables and fix the free ones (to 0 with probability 0.3, which
+/// stresses the dual repair of a covering LP and sometimes proves it
+/// infeasible), backtracks relax 4–12 of the fixings and always follow
+/// an infeasible step. Every 16th step
+/// first appends a clause-like row over three random columns, as a
+/// re-root installs a cut.
+fn relaxation_walk(label: &str, problem: &LpProblem, steps: usize, seed: u64) -> Walk {
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    let n = problem.num_vars();
+    let mut walk = Walk::new(problem);
+    let mut fixed: Vec<usize> = Vec::new();
+    let mut last = LpStatus::Optimal;
+    for step in 0..steps {
+        // Step 0 is the root solve.
+        if step > 0 {
+            if step % 16 == 0 {
+                let mut terms: Vec<(usize, f64)> = Vec::new();
+                while terms.len() < 3.min(n) {
+                    let j = rng.gen_range(0..n);
+                    if terms.iter().all(|&(jj, _)| jj != j) {
+                        terms.push((j, 1.0));
+                    }
+                }
+                walk.append_row(&terms, 1.0);
+            }
+            let relax = !fixed.is_empty()
+                && (last == LpStatus::Infeasible || fixed.len() >= n / 2 || rng.gen_bool(0.3));
+            for _ in 0..rng.gen_range(4..=12usize) {
+                let (j, lo, hi) = if relax {
+                    if fixed.is_empty() {
+                        break;
+                    }
+                    (fixed.swap_remove(rng.gen_range(0..fixed.len())), 0.0, 1.0)
+                } else {
+                    let j = rng.gen_range(0..n);
+                    if fixed.contains(&j) {
+                        continue;
+                    }
+                    fixed.push(j);
+                    let v = if rng.gen_bool(0.7) { 1.0 } else { 0.0 };
+                    (j, v, v)
+                };
+                walk.set_bounds(j, lo, hi);
+            }
+        }
+        last = walk.solve(&format!("{label} step {step}"));
+    }
+    walk
+}
+
+/// Differential at Table-1 size: the kernel-form basis must match the
+/// dense oracle on the synthesis, PTL/CMOS and grout relaxations through
+/// a branch-and-bound-shaped walk of warm re-solves with mid-walk row
+/// appends — equal status at every step, equal optimum to 1e-6
+/// relative, Farkas rows that certify every infeasible step — across
+/// several refactorizations per walk.
+#[test]
+fn kernel_basis_matches_dense_oracle_on_relaxations() {
+    let (mut optimal, mut infeasible) = (0, 0);
+    for family in ["synthesis", "ptlcmos", "grout"] {
+        // Seed 0 of grout is the Table-1 instance whose root relaxation
+        // is infeasible; seeds 1 and 2 walk feasible nodes too.
+        for seed in 1..3u64 {
+            let (name, problem) = family_relaxation(family, seed);
+            let walk = relaxation_walk(&name, &problem, 60, 0x1b9 ^ seed);
+            assert!(
+                walk.kernel.total_iterations > 2 * 80,
+                "{name}: {} pivots cross too few refactorizations",
+                walk.kernel.total_iterations
+            );
+            optimal += walk.optimal;
+            infeasible += walk.infeasible;
+        }
+    }
+    assert!(optimal > 100 && infeasible > 10, "{optimal} optimal, {infeasible} infeasible");
+}
+
+/// The release-sized sweep of the same differential: thousands of warm
+/// re-solves on relaxations of all four benchmark families. Run it with
+/// `cargo test --release -p pbo-lp --lib -- --ignored` (CI does).
+#[test]
+#[ignore = "release-sized: run with --release -- --ignored (CI does)"]
+fn kernel_basis_matches_dense_oracle_sweep() {
+    let mut solves = 0;
+    for family in ["synthesis", "ptlcmos", "grout", "acc"] {
+        for seed in 0..4u64 {
+            let (name, problem) = family_relaxation(family, seed);
+            let walk = relaxation_walk(&name, &problem, 400, 0x5eed ^ seed);
+            solves += walk.optimal + walk.infeasible;
+        }
+    }
+    assert_eq!(solves, 4 * 4 * 400);
 }
 
 /// `append_row_ge` extends the warm basis: solving after an append must

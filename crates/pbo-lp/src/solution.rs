@@ -44,8 +44,7 @@ pub struct LpSolution {
     /// Simplex iterations performed in this call.
     pub iterations: u64,
     /// Nonbasic bound flips absorbed by the bound-flipping ratio test in
-    /// this call (always zero under the dense legacy pricing, which has
-    /// no flipping ratio test).
+    /// this call.
     pub bound_flips: u64,
 }
 

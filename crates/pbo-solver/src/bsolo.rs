@@ -292,7 +292,8 @@ impl<'a> SearchState<'a> {
     ///
     /// The LP pivot loop polls `lp_stop` (the caller's raw cancel flag,
     /// see [`under_budget_deadline`]) when given, else the raw flag of
-    /// `options.cancel`, beside that token's deadline.
+    /// `options.cancel`, beside that token's deadline; with no token it
+    /// polls the budget's deadline, `start + budget.time`.
     ///
     /// `polish` (seed and cancel token of the walk) turns on the polish
     /// walk of every improving solution ([`SearchState::polish`]).
@@ -338,10 +339,15 @@ impl<'a> SearchState<'a> {
         pipeline.set_tracer(tracer.clone());
         // Thread the cancel token into the two kernels that can outlive
         // a between-node budget check: unit propagation and the LP
-        // relaxation's pivot loop.
+        // relaxation's pivot loop. Without a token the budget's deadline
+        // still reaches the LP, so one long solve cannot outlast it; the
+        // expiry then surfaces at the next budget check, as budget
+        // exhaustion rather than a cancellation.
         if let Some(cancel) = &options.cancel {
             engine.set_cancel(cancel.clone());
             pipeline.set_cancel(cancel.deadline(), Some(lp_stop.unwrap_or_else(|| cancel.flag())));
+        } else if let Some(t) = options.budget.time {
+            pipeline.set_cancel(Some(start + t), None);
         }
         let mut restarts = options.restart_base.map(|base| LubyRestarts::new(base.max(1)));
         let next_restart =
