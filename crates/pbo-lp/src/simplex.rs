@@ -624,9 +624,9 @@ impl DualSimplex {
 
     /// Re-inverts the kernel `K` from scratch (Gauss–Jordan with partial
     /// pivoting on `K^T`, whose row-major inverse is `kinv`'s layout).
-    /// Returns `false` if `K` is numerically singular, in which case the
-    /// solver resets to the all-logical basis.
-    fn refactorize(&mut self) -> bool {
+    /// If `K` is numerically singular the solver resets to the
+    /// all-logical basis.
+    fn refactorize(&mut self) {
         let k = self.kcol.len();
         let s = self.stride;
         // G = K^T: G[p][q] = a(krow[q], kcol[p]).
@@ -642,13 +642,12 @@ impl DualSimplex {
         }
         if !gauss_jordan(&mut self.kmat, k, &mut self.kinv, s) {
             self.reset_basis();
-            return false;
+            return;
         }
         self.pivots_since_refactor = 0;
         self.recompute_duals();
         self.recompute_basic_values();
         self.rebuild_reduced_costs();
-        true
     }
 
     /// Abandons the current basis and restarts from the all-logical one
@@ -680,6 +679,10 @@ impl DualSimplex {
     /// iteration limit, returning an owned copy of the result. The
     /// per-node hot path calls [`reoptimize`](Self::reoptimize) instead,
     /// which reports through reused buffers and allocates nothing.
+    ///
+    /// `row_activity` is multiplied out as `A x` from the columns rather
+    /// than read off the logicals, so that it checks the basis instead of
+    /// restating it.
     pub fn solve(&mut self) -> LpSolution {
         let status = self.reoptimize();
         let optimal = status == LpStatus::Optimal;
@@ -689,14 +692,23 @@ impl DualSimplex {
             LpStatus::IterationLimit | LpStatus::Cancelled => f64::NAN,
         };
         let or_zeros = |v: &[f64]| if optimal { v.to_vec() } else { vec![0.0; v.len()] };
-        let row_activity =
-            (0..self.m).map(|i| if optimal { self.rhs[i] + self.slack(i) } else { 0.0 });
+        let mut row_activity = vec![0.0; self.m];
+        if optimal {
+            for (j, &v) in self.x.iter().enumerate() {
+                if v.abs() <= ZERO_TOL {
+                    continue;
+                }
+                for &(i, a) in &self.cols[j] {
+                    row_activity[i] += a * v;
+                }
+            }
+        }
         LpSolution {
             status,
             objective,
             x: or_zeros(&self.x),
             duals: or_zeros(&self.y),
-            row_activity: row_activity.collect(),
+            row_activity,
             tight_rows: if optimal { self.tight.clone() } else { Vec::new() },
             farkas_rows: if status == LpStatus::Infeasible {
                 self.farkas.clone()
