@@ -2,8 +2,8 @@
 //! benchmark families, with per-instance budgets. Alongside the textual
 //! table it writes `BENCH_table1.json` — per-instance wall time, nodes,
 //! lower-bound calls and lower-bound / subproblem-maintenance time —
-//! plus the rebuild-vs-incremental residual-state ablation, so future
-//! PRs have a perf trajectory to compare against.
+//! plus the dynamic-rows ablation and the portfolio and par_bb probes,
+//! so future PRs have a perf trajectory to compare against.
 //!
 //! ```text
 //! cargo run --release -p pbo-bench --bin table1 -- \
@@ -17,8 +17,7 @@ use std::io::Write as _;
 use pbo_bench::parse::serialize;
 use pbo_bench::{
     budget_ms, family_instances, format_table, run_dynamic_rows_ablation, run_par_bb_probe,
-    run_portfolio_probe, run_residual_ablation, run_table, summarize_par_bb, summarize_portfolio,
-    Report, FAMILIES,
+    run_portfolio_probe, run_table, summarize_par_bb, summarize_portfolio, Report, FAMILIES,
 };
 use pbo_solver::LbMethod;
 
@@ -87,33 +86,16 @@ fn main() {
         println!();
     }
 
-    // Residual-state ablation on the first Table-1 synthesis instance:
-    // per-node subproblem maintenance, rebuilt vs incremental.
-    let ablation_instances = family_instances("synthesis", 2);
-    let ablation = run_residual_ablation(&ablation_instances[0], LbMethod::Mis, 4_000);
-    println!("== residual-state ablation ({}) ==", ablation.instance);
-    println!(
-        "rebuild:     {:>8.0} ns/call over {} lb calls",
-        ablation.rebuild.sub_ns_per_call(),
-        ablation.rebuild.lb_calls
-    );
-    println!(
-        "incremental: {:>8.0} ns/call over {} lb calls",
-        ablation.incremental.sub_ns_per_call(),
-        ablation.incremental.lb_calls
-    );
-    println!("maintenance speedup: {:.2}x", ablation.maintenance_speedup());
-
-    // Dynamic-rows ablation: the same solve with the learned cost cuts
-    // folded into the residual problem (on) vs ignored by the bounds
-    // (off) — nodes and per-node bound strength are the gated numbers.
-    // A decision budget (not wall clock) keeps both sides deterministic,
-    // so the CI gate compares exact node counts, machine speed aside.
+    // Dynamic-rows ablation on the second Table-1 synthesis instance:
+    // the same solve with the learned cost cuts folded into the residual
+    // problem (on) vs ignored by the bounds (off) — nodes and per-node
+    // bound strength are the gated numbers. A decision budget (not wall
+    // clock) keeps both sides deterministic, so the CI gate compares
+    // exact node counts, machine speed aside.
     let dyn_rows_budget =
         pbo_solver::Budget { decisions: Some(30_000), ..pbo_solver::Budget::default() };
-    let dyn_rows =
-        run_dynamic_rows_ablation(&ablation_instances[1], LbMethod::Mis, dyn_rows_budget);
-    println!();
+    let dyn_rows_instance = &family_instances("synthesis", 2)[1];
+    let dyn_rows = run_dynamic_rows_ablation(dyn_rows_instance, LbMethod::Mis, dyn_rows_budget);
     println!("== dynamic-rows ablation ({}, {}) ==", dyn_rows.instance, dyn_rows.lb_method);
     println!(
         "rows off: {:>6} nodes | {:>6} lb calls | {:>5} bound conflicts | margin {:>8.2}",
@@ -197,7 +179,6 @@ fn main() {
         budget_ms: timeout_ms,
         seeds,
         families: family_rows,
-        residual_ablation: Some(ablation),
         dynamic_rows: Some(dyn_rows),
         portfolio: probes,
         par_bb,

@@ -262,7 +262,7 @@ mod tests {
                           "lb_calls": 10, "lb_time_ms": 1.0, "sub_time_ms": 0.5}}
                     ]}}
                 ]}}
-            ], "portfolio": null, "residual_ablation": null}}"#
+            ], "portfolio": null}}"#
         );
         parse(&text).unwrap()
     }
@@ -312,7 +312,7 @@ mod tests {
                          "lb_calls": 0, "lb_time_ms": 0.0, "sub_time_ms": 0.0}
                     ]}
                 ]}
-            ], "portfolio": null, "residual_ablation": null}"#,
+            ], "portfolio": null}"#,
         )
         .unwrap();
         let c = compare(&base, &collapsed);
@@ -329,8 +329,7 @@ mod tests {
                     {{"instance": "synth-0", "target_cost": {warm_cost},
                       "warm_time_to_target_ms": {warm_tt_ms}, "warm_time_ms": 400.0,
                       "warm_cost": {warm_cost}, "anytime": {anytime}}}
-                ]}},
-                "residual_ablation": null}}"#
+                ]}}}}"#
         );
         parse(&text).unwrap()
     }
@@ -372,8 +371,7 @@ mod tests {
                     {"instance": "synth-0", "target_cost": 5,
                      "warm_time_to_target_ms": 100.0, "warm_time_ms": 400.0,
                      "warm_cost": 5}
-                ]},
-                "residual_ablation": null}"#,
+                ]}}"#,
         )
         .unwrap();
         let good = portfolio_report(5, 90.0, "[[90.0, 5]]");
@@ -385,11 +383,8 @@ mod tests {
     #[test]
     fn disjoint_reports_are_a_violation() {
         let base = report(100.0, 1000);
-        let other = parse(
-            r#"{"budget_ms": 1, "seeds": 1, "families": [],
-                "portfolio": null, "residual_ablation": null}"#,
-        )
-        .unwrap();
+        let other =
+            parse(r#"{"budget_ms": 1, "seeds": 1, "families": [], "portfolio": null}"#).unwrap();
         let c = compare(&base, &other);
         assert_eq!(c.common_cells, 0);
         assert!(!evaluate(&c).is_empty());

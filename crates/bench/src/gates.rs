@@ -54,12 +54,6 @@ const fn gate(name: &'static str, value: &'static str, check: Check) -> ReportGa
 /// Every gate on the current report, each with the reason for its
 /// bound.
 pub const REPORT_GATES: &[ReportGate] = &[
-    // The ablation measures ~11-15x on a 2-core machine (the rebuild
-    // oracle re-scans MIS's cost-cut rows on every call); the gate sits
-    // at 2x so shared-runner noise can't flip it while a real regression
-    // (the incremental path collapsing back to rebuild cost) still trips
-    // it.
-    gate("residual: maintenance speedup", "residual_ablation.maintenance_speedup", AtLeast(2.0)),
     // Anytime solving: the LS-seeded portfolio must reach the cold
     // solver's final cost in <= 53% of its wall time, with fewer B&B
     // nodes; LS alone must land within 5% of the optimum on the synthesis

@@ -17,76 +17,6 @@ fn ratio(x: Option<f64>) -> JsonValue {
     x.map(|x| (x * 1e4).round() / 1e4).into()
 }
 
-/// One side of the residual-state ablation.
-#[derive(Clone, Debug)]
-pub struct AblationSide {
-    /// Lower-bound calls performed (== residual views produced).
-    pub lb_calls: u64,
-    /// Total time maintaining/building the residual subproblem.
-    pub sub_time: Duration,
-    /// Total time inside the bound procedure itself.
-    pub lb_time: Duration,
-    /// Decisions explored.
-    pub decisions: u64,
-}
-
-impl AblationSide {
-    /// Average subproblem-maintenance nanoseconds per bound call.
-    pub fn sub_ns_per_call(&self) -> f64 {
-        if self.lb_calls == 0 {
-            0.0
-        } else {
-            self.sub_time.as_nanos() as f64 / self.lb_calls as f64
-        }
-    }
-
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("lb_calls", self.lb_calls.into()),
-            ("decisions", self.decisions.into()),
-            ("sub_time_ms", ms(self.sub_time).into()),
-            ("lb_time_ms", ms(self.lb_time).into()),
-            ("sub_ns_per_call", self.sub_ns_per_call().round().into()),
-        ])
-    }
-}
-
-/// The rebuild-vs-incremental ablation result recorded alongside Table 1.
-#[derive(Clone, Debug)]
-pub struct ResidualAblation {
-    /// Instance the ablation ran on.
-    pub instance: String,
-    /// Lower-bound method used.
-    pub lb_method: &'static str,
-    /// Per-node rebuild measurements.
-    pub rebuild: AblationSide,
-    /// Incremental residual-state measurements.
-    pub incremental: AblationSide,
-}
-
-impl ResidualAblation {
-    /// How many times cheaper per-node subproblem maintenance is in
-    /// incremental mode.
-    pub fn maintenance_speedup(&self) -> f64 {
-        let incr = self.incremental.sub_ns_per_call();
-        if incr <= 0.0 {
-            f64::INFINITY
-        } else {
-            self.rebuild.sub_ns_per_call() / incr
-        }
-    }
-
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("instance", self.instance.as_str().into()),
-            ("lb_method", self.lb_method.into()),
-            ("rebuild", self.rebuild.to_json()),
-            ("incremental", self.incremental.to_json()),
-            ("maintenance_speedup", ratio(Some(self.maintenance_speedup()))),
-        ])
-    }
-}
-
 /// One side of the dynamic-rows ablation (`dynamic_rows` off / on).
 #[derive(Clone, Debug)]
 pub struct DynRowsSide {
@@ -380,8 +310,6 @@ pub struct Report {
     pub seeds: u64,
     /// The Table-1 rows of each family.
     pub families: Vec<(String, Vec<Row>)>,
-    /// The rebuild-vs-incremental residual-state ablation.
-    pub residual_ablation: Option<ResidualAblation>,
     /// The dynamic-rows ablation.
     pub dynamic_rows: Option<DynamicRowsAblation>,
     /// The portfolio probe.
@@ -403,10 +331,6 @@ impl Report {
             ),
             ("par_bb", (!self.par_bb.is_empty()).then(|| par_bb_json(&self.par_bb)).into()),
             ("dynamic_rows", self.dynamic_rows.as_ref().map(DynamicRowsAblation::to_json).into()),
-            (
-                "residual_ablation",
-                self.residual_ablation.as_ref().map(ResidualAblation::to_json).into(),
-            ),
         ])
     }
 }
@@ -417,10 +341,6 @@ mod tests {
     use crate::parse::{parse, serialize};
     use crate::{family_instances, run_table};
     use pbo_solver::Budget;
-
-    fn side(lb_calls: u64, sub_time: Duration) -> AblationSide {
-        AblationSide { lb_calls, sub_time, lb_time: Duration::from_micros(500), decisions: 120 }
-    }
 
     #[test]
     fn escape_handles_specials() {
@@ -439,22 +359,10 @@ mod tests {
             budget_ms: 5000,
             seeds: 1,
             families: vec![("synthesis".into(), rows)],
-            residual_ablation: Some(ResidualAblation {
-                instance: "synthesis-0".into(),
-                lb_method: "mis",
-                rebuild: side(100, Duration::from_micros(900)),
-                incremental: side(100, Duration::from_micros(100)),
-            }),
             ..Report::default()
         };
         let v = parse(&serialize(&report.to_json())).unwrap();
         assert_eq!(v, report.to_json());
-        let ablation = v.get("residual_ablation").unwrap();
-        assert_eq!(ablation.get("maintenance_speedup").and_then(JsonValue::as_f64), Some(9.0));
-        assert_eq!(
-            ablation.get("rebuild").unwrap().get("sub_ns_per_call").unwrap().as_f64(),
-            Some(9000.0)
-        );
         let family = &v.get("families").unwrap().items().unwrap()[0];
         let cells = family.get("instances").unwrap().items().unwrap()[0].get("cells").unwrap();
         let solvers: Vec<_> = cells
@@ -467,20 +375,5 @@ mod tests {
         for section in ["portfolio", "par_bb", "dynamic_rows"] {
             assert_eq!(v.get(section), Some(&JsonValue::Null), "{section}");
         }
-    }
-
-    #[test]
-    fn speedup_of_zero_incremental_cost_is_infinite() {
-        let a = ResidualAblation {
-            instance: "x".into(),
-            lb_method: "mis",
-            rebuild: side(10, Duration::from_nanos(5000)),
-            incremental: side(10, Duration::ZERO),
-        };
-        assert!(a.maintenance_speedup().is_infinite());
-        // JSON has no Infinity literal: the report must degrade to null.
-        let text = serialize(&Report { residual_ablation: Some(a), ..Report::default() }.to_json());
-        assert!(text.contains("\"maintenance_speedup\": null"), "{text}");
-        assert!(!text.contains("inf"), "{text}");
     }
 }

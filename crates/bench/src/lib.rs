@@ -43,8 +43,8 @@ pub mod json;
 pub mod parse;
 
 pub use json::{
-    summarize_par_bb, summarize_portfolio, AblationSide, DynRowsSide, DynamicRowsAblation,
-    ParBbProbe, ParBbRun, PortfolioProbe, Report, ResidualAblation,
+    summarize_par_bb, summarize_portfolio, DynRowsSide, DynamicRowsAblation, ParBbProbe, ParBbRun,
+    PortfolioProbe, Report,
 };
 
 /// One column of Table 1.
@@ -331,8 +331,9 @@ pub fn run_portfolio_probe(
 /// tree at every count — i.e. cube duplication and weaker mid-flight
 /// incumbents do not blow the search up, they only re-partition it —
 /// and the largest pool's wall time beats the sequential run by the
-/// floor the CI gate sets (re-splitting keeps workers fed, clause
-/// sharing stops them re-deriving each other's refutations).
+/// floor the CI gate sets (re-splitting keeps workers fed, and the
+/// shared incumbent and the per-cube primal dives prune what the
+/// sequential run spends descending through incumbents).
 ///
 /// Hardest-first matters: parallel search pays fixed costs (the serial
 /// head start, per-cube engine setup, one first-descent per worker)
@@ -389,38 +390,6 @@ pub fn run_par_bb_probe(
             ParBbProbe { instance: inst.name().to_string(), runs }
         })
         .collect()
-}
-
-/// Runs the rebuild-vs-incremental residual-state ablation on one
-/// instance: the same solver configuration twice, differing only in
-/// [`pbo_solver::ResidualMode`], with per-node subproblem-maintenance
-/// time recorded on both sides.
-pub fn run_residual_ablation(
-    instance: &Instance,
-    lb_method: LbMethod,
-    decisions: u64,
-) -> ResidualAblation {
-    use pbo_solver::ResidualMode;
-    let budget = Budget { decisions: Some(decisions), ..Budget::default() };
-    let side = |mode: ResidualMode| {
-        let result = Bsolo::new(BsoloOptions {
-            residual_mode: mode,
-            ..BsoloOptions::with_lb(lb_method).budget(budget)
-        })
-        .solve(instance);
-        AblationSide {
-            lb_calls: result.stats.lb_calls,
-            sub_time: result.stats.sub_time_total,
-            lb_time: result.stats.lb_time_total,
-            decisions: result.stats.decisions,
-        }
-    };
-    ResidualAblation {
-        instance: instance.name().to_string(),
-        lb_method: lb_method.name(),
-        rebuild: side(ResidualMode::Rebuild),
-        incremental: side(ResidualMode::Incremental),
-    }
 }
 
 /// Runs the dynamic-rows ablation on one instance: the same solver

@@ -61,7 +61,7 @@ pub use dynrows::{DynRow, DynRowOrigin, DynamicRows, RowsArena};
 pub use lagrangian::{LagrangianBound, LagrangianConfig};
 pub use lpr::LprBound;
 pub use mis::MisBound;
-pub use residual::{ResidualState, ResidualStats};
+pub use residual::ResidualState;
 pub use subproblem::{ActiveEntry, Subproblem};
 
 use pbo_core::Lit;

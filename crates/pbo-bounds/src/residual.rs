@@ -46,17 +46,6 @@ struct Occ {
     coeff: i64,
 }
 
-/// Cumulative effort counters of a [`ResidualState`] (for ablations).
-#[derive(Copy, Clone, Default, Debug)]
-pub struct ResidualStats {
-    /// Literals applied.
-    pub applied: u64,
-    /// Literals unwound.
-    pub unwound: u64,
-    /// Views produced.
-    pub views: u64,
-}
-
 /// The residual problem under the solver's current partial assignment,
 /// maintained incrementally along the trail.
 ///
@@ -134,8 +123,6 @@ pub struct ResidualState {
     trail: Vec<Lit>,
     /// Reusable view buffer.
     entries: Vec<ActiveEntry>,
-    /// Effort counters.
-    pub stats: ResidualStats,
 }
 
 impl ResidualState {
@@ -180,7 +167,6 @@ impl ResidualState {
             num_active: m,
             trail: Vec::with_capacity(num_vars),
             entries: Vec::with_capacity(m),
-            stats: ResidualStats::default(),
         }
     }
 
@@ -302,7 +288,6 @@ impl ResidualState {
     /// O(occurrences of the literal's variable), reading the occurrence
     /// CSR straight from `instance`'s arena.
     pub fn apply(&mut self, instance: &Instance, lit: Lit) {
-        self.stats.applied += 1;
         self.path_cost += self.lit_cost[lit.code()];
         let arena = instance.arena();
         // Terms containing `lit` gain satisfied weight (and lose a free
@@ -351,7 +336,6 @@ impl ResidualState {
         let arena = instance.arena();
         while self.trail.len() > len {
             let lit = self.trail.pop().expect("checked above");
-            self.stats.unwound += 1;
             self.applied[lit.code()] = false;
             let (neg_rows, _) = arena.occurrences(!lit);
             for &ci in neg_rows {
@@ -401,7 +385,6 @@ impl ResidualState {
             instance.objective().map_or(0, |o| o.path_cost(assignment)),
             "path cost drifted from the assignment"
         );
-        self.stats.views += 1;
         self.entries.clear();
         // The linked list is maintained in ascending constraint order, so
         // the view's iteration order is bit-identical with the rebuild
@@ -446,7 +429,7 @@ impl ResidualState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pbo_core::{InstanceBuilder, Value, Var};
+    use pbo_core::{InstanceBuilder, Var};
 
     fn assert_matches_rebuild(
         state: &mut ResidualState,
@@ -538,20 +521,5 @@ mod tests {
         assert_eq!(view.lit_cost(v[2].negative()), 5);
         assert_eq!(view.lit_cost(v[2].positive()), 0);
         assert_eq!(view.lit_cost(v[3].positive()), 0);
-    }
-
-    #[test]
-    fn stats_count_effort() {
-        let (inst, v) = demo_instance();
-        let mut state = ResidualState::new(&inst);
-        let mut a = Assignment::new(4);
-        a.assign(Var::new(0), true);
-        state.apply(&inst, v[0].positive());
-        let _ = state.view(&inst, &a);
-        state.unwind_to(&inst, 0);
-        assert_eq!(state.stats.applied, 1);
-        assert_eq!(state.stats.unwound, 1);
-        assert_eq!(state.stats.views, 1);
-        assert_eq!(a.value(Var::new(0)), Value::True);
     }
 }

@@ -21,14 +21,13 @@
 //!   incumbent exists the procedure still runs: an *infeasible* residual
 //!   (e.g. the LPR Farkas case) prunes with `omega_pl` alone;
 //! * an incrementally maintained residual problem
-//!   ([`pbo_bounds::ResidualState`], [`ResidualMode::Incremental`], the
-//!   default): per-constraint satisfied-weight/free-term counters are
-//!   synced to the engine trail in O(Δ) per node instead of rebuilding
-//!   the subproblem from scratch, with the O(instance) rebuild retained
-//!   as the differential-testing oracle ([`ResidualMode::Rebuild`]). In
-//!   incremental mode the LP bound's variable fixings ride the same
-//!   trail protocol through a second engine observer, so LP bound sync
-//!   is O(changed vars) per node too;
+//!   ([`pbo_bounds::ResidualState`]): per-constraint satisfied-weight and
+//!   free-term counters are synced to the engine trail in O(Δ) per node
+//!   instead of rebuilding the subproblem from scratch (the O(instance)
+//!   rebuild survives only as the tests' differential oracle). The LP
+//!   bound's variable fixings ride the same trail protocol through a
+//!   second engine observer, so LP bound sync is O(changed vars) per
+//!   node too;
 //! * LP-guided branching when the LP relaxation is the bound procedure
 //!   (sec. 5): branch on the fractional variable closest to 0.5,
 //!   VSIDS tie-break;

@@ -67,7 +67,7 @@ pub use bsolo::Bsolo;
 pub use cuts::{cardinality_cost_cuts, cost_cuts, knapsack_cut};
 pub use linear_search::{LinearSearch, LinearSearchOptions};
 pub use milp::{MilpOptions, MilpSolver};
-pub use options::{BsoloOptions, Budget, LbMethod, ResidualMode, SolveStrategy};
+pub use options::{BsoloOptions, Budget, LbMethod, SolveStrategy};
 pub use par::{Cube, CubeSplitter, ParBsolo, SplitOutcome};
 pub use portfolio::{
     IncumbentCell, LocalSearch, LsOptions, LsResult, LsStats, Portfolio, PortfolioOptions,

@@ -11,8 +11,7 @@ use rand_chacha::ChaCha8Rng;
 use pbo_core::{Instance, InstanceBuilder, Value, Var};
 use pbo_engine::Engine;
 
-use crate::options::ResidualMode;
-use crate::pipeline::BoundPipeline;
+use crate::pipeline::{with_rebuild_oracle, BoundPipeline};
 use crate::result::SolverStats;
 use crate::{BsoloOptions, LbMethod};
 
@@ -41,9 +40,8 @@ fn covering_instance(rng: &mut ChaCha8Rng) -> Instance {
 /// Drives one pipeline down a fixed decision prefix with a shrinking
 /// upper bound (loose, then tight enough to prune), one `compute` call
 /// per step, and returns the stats it charged.
-fn drive(inst: &Instance, method: LbMethod, mode: ResidualMode) -> (usize, SolverStats) {
-    let mut options = BsoloOptions::with_lb(method);
-    options.residual_mode = mode;
+fn drive(inst: &Instance, method: LbMethod) -> (usize, SolverStats) {
+    let options = BsoloOptions::with_lb(method);
     let mut engine = Engine::new(inst.num_vars());
     for c in inst.constraints() {
         engine.add_constraint(c).unwrap();
@@ -67,7 +65,8 @@ fn drive(inst: &Instance, method: LbMethod, mode: ResidualMode) -> (usize, Solve
 
 /// Every method charges exactly its own bucket, once per `compute`
 /// call, and the bucket totals sum to the global `lb_calls` /
-/// `lb_time_total` in both residual modes.
+/// `lb_time_total`, with the residual mirrored along the trail and
+/// rebuilt by the oracle.
 #[test]
 fn method_buckets_reconcile_with_global_counters() {
     let methods = [LbMethod::None, LbMethod::Mis, LbMethod::Lagrangian, LbMethod::Lpr];
@@ -75,9 +74,13 @@ fn method_buckets_reconcile_with_global_counters() {
     for round in 0..8 {
         let inst = covering_instance(&mut rng);
         for (own_bucket, &method) in methods.iter().enumerate() {
-            for mode in [ResidualMode::Incremental, ResidualMode::Rebuild] {
-                let label = format!("round {round}, {} ({mode:?})", method.name());
-                let (n_calls, stats) = drive(&inst, method, mode);
+            for rebuild in [false, true] {
+                let label = format!("round {round}, {} (rebuild {rebuild})", method.name());
+                let (n_calls, stats) = if rebuild {
+                    with_rebuild_oracle(|| drive(&inst, method))
+                } else {
+                    drive(&inst, method)
+                };
                 assert_eq!(stats.lb_calls, n_calls as u64, "{label}: lb_calls");
                 let calls: u64 = stats.lb_methods.iter().map(|m| m.calls).sum();
                 assert_eq!(calls, stats.lb_calls, "{label}: bucket calls drifted from lb_calls");

@@ -28,31 +28,6 @@ impl LbMethod {
     }
 }
 
-/// How the residual subproblem handed to the lower-bound procedure is
-/// maintained across search nodes.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub enum ResidualMode {
-    /// Rebuild the residual problem from scratch at every bound
-    /// computation — O(instance size) per node. The seed behaviour, kept
-    /// as the differential-testing oracle and for ablation.
-    Rebuild,
-    /// Maintain the residual problem incrementally along the trail
-    /// (`pbo_bounds::ResidualState`): O(Δ) per assignment/backjump and
-    /// O(active constraints) per view.
-    #[default]
-    Incremental,
-}
-
-impl ResidualMode {
-    /// Short name used in benchmark tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            ResidualMode::Rebuild => "rebuild",
-            ResidualMode::Incremental => "incremental",
-        }
-    }
-}
-
 /// How the portfolio driver combines the stochastic local search with
 /// the exact branch-and-bound (see [`crate::Portfolio`]).
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
@@ -156,9 +131,6 @@ pub struct BsoloOptions {
     /// Probe variables during preprocessing to detect necessary
     /// assignments (sec. 5 / Savelsbergh-style).
     pub probing: bool,
-    /// How the residual subproblem is maintained between bound
-    /// computations.
-    pub residual_mode: ResidualMode,
     /// Fold the cost cuts (eq. 10 / eqs. 11–13) into MIS's residual
     /// problem as dynamic rows on each incumbent re-root. Applies to
     /// [`LbMethod::Mis`] only: LGR and LPR always bound over the
@@ -211,7 +183,6 @@ impl Default for BsoloOptions {
             lb_method: LbMethod::Lpr,
             cardinality_cuts: true,
             probing: true,
-            residual_mode: ResidualMode::Incremental,
             dynamic_rows: true,
             restart_base: Some(2048),
             resplit_conflicts: Some(256),
@@ -276,13 +247,5 @@ mod tests {
         assert_eq!(SolveStrategy::Exact.name(), "exact");
         assert_eq!(SolveStrategy::LsSeeded.name(), "ls-seeded");
         assert_eq!(SolveStrategy::Concurrent.name(), "concurrent");
-    }
-
-    #[test]
-    fn incremental_residual_is_the_default() {
-        assert_eq!(BsoloOptions::default().residual_mode, ResidualMode::Incremental);
-        assert_eq!(ResidualMode::default(), ResidualMode::Incremental);
-        assert_eq!(ResidualMode::Rebuild.name(), "rebuild");
-        assert_eq!(ResidualMode::Incremental.name(), "incremental");
     }
 }

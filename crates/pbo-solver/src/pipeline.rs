@@ -47,7 +47,7 @@ use pbo_core::{Instance, PbConstraint};
 use pbo_engine::{Engine, TrailObserver};
 use pbo_fault::failpoint;
 
-use crate::options::{BsoloOptions, LbMethod, ResidualMode};
+use crate::options::{BsoloOptions, LbMethod};
 use crate::result::SolverStats;
 
 /// Lower-bound procedure dispatch (avoids `Box<dyn>` so the LPR state
@@ -80,17 +80,37 @@ fn method_bucket(method: LbMethod) -> usize {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// The rebuild oracle's switch: a pipeline built on this thread
+    /// while it is set mirrors nothing, rebuilds the residual problem
+    /// with [`Subproblem::with_rows`] at every bound call and leaves the
+    /// LP bound to diff the whole assignment, the paths the trail
+    /// mirrors are checked against. Thread-local, so tests running
+    /// beside each other never see it.
+    static REBUILD_ORACLE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Runs `solve` with the rebuild oracle on for every pipeline it builds
+/// on this thread.
+#[cfg(test)]
+pub(crate) fn with_rebuild_oracle<R>(solve: impl FnOnce() -> R) -> R {
+    REBUILD_ORACLE.set(true);
+    let result = solve();
+    REBUILD_ORACLE.set(false);
+    result
+}
+
 /// Owner of the bounding subsystem: bound procedure, residual state,
 /// trail observers, MIS's dynamic-row region and gating policy.
 pub(crate) struct BoundPipeline {
     bound: Bound,
-    /// Trail-mirrored residual problem ([`ResidualMode::Incremental`]);
-    /// `None` in rebuild mode or when the instance never computes bounds.
-    residual: Option<ResidualState>,
-    /// Engine trail observer backing `residual`.
-    residual_obs: Option<TrailObserver>,
+    /// Trail-mirrored residual problem and the engine trail observer
+    /// backing it; `None` on a decision instance, which never computes
+    /// a bound.
+    residual: Option<(ResidualState, TrailObserver)>,
     /// Engine trail observer backing the LP bound's variable-fixing
-    /// mirror (incremental mode with [`LbMethod::Lpr`] only).
+    /// mirror ([`LbMethod::Lpr`] only).
     lpr_obs: Option<TrailObserver>,
     /// The cost cuts of the most recent re-root, installed into the
     /// residual state (empty unless `dynamic_enabled`).
@@ -109,7 +129,7 @@ pub(crate) struct BoundPipeline {
 impl BoundPipeline {
     pub fn new(instance: &Instance, options: &BsoloOptions, engine: &mut Engine) -> BoundPipeline {
         // A decision instance never computes a bound, so it builds none:
-        // an LP relaxation would cost a dense m x m inverse for nothing.
+        // an LP relaxation would copy every row into the LP for nothing.
         let method = if instance.is_optimization() { options.lb_method } else { LbMethod::None };
         let bound = match method {
             LbMethod::None => Bound::None(NoBound::new()),
@@ -117,21 +137,20 @@ impl BoundPipeline {
             LbMethod::Lagrangian => Bound::Lgr(LagrangianBound::new(instance.num_constraints())),
             LbMethod::Lpr => Bound::Lpr(Box::new(LprBound::new(instance))),
         };
-        // The residual state only pays off where bounds are computed:
-        // optimization instances (satisfaction search never bounds).
-        let incremental =
-            options.residual_mode == ResidualMode::Incremental && instance.is_optimization();
-        let residual = if incremental { Some(ResidualState::new(instance)) } else { None };
-        let residual_obs = residual.as_ref().map(|_| engine.register_trail_observer());
-        // In incremental mode the LP bound joins the trail protocol as a
-        // second observer; rebuild mode keeps the O(vars) assignment diff
-        // as the differential-testing oracle.
-        let lpr_obs = (incremental && matches!(bound, Bound::Lpr(_)))
-            .then(|| engine.register_trail_observer());
+        // Every optimization instance mirrors the engine trail into the
+        // residual state and, under LPR, into the LP bound's variable
+        // fixings through a second observer: O(Δ) per node each.
+        #[cfg(not(test))]
+        let mirror = instance.is_optimization();
+        #[cfg(test)]
+        let mirror = instance.is_optimization() && !REBUILD_ORACLE.get();
+        let residual =
+            mirror.then(|| (ResidualState::new(instance), engine.register_trail_observer()));
+        let lpr_obs =
+            (mirror && matches!(bound, Bound::Lpr(_))).then(|| engine.register_trail_observer());
         BoundPipeline {
             bound,
             residual,
-            residual_obs,
             lpr_obs,
             // The region carries the instance's objective costs so every
             // pushed row's fractional-cover order is precomputed at push
@@ -210,7 +229,7 @@ impl BoundPipeline {
                 if i == 0 { DynRowOrigin::ObjectiveCut } else { DynRowOrigin::CardinalityCut };
             self.rows.push(cut.clone(), origin);
         }
-        if let Some(state) = &mut self.residual {
+        if let Some((state, _)) = &mut self.residual {
             state.set_dynamic_rows(&self.rows);
         }
     }
@@ -228,9 +247,7 @@ impl BoundPipeline {
         stats: &mut SolverStats,
     ) {
         let sub_start = Instant::now();
-        let BoundPipeline {
-            bound, residual, residual_obs, lpr_obs, rows, out, method, tracer, ..
-        } = self;
+        let BoundPipeline { bound, residual, lpr_obs, out, method, tracer, .. } = self;
         // Keep the LP bound's variable fixings in lockstep with the
         // trail (O(Δ) per node) through its own observer.
         if let (Some(obs), Bound::Lpr(lpr)) = (*lpr_obs, &mut *bound) {
@@ -240,19 +257,21 @@ impl BoundPipeline {
                 lpr.apply(lit);
             }
         }
-        // Produce the residual view: O(Δ) sync + O(active) snapshot in
-        // incremental mode, a full O(instance + region) re-scan in
-        // rebuild mode (the differential oracle, dynamic rows included).
-        let sub = match (residual.as_mut(), *residual_obs) {
-            (Some(state), Some(obs)) => {
-                let keep = engine.sync_trail(obs, state.len());
+        // Produce the residual view: O(Δ) sync + O(active) snapshot.
+        let sub = match residual {
+            Some((state, obs)) => {
+                let keep = engine.sync_trail(*obs, state.len());
                 state.unwind_to(instance, keep);
                 for &lit in &engine.trail()[keep..] {
                     state.apply(instance, lit);
                 }
                 state.view(instance, engine.assignment())
             }
-            _ => Subproblem::with_rows(instance, engine.assignment(), rows),
+            // The rebuild oracle: a full O(instance + region) re-scan.
+            #[cfg(test)]
+            None => Subproblem::with_rows(instance, engine.assignment(), &self.rows),
+            #[cfg(not(test))]
+            None => unreachable!("a decision instance never computes a bound"),
         };
         stats.sub_time_total += sub_start.elapsed();
         let path = sub.path_cost();

@@ -303,11 +303,12 @@ impl Portfolio {
                 // never be kept: cancel it now, join it later.
                 let best = cell.best_cost();
                 runs.abort_unless_from(best);
-                if best.is_some() && best == piece_from && runs.live.is_none() {
-                    runs.join_finished();
+                if best.is_some() && best == piece_from && runs.may_start() {
                     runs.live = cell
                         .snapshot()
                         .map(|(from, model)| self.speculate(scope, instance, start, from, model));
+                    #[cfg(test)]
+                    runs.note_in_flight(0);
                 }
                 piece_from = best;
             });
@@ -341,12 +342,14 @@ impl Portfolio {
                     cell.absorb(&run_cell);
                     (result, run.started)
                 }
-                None => (
-                    self.exact_side(instance, cell, seed_time, self.options.bsolo.cancel.clone()),
-                    seed_time,
-                ),
+                None => {
+                    #[cfg(test)]
+                    runs.note_in_flight(1);
+                    let cancel = self.options.bsolo.cancel.clone();
+                    (self.exact_side(instance, cell, seed_time, cancel), seed_time)
+                }
             };
-            for handle in std::mem::take(&mut runs.aborted) {
+            if let Some(handle) = runs.aborted.take() {
                 join(handle);
             }
             shift_trace(&mut result.stats.trace, ls_time);
@@ -578,15 +581,19 @@ struct SpecRun<'scope> {
     handle: ScopedJoinHandle<'scope, SpecOutcome>,
 }
 
-/// The speculative runs of one `LsSeeded` solve. Dropping it cancels
-/// the live run, so a walk that unwinds does not leave
-/// `std::thread::scope` waiting out a whole branch-and-bound.
+/// The speculative runs of one `LsSeeded` solve: a live run or a
+/// cancelled one winding down, never both, so with the calling thread's
+/// own run at most two branch-and-bound states are alive at once.
+/// Dropping it cancels the live run, so a walk that unwinds does not
+/// leave `std::thread::scope` waiting out a whole branch-and-bound.
 #[derive(Default)]
 struct Speculation<'scope> {
     /// The run started from the cell's current best, if any.
     live: Option<SpecRun<'scope>>,
-    /// Cancelled runs not joined yet.
-    aborted: Vec<ScopedJoinHandle<'scope, SpecOutcome>>,
+    /// The cancelled run, until it has wound down and been joined. A run
+    /// cancelled during its setup (preprocessing, the engine build, the
+    /// cost cuts) polls no token and runs on for that long.
+    aborted: Option<ScopedJoinHandle<'scope, SpecOutcome>>,
     /// Runs cancelled so far.
     aborts: u64,
 }
@@ -597,20 +604,36 @@ impl Speculation<'_> {
     fn abort_unless_from(&mut self, best: Option<i64>) {
         if let Some(run) = self.live.take_if(|run| Some(run.from) != best) {
             run.cancel.cancel();
-            self.aborted.push(run.handle);
+            debug_assert!(self.aborted.is_none(), "a run started beside a cancelled one");
+            self.aborted = Some(run.handle);
             self.aborts += 1;
         }
     }
 
-    /// Joins the cancelled runs that have wound down.
-    fn join_finished(&mut self) {
-        let (done, running) =
-            std::mem::take(&mut self.aborted).into_iter().partition(|h| h.is_finished());
-        self.aborted = running;
-        for handle in done {
+    /// Whether a run may start: none is live, and the cancelled one, if
+    /// any, has wound down (it is joined here). The walk never waits.
+    fn may_start(&mut self) -> bool {
+        if let Some(handle) = self.aborted.take_if(|h| h.is_finished()) {
             join(handle);
         }
+        self.live.is_none() && self.aborted.is_none()
     }
+
+    /// Raises [`PEAK_IN_FLIGHT`] to the runs still going, plus `extra`
+    /// on the calling thread.
+    #[cfg(test)]
+    fn note_in_flight(&self, extra: usize) {
+        let live = self.live.as_ref().map(|run| &run.handle);
+        let going = live.into_iter().chain(&self.aborted).filter(|h| !h.is_finished()).count();
+        PEAK_IN_FLIGHT.set(PEAK_IN_FLIGHT.get().max(going + extra));
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The most branch-and-bound runs an `LsSeeded` solve on this thread
+    /// has had going at once.
+    static PEAK_IN_FLIGHT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 impl Drop for Speculation<'_> {
@@ -641,8 +664,8 @@ mod tests {
     use super::*;
     use crate::bsolo::Bsolo;
     use crate::options::{Budget, LbMethod};
-    use pbo_benchgen::{GroutParams, PtlCmosParams, SynthesisParams};
-    use pbo_core::{brute_force, InstanceBuilder, RelOp};
+    use pbo_benchgen::{AccSchedParams, GroutParams, PtlCmosParams, SynthesisParams};
+    use pbo_core::{brute_force, InstanceBuilder, RelOp, Var};
 
     fn covering_instance() -> Instance {
         let mut b = InstanceBuilder::new();
@@ -1137,6 +1160,34 @@ mod tests {
         let json = on.stats.to_json();
         let field = format!("\"speculations_aborted\":{},", on.stats.speculations_aborted);
         assert!(json.contains(&field), "{json}");
+    }
+
+    /// A speculative run cancelled during its setup, which polls no
+    /// token, keeps the next one from starting until it has wound down,
+    /// so at most two branch-and-bound runs are ever going at once. Here
+    /// the walk beats the best of every run within its setup: without
+    /// that rule 7 or 8 runs were going at once.
+    #[test]
+    #[ignore = "release-sized: 858 variables, 2,094 rows, 0.5 s"]
+    fn cancelled_speculative_runs_do_not_pile_up() {
+        let acc = AccSchedParams { teams: 12, ..AccSchedParams::default() }.generate(0);
+        let mut b = InstanceBuilder::with_vars(acc.num_vars());
+        for c in acc.constraints() {
+            b.add_linear(c.iter().map(|t| (t.coeff, t.lit)), RelOp::Ge, c.rhs());
+        }
+        let cost = |i: usize| if i.is_multiple_of(3) { 2 } else { -1 };
+        b.minimize((0..acc.num_vars()).map(|i| (cost(i), Var::new(i).positive())));
+        let inst = b.build().unwrap();
+        let bsolo = BsoloOptions {
+            budget: Budget::time_limit(Duration::from_millis(500)),
+            ..BsoloOptions::with_lb(LbMethod::Mis)
+        };
+        let options = PortfolioOptions { bsolo, ..PortfolioOptions::default() };
+        PEAK_IN_FLIGHT.set(0);
+        let result = speculated(&options, &inst, true);
+        assert!(result.stats.speculations_aborted > 0, "no speculative run was cancelled");
+        let peak = PEAK_IN_FLIGHT.get();
+        assert!(peak <= 2, "{peak} branch-and-bound runs were going at once");
     }
 
     #[test]

@@ -6,6 +6,7 @@ use rand_chacha::ChaCha8Rng;
 
 use pbo_core::{brute_force, Instance, InstanceBuilder, Lit, RelOp};
 
+use crate::pipeline::with_rebuild_oracle;
 use crate::{Bsolo, BsoloOptions, Budget, LbMethod, LinearSearch, MilpSolver, SolveStatus};
 
 /// Random optimization instance with clauses, cardinality and general PB
@@ -147,17 +148,12 @@ fn ablation_toggles_preserve_correctness() {
                 BsoloOptions { dynamic_rows: false, ..BsoloOptions::with_lb(LbMethod::Mis) },
             ),
             ("lgr", BsoloOptions::with_lb(LbMethod::Lagrangian)),
-            (
-                "dynamic-rows-rebuild",
-                BsoloOptions {
-                    residual_mode: crate::ResidualMode::Rebuild,
-                    ..BsoloOptions::with_lb(LbMethod::Mis)
-                },
-            ),
         ] {
             let got = Bsolo::new(options).solve(&inst);
             check_result(&inst, &got, &expected, &format!("{label} round {round}"));
         }
+        let got = with_rebuild_oracle(|| Bsolo::with_lb(LbMethod::Mis).solve(&inst));
+        check_result(&inst, &got, &expected, &format!("dynamic-rows-rebuild round {round}"));
     }
 }
 
@@ -396,21 +392,12 @@ fn incremental_and_rebuild_residual_modes_are_equivalent() {
     // must drive the search through exactly the same trajectory as the
     // per-node rebuild. The solver is deterministic, so every effort
     // counter — not just the optimum — must agree.
-    use crate::ResidualMode;
     let mut rng = ChaCha8Rng::seed_from_u64(0x1234);
     for lb in [LbMethod::Mis, LbMethod::Lagrangian, LbMethod::Lpr] {
         for round in 0..25 {
             let inst = random_instance(&mut rng, 10);
-            let incremental = Bsolo::new(BsoloOptions {
-                residual_mode: ResidualMode::Incremental,
-                ..BsoloOptions::with_lb(lb)
-            })
-            .solve(&inst);
-            let rebuild = Bsolo::new(BsoloOptions {
-                residual_mode: ResidualMode::Rebuild,
-                ..BsoloOptions::with_lb(lb)
-            })
-            .solve(&inst);
+            let incremental = Bsolo::with_lb(lb).solve(&inst);
+            let rebuild = with_rebuild_oracle(|| Bsolo::with_lb(lb).solve(&inst));
             let label = format!("{lb:?} round {round}");
             assert_eq!(incremental.status, rebuild.status, "{label}: status");
             assert_eq!(incremental.best_cost, rebuild.best_cost, "{label}: cost");
