@@ -2,8 +2,8 @@
 //! benchmark families, with per-instance budgets. Alongside the textual
 //! table it writes `BENCH_table1.json` — per-instance wall time, nodes,
 //! lower-bound calls and lower-bound / subproblem-maintenance time —
-//! plus the dynamic-rows ablation and the portfolio and par_bb probes,
-//! so future PRs have a perf trajectory to compare against.
+//! plus the portfolio and par_bb probes, so future PRs have a perf
+//! trajectory to compare against.
 //!
 //! ```text
 //! cargo run --release -p pbo-bench --bin table1 -- \
@@ -16,10 +16,9 @@ use std::io::Write as _;
 
 use pbo_bench::parse::serialize;
 use pbo_bench::{
-    budget_ms, family_instances, format_table, run_dynamic_rows_ablation, run_par_bb_probe,
-    run_portfolio_probe, run_table, summarize_par_bb, summarize_portfolio, Report, FAMILIES,
+    budget_ms, family_instances, format_table, run_par_bb_probe, run_portfolio_probe, run_table,
+    summarize_par_bb, summarize_portfolio, Report, FAMILIES,
 };
-use pbo_solver::LbMethod;
 
 fn usage() -> ! {
     eprintln!(
@@ -86,38 +85,11 @@ fn main() {
         println!();
     }
 
-    // Dynamic-rows ablation on the second Table-1 synthesis instance:
-    // the same solve with the learned cost cuts folded into the residual
-    // problem (on) vs ignored by the bounds (off) — nodes and per-node
-    // bound strength are the gated numbers. A decision budget (not wall
-    // clock) keeps both sides deterministic, so the CI gate compares
-    // exact node counts, machine speed aside.
-    let dyn_rows_budget =
-        pbo_solver::Budget { decisions: Some(30_000), ..pbo_solver::Budget::default() };
-    let dyn_rows_instance = &family_instances("synthesis", 2)[1];
-    let dyn_rows = run_dynamic_rows_ablation(dyn_rows_instance, LbMethod::Mis, dyn_rows_budget);
-    println!("== dynamic-rows ablation ({}, {}) ==", dyn_rows.instance, dyn_rows.lb_method);
-    println!(
-        "rows off: {:>6} nodes | {:>6} lb calls | {:>5} bound conflicts | margin {:>8.2}",
-        dyn_rows.off.decisions,
-        dyn_rows.off.lb_calls,
-        dyn_rows.off.bound_conflicts,
-        dyn_rows.off.mean_lb_margin,
-    );
-    println!(
-        "rows on:  {:>6} nodes | {:>6} lb calls | {:>5} bound conflicts | margin {:>8.2}",
-        dyn_rows.on.decisions,
-        dyn_rows.on.lb_calls,
-        dyn_rows.on.bound_conflicts,
-        dyn_rows.on.mean_lb_margin,
-    );
-
     // Portfolio probe on Table-1-style synthesis instances: cold
     // bsolo-LPR vs LS-seeded portfolio vs LS alone — the anytime-solving
     // numbers (time-to-target, warm-start node shrinkage, LS gap).
     let probe_instances = family_instances("synthesis", 3);
     let probes = run_portfolio_probe(&probe_instances, budget_ms(timeout_ms), 200_000);
-    println!();
     println!("== portfolio probe (synthesis) ==");
     for p in &probes {
         println!(
@@ -175,14 +147,8 @@ fn main() {
     }
     print!("summary: {}", serialize(&summarize_par_bb(&par_bb)));
 
-    let report = Report {
-        budget_ms: timeout_ms,
-        seeds,
-        families: family_rows,
-        dynamic_rows: Some(dyn_rows),
-        portfolio: probes,
-        par_bb,
-    };
+    let report =
+        Report { budget_ms: timeout_ms, seeds, families: family_rows, portfolio: probes, par_bb };
     match json_file.write_all(serialize(&report.to_json()).as_bytes()) {
         Ok(()) => println!("\nwrote {json_path}"),
         Err(err) => {

@@ -72,28 +72,22 @@ pub const REPORT_GATES: &[ReportGate] = &[
         Below("portfolio.summary.nodes_cold"),
     ),
     gate("portfolio: worst LS gap", "portfolio.summary.max_ls_gap", AtMost(0.05)),
-    // Folding the eq. 10-13 cost cuts into MIS's residual problem must
-    // strictly shrink the MIS-bounded tree. The ablation runs under a
-    // decision budget, so both node counts are deterministic (local
-    // reference: 2249 -> 1959 nodes, ~13% fewer).
-    gate("dynamic rows: off side solved", "dynamic_rows.off.solved", True),
-    gate("dynamic rows: on side solved", "dynamic_rows.on.solved", True),
-    gate(
-        "dynamic rows: fewer nodes with rows on",
-        "dynamic_rows.on.decisions",
-        Below("dynamic_rows.off.decisions"),
-    ),
     // Parallel-exact scaling: the cube-split pool at every probed worker
     // count {1, 2, 4, 8} vs its own 1-worker run (the sequential solver,
     // by delegation) on the two hardest synthesis seeds. Same verified
     // optimum everywhere, total nodes (head start + splitter lookahead +
     // dive + all workers) within 2x of sequential at every count, and
     // the 8-worker wall geomean at least 1.8x faster than 1-worker. The
-    // wall gate is safe even on a single-core runner because the speedup
-    // is algorithmic — the per-cube primal dive plus the shared
+    // speedup is algorithmic — the per-cube primal dive plus the shared
     // incumbent prune most of the sequential run's incumbent-descent
-    // work — not core-count parallelism (local reference: 2.1-2.9x on one
-    // core, nodes 1.0-1.4x).
+    // work — not core-count parallelism, but both par_bb bounds read
+    // timing: the sequential MIS runs take 70-240 ms, and 8 workers
+    // that starve re-split into more cubes. Local reference, 2-core box,
+    // CI smoke parameters: 26 runs read a speedup of 1.38-5.25x (median
+    // 2.90) and a worst nodes ratio of 0.90-2.23 (median 1.21), 5 of
+    // them over one of the two bounds (4 of 20 before MIS lost its
+    // cost-cut rows, all on the nodes bound); pinned to one core, 10
+    // runs read 1.52-2.38x and 0.89-1.88, 2 of them below the floor.
     gate("par_bb: every run optimal", "par_bb.instances.*.runs.*.optimal", True),
     gate("par_bb: never a worse optimum", "par_bb.summary.never_worse_optimum", True),
     gate("par_bb: worst nodes ratio", "par_bb.summary.max_nodes_ratio", AtMost(2.0)),
@@ -106,7 +100,7 @@ pub const REPORT_GATES: &[ReportGate] = &[
     // cannot flip it without a real regression.
     gate(
         "LPR hot path: lb_time_ms on synth-p70-m110-s1",
-        "families.*.instances.instance=synth-p70-m110-s1.cells.solver=LPR.lb_time_ms",
+        "families.family=synthesis.instances.instance=synth-p70-m110-s1.cells.solver=LPR.lb_time_ms",
         AtMost(LPR_SNAPSHOT_LB_TIME_MS / 1.5),
     ),
 ];

@@ -17,63 +17,6 @@ fn ratio(x: Option<f64>) -> JsonValue {
     x.map(|x| (x * 1e4).round() / 1e4).into()
 }
 
-/// One side of the dynamic-rows ablation (`dynamic_rows` off / on).
-#[derive(Clone, Debug)]
-pub struct DynRowsSide {
-    /// Whether the side proved optimality within the budget.
-    pub solved: bool,
-    /// B&B nodes (decisions) explored.
-    pub decisions: u64,
-    /// Lower-bound computations performed.
-    pub lb_calls: u64,
-    /// Bound conflicts (prunings).
-    pub bound_conflicts: u64,
-    /// Mean per-node bound margin (`bound - path_cost`, averaged over
-    /// finite lower-bound outcomes) — the bound-strength metric.
-    pub mean_lb_margin: f64,
-    /// Wall time of the solve.
-    pub solve_time: Duration,
-}
-
-impl DynRowsSide {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("solved", self.solved.into()),
-            ("decisions", self.decisions.into()),
-            ("lb_calls", self.lb_calls.into()),
-            ("bound_conflicts", self.bound_conflicts.into()),
-            ("mean_lb_margin", ratio(Some(self.mean_lb_margin))),
-            ("time_ms", ms(self.solve_time).into()),
-        ])
-    }
-}
-
-/// The dynamic-rows ablation result recorded alongside Table 1: the
-/// same solve with the learned-cut dynamic rows folded into the
-/// residual problem (on) and without (off).
-#[derive(Clone, Debug)]
-pub struct DynamicRowsAblation {
-    /// Instance the ablation ran on.
-    pub instance: String,
-    /// Lower-bound method used.
-    pub lb_method: &'static str,
-    /// `dynamic_rows: false` measurements.
-    pub off: DynRowsSide,
-    /// `dynamic_rows: true` measurements.
-    pub on: DynRowsSide,
-}
-
-impl DynamicRowsAblation {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("instance", self.instance.as_str().into()),
-            ("lb_method", self.lb_method.into()),
-            ("off", self.off.to_json()),
-            ("on", self.on.to_json()),
-        ])
-    }
-}
-
 /// One instance of the portfolio probe: cold bsolo-LPR vs the LS-seeded
 /// portfolio vs LS alone (see `run_portfolio_probe`).
 #[derive(Clone, Debug)]
@@ -300,8 +243,8 @@ fn families_json(families: &[(String, Vec<Row>)]) -> JsonValue {
         .collect()
 }
 
-/// The whole benchmark report. Empty probe lists and absent ablations
-/// are written as `null` sections.
+/// The whole benchmark report. Empty probe lists are written as `null`
+/// sections.
 #[derive(Clone, Debug, Default)]
 pub struct Report {
     /// Per-instance budget of the Table-1 matrix.
@@ -310,8 +253,6 @@ pub struct Report {
     pub seeds: u64,
     /// The Table-1 rows of each family.
     pub families: Vec<(String, Vec<Row>)>,
-    /// The dynamic-rows ablation.
-    pub dynamic_rows: Option<DynamicRowsAblation>,
     /// The portfolio probe.
     pub portfolio: Vec<PortfolioProbe>,
     /// The par_bb scaling probe.
@@ -330,7 +271,6 @@ impl Report {
                 (!self.portfolio.is_empty()).then(|| portfolio_json(&self.portfolio)).into(),
             ),
             ("par_bb", (!self.par_bb.is_empty()).then(|| par_bb_json(&self.par_bb)).into()),
-            ("dynamic_rows", self.dynamic_rows.as_ref().map(DynamicRowsAblation::to_json).into()),
         ])
     }
 }
@@ -372,7 +312,7 @@ mod tests {
             .map(|c| c.get("solver").unwrap().as_str().unwrap())
             .collect();
         assert_eq!(solvers, SolverKind::ALL.map(SolverKind::name));
-        for section in ["portfolio", "par_bb", "dynamic_rows"] {
+        for section in ["portfolio", "par_bb"] {
             assert_eq!(v.get(section), Some(&JsonValue::Null), "{section}");
         }
     }

@@ -43,8 +43,7 @@ pub mod json;
 pub mod parse;
 
 pub use json::{
-    summarize_par_bb, summarize_portfolio, DynRowsSide, DynamicRowsAblation, ParBbProbe, ParBbRun,
-    PortfolioProbe, Report,
+    summarize_par_bb, summarize_portfolio, ParBbProbe, ParBbRun, PortfolioProbe, Report,
 };
 
 /// One column of Table 1.
@@ -390,42 +389,6 @@ pub fn run_par_bb_probe(
             ParBbProbe { instance: inst.name().to_string(), runs }
         })
         .collect()
-}
-
-/// Runs the dynamic-rows ablation on one instance: the same solver
-/// configuration twice, differing only in `BsoloOptions::dynamic_rows`,
-/// recording B&B nodes and the mean per-node bound margin — the numbers
-/// behind the "learned cuts tighten every bound" claim and its CI gate.
-pub fn run_dynamic_rows_ablation(
-    instance: &Instance,
-    lb_method: LbMethod,
-    budget: Budget,
-) -> DynamicRowsAblation {
-    let side = |dynamic_rows: bool| {
-        let result = Bsolo::new(BsoloOptions {
-            dynamic_rows,
-            ..BsoloOptions::with_lb(lb_method).budget(budget)
-        })
-        .solve(instance);
-        DynRowsSide {
-            solved: result.is_optimal(),
-            decisions: result.stats.decisions,
-            lb_calls: result.stats.lb_calls,
-            bound_conflicts: result.stats.bound_conflicts,
-            mean_lb_margin: if result.stats.lb_calls == 0 {
-                0.0
-            } else {
-                result.stats.lb_margin_sum as f64 / result.stats.lb_calls as f64
-            },
-            solve_time: result.stats.solve_time,
-        }
-    };
-    DynamicRowsAblation {
-        instance: instance.name().to_string(),
-        lb_method: lb_method.name(),
-        off: side(false),
-        on: side(true),
-    }
 }
 
 #[cfg(test)]

@@ -242,11 +242,10 @@ impl LowerBound for LagrangianBound {
         }
 
         // Rows: coefficient lists over local vars plus adjusted rhs.
-        // Dynamic rows (indices past the instance constraints) join the
-        // relaxation like any other row; their multipliers live in the
-        // same warm-start vector, grown on demand. A stale multiplier
-        // from a previous epoch is harmless: any `mu >= 0` yields a
-        // valid bound, and the ascent re-optimizes from it.
+        // Multipliers live in one warm-start vector indexed by
+        // constraint, grown on demand. A stale multiplier is harmless:
+        // any `mu >= 0` yields a valid bound, and the ascent
+        // re-optimizes from it.
         self.rows.clear();
         for e in sub.active() {
             if e.index as usize >= self.mu.len() {
@@ -355,7 +354,7 @@ impl LowerBound for LagrangianBound {
         // Note: L may legitimately be negative (negative variable-space
         // costs arise from objective terms on negative literals), so the
         // ceiling must not be clamped to zero. The addition saturates: a
-        // badly violated (dynamic) row can drive the multipliers — and
+        // badly violated row can drive the multipliers — and
         // with them L — arbitrarily high before the engine ever sees the
         // conflict.
         let bound = if best_l.is_finite() {

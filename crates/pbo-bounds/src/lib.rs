@@ -57,7 +57,7 @@ mod mis;
 mod residual;
 mod subproblem;
 
-pub use dynrows::{DynRow, DynRowOrigin, DynamicRows, RowsArena};
+pub use dynrows::{DynRow, DynRowOrigin, DynamicRows};
 pub use lagrangian::{LagrangianBound, LagrangianConfig};
 pub use lpr::LprBound;
 pub use mis::MisBound;

@@ -64,8 +64,8 @@ pub struct LprBound {
     /// [`LprBound::install_rows`] rebuilds re-arm it (see
     /// [`LprBound::set_cancel`]).
     cancel: (Option<Instant>, Option<Arc<AtomicBool>>),
-    /// The dynamic rows currently installed in the simplex, in row order
-    /// after the instance's static rows. [`LprBound::install_rows`]
+    /// The registry rows currently installed in the simplex, in row
+    /// order after the instance's rows. [`LprBound::install_rows`]
     /// diffs the incoming registry against this to take the incremental
     /// path (basis-extending appends) instead of a full rebuild.
     installed: Vec<PbConstraint>,
@@ -105,9 +105,9 @@ impl LprBound {
         self.cancel = (deadline, stop);
     }
 
-    /// The LP problem of `instance` plus `extra` rows (appended after the
-    /// instance constraints, so LP row indices line up with
-    /// [`Subproblem`] row indices, dynamic rows included).
+    /// The LP problem of `instance` plus `extra` rows, appended after the
+    /// instance constraints, so the LP's first rows line up with the
+    /// [`Subproblem`] row indices.
     fn build_problem(instance: &Instance, extra: &[&PbConstraint]) -> (LpProblem, f64) {
         let n = instance.num_vars();
         let mut p = LpProblem::new(n);
@@ -154,7 +154,7 @@ impl LprBound {
         (terms, rhs)
     }
 
-    /// The bare LP relaxation of `instance` (static rows only) — exposed
+    /// The bare LP relaxation of `instance` (its own rows only) — exposed
     /// so callers can drive the simplex on the exact problems the bound
     /// sees: the benchmark's per-layer probe (`pbobench/probe`) times its
     /// warm re-solves on it.
@@ -162,12 +162,12 @@ impl LprBound {
         Self::build_problem(instance, &[]).0
     }
 
-    /// Installs the registry's dynamic rows after the instance rows
-    /// (matching the row indices of a [`Subproblem`] view carrying the
-    /// same rows). No solver path calls this — the solver's relaxation
-    /// holds the instance's rows only, since the cost cuts are LP-implied
-    /// — but the benchmark's per-layer probe (`pbobench/probe`) still
-    /// times it.
+    /// Installs the registry's rows after the instance rows, so row `k`
+    /// of the registry is LP row `instance.num_constraints() + k`. No
+    /// solver path calls this — the solver's relaxation holds the
+    /// instance's rows only, since the cost cuts are LP-implied — and it
+    /// stays public only because the benchmark's per-layer probe
+    /// (`pbobench/probe`) times it.
     ///
     /// When the new registry extends the installed one — every already
     /// installed row reappears verbatim, plus an appended suffix — the
@@ -209,7 +209,8 @@ impl LprBound {
     }
 
     /// How many [`LprBound::install_rows`] calls took the incremental
-    /// (append) path vs. a full rebuild.
+    /// (append) path vs. a full rebuild. Like `install_rows`, kept for
+    /// the benchmark probe and the tests.
     pub fn install_counts(&self) -> (u64, u64) {
         (self.install_appends, self.install_rebuilds)
     }
@@ -518,6 +519,23 @@ mod tests {
         assert_eq!(back, fresh);
     }
 
+    /// `inst` with the registry's rows appended as ordinary constraints,
+    /// in order: its row `k` is the LP row `k` of a relaxation with the
+    /// rows installed, so its views explain that relaxation's outcomes.
+    fn instance_plus_rows(inst: &Instance, rows: &DynamicRows) -> Instance {
+        let expected: Vec<&PbConstraint> =
+            inst.constraints().iter().chain(rows.rows().iter().map(|r| &r.constraint)).collect();
+        let mut b = InstanceBuilder::with_vars(inst.num_vars());
+        for c in &expected {
+            b.add_linear(c.terms().iter().map(|t| (t.coeff, t.lit)), pbo_core::RelOp::Ge, c.rhs());
+        }
+        let obj = inst.objective().expect("an optimization instance");
+        b.minimize_with_offset(obj.terms().iter().copied(), obj.offset());
+        let full = b.build().unwrap();
+        assert_eq!(full.constraints().iter().collect::<Vec<_>>(), expected, "rows kept verbatim");
+        full
+    }
+
     #[test]
     fn install_rows_incremental_matches_rebuild() {
         use crate::dynrows::{DynRowOrigin, DynamicRows};
@@ -553,9 +571,9 @@ mod tests {
         // Warm side: installs land on the incremental path throughout.
         let mut warm = LprBound::new(&inst);
         warm.install_rows(&inst, &rows);
-        assert_eq!(warm.install_counts(), (1, 0), "first install extends the empty region");
+        assert_eq!(warm.install_counts(), (1, 0), "first install extends the empty row set");
 
-        // Oracle side: poison the installed region so every later
+        // Oracle side: poison the installed rows so every later
         // install pays for the full rebuild.
         let force_rebuild = |oracle: &mut LprBound| {
             let mut decoy = DynamicRows::for_instance(&inst);
@@ -569,12 +587,13 @@ mod tests {
         assert_eq!(oracle.install_counts(), (1, 1), "support mismatch must rebuild");
 
         let check = |warm: &mut LprBound, oracle: &mut LprBound, rows: &DynamicRows| {
+            let full = instance_plus_rows(&inst, rows);
             let mut a = Assignment::new(6);
-            let sub = Subproblem::with_rows(&inst, &a, rows);
+            let sub = Subproblem::new(&full, &a);
             assert_eq!(warm.lower_bound(&sub, Some(50)), oracle.lower_bound(&sub, Some(50)));
             a.assign(Var::new(1), false);
             a.assign(Var::new(4), true);
-            let sub = Subproblem::with_rows(&inst, &a, rows);
+            let sub = Subproblem::new(&full, &a);
             assert_eq!(warm.lower_bound(&sub, Some(50)), oracle.lower_bound(&sub, Some(50)));
         };
         check(&mut warm, &mut oracle, &rows);

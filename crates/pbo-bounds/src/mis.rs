@@ -10,10 +10,10 @@
 //! literals first.
 //!
 //! Before partitioning, the bound runs a cheap **unit-implication
-//! closure** over the residual rows (static and dynamic alike): a row
-//! whose free weight cannot reach its residual right-hand side without a
-//! particular literal implies that literal, the implication shrinks the
-//! other rows, and the closure iterates to fixpoint. Implied literals
+//! closure** over the residual rows: a row whose free weight cannot
+//! reach its residual right-hand side without a particular literal
+//! implies that literal, the implication shrinks the other rows, and the
+//! closure iterates to fixpoint. Implied literals
 //! contribute their objective cost to the bound, contradictions prove
 //! the residual infeasible (a pre-incumbent prune no other cheap bound
 //! provides), and — once an upper bound exists — a **reduced-cost fixing**
@@ -90,10 +90,6 @@ pub struct MisBound {
     /// fast paths above.
     num_local: u32,
     // --- scratch ---
-    /// Scratch of the [`MisBound::resort_span`] soundness fallback: one
-    /// row's (ratio, coeff, lit, cost, position) items. Empty in the
-    /// normal path (dynamic rows arrive pre-sorted from the registry).
-    row_buf: Vec<(f64, i64, Lit, i64, u32)>,
     /// Scratch: (position in active list, fractional cover cost).
     scored: Vec<(u32, f64, f64)>,
     /// Scratch: last selection stamp per variable (epoch-cleared).
@@ -129,7 +125,6 @@ impl Default for MisBound {
             free_sum0: Vec::new(),
             free_max: Vec::new(),
             num_local: 0,
-            row_buf: Vec::new(),
             scored: Vec::new(),
             used_stamp: Vec::new(),
             val_stamp: Vec::new(),
@@ -209,97 +204,30 @@ impl MisBound {
         self.free_sum0.clear();
         self.free_max.clear();
         self.free_start.push(0);
-        let num_static = sub.num_static_rows();
         let arena = sub.instance().arena();
-        let region = sub.dynamic_rows();
         let assignment = sub.assignment();
         for e in active {
-            let index = e.index as usize;
             let mut sum = 0i64;
             let mut max = 0i64;
-            if index < num_static {
-                // Static rows: walk the instance's precomputed cover
-                // order (a filtered subsequence of a sorted sequence is
-                // sorted), gathering the free terms — no ratio
-                // arithmetic, no sorting. The order is a build-time
-                // invariant of the immutable instance.
-                for &p in arena.cover_order(index) {
-                    let t = arena.term_at(p as usize);
-                    if assignment.lit_value(t.lit) != pbo_core::Value::Unassigned {
-                        continue;
-                    }
-                    self.free_coeff.push(t.coeff);
-                    self.free_lit.push(t.lit);
-                    self.free_cost.push(sub.lit_cost(t.lit));
-                    sum += t.coeff;
-                    max = max.max(t.coeff);
+            // Walk the instance's precomputed cover order (a filtered
+            // subsequence of a sorted sequence is sorted), gathering the
+            // free terms — no ratio arithmetic, no sorting. The order is
+            // a build-time invariant of the immutable instance.
+            for &p in arena.cover_order(e.index as usize) {
+                let t = arena.term_at(p as usize);
+                if assignment.lit_value(t.lit) != pbo_core::Value::Unassigned {
+                    continue;
                 }
-            } else {
-                // Dynamic rows: the region's cover order is precomputed
-                // at push-row time *when the registry was built with the
-                // instance's objective costs* (`DynamicRows::for_instance`,
-                // what the solver pipeline does). The streaming walk
-                // verifies sortedness against the view's own costs for
-                // free; a registry built costless falls back to the
-                // per-call sort — an out-of-order cover walk would
-                // overestimate the single-row LP minimum, which is
-                // unsound, so this must hold in release builds too.
-                let lo = self.free_coeff.len();
-                let mut prev = f64::NEG_INFINITY;
-                let mut sorted = true;
-                for &p in region.cover_order(index - num_static) {
-                    let t = region.term_at(p as usize);
-                    if assignment.lit_value(t.lit) != pbo_core::Value::Unassigned {
-                        continue;
-                    }
-                    let cost = sub.lit_cost(t.lit);
-                    let ratio = cost as f64 / t.coeff as f64;
-                    sorted &= ratio >= prev;
-                    prev = ratio;
-                    self.free_coeff.push(t.coeff);
-                    self.free_lit.push(t.lit);
-                    self.free_cost.push(cost);
-                    sum += t.coeff;
-                    max = max.max(t.coeff);
-                }
-                if !sorted {
-                    self.resort_span(lo);
-                }
+                self.free_coeff.push(t.coeff);
+                self.free_lit.push(t.lit);
+                self.free_cost.push(sub.lit_cost(t.lit));
+                sum += t.coeff;
+                max = max.max(t.coeff);
             }
             self.free_start.push(self.free_coeff.len() as u32);
             self.free_sum0.push(sum);
             self.free_max.push(max);
         }
-    }
-
-    /// Fallback for a dynamic row whose precomputed cover order does not
-    /// match this view's literal costs (a registry built without
-    /// [`DynamicRows::for_instance`](crate::DynamicRows::for_instance)):
-    /// re-sorts the just-materialized span `lo..` by ascending
-    /// cost-per-unit, ties in walk order — the old per-call sort, kept
-    /// as the soundness backstop.
-    fn resort_span(&mut self, lo: usize) {
-        let mut row_buf = std::mem::take(&mut self.row_buf);
-        row_buf.clear();
-        for i in lo..self.free_coeff.len() {
-            let ratio = self.free_cost[i] as f64 / self.free_coeff[i] as f64;
-            row_buf.push((
-                ratio,
-                self.free_coeff[i],
-                self.free_lit[i],
-                self.free_cost[i],
-                i as u32,
-            ));
-        }
-        row_buf.sort_unstable_by(|a, b| {
-            a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal).then(a.4.cmp(&b.4))
-        });
-        for (i, &(_, coeff, lit, cost, _)) in row_buf.iter().enumerate() {
-            self.free_coeff[lo + i] = coeff;
-            self.free_lit[lo + i] = lit;
-            self.free_cost[lo + i] = cost;
-        }
-        self.row_buf = row_buf;
     }
 
     /// Span of active-row position `k` in the `free_*` arrays.
@@ -552,9 +480,9 @@ impl MisBound {
         explanation.dedup();
     }
 
-    /// Writes an infeasibility verdict for `row` into `out`. Dynamic rows
-    /// are implied by the incumbent bound, not the instance alone: any
-    /// infeasibility that might rest on one is upper-conditional — a
+    /// Writes an infeasibility verdict for `row` into `out`. A
+    /// `conditional` verdict rests on reduced-cost fixings, which are
+    /// implied by the incumbent bound, not the instance alone: it is a
     /// *bound* fact (no completion cheaper than `upper`), not true
     /// infeasibility.
     fn infeasible_into(
@@ -622,17 +550,13 @@ impl LowerBound for MisBound {
         }
         let val_epoch = self.next_stamp();
         let mut implied_cost = 0i64;
-        // See `infeasible_into` for why dynamic rows make infeasibility
-        // verdicts conditional. The same holds for anything derived
-        // after reduced-cost fixing.
-        let has_dynamic = !sub.dynamic_rows().is_empty();
 
         // --- Pass 0: implication closure over the raw residual. ---
         if self.implied {
             match self.closure(sub, active, val_epoch, &mut implied_cost) {
                 ClosureStep::Done => {}
                 ClosureStep::Infeasible(k) => {
-                    return self.infeasible_into(sub, active[k].index, has_dynamic, upper, out);
+                    return self.infeasible_into(sub, active[k].index, false, upper, out);
                 }
             }
         } else {
@@ -651,10 +575,9 @@ impl LowerBound for MisBound {
         ) {
             Ok(t) => t,
             Err(k) => {
-                // Closure implications are entailed by the rows
-                // themselves, so the verdict is conditional exactly
-                // when a dynamic row might be among them.
-                return self.infeasible_into(sub, active[k].index, has_dynamic, upper, out);
+                // Closure implications are entailed by the instance's
+                // rows alone, so the verdict is unconditional.
+                return self.infeasible_into(sub, active[k].index, false, upper, out);
             }
         };
         let mut bound = sub.path_cost() + implied_cost + ceil_eps(total);
@@ -923,46 +846,6 @@ mod tests {
         let out = MisBound::new().lower_bound(&sub, None);
         assert!(out.infeasible);
         assert_eq!(out.explanation, vec![v[0].positive()]);
-    }
-
-    #[test]
-    fn costless_dynamic_registry_falls_back_to_the_per_call_sort() {
-        // A registry built with `DynamicRows::new()` carries a costless
-        // (term-order) cover order. On an instance with a real objective
-        // the MIS walk must detect the mismatch and re-sort — an
-        // out-of-order cover walk would overestimate the single-row LP
-        // minimum (unsound) — yielding the same outcome as a registry
-        // built properly with `for_instance`.
-        use crate::{DynRowOrigin, DynamicRows};
-        let mut b = InstanceBuilder::new();
-        let v = b.new_vars(3);
-        b.add_clause([v[0].positive(), v[1].positive()]);
-        // Costs chosen so cost order != term order inside the cut row.
-        b.minimize([(9, v[0].positive()), (1, v[1].positive()), (5, v[2].positive())]);
-        let inst = b.build().unwrap();
-        let cut = pbo_core::PbConstraint::try_new(
-            vec![(2, v[0].positive()), (3, v[1].positive()), (1, v[2].positive())],
-            3,
-        )
-        .unwrap();
-        let mut costless = DynamicRows::new();
-        costless.begin_epoch();
-        costless.push(cut.clone(), DynRowOrigin::ObjectiveCut);
-        let mut proper = DynamicRows::for_instance(&inst);
-        proper.begin_epoch();
-        proper.push(cut, DynRowOrigin::CardinalityCut);
-        assert_ne!(
-            costless.arena().cover_order(0),
-            proper.arena().cover_order(0),
-            "the probe needs a genuine order mismatch"
-        );
-        let a = Assignment::new(3);
-        let from_costless =
-            MisBound::new().lower_bound(&Subproblem::with_rows(&inst, &a, &costless), Some(50));
-        let from_proper =
-            MisBound::new().lower_bound(&Subproblem::with_rows(&inst, &a, &proper), Some(50));
-        assert_eq!(from_costless.bound, from_proper.bound, "fallback must restore the sort");
-        assert_eq!(from_costless.infeasible, from_proper.infeasible);
     }
 
     #[test]

@@ -18,12 +18,11 @@
 //!   constraints or any term lists.
 //!
 //! The state owns **no term or occurrence storage of its own**: the
-//! static rows' occurrence lists are read straight from the instance's
+//! rows' occurrence lists are read straight from the instance's
 //! flat [`TermArena`](pbo_core::TermArena) CSR (one contiguous block,
 //! shared by every consumer — and across local-search worker threads),
 //! so `apply`/`unwind` walk two flat arrays instead of pointer-chasing
-//! per-literal `Vec`s. Only the per-row counters and the dynamic-row
-//! region are state-local.
+//! per-literal `Vec`s. Only the per-row counters are state-local.
 //!
 //! Synchronisation with the search engine uses the engine's trail
 //! low-watermark (`Engine::sync_trail` in `pbo-engine`): the engine
@@ -33,18 +32,10 @@
 
 use pbo_core::{Assignment, Instance, Lit};
 
-use crate::dynrows::{DynamicRows, RowsArena};
 use crate::subproblem::{ActiveEntry, Subproblem};
 
 /// List-end sentinel of the active linked list.
 const NIL: u32 = u32::MAX;
-
-/// One occurrence of a literal in a dynamic row.
-#[derive(Copy, Clone, Debug)]
-struct Occ {
-    constraint: u32,
-    coeff: i64,
-}
 
 /// The residual problem under the solver's current partial assignment,
 /// maintained incrementally along the trail.
@@ -77,30 +68,14 @@ struct Occ {
 /// ```
 #[derive(Clone, Debug)]
 pub struct ResidualState {
-    // --- static per-instance data (built once) ---
-    /// Number of static (instance) constraints; row indices at or above
-    /// this refer to the dynamic-row region. Term and occurrence data of
-    /// the static rows live in the instance's `TermArena` and are
-    /// borrowed per call, never copied.
-    num_static: usize,
+    // --- static per-instance data (built once; term and occurrence
+    // data live in the instance's `TermArena` and are borrowed per call,
+    // never copied) ---
     /// Objective cost per literal code (cost incurred when the literal
     /// becomes true).
     lit_cost: Vec<i64>,
-    /// Right-hand side per constraint: `[0, num_static)` static, then
-    /// one entry per dynamic row.
+    /// Right-hand side per constraint.
     rhs: Vec<i64>,
-    // --- dynamic-row region (epoch-versioned; see `set_dynamic_rows`) ---
-    /// Installed dynamic rows (flat SoA copy of the registry region).
-    dyn_rows: RowsArena,
-    /// Epoch of the installed region (matches `DynamicRows::epoch`).
-    dyn_epoch: u64,
-    /// Occurrence lists of the dynamic rows, indexed by literal code.
-    /// The region is a handful of rows, so the sparse per-literal lists
-    /// stay tiny; only lists a region actually touched are ever cleared.
-    dyn_occ: Vec<Vec<Occ>>,
-    /// Whether each literal (by code) is currently applied — lets a row
-    /// installed mid-trail compute its counters in O(row terms).
-    applied: Vec<bool>,
     // --- dynamic counters ---
     /// Path cost (objective offset included).
     path_cost: i64,
@@ -151,13 +126,8 @@ impl ResidualState {
         let active_next: Vec<u32> =
             (0..m as u32).map(|i| if i + 1 == m as u32 { NIL } else { i + 1 }).collect();
         ResidualState {
-            num_static: m,
             lit_cost,
             rhs,
-            dyn_rows: RowsArena::new(),
-            dyn_epoch: 0,
-            dyn_occ: vec![Vec::new(); 2 * num_vars],
-            applied: vec![false; 2 * num_vars],
             path_cost,
             sat_weight: vec![0; m],
             free_count,
@@ -168,60 +138,6 @@ impl ResidualState {
             trail: Vec::with_capacity(num_vars),
             entries: Vec::with_capacity(m),
         }
-    }
-
-    /// Installs (or swaps) the dynamic-row region from the registry.
-    ///
-    /// A no-op when the registry's epoch is the one already installed;
-    /// otherwise the old region is dropped and the new rows' counters are
-    /// computed against the *currently applied* trail in O(region terms)
-    /// — re-rooting on a new incumbent is a row-region swap, never a
-    /// state rebuild. Safe at any trail depth: rows installed mid-trail
-    /// unwind and replay exactly like static rows from then on.
-    pub fn set_dynamic_rows(&mut self, rows: &DynamicRows) {
-        if self.dyn_epoch == rows.epoch() && self.dyn_rows.len() == rows.len() {
-            return;
-        }
-        // Drop the old region: clear only the occurrence lists it touched.
-        for k in 0..self.dyn_rows.len() {
-            for &lit in self.dyn_rows.row(k).lits {
-                self.dyn_occ[lit.code()].clear();
-            }
-        }
-        self.rhs.truncate(self.num_static);
-        self.sat_weight.truncate(self.num_static);
-        self.free_count.truncate(self.num_static);
-        self.dyn_epoch = rows.epoch();
-        let region = rows.arena();
-        for k in 0..region.len() {
-            let ci = (self.num_static + k) as u32;
-            let mut sat = 0i64;
-            let mut free = 0u32;
-            for t in region.row(k).terms() {
-                if self.applied[t.lit.code()] {
-                    sat += t.coeff;
-                } else if !self.applied[(!t.lit).code()] {
-                    free += 1;
-                }
-                self.dyn_occ[t.lit.code()].push(Occ { constraint: ci, coeff: t.coeff });
-            }
-            self.rhs.push(region.rhs(k));
-            self.sat_weight.push(sat);
-            self.free_count.push(free);
-        }
-        self.dyn_rows.clone_from_arena(region);
-    }
-
-    /// Number of dynamic rows currently installed.
-    #[inline]
-    pub fn num_dynamic_rows(&self) -> usize {
-        self.dyn_rows.len()
-    }
-
-    /// Epoch of the installed dynamic-row region.
-    #[inline]
-    pub fn dynamic_epoch(&self) -> u64 {
-        self.dyn_epoch
     }
 
     /// Number of literals currently applied — the mark to hand to the
@@ -308,19 +224,6 @@ impl ResidualState {
         for &ci in neg_rows {
             self.free_count[ci as usize] -= 1;
         }
-        // Dynamic rows: counter updates only (their activity is decided
-        // at view time, so region swaps never disturb the linked list).
-        for k in 0..self.dyn_occ[lit.code()].len() {
-            let Occ { constraint, coeff } = self.dyn_occ[lit.code()][k];
-            let ci = constraint as usize;
-            self.sat_weight[ci] += coeff;
-            self.free_count[ci] -= 1;
-        }
-        for k in 0..self.dyn_occ[(!lit).code()].len() {
-            let ci = self.dyn_occ[(!lit).code()][k].constraint as usize;
-            self.free_count[ci] -= 1;
-        }
-        self.applied[lit.code()] = true;
         self.trail.push(lit);
     }
 
@@ -336,7 +239,6 @@ impl ResidualState {
         let arena = instance.arena();
         while self.trail.len() > len {
             let lit = self.trail.pop().expect("checked above");
-            self.applied[lit.code()] = false;
             let (neg_rows, _) = arena.occurrences(!lit);
             for &ci in neg_rows {
                 self.free_count[ci as usize] += 1;
@@ -354,16 +256,6 @@ impl ResidualState {
                     self.activate(rows[k]);
                 }
             }
-            for k in 0..self.dyn_occ[(!lit).code()].len() {
-                let ci = self.dyn_occ[(!lit).code()][k].constraint as usize;
-                self.free_count[ci] += 1;
-            }
-            for k in 0..self.dyn_occ[lit.code()].len() {
-                let Occ { constraint, coeff } = self.dyn_occ[lit.code()][k];
-                let ci = constraint as usize;
-                self.sat_weight[ci] -= coeff;
-                self.free_count[ci] += 1;
-            }
             self.path_cost -= self.lit_cost[lit.code()];
         }
     }
@@ -379,7 +271,7 @@ impl ResidualState {
         instance: &'a Instance,
         assignment: &'a Assignment,
     ) -> Subproblem<'a> {
-        debug_assert_eq!(instance.num_constraints(), self.num_static, "instance mismatch");
+        debug_assert_eq!(instance.num_constraints(), self.rhs.len(), "instance mismatch");
         debug_assert_eq!(
             self.path_cost,
             instance.objective().map_or(0, |o| o.path_cost(assignment)),
@@ -402,27 +294,7 @@ impl ResidualState {
             ci = self.active_next[i];
         }
         debug_assert_eq!(self.entries.len(), self.num_active);
-        // Dynamic rows, in ascending (registry) order after the static
-        // rows — matching the rebuild oracle's iteration order. The
-        // region is small (a handful of cuts), so the scan is O(region).
-        for k in 0..self.dyn_rows.len() {
-            let i = self.num_static + k;
-            if self.sat_weight[i] < self.rhs[i] {
-                self.entries.push(ActiveEntry {
-                    index: i as u32,
-                    residual_rhs: self.rhs[i] - self.sat_weight[i],
-                    free_count: self.free_count[i],
-                });
-            }
-        }
-        Subproblem::from_parts(
-            instance,
-            assignment,
-            self.path_cost,
-            &self.entries,
-            &self.lit_cost,
-            &self.dyn_rows,
-        )
+        Subproblem::from_parts(instance, assignment, self.path_cost, &self.entries, &self.lit_cost)
     }
 }
 

@@ -20,15 +20,12 @@
 //! counts and path cost — a property pinned by differential tests.
 //!
 //! Term access goes through the instance's flat CSR/SoA
-//! [`TermArena`](pbo_core::TermArena) (and the dynamic-row region's
-//! [`RowsArena`](crate::RowsArena)): [`Subproblem::row_terms`] returns
+//! [`TermArena`](pbo_core::TermArena): [`Subproblem::row_terms`] returns
 //! borrowed coefficient/literal slices, so iterating the terms of
 //! consecutive rows is a linear walk over two contiguous arrays instead
 //! of a pointer chase through per-constraint heap blocks.
 
 use pbo_core::{Assignment, ConstraintState, Instance, Lit, PbTerm, RowView, Value};
-
-use crate::dynrows::{DynamicRows, RowsArena, EMPTY_ROWS};
 
 /// One active (unsatisfied, undetermined) constraint of the residual
 /// problem.
@@ -82,9 +79,6 @@ pub struct Subproblem<'a> {
     /// Dense per-literal objective costs, available when the view comes
     /// from a [`ResidualState`](crate::ResidualState) (O(1) `lit_cost`).
     costs: Option<&'a [i64]>,
-    /// Dynamic rows of the view (flat SoA region); active entries with
-    /// `index >= instance.num_constraints()` refer to these.
-    dyn_rows: &'a RowsArena,
 }
 
 impl<'a> Subproblem<'a> {
@@ -93,75 +87,24 @@ impl<'a> Subproblem<'a> {
     /// are kept as active with their (unreachable) residual — callers run
     /// after propagation, so violated constraints normally cannot occur.
     pub fn new(instance: &'a Instance, assignment: &'a Assignment) -> Subproblem<'a> {
-        Self::rebuild(instance, assignment, &EMPTY_ROWS)
-    }
-
-    /// Like [`Subproblem::new`], but the residual problem additionally
-    /// contains the given dynamic rows (the eq. 10–13 cost cuts),
-    /// appended after the instance constraints in registry order — the rebuild oracle for
-    /// [`ResidualState::set_dynamic_rows`](crate::ResidualState::set_dynamic_rows).
-    pub fn with_rows(
-        instance: &'a Instance,
-        assignment: &'a Assignment,
-        rows: &'a DynamicRows,
-    ) -> Subproblem<'a> {
-        Self::rebuild(instance, assignment, rows.arena())
-    }
-
-    /// Evaluates one row given its terms and right-hand side, pushing an
-    /// active entry if it is not satisfied.
-    fn scan_row(
-        assignment: &Assignment,
-        index: usize,
-        row: RowView<'_>,
-        rhs: i64,
-        active: &mut Vec<ActiveEntry>,
-    ) {
-        let mut satisfied_weight = 0i64;
-        let mut free_count = 0u32;
-        for t in row.terms() {
-            match assignment.lit_value(t.lit) {
-                Value::True => satisfied_weight += t.coeff,
-                Value::False => {}
-                Value::Unassigned => free_count += 1,
-            }
-        }
-        if satisfied_weight >= rhs {
-            return;
-        }
-        let residual_rhs = rhs - satisfied_weight;
-        debug_assert!(residual_rhs >= 1, "satisfied constraint slipped through");
-        active.push(ActiveEntry { index: index as u32, residual_rhs, free_count });
-    }
-
-    fn rebuild(
-        instance: &'a Instance,
-        assignment: &'a Assignment,
-        dyn_rows: &'a RowsArena,
-    ) -> Subproblem<'a> {
         let path_cost = instance.objective().map_or(0, |o| o.path_cost(assignment));
         let mut active = Vec::new();
         for (index, c) in instance.constraints().iter().enumerate() {
-            match c.eval(assignment) {
-                ConstraintState::Satisfied => continue,
-                ConstraintState::Violated | ConstraintState::Undetermined => Self::scan_row(
-                    assignment,
-                    index,
-                    instance.arena().row(index),
-                    c.rhs(),
-                    &mut active,
-                ),
+            if c.eval(assignment) == ConstraintState::Satisfied {
+                continue;
             }
-        }
-        let num_static = instance.num_constraints();
-        for k in 0..dyn_rows.len() {
-            Self::scan_row(
-                assignment,
-                num_static + k,
-                dyn_rows.row(k),
-                dyn_rows.rhs(k),
-                &mut active,
-            );
+            let mut satisfied_weight = 0i64;
+            let mut free_count = 0u32;
+            for t in instance.arena().row(index).terms() {
+                match assignment.lit_value(t.lit) {
+                    Value::True => satisfied_weight += t.coeff,
+                    Value::False => {}
+                    Value::Unassigned => free_count += 1,
+                }
+            }
+            let residual_rhs = c.rhs() - satisfied_weight;
+            debug_assert!(residual_rhs >= 1, "satisfied constraint slipped through");
+            active.push(ActiveEntry { index: index as u32, residual_rhs, free_count });
         }
         Subproblem {
             instance,
@@ -169,7 +112,6 @@ impl<'a> Subproblem<'a> {
             path_cost,
             active: ActiveSlice::Owned(active),
             costs: None,
-            dyn_rows,
         }
     }
 
@@ -181,7 +123,6 @@ impl<'a> Subproblem<'a> {
         path_cost: i64,
         active: &'a [ActiveEntry],
         costs: &'a [i64],
-        dyn_rows: &'a RowsArena,
     ) -> Subproblem<'a> {
         Subproblem {
             instance,
@@ -189,7 +130,6 @@ impl<'a> Subproblem<'a> {
             path_cost,
             active: ActiveSlice::Borrowed(active),
             costs: Some(costs),
-            dyn_rows,
         }
     }
 
@@ -227,44 +167,24 @@ impl<'a> Subproblem<'a> {
         }
     }
 
-    /// Number of static (instance) rows; active entries with an index at
-    /// or above this refer to dynamic rows.
-    #[inline]
-    pub fn num_static_rows(&self) -> usize {
-        self.instance.num_constraints()
-    }
-
-    /// The dynamic rows of this view as a flat SoA region (empty unless
-    /// the view was produced with dynamic rows installed).
-    pub fn dynamic_rows(&self) -> &RowsArena {
-        self.dyn_rows
-    }
-
-    /// The terms of row `index` — a static instance constraint for
-    /// `index < num_static_rows()`, a dynamic row otherwise — as
-    /// parallel coefficient/literal slices borrowed from the flat
-    /// arenas.
+    /// The terms of constraint `index` as parallel coefficient/literal
+    /// slices borrowed from the instance's flat arena.
     #[inline]
     pub fn row_terms(&self, index: usize) -> RowView<'a> {
-        let num_static = self.instance.num_constraints();
-        if index < num_static {
-            self.instance.arena().row(index)
-        } else {
-            self.dyn_rows.row(index - num_static)
-        }
+        self.instance.arena().row(index)
     }
 
-    /// The unassigned terms of row `index` (static or dynamic), in
-    /// original term order, without materializing them.
+    /// The unassigned terms of constraint `index`, in original term
+    /// order, without materializing them.
     pub fn free_terms(&self, index: usize) -> impl Iterator<Item = PbTerm> + '_ {
         self.row_terms(index)
             .terms()
             .filter(|t| self.assignment.lit_value(t.lit) == Value::Unassigned)
     }
 
-    /// The literals of row `index` (static or dynamic) currently assigned
-    /// false — the building block of the paper's `omega_pl` (eq. 9) —
-    /// without materializing them.
+    /// The literals of constraint `index` currently assigned false — the
+    /// building block of the paper's `omega_pl` (eq. 9) — without
+    /// materializing them.
     pub fn false_literals(&self, index: usize) -> impl Iterator<Item = Lit> + '_ {
         self.row_terms(index)
             .lits
@@ -402,6 +322,5 @@ mod tests {
         let row = sub.row_terms(0);
         assert_eq!(row.coeffs, inst.arena().row(0).coeffs);
         assert_eq!(row.lits, inst.arena().row(0).lits);
-        assert!(sub.dynamic_rows().is_empty());
     }
 }

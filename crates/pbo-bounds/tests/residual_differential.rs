@@ -7,11 +7,8 @@
 //! [`LbOutcome`]s through either view.
 
 use pbo_benchgen::RandomParams;
-use pbo_bounds::{
-    DynRowOrigin, DynamicRows, LagrangianBound, LowerBound, LprBound, MisBound, ResidualState,
-    Subproblem,
-};
-use pbo_core::{brute_force, normalize, Instance, Lit, RelOp, Value};
+use pbo_bounds::{LagrangianBound, LowerBound, LprBound, MisBound, ResidualState, Subproblem};
+use pbo_core::{brute_force, Instance, Lit, RelOp, Value};
 use pbo_engine::{Engine, Resolution, TrailObserver};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -184,145 +181,6 @@ fn mixed_polarity_instance(seed: u64) -> Instance {
     b.build().expect("weakly constrained instances always build")
 }
 
-/// Rebuilds the dynamic-row registry for a fake incumbent of cost
-/// `upper`: the eq. 10 objective cut plus a couple of random
-/// clause-shaped rows standing in for eqs. 11–13 cuts.
-fn reroot_rows(rows: &mut DynamicRows, instance: &Instance, upper: i64, rng: &mut ChaCha8Rng) {
-    rows.begin_epoch();
-    if let Some(obj) = instance.objective() {
-        let rhs = upper - 1 - obj.offset();
-        if let Ok(cs) = normalize(obj.terms(), RelOp::Le, rhs) {
-            for c in cs {
-                rows.push(c, DynRowOrigin::ObjectiveCut);
-            }
-        }
-    }
-    let n = instance.num_vars();
-    for _ in 0..rng.gen_range(0..3) {
-        let k = rng.gen_range(2..=3.min(n));
-        let mut idxs: Vec<usize> = (0..n).collect();
-        for i in 0..k {
-            let j = rng.gen_range(i..n);
-            idxs.swap(i, j);
-        }
-        let lits: Vec<Lit> =
-            idxs[..k].iter().map(|&i| pbo_core::Var::new(i).lit(rng.gen_bool(0.5))).collect();
-        rows.push(pbo_core::PbConstraint::clause(lits), DynRowOrigin::CardinalityCut);
-    }
-}
-
-/// The dynamic-row analogue of `random_walk`: the engine walks randomly
-/// while incumbent re-roots swap the dynamic-row region mid-trail (and
-/// occasionally clear it); at every quiescent point the incremental
-/// view must match the `Subproblem::with_rows` rebuild oracle in every
-/// observable dimension — free terms and false literals of dynamic rows
-/// included — and every warm-started bound procedure must return
-/// identical `LbOutcome`s through either view.
-fn random_walk_with_dynamic_rows(instance: &Instance, walk_seed: u64, steps: usize) {
-    let mut engine = Engine::new(instance.num_vars());
-    for c in instance.constraints() {
-        engine.add_constraint(c).expect("walk instances must be root-consistent");
-    }
-    let mut state = ResidualState::new(instance);
-    let obs = engine.register_trail_observer();
-    let mut rng = ChaCha8Rng::seed_from_u64(walk_seed);
-    let mut rows = DynamicRows::for_instance(instance);
-    let mut mis = MisBound::new();
-    let mut lgr_incr = LagrangianBound::new(instance.num_constraints());
-    let mut lgr_reb = LagrangianBound::new(instance.num_constraints());
-    let mut lpr_incr = LprBound::new(instance);
-    let mut lpr_reb = LprBound::new(instance);
-
-    for step in 0..steps {
-        let roll = rng.gen_range(0u32..12);
-        if roll < 5 {
-            let unassigned: Vec<usize> = (0..instance.num_vars())
-                .filter(|&v| engine.assignment().value(pbo_core::Var::new(v)) == Value::Unassigned)
-                .collect();
-            if unassigned.is_empty() {
-                engine.backjump_to(0);
-                continue;
-            }
-            let v = unassigned[rng.gen_range(0..unassigned.len())];
-            engine.decide(pbo_core::Var::new(v).lit(rng.gen_bool(0.5)));
-            if let Some(conflict) = engine.propagate() {
-                match engine.resolve_conflict(conflict) {
-                    Resolution::Unsat => return,
-                    Resolution::Backjumped { .. } => {
-                        if engine.propagate().is_some() {
-                            return;
-                        }
-                    }
-                }
-            }
-        } else if roll < 8 {
-            let level = engine.decision_level();
-            if level > 0 {
-                engine.backjump_to(rng.gen_range(0..level));
-            }
-        } else if roll < 10 {
-            // Incumbent re-root at the current (arbitrary) trail depth:
-            // swap the dynamic-row region, sometimes to empty.
-            if rng.gen_bool(0.25) {
-                rows.begin_epoch();
-            } else {
-                let upper = rng.gen_range(2i64..60);
-                reroot_rows(&mut rows, instance, upper, &mut rng);
-            }
-            state.set_dynamic_rows(&rows);
-            lpr_incr.install_rows(instance, &rows);
-            lpr_reb.install_rows(instance, &rows);
-        } else {
-            engine.restart();
-        }
-
-        sync(&mut state, instance, &mut engine, obs);
-        let context = format!("dyn step {step}");
-        // Views must agree entry-by-entry, dynamic rows included.
-        let assignment = engine.assignment();
-        let oracle = Subproblem::with_rows(instance, assignment, &rows);
-        {
-            let view = state.view(instance, assignment);
-            assert_eq!(view.path_cost(), oracle.path_cost(), "{context}: path cost");
-            assert_eq!(view.active(), oracle.active(), "{context}: active entries");
-            for e in view.active() {
-                let i = e.index as usize;
-                let fresh: Vec<_> = oracle.free_terms(i).collect();
-                let incr: Vec<_> = view.free_terms(i).collect();
-                assert_eq!(incr, fresh, "{context}: free terms of row {i}");
-                let fresh_false: Vec<Lit> = oracle.false_literals(i).collect();
-                let incr_false: Vec<Lit> = view.false_literals(i).collect();
-                assert_eq!(incr_false, fresh_false, "{context}: false literals of row {i}");
-            }
-        }
-        // Lower-bound lockstep through either view.
-        let upper = if rng.gen_bool(0.5) { Some(rng.gen_range(1i64..50)) } else { None };
-        {
-            let view = state.view(instance, assignment);
-            let a = mis.lower_bound(&view, upper);
-            let b = mis.lower_bound(&oracle, upper);
-            assert_eq!(a, b, "{context}: MIS outcome diverged");
-        }
-        {
-            let view = state.view(instance, assignment);
-            let a = lgr_incr.lower_bound(&view, upper);
-            let b = lgr_reb.lower_bound(&oracle, upper);
-            assert_eq!(a, b, "{context}: LGR outcome diverged");
-            assert_eq!(
-                lgr_incr.multipliers(),
-                lgr_reb.multipliers(),
-                "{context}: LGR warm-start state diverged"
-            );
-        }
-        {
-            let view = state.view(instance, assignment);
-            let a = lpr_incr.lower_bound(&view, upper);
-            let b = lpr_reb.lower_bound(&oracle, upper);
-            assert_eq!(a, b, "{context}: LPR outcome diverged");
-        }
-    }
-}
-
 /// The CSR-vs-constraint-layout differential: the flat SoA arena the
 /// incremental hot path reads must mirror the per-constraint `Vec`
 /// storage (the PR-3 layout, still used by normalization, I/O and the
@@ -394,71 +252,10 @@ fn residual_state_matches_rebuild_on_satisfaction_instances() {
 }
 
 #[test]
-fn dynamic_rows_match_rebuild_on_random_walks() {
-    for seed in 0..6u64 {
-        let instance = monotone_params(16, 22, (2, 6)).generate(seed);
-        random_walk_with_dynamic_rows(&instance, 0xd1a ^ seed, 70);
-    }
-}
-
-#[test]
-fn dynamic_rows_match_rebuild_with_negative_literals() {
-    for seed in 0..4u64 {
-        let instance = mixed_polarity_instance(seed);
-        random_walk_with_dynamic_rows(&instance, 0xd0d0 ^ seed, 60);
-    }
-}
-
-#[test]
-fn dynamic_row_region_swaps_mid_trail_and_unwinds_exactly() {
-    // Install a region deep in the trail, unwind below the installation
-    // point, re-apply — counters must track through the whole cycle.
-    let instance = monotone_params(14, 18, (2, 5)).generate(7);
-    let mut engine = Engine::new(instance.num_vars());
-    for c in instance.constraints() {
-        engine.add_constraint(c).expect("root-consistent");
-    }
-    let mut state = ResidualState::new(&instance);
-    let obs = engine.register_trail_observer();
-    let mut rng = ChaCha8Rng::seed_from_u64(41);
-    let mut rows = DynamicRows::for_instance(&instance);
-
-    // Descend a few levels.
-    for _ in 0..5 {
-        let unassigned: Vec<usize> = (0..instance.num_vars())
-            .filter(|&v| engine.assignment().value(pbo_core::Var::new(v)) == Value::Unassigned)
-            .collect();
-        let Some(&v) = unassigned.first() else { break };
-        engine.decide(pbo_core::Var::new(v).lit(rng.gen_bool(0.5)));
-        if engine.propagate().is_some() {
-            break;
-        }
-    }
-    sync(&mut state, &instance, &mut engine, obs);
-    // Re-root mid-trail.
-    reroot_rows(&mut rows, &instance, 25, &mut rng);
-    state.set_dynamic_rows(&rows);
-    assert_eq!(state.num_dynamic_rows(), rows.len());
-    assert_eq!(state.dynamic_epoch(), rows.epoch());
-    let oracle = Subproblem::with_rows(&instance, engine.assignment(), &rows);
-    assert_eq!(state.view(&instance, engine.assignment()).active(), oracle.active(), "mid-trail");
-    // Unwind everything (below the installation point) and compare.
-    engine.backjump_to(0);
-    sync(&mut state, &instance, &mut engine, obs);
-    let oracle = Subproblem::with_rows(&instance, engine.assignment(), &rows);
-    assert_eq!(state.view(&instance, engine.assignment()).active(), oracle.active(), "at root");
-    // Swapping to an empty epoch restores the static-only view.
-    rows.begin_epoch();
-    state.set_dynamic_rows(&rows);
-    let oracle = Subproblem::new(&instance, engine.assignment());
-    assert_eq!(state.view(&instance, engine.assignment()).active(), oracle.active(), "cleared");
-}
-
-#[test]
 fn implied_mis_soundness_on_small_random_instances() {
     // Property pinned for the implied-literal upgrade: through the
-    // incremental view, with genuine cost cuts installed for an upper
-    // bound strictly above the optimum, the MIS bound must never exceed
+    // incremental view, for an upper bound strictly above the optimum
+    // (which arms reduced-cost fixing), the MIS bound must never exceed
     // the optimum (an improving completion exists, so pruning it away —
     // bound >= upper or an infeasibility verdict — would be unsound).
     let mut rng = ChaCha8Rng::seed_from_u64(0x6006);
@@ -484,21 +281,7 @@ fn implied_mis_soundness_on_small_random_instances() {
         let inst = b.build().unwrap();
         let Some(opt) = brute_force(&inst).cost() else { continue };
         let upper = opt + rng.gen_range(1i64..5);
-        let mut rows = DynamicRows::for_instance(&inst);
-        reroot_rows(&mut rows, &inst, upper, &mut rng);
-        // The clause rows from reroot_rows are random, not implied:
-        // keep only the genuine objective cut for the soundness claim.
-        let mut genuine = DynamicRows::for_instance(&inst);
-        genuine.begin_epoch();
-        if let Some(obj) = inst.objective() {
-            if let Ok(cs) = normalize(obj.terms(), RelOp::Le, upper - 1 - obj.offset()) {
-                for c in cs {
-                    genuine.push(c, DynRowOrigin::ObjectiveCut);
-                }
-            }
-        }
         let mut state = ResidualState::new(&inst);
-        state.set_dynamic_rows(&genuine);
         let assignment = pbo_core::Assignment::new(n);
         let view = state.view(&inst, &assignment);
         let out = MisBound::new().lower_bound(&view, Some(upper));
@@ -509,52 +292,10 @@ fn implied_mis_soundness_on_small_random_instances() {
             out.bound
         );
         // And with no upper, the bound is a plain lower bound on the
-        // optimum (no dynamic rows installed pre-incumbent).
-        let mut bare = ResidualState::new(&inst);
-        let bare_view = bare.view(&inst, &assignment);
-        let out = MisBound::new().lower_bound(&bare_view, None);
+        // optimum.
+        let out = MisBound::new().lower_bound(&view, None);
         assert!(!out.infeasible, "round {round}: bare infeasibility");
         assert!(out.bound <= opt, "round {round}: bare bound {} > {opt}", out.bound);
-    }
-}
-
-#[test]
-fn push_time_dynamic_cover_order_matches_the_per_call_sort() {
-    // PR-5 satellite: the fractional-cover sort of dynamic rows moved
-    // from per-bound-call (the old MIS materialization path) to
-    // `RowsArena::push_row`. The precomputed order must equal the order
-    // the old path computed — ascending `lit_cost / coeff`, ties broken
-    // by term position — on every row, for random rows and objectives.
-    let mut rng = ChaCha8Rng::seed_from_u64(0xc0de);
-    for round in 0..30u64 {
-        let instance = if round % 2 == 0 {
-            monotone_params(14, 18, (2, 6)).generate(round)
-        } else {
-            mixed_polarity_instance(round)
-        };
-        let mut rows = DynamicRows::for_instance(&instance);
-        let upper = rng.gen_range(5i64..80);
-        reroot_rows(&mut rows, &instance, upper, &mut rng);
-        let lit_cost = |l: Lit| instance.objective().map_or(0, |o| o.cost_of_lit(l));
-        let arena = rows.arena();
-        for (k, row) in rows.rows().iter().enumerate() {
-            // The old per-call path: stable ratio sort over the row's
-            // terms (position tie-break on an unstable sort).
-            let mut oracle: Vec<(f64, u32)> = row
-                .constraint
-                .terms()
-                .iter()
-                .enumerate()
-                .map(|(i, t)| (lit_cost(t.lit) as f64 / t.coeff as f64, i as u32))
-                .collect();
-            oracle.sort_unstable_by(|a, b| {
-                a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1))
-            });
-            let base = arena.cover_order(k).iter().min().copied().unwrap_or(0);
-            let got: Vec<u32> = arena.cover_order(k).iter().map(|&p| p - base).collect();
-            let want: Vec<u32> = oracle.iter().map(|&(_, i)| i).collect();
-            assert_eq!(got, want, "round {round}: cover order of dynamic row {k}");
-        }
     }
 }
 

@@ -15,11 +15,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use pbo_benchgen::RandomParams;
-use pbo_bounds::{
-    DynRowOrigin, DynamicRows, LagrangianBound, LbOutcome, LowerBound, LprBound, MisBound,
-    ResidualState,
-};
-use pbo_core::{normalize, Assignment, Instance, Lit, RelOp, Var};
+use pbo_bounds::{LagrangianBound, LbOutcome, LowerBound, LprBound, MisBound, ResidualState};
+use pbo_core::{Assignment, Instance, Lit, Var};
 use pbo_trace::{BoundOutcome, TraceEvent, Tracer};
 
 struct CountingAlloc;
@@ -75,20 +72,6 @@ fn probe_instance() -> Instance {
         ..RandomParams::default()
     }
     .generate(11)
-}
-
-/// The eq. 10 objective cut for a fake incumbent, as the solver's
-/// re-root would install it.
-fn objective_cut_rows(instance: &Instance, upper: i64) -> DynamicRows {
-    let mut rows = DynamicRows::for_instance(instance);
-    rows.begin_epoch();
-    let obj = instance.objective().expect("optimization instance");
-    if let Ok(cs) = normalize(obj.terms(), RelOp::Le, upper - 1 - obj.offset()) {
-        for c in cs {
-            rows.push(c, DynRowOrigin::ObjectiveCut);
-        }
-    }
-    rows
 }
 
 /// The per-node script: apply a batch of literals, bound with both
@@ -147,10 +130,8 @@ fn mis_and_lgr_per_node_calls_are_allocation_free_at_steady_state() {
     let total_cost: i64 =
         instance.objective().expect("optimization").terms().iter().map(|&(c, _)| c).sum();
     let upper = (2 * total_cost) / 3 + 1;
-    let rows = objective_cut_rows(&instance, upper);
 
     let mut state = ResidualState::new(&instance);
-    state.set_dynamic_rows(&rows);
     let mut assignment = Assignment::new(instance.num_vars());
     let mut mis = MisBound::new();
     let mut lgr = LagrangianBound::new(instance.num_constraints());

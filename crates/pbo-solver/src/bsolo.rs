@@ -7,12 +7,11 @@
 //!
 //! * an upper bound `P.upper` maintained from improving solutions, with
 //!   the knapsack cut of eq. 10 (and optionally the cardinality cost cuts
-//!   of eqs. 11–13) re-added at the root after each improvement; under
-//!   MIS the cuts also become rows of the residual problem
-//!   ([`BsoloOptions::dynamic_rows`]), while learned clauses serve only
-//!   the search that derived them (a parallel solve's head start also
-//!   seeds its cube workers with its best ones, see
-//!   [`ParBsolo`](crate::ParBsolo));
+//!   of eqs. 11–13) re-added at the root after each improvement. The
+//!   cuts live in the engine only: every bound reads the instance's rows
+//!   alone. Learned clauses serve only the search that derived them (a
+//!   parallel solve's head start also seeds its cube workers with its
+//!   best ones, see [`ParBsolo`](crate::ParBsolo));
 //! * a pluggable lower-bound procedure called at every node; when
 //!   `P.path + P.lower >= P.upper` (eq. 7) the solver builds the bound
 //!   conflict clause `omega_bc = omega_pp ∪ omega_pl` (eqs. 8–9) and
@@ -227,7 +226,7 @@ pub(crate) struct SearchState<'a> {
     options: &'a BsoloOptions,
     engine: Engine,
     /// The bounding subsystem: bound procedure, residual state, trail
-    /// observers, MIS's dynamic-row region and gating policy.
+    /// observers and gating policy.
     pipeline: BoundPipeline,
     /// Shared incumbent cell of the portfolio, if any.
     cell: Option<&'a IncumbentCell>,
@@ -507,15 +506,12 @@ impl<'a> SearchState<'a> {
                 };
                 if prunes {
                     stats.bound_conflicts += 1;
-                    // A *true* infeasibility explanation stands on its
-                    // own: no completion exists regardless of cost, so
-                    // the omega_pp cost literals would only weaken the
-                    // learned clause. With MIS's cost-cut rows
-                    // installed, though, "infeasible" is conditional on
-                    // the incumbent bound (the rows are implied by it),
-                    // so omega_pp must stay in the clause.
-                    let include_pp = !out.infeasible || self.pipeline.has_dynamic_rows();
-                    let omega_bc = self.build_bound_conflict(&out.explanation, include_pp);
+                    // An infeasibility explanation stands on its own: the
+                    // bounds read the instance's rows alone, so no
+                    // completion exists regardless of cost, and the
+                    // omega_pp cost literals would only weaken the
+                    // learned clause.
+                    let omega_bc = self.build_bound_conflict(&out.explanation, !out.infeasible);
                     match self.engine.resolve_conflict(Conflict::AdHoc(omega_bc)) {
                         Resolution::Unsat => return Some(self.exhausted_status()),
                         Resolution::Backjumped { .. } => continue,
@@ -734,9 +730,6 @@ impl<'a> SearchState<'a> {
                 return Err(());
             }
         }
-        // MIS folds the new cut set into its residual problem as dynamic
-        // rows; the other bounds see the instance's rows only.
-        self.pipeline.reroot(&cuts);
         Ok(())
     }
 
@@ -892,13 +885,11 @@ enum SolutionStep {
 mod tests {
     use super::*;
 
-    /// No learned clause leaves the engine, and only MIS bounds over rows
-    /// the instance does not have: after a restart-heavy solve, LGR, LPR
-    /// and plain never installed a row, and MIS's region holds exactly
-    /// the cost cuts of its last re-root — deduplicated, in order, with
-    /// no clause row beside them.
+    /// Every bound reads the instance's rows alone: after a
+    /// restart-heavy solve, the four methods agree on the optimum and the
+    /// LP bound never installed a row.
     #[test]
-    fn only_mis_installs_rows_and_only_its_cost_cuts() {
+    fn no_bound_installs_rows_beside_the_instance() {
         let inst = pbo_benchgen::SynthesisParams {
             primes: 30,
             minterms: 50,
@@ -910,15 +901,12 @@ mod tests {
         let mut optima = Vec::new();
         for lb in [LbMethod::None, LbMethod::Mis, LbMethod::Lagrangian, LbMethod::Lpr] {
             let options = BsoloOptions { restart_base: Some(2), ..BsoloOptions::with_lb(lb) };
-            // The cell records every incumbent in order; it only ever
-            // holds this search's own offers, so it never steers it.
-            let cell = IncumbentCell::new();
             let start = Instant::now();
             let mut stats = SolverStats::default();
             let mut search = SearchState::init(
                 &inst,
                 &options,
-                Some(&cell),
+                None,
                 start,
                 &mut stats,
                 &[],
@@ -931,37 +919,9 @@ mod tests {
             assert_eq!(search.run(start, &mut stats), SolveStatus::Optimal, "{lb:?}");
             assert!(search.engine.stats.restarts > 0, "{lb:?}: base-2 Luby restarts must fire");
             optima.push(search.best_cost);
-            let region = search.pipeline.installed_rows();
-            if lb != LbMethod::Mis {
-                assert_eq!(region.epoch(), 0, "{lb:?} must never install a row");
-                assert!(!search.pipeline.has_dynamic_rows(), "{lb:?}");
-                if let Some(lpr) = search.pipeline.lpr() {
-                    assert_eq!(lpr.install_counts(), (0, 0), "the LP keeps the instance's rows");
-                }
-                continue;
+            if let Some(lpr) = search.pipeline.lpr() {
+                assert_eq!(lpr.install_counts(), (0, 0), "the LP keeps the instance's rows");
             }
-            // One re-root per incumbent and nothing else (no restart
-            // refresh); only the last can fail (its cut contradicting the
-            // root ends the search), so epoch k holds the cuts of the k-th
-            // incumbent.
-            let history = cell.history_since(start);
-            let epoch = region.epoch() as usize;
-            assert!(
-                epoch >= 1 && (history.len() - 1..=history.len()).contains(&epoch),
-                "{epoch} region epochs for {} incumbents",
-                history.len()
-            );
-            let upper = history[epoch - 1].1;
-            let mut expected: Vec<PbConstraint> = Vec::new();
-            for cut in search.cost_cuts.cuts(upper) {
-                if !cut.is_empty() && !expected.contains(&cut) {
-                    expected.push(cut);
-                }
-            }
-            let installed: Vec<&PbConstraint> =
-                region.rows().iter().map(|r| &r.constraint).collect();
-            assert_eq!(installed, expected.iter().collect::<Vec<_>>(), "MIS region at U={upper}");
-            assert!(search.pipeline.has_dynamic_rows());
         }
         assert!(optima.windows(2).all(|w| w[0] == w[1]), "methods disagree: {optima:?}");
     }

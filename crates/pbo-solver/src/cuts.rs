@@ -417,7 +417,9 @@ mod tests {
     /// prune decision as one over the instance rows plus
     /// `cost_cuts(U)`, and reports the same bound whenever both are
     /// feasible — the argument for installing no cost-cut rows into the
-    /// LP bound. Eq. 10 only turns `z_LP > U - 1` into infeasibility,
+    /// LP bound. The rows are installed through `install_rows`; the view
+    /// that explains the outcome is an instance carrying them as
+    /// ordinary constraints after its own, in the same order. Eq. 10 only turns `z_LP > U - 1` into infeasibility,
     /// and each eqs. 11–13 cut follows from its source row's relaxation
     /// (a cardinality row whose coefficient divides its degree) plus
     /// eq. 10. Both steps need the cuts' LP form to be their linear
@@ -473,6 +475,17 @@ mod tests {
                 }
                 let mut with_cuts = LprBound::new(&inst);
                 with_cuts.install_rows(&inst, &rows);
+                let mut b = InstanceBuilder::with_vars(n);
+                let installed = rows.rows().iter().map(|r| &r.constraint);
+                for c in inst.constraints().iter().chain(installed.clone()) {
+                    b.add_linear(c.terms().iter().map(|t| (t.coeff, t.lit)), RelOp::Ge, c.rhs());
+                }
+                b.minimize_with_offset(obj.terms().iter().copied(), obj.offset());
+                let cut_inst = b.build().unwrap();
+                assert!(
+                    cut_inst.constraints().iter().eq(inst.constraints().iter().chain(installed)),
+                    "round {round}: the rows must be kept verbatim"
+                );
                 let mut bare = LprBound::new(&inst);
                 // A random node: a few variables fixed either way.
                 let mut a = Assignment::new(n);
@@ -482,8 +495,7 @@ mod tests {
                     }
                 }
                 let thin = bare.lower_bound(&Subproblem::new(&inst, &a), Some(upper));
-                let full =
-                    with_cuts.lower_bound(&Subproblem::with_rows(&inst, &a, &rows), Some(upper));
+                let full = with_cuts.lower_bound(&Subproblem::new(&cut_inst, &a), Some(upper));
                 let context = format!("round {round}, upper {upper}: bare {thin:?}, cuts {full:?}");
                 if saturates {
                     saturated += 1;

@@ -131,11 +131,6 @@ pub struct BsoloOptions {
     /// Probe variables during preprocessing to detect necessary
     /// assignments (sec. 5 / Savelsbergh-style).
     pub probing: bool,
-    /// Fold the cost cuts (eq. 10 / eqs. 11–13) into MIS's residual
-    /// problem as dynamic rows on each incumbent re-root. Applies to
-    /// [`LbMethod::Mis`] only: LGR and LPR always bound over the
-    /// instance's rows alone.
-    pub dynamic_rows: bool,
     /// Luby restart base interval in conflicts (`None` disables
     /// restarts). A restart backjumps to the root and keeps the learned
     /// clauses.
@@ -183,7 +178,6 @@ impl Default for BsoloOptions {
             lb_method: LbMethod::Lpr,
             cardinality_cuts: true,
             probing: true,
-            dynamic_rows: true,
             restart_base: Some(2048),
             resplit_conflicts: Some(256),
             deterministic_join: false,

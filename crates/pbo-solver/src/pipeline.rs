@@ -5,45 +5,39 @@
 //! bound-procedure dispatch, the incremental [`ResidualState`], its
 //! engine trail observer, the LP bound's second observer, and the
 //! per-method gating rules were separate fields threaded through the
-//! search loop. [`BoundPipeline`] owns all of it, plus MIS's
-//! **dynamic-row region**: on every incumbent re-root the eq. 10 and
-//! eqs. 11–13 cost cuts are folded into the residual problem as
-//! epoch-versioned dynamic rows, with zero per-node rebuild (the region
-//! swap is O(region), and the rows ride the same O(Δ) trail protocol as
-//! static rows from then on).
+//! search loop. [`BoundPipeline`] owns all of it.
 //!
-//! Only MIS takes the region (and only with
-//! [`BsoloOptions::dynamic_rows`]); LGR and LPR see the instance's rows
-//! alone, and no learned clause ever leaves the engine. For LPR the cost
-//! cuts are LP-implied: eq. 10 only turns `z_LP > U - 1` into an
-//! infeasible LP, the same prune as `ceil(z_LP) >= U`, and each eqs.
-//! 11–13 cut follows from its source row's relaxation plus eq. 10
-//! whenever the row's coefficient divides its degree (every clause,
-//! every cardinality row the paper's families emit). For LGR, dualized
-//! cost cuts yield weak `omega_pl` explanations that were measured to
-//! triple the tree (1064 → 3226 nodes on the synthesis ablation).
-//! Learned clauses stay in the engine: promoting the LBD-best ones into
-//! the LGR/LPR region moved decisions by under 0.2% on `ptlcmos-seq`.
+//! Every bound reads one row set, the instance's. The eq. 10 and eqs.
+//! 11–13 cost cuts live only in the engine, and no learned clause ever
+//! leaves it. For LPR the cost cuts are LP-implied: eq. 10 only turns
+//! `z_LP > U - 1` into an infeasible LP, the same prune as
+//! `ceil(z_LP) >= U`, and each eqs. 11–13 cut follows from its source
+//! row's relaxation plus eq. 10 whenever the row's coefficient divides
+//! its degree (every clause, every cardinality row the paper's families
+//! emit). For LGR, dualized cost cuts yield weak `omega_pl` explanations
+//! that were measured to triple the tree (1064 → 3226 nodes on the
+//! synthesis ablation). For MIS, folding them into the residual problem
+//! saved 13% of the nodes at 7.4x the wall time (the last numbers are in
+//! `benches/snapshots/README.md`). Learned clauses stay in the engine:
+//! promoting the LBD-best ones into the LGR/LPR rows moved decisions by
+//! under 0.2% on `ptlcmos-seq`.
+//!
+//! Because the rows are the instance's alone, an infeasibility verdict
+//! holds whatever the incumbent, and the solver's bound conflict drops
+//! the cost literals `omega_pp`. The one incumbent-conditional step,
+//! MIS's reduced-cost fixing, reports its wipeouts as a bound of
+//! `upper` instead of an infeasibility.
 //!
 //! The per-node path is **steady-state allocation-free**: the pipeline
 //! owns one [`LbOutcome`] whose explanation buffer is reused by
 //! [`LowerBound::lower_bound_into`] on every call.
-//!
-//! Soundness note: the cost cuts are implied by the instance *plus* the
-//! incumbent bound `cost <= upper - 1`, so a bound (or infeasibility)
-//! derived over them holds for completions cheaper than the incumbent —
-//! exactly the set eq. 7 pruning quantifies over. The solver must treat
-//! an infeasibility verdict obtained while the region is installed as a
-//! *bound* conflict (keep `omega_pp`), which
-//! [`BoundPipeline::has_dynamic_rows`] exposes.
 
 use std::time::Instant;
 
 use pbo_bounds::{
-    DynRowOrigin, DynamicRows, LagrangianBound, LbOutcome, LowerBound, LprBound, MisBound, NoBound,
-    ResidualState, Subproblem,
+    LagrangianBound, LbOutcome, LowerBound, LprBound, MisBound, NoBound, ResidualState, Subproblem,
 };
-use pbo_core::{Instance, PbConstraint};
+use pbo_core::Instance;
 use pbo_engine::{Engine, TrailObserver};
 use pbo_fault::failpoint;
 
@@ -84,7 +78,7 @@ fn method_bucket(method: LbMethod) -> usize {
 thread_local! {
     /// The rebuild oracle's switch: a pipeline built on this thread
     /// while it is set mirrors nothing, rebuilds the residual problem
-    /// with [`Subproblem::with_rows`] at every bound call and leaves the
+    /// with [`Subproblem::new`] at every bound call and leaves the
     /// LP bound to diff the whole assignment, the paths the trail
     /// mirrors are checked against. Thread-local, so tests running
     /// beside each other never see it.
@@ -102,7 +96,7 @@ pub(crate) fn with_rebuild_oracle<R>(solve: impl FnOnce() -> R) -> R {
 }
 
 /// Owner of the bounding subsystem: bound procedure, residual state,
-/// trail observers, MIS's dynamic-row region and gating policy.
+/// trail observers and gating policy.
 pub(crate) struct BoundPipeline {
     bound: Bound,
     /// Trail-mirrored residual problem and the engine trail observer
@@ -112,14 +106,8 @@ pub(crate) struct BoundPipeline {
     /// Engine trail observer backing the LP bound's variable-fixing
     /// mirror ([`LbMethod::Lpr`] only).
     lpr_obs: Option<TrailObserver>,
-    /// The cost cuts of the most recent re-root, installed into the
-    /// residual state (empty unless `dynamic_enabled`).
-    rows: DynamicRows,
     /// Reusable per-node outcome (explanation buffer included).
     out: LbOutcome,
-    /// Whether re-roots install the cost cuts as dynamic rows: MIS with
-    /// [`BsoloOptions::dynamic_rows`] on an optimization instance.
-    dynamic_enabled: bool,
     method: LbMethod,
     /// Telemetry sink; emits one [`pbo_trace::TraceEvent::Bound`] per
     /// [`BoundPipeline::compute`] call (off by default).
@@ -152,13 +140,7 @@ impl BoundPipeline {
             bound,
             residual,
             lpr_obs,
-            // The region carries the instance's objective costs so every
-            // pushed row's fractional-cover order is precomputed at push
-            // time (no per-bound-call sorting, and the residual state's
-            // region swap clones the order along with the terms).
-            rows: DynamicRows::for_instance(instance),
             out: LbOutcome::bound(0, Vec::new()),
-            dynamic_enabled: options.dynamic_rows && method == LbMethod::Mis,
             method,
             tracer: pbo_trace::Tracer::off(),
         }
@@ -202,42 +184,10 @@ impl BoundPipeline {
         have_incumbent || matches!(self.method, LbMethod::Lpr | LbMethod::Mis)
     }
 
-    /// `true` while a non-empty dynamic-row region is *installed* for
-    /// the bound — the caller must then treat infeasibility verdicts as
-    /// bound conflicts (include `omega_pp`), since the rows are
-    /// incumbent-conditional.
-    pub fn has_dynamic_rows(&self) -> bool {
-        !self.rows.is_empty()
-    }
-
-    /// The dynamic-row region currently installed for the bound.
-    #[cfg(test)]
-    pub fn installed_rows(&self) -> &DynamicRows {
-        &self.rows
-    }
-
-    /// Re-roots MIS's dynamic-row region for a new incumbent: the freshly
-    /// installed cost cuts become the new region and the residual state
-    /// swaps to it in O(region). A no-op for every other method.
-    pub fn reroot(&mut self, cuts: &[PbConstraint]) {
-        if !self.dynamic_enabled {
-            return;
-        }
-        self.rows.begin_epoch();
-        for (i, cut) in cuts.iter().enumerate() {
-            let origin =
-                if i == 0 { DynRowOrigin::ObjectiveCut } else { DynRowOrigin::CardinalityCut };
-            self.rows.push(cut.clone(), origin);
-        }
-        if let Some((state, _)) = &mut self.residual {
-            state.set_dynamic_rows(&self.rows);
-        }
-    }
-
     /// Computes the lower bound at the current node: syncs the residual
     /// state (and the LP mirror) to the engine trail in O(Δ), produces
-    /// the view — dynamic rows included — and runs the bound procedure
-    /// into the pipeline's reusable outcome (read it back through
+    /// the view and runs the bound procedure into the pipeline's
+    /// reusable outcome (read it back through
     /// [`BoundPipeline::last_outcome`]; no allocation at steady state).
     pub fn compute(
         &mut self,
@@ -247,7 +197,7 @@ impl BoundPipeline {
         stats: &mut SolverStats,
     ) {
         let sub_start = Instant::now();
-        let BoundPipeline { bound, residual, lpr_obs, out, method, tracer, .. } = self;
+        let BoundPipeline { bound, residual, lpr_obs, out, method, tracer } = self;
         // Keep the LP bound's variable fixings in lockstep with the
         // trail (O(Δ) per node) through its own observer.
         if let (Some(obs), Bound::Lpr(lpr)) = (*lpr_obs, &mut *bound) {
@@ -267,9 +217,9 @@ impl BoundPipeline {
                 }
                 state.view(instance, engine.assignment())
             }
-            // The rebuild oracle: a full O(instance + region) re-scan.
+            // The rebuild oracle: a full O(instance) re-scan.
             #[cfg(test)]
-            None => Subproblem::with_rows(instance, engine.assignment(), &self.rows),
+            None => Subproblem::new(instance, engine.assignment()),
             #[cfg(not(test))]
             None => unreachable!("a decision instance never computes a bound"),
         };

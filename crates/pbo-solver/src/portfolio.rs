@@ -1190,6 +1190,35 @@ mod tests {
         assert!(peak <= 2, "{peak} branch-and-bound runs were going at once");
     }
 
+    /// The default strategy with MIS ends a 500 ms budget on time on the
+    /// tall acc optimization instance. While MIS copied the eqs. 11–13
+    /// cost cuts into its residual problem, the copy for the walk's
+    /// first incumbent polled no deadline, and this solve took 1.75–1.87
+    /// s.
+    #[test]
+    #[ignore = "release-sized: 2,040 variables, 4,776 rows, 0.5 s"]
+    fn mis_ends_a_budgeted_solve_on_the_tall_acc_instance_on_time() {
+        let acc = AccSchedParams { teams: 16, home_away: true }.generate(0);
+        let mut b = InstanceBuilder::with_vars(acc.num_vars());
+        for c in acc.constraints() {
+            b.add_linear(c.iter().map(|t| (t.coeff, t.lit)), RelOp::Ge, c.rhs());
+        }
+        let cost = |i: usize| if i.is_multiple_of(3) { 2 } else { -1 };
+        b.minimize((0..acc.num_vars()).map(|i| (cost(i), Var::new(i).positive())));
+        let inst = b.build().unwrap();
+        assert_eq!((inst.num_vars(), inst.num_constraints()), (2_040, 4_776));
+        let budget = Duration::from_millis(500);
+        let bsolo = BsoloOptions {
+            budget: Budget::time_limit(budget),
+            ..BsoloOptions::with_lb(LbMethod::Mis)
+        };
+        let begun = Instant::now();
+        Portfolio::new(PortfolioOptions { bsolo, ..PortfolioOptions::default() }).solve(&inst);
+        let elapsed = begun.elapsed();
+        let limit = budget + Duration::from_millis(400);
+        assert!(elapsed <= limit, "overshoot: {elapsed:?} for a {budget:?} budget");
+    }
+
     #[test]
     fn caller_deadline_stops_a_speculative_run() {
         // Plain bounding cannot close this tree in seconds, even from the

@@ -90,7 +90,7 @@ pub struct SolverStats {
     pub lb_methods: [LbMethodStats; 4],
     /// Sum over finite lower-bound outcomes of `bound - path_cost` (the
     /// per-node bound margin); divided by `lb_calls` this is the mean
-    /// per-node bound strength the dynamic-rows ablation tracks.
+    /// per-node bound strength (reported in `--stats-json`).
     pub lb_margin_sum: u64,
     /// Time spent inside the lower-bound procedure, **summed across
     /// workers** at join (CPU time, not elapsed time, for parallel

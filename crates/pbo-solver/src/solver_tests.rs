@@ -139,21 +139,14 @@ fn ablation_toggles_preserve_correctness() {
             ),
             ("no-probing", BsoloOptions { probing: false, ..BsoloOptions::with_lb(LbMethod::Mis) }),
             ("lpr", BsoloOptions::with_lb(LbMethod::Lpr)),
-            (
-                "dynamic-rows-mis",
-                BsoloOptions { dynamic_rows: true, ..BsoloOptions::with_lb(LbMethod::Mis) },
-            ),
-            (
-                "mis-no-rows",
-                BsoloOptions { dynamic_rows: false, ..BsoloOptions::with_lb(LbMethod::Mis) },
-            ),
+            ("mis", BsoloOptions::with_lb(LbMethod::Mis)),
             ("lgr", BsoloOptions::with_lb(LbMethod::Lagrangian)),
         ] {
             let got = Bsolo::new(options).solve(&inst);
             check_result(&inst, &got, &expected, &format!("{label} round {round}"));
         }
         let got = with_rebuild_oracle(|| Bsolo::with_lb(LbMethod::Mis).solve(&inst));
-        check_result(&inst, &got, &expected, &format!("dynamic-rows-rebuild round {round}"));
+        check_result(&inst, &got, &expected, &format!("mis-rebuild round {round}"));
     }
 }
 
