@@ -83,11 +83,13 @@ pub const REPORT_GATES: &[ReportGate] = &[
     // work — not core-count parallelism, but both par_bb bounds read
     // timing: the sequential MIS runs take 70-240 ms, and 8 workers
     // that starve re-split into more cubes. Local reference, 2-core box,
-    // CI smoke parameters: 26 runs read a speedup of 1.38-5.25x (median
-    // 2.90) and a worst nodes ratio of 0.90-2.23 (median 1.21), 5 of
-    // them over one of the two bounds (4 of 20 before MIS lost its
-    // cost-cut rows, all on the nodes bound); pinned to one core, 10
-    // runs read 1.52-2.38x and 0.89-1.88, 2 of them below the floor.
+    // CI smoke parameters, 10 runs alternated with 10 of the previous
+    // build: a speedup of 2.49-5.19x (median 3.67; 2.04-3.29x, median
+    // 3.16 before) and a worst nodes ratio of 0.85-2.33 (median 1.18;
+    // 0.89-2.02, median 1.10 before), 2 of them over the nodes bound (1
+    // before); pinned to one core, 5 runs read 1.92-2.61x and 1.19-1.67,
+    // none failing (1.59-2.89x and 1.07-1.93 before, 1 below the floor).
+    // The nodes bound fails about one run in five on either build.
     gate("par_bb: every run optimal", "par_bb.instances.*.runs.*.optimal", True),
     gate("par_bb: never a worse optimum", "par_bb.summary.never_worse_optimum", True),
     gate("par_bb: worst nodes ratio", "par_bb.summary.max_nodes_ratio", AtMost(2.0)),

@@ -196,6 +196,12 @@ pub struct Engine {
     pub stats: EngineStats,
 }
 
+/// The slack a PB row holds while [`Engine::raise_pb_degrees`] keeps it
+/// out of propagation: enqueues take at most its coefficient sum
+/// ([`pbo_core::MAX_COEFF_SUM`]) from it, which leaves it above any
+/// coefficient.
+const INERT_SLACK: i64 = i64::MAX / 2;
+
 /// Error returned when adding a constraint makes the formula unsatisfiable
 /// at the root level.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -453,6 +459,14 @@ impl Engine {
             self.pb_occur[t.lit.code()].push(PbOcc { pb: id.0, coeff: t.coeff });
         }
         self.pbs.push(data);
+        self.propagate_root_pb(id)
+    }
+
+    /// Root propagation of the stored PB constraint `id`, whose slack is
+    /// current: a contradiction if the slack is negative, else its
+    /// implied literals in term order, then the fixpoint.
+    fn propagate_root_pb(&mut self, id: PbId) -> Result<(), RootConflict> {
+        let PbData { slack, max_coeff, .. } = self.pbs[id.0 as usize];
         if slack < 0 {
             return Err(RootConflict);
         }
@@ -494,8 +508,10 @@ impl Engine {
     }
 
     /// Deletes every PB constraint added after the store held `len` of
-    /// them — how a solver drops the cost cuts a better incumbent
-    /// superseded, which it always added last. Their terms, occurrence
+    /// them — how a solver drops the cost cuts it added last when a
+    /// better incumbent changes their set or their coefficients (a
+    /// better incumbent that only raises their degrees goes through
+    /// [`Engine::raise_pb_degrees`] instead). Their terms, occurrence
     /// entries (the tail of each occurrence list, since ids grow with
     /// insertion) go; ids from `len` on are reused by the next
     /// additions. Root literals they implied stay assigned, with
@@ -521,6 +537,62 @@ impl Engine {
         }
         self.pb_terms.truncate(first_term);
         self.pbs.truncate(len);
+    }
+
+    /// Raises the degree (right-hand side) of every PB constraint from
+    /// `from` on by `delta` at the root: how a solver tightens the cost
+    /// cuts it added last when a better incumbent only raises their
+    /// degrees. Then each raised row propagates at the root in row order,
+    /// as [`Engine::add_pb_cut`] propagates a new row, while the rows not
+    /// yet reached are held out of propagation. So the root trail, in
+    /// order, the propagation counter and the store end up exactly as
+    /// [`Engine::truncate_pbs`] followed by re-adding the raised rows
+    /// would leave them, at the cost of one pass over the raised rows'
+    /// headers instead of their terms. Root literals the rows implied
+    /// before keep their [`Reason::Pb`]: the raised row still forces
+    /// them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RootConflict`], and the engine is unsatisfiable at the
+    /// root from then on, when a raised row contradicts the root
+    /// assignment: where re-adding the rows would have failed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called above decision level 0, if `delta` is negative,
+    /// or if a raised degree overflows.
+    pub fn raise_pb_degrees(&mut self, from: usize, delta: i64) -> Result<(), RootConflict> {
+        assert_eq!(self.decision_level(), 0, "PB constraints must be raised at level 0");
+        assert!(delta >= 0, "degrees are only ever raised");
+        if self.root_unsat {
+            return Err(RootConflict);
+        }
+        // A row not reached yet holds `INERT_SLACK` less the weight its
+        // literals lose meanwhile, which stays above any coefficient, so
+        // propagation passes it by; `before` keeps its slack of the old
+        // degree.
+        let rows = from.min(self.pbs.len())..self.pbs.len();
+        let before: Vec<i64> = self.pbs[rows.clone()]
+            .iter_mut()
+            .map(|d| std::mem::replace(&mut d.slack, INERT_SLACK))
+            .collect();
+        let settle = |d: &mut PbData, before: i64| {
+            d.rhs = d.rhs.checked_add(delta).expect("raised degree overflows");
+            let lost = INERT_SLACK - d.slack;
+            d.slack = before.saturating_sub(delta).saturating_sub(lost);
+        };
+        for (k, pb) in rows.clone().enumerate() {
+            settle(&mut self.pbs[pb], before[k]);
+            if self.propagate_root_pb(PbId(pb as u32)).is_err() {
+                for (j, pb) in rows.enumerate().skip(k + 1) {
+                    settle(&mut self.pbs[pb], before[j]);
+                }
+                self.root_unsat = true;
+                return Err(RootConflict);
+            }
+        }
+        Ok(())
     }
 
     /// The whole PB store — per row its terms, rhs and slack, and
@@ -598,8 +670,9 @@ impl Engine {
     }
 
     /// Adds the normalized upper-bound ("knapsack", eq. 10) cut and
-    /// returns its id; [`Engine::truncate_pbs`] deletes it once
-    /// superseded. Must be called at level 0.
+    /// returns its id; [`Engine::raise_pb_degrees`] tightens it and
+    /// [`Engine::truncate_pbs`] deletes it once superseded. Must be
+    /// called at level 0.
     ///
     /// # Errors
     ///

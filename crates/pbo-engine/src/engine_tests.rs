@@ -320,6 +320,124 @@ fn rerooted_cuts_leave_the_store_of_a_fresh_engine() {
     assert!(reroots > 100, "too few re-roots exercised ({reroots})");
 }
 
+/// Raising the degrees of the rows added last matches deleting them and
+/// re-adding them with the raised degrees: the same `Ok`/`Err`, the same
+/// root trail in the same order, the same propagation count, the same
+/// rows and occurrence lists, and the same search afterwards — over
+/// random PB instances, random root assumptions, random walks below the
+/// root between raises, and raises by zero.
+#[test]
+fn raised_degrees_match_truncating_and_re_adding() {
+    use pbo_core::RelOp;
+    use rand::{Rng, SeedableRng};
+
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x4a15e);
+    let (mut raises, mut refuted, mut implied) = (0usize, 0usize, 0usize);
+    for round in 0..1_200 {
+        let n = rng.gen_range(4..12);
+        let mut b = InstanceBuilder::new();
+        let vars = b.new_vars(n);
+        let random_terms = |rng: &mut rand_chacha::ChaCha8Rng, max_coeff: i64| {
+            let k = rng.gen_range(2..=n.min(6));
+            let mut idxs: Vec<usize> = (0..n).collect();
+            for i in 0..k {
+                let j = rng.gen_range(i..n);
+                idxs.swap(i, j);
+            }
+            idxs[..k]
+                .iter()
+                .map(|&i| (rng.gen_range(1..=max_coeff), vars[i].lit(rng.gen_bool(0.6))))
+                .collect::<Vec<(i64, Lit)>>()
+        };
+        for _ in 0..rng.gen_range(1..6) {
+            let terms = random_terms(&mut rng, 3);
+            let max: i64 = terms.iter().map(|t| t.0).sum();
+            b.add_linear(terms, RelOp::Ge, rng.gen_range(1..=max));
+        }
+        let inst = b.build().unwrap();
+        // Unsaturated rows, as a raise needs: every coefficient at most
+        // the degree, which only grows.
+        let cuts: Vec<PbConstraint> = (0..rng.gen_range(1..5))
+            .map(|_| {
+                let terms = random_terms(&mut rng, 4);
+                let max_coeff = terms.iter().map(|t| t.0).max().unwrap();
+                PbConstraint::try_new(terms, rng.gen_range(max_coeff..=max_coeff + 2)).unwrap()
+            })
+            .collect();
+        let assumed: Vec<Lit> = (0..rng.gen_range(0..3))
+            .map(|_| vars[rng.gen_range(0..n)].lit(rng.gen_bool(0.5)))
+            .collect();
+        // Both engines see the same calls, so they stay identical as
+        // long as a raise and a re-add do.
+        let load = || -> Option<Engine> {
+            let mut e = engine_for(&inst).ok()?;
+            for &l in &assumed {
+                e.assume_at_root(l).ok()?;
+            }
+            Some(e)
+        };
+        let (Some(mut raised), Some(mut readded)) = (load(), load()) else { continue };
+        let base = raised.num_pbs();
+        if cuts.iter().any(|c| raised.add_pb_cut(c).is_err() | readded.add_pb_cut(c).is_err()) {
+            continue;
+        }
+        let mut rows = cuts;
+        for _ in 0..rng.gen_range(1..6) {
+            for _ in 0..rng.gen_range(0..4) {
+                let pick = raised.pick_branch_var();
+                assert_eq!(readded.pick_branch_var(), pick, "round {round}");
+                let Some(v) = pick else { break };
+                let l = v.lit(rng.gen_bool(0.5));
+                raised.decide(l);
+                readded.decide(l);
+                if raised.propagate().is_some() | readded.propagate().is_some() {
+                    break;
+                }
+            }
+            raised.backjump_to(0);
+            readded.backjump_to(0);
+            let delta = rng.gen_range(0i64..3);
+            rows = rows
+                .iter()
+                .map(|c| {
+                    let terms = c.terms().iter().map(|t| (t.coeff, t.lit));
+                    PbConstraint::try_new(terms, c.rhs() + delta).unwrap()
+                })
+                .collect();
+            let before = raised.trail_len();
+            let got = raised.raise_pb_degrees(base, delta);
+            readded.truncate_pbs(base);
+            let want = rows.iter().try_for_each(|c| readded.add_pb_cut(c).map(drop));
+            let context = format!("round {round}, delta {delta}");
+            assert_eq!(got, want, "{context}: Ok/Err");
+            assert_eq!(raised.is_root_unsat(), readded.is_root_unsat(), "{context}");
+            assert_eq!(raised.stats.propagations, readded.stats.propagations, "{context}");
+            raises += 1;
+            if got.is_err() {
+                refuted += 1;
+                break;
+            }
+            implied += raised.trail_len() - before;
+            assert_eq!(raised.trail(), readded.trail(), "{context}: root trail");
+            assert_eq!(raised.pb_store(), readded.pb_store(), "{context}: PB store");
+        }
+        if raised.is_root_unsat() {
+            continue;
+        }
+        let (got, want) = (solve(&mut raised), solve(&mut readded));
+        assert_eq!(got, want, "round {round}: the search after the raises differs");
+        assert_eq!(raised.stats.decisions, readded.stats.decisions, "round {round}");
+        assert_eq!(raised.stats.conflicts, readded.stats.conflicts, "round {round}");
+        if let Some(model) = got {
+            assert!(rows.iter().all(|c| c.is_satisfied_by(&model)), "round {round}");
+        }
+    }
+    assert!(
+        raises > 800 && refuted > 100 && implied > 200,
+        "coverage: {raises} raises, {refuted} refuted, {implied} literals implied"
+    );
+}
+
 #[test]
 fn solves_satisfiable_formula() {
     let mut b = InstanceBuilder::new();

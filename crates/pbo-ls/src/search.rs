@@ -17,6 +17,9 @@ const WEIGHT_CAP: u64 = 1 << 24;
 /// Sentinel for "constraint not in the violated list".
 const NOT_VIOLATED: u32 = u32::MAX;
 
+/// Sentinel for "variable not in the objective".
+const NOT_COSTED: u32 = u32::MAX;
+
 /// Restart (from the cached best solution, perturbed) every this many
 /// cumulative steps.
 const RESTART_INTERVAL: u64 = 8_000;
@@ -140,24 +143,34 @@ pub struct LocalSearch<'a> {
     /// walk entirely.
     hopeless: bool,
     // --- static per-instance data ---
-    /// The instance's flat CSR/SoA arena: row terms and the literal →
-    /// occurrence CSR of the rows, **borrowed, never copied** — the
-    /// walker and the exact side's workers share this one read-only
-    /// block.
+    /// The instance's flat CSR/SoA arena: row terms, right-hand sides
+    /// and the literal → occurrence CSR of the rows, **borrowed, never
+    /// copied** — the walker and the exact side's workers share this one
+    /// read-only block.
     arena: &'a TermArena,
-    /// Right-hand side per row.
-    rhs: Vec<i64>,
     /// Objective cost per literal code.
     lit_cost: Vec<i64>,
+    /// Position of each variable's term in the objective's term list
+    /// (`NOT_COSTED` for a variable the objective does not mention).
+    obj_pos: Vec<u32>,
     /// Best possible objective value (offset): the perfection test.
     min_cost: i64,
     // --- dynamic state ---
     /// Current complete assignment.
     values: Vec<bool>,
-    /// True-literal weight per constraint.
-    lhs: Vec<i64>,
-    /// Dynamic constraint weights.
+    /// Per row, its right-hand side minus the weight of its true
+    /// literals: the row is violated exactly when this is positive, and
+    /// `max(0, slack)` is its deficiency. A flip reads and writes one
+    /// `i64` per occurrence.
+    slack: Vec<i64>,
+    /// Dynamic constraint weights, an array of their own: packed with
+    /// `slack` into one array of pairs, the walk was never clearly
+    /// faster.
     weights: Vec<u64>,
+    /// Bitset over the objective's term positions: bit `k` is set when
+    /// term `k` is true, so the objective move gathers its candidates
+    /// with a set-bit scan instead of a truth test per term.
+    obj_true: Vec<u64>,
     /// Weight of the objective pseudo-constraint `cost <= upper - 1`.
     obj_weight: u64,
     /// Objective value of the current assignment (offset included).
@@ -182,18 +195,17 @@ impl<'a> LocalSearch<'a> {
     pub fn new(instance: &'a Instance, options: LsOptions) -> LocalSearch<'a> {
         let n = instance.num_vars();
         let m = instance.num_constraints();
-        let mut rhs = Vec::with_capacity(m);
-        let mut hopeless = false;
-        for c in instance.constraints() {
-            rhs.push(c.rhs());
-            hopeless |= c.is_unsatisfiable();
-        }
+        let hopeless = instance.constraints().iter().any(|c| c.is_unsatisfiable());
         let mut lit_cost = vec![0i64; 2 * n];
+        let mut obj_pos = vec![NOT_COSTED; n];
         let mut min_cost = 0;
+        let mut obj_terms = 0;
         if let Some(obj) = instance.objective() {
             min_cost = obj.offset();
-            for &(c, l) in obj.terms() {
+            obj_terms = obj.terms().len();
+            for (k, &(c, l)) in obj.terms().iter().enumerate() {
                 lit_cost[l.code()] = c;
+                obj_pos[l.var().index()] = k as u32;
             }
         }
         let seed = options.seed;
@@ -205,12 +217,13 @@ impl<'a> LocalSearch<'a> {
             optimization: instance.is_optimization(),
             hopeless,
             arena: instance.arena(),
-            rhs,
             lit_cost,
+            obj_pos,
             min_cost,
             values: vec![false; n],
-            lhs: vec![0; m],
+            slack: vec![0; m],
             weights: vec![1; m],
+            obj_true: vec![0; obj_terms.div_ceil(64)],
             obj_weight: 1,
             cost: 0,
             violated: Vec::with_capacity(m),
@@ -332,11 +345,11 @@ impl<'a> LocalSearch<'a> {
         let row = self.arena.row(ci);
         let len = row.lits.len();
         let start = if len == 0 { 0 } else { self.rng.gen_range(0..len) };
-        for k in 0..len {
+        let (head, tail) = row.lits.split_at(start);
+        for &lit in tail.iter().chain(head) {
             if self.cand.len() >= MAX_CANDIDATES {
                 break;
             }
-            let lit = row.lits[(start + k) % len];
             if self.values[lit.var().index()] != lit.is_positive() {
                 self.cand.push(lit.var().index());
             }
@@ -346,6 +359,8 @@ impl<'a> LocalSearch<'a> {
 
     /// Objective descent move: flip a costed literal that is currently
     /// true (reducing the objective), chosen by the same weighted score.
+    /// The candidates are the first true terms from a random position
+    /// on, cyclically, read off the set bits of `obj_true`.
     fn objective_move(&mut self) {
         self.cand.clear();
         let Some(obj) = self.instance.objective() else { return };
@@ -354,17 +369,29 @@ impl<'a> LocalSearch<'a> {
             return;
         }
         let start = self.rng.gen_range(0..terms.len());
-        for k in 0..terms.len() {
-            if self.cand.len() >= MAX_CANDIDATES {
-                break;
-            }
-            let (_, l) = terms[(start + k) % terms.len()];
-            let is_true = self.values[l.var().index()] == l.is_positive();
-            if is_true {
-                self.cand.push(l.var().index());
-            }
-        }
+        self.collect_true_terms(terms, start, terms.len());
+        self.collect_true_terms(terms, 0, start);
         self.choose_and_flip();
+    }
+
+    /// Pushes the variables of the true objective terms at positions
+    /// `from..to`, in order, until the candidate buffer is full.
+    fn collect_true_terms(&mut self, terms: &[(i64, pbo_core::Lit)], from: usize, to: usize) {
+        let mut k = from;
+        while k < to && self.cand.len() < MAX_CANDIDATES {
+            // The set bits of `k`'s word at or after `k`, below `to`.
+            let mut word = self.obj_true[k / 64] >> (k % 64);
+            let width = (64 - k % 64).min(to - k);
+            if width < 64 {
+                word &= (1u64 << width) - 1;
+            }
+            while word != 0 && self.cand.len() < MAX_CANDIDATES {
+                let bit = word.trailing_zeros() as usize;
+                self.cand.push(terms[k + bit].1.var().index());
+                word &= word - 1;
+            }
+            k += width;
+        }
     }
 
     /// Scores the candidate buffer and performs the WalkSAT/DLS move:
@@ -381,7 +408,8 @@ impl<'a> LocalSearch<'a> {
         let mut best_key = (i128::MAX, i64::MAX);
         for i in 0..self.cand.len() {
             let v = self.cand[i];
-            let key = (self.score_flip(v), self.cost_delta(v));
+            let cost_delta = self.cost_delta(v);
+            let key = (self.score_flip(v, cost_delta), cost_delta);
             if key < best_key {
                 best_key = key;
                 best_idx = i;
@@ -402,31 +430,34 @@ impl<'a> LocalSearch<'a> {
         self.flip(v);
     }
 
-    /// Weighted deficiency delta of flipping `v`: negative is good. The
-    /// occurrences come straight off the shared arena CSR.
-    fn score_flip(&self, v: usize) -> i128 {
+    /// Weighted deficiency delta of flipping `v`, whose objective change
+    /// is `cost_delta`: negative is good. The occurrences come straight
+    /// off the shared arena CSR; a row satisfied before and after the
+    /// flip changes nothing, so its weight is not read.
+    fn score_flip(&self, v: usize, cost_delta: i64) -> i128 {
         let now_true = Var::new(v).lit(!self.values[v]);
         let now_false = !now_true;
         let mut delta: i128 = 0;
         let (rows, coeffs) = self.arena.occurrences(now_true);
-        for k in 0..rows.len() {
-            let ci = rows[k] as usize;
-            let before = (self.rhs[ci] - self.lhs[ci]).max(0);
-            let after = (self.rhs[ci] - (self.lhs[ci] + coeffs[k])).max(0);
-            delta += self.weights[ci] as i128 * (after - before) as i128;
+        for (&ci, &coeff) in rows.iter().zip(coeffs) {
+            let slack = self.slack[ci as usize];
+            if slack > 0 {
+                let change = (slack - coeff).max(0) - slack;
+                delta += self.weights[ci as usize] as i128 * change as i128;
+            }
         }
         let (rows, coeffs) = self.arena.occurrences(now_false);
-        for k in 0..rows.len() {
-            let ci = rows[k] as usize;
-            let before = (self.rhs[ci] - self.lhs[ci]).max(0);
-            let after = (self.rhs[ci] - (self.lhs[ci] - coeffs[k])).max(0);
-            delta += self.weights[ci] as i128 * (after - before) as i128;
+        for (&ci, &coeff) in rows.iter().zip(coeffs) {
+            let slack = self.slack[ci as usize];
+            if slack + coeff > 0 {
+                let change = slack + coeff - slack.max(0);
+                delta += self.weights[ci as usize] as i128 * change as i128;
+            }
         }
         if let Some(u) = self.upper {
             // Objective pseudo-constraint `cost <= u - 1`.
-            let cd = self.cost_delta(v);
             let before = (self.cost - (u - 1)).max(0);
-            let after = (self.cost + cd - (u - 1)).max(0);
+            let after = (self.cost + cost_delta - (u - 1)).max(0);
             delta += self.obj_weight as i128 * (after - before) as i128;
         }
         delta
@@ -438,9 +469,9 @@ impl<'a> LocalSearch<'a> {
         self.lit_cost[now_true.code()] - self.lit_cost[(!now_true).code()]
     }
 
-    /// Flips `v`, updating counters and the violated set in
-    /// O(occurrences of `v`), read from the shared arena CSR (two
-    /// contiguous arrays).
+    /// Flips `v`, updating the slacks, the violated set and the true
+    /// objective terms in O(occurrences of `v`), read from the shared
+    /// arena CSR (two contiguous arrays).
     fn flip(&mut self, v: usize) {
         self.stats.flips += 1;
         let now_true = Var::new(v).lit(!self.values[v]);
@@ -448,22 +479,24 @@ impl<'a> LocalSearch<'a> {
         self.values[v] = !self.values[v];
         let arena = self.arena;
         let (rows, coeffs) = arena.occurrences(now_true);
-        for k in 0..rows.len() {
-            let ci = rows[k] as usize;
-            let was = self.lhs[ci];
-            self.lhs[ci] = was + coeffs[k];
-            if was < self.rhs[ci] && self.lhs[ci] >= self.rhs[ci] {
-                self.remove_violated(rows[k]);
+        for (&ci, &coeff) in rows.iter().zip(coeffs) {
+            let was = self.slack[ci as usize];
+            self.slack[ci as usize] = was - coeff;
+            if was > 0 && was <= coeff {
+                self.remove_violated(ci);
             }
         }
         let (rows, coeffs) = arena.occurrences(now_false);
-        for k in 0..rows.len() {
-            let ci = rows[k] as usize;
-            let was = self.lhs[ci];
-            self.lhs[ci] = was - coeffs[k];
-            if was >= self.rhs[ci] && self.lhs[ci] < self.rhs[ci] {
-                self.add_violated(rows[k]);
+        for (&ci, &coeff) in rows.iter().zip(coeffs) {
+            let was = self.slack[ci as usize];
+            self.slack[ci as usize] = was + coeff;
+            if was <= 0 && was + coeff > 0 {
+                self.add_violated(ci);
             }
+        }
+        let pos = self.obj_pos[v];
+        if pos != NOT_COSTED {
+            self.obj_true[pos as usize / 64] ^= 1 << (pos % 64);
         }
         self.cost += self.lit_cost[now_true.code()] - self.lit_cost[now_false.code()];
     }
@@ -608,17 +641,24 @@ impl<'a> LocalSearch<'a> {
         }
         self.violated.clear();
         self.vio_pos.fill(NOT_VIOLATED);
-        for ci in 0..self.rhs.len() {
+        for ci in 0..self.slack.len() {
             let row = self.arena.row(ci);
-            let mut lhs = 0i64;
+            let mut slack = self.arena.rhs(ci);
             for (&coeff, &lit) in row.coeffs.iter().zip(row.lits) {
                 if self.values[lit.var().index()] == lit.is_positive() {
-                    lhs += coeff;
+                    slack -= coeff;
                 }
             }
-            self.lhs[ci] = lhs;
-            if lhs < self.rhs[ci] {
+            self.slack[ci] = slack;
+            if slack > 0 {
                 self.add_violated(ci as u32);
+            }
+        }
+        self.obj_true.fill(0);
+        if let Some(obj) = self.instance.objective() {
+            for (k, &(_, l)) in obj.terms().iter().enumerate() {
+                let is_true = self.values[l.var().index()] == l.is_positive();
+                self.obj_true[k / 64] |= u64::from(is_true) << (k % 64);
             }
         }
         self.cost = self.instance.cost_of(&self.values);

@@ -7,7 +7,9 @@
 //!
 //! * an upper bound `P.upper` maintained from improving solutions, with
 //!   the knapsack cut of eq. 10 (and optionally the cardinality cost cuts
-//!   of eqs. 11–13) re-added at the root after each improvement. The
+//!   of eqs. 11–13) tightened at the root after each improvement — their
+//!   degrees raised in place, or the rows re-added when their set or
+//!   coefficients change (`CostCuts::install`). The
 //!   cuts live in the engine only: every bound reads the instance's rows
 //!   alone. Learned clauses serve only the search that derived them (a
 //!   parallel solve's head start also seeds its cube workers with its
@@ -234,12 +236,10 @@ pub(crate) struct SearchState<'a> {
     start: Instant,
     best_cost: Option<i64>,
     best_model: Option<Vec<bool>>,
-    /// The eq. 10–13 cut templates, derived once per search.
-    cost_cuts: CostCuts,
-    /// PB-store size before the first cost cut: every re-root deletes
-    /// the superseded cuts back to it (nothing else adds PB rows once
-    /// the search starts).
-    cut_base: usize,
+    /// The eq. 10–13 cut templates, derived once per search, and the
+    /// cost-cut rows they installed last in the engine's PB store
+    /// (nothing else adds PB rows once the search starts).
+    cost_cuts: CostCuts<'a>,
     /// Cost of the cheapest cell entry that failed verification (a buggy
     /// external producer); entries at or above it are not re-verified.
     rejected_external: Option<i64>,
@@ -294,7 +294,9 @@ impl<'a> SearchState<'a> {
     /// polls the budget's deadline, `start + budget.time`.
     ///
     /// `polish` (seed and cancel token of the walk) turns on the polish
-    /// walk of every improving solution ([`SearchState::polish`]).
+    /// walk of every improving solution ([`SearchState::polish`]); a walk
+    /// without a token of its own takes `options.cancel`, so it stops at
+    /// the budget's deadline too.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn init(
         instance: &'a Instance,
@@ -350,7 +352,6 @@ impl<'a> SearchState<'a> {
         let mut restarts = options.restart_base.map(|base| LubyRestarts::new(base.max(1)));
         let next_restart =
             restarts.as_mut().map_or(u64::MAX, |r| r.next().expect("luby sequence is infinite"));
-        let cut_base = engine.num_pbs();
         Ok(SearchState {
             instance,
             options,
@@ -360,8 +361,7 @@ impl<'a> SearchState<'a> {
             start,
             best_cost: None,
             best_model: None,
-            cost_cuts: CostCuts::new(instance),
-            cut_base,
+            cost_cuts: CostCuts::new(instance, options.cardinality_cuts),
             rejected_external: None,
             restarts,
             next_restart,
@@ -370,6 +370,7 @@ impl<'a> SearchState<'a> {
             polish: polish.map(|o| LsOptions {
                 max_steps: POLISH_STEPS,
                 time_limit: None,
+                cancel: o.cancel.clone().or_else(|| options.cancel.clone()),
                 ..o.clone()
             }),
             walker: None,
@@ -412,6 +413,12 @@ impl<'a> SearchState<'a> {
         }
     }
 
+    /// Whether the budget of a search started at `start` has run out.
+    fn budget_exhausted(&self, start: Instant) -> bool {
+        let stats = &self.engine.stats;
+        self.options.budget.exhausted(start.elapsed(), stats.conflicts, stats.decisions)
+    }
+
     /// Status when the budget runs out.
     fn budget_status(&self) -> SolveStatus {
         if self.best_cost.is_some() {
@@ -452,19 +459,16 @@ impl<'a> SearchState<'a> {
             if let Some(status) = self.adopt_external(stats) {
                 return Some(status);
             }
-            if self.options.budget.exhausted(
-                start.elapsed(),
-                self.engine.stats.conflicts,
-                self.engine.stats.decisions,
-            ) {
+            if self.budget_exhausted(start) {
                 return Some(self.budget_status());
             }
             // Cooperative cancellation (external cancel, or a deadline
-            // tighter than the budget). Checked
-            // after the budget so a budget-derived deadline expiring is
-            // reported as budget exhaustion, not as a cancellation.
+            // tighter than the budget). A deadline derived from the budget
+            // lies no earlier than the budget's end, so the budget is read
+            // again once the token has tripped: such a deadline expiring
+            // is reported as budget exhaustion, not as a cancellation.
             if self.options.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-                stats.cancelled = true;
+                stats.cancelled = !self.budget_exhausted(start);
                 return Some(self.budget_status());
             }
             // Luby restart: back to the root (learned clauses kept).
@@ -706,31 +710,19 @@ impl<'a> SearchState<'a> {
 
     /// Installs the eq. 10 knapsack cut (and optionally the eq. 11–13
     /// cardinality cost cuts) for `upper` at the root, replacing any cuts
-    /// from a previous incumbent.
+    /// from a previous incumbent ([`CostCuts::install`]).
     ///
     /// Returns `Err(())` when a cut is contradictory with the root
     /// assignment — no solution better than `upper` exists, so the caller
     /// finishes with the incumbent as the optimum.
     fn install_cost_cuts(&mut self, upper: i64) -> Result<(), ()> {
-        self.engine.backjump_to(0);
-        self.engine.truncate_pbs(self.cut_base);
         // Trivial knapsack cut: every assignment is already cheaper,
         // which cannot happen for a just-found solution of this cost.
         debug_assert!(
             self.cost_cuts.knapsack(upper).is_some(),
             "knapsack cut trivial for incumbent cost"
         );
-        let cuts: Vec<PbConstraint> = if self.options.cardinality_cuts {
-            self.cost_cuts.cuts(upper)
-        } else {
-            self.cost_cuts.knapsack(upper).into_iter().collect()
-        };
-        for cut in &cuts {
-            if self.engine.add_pb_cut(cut).is_err() {
-                return Err(());
-            }
-        }
-        Ok(())
+        self.cost_cuts.install(&mut self.engine, upper).map_err(drop)
     }
 
     /// Adopts a strictly better incumbent from the shared cell, if one

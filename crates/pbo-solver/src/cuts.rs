@@ -7,82 +7,137 @@
 //!   `K` to be paid (`V`), so the objective terms *outside* `K` must fit
 //!   in `upper - 1 - V`.
 //!
-//! Only the degree of a cut depends on the incumbent. [`CostCuts`]
-//! derives everything else once per solve: each cut's outside terms,
-//! its `V`, its normalized (negated) literals and its duplicates. Per
-//! incumbent, each cut is only re-saturated against its new degree.
+//! Only the degree of a cut depends on the incumbent, and a cut is fixed
+//! by its `V` and the objective variables of its `K`. [`CostCuts`]
+//! derives those once per solve, one template per distinct pair, and
+//! generates a cut's terms from the objective only when it installs the
+//! row. A better incumbent raises the degree of every installed row by
+//! the same amount, so [`CostCuts::install`] raises the rows in place
+//! and re-derives them only when the set of rows or a saturated
+//! coefficient changes.
 
 use std::collections::HashSet;
 
-use pbo_core::{Instance, Lit, PbConstraint};
+use pbo_core::{Instance, Objective, PbConstraint, MAX_COEFF_SUM};
+use pbo_engine::{Engine, RootConflict};
 
-/// One cost cut `sum_{j in O} c_j l_j <= upper - 1 - v - offset` with its
-/// incumbent-independent parts precomputed. Its normal form is
-/// `sum_{j in O} c_j ~l_j >= sum_{j in O} c_j - (upper - 1 - v - offset)`
-/// with every coefficient saturated at the degree — what
-/// [`pbo_core::normalize`] produces for the `<=` form, since objective
-/// costs are positive and mention each variable once.
+/// One cost cut `sum_{j in O} c_j l_j <= upper - 1 - v - offset`, where
+/// `O` is the objective terms whose variables `K` does not mention. Its
+/// normal form is `sum_{j in O} c_j ~l_j >= sum_{j in O} c_j - (upper -
+/// 1 - v - offset)` with every coefficient saturated at the degree —
+/// what [`pbo_core::normalize`] produces for the `<=` form, since
+/// objective costs are positive and mention each variable once.
 #[derive(Clone, Debug)]
 struct CutTemplate {
-    /// `(c_j, ~l_j)` for every objective term in `O`, sorted by variable.
-    negated: Vec<(i64, Lit)>,
+    /// The objective's variables that `K` mentions, sorted; empty for
+    /// the knapsack cut.
+    k_vars: Vec<u32>,
     /// `sum c_j` over `O`, widened like `normalize`'s arithmetic.
     coeff_sum: i128,
+    /// The largest `c_j` over `O`.
+    max_coeff: i64,
     /// `V` of eq. 12 (0 for the knapsack cut) plus the objective offset.
     shift: i64,
 }
 
 impl CutTemplate {
-    fn new(outside: &[(i64, Lit)], v: i64, offset: i64) -> CutTemplate {
-        CutTemplate {
-            negated: outside.iter().map(|&(c, l)| (c, !l)).collect(),
-            coeff_sum: outside.iter().map(|&(c, _)| i128::from(c)).sum(),
-            shift: v + offset,
-        }
-    }
-
     /// The eq. 10 template of `instance` (`None` without an objective).
     fn knapsack(instance: &Instance) -> Option<CutTemplate> {
         let obj = instance.objective()?;
-        Some(CutTemplate::new(obj.terms(), 0, obj.offset()))
+        let terms = obj.terms();
+        Some(CutTemplate {
+            k_vars: Vec::new(),
+            coeff_sum: terms.iter().map(|&(c, _)| i128::from(c)).sum(),
+            max_coeff: terms.iter().map(|&(c, _)| c).max().unwrap_or(0),
+            shift: obj.offset(),
+        })
+    }
+
+    /// The cut's degree for incumbent cost `upper`, unbounded.
+    fn degree(&self, upper: i64) -> i128 {
+        self.coeff_sum - (i128::from(upper) - 1 - i128::from(self.shift))
     }
 
     /// The cut for incumbent cost `upper`: `None` when it is trivially
     /// true (degree `<= 0`) or does not fit the normal form's
     /// arithmetic — the cases in which `normalize` yields no row.
-    fn at(&self, upper: i64) -> Option<PbConstraint> {
-        let rhs = upper - 1 - self.shift;
-        let degree = i64::try_from(self.coeff_sum - i128::from(rhs)).ok()?;
+    fn at(&self, obj: &Objective, upper: i64) -> Option<PbConstraint> {
+        let degree = i64::try_from(self.degree(upper)).ok()?;
         if degree <= 0 {
             return None;
         }
-        PbConstraint::try_new(self.negated.iter().copied(), degree).ok()
+        let mut k_vars = self.k_vars.iter().peekable();
+        let outside = obj.terms().iter().filter(|(_, l)| {
+            let var = l.var().index() as u32;
+            while k_vars.next_if(|&&k| k < var).is_some() {}
+            k_vars.peek() != Some(&&var)
+        });
+        PbConstraint::try_new(outside.map(|&(c, l)| (c, !l)), degree).ok()
+    }
+
+    /// Whether the row [`CutTemplate::at`] gives for incumbent `new <
+    /// old` is the row it gave for `old` with a higher degree, or there
+    /// is no row either time. Not when the cut turns non-trivial, or a
+    /// coefficient was saturated at the old degree (it grows with the
+    /// degree), or the row leaves the normal form. An unsaturated row
+    /// keeps its coefficients and their sum, so only its degree can take
+    /// it out of the normal form.
+    fn raises(&self, old: i64, new: i64) -> bool {
+        let (before, after) = (self.degree(old), self.degree(new));
+        if before <= 0 {
+            return after <= 0;
+        }
+        if i128::from(self.max_coeff) > before {
+            return false;
+        }
+        let fits = |degree: i128| {
+            degree <= i128::from(i64::MAX) && self.coeff_sum <= i128::from(MAX_COEFF_SUM)
+        };
+        fits(before) == fits(after)
     }
 }
 
-/// The eq. 10–13 cut set of one instance, derived once per solve (see
-/// the module docs). [`CostCuts::cuts`] returns exactly
+/// The eq. 10–13 cut set of one solve (see the module docs), and the
+/// rows of it installed in an engine. [`CostCuts::cuts`] returns exactly
 /// [`cost_cuts`]' list, in the same order.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct CostCuts {
+pub(crate) struct CostCuts<'a> {
+    objective: Option<&'a Objective>,
     knapsack: Option<CutTemplate>,
     /// One template per distinct eqs. 11–13 cut, in source-row order.
     cardinality: Vec<CutTemplate>,
+    /// The engine's PB-store size before the first cut.
+    base: Option<usize>,
+    /// The incumbent cost the installed rows are for.
+    installed: Option<i64>,
 }
 
-impl CostCuts {
-    /// Derives the cut templates of `instance`: the knapsack cut, and
-    /// one eqs. 11–13 cut per cardinality-class row over literals with
-    /// at least one costed member. Two rows yield the same cut at every
-    /// incumbent exactly when they share `V` and the outside terms, so
-    /// duplicates are dropped here, once.
-    pub(crate) fn new(instance: &Instance) -> CostCuts {
+impl<'a> CostCuts<'a> {
+    /// Derives the cut templates of `instance`: the knapsack cut, and,
+    /// with `cardinality`, one eqs. 11–13 cut per cardinality-class row
+    /// over literals with at least one costed member. Two rows yield the
+    /// same cut at every incumbent exactly when they share `V` and the
+    /// objective variables of `K`, so duplicates are dropped here, once.
+    pub(crate) fn new(instance: &'a Instance, cardinality: bool) -> CostCuts<'a> {
         let Some(obj) = instance.objective() else {
             return CostCuts::default();
         };
-        let mut in_k = vec![false; instance.num_vars()];
-        let mut seen: HashSet<(i64, Vec<(i64, Lit)>)> = HashSet::new();
-        let mut cardinality = Vec::new();
+        let knapsack = CutTemplate::knapsack(instance);
+        if !cardinality {
+            return CostCuts { objective: Some(obj), knapsack, ..CostCuts::default() };
+        }
+        let total = knapsack.as_ref().map_or(0, |t| t.coeff_sum);
+        let mut cost_of_var = vec![None; instance.num_vars()];
+        for &(c, l) in obj.terms() {
+            cost_of_var[l.var().index()] = Some(c);
+        }
+        // The objective's terms by falling cost: the largest cost outside
+        // `K` is among the first `|K| + 1` of them.
+        let mut by_cost: Vec<(i64, u32)> =
+            obj.terms().iter().map(|&(c, l)| (c, l.var().index() as u32)).collect();
+        by_cost.sort_unstable_by(|a, b| b.cmp(a));
+        let mut seen: HashSet<(i64, Vec<u32>)> = HashSet::new();
+        let mut templates = Vec::new();
         for c in instance.constraints() {
             if c.class() == pbo_core::ConstraintClass::General || c.is_empty() {
                 continue;
@@ -100,42 +155,82 @@ impl CostCuts {
                 continue; // dominated by the knapsack cut
             }
             // Objective terms outside K must fit in upper - 1 - V (eq. 13).
-            for t in c.terms() {
-                in_k[t.lit.var().index()] = true;
+            // The row's terms are sorted by variable, so `k_vars` is too.
+            let k_vars: Vec<u32> = c
+                .terms()
+                .iter()
+                .map(|t| t.lit.var().index() as u32)
+                .filter(|&var| cost_of_var[var as usize].is_some())
+                .collect();
+            if k_vars.len() == obj.len() {
+                continue; // no objective term outside K
             }
-            let outside: Vec<(i64, Lit)> =
-                obj.terms().iter().copied().filter(|(_, l)| !in_k[l.var().index()]).collect();
-            for t in c.terms() {
-                in_k[t.lit.var().index()] = false;
-            }
-            if outside.is_empty() {
+            if !seen.insert((v, k_vars.clone())) {
                 continue;
             }
-            let template = CutTemplate::new(&outside, v, obj.offset());
-            if seen.insert((v, outside)) {
-                cardinality.push(template);
-            }
+            let inside: i128 =
+                k_vars.iter().filter_map(|&var| cost_of_var[var as usize]).map(i128::from).sum();
+            let max_coeff = by_cost
+                .iter()
+                .find(|&&(_, var)| k_vars.binary_search(&var).is_err())
+                .map_or(0, |&(c, _)| c);
+            templates.push(CutTemplate {
+                k_vars,
+                coeff_sum: total - inside,
+                max_coeff,
+                shift: v + obj.offset(),
+            });
         }
-        CostCuts { knapsack: CutTemplate::knapsack(instance), cardinality }
+        CostCuts { objective: Some(obj), knapsack, cardinality: templates, ..CostCuts::default() }
     }
 
     /// The eq. 10 cut for incumbent cost `upper` (see [`knapsack_cut`]).
     pub(crate) fn knapsack(&self, upper: i64) -> Option<PbConstraint> {
-        self.knapsack.as_ref()?.at(upper)
+        self.knapsack.as_ref()?.at(self.objective?, upper)
     }
 
-    /// The eqs. 11–13 cuts for incumbent cost `upper` (see
-    /// [`cardinality_cost_cuts`]).
-    pub(crate) fn cardinality(&self, upper: i64) -> Vec<PbConstraint> {
-        self.cardinality.iter().filter_map(|t| t.at(upper)).collect()
-    }
-
-    /// The knapsack cut followed by the eqs. 11–13 cuts (see
-    /// [`cost_cuts`]).
+    /// The knapsack cut followed by the eqs. 11–13 cuts the templates
+    /// were derived with (see [`cost_cuts`]).
     pub(crate) fn cuts(&self, upper: i64) -> Vec<PbConstraint> {
-        let mut cuts: Vec<PbConstraint> = self.knapsack(upper).into_iter().collect();
-        cuts.extend(self.cardinality.iter().filter_map(|t| t.at(upper)));
-        cuts
+        let Some(obj) = self.objective else { return Vec::new() };
+        self.templates().filter_map(|t| t.at(obj, upper)).collect()
+    }
+
+    fn templates(&self) -> impl Iterator<Item = &CutTemplate> {
+        self.knapsack.iter().chain(&self.cardinality)
+    }
+
+    /// Installs the cuts for incumbent cost `upper` at the root of
+    /// `engine`, as the last rows of its PB store, replacing those of an
+    /// earlier incumbent. Nothing else may add PB rows to `engine` once
+    /// the first cut is in. When every installed row turns into its
+    /// successor by a higher degree and no row appears, the rows are
+    /// raised in place ([`Engine::raise_pb_degrees`]); otherwise they
+    /// are deleted and the new ones added. Either way the engine ends in
+    /// the same state.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RootConflict`] when a cut contradicts the root
+    /// assignment: no solution better than `upper` exists.
+    pub(crate) fn install(&mut self, engine: &mut Engine, upper: i64) -> Result<(), RootConflict> {
+        engine.backjump_to(0);
+        let Some(obj) = self.objective else { return Ok(()) };
+        let base = *self.base.get_or_insert(engine.num_pbs());
+        let raise = self
+            .installed
+            .take()
+            .filter(|&old| upper <= old && self.templates().all(|t| t.raises(old, upper)));
+        if let Some(old) = raise {
+            engine.raise_pb_degrees(base, old - upper)?;
+        } else {
+            engine.truncate_pbs(base);
+            for cut in self.templates().filter_map(|t| t.at(obj, upper)) {
+                engine.add_pb_cut(&cut)?;
+            }
+        }
+        self.installed = Some(upper);
+        Ok(())
     }
 }
 
@@ -146,7 +241,7 @@ impl CostCuts {
 /// detect that via [`PbConstraint::is_unsatisfiable`] / the engine's root
 /// conflict.
 pub fn knapsack_cut(instance: &Instance, upper: i64) -> Option<PbConstraint> {
-    CutTemplate::knapsack(instance)?.at(upper)
+    CutTemplate::knapsack(instance)?.at(instance.objective()?, upper)
 }
 
 /// The full cost-cut set for an incumbent of cost `upper`: the eq. 10
@@ -154,7 +249,7 @@ pub fn knapsack_cut(instance: &Instance, upper: i64) -> Option<PbConstraint> {
 /// distinct cut once. Each call derives the cut templates afresh; the
 /// solvers in this crate derive them once per solve.
 pub fn cost_cuts(instance: &Instance, upper: i64) -> Vec<PbConstraint> {
-    CostCuts::new(instance).cuts(upper)
+    CostCuts::new(instance, true).cuts(upper)
 }
 
 /// Infers the eqs. 11–13 cuts from every cardinality-class constraint
@@ -162,13 +257,15 @@ pub fn cost_cuts(instance: &Instance, upper: i64) -> Vec<PbConstraint> {
 /// best solution cost. Identical cuts (from duplicate or same-threshold
 /// source rows) are emitted once.
 pub fn cardinality_cost_cuts(instance: &Instance, upper: i64) -> Vec<PbConstraint> {
-    CostCuts::new(instance).cardinality(upper)
+    let cuts = CostCuts::new(instance, true);
+    let Some(obj) = cuts.objective else { return Vec::new() };
+    cuts.cardinality.iter().filter_map(|t| t.at(obj, upper)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pbo_core::{brute_force, normalize, InstanceBuilder, RelOp};
+    use pbo_core::{brute_force, normalize, InstanceBuilder, Lit, RelOp};
     use rand::{Rng, SeedableRng};
 
     #[test]
@@ -356,48 +453,10 @@ mod tests {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xc0de);
         let mut compared = 0usize;
         for round in 0..150 {
-            let n = rng.gen_range(2..10);
-            let mut b = InstanceBuilder::new();
-            let vars = b.new_vars(n);
-            let mut rows: Vec<(i64, Vec<Lit>)> = Vec::new();
-            for _ in 0..rng.gen_range(1..8) {
-                let k = rng.gen_range(1..=n);
-                let mut idxs: Vec<usize> = (0..n).collect();
-                for i in 0..k {
-                    let j = rng.gen_range(i..n);
-                    idxs.swap(i, j);
-                }
-                let lits: Vec<Lit> =
-                    idxs[..k].iter().map(|&i| vars[i].lit(rng.gen_bool(0.8))).collect();
-                rows.push((rng.gen_range(1..=k as i64), lits));
-            }
-            // Repeat a row now and then (identical cuts must dedup).
-            if rng.gen_bool(0.5) {
-                let twin = rows[rng.gen_range(0..rows.len())].clone();
-                rows.push(twin);
-            }
-            for (degree, lits) in &rows {
-                match rng.gen_range(0..3) {
-                    0 => b.add_clause(lits.iter().copied()),
-                    1 => b.add_at_least(*degree, lits.iter().copied()),
-                    _ => {
-                        let terms: Vec<(i64, Lit)> =
-                            lits.iter().map(|&l| (rng.gen_range(1..4), l)).collect();
-                        b.add_linear(terms, RelOp::Ge, *degree)
-                    }
-                };
-            }
-            let mut costs = Vec::new();
-            for v in &vars {
-                if rng.gen_bool(0.85) {
-                    costs.push((rng.gen_range(-3..7), v.lit(rng.gen_bool(0.8))));
-                }
-            }
-            b.minimize_with_offset(costs, rng.gen_range(-4..5));
-            let inst = b.build().unwrap();
+            let inst = random_cut_instance(&mut rng);
             let Some(obj) = inst.objective() else { continue };
             let total: i64 = obj.terms().iter().map(|&(c, _)| c).sum();
-            let templates = CostCuts::new(&inst);
+            let templates = CostCuts::new(&inst, true);
             for upper in (obj.offset() - 2)..=(obj.offset() + total + 2) {
                 let context = format!("round {round}, upper {upper}");
                 let knapsack = oracle_knapsack_cut(&inst, upper);
@@ -411,6 +470,124 @@ mod tests {
             }
         }
         assert!(compared > 1_000, "too few cuts compared ({compared})");
+    }
+
+    /// A random instance mixing clauses, cardinality rows (duplicates
+    /// and same-threshold twins included) and general rows, with costs
+    /// on negative literals and an offset.
+    fn random_cut_instance(rng: &mut rand_chacha::ChaCha8Rng) -> Instance {
+        let n = rng.gen_range(2..10);
+        let mut b = InstanceBuilder::new();
+        let vars = b.new_vars(n);
+        let mut rows: Vec<(i64, Vec<Lit>)> = Vec::new();
+        for _ in 0..rng.gen_range(1..8) {
+            let k = rng.gen_range(1..=n);
+            let mut idxs: Vec<usize> = (0..n).collect();
+            for i in 0..k {
+                let j = rng.gen_range(i..n);
+                idxs.swap(i, j);
+            }
+            let lits: Vec<Lit> =
+                idxs[..k].iter().map(|&i| vars[i].lit(rng.gen_bool(0.8))).collect();
+            rows.push((rng.gen_range(1..=k as i64), lits));
+        }
+        if rng.gen_bool(0.5) {
+            let twin = rows[rng.gen_range(0..rows.len())].clone();
+            rows.push(twin);
+        }
+        for (degree, lits) in &rows {
+            match rng.gen_range(0..3) {
+                0 => b.add_clause(lits.iter().copied()),
+                1 => b.add_at_least(*degree, lits.iter().copied()),
+                _ => {
+                    let terms: Vec<(i64, Lit)> =
+                        lits.iter().map(|&l| (rng.gen_range(1..4), l)).collect();
+                    b.add_linear(terms, RelOp::Ge, *degree)
+                }
+            };
+        }
+        let mut costs = Vec::new();
+        for v in &vars {
+            if rng.gen_bool(0.85) {
+                costs.push((rng.gen_range(-3..7), v.lit(rng.gen_bool(0.8))));
+            }
+        }
+        b.minimize_with_offset(costs, rng.gen_range(-4..5));
+        b.build().unwrap()
+    }
+
+    /// Installing along falling incumbents leaves the engine exactly as
+    /// deleting the last incumbent's cuts and adding the oracle's would:
+    /// the same `Ok`/`Err`, the same rows, the same root trail in order
+    /// and the same propagation count. The walk starts where every cut
+    /// is trivial, so cuts turn non-trivial and saturated coefficients
+    /// grow on the way down and both branches of the install run.
+    #[test]
+    fn installs_match_re_adding_the_oracle_rows() {
+        use pbo_engine::Engine;
+
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x1a57);
+        let (mut raised, mut rebuilt) = (0usize, 0usize);
+        for round in 0..400 {
+            let inst = random_cut_instance(&mut rng);
+            let Some(obj) = inst.objective() else { continue };
+            let cardinality = rng.gen_bool(0.8);
+            let load = || -> Option<Engine> {
+                let mut e = Engine::new(inst.num_vars());
+                for c in inst.constraints() {
+                    e.add_constraint(c).ok()?;
+                }
+                Some(e)
+            };
+            let (Some(mut engine), Some(mut oracle)) = (load(), load()) else { continue };
+            let base = oracle.num_pbs();
+            let mut cuts = CostCuts::new(&inst, cardinality);
+            let total: i64 = obj.terms().iter().map(|&(c, _)| c).sum();
+            let mut upper = obj.offset() + total + 2;
+            let mut last = None;
+            while upper >= obj.offset() - 2 {
+                // A root fact now and then, so rows imply more literals.
+                if rng.gen_bool(0.3) {
+                    let lit = Lit::new(rng.gen_range(0..inst.num_vars()), rng.gen_bool(0.5));
+                    if engine.assume_at_root(lit).is_err() | oracle.assume_at_root(lit).is_err() {
+                        break;
+                    }
+                }
+                let raises = last.is_some_and(|old| cuts.templates().all(|t| t.raises(old, upper)));
+                let got = cuts.install(&mut engine, upper);
+                oracle.backjump_to(0);
+                oracle.truncate_pbs(base);
+                let rows = if cardinality {
+                    oracle_cost_cuts(&inst, upper)
+                } else {
+                    oracle_knapsack_cut(&inst, upper).into_iter().collect()
+                };
+                let mut ids = Vec::new();
+                let want =
+                    rows.iter().try_for_each(|c| oracle.add_pb_cut(c).map(|id| ids.push(id)));
+                let context = format!("round {round}, upper {upper}");
+                assert_eq!(got, want, "{context}: Ok/Err");
+                assert_eq!(engine.stats.propagations, oracle.stats.propagations, "{context}");
+                if got.is_err() {
+                    break;
+                }
+                match (last, raises) {
+                    (Some(_), true) => raised += 1,
+                    (Some(_), false) => rebuilt += 1,
+                    (None, _) => {}
+                }
+                assert_eq!(engine.num_pbs(), oracle.num_pbs(), "{context}: row count");
+                for (id, row) in ids.into_iter().zip(&rows) {
+                    assert_eq!(engine.pb_terms(id), row.terms(), "{context}: terms");
+                    assert_eq!(engine.pb_rhs(id), row.rhs(), "{context}: degree");
+                    assert_eq!(engine.pb_slack(id), oracle.pb_slack(id), "{context}: slack");
+                }
+                assert_eq!(engine.trail(), oracle.trail(), "{context}: root trail");
+                last = Some(upper);
+                upper -= rng.gen_range(1i64..3);
+            }
+        }
+        assert!(raised > 300 && rebuilt > 300, "{raised} raises, {rebuilt} re-adds");
     }
 
     /// An LP relaxation over the instance rows alone makes the same

@@ -80,6 +80,8 @@ pub use result::{
 #[cfg(test)]
 mod method_bucket_tests;
 #[cfg(test)]
+mod pin_tests;
+#[cfg(test)]
 mod solver_tests;
 #[cfg(test)]
 mod trace_tests;

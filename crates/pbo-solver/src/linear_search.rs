@@ -149,9 +149,8 @@ impl LinearSearch {
         let mut conflicts_until_restart = restarts.as_mut().and_then(|r| r.next());
         let mut conflicts_at_last_restart = 0u64;
         // The cost cuts are the tail of the PB store; each improvement
-        // deletes the superseded ones back to this mark.
-        let cut_base = engine.num_pbs();
-        let cost_cuts = CostCuts::new(instance);
+        // tightens or replaces the superseded ones.
+        let mut cost_cuts = CostCuts::new(instance, self.options.cardinality_cuts);
 
         loop {
             if self.options.budget.exhausted(
@@ -202,21 +201,11 @@ impl LinearSearch {
                 }
                 // Tighten the cost bound (the linear-search step) and
                 // restart the SAT search.
-                engine.backjump_to(0);
-                engine.truncate_pbs(cut_base);
                 let upper = best.as_ref().map(|(c, _)| *c).unwrap_or(0);
-                let Some(cut) = cost_cuts.knapsack(upper) else {
+                if cost_cuts.knapsack(upper).is_none()
+                    || cost_cuts.install(&mut engine, upper).is_err()
+                {
                     return finish(SolveStatus::Optimal, best, stats, Some(&engine));
-                };
-                let cardinality = if self.options.cardinality_cuts {
-                    cost_cuts.cardinality(upper)
-                } else {
-                    Vec::new()
-                };
-                for c in std::iter::once(&cut).chain(&cardinality) {
-                    if engine.add_pb_cut(c).is_err() {
-                        return finish(SolveStatus::Optimal, best, stats, Some(&engine));
-                    }
                 }
                 continue;
             }

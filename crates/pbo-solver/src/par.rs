@@ -900,7 +900,9 @@ fn run_worker(ctx: &WorkerCtx<'_>, worker: usize) -> SubtreeResult {
         // abort the queue so waiting siblings drain instead of blocking
         // on a frontier nobody will finish.
         if ctx.options.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-            total.cancelled = true;
+            // A deadline derived from the budget expiring is budget
+            // exhaustion, as in `SearchState::run_capped`.
+            total.cancelled = ctx.options.budget.time.is_none_or(|t| ctx.start.elapsed() < t);
             all_closed = false;
             ctx.queue.abort();
             break;

@@ -1,0 +1,100 @@
+//! Pins of the walk and the search on one instance of each benchmark
+//! workload's shape: the local search's effort counters, and the
+//! answers and search counters of the default and exact strategies.
+//!
+//! Every figure here is deterministic (step-bounded walks, sequential or
+//! deterministic-join search), so a change that only makes the solver
+//! faster must leave them all as they are. A change meant to move the
+//! walk or the search updates the pins and says so in CHANGES.md.
+
+use pbo_benchgen::{AccSchedParams, PtlCmosParams, SynthesisParams};
+use pbo_core::Instance;
+
+use crate::options::{BsoloOptions, SolveStrategy};
+use crate::portfolio::{LocalSearch, LsOptions, Portfolio, PortfolioOptions};
+use crate::result::SolveStatus;
+
+/// Steps of the pinned walk.
+const WALK_STEPS: u64 = 24_576;
+
+/// The generator shapes of the `ptlcmos-seq`, `synthesis-par2` and
+/// `acc-seq` benchmark workloads at generator seed 0, with the exact
+/// side's worker count of each.
+fn instances() -> [(Instance, usize); 3] {
+    let ptlcmos = PtlCmosParams { gates: 60, fanin: 2.2, ..PtlCmosParams::default() };
+    let synthesis = SynthesisParams {
+        primes: 90,
+        minterms: 150,
+        cover_density: 4.0,
+        exclusions: 10,
+        ..SynthesisParams::default()
+    };
+    let acc = AccSchedParams { teams: 16, home_away: true };
+    [(ptlcmos.generate(0), 1), (synthesis.generate(0), 2), (acc.generate(0), 1)]
+}
+
+/// `(steps, flips, weight_bumps, restarts, incumbents, best cost)` of a
+/// default-seeded walk.
+type WalkPin = (u64, u64, u64, u64, u64, Option<i64>);
+
+/// `(status, cost, decisions, conflicts, propagations, lb_calls,
+/// lp_iterations, ls_steps)` of a solve.
+type SolvePin = (SolveStatus, Option<i64>, u64, u64, u64, u64, u64, u64);
+
+const WALKS: [WalkPin; 3] = [
+    (24_576, 24_607, 10_829, 3, 28, Some(528)),
+    (24_576, 24_588, 10_769, 3, 9, Some(129)),
+    (2_404, 2_403, 394, 0, 1, Some(0)),
+];
+
+const DEFAULT_SOLVES: [SolvePin; 3] = [
+    (SolveStatus::Optimal, Some(516), 1_162, 42, 2_161, 801, 523, 40_960),
+    (SolveStatus::Optimal, Some(122), 398, 41, 886, 261, 634, 34_816),
+    (SolveStatus::Optimal, Some(0), 0, 0, 0, 0, 0, 2_404),
+];
+
+const EXACT_SOLVES: [SolvePin; 3] = [
+    (SolveStatus::Optimal, Some(516), 6_342, 34, 10_713, 5_971, 4_120, 0),
+    (SolveStatus::Optimal, Some(122), 1_856, 56, 3_661, 1_272, 3_115, 0),
+    (SolveStatus::Optimal, Some(0), 3_835, 2_233, 213_898, 0, 0, 0),
+];
+
+fn solve_pin(strategy: SolveStrategy, inst: &Instance, bb_threads: usize) -> SolvePin {
+    let options = PortfolioOptions {
+        strategy,
+        bsolo: BsoloOptions { deterministic_join: bb_threads > 1, ..BsoloOptions::default() },
+        bb_threads,
+        ..PortfolioOptions::default()
+    };
+    let r = Portfolio::new(options).solve(inst);
+    let s = &r.stats;
+    (
+        r.status,
+        r.best_cost,
+        s.decisions,
+        s.conflicts,
+        s.propagations,
+        s.lb_calls,
+        s.lp_iterations,
+        s.ls_steps,
+    )
+}
+
+#[test]
+#[ignore = "release-sized: three benchmark-shaped instances, about 0.4 s"]
+fn walk_and_search_counters_are_pinned() {
+    let mut walks = Vec::new();
+    let mut defaults = Vec::new();
+    let mut exacts = Vec::new();
+    for (inst, bb_threads) in instances() {
+        let options = LsOptions { max_steps: WALK_STEPS, ..LsOptions::default() };
+        let r = LocalSearch::new(&inst, options).run(None, None);
+        let s = &r.stats;
+        walks.push((s.steps, s.flips, s.weight_bumps, s.restarts, s.incumbents, r.best_cost));
+        defaults.push(solve_pin(SolveStrategy::LsSeeded, &inst, bb_threads));
+        exacts.push(solve_pin(SolveStrategy::Exact, &inst, bb_threads));
+    }
+    assert_eq!(walks, WALKS, "the walk moved");
+    assert_eq!(defaults, DEFAULT_SOLVES, "the default strategy's search moved");
+    assert_eq!(exacts, EXACT_SOLVES, "the exact search moved");
+}

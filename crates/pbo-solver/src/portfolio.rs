@@ -363,8 +363,11 @@ impl Portfolio {
 
     /// Starts the exact side on a scoped thread from the incumbent
     /// `(from, model)`, against a private cell seeded with it, under a
-    /// child of the solve's cancel token that carries the wall-clock
-    /// budget's deadline, so the run's polish walks stop at it too.
+    /// child of the solve's cancel token. The token carries no deadline
+    /// of its own: the run counts what is left of the wall-clock budget
+    /// from its own start, and the branch-and-bound arms that deadline
+    /// on a child of the token from the same clock, so an expiring
+    /// budget is reported as such, never as a cancellation.
     fn speculate<'scope, 'env>(
         &'env self,
         scope: &'scope Scope<'scope, 'env>,
@@ -376,9 +379,6 @@ impl Portfolio {
         let started = start.elapsed();
         let cancel =
             self.options.bsolo.cancel.as_ref().map_or_else(CancelToken::new, CancelToken::child);
-        if let Some(t) = self.options.bsolo.budget.time {
-            cancel.set_deadline(start + t);
-        }
         let token = cancel.clone();
         let handle = scope.spawn(move || {
             let run_cell = IncumbentCell::new();
@@ -392,8 +392,9 @@ impl Portfolio {
     /// The exact side of `LsSeeded`, started `started` into the solve: the
     /// B&B on what is left of the wall-clock budget, stopped by `cancel`,
     /// polishing each improving incumbent. Every polish walk takes the
-    /// seed walker's seed, and the LS options' own cancel token, else
-    /// `cancel`.
+    /// seed walker's seed, and the LS options' own cancel token, else the
+    /// search's: `cancel`, or its child that carries the budget's
+    /// deadline.
     fn exact_side(
         &self,
         instance: &Instance,
@@ -406,15 +407,11 @@ impl Portfolio {
             bsolo_options.budget.time =
                 Some(t.saturating_sub(started).max(Duration::from_millis(1)));
         }
-        let polish = LsOptions {
-            cancel: self.options.ls.cancel.clone().or_else(|| cancel.clone()),
-            ..self.options.ls.clone()
-        };
         bsolo_options.cancel = cancel;
         ParBsolo::new(bsolo_options, self.options.resolved_bb_threads()).solve_with_polish(
             instance,
             Some(cell),
-            Some(&polish),
+            Some(&self.options.ls),
         )
     }
 
@@ -1254,6 +1251,36 @@ mod tests {
             "the seed walk must have gone on beside the exact side"
         );
         assert_eq!(result.stats.speculations_aborted, 0);
+    }
+
+    /// A budget that runs out in a kept speculative run is reported as
+    /// budget exhaustion, not as a cancellation. The run's token used to
+    /// carry the solve's deadline while the run counted its budget from
+    /// its own, later start, so the token fired first and the solve
+    /// reported `cancelled`.
+    #[test]
+    fn budget_ending_a_speculative_run_is_not_a_cancellation() {
+        // As in `caller_deadline_stops_a_speculative_run`: plain bounding
+        // cannot close this tree within the budget, and with the optimum
+        // in the cell the run speculated after the first piece is kept.
+        let inst = PtlCmosParams { gates: 90, ..PtlCmosParams::default() }.generate(0);
+        let optimum = Portfolio::default().solve(&inst);
+        let cell = IncumbentCell::new();
+        cell.offer(optimum.best_cost.unwrap(), optimum.best_assignment.as_ref().unwrap());
+        let budget = Duration::from_millis(300);
+        let bsolo = BsoloOptions {
+            budget: Budget::time_limit(budget),
+            ..BsoloOptions::with_lb(LbMethod::None)
+        };
+        let options = PortfolioOptions { bsolo, ..PortfolioOptions::default() };
+        let begun = Instant::now();
+        let result = Portfolio::new(options).solve_ls_seeded(&inst, &cell, begun, true);
+        let elapsed = begun.elapsed();
+        assert_eq!(result.status, crate::SolveStatus::Feasible);
+        assert_eq!(result.best_cost, optimum.best_cost);
+        assert!(!result.stats.cancelled, "a budget-derived deadline reported as a cancellation");
+        assert_eq!(result.stats.speculations_aborted, 0);
+        assert!(elapsed < budget + Duration::from_secs(1), "overshoot: {elapsed:?} for {budget:?}");
     }
 
     #[test]
