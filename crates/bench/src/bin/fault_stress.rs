@@ -12,10 +12,10 @@
 //! under the deterministic join for a reference optimum, then re-solves
 //! it in racing mode with one probe site armed to panic (site and hit
 //! count drawn from the seeded schedule), and once more with the default
-//! [`Portfolio`] (local-search seed phase, speculative branch-and-bound
-//! on a second core, polish walks) under the same plan. The harness
-//! asserts that **every** injected fault yields a well-formed, sound
-//! result:
+//! [`Portfolio`] (on a second core a walker racing the branch-and-bound,
+//! on one a local-search seed phase and polish walks) under the same
+//! plan. The harness asserts that **every** injected fault yields a
+//! well-formed, sound result:
 //!
 //! * a quarantined cube (a worker died holding work) forbids an
 //!   `Optimal`/`Infeasible` claim — the result degrades to `Feasible`
@@ -24,13 +24,16 @@
 //! * a run that still claims `Optimal` must have zero quarantined cubes
 //!   and must match the reference cost exactly;
 //! * a fault that unwinds the *driver* thread (head start, splitter),
-//!   or any thread of a default solve (the seed walk, a speculative
-//!   run), surfaces as a panic to the caller — the harness catches it
-//!   and asserts the process state is intact by re-solving clean;
+//!   or the calling thread of a default solve (the seed walk, the exact
+//!   side of a race), surfaces as a panic to the caller — the harness
+//!   catches it and asserts the process state is intact by re-solving
+//!   clean;
 //! * with the probes compiled in but no fault firing, two
 //!   deterministic-join runs stay bit-identical (status, cost, decision
-//!   and conflict counts), and so do two default solves (status, cost,
-//!   and every effort counter) — the parity legs.
+//!   and conflict counts), and so do two default-strategy solves under
+//!   `deterministic_join`, which walk, then search (status, cost, and
+//!   every effort counter) — the parity legs; a plain default solve,
+//!   which races on a second core, must return the verified optimum.
 //!
 //! Exit is zero only if every round passes; the first violation panics
 //! with the round's seed, site and hit schedule for replay.
@@ -39,7 +42,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use pbo_core::{verify_solution, Instance, InstanceBuilder};
 use pbo_fault::{install, FaultPlan};
-use pbo_solver::{BsoloOptions, LbMethod, ParBsolo, Portfolio, SolveResult, SolveStatus};
+use pbo_solver::{
+    BsoloOptions, LbMethod, ParBsolo, Portfolio, PortfolioOptions, SolveResult, SolveStatus,
+};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -123,9 +128,9 @@ fn check_faulted(
         Err(_) => {
             // The fault unwound a thread the solve does not contain (head
             // start, splitter, sequential fallback, a default solve's
-            // walk or speculative run). Acceptable — but the process must
-            // remain usable: no poisoned global, no wedged scheduler
-            // thread. Prove it with a clean solve.
+            // seed walk or racing exact side). Acceptable — but the
+            // process must remain usable: no poisoned global, no wedged
+            // scheduler thread. Prove it with a clean solve.
             assert!(fired, "{tag}: solve panicked yet the armed fault never fired");
             let again = resolve();
             assert_eq!(again.status, SolveStatus::Optimal, "{tag}: state wedged after fault");
@@ -237,18 +242,29 @@ fn main() {
         }
 
         // Parity leg: probes compiled in, armed on this site but far out
-        // of reach — the deterministic join must stay bit-identical.
+        // of reach — the deterministic join must stay bit-identical, and
+        // so must the default strategy under it (it walks, then
+        // searches, on any number of cores).
         let guard = install(FaultPlan::new().panic_on(site, u64::MAX));
         let a = ParBsolo::new(det.clone(), workers).solve(&inst);
         let b = ParBsolo::new(det.clone(), workers).solve(&inst);
-        let c = Portfolio::default().solve(&inst);
-        let d = Portfolio::default().solve(&inst);
+        let deterministic = || {
+            let bsolo = BsoloOptions { deterministic_join: true, ..BsoloOptions::default() };
+            Portfolio::new(PortfolioOptions { bsolo, ..PortfolioOptions::default() }).solve(&inst)
+        };
+        let c = deterministic();
+        let d = deterministic();
+        let racing = Portfolio::default().solve(&inst);
         drop(guard);
         assert_eq!(solve_digest(&a), solve_digest(&b), "{tag}: det-join parity broke");
         assert_eq!(solve_digest(&a), solve_digest(&reference), "{tag}: unfired probes perturbed");
         assert_eq!(counter_digest(&c), counter_digest(&d), "{tag}: default-solve parity broke");
-        assert_eq!(c.status, SolveStatus::Optimal, "{tag}: clean default solve must close");
-        assert_eq!(c.best_cost, Some(optimum), "{tag}: clean default solve disagrees");
+        for (name, r) in [("deterministic default", &c), ("default", &racing)] {
+            assert_eq!(r.status, SolveStatus::Optimal, "{tag}: clean {name} solve must close");
+            assert_eq!(r.best_cost, Some(optimum), "{tag}: clean {name} solve disagrees");
+            let model = r.best_assignment.as_ref().expect("optimal carries a model");
+            assert_eq!(verify_solution(&inst, model), Ok(optimum), "{tag}: {name} model");
+        }
     }
     println!(
         "fault_stress: {rounds} rounds ok (seed {seed}; racing: {} faults fired and survived, \

@@ -63,8 +63,9 @@ pub enum SolverKind {
     BsoloLgr,
     /// bsolo with the LP-relaxation bound.
     BsoloLpr,
-    /// LS-seeded portfolio: `pbo-ls` local search warm-starts bsolo-LPR's
-    /// upper bound (the anytime configuration).
+    /// The default portfolio: `pbo-ls` local search races bsolo-LPR on a
+    /// second core, or warm-starts its upper bound on one (the anytime
+    /// configuration).
     BsoloPortfolio,
 }
 
@@ -120,13 +121,16 @@ impl SolverKind {
 }
 
 /// The portfolio configuration used by the benchmark columns and probes:
-/// LS-seeded bsolo-LPR with a deterministic LS step budget. The explicit
-/// LS time limit keeps the seeding phase step-bounded on moderately slow
-/// machines instead of letting the budget/5 wall-clock cap truncate it —
-/// the seed incumbent, and therefore the warm node count, stays
-/// machine-independent — while never exceeding the table's own
-/// per-instance budget, so the portfolio column remains comparable to
-/// the other seven.
+/// the default strategy over bsolo-LPR. On a machine with a second core
+/// it races one walker against the branch-and-bound on these
+/// optimization instances, so the warm node count depends on timing and
+/// on the machine. Pinned to one core it walks, then searches, with a
+/// deterministic LS step budget: the explicit LS time limit keeps that
+/// seed phase step-bounded on moderately slow machines instead of
+/// letting the budget/5 wall-clock cap truncate it, so the seed
+/// incumbent and the warm node count are machine-independent there. The
+/// limit never exceeds the table's own per-instance budget, so the
+/// portfolio column remains comparable to the other seven.
 pub fn portfolio_options(budget: Budget) -> PortfolioOptions {
     let ls_cap = budget.time.map_or(Duration::from_secs(10), |t| t.min(Duration::from_secs(10)));
     PortfolioOptions {

@@ -15,9 +15,9 @@
 //! best verified incumbent intact.
 //!
 //! A [`CancelToken::child`] adds a third: its parent tripping. A child
-//! can be cancelled on its own — one speculative branch-and-bound of
-//! the portfolio, say — while the caller's cancel and deadline still
-//! reach it.
+//! can be cancelled, or given a deadline, on its own — a budgeted solve
+//! arms its budget's deadline on a child of the caller's token, say —
+//! while the caller's cancel and deadline still reach it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};

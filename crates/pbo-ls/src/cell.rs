@@ -100,9 +100,9 @@ impl IncumbentCell {
     /// Merges a cell that another search ran against: `other`'s history
     /// entries that beat this cell's running best are appended with the
     /// instants they were found at, and `other`'s model is taken if it is
-    /// cheaper. A speculative or deterministic-join search works on a
-    /// private cell; this hands its incumbents to the shared one without
-    /// restamping them as found at the merge.
+    /// cheaper. A deterministic-join search works on a private cell;
+    /// this hands its incumbents to the shared one without restamping
+    /// them as found at the merge.
     pub fn absorb(&self, other: &IncumbentCell) {
         let (history, model) = {
             let theirs = other.lock();

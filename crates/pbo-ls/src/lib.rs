@@ -54,12 +54,14 @@
 //! [`IncumbentCell::offer`], the branch-and-bound adopts whatever is
 //! cheaper than its own best, and vice versa — incumbents flow both ways
 //! ([`LocalSearch::run`] polls the cell and re-seeds restarts from
-//! external improvements). By default the portfolio runs one walker
-//! ahead of the branch-and-bound, then one walker per branch-and-bound
-//! search that polishes each of its improving incumbents in a short,
-//! step-bounded walk; `Concurrent` instead races one walker against the
-//! branch-and-bound on its own thread. See `pbo_solver`'s `portfolio`
-//! module for the driver.
+//! external improvements). On an optimization instance with a second
+//! core, the portfolio's default races one walker against the
+//! branch-and-bound on its own thread for the whole solve. Otherwise
+//! (one core, a decision instance, or a deterministic-join solve) it
+//! runs one walker ahead of the branch-and-bound, then one walker per
+//! branch-and-bound search that polishes each of its improving
+//! incumbents in a short, step-bounded walk. See `pbo_solver`'s
+//! `portfolio` module for the driver.
 //!
 //! # Examples
 //!

@@ -245,13 +245,6 @@ impl<'a> LocalSearch<'a> {
         self.tracer = tracer;
     }
 
-    /// Sets the step budget of the next [`run`](LocalSearch::run) calls.
-    /// A walk run in several calls takes the same steps as one long call
-    /// when every call but the last is a multiple of the 512-step poll.
-    pub fn set_max_steps(&mut self, max_steps: u64) {
-        self.options.max_steps = max_steps;
-    }
-
     /// Drains the buffered telemetry events recorded so far.
     pub fn drain_trace(&mut self) -> Vec<pbo_trace::Event> {
         self.tracer.drain()
@@ -294,9 +287,9 @@ impl<'a> LocalSearch<'a> {
                 }
                 // The restart cadence counts *cumulative* steps, so a
                 // driver feeding the engine short per-call budgets (the
-                // chunked seeding phase, the concurrent-portfolio loop)
-                // restarts exactly as often as one long run would — even
-                // when every chunk is shorter than the interval.
+                // portfolio's chunked seed phase) restarts exactly as
+                // often as one long run would — even when every chunk is
+                // shorter than the interval.
                 if self.stats.steps > 0 && self.stats.steps.is_multiple_of(RESTART_INTERVAL) {
                     self.restart();
                 }

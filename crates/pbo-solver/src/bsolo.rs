@@ -134,7 +134,7 @@ impl Bsolo {
 
     /// [`Bsolo::solve_with_cell`], polishing every improving incumbent
     /// with a walk configured by `polish` (its seed and cancel token)
-    /// when given — the portfolio's default strategy.
+    /// when given — the portfolio default's walk-then-search order.
     pub(crate) fn solve_with_polish(
         &self,
         instance: &Instance,
@@ -778,15 +778,15 @@ impl<'a> SearchState<'a> {
         Some(cost)
     }
 
-    /// The polish walk (the portfolio's default strategy only): after an
-    /// improving solution is published, [`POLISH_STEPS`] local-search
-    /// steps through the cell — the walk re-seeds from the cell's best,
-    /// which is that solution unless a peer published a cheaper one —
-    /// and a cheaper find is adopted on the spot, so the caller installs
-    /// the cost cuts once, for the cheaper of the two. Step-bounded and
-    /// seeded, so a sequential or deterministic-join search stays
-    /// reproducible. The walk traces on lane `LS_LANE_BASE` plus this
-    /// search's lane.
+    /// The polish walk (the portfolio default's walk-then-search order
+    /// only): after an improving solution is published, [`POLISH_STEPS`]
+    /// local-search steps through the cell — the walk re-seeds from the
+    /// cell's best, which is that solution unless a peer published a
+    /// cheaper one — and a cheaper find is adopted on the spot, so the
+    /// caller installs the cost cuts once, for the cheaper of the two.
+    /// Step-bounded and seeded, so a sequential or deterministic-join
+    /// search stays reproducible. The walk traces on lane `LS_LANE_BASE`
+    /// plus this search's lane.
     fn polish(&mut self, stats: &mut SolverStats) {
         let (Some(options), Some(cell)) = (&self.polish, self.cell) else { return };
         let walker = self.walker.get_or_insert_with(|| {

@@ -34,27 +34,25 @@ impl LbMethod {
 pub enum SolveStrategy {
     /// Branch-and-bound only — the paper's solver, no local search.
     Exact,
-    /// Seeded portfolio: local search runs first until two 8,192-step
-    /// chunks in a row bring no new verified incumbent, and its best
-    /// seeds the upper bound (and the eq. 10 cuts) of the
-    /// branch-and-bound; a decision instance ends at the first verified
-    /// model. On an optimization instance every improving solution the
-    /// branch-and-bound records is polished by a 2,048-step walk from
-    /// it, whose cheaper find the search adopts. With a second core the
-    /// branch-and-bound starts speculatively from the walk's best while
-    /// the walk finishes its stagnant chunks, and is kept only when the
-    /// walk ends with that same best, so answers and counters are those
-    /// of the sequential order; pinned to one core the two run in turn.
-    /// Deterministic given a deterministic LS budget. The default of
-    /// every front door (`pbo::solve`, `pbo-solve`); on decision
-    /// instances the fastest measured configuration.
+    /// Local search and branch-and-bound in one of two orders. On an
+    /// optimization instance, when the process has a second core and
+    /// [`BsoloOptions::deterministic_join`] is off, they *race*: one
+    /// walker runs on its own thread beside the branch-and-bound for the
+    /// whole solve, incumbents flowing both ways through the shared
+    /// cell; timing dependent, and nothing is polished (the racing
+    /// walker re-seeds from the B&B's incumbents). Otherwise the solve
+    /// *walks, then searches*: local search runs first until two
+    /// 8,192-step chunks in a row bring no new verified incumbent, its
+    /// best seeds the upper bound (and the eq. 10 cuts) of the
+    /// branch-and-bound, and every improving solution the
+    /// branch-and-bound then records on an optimization instance is
+    /// polished by a 2,048-step walk from it, whose cheaper find the
+    /// search adopts; deterministic given a deterministic LS budget. A
+    /// decision instance always walks first and ends at the first
+    /// verified model. The default of every front door (`pbo::solve`,
+    /// `pbo-solve`).
     #[default]
     LsSeeded,
-    /// Concurrent portfolio: local search races the branch-and-bound on
-    /// its own `std::thread`, incumbents flowing both ways through the
-    /// shared cell for the whole solve. Timing dependent; nothing is
-    /// polished (the racing walker re-seeds from the B&B's incumbents).
-    Concurrent,
 }
 
 impl SolveStrategy {
@@ -63,7 +61,6 @@ impl SolveStrategy {
         match self {
             SolveStrategy::Exact => "exact",
             SolveStrategy::LsSeeded => "ls-seeded",
-            SolveStrategy::Concurrent => "concurrent",
         }
     }
 }
@@ -148,6 +145,9 @@ pub struct BsoloOptions {
     /// counters are a pure function of instance + options, independent
     /// of thread scheduling. Costs some pruning (no cross-worker
     /// incumbent races); intended for parity suites and debugging.
+    /// Under it the portfolio's walker also never races the search:
+    /// [`SolveStrategy::LsSeeded`] walks, then searches, on any number
+    /// of cores.
     pub deterministic_join: bool,
     /// Record structured telemetry events (decisions, conflicts, bound
     /// calls, incumbents, cube lifecycle) into per-worker buffers merged
@@ -240,6 +240,5 @@ mod tests {
         assert_eq!(SolveStrategy::default(), SolveStrategy::LsSeeded);
         assert_eq!(SolveStrategy::Exact.name(), "exact");
         assert_eq!(SolveStrategy::LsSeeded.name(), "ls-seeded");
-        assert_eq!(SolveStrategy::Concurrent.name(), "concurrent");
     }
 }

@@ -537,7 +537,8 @@ impl ParBsolo {
     /// [`ParBsolo::solve_with_cell`], with `polish` handed to the head
     /// start and every cube task: each polishes its improving incumbents
     /// with a walker of its own (see [`Bsolo`]'s crate-private
-    /// counterpart). The portfolio's default strategy only.
+    /// counterpart). The portfolio default's walk-then-search order
+    /// only.
     pub(crate) fn solve_with_polish(
         &self,
         instance: &Instance,

@@ -1,4 +1,4 @@
-//! The portfolio driver: stochastic local search racing (or seeding) the
+//! The portfolio driver: stochastic local search seeding or racing the
 //! exact branch-and-bound, with incumbents flowing both ways.
 //!
 //! The DATE'05 search prunes a node as soon as `lower bound >= best
@@ -7,31 +7,27 @@
 //! orders of magnitude faster than tree search; this module wires the two
 //! together around a shared [`IncumbentCell`]:
 //!
-//! * **[`SolveStrategy::LsSeeded`]** (default): LS runs first, in
-//!   8,192-step chunks, until two consecutive chunks bring no new
-//!   verified incumbent; its best warm-starts the branch-and-bound's upper bound
-//!   and eq. 10 cost cuts. On an optimization instance the B&B then
-//!   polishes every improving solution it records: a 2,048-step walk
-//!   from it through the cell, whose cheaper find the B&B adopts before
-//!   installing its cost cuts. Local search thus runs as a primal
-//!   heuristic at deterministic points of the tree, under a step budget.
-//!   A decision instance ends at its first verified model: when the seed
-//!   phase leaves one in the cell and it verifies again, the solve
-//!   returns it without building the exact side at all. With a second
-//!   core, the B&B of an optimization instance starts *speculatively*
-//!   while the walk finishes its stagnant chunks: from the walk's best,
-//!   once 1,024 steps have passed without a new incumbent, on a scoped
-//!   thread against a private cell. If the seed phase ends with that
-//!   same best, the run is the B&B the sequential order would have
-//!   started, so its result is kept; if the walk improves first, the
-//!   run is cancelled and another starts from the new best. Answers and
-//!   counters never depend on which happened.
-//! * **[`SolveStrategy::Concurrent`]**: LS keeps running on its own
-//!   `std::thread` for the whole solve. Every improving incumbent found
-//!   by either side is published to the cell; the B&B adopts external
-//!   improvements mid-search (re-rooting its cuts), and LS re-seeds its
-//!   restarts from external improvements. Nothing is polished: the
-//!   racing walker already re-seeds from the B&B's incumbents.
+//! * **[`SolveStrategy::LsSeeded`]** (default) runs in one of two orders.
+//!   - *The race*, on an optimization instance when the process has a
+//!     second core and `deterministic_join` is off: one walker runs on
+//!     its own thread beside the branch-and-bound for the whole solve.
+//!     Every improving incumbent found by either side is published to
+//!     the cell; the B&B adopts external improvements mid-search
+//!     (re-rooting its cuts), and the walker re-seeds its restarts from
+//!     external improvements. Nothing is polished: the racing walker
+//!     already re-seeds from the B&B's incumbents.
+//!   - *Walk, then search*, everywhere else: LS runs first, in
+//!     8,192-step chunks, until two consecutive chunks bring no new
+//!     verified incumbent; its best warm-starts the branch-and-bound's
+//!     upper bound and eq. 10 cost cuts. On an optimization instance the
+//!     B&B then polishes every improving solution it records: a
+//!     2,048-step walk from it through the cell, whose cheaper find the
+//!     B&B adopts before installing its cost cuts. Local search thus
+//!     runs as a primal heuristic at deterministic points of the tree,
+//!     under a step budget. A decision instance ends at its first
+//!     verified model: when the seed phase leaves one in the cell and it
+//!     verifies again, the solve returns it without building the exact
+//!     side at all.
 //! * **[`SolveStrategy::Exact`]**: plain branch-and-bound (the paper's
 //!   solver), for when reproducibility of the exact search matters more
 //!   than anytime behaviour. It never polishes.
@@ -42,23 +38,21 @@
 //! # When to prefer which strategy
 //!
 //! `LsSeeded` is the default everywhere — [`SolveStrategy::default`],
-//! `pbo::solve` and the `pbo-solve` CLI. The warm start and the polish
-//! walks shrink the tree on every gated benchmark workload, a decision
-//! instance ends in the seed phase, and every walk is step-bounded and
-//! seeded, so a sequential or `deterministic_join` solve reproduces run
-//! to run (under a wall-clock budget the seed phase's time cap can cut
-//! it at a different step) — on two cores as on one, since a
-//! speculative branch-and-bound is kept only when it is the one the
-//! one-core order would run. `Concurrent` is timing dependent. On a
-//! 2-core box it still beats the default on the optimization workloads
-//! (`ptlcmos-seq` and `synthesis-par2` per-file sums 15% and 17% lower),
-//! is level with it or loses pinned to one core, and loses on the
+//! `pbo::solve` and the `pbo-solve` CLI — and picks its order from what
+//! was measured on a 2-core box: the race beat the speculative
+//! branch-and-bound start it replaced on the optimization workloads
+//! (`ptlcmos-seq` and `synthesis-par2` per-file sums 32% and 19% lower),
+//! but pinned to one core it lost `synthesis-par2`, and it lost the
 //! decision workload (`acc-seq`), where the seed phase alone answers.
-//! `Exact` (`pbo-solve --strategy exact`, `pbo::solve_with`) reproduces
-//! the paper's solver byte for byte.
+//! The race is timing dependent. The walk-then-search order is
+//! reproducible run to run — every walk is step-bounded and seeded
+//! (under a wall-clock budget the seed phase's time cap can cut it at a
+//! different step) — so `deterministic_join` (`pbo-solve
+//! --deterministic`) selects it on any machine. `Exact` (`pbo-solve
+//! --strategy exact`, `pbo::solve_with`) reproduces the paper's solver
+//! byte for byte.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
 use pbo_core::{CancelToken, Instance};
@@ -69,23 +63,11 @@ use crate::options::{BsoloOptions, SolveStrategy};
 use crate::par::ParBsolo;
 use crate::result::{SolveResult, SolveStatus, SolverStats};
 
-/// LS steps per chunk between stop-flag/cell checks in concurrent mode.
-const CONCURRENT_CHUNK_STEPS: u64 = 16_384;
-
 /// LS steps per chunk of the seed phase. Step-based, so a step-bounded
 /// seed phase stays deterministic. Shorter chunks were measured and
 /// rejected: 4,096-step chunks took `acc-seq` from 65 to 164 ms and
 /// grout 17% longer.
 const SEED_CHUNK_STEPS: u64 = 8_192;
-
-/// LS steps per piece of a seed chunk. A piece that ends with the
-/// cell's best it started with starts a speculative branch-and-bound
-/// from that best (see [`Portfolio::solve_ls_seeded`]); the stop rules
-/// still read chunk ends only. A multiple of the walker's 512-step
-/// poll, so a chunk walked in pieces takes exactly the steps of one
-/// call. Starting only at chunk ends left `ptlcmos-seq` at 0.652 s of
-/// per-file sums against 0.602 s for this rule.
-const SEED_PIECE_STEPS: u64 = 1_024;
 
 /// Consecutive chunks without a new verified incumbent that end the seed
 /// phase once it has found a model. One was measured and rejected: on
@@ -109,16 +91,17 @@ pub struct PortfolioOptions {
     /// How LS and branch-and-bound are combined.
     pub strategy: SolveStrategy,
     /// The exact solver's configuration; its [`crate::Budget`] is the
-    /// budget of the *whole* portfolio solve (in `LsSeeded` mode the LS
-    /// phase consumes part of the wall clock and the branch-and-bound
-    /// gets the remainder).
+    /// budget of the *whole* portfolio solve (when `LsSeeded` walks,
+    /// then searches, the LS phase consumes part of the wall clock and
+    /// the branch-and-bound gets the remainder).
     pub bsolo: BsoloOptions,
-    /// The local-search configuration. In `LsSeeded` mode `max_steps` /
-    /// `time_limit` cap the seed phase (a fifth of the total time budget
-    /// is imposed when none is set), and every polish walk takes `seed`
-    /// and `cancel` but a fixed 2,048-step budget; in `Concurrent` mode
-    /// the one LS thread walks until the exact side finishes, whatever
-    /// its step budget and time limit.
+    /// The local-search configuration. When `LsSeeded` walks, then
+    /// searches, `max_steps` / `time_limit` cap the seed phase (a fifth
+    /// of the total time budget is imposed when none is set), and every
+    /// polish walk takes `seed` and `cancel` but a fixed 2,048-step
+    /// budget. When it races, the one walker takes `seed` and `cancel`
+    /// and walks until the exact side finishes, whatever its step budget
+    /// and time limit.
     pub ls: LsOptions,
     /// Number of exact branch-and-bound workers (default 1 = the
     /// sequential solver, bit-identical to [`crate::Bsolo`]). With more
@@ -126,8 +109,8 @@ pub struct PortfolioOptions {
     /// split into cubes and solved by a pool sharing the instance's
     /// read-only term arena, incumbents flowing through the cell.
     /// Applies to every strategy — `Exact` becomes pure parallel B&B,
-    /// `Concurrent` races one LS thread *and* `bb_threads` exact workers
-    /// against one cell.
+    /// and a racing `LsSeeded` solve races one walker *and* `bb_threads`
+    /// exact workers against one cell.
     ///
     /// `0` means "auto": resolved to the machine's available parallelism
     /// at solve time (the CLI spells it `--bb-threads auto`). See
@@ -216,32 +199,26 @@ impl Portfolio {
     /// ([`IncumbentCell::history_since`]) after the solve, or to seed the
     /// solve with a known solution.
     ///
-    /// Under [`SolveStrategy::LsSeeded`] with a second core, the
-    /// branch-and-bound whose result is returned may have run against a
-    /// private cell: its incumbents reach `cell` when it ends, merged with
-    /// the instants they were found at ([`IncumbentCell::absorb`]), so the
-    /// trajectory read afterwards is the one a sequential solve records.
-    /// A caller watching `cell` while the solve runs sees the seed walk's
-    /// incumbents live, and the exact side's only at the end. Under
-    /// `deterministic_join` the same holds for every strategy.
+    /// Under `deterministic_join` with more than one worker, each cube
+    /// task runs against a private cell: its incumbents reach `cell` at
+    /// the join, merged with the instants they were found at
+    /// ([`IncumbentCell::absorb`]), so the trajectory read afterwards is
+    /// complete, but a caller watching `cell` while the solve runs sees
+    /// them only at the end.
     pub fn solve_with_cell(&self, instance: &Instance, cell: &IncumbentCell) -> SolveResult {
         let start = Instant::now();
         let mut result = match self.options.strategy {
             SolveStrategy::Exact => self.exact_solver().solve_with_cell(instance, Some(cell)),
-            SolveStrategy::LsSeeded => {
-                // `available_parallelism` honours the affinity mask, so a
-                // solve pinned to one core walks and searches in turn. It
-                // reads cgroup files (about 20 µs), so a decision
-                // instance, which never speculates, does not ask.
-                let speculate = instance.is_optimization()
-                    && std::thread::available_parallelism().is_ok_and(|cores| cores.get() > 1);
-                self.solve_ls_seeded(instance, cell, start, speculate)
+            // `available_parallelism` honours the affinity mask, so a
+            // solve pinned to one core walks, then searches.
+            SolveStrategy::LsSeeded if self.races(instance, available_cores) => {
+                self.race(instance, cell, start)
             }
-            SolveStrategy::Concurrent => self.solve_concurrent(instance, cell, start),
+            SolveStrategy::LsSeeded => self.walk_then_search(instance, cell, start),
         };
         // An incumbent can land in the cell after the B&B's last
-        // adoption check (a racing LS thread's final offer): fold it
-        // back so the returned result is the cell's best, never worse.
+        // adoption check (a racing walker's final offer): fold it back so
+        // the returned result is the cell's best, never worse.
         if let Some((cost, model)) = cell.snapshot() {
             if result.best_cost.is_none_or(|b| cost < b)
                 && pbo_core::verify_solution(instance, &model) == Ok(cost)
@@ -262,6 +239,15 @@ impl Portfolio {
         result
     }
 
+    /// Whether `LsSeeded` races its walker against the branch-and-bound
+    /// on `instance` rather than walking first: on an optimization
+    /// instance, without `deterministic_join`, when `cores` reports a
+    /// second core. `cores` is asked last: [`available_cores`] reads
+    /// cgroup files (about 20 µs), which a decision instance skips.
+    fn races(&self, instance: &Instance, cores: impl FnOnce() -> usize) -> bool {
+        instance.is_optimization() && !self.options.bsolo.deterministic_join && cores() > 1
+    }
+
     /// The exact side of every strategy: sequential bsolo for
     /// `bb_threads == 1` (bit-identical to [`crate::Bsolo`], by
     /// delegation), the cube-split worker pool otherwise.
@@ -269,165 +255,65 @@ impl Portfolio {
         ParBsolo::new(self.options.bsolo.clone(), self.options.resolved_bb_threads())
     }
 
-    /// The default strategy: a bounded LS phase, then B&B on what's left
+    /// `LsSeeded` without a second core, on a decision instance or under
+    /// `deterministic_join`: a bounded LS phase, then B&B on what's left
     /// of the wall-clock budget, polishing each improving incumbent of an
-    /// optimization instance with a short walk of its own.
-    ///
-    /// With `speculate` (a second core), the B&B of an optimization
-    /// instance starts early on a scoped thread: after every seed piece
-    /// that ends with the cell's best it started with, from that best,
-    /// against a private copy of the cell, while the walk goes on. A run
-    /// whose starting best the walk beats is cancelled; a run that
-    /// started from the cell's final best is exactly the B&B the
-    /// sequential order would start now, so its result is kept and its
-    /// incumbents are merged into `cell`. Answers and counters are those
-    /// of the sequential order either way; only wall time moves.
-    fn solve_ls_seeded(
+    /// optimization instance with a short walk of its own. Every polish
+    /// walk takes the seed walker's seed, and the LS options' own cancel
+    /// token, else the search's.
+    pub(crate) fn walk_then_search(
         &self,
         instance: &Instance,
         cell: &IncumbentCell,
         start: Instant,
-        speculate: bool,
     ) -> SolveResult {
-        // Nothing is speculated without a model, and a decision instance
-        // ends at its first.
-        let speculate = speculate && instance.is_optimization();
-        std::thread::scope(|scope| {
-            let mut runs = Speculation::default();
-            let mut piece_from = cell.best_cost();
-            let mut ls = self.seed_phase(instance, cell, start, || {
-                if !speculate {
-                    return;
-                }
-                // The cell's best only falls, so a run it left behind can
-                // never be kept: cancel it now, join it later.
-                let best = cell.best_cost();
-                runs.abort_unless_from(best);
-                if best.is_some() && best == piece_from && runs.may_start() {
-                    runs.live = cell
-                        .snapshot()
-                        .map(|(from, model)| self.speculate(scope, instance, start, from, model));
-                    #[cfg(test)]
-                    runs.note_in_flight(0);
-                }
-                piece_from = best;
-            });
-            let seed_time = start.elapsed();
-            // A decision instance ends at its first model: once the seed
-            // phase has left one in the cell and it verifies again (the
-            // cell stores, it does not vouch), no exact search can improve
-            // on it.
-            if !instance.is_optimization() {
-                if let Some((cost, model)) = cell.snapshot() {
-                    if pbo_core::verify_solution(instance, &model) == Ok(cost) {
-                        let stats = SolverStats {
-                            ls_steps: ls.stats.steps,
-                            ls_time: seed_time,
-                            trace: ls.drain_trace(),
-                            ..SolverStats::default()
-                        };
-                        return SolveResult {
-                            status: SolveStatus::Optimal,
-                            best_cost: Some(cost),
-                            best_assignment: Some(model),
-                            stats,
-                        };
-                    }
+        let mut ls = self.seed_phase(instance, cell, start);
+        let ls_time = start.elapsed();
+        // A decision instance ends at its first model: once the seed
+        // phase has left one in the cell and it verifies again (the cell
+        // stores, it does not vouch), no exact search can improve on it.
+        if !instance.is_optimization() {
+            if let Some((cost, model)) = cell.snapshot() {
+                if pbo_core::verify_solution(instance, &model) == Ok(cost) {
+                    let stats = SolverStats {
+                        ls_steps: ls.stats.steps,
+                        ls_time,
+                        trace: ls.drain_trace(),
+                        ..SolverStats::default()
+                    };
+                    return SolveResult {
+                        status: SolveStatus::Optimal,
+                        best_cost: Some(cost),
+                        best_assignment: Some(model),
+                        stats,
+                    };
                 }
             }
-            runs.abort_unless_from(cell.best_cost());
-            let (mut result, ls_time) = match runs.live.take() {
-                Some(run) => {
-                    let (result, run_cell) = join(run.handle);
-                    cell.absorb(&run_cell);
-                    (result, run.started)
-                }
-                None => {
-                    #[cfg(test)]
-                    runs.note_in_flight(1);
-                    let cancel = self.options.bsolo.cancel.clone();
-                    (self.exact_side(instance, cell, seed_time, cancel), seed_time)
-                }
-            };
-            if let Some(handle) = runs.aborted.take() {
-                join(handle);
-            }
-            shift_trace(&mut result.stats.trace, ls_time);
-            result.stats.trace.extend(ls.drain_trace());
-            result.stats.ls_steps += ls.stats.steps;
-            result.stats.ls_time = ls_time;
-            result.stats.speculations_aborted = runs.aborts;
-            result
-        })
-    }
-
-    /// Starts the exact side on a scoped thread from the incumbent
-    /// `(from, model)`, against a private cell seeded with it, under a
-    /// child of the solve's cancel token. The token carries no deadline
-    /// of its own: the run counts what is left of the wall-clock budget
-    /// from its own start, and the branch-and-bound arms that deadline
-    /// on a child of the token from the same clock, so an expiring
-    /// budget is reported as such, never as a cancellation.
-    fn speculate<'scope, 'env>(
-        &'env self,
-        scope: &'scope Scope<'scope, 'env>,
-        instance: &'env Instance,
-        start: Instant,
-        from: i64,
-        model: Vec<bool>,
-    ) -> SpecRun<'scope> {
-        let started = start.elapsed();
-        let cancel =
-            self.options.bsolo.cancel.as_ref().map_or_else(CancelToken::new, CancelToken::child);
-        let token = cancel.clone();
-        let handle = scope.spawn(move || {
-            let run_cell = IncumbentCell::new();
-            run_cell.offer(from, &model);
-            let result = self.exact_side(instance, &run_cell, started, Some(token));
-            (result, run_cell)
-        });
-        SpecRun { from, started, cancel, handle }
-    }
-
-    /// The exact side of `LsSeeded`, started `started` into the solve: the
-    /// B&B on what is left of the wall-clock budget, stopped by `cancel`,
-    /// polishing each improving incumbent. Every polish walk takes the
-    /// seed walker's seed, and the LS options' own cancel token, else the
-    /// search's: `cancel`, or its child that carries the budget's
-    /// deadline.
-    fn exact_side(
-        &self,
-        instance: &Instance,
-        cell: &IncumbentCell,
-        started: Duration,
-        cancel: Option<CancelToken>,
-    ) -> SolveResult {
+        }
         let mut bsolo_options = self.options.bsolo.clone();
         if let Some(t) = self.options.bsolo.budget.time {
             bsolo_options.budget.time =
-                Some(t.saturating_sub(started).max(Duration::from_millis(1)));
+                Some(t.saturating_sub(ls_time).max(Duration::from_millis(1)));
         }
-        bsolo_options.cancel = cancel;
-        ParBsolo::new(bsolo_options, self.options.resolved_bb_threads()).solve_with_polish(
-            instance,
-            Some(cell),
-            Some(&self.options.ls),
-        )
+        let mut result = ParBsolo::new(bsolo_options, self.options.resolved_bb_threads())
+            .solve_with_polish(instance, Some(cell), Some(&self.options.ls));
+        shift_trace(&mut result.stats.trace, ls_time);
+        result.stats.trace.extend(ls.drain_trace());
+        result.stats.ls_steps += ls.stats.steps;
+        result.stats.ls_time = ls_time;
+        result
     }
 
-    /// The seed phase of `LsSeeded`: one walker in 8,192-step chunks,
-    /// each walked in [`SEED_PIECE_STEPS`]-step pieces with
-    /// `after_piece` called after every piece that stepped, publishing to
-    /// `cell`, until two consecutive chunks bring no new verified
-    /// incumbent (three while it has none), the step budget or the time
-    /// cap runs out — the stop rules read chunk ends only — or nothing is
-    /// left to improve. Returns the walker.
+    /// The seed phase of the walk-then-search order: one walker in
+    /// 8,192-step chunks publishing to `cell`, until two consecutive
+    /// chunks bring no new verified incumbent (three while it has none),
+    /// the step budget or the time cap runs out, or nothing is left to
+    /// improve. Returns the walker.
     fn seed_phase<'i>(
         &self,
         instance: &'i Instance,
         cell: &IncumbentCell,
         start: Instant,
-        mut after_piece: impl FnMut(),
     ) -> LocalSearch<'i> {
         // An explicit LS time limit wins (so callers can make the seed
         // phase step-bounded and deterministic); a fifth of the total
@@ -440,23 +326,23 @@ impl Portfolio {
         let chunk = SEED_CHUNK_STEPS.min(max_steps.max(1));
         let mut ls = LocalSearch::new(
             instance,
-            LsOptions { time_limit: None, cancel: self.ls_cancel(), ..self.options.ls.clone() },
+            LsOptions {
+                max_steps: chunk,
+                time_limit: None,
+                cancel: self.ls_cancel(),
+                ..self.options.ls.clone()
+            },
         );
         if self.options.bsolo.trace {
             ls.set_tracer(Tracer::buffered(LS_LANE_BASE, start));
         }
         let mut last_best: Option<i64> = None;
         let mut stagnant = 0;
-        'phase: loop {
-            let chunk_end = ls.stats.steps + chunk;
-            while ls.stats.steps < chunk_end {
-                let before = ls.stats.steps;
-                ls.set_max_steps(SEED_PIECE_STEPS.min(chunk_end - before));
-                ls.run(Some(cell), None);
-                if ls.stats.steps == before {
-                    break 'phase; // satisfied, hopeless, or cancelled
-                }
-                after_piece();
+        loop {
+            let before = ls.stats.steps;
+            ls.run(Some(cell), None);
+            if ls.stats.steps == before {
+                break; // satisfied, hopeless, or cancelled
             }
             let best = ls.best().map(|(cost, _)| cost);
             if best == last_best {
@@ -482,24 +368,23 @@ impl Portfolio {
         self.options.ls.cancel.clone().or_else(|| self.options.bsolo.cancel.clone())
     }
 
-    /// Concurrent mode: one LS thread races the exact side — sequential
-    /// bsolo, or the `bb_threads`-strong cube-split pool — until the
-    /// exact side finishes. Incumbents flow through the shared cell; the
-    /// walker's steps are added to `ls_steps`, while `ls_time` stays the
-    /// seed phase's (zero here).
-    fn solve_concurrent(
-        &self,
-        instance: &Instance,
-        cell: &IncumbentCell,
-        start: Instant,
-    ) -> SolveResult {
+    /// `LsSeeded` on an optimization instance with a second core: one
+    /// walker races the exact side — sequential bsolo, or the
+    /// `bb_threads`-strong cube-split pool — until the exact side
+    /// finishes. Incumbents flow through the shared cell; the walker's
+    /// steps are added to `ls_steps`, while `ls_time` stays zero (no seed
+    /// phase runs).
+    fn race(&self, instance: &Instance, cell: &IncumbentCell, start: Instant) -> SolveResult {
         let stop = AtomicBool::new(false);
         let traced = self.options.bsolo.trace;
         std::thread::scope(|scope| {
-            let ls_handle = scope.spawn(|| {
+            let walker = scope.spawn(|| {
+                // One walk with no step cap: it ends on the stop flag, on
+                // the solve's token, or when nothing is left to improve.
                 let options = LsOptions {
-                    max_steps: CONCURRENT_CHUNK_STEPS,
+                    max_steps: u64::MAX,
                     time_limit: None,
+                    cancel: self.ls_cancel(),
                     ..self.options.ls.clone()
                 };
                 let mut ls = LocalSearch::new(instance, options);
@@ -508,28 +393,18 @@ impl Portfolio {
                 if traced {
                     ls.set_tracer(Tracer::buffered(LS_LANE_BASE, start));
                 }
-                loop {
-                    let before = ls.stats.steps;
-                    ls.run(Some(cell), Some(&stop));
-                    if stop.load(Ordering::Relaxed) {
-                        break (ls.stats.steps, ls.drain_trace());
-                    }
-                    if ls.stats.steps == before {
-                        // Nothing left to improve: idle until the stop
-                        // flag rises.
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
+                ls.run(Some(cell), Some(&stop));
+                (ls.stats.steps, ls.drain_trace())
             });
             let exact_start = start.elapsed();
             // Raised on every exit from the exact side, an unwinding
             // panic included: the scope joins the walker before it
-            // rethrows, and the walker stops only on the flag.
+            // rethrows, and the walker may stop only on the flag.
             let raise_stop = RaiseOnDrop(&stop);
             let mut result = self.exact_solver().solve_with_cell(instance, Some(cell));
             drop(raise_stop);
             shift_trace(&mut result.stats.trace, exact_start);
-            match ls_handle.join() {
+            match walker.join() {
                 Ok((steps, events)) => {
                     result.stats.ls_steps += steps;
                     result.stats.trace.extend(events);
@@ -555,6 +430,12 @@ impl Portfolio {
     }
 }
 
+/// The cores this process may run on, as `available_parallelism`
+/// reports them (1 when it cannot tell).
+fn available_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |cores| cores.get())
+}
+
 /// Raises a stop flag when dropped.
 struct RaiseOnDrop<'a>(&'a AtomicBool);
 
@@ -562,88 +443,6 @@ impl Drop for RaiseOnDrop<'_> {
     fn drop(&mut self) {
         self.0.store(true, Ordering::Relaxed);
     }
-}
-
-/// The result of a speculative run and the private cell it ran against.
-type SpecOutcome = (SolveResult, IncumbentCell);
-
-/// A speculative branch-and-bound of `LsSeeded`.
-struct SpecRun<'scope> {
-    /// The cell's best it started from.
-    from: i64,
-    /// When it started, from the solve's start.
-    started: Duration,
-    /// Its own token, a child of the solve's.
-    cancel: CancelToken,
-    handle: ScopedJoinHandle<'scope, SpecOutcome>,
-}
-
-/// The speculative runs of one `LsSeeded` solve: a live run or a
-/// cancelled one winding down, never both, so with the calling thread's
-/// own run at most two branch-and-bound states are alive at once.
-/// Dropping it cancels the live run, so a walk that unwinds does not
-/// leave `std::thread::scope` waiting out a whole branch-and-bound.
-#[derive(Default)]
-struct Speculation<'scope> {
-    /// The run started from the cell's current best, if any.
-    live: Option<SpecRun<'scope>>,
-    /// The cancelled run, until it has wound down and been joined. A run
-    /// cancelled during its setup (preprocessing, the engine build, the
-    /// cost cuts) polls no token and runs on for that long.
-    aborted: Option<ScopedJoinHandle<'scope, SpecOutcome>>,
-    /// Runs cancelled so far.
-    aborts: u64,
-}
-
-impl Speculation<'_> {
-    /// Cancels the live run unless it started from `best`. The walk does
-    /// not wait for it to wind down.
-    fn abort_unless_from(&mut self, best: Option<i64>) {
-        if let Some(run) = self.live.take_if(|run| Some(run.from) != best) {
-            run.cancel.cancel();
-            debug_assert!(self.aborted.is_none(), "a run started beside a cancelled one");
-            self.aborted = Some(run.handle);
-            self.aborts += 1;
-        }
-    }
-
-    /// Whether a run may start: none is live, and the cancelled one, if
-    /// any, has wound down (it is joined here). The walk never waits.
-    fn may_start(&mut self) -> bool {
-        if let Some(handle) = self.aborted.take_if(|h| h.is_finished()) {
-            join(handle);
-        }
-        self.live.is_none() && self.aborted.is_none()
-    }
-
-    /// Raises [`PEAK_IN_FLIGHT`] to the runs still going, plus `extra`
-    /// on the calling thread.
-    #[cfg(test)]
-    fn note_in_flight(&self, extra: usize) {
-        let live = self.live.as_ref().map(|run| &run.handle);
-        let going = live.into_iter().chain(&self.aborted).filter(|h| !h.is_finished()).count();
-        PEAK_IN_FLIGHT.set(PEAK_IN_FLIGHT.get().max(going + extra));
-    }
-}
-
-#[cfg(test)]
-thread_local! {
-    /// The most branch-and-bound runs an `LsSeeded` solve on this thread
-    /// has had going at once.
-    static PEAK_IN_FLIGHT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-impl Drop for Speculation<'_> {
-    fn drop(&mut self) {
-        if let Some(run) = &self.live {
-            run.cancel.cancel();
-        }
-    }
-}
-
-/// Joins a speculative run, re-raising its panic on the caller's thread.
-fn join(handle: ScopedJoinHandle<'_, SpecOutcome>) -> SpecOutcome {
-    handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }
 
 /// Moves the exact side's events onto the portfolio's trace epoch: the
@@ -661,7 +460,7 @@ mod tests {
     use super::*;
     use crate::bsolo::Bsolo;
     use crate::options::{Budget, LbMethod};
-    use pbo_benchgen::{AccSchedParams, GroutParams, PtlCmosParams, SynthesisParams};
+    use pbo_benchgen::{AccSchedParams, PtlCmosParams, SynthesisParams};
     use pbo_core::{brute_force, InstanceBuilder, RelOp, Var};
 
     fn covering_instance() -> Instance {
@@ -679,14 +478,32 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// An `LsSeeded` solve in each order, whatever the machine's cores:
+    /// the race and walk-then-search.
+    fn both_orders(
+        options: &PortfolioOptions,
+        inst: &Instance,
+    ) -> [(&'static str, SolveResult); 2] {
+        let portfolio = Portfolio::new(options.clone());
+        [
+            ("race", portfolio.race(inst, &IncumbentCell::new(), Instant::now())),
+            (
+                "walk, then search",
+                portfolio.walk_then_search(inst, &IncumbentCell::new(), Instant::now()),
+            ),
+        ]
+    }
+
     #[test]
     fn every_strategy_finds_the_optimum() {
         let inst = covering_instance();
         let expected = brute_force(&inst).cost();
-        for strategy in [SolveStrategy::Exact, SolveStrategy::LsSeeded, SolveStrategy::Concurrent] {
-            let result = Portfolio::with_strategy(strategy).solve(&inst);
-            assert!(result.is_optimal(), "{strategy:?} must prove optimality");
-            assert_eq!(result.best_cost, expected, "{strategy:?} optimum mismatch");
+        let exact = Portfolio::with_strategy(SolveStrategy::Exact).solve(&inst);
+        let default = Portfolio::with_strategy(SolveStrategy::LsSeeded).solve(&inst);
+        let orders = both_orders(&PortfolioOptions::default(), &inst);
+        for (label, result) in [("exact", exact), ("default", default)].into_iter().chain(orders) {
+            assert!(result.is_optimal(), "{label} must prove optimality");
+            assert_eq!(result.best_cost, expected, "{label} optimum mismatch");
             let model = result.best_assignment.as_ref().expect("model present");
             assert_eq!(pbo_core::verify_solution(&inst, model), Ok(expected.unwrap()));
         }
@@ -810,17 +627,35 @@ mod tests {
     }
 
     #[test]
+    fn ls_seeded_races_only_optimization_instances_on_two_cores_without_deterministic_join() {
+        let optimization = covering_instance();
+        let decision = decision_instance();
+        for deterministic_join in [false, true] {
+            let bsolo = BsoloOptions { deterministic_join, ..BsoloOptions::default() };
+            let portfolio =
+                Portfolio::new(PortfolioOptions { bsolo, ..PortfolioOptions::default() });
+            for cores in [1, 2, 8] {
+                let races = portfolio.races(&optimization, || cores);
+                assert_eq!(
+                    races,
+                    cores > 1 && !deterministic_join,
+                    "optimization, {cores} cores, deterministic_join {deterministic_join}"
+                );
+                // A decision instance walks first and never asks for the
+                // core count.
+                assert!(!portfolio.races(&decision, || panic!("cores asked for")));
+            }
+        }
+    }
+
+    #[test]
     fn concurrent_worker_pool_finds_the_optimum() {
-        // The one LS thread races a two-worker cube-split exact side.
+        // The one walker races a two-worker cube-split exact side.
         let inst = covering_instance();
         let expected = brute_force(&inst).cost();
-        let options = PortfolioOptions {
-            strategy: SolveStrategy::Concurrent,
-            bb_threads: 2,
-            ..PortfolioOptions::default()
-        };
-        let result = Portfolio::new(options).solve(&inst);
-        assert!(result.is_optimal(), "concurrent portfolio must prove optimality");
+        let options = PortfolioOptions { bb_threads: 2, ..PortfolioOptions::default() };
+        let result = Portfolio::new(options).race(&inst, &IncumbentCell::new(), Instant::now());
+        assert!(result.is_optimal(), "the racing portfolio must prove optimality");
         assert_eq!(result.best_cost, expected);
         let model = result.best_assignment.expect("model present");
         assert_eq!(pbo_core::verify_solution(&inst, &model), Ok(expected.unwrap()));
@@ -834,12 +669,14 @@ mod tests {
         b.add_clause([v[0].negative()]);
         b.minimize([(1, v[1].positive())]);
         let inst = b.build().unwrap();
-        for strategy in [SolveStrategy::Exact, SolveStrategy::LsSeeded, SolveStrategy::Concurrent] {
-            let result = Portfolio::with_strategy(strategy).solve(&inst);
+        let exact = Portfolio::with_strategy(SolveStrategy::Exact).solve(&inst);
+        let default = Portfolio::with_strategy(SolveStrategy::LsSeeded).solve(&inst);
+        let orders = both_orders(&PortfolioOptions::default(), &inst);
+        for (label, result) in [("exact", exact), ("default", default)].into_iter().chain(orders) {
             assert_eq!(
                 result.status,
                 crate::SolveStatus::Infeasible,
-                "{strategy:?} must prove infeasibility"
+                "{label} must prove infeasibility"
             );
         }
     }
@@ -924,10 +761,12 @@ mod tests {
     #[test]
     fn seed_phase_effort_is_reported_apart() {
         let inst = covering_instance();
-        let seeded = Portfolio::with_strategy(SolveStrategy::LsSeeded).solve(&inst);
+        let begun = Instant::now();
+        let seeded = Portfolio::default().walk_then_search(&inst, &IncumbentCell::new(), begun);
+        let elapsed = begun.elapsed();
         assert!(seeded.stats.ls_steps > 0);
         assert!(seeded.stats.ls_time > Duration::ZERO);
-        assert!(seeded.stats.ls_time <= seeded.stats.solve_time);
+        assert!(seeded.stats.ls_time <= elapsed);
         let json = seeded.stats.to_json();
         assert!(json.contains(&format!("\"ls_steps\":{},", seeded.stats.ls_steps)), "{json}");
         assert!(json.contains("\"ls_time_ms\":"), "{json}");
@@ -951,12 +790,9 @@ mod tests {
         let inst = params.generate(0);
         let budget = Budget::time_limit(Duration::from_millis(200));
         let bsolo = BsoloOptions { trace: true, ..BsoloOptions::with_lb(LbMethod::None) };
-        let options = PortfolioOptions {
-            strategy: SolveStrategy::Concurrent,
-            bsolo: bsolo.budget(budget),
-            ..PortfolioOptions::default()
-        };
-        let result = Portfolio::new(options).solve(&inst);
+        let options =
+            PortfolioOptions { bsolo: bsolo.budget(budget), ..PortfolioOptions::default() };
+        let result = Portfolio::new(options).race(&inst, &IncumbentCell::new(), Instant::now());
         let ls_incumbent =
             |e: &Event| e.lane == LS_LANE_BASE && matches!(e.data, TraceEvent::Solution { .. });
         assert!(
@@ -973,20 +809,37 @@ mod tests {
         let cancel = pbo_core::CancelToken::new();
         cancel.cancel();
         let bsolo = BsoloOptions { cancel: Some(cancel), trace: true, ..BsoloOptions::default() };
-        let options =
-            PortfolioOptions { strategy: SolveStrategy::LsSeeded, bsolo, ..Default::default() };
-        let result = Portfolio::new(options).solve(&inst);
-        assert!(
-            !result.stats.trace.iter().any(|e| matches!(e.data, pbo_trace::TraceEvent::LsRestart)),
-            "the local search must see the token before its first restart"
-        );
+        let options = PortfolioOptions { bsolo, ..PortfolioOptions::default() };
+        for (order, result) in both_orders(&options, &inst) {
+            assert!(
+                !result.stats.trace.iter().any(|e| matches!(e.data, TraceEvent::LsRestart)),
+                "{order}: the local search must see the token before its first restart"
+            );
+            assert_eq!(result.stats.ls_steps, 0, "{order}");
+            assert!(result.stats.cancelled, "{order}: the cancel must be reported");
+            assert!(
+                matches!(result.status, crate::SolveStatus::Feasible | crate::SolveStatus::Unknown),
+                "{order}: a cancelled solve cannot claim exhaustion: {:?}",
+                result.status
+            );
+        }
+    }
+
+    /// The racing walker takes the walks' token, the LS options' own
+    /// before the solve's: cancelled up front, it walks 0 steps while the
+    /// exact side, which never reads that token, proves the optimum. A
+    /// walker without the token would walk until the exact side ends.
+    #[test]
+    fn racing_walker_takes_the_walks_cancel_token() {
+        let cancel = pbo_core::CancelToken::new();
+        cancel.cancel();
+        let ls = LsOptions { cancel: Some(cancel), ..LsOptions::default() };
+        let options = PortfolioOptions { ls, ..PortfolioOptions::default() };
+        let result =
+            Portfolio::new(options).race(&ptlcmos_60(), &IncumbentCell::new(), Instant::now());
+        assert!(result.is_optimal(), "{:?}", result.status);
+        assert!(!result.stats.cancelled, "the exact side ran under the solve's own token");
         assert_eq!(result.stats.ls_steps, 0);
-        assert!(result.stats.cancelled, "the cancel must be reported");
-        assert!(
-            matches!(result.status, crate::SolveStatus::Feasible | crate::SolveStatus::Unknown),
-            "a cancelled solve cannot claim exhaustion: {:?}",
-            result.status
-        );
     }
 
     /// The effort counters a parity check compares.
@@ -1036,12 +889,8 @@ mod tests {
                 assert_eq!(a.best_assignment, b.best_assignment, "{label}: model");
                 assert_eq!(counters(&a), counters(&b), "{label}: counters");
                 // Steps beyond the seed phase's own are polish walks.
-                let seed = Portfolio::new(options).seed_phase(
-                    inst,
-                    &IncumbentCell::new(),
-                    Instant::now(),
-                    || {},
-                );
+                let seed =
+                    Portfolio::new(options).seed_phase(inst, &IncumbentCell::new(), Instant::now());
                 polished |= a.stats.ls_steps > seed.stats.steps;
             }
         }
@@ -1052,7 +901,11 @@ mod tests {
     fn branch_and_bound_adopts_its_polish_walk_finds() {
         let mut options = PortfolioOptions::default();
         options.bsolo.trace = true;
-        let result = Portfolio::new(options).solve(&ptlcmos_60());
+        let result = Portfolio::new(options).walk_then_search(
+            &ptlcmos_60(),
+            &IncumbentCell::new(),
+            Instant::now(),
+        );
         assert!(result.is_optimal());
         let mut events: Vec<&Event> = result.stats.trace.iter().collect();
         events.sort_by_key(|e| e.t_ns);
@@ -1071,7 +924,6 @@ mod tests {
                 && matches!(e.data, TraceEvent::Adopt { cost: c } if c <= cost)),
             "the branch-and-bound adopted the polish walk's incumbent of cost {cost}"
         );
-        assert!(result.stats.ls_time < result.stats.solve_time);
     }
 
     #[test]
@@ -1084,107 +936,6 @@ mod tests {
         assert_eq!(exact.stats.ls_steps, 0);
         assert_eq!(exact.best_cost, bsolo.best_cost);
         assert_eq!(counters(&exact), counters(&bsolo));
-    }
-
-    /// An `LsSeeded` solve with speculation switched as given, as
-    /// [`Portfolio::solve_with_cell`] runs it on two cores and on one.
-    fn speculated(options: &PortfolioOptions, inst: &Instance, speculate: bool) -> SolveResult {
-        Portfolio::new(options.clone()).solve_ls_seeded(
-            inst,
-            &IncumbentCell::new(),
-            Instant::now(),
-            speculate,
-        )
-    }
-
-    fn assert_same_solve(label: &str, on: &SolveResult, off: &SolveResult) {
-        assert_eq!(on.status, off.status, "{label}: status");
-        assert_eq!(on.best_cost, off.best_cost, "{label}: cost");
-        assert_eq!(on.best_assignment, off.best_assignment, "{label}: model");
-        assert_eq!(counters(on), counters(off), "{label}: counters");
-    }
-
-    #[test]
-    fn speculation_leaves_answers_and_counters_unchanged() {
-        let ptlcmos = (0..4).map(|seed| {
-            (PtlCmosParams { gates: 60, ..PtlCmosParams::default() }.generate(seed), 1)
-        });
-        let synthesis = SynthesisParams {
-            primes: 70,
-            minterms: 110,
-            cover_density: 4.0,
-            exclusions: 10,
-            ..SynthesisParams::default()
-        };
-        let mut kept_early = false;
-        for (i, (inst, bb_threads)) in ptlcmos.chain([(synthesis.generate(0), 2)]).enumerate() {
-            let options = PortfolioOptions {
-                bsolo: BsoloOptions { deterministic_join: true, ..BsoloOptions::default() },
-                bb_threads,
-                ..PortfolioOptions::default()
-            };
-            let on = speculated(&options, &inst, true);
-            let off = speculated(&options, &inst, false);
-            assert!(on.is_optimal(), "instance {i}: {:?}", on.status);
-            assert_same_solve(&format!("instance {i}, bb_threads {bb_threads}"), &on, &off);
-            assert_eq!(off.stats.speculations_aborted, 0, "instance {i}: nothing speculated");
-            // A kept speculative run started before the walk ended.
-            kept_early |= on.stats.ls_time < off.stats.ls_time;
-        }
-        assert!(kept_early, "no speculative run was kept, so nothing above compared one");
-    }
-
-    #[test]
-    fn rolled_back_speculation_keeps_the_sequential_answer() {
-        // Grout's walk keeps improving after quiet stretches: here it
-        // beats the best a speculative run started from, which is then
-        // cancelled and rolled back.
-        let inst = GroutParams {
-            width: 6,
-            height: 6,
-            nets: 20,
-            paths_per_net: 6,
-            capacity: 3,
-            bend_penalty: 2,
-        }
-        .generate(0);
-        let options = PortfolioOptions::default();
-        let on = speculated(&options, &inst, true);
-        let off = speculated(&options, &inst, false);
-        assert!(on.is_optimal(), "{:?}", on.status);
-        assert!(on.stats.speculations_aborted > 0, "a speculative run must have been rolled back");
-        assert_same_solve("grout 6x6, 20 nets", &on, &off);
-        let json = on.stats.to_json();
-        let field = format!("\"speculations_aborted\":{},", on.stats.speculations_aborted);
-        assert!(json.contains(&field), "{json}");
-    }
-
-    /// A speculative run cancelled during its setup, which polls no
-    /// token, keeps the next one from starting until it has wound down,
-    /// so at most two branch-and-bound runs are ever going at once. Here
-    /// the walk beats the best of every run within its setup: without
-    /// that rule 7 or 8 runs were going at once.
-    #[test]
-    #[ignore = "release-sized: 858 variables, 2,094 rows, 0.5 s"]
-    fn cancelled_speculative_runs_do_not_pile_up() {
-        let acc = AccSchedParams { teams: 12, ..AccSchedParams::default() }.generate(0);
-        let mut b = InstanceBuilder::with_vars(acc.num_vars());
-        for c in acc.constraints() {
-            b.add_linear(c.iter().map(|t| (t.coeff, t.lit)), RelOp::Ge, c.rhs());
-        }
-        let cost = |i: usize| if i.is_multiple_of(3) { 2 } else { -1 };
-        b.minimize((0..acc.num_vars()).map(|i| (cost(i), Var::new(i).positive())));
-        let inst = b.build().unwrap();
-        let bsolo = BsoloOptions {
-            budget: Budget::time_limit(Duration::from_millis(500)),
-            ..BsoloOptions::with_lb(LbMethod::Mis)
-        };
-        let options = PortfolioOptions { bsolo, ..PortfolioOptions::default() };
-        PEAK_IN_FLIGHT.set(0);
-        let result = speculated(&options, &inst, true);
-        assert!(result.stats.speculations_aborted > 0, "no speculative run was cancelled");
-        let peak = PEAK_IN_FLIGHT.get();
-        assert!(peak <= 2, "{peak} branch-and-bound runs were going at once");
     }
 
     /// The default strategy with MIS ends a 500 ms budget on time on the
@@ -1216,17 +967,23 @@ mod tests {
         assert!(elapsed <= limit, "overshoot: {elapsed:?} for a {budget:?} budget");
     }
 
-    #[test]
-    fn caller_deadline_stops_a_speculative_run() {
-        // Plain bounding cannot close this tree in seconds, even from the
-        // optimum. With the optimum already in the cell the walk never
-        // improves on it, so the run speculated after its first piece is
-        // kept, and only the caller's deadline, reaching the run through
-        // its child token, can end the solve.
+    /// PTL/CMOS gates 90 with its optimum in the cell: plain bounding
+    /// cannot close this tree in seconds even from the optimum, and the
+    /// racing walker never improves on it, so only a deadline ends the
+    /// race.
+    fn ptlcmos_90_at_its_optimum() -> (Instance, IncumbentCell, Option<i64>) {
         let inst = PtlCmosParams { gates: 90, ..PtlCmosParams::default() }.generate(0);
         let optimum = Portfolio::default().solve(&inst);
         let cell = IncumbentCell::new();
         cell.offer(optimum.best_cost.unwrap(), optimum.best_assignment.as_ref().unwrap());
+        (inst, cell, optimum.best_cost)
+    }
+
+    #[test]
+    fn caller_deadline_stops_a_race() {
+        // The caller's deadline reaches both sides of the race through
+        // its token: the branch-and-bound and the walker.
+        let (inst, cell, optimum) = ptlcmos_90_at_its_optimum();
         let budget = Duration::from_secs(1);
         let cancel = pbo_core::CancelToken::new();
         cancel.deadline_in(budget);
@@ -1237,36 +994,20 @@ mod tests {
         };
         let options = PortfolioOptions { bsolo, ..PortfolioOptions::default() };
         let begun = Instant::now();
-        let result = Portfolio::new(options).solve_ls_seeded(&inst, &cell, begun, true);
+        let result = Portfolio::new(options).race(&inst, &cell, begun);
         let elapsed = begun.elapsed();
         assert!(result.stats.cancelled, "the deadline must be reported");
         assert_eq!(result.status, crate::SolveStatus::Feasible);
-        assert_eq!(result.best_cost, optimum.best_cost);
+        assert_eq!(result.best_cost, optimum);
         assert!(elapsed < budget + Duration::from_secs(1), "overshoot: {elapsed:?} for {budget:?}");
-        // The exact side started while the walk went on (no polish walk
-        // runs: nothing beats the optimum), so it was the speculative run.
-        let ls_time = result.stats.ls_time.as_nanos() as u64;
-        assert!(
-            result.stats.trace.iter().any(|e| e.lane >= LS_LANE_BASE && e.t_ns > ls_time),
-            "the seed walk must have gone on beside the exact side"
-        );
-        assert_eq!(result.stats.speculations_aborted, 0);
+        assert!(result.stats.ls_steps > 0, "the walker raced the exact side");
     }
 
-    /// A budget that runs out in a kept speculative run is reported as
-    /// budget exhaustion, not as a cancellation. The run's token used to
-    /// carry the solve's deadline while the run counted its budget from
-    /// its own, later start, so the token fired first and the solve
-    /// reported `cancelled`.
+    /// A budget that runs out in a race is reported as budget
+    /// exhaustion, not as a cancellation.
     #[test]
-    fn budget_ending_a_speculative_run_is_not_a_cancellation() {
-        // As in `caller_deadline_stops_a_speculative_run`: plain bounding
-        // cannot close this tree within the budget, and with the optimum
-        // in the cell the run speculated after the first piece is kept.
-        let inst = PtlCmosParams { gates: 90, ..PtlCmosParams::default() }.generate(0);
-        let optimum = Portfolio::default().solve(&inst);
-        let cell = IncumbentCell::new();
-        cell.offer(optimum.best_cost.unwrap(), optimum.best_assignment.as_ref().unwrap());
+    fn budget_ending_a_race_is_not_a_cancellation() {
+        let (inst, cell, optimum) = ptlcmos_90_at_its_optimum();
         let budget = Duration::from_millis(300);
         let bsolo = BsoloOptions {
             budget: Budget::time_limit(budget),
@@ -1274,12 +1015,12 @@ mod tests {
         };
         let options = PortfolioOptions { bsolo, ..PortfolioOptions::default() };
         let begun = Instant::now();
-        let result = Portfolio::new(options).solve_ls_seeded(&inst, &cell, begun, true);
+        let result = Portfolio::new(options).race(&inst, &cell, begun);
         let elapsed = begun.elapsed();
         assert_eq!(result.status, crate::SolveStatus::Feasible);
-        assert_eq!(result.best_cost, optimum.best_cost);
+        assert_eq!(result.best_cost, optimum);
         assert!(!result.stats.cancelled, "a budget-derived deadline reported as a cancellation");
-        assert_eq!(result.stats.speculations_aborted, 0);
+        assert_eq!(result.service_status(), crate::ServiceStatus::FeasibleBudget);
         assert!(elapsed < budget + Duration::from_secs(1), "overshoot: {elapsed:?} for {budget:?}");
     }
 
@@ -1309,9 +1050,9 @@ mod tests {
         assert!(history.windows(2).all(|w| w[1].1 < w[0].1), "{history:?}");
     }
 
-    /// A panic escaping the exact side of a `Concurrent` solve reaches
-    /// the caller instead of leaving the scope waiting on the walker,
-    /// whose stop flag only the exact side's exit raises.
+    /// A panic escaping the exact side of a race reaches the caller
+    /// instead of leaving the scope waiting on the walker, which may stop
+    /// only on the flag the exact side's exit raises.
     #[cfg(feature = "failpoints")]
     #[test]
     fn concurrent_exact_side_panic_reaches_the_caller() {
@@ -1321,41 +1062,13 @@ mod tests {
         let solver = std::thread::spawn(move || {
             let inst = ptlcmos_60();
             let solve = std::panic::catch_unwind(|| {
-                Portfolio::with_strategy(SolveStrategy::Concurrent).solve(&inst)
+                Portfolio::default().race(&inst, &IncumbentCell::new(), Instant::now())
             });
             let _ = tx.send(solve.is_err());
         });
         match rx.recv_timeout(Duration::from_secs(10)) {
             Ok(panicked) => assert!(panicked, "the injected panic must reach the caller"),
-            Err(_) => panic!("the concurrent solve hung after its exact side panicked"),
-        }
-        solver.join().expect("the solve's panic was caught inside the thread");
-    }
-
-    /// A panic in a speculative branch-and-bound is re-raised on the
-    /// caller's thread.
-    #[cfg(feature = "failpoints")]
-    #[test]
-    fn speculative_run_panic_reaches_the_caller() {
-        let _guard = pbo_fault::install(pbo_fault::FaultPlan::new().panic_on("bound.dispatch", 1));
-        let (tx, rx) = std::sync::mpsc::channel();
-        // Not scoped: a hung solve must fail the test, not hang it too.
-        let solver = std::thread::spawn(move || {
-            let inst = ptlcmos_60();
-            let solve = std::panic::catch_unwind(|| {
-                let options = PortfolioOptions::default();
-                Portfolio::new(options).solve_ls_seeded(
-                    &inst,
-                    &IncumbentCell::new(),
-                    Instant::now(),
-                    true,
-                )
-            });
-            let _ = tx.send(solve.is_err());
-        });
-        match rx.recv_timeout(Duration::from_secs(10)) {
-            Ok(panicked) => assert!(panicked, "the injected panic must reach the caller"),
-            Err(_) => panic!("the solve hung after its speculative run panicked"),
+            Err(_) => panic!("the race hung after its exact side panicked"),
         }
         solver.join().expect("the solve's panic was caught inside the thread");
     }

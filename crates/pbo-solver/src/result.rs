@@ -110,23 +110,15 @@ pub struct SolverStats {
     pub time_to_best: Duration,
     /// Local-search steps of the portfolio: under
     /// [`crate::SolveStrategy::LsSeeded`] the seed phase's plus every
-    /// polish walk's (summed across workers at join), under
-    /// [`crate::SolveStrategy::Concurrent`] the racing thread's; zero for
-    /// every other solve.
+    /// polish walk's (summed across workers at join) when it walks, then
+    /// searches, and the racing walker's when it races; zero for every
+    /// other solve.
     pub ls_steps: u64,
-    /// **Wall** time from the portfolio's start until the exact side
-    /// whose result is returned started, measured on the driver thread
-    /// (part of `solve_time`): under [`crate::SolveStrategy::LsSeeded`]
-    /// the seed phase's, or less when a speculative branch-and-bound was
-    /// kept (the walk then went on beside it); zero when no seed phase
-    /// ran — a racing LS thread runs alongside the branch-and-bound and
-    /// adds none.
+    /// **Wall** time of the seed phase, from the portfolio's start until
+    /// the branch-and-bound started, measured on the driver thread (part
+    /// of `solve_time`); zero when no seed phase ran — a racing walker
+    /// runs alongside the branch-and-bound and adds none.
     pub ls_time: Duration,
-    /// Speculative branch-and-bound runs of
-    /// [`crate::SolveStrategy::LsSeeded`] that were cancelled because the
-    /// seed walk improved on the incumbent they started from: work
-    /// discarded for no effect on the answer or on any other counter.
-    pub speculations_aborted: u64,
     /// Literal propagations.
     pub propagations: u64,
     /// Restarts performed.
@@ -201,7 +193,6 @@ impl SolverStats {
         self.lb_time_total += other.lb_time_total;
         self.sub_time_total += other.sub_time_total;
         self.ls_steps += other.ls_steps;
-        self.speculations_aborted += other.speculations_aborted;
         self.propagations += other.propagations;
         self.restarts += other.restarts;
         self.solutions_found += other.solutions_found;
@@ -254,7 +245,7 @@ impl SolverStats {
             "\"decisions\":{},\"conflicts\":{},\"bound_conflicts\":{},\"lb_calls\":{},\
              \"lb_margin_sum\":{},\"lb_time_total_ms\":{:.3},\"sub_time_total_ms\":{:.3},\
              \"solve_time_ms\":{:.3},\"time_to_best_ms\":{:.3},\"ls_steps\":{},\
-             \"ls_time_ms\":{:.3},\"speculations_aborted\":{},\"propagations\":{},\
+             \"ls_time_ms\":{:.3},\"propagations\":{},\
              \"restarts\":{},\"solutions_found\":{},\"backjump_levels\":{},\
              \"lp_iterations\":{},\"nodes\":{},\"resplits\":{},\"clauses_shared\":0,\
              \"clauses_imported\":0,\"split_depth_truncated\":{},\"queue_wait_total_ms\":{:.3},\
@@ -270,7 +261,6 @@ impl SolverStats {
             ms(self.time_to_best),
             self.ls_steps,
             ms(self.ls_time),
-            self.speculations_aborted,
             self.propagations,
             self.restarts,
             self.solutions_found,

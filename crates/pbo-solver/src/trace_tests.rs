@@ -233,7 +233,9 @@ fn adoption_is_an_adopt_event_not_a_solution() {
 
 #[test]
 fn ls_seeded_trace_shares_the_portfolio_epoch() {
-    // The seed phase runs before the branch-and-bound, so on the one
+    // When the default walks, then searches (on one core, and on any
+    // number of cores under `deterministic_join`), the seed phase runs
+    // before the branch-and-bound, so on the one
     // portfolio clock every seed-phase event (an LS lane, stamped within
     // `ls_time`) must precede the first B&B event. Polish walks trace on
     // LS lanes too, but only once the branch-and-bound runs.
@@ -245,7 +247,9 @@ fn ls_seeded_trace_shares_the_portfolio_epoch() {
             bb_threads,
             ..PortfolioOptions::default()
         };
-        let result = Portfolio::new(options).solve(&inst);
+        let cell = crate::IncumbentCell::new();
+        let result =
+            Portfolio::new(options).walk_then_search(&inst, &cell, std::time::Instant::now());
         let ls_time = result.stats.ls_time.as_nanos() as u64;
         let (ls, exact): (Vec<&Event>, Vec<&Event>) =
             result.stats.trace.iter().partition(|e| e.lane >= LS_LANE_BASE);

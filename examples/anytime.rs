@@ -1,6 +1,8 @@
-//! Anytime solving: race the stochastic local search against the exact
-//! branch-and-bound under a wall-clock budget, watching incumbents
-//! arrive through the shared cell.
+//! Anytime solving: the default portfolio under a wall-clock budget,
+//! watching incumbents arrive through the shared cell. On a machine with
+//! a second core the stochastic local search races the exact
+//! branch-and-bound on this optimization instance; on one core it seeds
+//! it, then polishes each incumbent the search finds.
 //!
 //! ```text
 //! cargo run --release --example anytime
@@ -9,7 +11,7 @@
 use std::time::{Duration, Instant};
 
 use pbo::pbo_benchgen::SynthesisParams;
-use pbo::{BsoloOptions, Budget, IncumbentCell, Portfolio, PortfolioOptions, SolveStrategy};
+use pbo::{BsoloOptions, Budget, IncumbentCell, Portfolio, PortfolioOptions};
 
 fn main() {
     // A Table-1-style two-level synthesis covering instance: big enough
@@ -25,7 +27,6 @@ fn main() {
     println!("{} vars, {} constraints", instance.num_vars(), instance.num_constraints());
 
     let options = PortfolioOptions {
-        strategy: SolveStrategy::Concurrent,
         bsolo: BsoloOptions::default().budget(Budget::time_limit(Duration::from_secs(5))),
         ..PortfolioOptions::default()
     };

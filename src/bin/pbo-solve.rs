@@ -1,7 +1,7 @@
 //! Command-line PBO solver over OPB files.
 //!
 //! ```text
-//! pbo-solve [--lb plain|mis|lgr|lpr] [--strategy ls-seeded|exact|concurrent]
+//! pbo-solve [--lb plain|mis|lgr|lpr] [--strategy ls-seeded|exact]
 //!           [--bb-threads N|auto] [--deterministic]
 //!           [--timeout-ms N] [--stats] [--stats-json]
 //!           [--trace FILE] [--trace-format jsonl|chrome] [--metrics] <file.opb>
@@ -9,31 +9,25 @@
 //! ```
 //!
 //! Every solve runs through the portfolio ([`pbo::Portfolio`]). The
-//! default strategy, `ls-seeded`, runs a short stochastic local search
+//! default strategy, `ls-seeded`, combines a stochastic local search
+//! with the branch-and-bound in one of two orders. On an optimization
+//! instance, on a machine with a second core and without
+//! `--deterministic`, one local-search thread races the
+//! branch-and-bound for the whole solve, incumbents flowing both ways;
+//! such runs are timing dependent. Otherwise the local search runs
 //! first, until two 8,192-step chunks in a row bring no new incumbent:
 //! its best verified solution seeds the branch-and-bound's upper bound
 //! and eq. 10 cost cuts, and on a decision instance its first verified
 //! model is the answer (no branch-and-bound runs at all). On an
 //! optimization instance every improving solution the branch-and-bound
 //! finds is then polished by a 2,048-step walk from it, and the search
-//! adopts what the walk finds cheaper. On a machine with a second core
-//! the branch-and-bound starts speculatively, from the walk's best
-//! once 1,024 steps pass without a new incumbent, while the walk
-//! finishes its chunks; it is kept only if the walk ends with that same
-//! best, and restarted otherwise, so the output and the `--stats-json`
-//! counters are those of a one-core run (`taskset -c 0`) — only the
-//! times differ, with `ls_time_ms` the time until the kept
-//! branch-and-bound started and `speculations_aborted` the runs
-//! restarted. It is deterministic, the fastest
-//! measured configuration on decision instances, and under
-//! `--timeout-ms` it is the anytime mode — a good verified solution
-//! fast, then proof effort with whatever time remains (the seed phase
-//! takes at most a fifth of the budget). `--strategy exact` is the paper's solver:
-//! branch-and-bound only, no local search. `--strategy concurrent` races
-//! one local-search thread against the exact solver for the whole solve;
-//! on optimization instances it has measured both faster and slower
-//! than the default on a 2-core box, and its runs are timing
-//! dependent.
+//! adopts what the walk finds cheaper; this order is deterministic, and
+//! `--deterministic` or a one-core machine (`taskset -c 0`) selects it.
+//! Under `--timeout-ms` the default is the anytime mode — a good
+//! verified solution fast, then proof effort with whatever time remains
+//! (a seed phase takes at most a fifth of the budget). `--strategy
+//! exact` is the paper's solver: branch-and-bound only, no local
+//! search.
 //!
 //! `--bb-threads N` runs the exact side as a cube-split parallel
 //! branch-and-bound: the root is split into decision-literal cubes and
@@ -48,9 +42,10 @@
 //! reproducibility (private incumbent snapshots, fixed re-split
 //! schedule, cube-ordered join) so repeated runs report identical
 //! status, cost, model and counters — for the default strategy too,
-//! whose seed phase is step-bounded, as long as the solve finishes
-//! within its budget: under `--timeout-ms` the seed phase's wall-clock
-//! cap (a fifth of the budget) can cut it short at a different step.
+//! which then walks, then searches, with a step-bounded seed phase, as
+//! long as the solve finishes within its budget: under `--timeout-ms`
+//! the seed phase's wall-clock cap (a fifth of the budget) can cut it
+//! short at a different step.
 //!
 //! Output follows the pseudo-Boolean competition conventions:
 //! `s OPTIMUM FOUND` / `s SATISFIABLE` / `s UNSATISFIABLE` /
@@ -90,18 +85,18 @@ use pbo::{
 
 fn usage() -> ! {
     eprintln!(
-        "usage: pbo-solve [--lb plain|mis|lgr|lpr] [--strategy ls-seeded|exact|concurrent] \
+        "usage: pbo-solve [--lb plain|mis|lgr|lpr] [--strategy ls-seeded|exact] \
          [--bb-threads N|auto] [--deterministic] [--timeout-ms N] [--stats] [--stats-json] \
          [--trace FILE] [--trace-format jsonl|chrome] [--metrics] <file.opb>\n\
-         \n  --strategy ls-seeded   (default) local search seeds the branch-and-bound\
-         \n                         and polishes each incumbent it finds; with a second\
-         \n                         core the branch-and-bound starts speculatively\
-         \n                         from the walk's best, with the same answer\
-         \n  --strategy exact       the paper's solver: branch-and-bound only\
-         \n  --strategy concurrent  one local-search thread races the branch-and-bound\
-         \n  --deterministic        reproducible runs when the solve finishes within its\
-         \n                         budget (under --timeout-ms the seed phase's budget/5\
-         \n                         wall-clock cap can end it at a different step)"
+         \n  --strategy ls-seeded  (default) on an optimization instance with a second\
+         \n                        core, a local-search thread races the branch-and-bound;\
+         \n                        otherwise local search seeds the branch-and-bound and\
+         \n                        polishes each incumbent it finds\
+         \n  --strategy exact      the paper's solver: branch-and-bound only\
+         \n  --deterministic       reproducible runs (the default then always seeds) when\
+         \n                        the solve finishes within its budget (under\
+         \n                        --timeout-ms the seed phase's budget/5 wall-clock\
+         \n                        cap can end it at a different step)"
     );
     std::process::exit(2);
 }
@@ -153,7 +148,6 @@ fn main() -> ExitCode {
                 strategy = match args.next().as_deref() {
                     Some("exact") => SolveStrategy::Exact,
                     Some("ls-seeded") => SolveStrategy::LsSeeded,
-                    Some("concurrent") => SolveStrategy::Concurrent,
                     _ => usage(),
                 }
             }

@@ -69,12 +69,14 @@ pub use pbo_solver;
 pub use pbo_trace;
 
 /// Solves an instance with the default configuration and no resource
-/// limit: the [`Portfolio`] with [`SolveStrategy::LsSeeded`]. A short
-/// local search seeds the upper bound of the paper's strongest bsolo
+/// limit: the [`Portfolio`] with [`SolveStrategy::LsSeeded`]. A local
+/// search supplies the upper bound of the paper's strongest bsolo
 /// configuration (LP-relaxation lower bounding, LP-guided branching,
-/// cost cuts, probing), which then proves optimality; a decision
-/// instance is answered by the first verified model the local search
-/// finds. For the paper's solver alone, use [`solve_with`].
+/// cost cuts, probing), which then proves optimality: on an
+/// optimization instance with a second core the two race, otherwise a
+/// short walk seeds the search. A decision instance is answered by the
+/// first verified model the local search finds. For the paper's solver
+/// alone, use [`solve_with`].
 ///
 /// # Examples
 ///
@@ -114,8 +116,9 @@ pub fn solve_with(instance: &Instance, options: BsoloOptions) -> SolveResult {
 }
 
 /// Solves an instance in *anytime* mode under a wall-clock budget: the
-/// stochastic local search seeds the upper bound, then branch-and-bound
-/// spends the remaining time proving optimality or improving. The result
+/// stochastic local search races (on a second core) or seeds the
+/// branch-and-bound, which spends the time proving optimality or
+/// improving. The result
 /// is the best **verified** solution found either way
 /// ([`SolveStatus::Feasible`] when the budget ran out before the proof).
 ///

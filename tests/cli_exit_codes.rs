@@ -98,7 +98,25 @@ fn ls_threads_flag_is_a_usage_error() {
         "min: +2 x1 +3 x2 +2 x3 ;\n+1 x1 +1 x2 >= 1 ;\n+1 x2 +1 x3 >= 1 ;\n",
     );
     let out = Command::new(env!("CARGO_BIN_EXE_pbo-solve"))
-        .args(["--strategy", "concurrent", "--ls-threads", "2"])
+        .args(["--ls-threads", "2"])
+        .arg(&path)
+        .output()
+        .expect("pbo-solve runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(2), "stdout: {stdout}");
+    assert!(!stdout.lines().any(|l| l.starts_with("s ")), "an s line was printed: {stdout}");
+    assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage: pbo-solve"), "usage printed");
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn concurrent_strategy_is_a_usage_error() {
+    let path = write_instance(
+        "strategy-concurrent",
+        "min: +2 x1 +3 x2 +2 x3 ;\n+1 x1 +1 x2 >= 1 ;\n+1 x2 +1 x3 >= 1 ;\n",
+    );
+    let out = Command::new(env!("CARGO_BIN_EXE_pbo-solve"))
+        .args(["--strategy", "concurrent"])
         .arg(&path)
         .output()
         .expect("pbo-solve runs");

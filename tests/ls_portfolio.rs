@@ -1,13 +1,16 @@
 //! Property-based validation of the local-search incumbent engine and
 //! the portfolio driver: on arbitrary small instances, LS incumbents
 //! must always verify, LS can never beat the true optimum, the portfolio
-//! must agree with plain bsolo and exhaustive enumeration in every
-//! strategy, and equal seeds must give identical LS runs.
+//! must agree with plain bsolo and exhaustive enumeration in both of its
+//! default's orders, and equal seeds must give identical LS runs.
 
 use proptest::prelude::*;
 
 use pbo::pbo_ls::{LocalSearch, LsOptions};
-use pbo::{brute_force, Bsolo, InstanceBuilder, LbMethod, Lit, Portfolio, RelOp, SolveStrategy};
+use pbo::{
+    brute_force, Bsolo, BsoloOptions, InstanceBuilder, LbMethod, Lit, Portfolio, PortfolioOptions,
+    RelOp,
+};
 use pbo_core::verify_solution;
 
 /// Strategy: a small random PBO instance described as data, materialized
@@ -81,7 +84,9 @@ proptest! {
     }
 
     /// The portfolio returns the same optimum as plain bsolo and the
-    /// brute-force oracle, in every strategy.
+    /// brute-force oracle, whether its default races (on an
+    /// optimization instance with a second core) or walks, then
+    /// searches (as under `deterministic_join`).
     #[test]
     fn portfolio_matches_bsolo_and_enumeration(raw in raw_instance()) {
         let inst = materialize(&raw);
@@ -89,11 +94,13 @@ proptest! {
         let exact = Bsolo::with_lb(LbMethod::Lpr).solve(&inst);
         prop_assert!(exact.is_optimal() || expected.is_none());
         prop_assert_eq!(exact.best_cost, expected);
-        for strategy in [SolveStrategy::LsSeeded, SolveStrategy::Concurrent] {
-            let result = Portfolio::with_strategy(strategy).solve(&inst);
+        for deterministic_join in [false, true] {
+            let bsolo = BsoloOptions { deterministic_join, ..BsoloOptions::default() };
+            let options = PortfolioOptions { bsolo, ..PortfolioOptions::default() };
+            let result = Portfolio::new(options).solve(&inst);
             prop_assert_eq!(
                 result.best_cost, expected,
-                "{:?} disagrees with enumeration", strategy
+                "deterministic_join {} disagrees with enumeration", deterministic_join
             );
             if let Some(model) = &result.best_assignment {
                 prop_assert_eq!(verify_solution(&inst, model), Ok(result.best_cost.unwrap()));
@@ -121,7 +128,9 @@ proptest! {
 
 /// The warm start must pay off where it matters: on a Table-1-style
 /// synthesis instance, seeding B&B with the LS incumbent must not
-/// explore more nodes than the cold search.
+/// explore more nodes than the cold search. `deterministic_join` selects
+/// the walk-then-search order on any number of cores; with one exact
+/// worker it changes nothing else.
 #[test]
 fn warm_start_shrinks_the_tree_on_synthesis() {
     use pbo::pbo_benchgen::SynthesisParams;
@@ -134,7 +143,9 @@ fn warm_start_shrinks_the_tree_on_synthesis() {
     }
     .generate(3);
     let cold = Bsolo::with_lb(LbMethod::Lpr).solve(&inst);
-    let warm = Portfolio::with_strategy(SolveStrategy::LsSeeded).solve(&inst);
+    let bsolo = BsoloOptions { deterministic_join: true, ..BsoloOptions::default() };
+    let warm =
+        Portfolio::new(PortfolioOptions { bsolo, ..PortfolioOptions::default() }).solve(&inst);
     assert!(cold.is_optimal() && warm.is_optimal());
     assert_eq!(cold.best_cost, warm.best_cost);
     assert!(
