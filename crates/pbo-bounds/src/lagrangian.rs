@@ -366,6 +366,7 @@ impl LowerBound for LagrangianBound {
         // --- Explanation: S = { rows with mu_i > 0 } (sec. 4.3). ---
         // Built directly into the caller's reusable buffer.
         out.explanation.clear();
+        out.fixings.clear();
         let explanation = &mut out.explanation;
         // alpha for *assigned* variables, needed by the filter: computed
         // over the original constraints in S in variable space, into the

@@ -19,7 +19,8 @@
 //! residual problem under the solver's current partial assignment — and
 //! return an [`LbOutcome`]: a bound on the *total* cost of any completion
 //! (`P.path + P.lower` in the paper's terms) plus the explanation literal
-//! set `omega_pl`.
+//! set `omega_pl`, and, for [`LprBound`] against an incumbent, the
+//! reduced-cost fixings that the explanation implies.
 //!
 //! The residual problem itself is produced either by a from-scratch
 //! rebuild ([`Subproblem::new`], O(instance) per node — the
@@ -80,19 +81,28 @@ pub struct LbOutcome {
     /// The paper's `omega_pl`: currently-false literals explaining the
     /// bound (eq. 9). Together with `omega_pp` (built by the solver from
     /// the costed true literals, eq. 8) they form the bound-conflict
-    /// clause `omega_bc`.
+    /// clause `omega_bc`. Only a call that prunes against `upper` (or
+    /// proves infeasibility) or reports `fixings` needs it, and
+    /// [`LprBound`] leaves it empty on every other call.
     pub explanation: Vec<Lit>,
+    /// Reduced-cost fixings ([`LprBound`] only; empty for the other
+    /// procedures): free literals that every feasible completion cheaper
+    /// than `upper` makes true, as long as it keeps every literal of
+    /// `omega_bc` false. So each `l` here gives the clause `omega_bc ∨
+    /// l`, where `omega_bc` is built from this outcome's `explanation`
+    /// as for a bound conflict.
+    pub fixings: Vec<Lit>,
 }
 
 impl LbOutcome {
     /// A finite bound with its explanation.
     pub fn bound(bound: i64, explanation: Vec<Lit>) -> LbOutcome {
-        LbOutcome { bound, infeasible: false, explanation }
+        LbOutcome { bound, infeasible: false, explanation, fixings: Vec::new() }
     }
 
     /// An infeasibility outcome with its explanation.
     pub fn infeasible(explanation: Vec<Lit>) -> LbOutcome {
-        LbOutcome { bound: i64::MAX, infeasible: true, explanation }
+        LbOutcome { bound: i64::MAX, infeasible: true, explanation, fixings: Vec::new() }
     }
 
     /// Returns `true` if this outcome prunes against the given upper
@@ -159,6 +169,7 @@ impl LowerBound for NoBound {
         out.bound = sub.path_cost();
         out.infeasible = false;
         out.explanation.clear();
+        out.fixings.clear();
     }
 }
 

@@ -10,17 +10,37 @@
 //! which complementary slackness places among the tight ones — the union
 //! guards against tolerance mismatches). If the relaxation is infeasible
 //! the Farkas rows play the role of `S`.
+//!
+//! Only a call that prunes or fixes reads the explanation, so only those
+//! build it. Against an incumbent `U` an optimal solve that does not
+//! prune still proves more: with `y` the duals above [`DUAL_EPS`] and
+//! `d = c - A^T y`, every completion of the node costs at least the
+//! Lagrangian value `L(y) = y.b + sum_j min d_j x_j` over the current
+//! domains, and flipping a free variable away from its minimizing value
+//! adds `|d_j|`. When `ceil(L + |d_j| - 1e-6) >= U` that flip leaves no
+//! improving completion, so the other value is reported in
+//! [`LbOutcome::fixings`] (reduced-cost fixing). The rows `y` uses are
+//! rows of `S`, so the clause `omega_bc ∨ l` holds for each fixing `l`:
+//! a completion that keeps `omega_pl` false agrees with the node on
+//! every false literal of those rows, and one that keeps `omega_pp`
+//! false pays every cost the node pays; objective costs are positive, so
+//! changing any other fixed variable cannot lower `L(y)`.
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Instant;
 
-use pbo_core::{Instance, Lit, PbConstraint};
+use pbo_core::{Instance, Lit, PbConstraint, Var};
 use pbo_lp::{DualSimplex, LpProblem, LpStatus};
 
 use crate::dynrows::DynamicRows;
 use crate::subproblem::Subproblem;
 use crate::{LbOutcome, LowerBound};
+
+/// Duals at or below this count as zero: rows whose `|y_i|` exceeds it
+/// join the explanation's `S`, and the reduced-cost fixing uses the
+/// duals above it.
+const DUAL_EPS: f64 = 1e-7;
 
 /// LP-relaxation lower bound with a warm-started dual simplex.
 ///
@@ -51,6 +71,8 @@ pub struct LprBound {
     /// The fractional solution of the most recent optimal solve, for
     /// LP-guided branching (sec. 5).
     last_fractional: Vec<f64>,
+    /// Scratch: the reduced costs `d` of the reduced-cost fixing.
+    reduced: Vec<f64>,
     /// Trail mirror for the incremental bound-sync protocol
     /// ([`LprBound::apply`] / [`LprBound::unwind_to`]): the literals
     /// whose fixings are currently reflected in the simplex bounds.
@@ -85,6 +107,7 @@ impl LprBound {
             cached: vec![None; n],
             const_shift,
             last_fractional: vec![0.0; n],
+            reduced: vec![0.0; n],
             mirror: Vec::with_capacity(n),
             trail_mode: false,
             cancel: (None, None),
@@ -282,6 +305,30 @@ impl LprBound {
         }
     }
 
+    /// Reduced-cost fixing (see the module docs) after an optimal solve
+    /// of value `z` that does not prune against `upper`: pushes every
+    /// free literal whose flip would lift `L(y)` to `upper` onto
+    /// `fixings` and returns whether there was one. A pre-check on the
+    /// simplex's maintained reduced costs, with `z` standing for `L(y)`,
+    /// skips the `O(nnz)` pass when no flip can reach `upper`; a check
+    /// thrown off by rounding only loses fixings.
+    fn fix_by_reduced_cost(&mut self, z: f64, upper: i64, fixings: &mut Vec<Lit>) -> bool {
+        let reaches = |lower: f64| (lower - 1e-6).ceil() >= upper as f64;
+        let largest = (self.simplex.reduced_costs().iter().zip(&self.cached))
+            .filter(|(_, fixed)| fixed.is_none())
+            .fold(0.0, |m: f64, (d, _)| m.max(d.abs()));
+        if !reaches(z + largest + 1e-6) {
+            return false;
+        }
+        let l = self.simplex.lagrangian_bound(DUAL_EPS, &mut self.reduced) + self.const_shift;
+        for (j, &d) in self.reduced.iter().enumerate() {
+            if self.cached[j].is_none() && reaches(l + d.abs()) {
+                fixings.push(Var::new(j).lit(d < 0.0));
+            }
+        }
+        !fixings.is_empty()
+    }
+
     /// Writes the false literals of `rows` into `out`, sorted and
     /// deduplicated.
     fn explain(sub: &Subproblem<'_>, rows: impl Iterator<Item = usize>, out: &mut Vec<Lit>) {
@@ -311,10 +358,10 @@ impl LowerBound for LprBound {
         } else {
             self.sync_bounds(sub);
         }
-        let lp = &mut self.simplex;
-        match lp.reoptimize() {
+        out.fixings.clear();
+        match self.simplex.reoptimize() {
             LpStatus::Optimal => {
-                let z = lp.objective() + self.const_shift;
+                let z = self.simplex.objective() + self.const_shift;
                 out.bound = (z - 1e-6).ceil() as i64;
                 out.infeasible = false;
                 // Pre-incumbent calls (`upper == None`) exist only to
@@ -323,21 +370,32 @@ impl LowerBound for LprBound {
                 // solution changes character. Branching guidance starts
                 // with the first incumbent, as in the paper.
                 if upper.is_some() {
-                    self.last_fractional.copy_from_slice(lp.x());
+                    self.last_fractional.copy_from_slice(self.simplex.x());
+                }
+                let explains = match upper {
+                    Some(u) if out.bound >= u => true,
+                    Some(u) => self.fix_by_reduced_cost(z, u, &mut out.fixings),
+                    None => false,
+                };
+                if !explains {
+                    out.explanation.clear();
+                    return;
                 }
                 // S = tight rows, union rows with nonzero dual (eq. 9),
                 // merged in row order.
+                let lp = &self.simplex;
                 let mut tight = lp.tight_rows().iter().copied().peekable();
                 let s = lp.duals().iter().enumerate().filter_map(|(i, &y)| {
                     let is_tight = tight.next_if_eq(&i).is_some();
-                    (is_tight || y.abs() > 1e-7).then_some(i)
+                    (is_tight || y.abs() > DUAL_EPS).then_some(i)
                 });
                 Self::explain(sub, s, &mut out.explanation);
             }
             LpStatus::Infeasible => {
                 out.bound = i64::MAX;
                 out.infeasible = true;
-                Self::explain(sub, lp.farkas_rows().iter().copied(), &mut out.explanation);
+                let rows = self.simplex.farkas_rows().iter().copied();
+                Self::explain(sub, rows, &mut out.explanation);
             }
             LpStatus::IterationLimit | LpStatus::Cancelled => {
                 // Sound fallback: no pruning information. A cancelled
@@ -504,9 +562,10 @@ mod tests {
         a.assign(Var::new(2), true);
         traced.apply(v[0].negative());
         traced.apply(v[2].positive());
-        let via_trail = traced.lower_bound(&Subproblem::new(&inst, &a), None);
-        let via_diff = LprBound::new(&inst).lower_bound(&Subproblem::new(&inst, &a), None);
+        let via_trail = pruning(&mut traced, &Subproblem::new(&inst, &a));
+        let via_diff = pruning(&mut LprBound::new(&inst), &Subproblem::new(&inst, &a));
         assert_eq!(via_trail, via_diff);
+        assert!(!via_trail.explanation.is_empty());
 
         // Unwinding relaxes the bounds back: root solve must match a
         // fresh root solve.
@@ -514,9 +573,16 @@ mod tests {
         a.unassign(Var::new(2));
         traced.unwind_to(0);
         assert_eq!(traced.synced_len(), 0);
-        let back = traced.lower_bound(&Subproblem::new(&inst, &a), None);
-        let fresh = LprBound::new(&inst).lower_bound(&Subproblem::new(&inst, &a), None);
+        let back = pruning(&mut traced, &Subproblem::new(&inst, &a));
+        let fresh = pruning(&mut LprBound::new(&inst), &Subproblem::new(&inst, &a));
         assert_eq!(back, fresh);
+    }
+
+    /// The outcome against an incumbent equal to the bound, which the
+    /// bound prunes against, so it carries its explanation.
+    fn pruning(lpr: &mut LprBound, sub: &Subproblem<'_>) -> LbOutcome {
+        let bound = lpr.lower_bound(sub, None).bound;
+        lpr.lower_bound(sub, Some(bound))
     }
 
     /// `inst` with the registry's rows appended as ordinary constraints,
@@ -590,11 +656,11 @@ mod tests {
             let full = instance_plus_rows(&inst, rows);
             let mut a = Assignment::new(6);
             let sub = Subproblem::new(&full, &a);
-            assert_eq!(warm.lower_bound(&sub, Some(50)), oracle.lower_bound(&sub, Some(50)));
+            assert_eq!(pruning(warm, &sub), pruning(oracle, &sub));
             a.assign(Var::new(1), false);
             a.assign(Var::new(4), true);
             let sub = Subproblem::new(&full, &a);
-            assert_eq!(warm.lower_bound(&sub, Some(50)), oracle.lower_bound(&sub, Some(50)));
+            assert_eq!(pruning(warm, &sub), pruning(oracle, &sub));
         };
         check(&mut warm, &mut oracle, &rows);
 

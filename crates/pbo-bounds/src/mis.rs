@@ -529,6 +529,7 @@ impl LowerBound for MisBound {
 
     fn lower_bound_into(&mut self, sub: &Subproblem<'_>, upper: Option<i64>, out: &mut LbOutcome) {
         out.explanation.clear();
+        out.fixings.clear();
         let active = sub.active();
         let num_vars = sub.instance().num_vars();
         if self.used_stamp.len() < num_vars {

@@ -185,7 +185,8 @@ fn mis_and_lgr_per_node_calls_are_allocation_free_at_steady_state() {
 
 /// The LPR per-node script: the pipeline's shape for the LP bound —
 /// mirror the batch into the LP bounds through the trail protocol, bound
-/// with one warm re-solve, unwind the mirror.
+/// with one warm re-solve, unwind the mirror. Returns the number of
+/// LP-infeasible nodes and of reduced-cost fixings.
 #[allow(clippy::too_many_arguments)]
 fn replay_lpr_script(
     instance: &Instance,
@@ -196,8 +197,8 @@ fn replay_lpr_script(
     tracer: &Tracer,
     upper: i64,
     script: &[Vec<Lit>],
-) -> u64 {
-    let mut infeasible = 0;
+) -> (u64, u64) {
+    let (mut infeasible, mut fixings) = (0, 0);
     for batch in script {
         for &lit in batch {
             assignment.assign_lit(lit);
@@ -207,6 +208,7 @@ fn replay_lpr_script(
         let view = state.view(instance, assignment);
         lpr.lower_bound_into(&view, Some(upper), out);
         infeasible += out.infeasible as u64;
+        fixings += out.fixings.len() as u64;
         tracer.emit(TraceEvent::Bound {
             method: "lpr",
             outcome: BoundOutcome::Open,
@@ -219,27 +221,32 @@ fn replay_lpr_script(
         state.unwind_to(instance, 0);
         lpr.unwind_to(0);
     }
-    infeasible
+    (infeasible, fixings)
 }
 
 #[test]
 fn lpr_per_node_call_is_allocation_free_at_steady_state() {
     let instance = probe_instance();
-    let total_cost: i64 =
-        instance.objective().expect("optimization").terms().iter().map(|&(c, _)| c).sum();
-    let upper = (2 * total_cost) / 3 + 1;
     let mut state = ResidualState::new(&instance);
     let mut assignment = Assignment::new(instance.num_vars());
     let mut lpr = LprBound::new(&instance);
+    let root = lpr.lower_bound(&state.view(&instance, &assignment), None).bound;
+    // An incumbent a little above the root bound: the open nodes fix
+    // literals by reduced cost.
+    let upper = root + 5;
     let mut out = LbOutcome::bound(0, Vec::new());
     let tracer = Tracer::off();
 
-    // Batches of fixings, mostly to 0, so that some nodes are proven
-    // LP-infeasible and the Farkas path is replayed too.
+    // Batches of fixings: in even rounds mostly to 0, so that those
+    // nodes are proven LP-infeasible and the Farkas path is replayed
+    // too; in odd rounds to 1, open nodes that fix literals.
     let script: Vec<Vec<Lit>> = (0..12)
         .map(|round| {
             (0..3 + round % 5)
-                .map(|k| Var::new((round * 7 + k * 3) % instance.num_vars()).lit(k % 3 == 0))
+                .map(|k| {
+                    let var = Var::new((round * 7 + k * 3) % instance.num_vars());
+                    var.lit(k % 3 == 0 || round % 2 == 1)
+                })
                 .collect()
         })
         .collect();
@@ -257,11 +264,12 @@ fn lpr_per_node_call_is_allocation_free_at_steady_state() {
     }
     let pivots = lpr.simplex_iterations();
     let before = allocs();
-    let infeasible = replay(&mut state, &mut assignment, &mut lpr, &mut out);
+    let (infeasible, fixings) = replay(&mut state, &mut assignment, &mut lpr, &mut out);
     let delta = allocs() - before;
     assert_eq!(delta, 0, "warm LPR per-node calls performed {delta} heap allocations");
     assert!(lpr.simplex_iterations() > pivots, "the replay must pivot");
     assert!(infeasible > 0, "the replay must reach an LP-infeasible node");
+    assert!(fixings > 0, "the replay must fix literals by reduced cost");
 }
 
 #[test]

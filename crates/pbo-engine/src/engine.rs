@@ -5,8 +5,10 @@
 //! counter/slack propagation), plus conflict analysis and VSIDS. It is the
 //! substrate shared by every solver in the workspace: the bsolo-style
 //! branch-and-bound drives it with *bound conflicts* injected as ad-hoc
-//! conflicting clauses (sec. 4 of the paper), the linear-search baselines
-//! drive it as a plain SAT engine.
+//! conflicting clauses (sec. 4 of the paper) and with reduced-cost
+//! fixings implied under the bound's explanation
+//! ([`Engine::imply_explained`]), the linear-search baselines drive it
+//! as a plain SAT engine.
 
 use pbo_core::{Assignment, Lit, PbConstraint, PbTerm, Value, Var};
 
@@ -48,6 +50,9 @@ pub enum Reason {
     Clause(ClauseId),
     /// Propagated by a pseudo-Boolean constraint.
     Pb(PbId),
+    /// Implied by a caller's explanation ([`Engine::imply_explained`]):
+    /// the index of the explanation on the engine's stack of them.
+    Explained(u32),
 }
 
 /// A conflict discovered by propagation or injected by the caller.
@@ -169,6 +174,13 @@ pub struct Engine {
     /// ([`Engine::truncate_pbs`]), so spans stay valid.
     pb_terms: Vec<PbTerm>,
     pb_occur: Vec<Vec<PbOcc>>,
+    /// The explanations behind [`Reason::Explained`] literals, one span
+    /// per [`Engine::imply_explained`] call above the root, in call
+    /// order.
+    expl_lits: Vec<Lit>,
+    /// Per stored explanation, its start in `expl_lits` and the decision
+    /// level of its call; a backjump below that level releases it.
+    expls: Vec<(u32, u32)>,
     /// Reusable scratch for implied-literal collection during PB
     /// propagation (no per-propagation allocation).
     implied_buf: Vec<Lit>,
@@ -232,6 +244,8 @@ impl Engine {
             pbs: Vec::new(),
             pb_terms: Vec::new(),
             pb_occur: vec![Vec::new(); 2 * num_vars],
+            expl_lits: Vec::new(),
+            expls: Vec::new(),
             implied_buf: Vec::new(),
             lbd_seen: vec![0; num_vars + 1],
             lbd_epoch: 0,
@@ -742,6 +756,54 @@ impl Engine {
         }
     }
 
+    /// Implies every literal of `lits` at the current decision level
+    /// with one shared reason, `explanation`: its literals are all false
+    /// now, and each `l` of `lits` follows from them, as the clause
+    /// `explanation ∨ l` would imply it (no such clause is stored). The
+    /// explanation is stored once per call, read by conflict analysis
+    /// and released by the backjump that unassigns the literals. At the
+    /// root the literals become facts and nothing is stored: conflict
+    /// analysis never expands a level-0 literal. Literals already true
+    /// are skipped; propagation waits for the next
+    /// [`Engine::propagate`]. Returns how many literals were assigned.
+    ///
+    /// A literal of `lits` that is already false is a caller error:
+    /// debug builds panic, release builds skip it.
+    pub fn imply_explained(&mut self, explanation: &[Lit], lits: &[Lit]) -> usize {
+        debug_assert!(explanation.iter().all(|&l| self.assignment.is_false(l)));
+        let level = self.decision_level();
+        let reason = if level == 0 {
+            Reason::None
+        } else {
+            self.expls.push((self.expl_lits.len() as u32, level));
+            self.expl_lits.extend_from_slice(explanation);
+            Reason::Explained(self.expls.len() as u32 - 1)
+        };
+        let mut assigned = 0;
+        for &l in lits {
+            if self.assignment.is_unassigned(l) {
+                self.enqueue(l, reason);
+                assigned += 1;
+            } else {
+                debug_assert!(self.assignment.is_true(l), "explained literal {l:?} is false");
+            }
+        }
+        assigned
+    }
+
+    /// Number of explanations stored for [`Reason::Explained`] literals.
+    #[cfg(test)]
+    pub(crate) fn num_explanations(&self) -> usize {
+        self.expls.len()
+    }
+
+    /// The literals of stored explanation `id`.
+    fn explanation(&self, id: u32) -> &[Lit] {
+        let start = self.expls[id as usize].0 as usize;
+        let end = self.expls.get(id as usize + 1).map_or(self.expl_lits.len(), |e| e.0 as usize);
+        &self.expl_lits[start..end]
+    }
+
     /// Starts a new decision level and assigns `lit`.
     ///
     /// # Panics
@@ -779,6 +841,10 @@ impl Engine {
         self.trail.truncate(new_len);
         self.trail_lim.truncate(target_level as usize);
         self.qhead = self.trail.len();
+        while let Some(&(start, _)) = self.expls.last().filter(|e| e.1 > target_level) {
+            self.expls.pop();
+            self.expl_lits.truncate(start as usize);
+        }
         for low in &mut self.trail_low {
             *low = (*low).min(new_len);
         }
@@ -964,6 +1030,7 @@ impl Engine {
                     })
                     .collect()
             }
+            Reason::Explained(id) => self.explanation(id).to_vec(),
         }
     }
 

@@ -656,3 +656,102 @@ fn trail_observers_have_independent_watermarks() {
     // `a`'s ack must not have reset `b`'s watermark.
     assert_eq!(e.sync_trail(b, 3), 1);
 }
+
+/// Literals implied through `imply_explained` take the current level
+/// and share one stored explanation, which the backjump that unassigns
+/// them releases; a call at a kept level keeps its own.
+#[test]
+fn explained_literals_unwind_with_their_level() {
+    let mut e = Engine::new(5);
+    e.decide(lit(0, true));
+    assert_eq!(e.imply_explained(&[lit(0, false)], &[lit(1, false)]), 1);
+    e.decide(lit(2, true));
+    // An already-true literal is skipped, the others share one reason.
+    let assigned = e.imply_explained(
+        &[lit(0, false), lit(2, false)],
+        &[lit(3, true), lit(1, false), lit(4, false)],
+    );
+    assert_eq!(assigned, 2);
+    assert_eq!(e.num_explanations(), 2);
+    for v in [3, 4] {
+        assert_eq!(e.level_of(Var::new(v)), 2);
+        assert_eq!(e.reason_of(Var::new(v)), Reason::Explained(1));
+    }
+    assert!(e.propagate().is_none());
+    e.backjump_to(1);
+    assert!(e.assignment().is_unassigned(lit(3, true)));
+    assert!(e.assignment().is_unassigned(lit(4, true)));
+    assert_eq!(e.num_explanations(), 1, "the level-2 explanation is released");
+    assert_eq!(e.reason_of(Var::new(1)), Reason::Explained(0));
+    // A new call at level 2 reuses the released slot.
+    e.decide(lit(2, false));
+    e.imply_explained(&[lit(2, true)], &[lit(3, false)]);
+    assert_eq!(e.reason_of(Var::new(3)), Reason::Explained(1));
+    e.backjump_to(0);
+    assert_eq!(e.num_explanations(), 0);
+    assert_eq!(e.trail_len(), 0);
+}
+
+/// First-UIP analysis expands an explained literal into its
+/// explanation. Decide x0, then x1, which propagates x5 through `~x1 ∨
+/// x5`; `~x0 ∨ ~x5` explains x2 and x3; `~x2 ∨ x4` gives x4 and `~x3 ∨
+/// ~x4` conflicts. Walking back, x4 resolves to x2, x3 and x2 to the
+/// explanation, and x5 is the first UIP: the learned clause is `~x5 ∨
+/// ~x0`, asserting `~x5` at level 1.
+#[test]
+fn conflict_analysis_reads_the_explanation() {
+    let mut e = Engine::new(6);
+    let x = |i| lit(i, true);
+    e.add_constraint(&PbConstraint::clause([!x(1), x(5)])).unwrap();
+    e.add_constraint(&PbConstraint::clause([!x(2), x(4)])).unwrap();
+    e.add_constraint(&PbConstraint::clause([!x(3), !x(4)])).unwrap();
+    e.decide(x(0));
+    assert!(e.propagate().is_none());
+    e.decide(x(1));
+    assert!(e.propagate().is_none());
+    assert!(e.assignment().is_true(x(5)));
+    assert_eq!(e.imply_explained(&[!x(0), !x(5)], &[x(2), x(3)]), 2);
+    let confl = e.propagate().expect("x3 and x4 clash");
+    let learnt = match e.resolve_conflict(confl) {
+        Resolution::Backjumped { level, asserted, learnt_len, learnt_id } => {
+            assert_eq!((level, asserted, learnt_len), (1, !x(5), 2));
+            learnt_id.expect("a clause is learned")
+        }
+        Resolution::Unsat => panic!("not unsat"),
+    };
+    assert_eq!(e.reason_of(Var::new(5)), Reason::Clause(learnt));
+    assert_eq!(e.num_explanations(), 0, "the backjump released the explanation");
+    assert!(e.propagate().is_none());
+    assert!(e.assignment().is_true(!x(1)), "~x1 ∨ x5 now forces ~x1");
+}
+
+/// An explained literal at the root is a fact: deleting the cost-cut
+/// rows and raising their degrees leave it assigned, at level 0, with
+/// the trail order of re-adding the rows.
+#[test]
+fn root_explained_literals_survive_cut_deletion_and_raises() {
+    let cut = |rhs| {
+        PbConstraint::try_new(vec![(2, lit(0, true)), (1, lit(1, true)), (1, lit(2, true))], rhs)
+            .unwrap()
+    };
+    let mut e = Engine::new(4);
+    e.add_constraint(&PbConstraint::clause([lit(2, true), lit(3, true)])).unwrap();
+    let base = e.num_pbs();
+    e.add_pb_cut(&cut(2)).unwrap();
+    e.assume_at_root(lit(3, false)).unwrap();
+    assert_eq!(e.imply_explained(&[lit(3, true)], &[lit(1, true)]), 1);
+    assert!(e.propagate().is_none());
+    assert_eq!(e.num_explanations(), 0, "a root fact needs no stored reason");
+    assert_eq!(e.reason_of(Var::new(1)), Reason::None);
+    let facts = e.trail().to_vec();
+    e.truncate_pbs(base);
+    assert_eq!(e.trail(), facts, "deleting the row keeps every root fact");
+    e.add_pb_cut(&cut(2)).unwrap();
+    e.raise_pb_degrees(base, 1).unwrap();
+    assert!(e.assignment().is_true(lit(1, true)));
+    assert_eq!(e.level_of(Var::new(1)), 0);
+    assert!(e.assignment().is_true(lit(0, true)), "2x0 + x1 + x2 >= 3 forces x0");
+    assert_eq!(&e.trail()[..facts.len()], facts, "the raise only appends");
+    let model = solve(&mut e).expect("x0, x1, x2 true, x3 false");
+    assert!(model[0] && model[1] && model[2] && !model[3]);
+}

@@ -804,6 +804,49 @@ impl DualSimplex {
         &self.tight
     }
 
+    /// Reduced costs `c_j - y.A_j` of the structural columns as the
+    /// pivots maintain them (zero on basic columns), at the last
+    /// [`LpStatus::Optimal`] solve. Exact up to the drift since the last
+    /// refactorization; [`DualSimplex::lagrangian_bound`] recomputes
+    /// them.
+    pub fn reduced_costs(&self) -> &[f64] {
+        &self.d[..self.n]
+    }
+
+    /// The Lagrangian bound of the duals above `threshold`: with `y'_i =
+    /// y_i` where `y_i > threshold` and `0` elsewhere, writes `d = c -
+    /// A^T y'` into `d` (one entry per structural column) and returns
+    /// `y'.b + sum_j min_{x_j in [l_j, u_j]} d_j x_j`. Since `y' >= 0`,
+    /// weak duality makes this a lower bound on the objective of every
+    /// point within the current bounds that satisfies the rows; at an
+    /// optimal basis it equals the optimum up to the dropped duals.
+    /// Costs `O(n)` plus the nonzeros of the rows `y'` uses; allocates
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d` does not hold one entry per structural column.
+    pub fn lagrangian_bound(&self, threshold: f64, d: &mut [f64]) -> f64 {
+        d.copy_from_slice(&self.costs);
+        let mut bound = 0.0;
+        for (i, &y) in self.y.iter().enumerate() {
+            if y > threshold {
+                bound += y * self.rhs[i];
+                for &(j, a) in &self.rows_sp[i] {
+                    d[j] -= y * a;
+                }
+            }
+        }
+        for (j, &dj) in d.iter().enumerate() {
+            if dj > 0.0 {
+                bound += dj * self.lower[j];
+            } else if dj < 0.0 {
+                bound += dj * self.upper[j];
+            }
+        }
+        bound
+    }
+
     /// Rows of the Farkas certificate of the last
     /// [`LpStatus::Infeasible`] solve, in increasing order (see
     /// [`LpSolution::farkas_rows`]).

@@ -223,6 +223,51 @@ fn random_lps_satisfy_kkt() {
     assert!(optimal_seen > 20, "too few optimal instances to be meaningful");
 }
 
+/// At every optimum of a warm walk over random covering LPs with box
+/// fixings, the Lagrangian bound of the optimal duals reproduces the
+/// objective, its reduced costs match the maintained ones, and it
+/// stays a lower bound with every dual dropped.
+#[test]
+fn lagrangian_bound_reproduces_the_optimum() {
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x1a6);
+    let mut checked = 0;
+    for _ in 0..60 {
+        let n = rng.gen_range(3..12);
+        let mut p = LpProblem::new(n);
+        for j in 0..n {
+            p.set_cost(j, rng.gen_range(-2..9) as f64);
+        }
+        for _ in 0..rng.gen_range(1..10) {
+            let terms: Vec<(usize, f64)> = (0..n)
+                .map(|j| (j, if rng.gen_bool(0.5) { rng.gen_range(-1..4) as f64 } else { 0.0 }))
+                .filter(|&(_, a)| a != 0.0)
+                .collect();
+            let max_act: f64 = terms.iter().map(|&(_, a)| a.max(0.0)).sum();
+            p.add_row_ge(&terms, rng.gen_range(0.0..max_act.max(0.5)));
+        }
+        let mut s = DualSimplex::new(&p);
+        let mut d = vec![0.0; n];
+        for _ in 0..8 {
+            let j = rng.gen_range(0..n);
+            let v = rng.gen_range(0..4);
+            let (lo, hi) = if v >= 2 { (0.0, 1.0) } else { (v as f64, v as f64) };
+            s.set_var_bounds(j, lo, hi);
+            if s.reoptimize() != LpStatus::Optimal {
+                continue;
+            }
+            checked += 1;
+            let z = s.objective();
+            let l = s.lagrangian_bound(1e-7, &mut d);
+            assert!((l - z).abs() <= 1e-6 * z.abs().max(1.0), "L(y) = {l}, z = {z}");
+            for (j, (&mine, &kept)) in d.iter().zip(s.reduced_costs()).enumerate() {
+                assert!((mine - kept).abs() <= 1e-6, "column {j}: {mine} vs {kept}");
+            }
+            assert!(s.lagrangian_bound(f64::INFINITY, &mut d) <= z + 1e-9, "y = 0 bounds z");
+        }
+    }
+    assert!(checked > 100, "too few optima checked ({checked})");
+}
+
 /// The LP relaxation value never exceeds the best 0-1 point.
 #[test]
 fn relaxation_lower_bounds_integer_optimum() {

@@ -41,9 +41,9 @@ pub struct LsOptions {
     pub max_steps: u64,
     /// Wall-clock cap per [`LocalSearch::run`] call.
     pub time_limit: Option<Duration>,
-    /// Cooperative cancellation, polled at the same cadence as `stop`
-    /// and the time limit; a tripped token ends the run with the best
-    /// verified incumbent so far.
+    /// Cooperative cancellation, polled every 512 steps with the time
+    /// limit; a tripped token ends the run with the best verified
+    /// incumbent so far.
     pub cancel: Option<pbo_core::CancelToken>,
 }
 
@@ -260,7 +260,8 @@ impl<'a> LocalSearch<'a> {
     /// improve; returns the cumulative
     /// result. `cell` (when given) receives every verified improving
     /// incumbent and is polled for external improvements, which re-seed
-    /// the walk.
+    /// the walk. `stop` is read before every step, the time limit, the
+    /// token and the cell every 512 steps.
     pub fn run(&mut self, cell: Option<&IncumbentCell>, stop: Option<&AtomicBool>) -> LsResult {
         let deadline = self.options.time_limit.map(|d| Instant::now() + d);
         let start_steps = self.stats.steps;
@@ -270,10 +271,12 @@ impl<'a> LocalSearch<'a> {
                 if done >= self.options.max_steps {
                     break;
                 }
+                // A racing walker reads its stop flag every step: the
+                // branch-and-bound waits on it when it finishes first.
+                if stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
+                    break;
+                }
                 if done.is_multiple_of(512) {
-                    if stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
-                        break;
-                    }
                     if deadline.is_some_and(|d| Instant::now() >= d) {
                         break;
                     }

@@ -6,21 +6,27 @@
 //! [`pbo_engine::Engine`], extended with:
 //!
 //! * an upper bound `P.upper` maintained from improving solutions, with
-//!   the knapsack cut of eq. 10 (and optionally the cardinality cost cuts
-//!   of eqs. 11–13) tightened at the root after each improvement — their
-//!   degrees raised in place, or the rows re-added when their set or
-//!   coefficients change (`CostCuts::install`). The
-//!   cuts live in the engine only: every bound reads the instance's rows
-//!   alone. Learned clauses serve only the search that derived them (a
-//!   parallel solve's head start also seeds its cube workers with its
-//!   best ones, see [`ParBsolo`](crate::ParBsolo));
+//!   the knapsack cut of eq. 10 (and, with
+//!   [`BsoloOptions::cardinality_cuts`] under every bound but LPR, the
+//!   cardinality cost cuts of eqs. 11–13) tightened at the root after
+//!   each improvement — their degrees raised in place, or the rows
+//!   re-added when their set or coefficients change
+//!   (`CostCuts::install`). The cuts live in the engine only: every bound
+//!   reads the instance's rows alone. Learned clauses serve only the
+//!   search that derived them (a parallel solve's head start also seeds
+//!   its cube workers with its best ones, see
+//!   [`ParBsolo`](crate::ParBsolo));
 //! * a pluggable lower-bound procedure called at every node; when
 //!   `P.path + P.lower >= P.upper` (eq. 7) the solver builds the bound
 //!   conflict clause `omega_bc = omega_pp ∪ omega_pl` (eqs. 8–9) and
 //!   feeds it to the standard conflict analysis, obtaining
 //!   non-chronological backtracking on bounds (sec. 4). Before the first
 //!   incumbent exists the procedure still runs: an *infeasible* residual
-//!   (e.g. the LPR Farkas case) prunes with `omega_pl` alone;
+//!   (e.g. the LPR Farkas case) prunes with `omega_pl` alone. When the
+//!   LP bound does not prune, its reduced-cost fixings (eq. 7 one
+//!   literal ahead) are implied at the node with `omega_bc` as their
+//!   shared reason ([`Engine::imply_explained`]), and propagation and the
+//!   bound run again; under LPR they take the eqs. 11–13 rows' place;
 //! * an incrementally maintained residual problem
 //!   ([`pbo_bounds::ResidualState`]): per-constraint satisfied-weight and
 //!   free-term counters are synced to the engine trail in O(Δ) per node
@@ -279,14 +285,14 @@ impl<'a> SearchState<'a> {
     /// `seed` clauses are loaded as root constraints before the search.
     /// The parallel driver passes the *head start's* learned clauses
     /// here. Soundness: a head-start clause is implied by the instance
-    /// together with the head's cost cuts, i.e. by
-    /// `instance ∧ (cost <= upper - 1)` for an incumbent of cost `upper`
-    /// that was verified and published to the shared cell *before* the
-    /// workers launch — so no completion cheaper than the cell's best
-    /// is ever excluded, which is exactly the set the search quantifies
-    /// over (eq. 7). When the head never found an incumbent, no cost cut
-    /// was ever installed and the clauses are implied by the instance
-    /// alone.
+    /// together with the head's cost cuts and reduced-cost fixings, i.e.
+    /// by `instance ∧ (cost <= upper - 1)` for an incumbent of cost
+    /// `upper` that was verified and published to the shared cell
+    /// *before* the workers launch — so no completion cheaper than the
+    /// cell's best is ever excluded, which is exactly the set the search
+    /// quantifies over (eq. 7). When the head never found an incumbent,
+    /// no cost cut was ever installed, no literal was fixed by reduced
+    /// cost, and the clauses are implied by the instance alone.
     ///
     /// The LP pivot loop polls `lp_stop` (the caller's raw cancel flag,
     /// see [`under_budget_deadline`]) when given, else the raw flag of
@@ -361,7 +367,12 @@ impl<'a> SearchState<'a> {
             start,
             best_cost: None,
             best_model: None,
-            cost_cuts: CostCuts::new(instance, options.cardinality_cuts),
+            // Under LPR the reduced-cost fixings do the eqs. 11–13 rows'
+            // job, so only the eq. 10 row is installed.
+            cost_cuts: CostCuts::new(
+                instance,
+                options.cardinality_cuts && options.lb_method != LbMethod::Lpr,
+            ),
             rejected_external: None,
             restarts,
             next_restart,
@@ -520,6 +531,16 @@ impl<'a> SearchState<'a> {
                         Resolution::Unsat => return Some(self.exhausted_status()),
                         Resolution::Backjumped { .. } => continue,
                     }
+                }
+                // Reduced-cost fixing (LPR): each fixing holds in every
+                // completion cheaper than the incumbent that keeps
+                // omega_bc false, so it is implied with omega_bc as its
+                // reason, and propagation and the bound run again.
+                if !out.fixings.is_empty() {
+                    let omega_bc = self.build_bound_conflict(&out.explanation, true);
+                    let fixed = self.engine.imply_explained(&omega_bc, &out.fixings);
+                    stats.lb_fixings += fixed as u64;
+                    continue;
                 }
             }
             // Decide.

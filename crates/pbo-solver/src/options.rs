@@ -123,7 +123,10 @@ pub struct BsoloOptions {
     pub lb_method: LbMethod,
     /// Infer cost cuts from cardinality constraints (eqs. 11–13) on each
     /// improved solution, next to the knapsack cut
-    /// `sum c_j x_j <= upper - 1` of eq. 10 that is always added.
+    /// `sum c_j x_j <= upper - 1` of eq. 10 that is always added. It
+    /// acts under MIS, LGR and plain. Under [`LbMethod::Lpr`] the LP's
+    /// reduced-cost fixings take the rows' place, so the option has no
+    /// effect there, as LP-guided branching follows the bound.
     pub cardinality_cuts: bool,
     /// Probe variables during preprocessing to detect necessary
     /// assignments (sec. 5 / Savelsbergh-style).

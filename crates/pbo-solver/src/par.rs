@@ -35,7 +35,7 @@
 //!    skipped almost entirely).
 //! 4. **Sharing.** Incumbents flow through the [`IncumbentCell`]: every
 //!    worker publishes verified improvements and adopts strictly better
-//!    external ones mid-search (re-rooting its eq. 10–13 cost cuts).
+//!    external ones mid-search (re-rooting its cost cuts).
 //!    Learned clauses reach the workers once: the sequential head start
 //!    that runs before the split seeds every cube task with its best
 //!    ones. Workers do not trade clauses. A cross-worker clause pool,

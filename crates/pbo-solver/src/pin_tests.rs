@@ -53,14 +53,14 @@ const WALKS: [WalkPin; 3] = [
 ];
 
 const DEFAULT_SOLVES: [SolvePin; 3] = [
-    (SolveStatus::Optimal, Some(516), 1_162, 42, 2_161, 801, 523, 40_960),
-    (SolveStatus::Optimal, Some(122), 398, 41, 886, 261, 634, 34_816),
+    (SolveStatus::Optimal, Some(516), 820, 20, 1_594, 462, 298, 36_864),
+    (SolveStatus::Optimal, Some(122), 295, 37, 748, 194, 857, 32_768),
     (SolveStatus::Optimal, Some(0), 0, 0, 0, 0, 0, 2_404),
 ];
 
 const EXACT_SOLVES: [SolvePin; 3] = [
-    (SolveStatus::Optimal, Some(516), 6_342, 34, 10_713, 5_971, 4_120, 0),
-    (SolveStatus::Optimal, Some(122), 1_856, 56, 3_661, 1_272, 3_115, 0),
+    (SolveStatus::Optimal, Some(516), 6_222, 28, 8_998, 5_909, 4_403, 0),
+    (SolveStatus::Optimal, Some(122), 1_778, 61, 3_567, 1_285, 3_650, 0),
     (SolveStatus::Optimal, Some(0), 3_835, 2_233, 213_898, 0, 0, 0),
 ];
 

@@ -14,9 +14,12 @@
 //! `ceil(z_LP) >= U`, and each eqs. 11–13 cut follows from its source
 //! row's relaxation plus eq. 10 whenever the row's coefficient divides
 //! its degree (every clause, every cardinality row the paper's families
-//! emit). For LGR, dualized cost cuts yield weak `omega_pl` explanations
-//! that were measured to triple the tree (1064 → 3226 nodes on the
-//! synthesis ablation). For MIS, folding them into the residual problem
+//! emit). Under LPR the engine holds the eq. 10 row alone: the LP's
+//! reduced-cost fixings ([`LbOutcome::fixings`]), which the search
+//! implies in the engine, do the eqs. 11–13 rows' job there without
+//! their install and propagation cost. For LGR, dualized cost cuts
+//! yield weak `omega_pl` explanations that were measured to triple the
+//! tree (1064 → 3226 nodes on the synthesis ablation). For MIS, folding them into the residual problem
 //! saved 13% of the nodes at 7.4x the wall time (the last numbers are in
 //! `benches/snapshots/README.md`). Learned clauses stay in the engine:
 //! promoting the LBD-best ones into the LGR/LPR rows moved decisions by
@@ -24,13 +27,14 @@
 //!
 //! Because the rows are the instance's alone, an infeasibility verdict
 //! holds whatever the incumbent, and the solver's bound conflict drops
-//! the cost literals `omega_pp`. The one incumbent-conditional step,
-//! MIS's reduced-cost fixing, reports its wipeouts as a bound of
-//! `upper` instead of an infeasibility.
+//! the cost literals `omega_pp`. The incumbent-conditional steps keep
+//! them: MIS's reduced-cost fixing reports its wipeouts as a bound of
+//! `upper` instead of an infeasibility, and LPR's fixings hold only
+//! under `omega_bc = omega_pp ∪ omega_pl`.
 //!
 //! The per-node path is **steady-state allocation-free**: the pipeline
-//! owns one [`LbOutcome`] whose explanation buffer is reused by
-//! [`LowerBound::lower_bound_into`] on every call.
+//! owns one [`LbOutcome`] whose explanation and fixing buffers are
+//! reused by [`LowerBound::lower_bound_into`] on every call.
 
 use std::time::Instant;
 

@@ -587,9 +587,12 @@ mod tests {
 
     #[test]
     fn seeding_the_cell_with_the_optimum_proves_optimality_outright() {
-        // With the optimum in the cell, the eq. 10 cut is contradictory
-        // at the root: adoption alone completes the proof, even under a
-        // zero budget.
+        // With the optimum in the cell, the cost cuts installed for it
+        // contradict the root: on this instance an eqs. 11–13 cut does,
+        // the eq. 10 row alone does not. So adoption alone completes the
+        // proof, even under a zero budget, on a method that installs the
+        // eqs. 11–13 rows (LPR installs the eq. 10 row alone: its
+        // reduced-cost fixings take the others' place, at a bound call).
         let inst = covering_instance();
         let witness = match brute_force(&inst) {
             pbo_core::BruteForceResult::Optimal { witness, .. } => witness,
@@ -598,8 +601,8 @@ mod tests {
         let cost = pbo_core::verify_solution(&inst, &witness).unwrap();
         let cell = IncumbentCell::new();
         cell.offer(cost, &witness);
-        let options =
-            BsoloOptions::default().budget(Budget { decisions: Some(0), ..Budget::default() });
+        let options = BsoloOptions::with_lb(LbMethod::Mis)
+            .budget(Budget { decisions: Some(0), ..Budget::default() });
         let result = Bsolo::new(options).solve_with_cell(&inst, Some(&cell));
         assert_eq!(result.status, crate::SolveStatus::Optimal);
         assert_eq!(result.best_cost, Some(cost));
@@ -843,7 +846,7 @@ mod tests {
     }
 
     /// The effort counters a parity check compares.
-    fn counters(r: &SolveResult) -> (u64, u64, u64, u64, u64, u64, u64, u64, Vec<u64>) {
+    fn counters(r: &SolveResult) -> (u64, u64, u64, u64, u64, u64, u64, u64, u64, Vec<u64>) {
         let s = &r.stats;
         (
             s.ls_steps,
@@ -852,6 +855,7 @@ mod tests {
             s.bound_conflicts,
             s.propagations,
             s.lb_calls,
+            s.lb_fixings,
             s.lp_iterations,
             s.solutions_found,
             s.nodes_per_worker.clone(),

@@ -85,6 +85,9 @@ pub struct SolverStats {
     pub bound_conflicts: u64,
     /// Lower-bound computations performed.
     pub lb_calls: u64,
+    /// Literals implied by reduced cost: the LP bound's fixings
+    /// ([`pbo_bounds::LbOutcome::fixings`]) the search assigned.
+    pub lb_fixings: u64,
     /// Per-method breakdown of `lb_calls`/`lb_time_total`, indexed in
     /// [`LB_METHOD_NAMES`] order (`plain`, `mis`, `lgr`, `lpr`).
     pub lb_methods: [LbMethodStats; 4],
@@ -186,6 +189,7 @@ impl SolverStats {
         self.conflicts += other.conflicts;
         self.bound_conflicts += other.bound_conflicts;
         self.lb_calls += other.lb_calls;
+        self.lb_fixings += other.lb_fixings;
         for (mine, theirs) in self.lb_methods.iter_mut().zip(other.lb_methods.iter()) {
             mine.absorb(theirs);
         }
@@ -243,7 +247,7 @@ impl SolverStats {
         let _ = write!(
             s,
             "\"decisions\":{},\"conflicts\":{},\"bound_conflicts\":{},\"lb_calls\":{},\
-             \"lb_margin_sum\":{},\"lb_time_total_ms\":{:.3},\"sub_time_total_ms\":{:.3},\
+             \"lb_fixings\":{},\"lb_margin_sum\":{},\"lb_time_total_ms\":{:.3},\"sub_time_total_ms\":{:.3},\
              \"solve_time_ms\":{:.3},\"time_to_best_ms\":{:.3},\"ls_steps\":{},\
              \"ls_time_ms\":{:.3},\"propagations\":{},\
              \"restarts\":{},\"solutions_found\":{},\"backjump_levels\":{},\
@@ -254,6 +258,7 @@ impl SolverStats {
             self.conflicts,
             self.bound_conflicts,
             self.lb_calls,
+            self.lb_fixings,
             self.lb_margin_sum,
             ms(self.lb_time_total),
             ms(self.sub_time_total),
@@ -446,6 +451,14 @@ mod tests {
         assert_eq!(r.table_cell(), "time");
         r.status = SolveStatus::Infeasible;
         assert_eq!(r.table_cell(), "UNSAT");
+    }
+
+    #[test]
+    fn absorb_sums_the_fixings_and_json_reports_them() {
+        let mut total = SolverStats { lb_fixings: 3, ..SolverStats::default() };
+        total.absorb(&SolverStats { lb_fixings: 4, ..SolverStats::default() });
+        assert_eq!(total.lb_fixings, 7);
+        assert!(total.to_json().contains("\"lb_fixings\":7,"), "{}", total.to_json());
     }
 
     #[test]

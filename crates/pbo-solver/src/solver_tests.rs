@@ -135,7 +135,10 @@ fn ablation_toggles_preserve_correctness() {
         for (label, options) in [
             (
                 "no-cuts",
-                BsoloOptions { cardinality_cuts: false, ..BsoloOptions::with_lb(LbMethod::Lpr) },
+                BsoloOptions {
+                    cardinality_cuts: false,
+                    ..BsoloOptions::with_lb(LbMethod::Lagrangian)
+                },
             ),
             ("no-probing", BsoloOptions { probing: false, ..BsoloOptions::with_lb(LbMethod::Mis) }),
             ("lpr", BsoloOptions::with_lb(LbMethod::Lpr)),

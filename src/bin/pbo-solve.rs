@@ -261,11 +261,13 @@ fn main() -> ExitCode {
     if stats {
         let s = &result.stats;
         println!(
-            "c decisions={} conflicts={} bound_conflicts={} lb_calls={} lb_time={:.3}s time={:.3}s",
+            "c decisions={} conflicts={} bound_conflicts={} lb_calls={} lb_fixings={} lb_time={:.3}s \
+             time={:.3}s",
             s.decisions,
             s.conflicts,
             s.bound_conflicts,
             s.lb_calls,
+            s.lb_fixings,
             s.lb_time_total.as_secs_f64(),
             s.solve_time.as_secs_f64()
         );

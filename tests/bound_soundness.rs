@@ -6,7 +6,10 @@
 //!   well-formed conflicting clause);
 //! * the bound-conflict clause `omega_bc = omega_pp ∪ omega_pl` never
 //!   excludes an assignment strictly better than the claimed bound —
-//!   soundness of the learning step of sec. 4.
+//!   soundness of the learning step of sec. 4;
+//! * every reduced-cost fixing `l` of the LP bound against an incumbent
+//!   `U` gives a clause `l ∨ omega_bc` that excludes no feasible
+//!   assignment cheaper than `U`.
 
 use proptest::prelude::*;
 
@@ -14,6 +17,7 @@ use pbo::{
     Assignment, InstanceBuilder, LagrangianBound, Lit, LowerBound, LprBound, MisBound, RelOp,
     Subproblem, Value, Var,
 };
+use proptest::TestRng;
 
 #[derive(Clone, Debug)]
 #[allow(clippy::type_complexity)]
@@ -122,22 +126,11 @@ fn check_method(built: &Built, name: &str, outcome: pbo::LbOutcome) -> Result<()
     // 3. omega_bc soundness: any assignment that keeps every omega_bc
     // literal false costs at least the bound.
     let n = built.instance.num_vars();
-    let mut omega_bc = outcome.explanation.clone();
-    if let Some(obj) = built.instance.objective() {
-        for &(c, l) in obj.terms() {
-            if c > 0 && built.assignment.lit_value(l) == Value::True {
-                omega_bc.push(!l);
-            }
-        }
-    }
+    let omega_bc = omega_bc(built, &outcome.explanation);
     if !outcome.infeasible {
         for mask in 0u64..(1 << n) {
             let vals: Vec<bool> = (0..n).map(|i| (mask >> i) & 1 == 1).collect();
-            let violates_clause = omega_bc.iter().all(|&l| {
-                let v = vals[l.var().index()];
-                let lit_true = if l.is_positive() { v } else { !v };
-                !lit_true
-            });
+            let violates_clause = omega_bc.iter().all(|&l| !is_true(l, &vals));
             if violates_clause && built.instance.is_feasible(&vals) {
                 let c = built.instance.cost_of(&vals);
                 prop_assert!(
@@ -151,6 +144,84 @@ fn check_method(built: &Built, name: &str, outcome: pbo::LbOutcome) -> Result<()
         }
     }
     Ok(())
+}
+
+/// `omega_bc = omega_pp ∪ omega_pl` for the explanation `omega_pl`: the
+/// negations of the costed literals the assignment makes true, then the
+/// explanation.
+fn omega_bc(built: &Built, omega_pl: &[Lit]) -> Vec<Lit> {
+    let mut omega_bc = omega_pl.to_vec();
+    if let Some(obj) = built.instance.objective() {
+        for &(c, l) in obj.terms() {
+            if c > 0 && built.assignment.lit_value(l) == Value::True {
+                omega_bc.push(!l);
+            }
+        }
+    }
+    omega_bc
+}
+
+fn is_true(l: Lit, vals: &[bool]) -> bool {
+    vals[l.var().index()] == l.is_positive()
+}
+
+/// Reduced-cost fixing soundness: the LP bound against each incumbent
+/// `U` just above its bound reports free literals only, builds
+/// `omega_pl` only when it reports one, and each reported `l` holds
+/// in every feasible assignment cheaper than `U` that keeps every
+/// `omega_bc` literal false. Returns how many fixings were checked.
+fn check_fixings(built: &Built) -> Result<usize, TestCaseError> {
+    let sub = Subproblem::new(&built.instance, &built.assignment);
+    let mut lpr = LprBound::new(&built.instance);
+    let open = lpr.lower_bound(&sub, None);
+    if open.infeasible {
+        return Ok(0);
+    }
+    let n = built.instance.num_vars();
+    let mut checked = 0;
+    for upper in open.bound + 1..=open.bound + 3 {
+        let out = lpr.lower_bound(&sub, Some(upper));
+        prop_assert!(!out.prunes(upper), "bound {} prunes {}", out.bound, upper);
+        if out.fixings.is_empty() {
+            prop_assert!(out.explanation.is_empty(), "nothing reads omega_pl");
+        }
+        let omega_bc = omega_bc(built, &out.explanation);
+        for &l in &out.fixings {
+            prop_assert_eq!(built.assignment.lit_value(l), Value::Unassigned, "{:?} fixed", l);
+            for mask in 0u64..(1 << n) {
+                let vals: Vec<bool> = (0..n).map(|i| (mask >> i) & 1 == 1).collect();
+                let kept = omega_bc.iter().all(|&w| !is_true(w, &vals));
+                if kept && built.instance.is_feasible(&vals) {
+                    let cost = built.instance.cost_of(&vals);
+                    prop_assert!(
+                        cost >= upper || is_true(l, &vals),
+                        "fixing {:?} excludes a feasible assignment of cost {} < {}",
+                        l,
+                        cost,
+                        upper
+                    );
+                }
+            }
+            checked += 1;
+        }
+    }
+    Ok(checked)
+}
+
+/// [`check_fixings`] over 200,000 scenarios (about 300,000 fixings).
+#[test]
+#[ignore = "release-sized: run with --release -- --ignored (CI does)"]
+fn lpr_fixings_hold_sweep() {
+    let strategy = scenario();
+    let mut fixings = 0;
+    for case in 0..200_000 {
+        let s = strategy.sample(&mut TestRng::for_case("lpr_fixings_hold_sweep", case));
+        match check_fixings(&build(&s)) {
+            Ok(checked) => fixings += checked,
+            Err(err) => panic!("case {case}: {err}\ninput: {s:?}"),
+        }
+    }
+    assert!(fixings > 200_000, "only {fixings} fixings checked");
 }
 
 proptest! {
@@ -177,7 +248,18 @@ proptest! {
     fn lpr_bound_contract(s in scenario()) {
         let built = build(&s);
         let sub = Subproblem::new(&built.instance, &built.assignment);
-        let out = LprBound::new(&built.instance).lower_bound(&sub, None);
+        let mut lpr = LprBound::new(&built.instance);
+        let open = lpr.lower_bound(&sub, None);
+        prop_assert!(open.infeasible || open.explanation.is_empty(), "nothing reads omega_pl");
+        // An incumbent the bound prunes against: the outcome carries
+        // omega_pl.
+        let out = lpr.lower_bound(&sub, Some(open.bound));
+        prop_assert_eq!(out.bound, open.bound);
         check_method(&built, "lpr", out)?;
+    }
+
+    #[test]
+    fn lpr_fixings_contract(s in scenario()) {
+        check_fixings(&build(&s))?;
     }
 }
