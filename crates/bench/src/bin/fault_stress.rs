@@ -85,7 +85,7 @@ fn racing_options(lb: LbMethod) -> BsoloOptions {
     let mut options = BsoloOptions::with_lb(lb);
     options.probing = false;
     options.cardinality_cuts = false;
-    options.resplit_conflicts = Some(4);
+    options.resplit_conflicts = 4;
     options.restart_base = Some(4);
     options
 }

@@ -108,7 +108,7 @@ fn main() {
     print!("summary: {}", serialize(&summarize_portfolio(&probes)));
 
     // Parallel-exact scaling probe: the cube-split pool at 1/2/4/8
-    // workers on the two hardest synthesis seeds — ranked by sequential
+    // workers, five runs each, on the two hardest synthesis seeds — ranked by sequential
     // tree size over a wider seed pool, because parallel search only
     // pays off on trees worth splitting (see `run_par_bb_probe`).
     const PAR_BB_WORKERS: &[usize] = &[1, 2, 4, 8];
@@ -123,7 +123,7 @@ fn main() {
     println!("== par_bb scaling (synthesis, workers {PAR_BB_WORKERS:?}) ==");
     for p in &par_bb {
         println!("{}:", p.instance);
-        let base_time = p.runs.first().map(|r| r.time.as_secs_f64());
+        let base_time = p.medians(1).map(|(time, _)| time);
         for r in &p.runs {
             let speedup = match base_time {
                 Some(b) if r.time.as_secs_f64() > 0.0 => {

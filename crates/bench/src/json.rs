@@ -77,45 +77,91 @@ pub struct ParBbRun {
     pub nodes_per_worker: Vec<u64>,
 }
 
-/// One instance of the parallel-exact (par_bb) probe: the same solve at
-/// each probed worker count, the 1-worker run first (the scaling
-/// baseline — bit-identical to the sequential solver).
+/// One instance of the parallel-exact (par_bb) probe: the same solve
+/// repeated at each probed worker count, the 1-worker runs (the scaling
+/// baseline — bit-identical to the sequential solver) first.
 #[derive(Clone, Debug)]
 pub struct ParBbProbe {
     /// Instance name.
     pub instance: String,
-    /// One run per probed worker count, ascending; `runs[0].workers == 1`.
+    /// Every run, ascending by worker count; the runs of one count are
+    /// adjacent, in the order they ran.
     pub runs: Vec<ParBbRun>,
 }
 
+impl ParBbProbe {
+    /// The median wall time (seconds) and the median node count of the
+    /// runs at `workers`, or `None` without such runs. An even number of
+    /// runs takes the mean of the middle two.
+    pub fn medians(&self, workers: usize) -> Option<(f64, f64)> {
+        let runs: Vec<&ParBbRun> = self.runs.iter().filter(|r| r.workers == workers).collect();
+        let time = median(runs.iter().map(|r| r.time.as_secs_f64()).collect())?;
+        let nodes = median(runs.iter().map(|r| r.nodes as f64).collect())?;
+        Some((time, nodes))
+    }
+}
+
+fn median(mut xs: Vec<f64>) -> Option<f64> {
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    match xs.len() {
+        0 => None,
+        n if n % 2 == 1 => Some(xs[mid]),
+        _ => Some((xs[mid - 1] + xs[mid]) / 2.0),
+    }
+}
+
+/// The probed worker counts, ascending.
+fn worker_counts(probes: &[ParBbProbe]) -> Vec<usize> {
+    let mut counts: Vec<usize> =
+        probes.iter().flat_map(|p| p.runs.iter().map(|r| r.workers)).collect();
+    counts.sort_unstable();
+    counts.dedup();
+    counts
+}
+
 /// The par_bb probe's summary, the numbers its gates read. Every
-/// comparison is against the instance's 1-worker run (`runs[0]`):
-/// `never_worse_optimum` holds when at every other worker count the cost
-/// exists and is `<=` wherever the 1-worker run has one, and optimality is
-/// proved wherever the 1-worker run proved it; `max_nodes_ratio` is the
-/// worst `nodes(w) / nodes(1)` over runs optimal on both sides;
-/// `time_speedup_geomean` is the geometric mean of `time(1) /
-/// time(workers)` at the largest probed count `workers`.
+/// comparison is against the instance's 1-worker runs.
+/// `never_worse_optimum` reads every run: it holds when each run at
+/// another worker count has a cost `<=` that of every 1-worker run that
+/// has one, and proves optimality wherever a 1-worker run proved it. The
+/// other two read medians (see [`ParBbProbe::medians`]), so one run
+/// slowed by a scheduling hiccup moves neither: `max_nodes_ratio` is the
+/// worst `median nodes(w) / median nodes(1)` over the worker counts
+/// whose runs, and the 1-worker runs, all proved optimality;
+/// `time_speedup_geomean` is the geometric mean over instances of
+/// `median time(1) / median time(workers)` at the largest probed count
+/// `workers`.
 pub fn summarize_par_bb(probes: &[ParBbProbe]) -> JsonValue {
-    let max_workers =
-        probes.iter().flat_map(|p| p.runs.iter().map(|r| r.workers)).max().unwrap_or(1);
+    let counts = worker_counts(probes);
+    let max_workers = counts.last().copied().unwrap_or(1);
     let mut never_worse = true;
     let (mut node_ratios, mut speedups) = (Vec::new(), Vec::new());
     for p in probes {
-        let Some((base, runs)) = p.runs.split_first() else { continue };
-        for run in runs {
-            let cost_ok = match (base.cost, run.cost) {
-                (Some(s), Some(q)) => q <= s,
-                (Some(_), None) => false,
-                _ => true,
-            };
-            never_worse &= cost_ok && (run.optimal || !base.optimal);
-            if base.optimal && run.optimal && base.nodes > 0 {
-                node_ratios.push(run.nodes as f64 / base.nodes as f64);
-                let (s, q) = (base.time.as_secs_f64(), run.time.as_secs_f64());
-                if run.workers == max_workers && s > 0.0 && q > 0.0 {
-                    speedups.push(s / q);
-                }
+        let (base, runs): (Vec<&ParBbRun>, Vec<&ParBbRun>) =
+            p.runs.iter().partition(|r| r.workers == 1);
+        for run in &runs {
+            for b in &base {
+                let cost_ok = match (b.cost, run.cost) {
+                    (Some(s), Some(q)) => q <= s,
+                    (Some(_), None) => false,
+                    _ => true,
+                };
+                never_worse &= cost_ok && (run.optimal || !b.optimal);
+            }
+        }
+        let Some((base_time, base_nodes)) = p.medians(1) else { continue };
+        if base_nodes <= 0.0 || base.iter().any(|b| !b.optimal) {
+            continue;
+        }
+        for &w in counts.iter().filter(|&&w| w > 1) {
+            let Some((time, nodes)) = p.medians(w) else { continue };
+            if runs.iter().any(|r| r.workers == w && !r.optimal) {
+                continue;
+            }
+            node_ratios.push(nodes / base_nodes);
+            if w == max_workers && base_time > 0.0 && time > 0.0 {
+                speedups.push(base_time / time);
             }
         }
     }
@@ -205,9 +251,8 @@ fn par_bb_json(probes: &[ParBbProbe]) -> JsonValue {
             ("runs", p.runs.iter().map(run_json).collect()),
         ])
     });
-    let workers = probes.first().map_or(&[][..], |p| &p.runs);
     JsonValue::object([
-        ("workers", workers.iter().map(|r| r.workers.into()).collect()),
+        ("workers", worker_counts(probes).into_iter().map(JsonValue::from).collect()),
         ("instances", instances.collect()),
         ("summary", summarize_par_bb(probes)),
     ])

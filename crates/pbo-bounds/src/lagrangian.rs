@@ -32,35 +32,17 @@ use pbo_core::Value;
 use crate::subproblem::Subproblem;
 use crate::{LbOutcome, LowerBound};
 
-/// Tuning knobs for the subgradient ascent.
-#[derive(Clone, Debug)]
-pub struct LagrangianConfig {
-    /// Maximum subgradient iterations per bound computation.
-    pub max_iterations: usize,
-    /// Initial step-length multiplier (Held–Karp `lambda`).
-    pub initial_lambda: f64,
-    /// Halve `lambda` after this many non-improving iterations.
-    pub halving_patience: usize,
-    /// Stop when `lambda` falls below this value.
-    pub min_lambda: f64,
-    /// Treat multipliers below this as zero when building explanations.
-    pub mu_tolerance: f64,
-    /// Apply the sec. 4.3 `alpha_j` filter to shrink `omega_pl`.
-    pub alpha_filter: bool,
-}
-
-impl Default for LagrangianConfig {
-    fn default() -> LagrangianConfig {
-        LagrangianConfig {
-            max_iterations: 60,
-            initial_lambda: 2.0,
-            halving_patience: 4,
-            min_lambda: 1e-3,
-            mu_tolerance: 1e-7,
-            alpha_filter: true,
-        }
-    }
-}
+/// Maximum subgradient iterations per bound computation.
+const MAX_ITERATIONS: usize = 60;
+/// Initial step-length multiplier (Held–Karp `lambda`).
+const INITIAL_LAMBDA: f64 = 2.0;
+/// Halve `lambda` after this many non-improving iterations.
+const HALVING_PATIENCE: usize = 4;
+/// Stop when `lambda` falls below this value.
+const MIN_LAMBDA: f64 = 1e-3;
+/// Multipliers at or below this count as zero when building
+/// explanations.
+const MU_TOLERANCE: f64 = 1e-7;
 
 /// The flattened residual rows of one bound computation (reused scratch).
 #[derive(Clone, Debug, Default)]
@@ -114,7 +96,6 @@ impl Rows {
 /// ```
 #[derive(Clone, Debug)]
 pub struct LagrangianBound {
-    config: LagrangianConfig,
     /// Multipliers indexed by original constraint index (warm start).
     mu: Vec<f64>,
     // --- per-call scratch, reused across nodes ---
@@ -143,13 +124,7 @@ impl LagrangianBound {
     /// Creates the bound procedure for an instance with
     /// `num_constraints` constraints, multipliers initialized to zero.
     pub fn new(num_constraints: usize) -> LagrangianBound {
-        LagrangianBound::with_config(num_constraints, LagrangianConfig::default())
-    }
-
-    /// Creates the bound procedure with explicit configuration.
-    pub fn with_config(num_constraints: usize, config: LagrangianConfig) -> LagrangianBound {
         LagrangianBound {
-            config,
             mu: vec![0.0; num_constraints],
             epoch: 0,
             local_stamp: Vec::new(),
@@ -278,7 +253,7 @@ impl LowerBound for LagrangianBound {
         self.best_mu.clear();
         self.best_mu.extend_from_slice(&self.row_mu);
         let mut best_l = f64::NEG_INFINITY;
-        let mut lambda = self.config.initial_lambda;
+        let mut lambda = INITIAL_LAMBDA;
         let mut stale = 0usize;
         self.alpha.clear();
         self.alpha.resize(nv, 0.0);
@@ -286,7 +261,7 @@ impl LowerBound for LagrangianBound {
         self.gradient.resize(num_rows, 0.0);
         let target_gap = upper.map(|u| (u - base) as f64);
 
-        for _ in 0..self.config.max_iterations.max(1) {
+        for _ in 0..MAX_ITERATIONS {
             // alpha_j = c_j - sum_i mu_i a_ij ; L = mu.b + sum min(0, alpha).
             self.alpha.copy_from_slice(&self.cost);
             let mut l_val = 0.0;
@@ -307,10 +282,10 @@ impl LowerBound for LagrangianBound {
                 stale = 0;
             } else {
                 stale += 1;
-                if stale >= self.config.halving_patience {
+                if stale >= HALVING_PATIENCE {
                     lambda *= 0.5;
                     stale = 0;
-                    if lambda < self.config.min_lambda {
+                    if lambda < MIN_LAMBDA {
                         break;
                     }
                 }
@@ -372,54 +347,49 @@ impl LowerBound for LagrangianBound {
         // over the original constraints in S in variable space, into the
         // epoch-stamped dense scratch (no hashing, no allocation after
         // warm-up).
-        if self.config.alpha_filter {
-            for r in 0..num_rows {
-                if self.best_mu[r] <= self.config.mu_tolerance {
+        for r in 0..num_rows {
+            if self.best_mu[r] <= MU_TOLERANCE {
+                continue;
+            }
+            let orig = self.rows.orig[r];
+            for t in sub.row_terms(orig).terms() {
+                if assignment.lit_value(t.lit) == Value::Unassigned {
                     continue;
                 }
-                let orig = self.rows.orig[r];
-                for t in sub.row_terms(orig).terms() {
-                    if assignment.lit_value(t.lit) == Value::Unassigned {
-                        continue;
-                    }
-                    let v = t.lit.var().index();
-                    let coeff =
-                        if t.lit.is_positive() { t.coeff as f64 } else { -(t.coeff as f64) };
-                    if v >= self.alpha_stamp.len() {
-                        self.alpha_stamp.resize(v + 1, 0);
-                        self.assigned_alpha.resize(v + 1, 0.0);
-                    }
-                    if self.alpha_stamp[v] != self.epoch {
-                        self.alpha_stamp[v] = self.epoch;
-                        // Start from the variable-space objective cost.
-                        self.assigned_alpha[v] = instance.objective().map_or(0.0, |o| {
-                            o.term_of_var(t.lit.var()).map_or(0.0, |(c, l)| {
-                                if l.is_positive() {
-                                    c as f64
-                                } else {
-                                    -(c as f64)
-                                }
-                            })
-                        });
-                    }
-                    self.assigned_alpha[v] -= self.best_mu[r] * coeff;
+                let v = t.lit.var().index();
+                let coeff = if t.lit.is_positive() { t.coeff as f64 } else { -(t.coeff as f64) };
+                if v >= self.alpha_stamp.len() {
+                    self.alpha_stamp.resize(v + 1, 0);
+                    self.assigned_alpha.resize(v + 1, 0.0);
                 }
+                if self.alpha_stamp[v] != self.epoch {
+                    self.alpha_stamp[v] = self.epoch;
+                    // Start from the variable-space objective cost.
+                    self.assigned_alpha[v] = instance.objective().map_or(0.0, |o| {
+                        o.term_of_var(t.lit.var()).map_or(0.0, |(c, l)| {
+                            if l.is_positive() {
+                                c as f64
+                            } else {
+                                -(c as f64)
+                            }
+                        })
+                    });
+                }
+                self.assigned_alpha[v] -= self.best_mu[r] * coeff;
             }
         }
         for r in 0..num_rows {
-            if self.best_mu[r] <= self.config.mu_tolerance {
+            if self.best_mu[r] <= MU_TOLERANCE {
                 continue;
             }
             for l in sub.false_literals(self.rows.orig[r]) {
-                if self.config.alpha_filter {
-                    let v = l.var();
-                    let a = self.assigned_alpha_of(v.index());
-                    let x_is_one = assignment.value(v) == Value::True;
-                    // sec 4.3: x_j = 0 with alpha_j > 0 (raising it would
-                    // raise L) or x_j = 1 with alpha_j < 0: not responsible.
-                    if (!x_is_one && a > 1e-9) || (x_is_one && a < -1e-9) {
-                        continue;
-                    }
+                let v = l.var();
+                let a = self.assigned_alpha_of(v.index());
+                let x_is_one = assignment.value(v) == Value::True;
+                // sec 4.3: x_j = 0 with alpha_j > 0 (raising it would
+                // raise L) or x_j = 1 with alpha_j < 0: not responsible.
+                if (!x_is_one && a > 1e-9) || (x_is_one && a < -1e-9) {
+                    continue;
                 }
                 explanation.push(l);
             }

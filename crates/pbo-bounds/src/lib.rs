@@ -59,7 +59,7 @@ mod residual;
 mod subproblem;
 
 pub use dynrows::{DynRow, DynRowOrigin, DynamicRows};
-pub use lagrangian::{LagrangianBound, LagrangianConfig};
+pub use lagrangian::LagrangianBound;
 pub use lpr::LprBound;
 pub use mis::MisBound;
 pub use residual::ResidualState;

@@ -86,15 +86,6 @@ pub struct LprBound {
     /// [`LprBound::install_rows`] rebuilds re-arm it (see
     /// [`LprBound::set_cancel`]).
     cancel: (Option<Instant>, Option<Arc<AtomicBool>>),
-    /// The registry rows currently installed in the simplex, in row
-    /// order after the instance's rows. [`LprBound::install_rows`]
-    /// diffs the incoming registry against this to take the incremental
-    /// path (basis-extending appends) instead of a full rebuild.
-    installed: Vec<PbConstraint>,
-    /// Re-roots served incrementally vs. by full rebuild (diagnostics
-    /// and differential tests).
-    install_appends: u64,
-    install_rebuilds: u64,
 }
 
 impl LprBound {
@@ -111,9 +102,6 @@ impl LprBound {
             mirror: Vec::with_capacity(n),
             trail_mode: false,
             cancel: (None, None),
-            installed: Vec::new(),
-            install_appends: 0,
-            install_rebuilds: 0,
         }
     }
 
@@ -185,35 +173,16 @@ impl LprBound {
         Self::build_problem(instance, &[]).0
     }
 
-    /// Installs the registry's rows after the instance rows, so row `k`
-    /// of the registry is LP row `instance.num_constraints() + k`. No
-    /// solver path calls this — the solver's relaxation holds the
-    /// instance's rows only, since the cost cuts are LP-implied — and it
-    /// stays public only because the benchmark's per-layer probe
-    /// (`pbobench/probe`) times it.
-    ///
-    /// When the new registry extends the installed one — every already
-    /// installed row reappears verbatim, plus an appended suffix — the
-    /// warm basis is *kept*: new rows extend the basis through
-    /// [`DualSimplex::append_row_ge`]. Any other registry (rows removed
-    /// or changed) pays for a full rebuild.
+    /// Rebuilds the relaxation with the registry's rows after the
+    /// instance rows, so row `k` of the registry is LP row
+    /// `instance.num_constraints() + k`. The current fixings, the
+    /// cancellation and the iteration count carry over; the warm basis
+    /// does not. No solver path calls this — the solver's relaxation
+    /// holds the instance's rows only, since the cost cuts are
+    /// LP-implied — and it stays public only because the benchmark's
+    /// per-layer probe (`pbobench/probe`) times it.
     pub fn install_rows(&mut self, instance: &Instance, rows: &DynamicRows) {
-        let new_rows = rows.rows();
-        if new_rows.is_empty() && self.installed.is_empty() {
-            return;
-        }
-        let extends = new_rows.len() >= self.installed.len()
-            && new_rows.iter().zip(&self.installed).all(|(r, old)| r.constraint == *old);
-        if extends {
-            for r in &new_rows[self.installed.len()..] {
-                let (terms, rhs) = Self::lp_row(&r.constraint);
-                self.simplex.append_row_ge(&terms, rhs);
-                self.installed.push(r.constraint.clone());
-            }
-            self.install_appends += 1;
-            return;
-        }
-        let extra: Vec<&PbConstraint> = new_rows.iter().map(|r| &r.constraint).collect();
+        let extra: Vec<&PbConstraint> = rows.rows().iter().map(|r| &r.constraint).collect();
         let (problem, const_shift) = Self::build_problem(instance, &extra);
         let iterations = self.simplex.total_iterations;
         self.simplex = DualSimplex::new(&problem);
@@ -227,15 +196,6 @@ impl LprBound {
                 None => {}
             }
         }
-        self.installed = new_rows.iter().map(|r| r.constraint.clone()).collect();
-        self.install_rebuilds += 1;
-    }
-
-    /// How many [`LprBound::install_rows`] calls took the incremental
-    /// (append) path vs. a full rebuild. Like `install_rows`, kept for
-    /// the benchmark probe and the tests.
-    pub fn install_counts(&self) -> (u64, u64) {
-        (self.install_appends, self.install_rebuilds)
     }
 
     /// Number of trail literals currently mirrored into the simplex
@@ -602,13 +562,17 @@ mod tests {
         full
     }
 
+    /// `install_rows` rebuilds the relaxation with the registry's rows
+    /// after the instance's: its outcomes match a fresh relaxation of an
+    /// instance carrying those rows, with the fixings made before an
+    /// install carried over, install after install.
     #[test]
-    fn install_rows_incremental_matches_rebuild() {
+    fn install_rows_matches_a_fresh_relaxation() {
         use crate::dynrows::{DynRowOrigin, DynamicRows};
 
         // Distinct costs keep the LP optima non-degenerate, so the
-        // incremental and rebuild paths land on identical bases and the
-        // outcomes (bound + explanation) compare bit-for-bit.
+        // rebuilt and the fresh relaxation land on identical bases and
+        // the outcomes (bound + explanation) compare bit-for-bit.
         let mut b = InstanceBuilder::new();
         let v = b.new_vars(6);
         b.add_at_least(2, [v[0].positive(), v[1].positive(), v[2].positive(), v[3].positive()]);
@@ -626,77 +590,31 @@ mod tests {
         };
         let clause =
             PbConstraint::try_new(vec![(1, v[0].positive()), (1, v[3].positive())], 1).unwrap();
-        let late =
-            PbConstraint::try_new(vec![(1, v[4].positive()), (1, v[5].positive())], 1).unwrap();
 
+        let mut installed = LprBound::new(&inst);
+        installed.apply(v[1].negative());
+        let mut a = Assignment::new(6);
+        a.assign(Var::new(1), false);
+        for (round, rhs) in [1, 2].into_iter().enumerate() {
+            let mut rows = DynamicRows::for_instance(&inst);
+            rows.begin_epoch();
+            rows.push(card(rhs), DynRowOrigin::CardinalityCut);
+            rows.push(clause.clone(), DynRowOrigin::CardinalityCut);
+            installed.install_rows(&inst, &rows);
+            let full = instance_plus_rows(&inst, &rows);
+            let sub = Subproblem::new(&full, &a);
+            let fresh = pruning(&mut LprBound::new(&full), &sub);
+            assert_eq!(pruning(&mut installed, &sub), fresh, "round {round}");
+        }
+        installed.apply(v[4].positive());
+        a.assign(Var::new(4), true);
         let mut rows = DynamicRows::for_instance(&inst);
         rows.begin_epoch();
-        rows.push(card(1), DynRowOrigin::CardinalityCut);
-        rows.push(clause.clone(), DynRowOrigin::CardinalityCut);
-
-        // Warm side: installs land on the incremental path throughout.
-        let mut warm = LprBound::new(&inst);
-        warm.install_rows(&inst, &rows);
-        assert_eq!(warm.install_counts(), (1, 0), "first install extends the empty row set");
-
-        // Oracle side: poison the installed rows so every later
-        // install pays for the full rebuild.
-        let force_rebuild = |oracle: &mut LprBound| {
-            let mut decoy = DynamicRows::for_instance(&inst);
-            decoy.begin_epoch();
-            decoy.push(late.clone(), DynRowOrigin::CardinalityCut);
-            oracle.install_rows(&inst, &decoy);
-        };
-        let mut oracle = LprBound::new(&inst);
-        force_rebuild(&mut oracle);
-        oracle.install_rows(&inst, &rows);
-        assert_eq!(oracle.install_counts(), (1, 1), "support mismatch must rebuild");
-
-        let check = |warm: &mut LprBound, oracle: &mut LprBound, rows: &DynamicRows| {
-            let full = instance_plus_rows(&inst, rows);
-            let mut a = Assignment::new(6);
-            let sub = Subproblem::new(&full, &a);
-            assert_eq!(pruning(warm, &sub), pruning(oracle, &sub));
-            a.assign(Var::new(1), false);
-            a.assign(Var::new(4), true);
-            let sub = Subproblem::new(&full, &a);
-            assert_eq!(pruning(warm, &sub), pruning(oracle, &sub));
-        };
-        check(&mut warm, &mut oracle, &rows);
-
-        // Re-root: the rows survive verbatim and a new clause is
-        // appended.
-        rows.begin_epoch();
-        rows.push(card(1), DynRowOrigin::CardinalityCut);
-        rows.push(clause.clone(), DynRowOrigin::CardinalityCut);
-        rows.push(late.clone(), DynRowOrigin::CardinalityCut);
-        warm.install_rows(&inst, &rows);
-        assert_eq!(warm.install_counts(), (2, 0), "verbatim prefix + append stays incremental");
-        force_rebuild(&mut oracle);
-        oracle.install_rows(&inst, &rows);
-        assert_eq!(oracle.install_counts().1, 3, "oracle keeps rebuilding");
-        check(&mut warm, &mut oracle, &rows);
-
-        // A tightened row (same support, new rhs) takes the rebuild path.
-        rows.begin_epoch();
         rows.push(card(2), DynRowOrigin::CardinalityCut);
-        rows.push(clause.clone(), DynRowOrigin::CardinalityCut);
-        rows.push(late.clone(), DynRowOrigin::CardinalityCut);
-        warm.install_rows(&inst, &rows);
-        assert_eq!(warm.install_counts(), (2, 1), "rhs change must rebuild");
-        force_rebuild(&mut oracle);
-        oracle.install_rows(&inst, &rows);
-        check(&mut warm, &mut oracle, &rows);
-
-        // Shrinking the registry falls back to a rebuild.
-        let mut shrunk = DynamicRows::for_instance(&inst);
-        shrunk.begin_epoch();
-        shrunk.push(card(2), DynRowOrigin::CardinalityCut);
-        warm.install_rows(&inst, &shrunk);
-        assert_eq!(warm.install_counts(), (2, 2), "row removal must rebuild");
-        force_rebuild(&mut oracle);
-        oracle.install_rows(&inst, &shrunk);
-        check(&mut warm, &mut oracle, &shrunk);
+        let full = instance_plus_rows(&inst, &rows);
+        installed.install_rows(&inst, &rows);
+        let sub = Subproblem::new(&full, &a);
+        assert_eq!(pruning(&mut installed, &sub), pruning(&mut LprBound::new(&full), &sub));
     }
 
     #[test]

@@ -1182,36 +1182,6 @@ impl Engine {
         self.clauses.num_learnt()
     }
 
-    /// Exports up to `max_count` learned clauses of length at most
-    /// `max_len`, best first — the hook the parallel driver seeds cube
-    /// workers with from its head start.
-    ///
-    /// Selection is **LBD-primary** (Glucose-style: few decision levels
-    /// at learn time ⇒ the clause captures real structure), with
-    /// activity as the tie-break — activity at export time is a coarse
-    /// recency proxy, while a low LBD stays meaningful for the clause's
-    /// whole life. The clauses stay owned by the engine; the returned
-    /// literal vectors are snapshots, valid regardless of later database
-    /// reductions.
-    pub fn export_learnts(&self, max_len: usize, max_count: usize) -> Vec<Vec<Lit>> {
-        let mut candidates: Vec<(u32, f64, ClauseId)> = self
-            .clauses
-            .iter()
-            .filter(|(_, c)| c.is_learnt() && !c.is_empty() && c.len() <= max_len)
-            .map(|(id, c)| (c.lbd(), c.activity(), id))
-            .collect();
-        candidates.sort_unstable_by(|a, b| {
-            a.0.cmp(&b.0)
-                .then_with(|| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal))
-                .then_with(|| a.2 .0.cmp(&b.2 .0))
-        });
-        candidates
-            .into_iter()
-            .take(max_count)
-            .map(|(_, _, id)| self.clauses.get(id).lits().to_vec())
-            .collect()
-    }
-
     /// Removes roughly half of the learned clauses, keeping the most
     /// active ones, binary clauses and clauses currently used as reasons.
     pub fn reduce_learnts(&mut self) {

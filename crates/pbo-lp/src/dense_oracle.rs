@@ -143,54 +143,6 @@ impl DenseSimplex {
         self.dirty.push(j);
     }
 
-    /// Appends a row with its logical basic: `B' = [[B, 0], [C, -I]]`,
-    /// `B'^-1 = [[B^-1, 0], [C B^-1, -I]]`.
-    pub(crate) fn append_row_ge(&mut self, terms: &[(usize, f64)], rhs: f64) {
-        let n = self.n;
-        let m_old = self.m;
-        let m_new = m_old + 1;
-        let mut activity = 0.0;
-        for &(j, a) in terms {
-            let p = self.basis_pos[j];
-            let v = if p >= 0 { self.xb[p as usize] } else { self.nonbasic_value(j) };
-            activity += a * v;
-        }
-        let mut binv = vec![0.0; m_new * m_new];
-        for i in 0..m_old {
-            binv[i * m_new..i * m_new + m_old]
-                .copy_from_slice(&self.binv[i * m_old..(i + 1) * m_old]);
-        }
-        let last = m_new - 1;
-        for &(j, a) in terms {
-            let p = self.basis_pos[j];
-            if p >= 0 {
-                let p = p as usize;
-                for k in 0..m_old {
-                    binv[last * m_new + k] += a * self.binv[p * m_old + k];
-                }
-            }
-        }
-        binv[last * m_new + last] = -1.0;
-        self.binv = binv;
-        for &(j, a) in terms {
-            self.cols[j].push((m_old, a));
-        }
-        self.rows_sp.push(terms.to_vec());
-        self.rhs.push(rhs);
-        self.lower.push(0.0);
-        self.upper.push(f64::INFINITY);
-        self.at_upper.push(false);
-        self.basis.push(n + m_old);
-        self.basis_pos.push(m_old as i32);
-        self.y.push(0.0);
-        self.d.push(0.0);
-        self.xb.push(activity - rhs);
-        self.devex.push(1.0);
-        self.alpha.push(0.0);
-        self.alpha_mark.push(0);
-        self.m = m_new;
-    }
-
     fn shift_nonbasic(&mut self, j: usize, delta: f64) {
         if delta == 0.0 {
             return;

@@ -329,61 +329,6 @@ impl DualSimplex {
         self.dirty.push(j);
     }
 
-    /// Appends the row `sum coeff * x_col >= rhs` to the system *without
-    /// discarding the basis*: the new surplus logical enters the basis
-    /// directly, so the row joins the `C` block and the kernel `K` does
-    /// not change. The append costs `O(nnz(row))` (plus amortized growth
-    /// of the per-row state). Dual feasibility is preserved (the new
-    /// row's dual starts at zero); if the current point violates the new
-    /// row, the next [`solve`](Self::solve) picks it up as an ordinary
-    /// warm start.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any column index is out of structural range.
-    pub fn append_row_ge(&mut self, terms: &[(usize, f64)], rhs: f64) {
-        let n = self.n;
-        let i = self.m;
-        for &(j, _) in terms {
-            assert!(j < n, "append_row_ge: column {j} out of range");
-        }
-        debug_assert!(
-            (0..terms.len()).all(|a| (a + 1..terms.len()).all(|b| terms[a].0 != terms[b].0)),
-            "append_row_ge: repeated column in row"
-        );
-        // New-row primal activity at the current point.
-        let mut activity = 0.0;
-        for &(j, a) in terms {
-            let p = self.basis_pos[j];
-            let v = if p >= 0 { self.xb[p as usize] } else { self.nonbasic_value(j) };
-            activity += a * v;
-        }
-        // Column storage and per-column state for the new logical
-        // (index n + i: logicals are the tail, so appending a row keeps
-        // every existing column index valid).
-        for &(j, a) in terms {
-            self.cols[j].push((i, a));
-        }
-        self.rows_sp.push(terms.to_vec());
-        self.rhs.push(rhs);
-        self.lower.push(0.0);
-        self.upper.push(f64::INFINITY);
-        self.at_upper.push(false);
-        self.basis.push(n + i);
-        self.basis_pos.push(i as i32);
-        self.rpos.push(NONE);
-        // The new logical is basic with zero cost: its dual starts at
-        // zero, so no existing reduced cost moves.
-        self.y.push(0.0);
-        self.d.push(0.0);
-        self.xb.push(activity - rhs);
-        self.devex.push(1.0);
-        self.alpha.push(0.0);
-        self.alpha_mark.push(0);
-        self.w.push(0.0);
-        self.m += 1;
-    }
-
     /// Current bounds of structural variable `j`.
     pub fn var_bounds(&self, j: usize) -> (f64, f64) {
         (self.lower[j], self.upper[j])

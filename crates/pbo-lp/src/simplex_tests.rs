@@ -366,9 +366,9 @@ fn repeated_warm_starts_stay_consistent() {
 }
 
 /// Drives the kernel-form solver and the dense-inverse oracle through the
-/// same walk of bound changes and row appends, mirroring every change
-/// into an [`LpProblem`] so that a Farkas certificate can be checked on
-/// its own rows.
+/// same walk of bound changes, mirroring every change into an
+/// [`LpProblem`] so that a Farkas certificate can be checked on its own
+/// rows.
 struct Walk {
     kernel: DualSimplex,
     oracle: DenseSimplex,
@@ -392,12 +392,6 @@ impl Walk {
         self.kernel.set_var_bounds(j, lo, hi);
         self.oracle.set_var_bounds(j, lo, hi);
         self.mirror.set_bounds(j, lo, hi);
-    }
-
-    fn append_row(&mut self, terms: &[(usize, f64)], rhs: f64) {
-        self.kernel.append_row_ge(terms, rhs);
-        self.oracle.append_row_ge(terms, rhs);
-        self.mirror.add_row_ge(terms, rhs);
     }
 
     /// Solves both sides: the status must agree, optimal values within
@@ -465,8 +459,8 @@ fn random_row(rng: &mut rand_chacha::ChaCha8Rng, n: usize) -> (Vec<(usize, f64)>
 
 /// Differential: the kernel-form basis must agree with the dense-inverse
 /// oracle on status and optimal value across random LPs and random
-/// warm-start schedules of bound changes and mid-walk row appends (bases
-/// may differ on degenerate instances; objectives may not). The walks are
+/// warm-start schedules of bound changes (bases may differ on degenerate
+/// instances; objectives may not). The walks are
 /// long enough to cross several refactorizations, and infeasible steps
 /// must come with a Farkas certificate.
 #[test]
@@ -490,10 +484,6 @@ fn kernel_basis_matches_dense_oracle() {
         let mut last = LpStatus::Optimal;
         for step in 0..40 {
             if step > 0 {
-                if rng.gen_bool(0.05) {
-                    let (terms, rhs) = random_row(&mut rng, n);
-                    walk.append_row(&terms, rhs);
-                }
                 for _ in 0..rng.gen_range(1..4) {
                     let j = rng.gen_range(0..n);
                     let pick = if last == LpStatus::Infeasible { 0 } else { rng.gen_range(0..8) };
@@ -587,9 +577,7 @@ fn family_relaxation(family: &str, seed: u64) -> (String, LpProblem) {
 /// variables and fix the free ones (to 0 with probability 0.3, which
 /// stresses the dual repair of a covering LP and sometimes proves it
 /// infeasible), backtracks relax 4–12 of the fixings and always follow
-/// an infeasible step. Every 16th step
-/// first appends a clause-like row over three random columns, as a
-/// re-root installs a cut.
+/// an infeasible step.
 fn relaxation_walk(label: &str, problem: &LpProblem, steps: usize, seed: u64) -> Walk {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
     let n = problem.num_vars();
@@ -599,16 +587,6 @@ fn relaxation_walk(label: &str, problem: &LpProblem, steps: usize, seed: u64) ->
     for step in 0..steps {
         // Step 0 is the root solve.
         if step > 0 {
-            if step % 16 == 0 {
-                let mut terms: Vec<(usize, f64)> = Vec::new();
-                while terms.len() < 3.min(n) {
-                    let j = rng.gen_range(0..n);
-                    if terms.iter().all(|&(jj, _)| jj != j) {
-                        terms.push((j, 1.0));
-                    }
-                }
-                walk.append_row(&terms, 1.0);
-            }
             let relax = !fixed.is_empty()
                 && (last == LpStatus::Infeasible || fixed.len() >= n / 2 || rng.gen_bool(0.3));
             for _ in 0..rng.gen_range(4..=12usize) {
@@ -636,8 +614,8 @@ fn relaxation_walk(label: &str, problem: &LpProblem, steps: usize, seed: u64) ->
 
 /// Differential at Table-1 size: the kernel-form basis must match the
 /// dense oracle on the synthesis, PTL/CMOS and grout relaxations through
-/// a branch-and-bound-shaped walk of warm re-solves with mid-walk row
-/// appends — equal status at every step, equal optimum to 1e-6
+/// a branch-and-bound-shaped walk of warm re-solves — equal status at
+/// every step, equal optimum to 1e-6
 /// relative, Farkas rows that certify every infeasible step — across
 /// several refactorizations per walk.
 #[test]
@@ -678,83 +656,6 @@ fn kernel_basis_matches_dense_oracle_sweep() {
         }
     }
     assert_eq!(solves, 4 * 4 * 400);
-}
-
-/// `append_row_ge` extends the warm basis: solving after an append must
-/// match a fresh solver built with the row present from the start, and
-/// the appended solver must keep warm-starting correctly afterwards.
-#[test]
-fn append_row_matches_fresh_rebuild() {
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x5f);
-    for round in 0..40 {
-        let n = rng.gen_range(3..9);
-        let m0 = rng.gen_range(1..5);
-        let mut rows: Vec<(Vec<(usize, f64)>, f64)> = Vec::new();
-        let gen_row = |rng: &mut rand_chacha::ChaCha8Rng| {
-            let mut terms = Vec::new();
-            for j in 0..n {
-                if rng.gen_bool(0.6) {
-                    let c = rng.gen_range(-2..4) as f64;
-                    if c != 0.0 {
-                        terms.push((j, c));
-                    }
-                }
-            }
-            if terms.is_empty() {
-                terms.push((0, 1.0));
-            }
-            let max_act: f64 = terms.iter().map(|&(_, c): &(usize, f64)| c.max(0.0)).sum();
-            let rhs = rng.gen_range(-1.0..max_act.max(0.5));
-            (terms, rhs)
-        };
-        let mut p = LpProblem::new(n);
-        for j in 0..n {
-            p.set_cost(j, rng.gen_range(0..7) as f64);
-        }
-        for _ in 0..m0 {
-            let (terms, rhs) = gen_row(&mut rng);
-            p.add_row_ge(&terms, rhs);
-            rows.push((terms, rhs));
-        }
-        let mut warm = DualSimplex::new(&p);
-        let _ = warm.solve(); // establish a warm, typically non-trivial basis
-                              // Append 1..4 new rows one at a time, re-solving after each.
-        for _ in 0..rng.gen_range(1..5) {
-            let (terms, rhs) = gen_row(&mut rng);
-            warm.append_row_ge(&terms, rhs);
-            rows.push((terms.clone(), rhs));
-            let mut fresh_p = LpProblem::new(n);
-            for j in 0..n {
-                fresh_p.set_cost(j, p.costs()[j]);
-            }
-            for (t, r) in &rows {
-                fresh_p.add_row_ge(t, *r);
-            }
-            let a = warm.solve();
-            let b = DualSimplex::new(&fresh_p).solve();
-            assert_eq!(a.status, b.status, "round {round} after append");
-            if a.status == LpStatus::Optimal {
-                assert_close(a.objective, b.objective, 1e-5);
-            }
-        }
-        // The appended basis must still warm-start across bound changes.
-        let j = rng.gen_range(0..n);
-        warm.set_var_bounds(j, 1.0, 1.0);
-        let mut fresh_p = LpProblem::new(n);
-        for jj in 0..n {
-            fresh_p.set_cost(jj, p.costs()[jj]);
-        }
-        for (t, r) in &rows {
-            fresh_p.add_row_ge(t, *r);
-        }
-        fresh_p.set_bounds(j, 1.0, 1.0);
-        let a = warm.solve();
-        let b = DualSimplex::new(&fresh_p).solve();
-        assert_eq!(a.status, b.status, "round {round} after fix");
-        if a.status == LpStatus::Optimal {
-            assert_close(a.objective, b.objective, 1e-5);
-        }
-    }
 }
 
 /// A pre-set stop latch cancels before the first pivot: the poll at

@@ -13,9 +13,9 @@
 //!   re-added when their set or coefficients change
 //!   (`CostCuts::install`). The cuts live in the engine only: every bound
 //!   reads the instance's rows alone. Learned clauses serve only the
-//!   search that derived them (a parallel solve's head start also seeds
-//!   its cube workers with its best ones, see
-//!   [`ParBsolo`](crate::ParBsolo));
+//!   search that derived them, in a parallel solve
+//!   ([`ParBsolo`](crate::ParBsolo)) too: its cube tasks share
+//!   incumbents, never clauses;
 //! * a pluggable lower-bound procedure called at every node; when
 //!   `P.path + P.lower >= P.upper` (eq. 7) the solver builds the bound
 //!   conflict clause `omega_bc = omega_pp ∪ omega_pl` (eqs. 8–9) and
@@ -54,7 +54,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Instant;
 
-use pbo_core::{verify_solution, Instance, Lit, PbConstraint, Value, Var};
+use pbo_core::{verify_solution, Instance, Lit, Value, Var};
 use pbo_engine::{Conflict, Engine, LubyRestarts, Resolution};
 use pbo_ls::{IncumbentCell, LocalSearch, LsOptions};
 use pbo_trace::{TraceEvent, Tracer, LS_LANE_BASE};
@@ -162,7 +162,6 @@ impl Bsolo {
             cell,
             start,
             &mut stats,
-            &[],
             &[],
             lp_stop,
             tracer.clone(),
@@ -278,21 +277,9 @@ impl<'a> SearchState<'a> {
     /// literal of `cube` is assumed at level 0 after probing, so the
     /// search explores exactly the subtree the cube describes (conflict
     /// analysis can never flip an assumption). `Err(())` means the
-    /// formula — instance ∧ cube ∧ seed clauses — is unsatisfiable at
-    /// the root: for the sequential solver (empty cube) that is global
-    /// infeasibility, for a cube worker it closes the subtree.
-    ///
-    /// `seed` clauses are loaded as root constraints before the search.
-    /// The parallel driver passes the *head start's* learned clauses
-    /// here. Soundness: a head-start clause is implied by the instance
-    /// together with the head's cost cuts and reduced-cost fixings, i.e.
-    /// by `instance ∧ (cost <= upper - 1)` for an incumbent of cost
-    /// `upper` that was verified and published to the shared cell
-    /// *before* the workers launch — so no completion cheaper than the
-    /// cell's best is ever excluded, which is exactly the set the search
-    /// quantifies over (eq. 7). When the head never found an incumbent,
-    /// no cost cut was ever installed, no literal was fixed by reduced
-    /// cost, and the clauses are implied by the instance alone.
+    /// formula — instance ∧ cube — is unsatisfiable at the root: for the
+    /// sequential solver (empty cube) that is global infeasibility, for
+    /// a cube worker it closes the subtree.
     ///
     /// The LP pivot loop polls `lp_stop` (the caller's raw cancel flag,
     /// see [`under_budget_deadline`]) when given, else the raw flag of
@@ -311,7 +298,6 @@ impl<'a> SearchState<'a> {
         start: Instant,
         stats: &mut SolverStats,
         cube: &[Lit],
-        seed: &[Vec<Lit>],
         lp_stop: Option<Arc<AtomicBool>>,
         tracer: Tracer,
         polish: Option<&LsOptions>,
@@ -333,11 +319,6 @@ impl<'a> SearchState<'a> {
         }
         for &lit in cube {
             if engine.assume_at_root(lit).is_err() {
-                return Err(());
-            }
-        }
-        for lits in seed {
-            if engine.add_constraint(&PbConstraint::clause(lits.iter().copied())).is_err() {
                 return Err(());
             }
         }
@@ -386,14 +367,6 @@ impl<'a> SearchState<'a> {
             }),
             walker: None,
         })
-    }
-
-    /// Exports the engine's best (LBD-first) learned clauses — the
-    /// parallel driver's hook for seeding cube workers with the head
-    /// start's knowledge (see the `seed` parameter of
-    /// [`SearchState::init`]).
-    pub(crate) fn export_learnts(&self, max_len: usize, max_count: usize) -> Vec<Vec<Lit>> {
-        self.engine.export_learnts(max_len, max_count)
     }
 
     /// Folds the engine- and pipeline-side effort counters into `stats`
@@ -899,8 +872,9 @@ mod tests {
     use super::*;
 
     /// Every bound reads the instance's rows alone: after a
-    /// restart-heavy solve, the four methods agree on the optimum and the
-    /// LP bound never installed a row.
+    /// restart-heavy solve, the four methods agree on the optimum. (No
+    /// solver path installs a row into the LP bound; the only way to,
+    /// `LprBound::install_rows`, serves the benchmark probe.)
     #[test]
     fn no_bound_installs_rows_beside_the_instance() {
         let inst = pbo_benchgen::SynthesisParams {
@@ -923,7 +897,6 @@ mod tests {
                 start,
                 &mut stats,
                 &[],
-                &[],
                 None,
                 Tracer::off(),
                 None,
@@ -932,9 +905,6 @@ mod tests {
             assert_eq!(search.run(start, &mut stats), SolveStatus::Optimal, "{lb:?}");
             assert!(search.engine.stats.restarts > 0, "{lb:?}: base-2 Luby restarts must fire");
             optima.push(search.best_cost);
-            if let Some(lpr) = search.pipeline.lpr() {
-                assert_eq!(lpr.install_counts(), (0, 0), "the LP keeps the instance's rows");
-            }
         }
         assert!(optima.windows(2).all(|w| w[0] == w[1]), "methods disagree: {optima:?}");
     }

@@ -20,23 +20,12 @@ use pbo_lp::{DualSimplex, LpProblem, LpStatus};
 use crate::options::Budget;
 use crate::result::{SolveResult, SolveStatus, SolverStats};
 
-/// Configuration of the MILP solver.
-#[derive(Clone, Debug)]
-pub struct MilpOptions {
-    /// Resource budget (`decisions` counts branch-and-bound nodes).
-    pub budget: Budget,
-    /// Integrality tolerance.
-    pub int_tol: f64,
-    /// Maximum open nodes kept (best-first memory guard); the search
-    /// degrades to depth-first pruning of the worst nodes beyond this.
-    pub max_open_nodes: usize,
-}
+/// Integrality tolerance of an LP value.
+const INT_TOL: f64 = 1e-6;
 
-impl Default for MilpOptions {
-    fn default() -> MilpOptions {
-        MilpOptions { budget: Budget::unlimited(), int_tol: 1e-6, max_open_nodes: 200_000 }
-    }
-}
+/// Maximum open nodes kept (best-first memory guard); the search
+/// degrades to depth-first pruning of the worst nodes beyond this.
+const MAX_OPEN_NODES: usize = 200_000;
 
 /// LP-based branch-and-bound MILP solver over 0-1 variables.
 ///
@@ -59,7 +48,8 @@ impl Default for MilpOptions {
 /// ```
 #[derive(Clone, Debug)]
 pub struct MilpSolver {
-    options: MilpOptions,
+    /// Resource budget (`decisions` counts branch-and-bound nodes).
+    budget: Budget,
 }
 
 /// One open node: the LP bound of its parent and its variable fixings.
@@ -87,14 +77,10 @@ impl Ord for NodeKey {
 }
 
 impl MilpSolver {
-    /// Creates a solver with the given budget and default options.
+    /// Creates a solver with the given budget (`decisions` counts
+    /// branch-and-bound nodes).
     pub fn new(budget: Budget) -> MilpSolver {
-        MilpSolver { options: MilpOptions { budget, ..MilpOptions::default() } }
-    }
-
-    /// Creates a solver with explicit options.
-    pub fn with_options(options: MilpOptions) -> MilpSolver {
-        MilpSolver { options }
+        MilpSolver { budget }
     }
 
     /// Solves `instance` by LP branch-and-bound.
@@ -147,7 +133,7 @@ impl MilpSolver {
         // The time budget also bounds a single LP solve: a node cancelled
         // at the deadline counts as lost (no optimality claim), and the
         // next budget check ends the search.
-        simplex.set_cancel(self.options.budget.time.map(|t| start + t), None);
+        simplex.set_cancel(self.budget.time.map(|t| start + t), None);
 
         let mut best: Option<(i64, Vec<bool>)> = None;
         // Pure satisfaction instances get depth-first selection (the
@@ -172,7 +158,7 @@ impl MilpSolver {
         let mut lost_nodes = false;
         loop {
             stats.nodes += 1;
-            if self.options.budget.exhausted(start.elapsed(), stats.nodes, stats.nodes) {
+            if self.budget.exhausted(start.elapsed(), stats.nodes, stats.nodes) {
                 let status =
                     if best.is_some() { SolveStatus::Feasible } else { SolveStatus::Unknown };
                 return self.finish(status, best, stats, start, &simplex);
@@ -233,9 +219,7 @@ impl MilpSolver {
                         .x
                         .iter()
                         .enumerate()
-                        .filter(|(_, &x)| {
-                            x > self.options.int_tol && x < 1.0 - self.options.int_tol
-                        })
+                        .filter(|(_, &x)| x > INT_TOL && x < 1.0 - INT_TOL)
                         .min_by(|a, b| {
                             let da = (a.1 - 0.5).abs();
                             let db = (b.1 - 0.5).abs();
@@ -270,7 +254,7 @@ impl MilpSolver {
                                 fixings.push((v, val));
                                 let child = Node { bound, fixings };
                                 if best_first {
-                                    if arena.len() < self.options.max_open_nodes {
+                                    if arena.len() < MAX_OPEN_NODES {
                                         let depth = child.fixings.len();
                                         arena.push(child);
                                         heap.push((

@@ -136,18 +136,21 @@ pub struct BsoloOptions {
     /// clauses.
     pub restart_base: Option<u64>,
     /// A parallel worker that has spent this many conflicts on one cube
-    /// re-splits its remaining subtree: the complement cubes of its
-    /// current decision prefix go back to the queue and the worker
-    /// continues on the deepened cube, keeping the frontier
-    /// self-balancing (`None` disables re-splitting).
-    pub resplit_conflicts: Option<u64>,
-    /// Deterministic parallel mode: workers re-split on a fixed conflict
-    /// schedule regardless of queue pressure, each subtree runs against
-    /// a private incumbent snapshot, and cube results are reduced in a
-    /// fixed (cube-lexicographic) order — so a parallel run's status, cost, model and merged
-    /// counters are a pure function of instance + options, independent
-    /// of thread scheduling. Costs some pruning (no cross-worker
-    /// incumbent races); intended for parity suites and debugging.
+    /// re-splits its remaining subtree, whatever the cube queue holds:
+    /// the complement cubes of its current decision prefix go back to
+    /// the queue and the worker continues on the deepened cube, keeping
+    /// the frontier self-balancing. The schedule counts conflicts only,
+    /// with or without [`BsoloOptions::deterministic_join`]; a cube
+    /// deeper than a fixed cap is no longer re-split. 0 acts as 1.
+    pub resplit_conflicts: u64,
+    /// Deterministic parallel mode: each subtree runs against a private
+    /// incumbent snapshot, and cube results are reduced in a fixed
+    /// (cube-lexicographic) order. With the conflict-count re-split
+    /// schedule both modes share, a parallel run's status, cost, model
+    /// and merged counters are a pure function of instance + options,
+    /// independent of thread scheduling. Costs some pruning (no
+    /// cross-worker incumbent races); intended for parity suites and
+    /// debugging.
     /// Under it the portfolio's walker also never races the search:
     /// [`SolveStrategy::LsSeeded`] walks, then searches, on any number
     /// of cores.
@@ -182,7 +185,7 @@ impl Default for BsoloOptions {
             cardinality_cuts: true,
             probing: true,
             restart_base: Some(2048),
-            resplit_conflicts: Some(256),
+            resplit_conflicts: 256,
             deterministic_join: false,
             trace: false,
             budget: Budget::unlimited(),

@@ -35,21 +35,23 @@
 //!    skipped almost entirely).
 //! 4. **Sharing.** Incumbents flow through the [`IncumbentCell`]: every
 //!    worker publishes verified improvements and adopts strictly better
-//!    external ones mid-search (re-rooting its cost cuts).
-//!    Learned clauses reach the workers once: the sequential head start
-//!    that runs before the split seeds every cube task with its best
-//!    ones. Workers do not trade clauses. A cross-worker clause pool,
-//!    kept sound by assumption-taint tracking in the engine, was
-//!    measured against no pool and won no measurement (wall time,
-//!    decisions, the Table-1 `par_bb` gates), so it was deleted.
-//! 5. **Dynamic re-splitting.** A worker that outlives its conflict
-//!    allowance on one cube while the queue starves (fewer queued
-//!    cubes than idle workers) backjumps to its root, harvests the
-//!    complementary arms of its first decisions
-//!    ([`SearchState::resplit`]), pushes them onto the queue and
-//!    continues on the deepened cube — the fixed initial frontier
-//!    becomes self-balancing, and the idle tail (workers waiting while
-//!    the last long cube finishes) disappears. Arms + deepened cube
+//!    external ones mid-search (re-rooting its cost cuts). Nothing else
+//!    crosses between searches: a cube task starts from the instance,
+//!    its cube and the cell's incumbent, and learned clauses never leave
+//!    the search that derived them. A cross-worker clause pool (kept
+//!    sound by assumption-taint tracking in the engine) and a seed of
+//!    the head start's learned clauses into every cube task were both
+//!    measured against no transfer and won no measurement, so both were
+//!    deleted.
+//! 5. **Dynamic re-splitting.** A worker that has spent
+//!    [`BsoloOptions::resplit_conflicts`] conflicts on its cube
+//!    backjumps to its root, harvests the complementary arms of its
+//!    first decisions ([`SearchState::resplit`]), pushes them onto the
+//!    queue and continues on the deepened cube, whatever the queue
+//!    holds. The schedule counts conflicts only, so it is the same with
+//!    or without [`BsoloOptions::deterministic_join`]; the fixed initial
+//!    frontier becomes self-balancing, and the idle tail (workers waiting
+//!    while the last long cube finishes) shrinks. Arms + deepened cube
 //!    partition the parent cube exactly, so the exact-partition
 //!    invariant is inductive; depth caps bound the recursion
 //!    ([`SolverStats::split_depth_truncated`] counts the clips).
@@ -78,9 +80,9 @@
 //! [`Bsolo`] verbatim — bit-identical optimum, node count and stats —
 //! so the parallel path is strictly opt-in. With
 //! [`BsoloOptions::deterministic_join`] set, every cube task runs
-//! against a private incumbent cell, the re-split schedule ignores
-//! queue timing, and results reduce in
-//! cube-lexicographic order — the same optimum and stats on every run
+//! against a private incumbent cell and results reduce in
+//! cube-lexicographic order; since the re-split schedule reads no queue
+//! timing either, a run's optimum and stats are the same on every run
 //! regardless of thread scheduling.
 
 use std::collections::VecDeque;
@@ -98,27 +100,13 @@ use crate::bsolo::{under_budget_deadline, Bsolo, SearchState};
 use crate::options::BsoloOptions;
 use crate::result::{SolveResult, SolveStatus, SolverStats};
 
-/// Cubes harvested per worker for the *initial* frontier. One: dynamic
-/// re-splitting now provides the slack an early-finishing worker needs
-/// (PR 5 pre-harvested 2 per worker instead), and a coarser launch
-/// frontier means less duplicated root replay and bigger subtrees over
-/// which each worker's learned clauses stay relevant.
-const CUBES_PER_WORKER: usize = 1;
-
 /// Hard cap on cube length: beyond this depth the splitter stops
 /// refining even if the frontier target was not reached (degenerate
 /// instances propagate-complete almost everywhere).
 const MAX_SPLIT_DEPTH: usize = 16;
 
-/// Longest head-start learned clause seeded into the workers (longer
-/// clauses prune little and cost propagation overhead) ...
-const HEAD_SEED_MAX_LEN: usize = 24;
-/// ... and how many of them (LBD-best first).
-const HEAD_SEED_MAX_COUNT: usize = 512;
-
 /// Conflict budget of the sequential head start: enough search to find
-/// a first incumbent and learn the shallow conflict structure every
-/// cube borders on, small enough that the serial prefix stays a
+/// a first incumbent, small enough that the serial prefix stays a
 /// fraction of any tree worth parallelizing.
 const HEAD_CONFLICTS: u64 = 96;
 
@@ -369,17 +357,6 @@ impl CubeQueue {
         self.ready.notify_all();
     }
 
-    /// `true` when fewer cubes are queued than there are *idle* workers
-    /// — the re-split trigger in racing mode. `cubes.len() < threads`
-    /// would be true almost always in steady state (workers hold their
-    /// cubes in flight, the queue drains to near-empty), causing
-    /// wasteful frontier shredding; counting only workers without a cube
-    /// restricts re-splitting to the idle tail it is meant to fix.
-    fn starving(&self, threads: usize) -> bool {
-        let s = self.lock();
-        s.cubes.len() < threads.saturating_sub(s.in_flight)
-    }
-
     /// Reports a finished cube; `abort` abandons the remaining frontier.
     fn done(&self, abort: bool) {
         let mut s = self.lock();
@@ -465,6 +442,9 @@ struct SubtreeResult {
     /// Whether every cube this worker took was closed (subtree
     /// exhausted); `false` means a budget ran out mid-cube.
     all_closed: bool,
+    /// The cheapest incumbent this worker's searches held, each verified
+    /// by its search (racing mode only; det-join keeps per-cube records).
+    best: Option<(i64, Vec<bool>)>,
 }
 
 /// Parallel exact branch-and-bound: N cube workers racing over a shared
@@ -598,12 +578,9 @@ impl ParBsolo {
         // otherwise duplicate per cube (no upper bound, no cost cuts, no
         // pruning) — running it once at the root and publishing the
         // incumbent lets every worker bound against a real upper from
-        // node one; its learned clauses (implied by instance + the
-        // published incumbent's cost cut — see `SearchState::init`) seed
-        // every worker's clause database, so the workers inherit the
-        // head's conflict knowledge instead of each re-deriving it. The
-        // head's nodes count into the solve's total, so the
-        // sequential-vs-parallel node accounting stays honest.
+        // node one. Its learned clauses stay with it. The head's nodes
+        // count into the solve's total, so the sequential-vs-parallel
+        // node accounting stays honest.
         // The head's own caps never exceed the caller's budget (a
         // caller-level conflict or decision limit binds the head too).
         let cap = |own: u64, caller: Option<u64>| Some(caller.map_or(own, |c| c.min(own)));
@@ -614,13 +591,12 @@ impl ParBsolo {
         };
         let mut head_options = worker_options.clone();
         head_options.budget = head_budget;
-        let (head_status, head_result, seed) = match SearchState::init(
+        let (head_status, head_best) = match SearchState::init(
             inst,
             &head_options,
             Some(run_cell),
             start,
             &mut stats,
-            &[],
             &[],
             lp_stop.clone(),
             driver_tracer.clone(),
@@ -629,11 +605,15 @@ impl ParBsolo {
             Ok(mut search) => {
                 let status = search.run(start, &mut stats);
                 search.finish_stats(&mut stats);
-                let seed = search.export_learnts(HEAD_SEED_MAX_LEN, HEAD_SEED_MAX_COUNT);
-                (status, run_cell.snapshot(), seed)
+                let (cost, model) = search.best();
+                (status, cost.zip(model.cloned()))
             }
-            Err(()) => (SolveStatus::Infeasible, None, Vec::new()),
+            Err(()) => (SolveStatus::Infeasible, None),
         };
+        // The private cells whose finds reach the outer cell at the end
+        // of a deterministic-join solve: the head's, then the winning
+        // cube task's.
+        let mut det_cells = if det { vec![run_cell] } else { Vec::new() };
         if matches!(head_status, SolveStatus::Optimal | SolveStatus::Infeasible) {
             // The head start already finished the proof (small instance
             // or a root-contradictory cost cut): no need to go parallel.
@@ -642,23 +622,14 @@ impl ParBsolo {
             stats.nodes_per_worker = vec![0; self.threads];
             stats.nodes_per_worker[0] = stats.decisions;
             stats.trace.extend(driver_tracer.drain());
-            stats.solve_time = start.elapsed();
-            if let Some((at, _)) = run_cell.history_since(start).last() {
-                stats.time_to_best = *at;
-            }
-            let verified =
-                head_result.filter(|(cost, model)| verify_solution(inst, model) == Ok(*cost));
-            if det && verified.is_some() {
-                outer_cell.absorb(run_cell);
-            }
-            let (best_cost, best_assignment) = match verified {
-                Some((c, m)) => (Some(c), Some(m)),
-                None => (None, None),
-            };
-            return SolveResult { status: head_status, best_cost, best_assignment, stats };
+            let bests = [run_cell.snapshot(), head_best];
+            return assemble(inst, bests, true, outer_cell, &det_cells, start, stats);
         }
         let head_nodes = stats.decisions;
-        let split = CubeSplitter::split(inst, self.threads * CUBES_PER_WORKER);
+        let split = CubeSplitter::split(inst, self.threads);
+        // The splitter loads the rows the head start loaded, into the
+        // same kind of engine: a root contradiction ended the head first.
+        debug_assert!(!split.root_unsat, "the head start proves root infeasibility");
         stats.decisions = head_nodes + split.decisions;
         stats.split_depth_truncated += split.depth_truncated;
         if split.decisions > 0 {
@@ -666,17 +637,6 @@ impl ParBsolo {
             // with `stats.decisions` (the splitter's private engine is
             // never traced per node).
             driver_tracer.emit(TraceEvent::SplitterDecisions { n: split.decisions });
-        }
-        if split.root_unsat {
-            stats.trace.extend(driver_tracer.drain());
-            stats.solve_time = start.elapsed();
-            stats.nodes_per_worker = vec![0; self.threads];
-            return SolveResult {
-                status: SolveStatus::Infeasible,
-                best_cost: None,
-                best_assignment: None,
-                stats,
-            };
         }
         // Solutions found by propagation during splitting seed the cell.
         for (_, cost, model) in &split.solved {
@@ -702,9 +662,7 @@ impl ParBsolo {
             cell: run_cell,
             queue: &queue,
             start,
-            seed: &seed,
             lp_stop: lp_stop.as_ref(),
-            threads: self.threads,
             det: det_join.as_ref(),
             polish,
         };
@@ -729,6 +687,7 @@ impl ParBsolo {
                     Err(_) => SubtreeResult {
                         stats: SolverStats { workers_lost: 1, ..SolverStats::default() },
                         all_closed: true,
+                        best: None,
                     },
                 })
                 .collect()
@@ -760,7 +719,9 @@ impl ParBsolo {
                 stats.workers_lost += o.stats.workers_lost;
                 stats.cancelled |= o.stats.cancelled;
             }
-            let mut best = dj.seed_incumbent;
+            // The seed came from a cell, which stores but does not vouch.
+            let mut best =
+                dj.seed_incumbent.filter(|(cost, model)| verify_solution(inst, model) == Ok(*cost));
             let mut winner = None;
             let mut nodes_per_worker = Vec::with_capacity(records.len());
             for (i, r) in records.iter_mut().enumerate() {
@@ -786,30 +747,8 @@ impl ParBsolo {
             }
             stats.nodes_per_worker = nodes_per_worker;
             stats.queue_wait_total = std::time::Duration::ZERO;
-            let best = best.filter(|(cost, model)| verify_solution(inst, model) == Ok(*cost));
-            if best.is_some() {
-                // The head's finds, then the winning cube's beyond the
-                // seed incumbent, each at the instant it was found.
-                outer_cell.absorb(run_cell);
-                if let Some(i) = winner {
-                    outer_cell.absorb(&records[i].cell);
-                }
-                if let Some((at, _)) = outer_cell.history_since(start).last() {
-                    stats.time_to_best = *at;
-                }
-            }
-            let status = match (&best, all_closed) {
-                (Some(_), true) => SolveStatus::Optimal,
-                (None, true) => SolveStatus::Infeasible,
-                (Some(_), false) => SolveStatus::Feasible,
-                (None, false) => SolveStatus::Unknown,
-            };
-            stats.solve_time = start.elapsed();
-            let (best_cost, best_assignment) = match best {
-                Some((c, m)) => (Some(c), Some(m)),
-                None => (None, None),
-            };
-            return SolveResult { status, best_cost, best_assignment, stats };
+            det_cells.extend(winner.map(|i| &records[i].cell));
+            return assemble(inst, [best], all_closed, outer_cell, &det_cells, start, stats);
         }
 
         let mut nodes_per_worker = Vec::with_capacity(outcomes.len());
@@ -819,28 +758,54 @@ impl ParBsolo {
             all_closed &= o.all_closed;
         }
         stats.nodes_per_worker = nodes_per_worker;
-
-        // The global best lives in the cell; re-verify on the way out
-        // (producers already verified, but the cell stores — it does not
-        // vouch).
-        let best =
-            run_cell.snapshot().filter(|(cost, model)| verify_solution(inst, model) == Ok(*cost));
-        if let Some((at, _)) = run_cell.history_since(start).last() {
-            stats.time_to_best = *at;
-        }
-        let status = match (&best, all_closed) {
-            (Some(_), true) => SolveStatus::Optimal,
-            (None, true) => SolveStatus::Infeasible,
-            (Some(_), false) => SolveStatus::Feasible,
-            (None, false) => SolveStatus::Unknown,
-        };
-        stats.solve_time = start.elapsed();
-        let (best_cost, best_assignment) = match best {
-            Some((c, m)) => (Some(c), Some(m)),
-            None => (None, None),
-        };
-        SolveResult { status, best_cost, best_assignment, stats }
+        // The global best lives in the cell, unless an unverifiable entry
+        // there undercuts every search's own best.
+        let bests =
+            std::iter::once(run_cell.snapshot()).chain(outcomes.into_iter().map(|o| o.best));
+        assemble(inst, bests, all_closed, outer_cell, &[], start, stats)
     }
+}
+
+/// The result assembly every exit of a parallel solve shares. The best
+/// is the cheapest of `bests` that verifies (producers verified theirs,
+/// but a cell stores, it does not vouch: a caller's cell may hold an
+/// unverifiable entry that undercuts every real incumbent), the first
+/// winning a tie. The status follows from that best and from whether
+/// every cube closed, and the clocks are stamped. With a verified best,
+/// the private cells of a deterministic-join solve (`det_cells`, in
+/// order) hand their finds to `outer`, with the instants they were
+/// found at, before `time_to_best` is read off `outer`.
+fn assemble(
+    inst: &Instance,
+    bests: impl IntoIterator<Item = Option<(i64, Vec<bool>)>>,
+    all_closed: bool,
+    outer: &IncumbentCell,
+    det_cells: &[&IncumbentCell],
+    start: Instant,
+    mut stats: SolverStats,
+) -> SolveResult {
+    let best = bests
+        .into_iter()
+        .flatten()
+        .filter(|(cost, model)| verify_solution(inst, model) == Ok(*cost))
+        .reduce(|a, b| if b.0 < a.0 { b } else { a });
+    if best.is_some() {
+        for cell in det_cells {
+            outer.absorb(cell);
+        }
+    }
+    if let Some((at, _)) = outer.history_since(start).last() {
+        stats.time_to_best = *at;
+    }
+    let status = match (&best, all_closed) {
+        (Some(_), true) => SolveStatus::Optimal,
+        (None, true) => SolveStatus::Infeasible,
+        (Some(_), false) => SolveStatus::Feasible,
+        (None, false) => SolveStatus::Unknown,
+    };
+    stats.solve_time = start.elapsed();
+    let (best_cost, best_assignment) = best.unzip();
+    SolveResult { status, best_cost, best_assignment, stats }
 }
 
 /// Everything a worker needs, threaded as one borrow (the fields are
@@ -851,12 +816,9 @@ struct WorkerCtx<'a> {
     cell: &'a IncumbentCell,
     queue: &'a CubeQueue,
     start: Instant,
-    seed: &'a [Vec<Lit>],
     /// The raw cancel flag the workers' LP pivot loops poll (see
     /// [`under_budget_deadline`]).
     lp_stop: Option<&'a Arc<AtomicBool>>,
-    /// Worker count — the queue-starvation threshold for re-splitting.
-    threads: usize,
     /// Deterministic-join state (`None` in the default racing mode).
     det: Option<&'a DetJoin>,
     /// The polish walk's configuration, when cube tasks polish their
@@ -896,6 +858,7 @@ struct CubeRecord {
 fn run_worker(ctx: &WorkerCtx<'_>, worker: usize) -> SubtreeResult {
     let mut total = SolverStats::default();
     let mut all_closed = true;
+    let mut worker_best: Option<(i64, Vec<bool>)> = None;
     loop {
         // Cooperative cancellation between cubes: stop taking work and
         // abort the queue so waiting siblings drain instead of blocking
@@ -984,6 +947,10 @@ fn run_worker(ctx: &WorkerCtx<'_>, worker: usize) -> SubtreeResult {
             let record =
                 CubeRecord { cube: cube.lits, closed, cost, model, cell, stats: stats.clone() };
             det.records.lock().unwrap_or_else(|p| p.into_inner()).push(record);
+        } else if let (Some(cost), Some(model)) = best {
+            if worker_best.as_ref().is_none_or(|(b, _)| cost < *b) {
+                worker_best = Some((cost, model));
+            }
         }
         total.absorb(&stats);
         guard.finish(!closed);
@@ -992,16 +959,15 @@ fn run_worker(ctx: &WorkerCtx<'_>, worker: usize) -> SubtreeResult {
             break;
         }
     }
-    SubtreeResult { stats: total, all_closed }
+    SubtreeResult { stats: total, all_closed, best: worker_best }
 }
 
 /// Solves one subtree task to exhaustion (or budget): the sequential
-/// search loop, rooted in `cube` and seeded with the head start's
-/// learned clauses, publishing incumbents to (and adopting from) `cell`
-/// (the shared cell, or the task's private one under deterministic
-/// join) — re-splitting its remaining subtree back to the queue whenever
-/// it outlives its conflict allowance while the queue starves. Returns
-/// the final status and the task's best (cost, model).
+/// search loop, rooted in `cube`, publishing incumbents to (and
+/// adopting from) `cell` (the shared cell, or the task's private one
+/// under deterministic join) — re-splitting its remaining subtree back
+/// to the queue each time it spends its conflict allowance. Returns the
+/// final status and the task's best (cost, model).
 fn solve_cube(
     ctx: &WorkerCtx<'_>,
     cube: &Cube,
@@ -1020,7 +986,6 @@ fn solve_cube(
         ctx.start,
         stats,
         &cube.lits,
-        ctx.seed,
         ctx.lp_stop.cloned(),
         tracer,
         ctx.polish,
@@ -1038,37 +1003,17 @@ fn solve_cube(
             let status = if let Some(status) = dive_refuted {
                 status
             } else {
+                let allowance = ctx.options.resplit_conflicts.max(1);
                 loop {
-                    // Racing mode shortens the allowance while the queue
-                    // is starving, so a worker holding the last long cube
-                    // hands work to idle peers within a fraction of the
-                    // normal re-split period instead of a full one (the
-                    // idle-tail killer on small subtrees). Deterministic
-                    // mode keeps the fixed schedule — the allowance must not
-                    // depend on queue timing.
-                    let quantum = ctx.options.resplit_conflicts.map(|c| {
-                        let c = c.max(1);
-                        if ctx.det.is_none() && ctx.queue.starving(ctx.threads) {
-                            (c / 8).max(1)
-                        } else {
-                            c
-                        }
-                    });
-                    let cap = quantum.map(|q| search.conflicts().saturating_add(q));
-                    match search.run_capped(ctx.start, stats, cap) {
+                    let cap = search.conflicts().saturating_add(allowance);
+                    match search.run_capped(ctx.start, stats, Some(cap)) {
                         Some(status) => break status,
                         None => {
-                            // The conflict allowance is burned on this cube.
-                            // Re-split if the queue is starving
-                            // (deterministic mode re-splits unconditionally —
-                            // the schedule must not depend on queue
-                            // timing); otherwise just raise the cap and keep
-                            // searching.
+                            // The allowance is spent on this cube:
+                            // re-split it, whatever the queue holds, so
+                            // the schedule never depends on timing.
                             if search.cube_depth() >= RESPLIT_MAX_DEPTH {
                                 stats.split_depth_truncated += 1;
-                                continue;
-                            }
-                            if ctx.det.is_none() && !ctx.queue.starving(ctx.threads) {
                                 continue;
                             }
                             let arms = search.resplit(RESPLIT_ARMS);
@@ -1094,10 +1039,8 @@ fn solve_cube(
             let (cost, model) = search.best();
             (status, (cost, model.cloned()))
         }
-        // The cube is closed by root propagation (possibly through a
-        // head-seeded, incumbent-conditional clause — in which case the
-        // incumbent justifying it is already in the cell): an exhausted,
-        // empty subtree.
+        // The cube is closed by root propagation: an exhausted, empty
+        // subtree.
         Err(()) => (SolveStatus::Infeasible, (None, None)),
     }
 }
@@ -1325,7 +1268,6 @@ mod tests {
                 start,
                 &mut stats,
                 &parent.lits,
-                &[],
                 None,
                 Tracer::off(),
                 None,
@@ -1523,7 +1465,7 @@ mod tests {
             let inst = random_instance(&mut rng, 9);
             let expected = brute_force(&inst);
             let mut options = BsoloOptions::with_lb(LbMethod::Mis);
-            options.resplit_conflicts = Some(1);
+            options.resplit_conflicts = 1;
             options.restart_base = Some(1);
             for threads in [2usize, 4, 8] {
                 let got = ParBsolo::new(options.clone(), threads).solve(&inst);
@@ -1549,7 +1491,7 @@ mod tests {
             let inst = random_instance(&mut rng, 9);
             let mut options = BsoloOptions::with_lb(LbMethod::Mis);
             options.deterministic_join = true;
-            options.resplit_conflicts = Some(2);
+            options.resplit_conflicts = 2;
             let seq = Bsolo::new(BsoloOptions::with_lb(LbMethod::Mis)).solve(&inst);
             let a = ParBsolo::new(options.clone(), 3).solve(&inst);
             let b = ParBsolo::new(options.clone(), 3).solve(&inst);
@@ -1610,6 +1552,41 @@ mod tests {
         );
         if let (Some(cost), Some(model)) = (got.best_cost, got.best_assignment.as_ref()) {
             assert_eq!(verify_solution(&inst, model), Ok(cost));
+        }
+    }
+
+    #[test]
+    fn unverifiable_cell_entry_does_not_hide_the_optimum() {
+        // A caller's cell holding an entry that fails verification and
+        // undercuts every real incumbent: no search can publish past it,
+        // so the answer must come from the searches' own verified bests,
+        // whether the head start finishes the proof (8 variables) or the
+        // cube workers launch (24), racing or under deterministic join.
+        let mut rng = ChaCha8Rng::seed_from_u64(0xb06);
+        for n in [8, 24] {
+            let inst = dense_instance(&mut rng, n);
+            let mut options = BsoloOptions::with_lb(LbMethod::None);
+            options.probing = false;
+            options.cardinality_cuts = false;
+            let expected = Bsolo::new(options.clone()).solve(&inst);
+            let bogus = vec![false; n];
+            assert!(verify_solution(&inst, &bogus).is_err(), "every clause is positive");
+            for det in [false, true] {
+                let cell = IncumbentCell::new();
+                cell.offer(0, &bogus);
+                options.deterministic_join = det;
+                let got = ParBsolo::new(options.clone(), 2).solve_with_cell(&inst, Some(&cell));
+                let label = format!("{n} variables, det {det}");
+                assert_eq!(got.status, SolveStatus::Optimal, "{label}");
+                assert_eq!(got.best_cost, expected.best_cost, "{label}");
+                let launched = got.stats.nodes_per_worker.iter().filter(|&&w| w > 0).count();
+                assert_eq!(
+                    launched > 1,
+                    n == 24,
+                    "{label}: workers {:?}",
+                    got.stats.nodes_per_worker
+                );
+            }
         }
     }
 
@@ -1717,7 +1694,7 @@ mod tests {
                 let inst = dense_instance(&mut rng, 11);
                 let guard = pbo_fault::install(pbo_fault::FaultPlan::new().panic_on(site, 1));
                 let mut options = BsoloOptions::with_lb(LbMethod::None);
-                options.resplit_conflicts = Some(1);
+                options.resplit_conflicts = 1;
                 let got = ParBsolo::new(options, 3).solve(&inst);
                 let fired = guard.hits(site) > 0;
                 drop(guard);
