@@ -9,9 +9,10 @@
 //! ```
 //!
 //! Every round generates a seeded covering instance, solves it clean
-//! under the deterministic join for a reference optimum, then re-solves
-//! it in racing mode with one probe site armed to panic (site and hit
-//! count drawn from the seeded schedule), and once more with the default
+//! under the deterministic join (the cube pool on one worker thread) for
+//! a reference optimum, then re-solves it in racing mode with one probe
+//! site armed to panic (site and hit count drawn from the seeded
+//! schedule), and once more with the default
 //! [`Portfolio`] (on a second core a walker racing the branch-and-bound,
 //! on one a local-search seed phase and polish walks) under the same
 //! plan. The harness asserts that **every** injected fault yields a

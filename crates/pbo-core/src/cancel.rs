@@ -1,29 +1,29 @@
 //! Cooperative cancellation for long-running solves.
 //!
-//! A [`CancelToken`] is a cheap, clonable handle shared between a solve
-//! and its caller (and between the solve's own threads). It latches
-//! two independent stop conditions into one flag:
-//!
-//! * an **external cancel** ([`CancelToken::cancel`]) — the service
-//!   caller pulling the plug;
-//! * a **deadline** ([`CancelToken::set_deadline`]) — checked lazily by
-//!   [`CancelToken::is_cancelled`], so inner loops that poll the token
-//!   enforce wall-clock limits *inside* a node, not just between nodes.
-//!
-//! Once either condition trips, the flag stays set: every poll site sees
-//! the same answer and the solve tears down in bounded time with its
-//! best verified incumbent intact.
-//!
-//! A [`CancelToken::child`] adds a third: its parent tripping. A child
-//! can be cancelled, or given a deadline, on its own — a budgeted solve
-//! arms its budget's deadline on a child of the caller's token, say —
-//! while the caller's cancel and deadline still reach it.
+//! See [`CancelToken`].
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Shared cancellation handle (see the [module docs](self)).
+/// A cheap, clonable cancellation handle shared between a solve and
+/// its caller (and between the solve's own threads). It latches
+/// two independent stop conditions into one flag:
+///
+/// * an **external cancel** ([`CancelToken::cancel`]) — the service
+///   caller pulling the plug;
+/// * a **deadline** ([`CancelToken::set_deadline`]) — checked lazily by
+///   [`CancelToken::is_cancelled`], so inner loops that poll the token
+///   enforce wall-clock limits *inside* a node, not just between nodes.
+///
+/// Once either condition trips, the flag stays set: every poll site sees
+/// the same answer and the solve tears down in bounded time with its
+/// best verified incumbent intact.
+///
+/// A [`CancelToken::child`] adds a third: its parent tripping. A child
+/// can be cancelled, or given a deadline, on its own — a budgeted solve
+/// arms its budget's deadline on a child of the caller's token, say —
+/// while the caller's cancel and deadline still reach it.
 ///
 /// Clones share one underlying state. The raw latch is exposed as an
 /// `Arc<AtomicBool>` ([`CancelToken::flag`]) so dependency-free layers

@@ -14,38 +14,7 @@
 //! through [`InstanceBuilder`], so arbitrary coefficients and operators are
 //! accepted and normalized.
 //!
-//! # Reading contract
-//!
-//! [`parse_opb`] reads the text in one pass; its tokens borrow from the
-//! input. The rules below are pinned by a differential test against a
-//! line-by-line reference reader.
-//!
-//! * **Lines.** `\n` is the only line break. A statement's line is 1 plus
-//!   the number of `\n` before its first token.
-//! * **Whitespace** is exactly what [`str::split_whitespace`] splits on,
-//!   [`char::is_whitespace`]: besides the blank, `\t`, `\x0B`, `\x0C` and
-//!   `\r` (so CRLF line ends are fine), and non-ASCII spaces such as
-//!   U+0085, U+00A0 and U+3000.
-//! * **Comments.** A line whose first non-whitespace char is `*` is skipped
-//!   whole, even inside a statement spread over several lines. A `*`
-//!   anywhere else is an ordinary token character.
-//! * **Tokens** are the maximal runs of chars that are neither whitespace
-//!   nor `;`. A `;` ends the current statement, also when glued to a token
-//!   (`>= 1;`). Empty statements are skipped, a statement may span lines,
-//!   and the last one may omit its `;`.
-//! * **Statements.** One starting with the token `min:`, or the tokens
-//!   `min` and `:`, is the objective: `coefficient literal` pairs. Any
-//!   other is a constraint: `coefficient literal` pairs, one of `>=`, `<=`
-//!   and `=`, then exactly one right-hand side. Coefficients and
-//!   right-hand sides are `i64` and variable numbers `usize`, both in the
-//!   syntax of [`str::parse`], which takes a leading `+` (`x+3` is `x3`).
-//! * **Errors.** The first error in statement order is returned, with that
-//!   statement's line. Within an objective, a second objective is reported
-//!   before its terms are read; within a constraint, a missing operator
-//!   comes first, then a right-hand side that is missing or not alone,
-//!   then a malformed one, then the terms from left to right. Every
-//!   [`ParseOpbError::Syntax`] comes before any [`ParseOpbError::Build`]:
-//!   the instance is normalized only once the whole document is read.
+//! [`parse_opb`] documents its reading contract.
 
 use std::fmt;
 use std::ops::Range;
@@ -275,8 +244,41 @@ fn parse_terms(
 ///
 /// Returns [`ParseOpbError`] on malformed input or if normalization fails.
 /// A variable index above [`MAX_OPB_VARS`] is rejected as malformed
-/// rather than allocated. See the [module docs](self) for which error a
-/// document with several faults reports.
+/// rather than allocated. The reading contract below says which error
+/// a document with several faults reports.
+///
+/// # Reading contract
+///
+/// The text is read in one pass; its tokens borrow from the
+/// input. The rules below are pinned by a differential test against a
+/// line-by-line reference reader.
+///
+/// * **Lines.** `\n` is the only line break. A statement's line is 1 plus
+///   the number of `\n` before its first token.
+/// * **Whitespace** is exactly what [`str::split_whitespace`] splits on,
+///   [`char::is_whitespace`]: besides the blank, `\t`, `\x0B`, `\x0C` and
+///   `\r` (so CRLF line ends are fine), and non-ASCII spaces such as
+///   U+0085, U+00A0 and U+3000.
+/// * **Comments.** A line whose first non-whitespace char is `*` is skipped
+///   whole, even inside a statement spread over several lines. A `*`
+///   anywhere else is an ordinary token character.
+/// * **Tokens** are the maximal runs of chars that are neither whitespace
+///   nor `;`. A `;` ends the current statement, also when glued to a token
+///   (`>= 1;`). Empty statements are skipped, a statement may span lines,
+///   and the last one may omit its `;`.
+/// * **Statements.** One starting with the token `min:`, or the tokens
+///   `min` and `:`, is the objective: `coefficient literal` pairs. Any
+///   other is a constraint: `coefficient literal` pairs, one of `>=`, `<=`
+///   and `=`, then exactly one right-hand side. Coefficients and
+///   right-hand sides are `i64` and variable numbers `usize`, both in the
+///   syntax of [`str::parse`], which takes a leading `+` (`x+3` is `x3`).
+/// * **Errors.** The first error in statement order is returned, with that
+///   statement's line. Within an objective, a second objective is reported
+///   before its terms are read; within a constraint, a missing operator
+///   comes first, then a right-hand side that is missing or not alone,
+///   then a malformed one, then the terms from left to right. Every
+///   [`ParseOpbError::Syntax`] comes before any [`ParseOpbError::Build`]:
+///   the instance is normalized only once the whole document is read.
 ///
 /// # Examples
 ///

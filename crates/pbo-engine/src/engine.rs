@@ -269,7 +269,7 @@ impl Engine {
     }
 
     /// Installs a cooperative cancellation token. [`Engine::propagate`]
-    /// polls it every [`CANCEL_CHECK_INTERVAL`] trail pops and, once it
+    /// polls it every `CANCEL_CHECK_INTERVAL` (512) trail pops and, once it
     /// trips, stops propagating (conflict-free) — sound, because a
     /// partial fixpoint claims nothing: the caller observes the token at
     /// its own poll sites and never uses the truncated propagation to

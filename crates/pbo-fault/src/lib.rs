@@ -9,9 +9,9 @@
 //! expands to an empty block: no branch, no atomic load, no code.
 //!
 //! With the feature on, a probe is a single relaxed atomic load until a
-//! [`FaultPlan`] is installed; tests install one with [`install`],
-//! which also serializes fault-injecting tests process-wide (the plan
-//! is global state).
+//! `FaultPlan` is installed; tests install one with `install`, which
+//! also serializes fault-injecting tests process-wide (the plan is
+//! global state). Both exist only with the `failpoints` feature.
 //!
 //! That serialization covers only the tests that hold a plan. A test
 //! that merely crosses a probe site, running concurrently with one that

@@ -291,7 +291,7 @@ impl DualSimplex {
     /// Arms cooperative cancellation: [`solve`](Self::solve) returns
     /// [`LpStatus::Cancelled`] (basis warm-startable, like an iteration
     /// limit) once the deadline passes or the stop latch is set, polled
-    /// every [`CANCEL_CHECK_INTERVAL`] pivots — so a deadline landing
+    /// every `CANCEL_CHECK_INTERVAL` (64) pivots — so a deadline landing
     /// mid-solve is honored within a bounded overshoot instead of only
     /// between solves. `None`/`None` disarms.
     pub fn set_cancel(&mut self, deadline: Option<Instant>, stop: Option<Arc<AtomicBool>>) {

@@ -65,7 +65,7 @@ mod result;
 
 pub use bsolo::Bsolo;
 pub use cuts::{cardinality_cost_cuts, cost_cuts, knapsack_cut};
-pub use linear_search::{LinearSearch, LinearSearchOptions};
+pub use linear_search::LinearSearch;
 pub use milp::MilpSolver;
 pub use options::{BsoloOptions, Budget, LbMethod, SolveStrategy};
 pub use par::{Cube, CubeSplitter, ParBsolo, SplitOutcome};

@@ -28,33 +28,12 @@ use crate::options::Budget;
 use crate::preprocess::{probe, ProbeOutcome};
 use crate::result::{SolveResult, SolveStatus, SolverStats};
 
-/// Configuration of the linear-search solver.
-#[derive(Clone, Debug)]
-pub struct LinearSearchOptions {
-    /// Probing preprocessing.
-    pub probing: bool,
-    /// Add eqs. 11–13 cost cuts after each improving solution.
-    pub cardinality_cuts: bool,
-    /// Luby restart base interval in conflicts (`None` disables).
-    pub restart_base: Option<u64>,
-    /// Reduce the learned-clause database when it exceeds this many
-    /// clauses.
-    pub reduce_db_threshold: usize,
-    /// Resource budget.
-    pub budget: Budget,
-}
+/// Luby restart base interval in conflicts, the same in both presets.
+const RESTART_BASE: u64 = 100;
 
-impl Default for LinearSearchOptions {
-    fn default() -> LinearSearchOptions {
-        LinearSearchOptions {
-            probing: false,
-            cardinality_cuts: false,
-            restart_base: Some(100),
-            reduce_db_threshold: 4_000,
-            budget: Budget::unlimited(),
-        }
-    }
-}
+/// The learned-clause database is reduced when it holds more clauses
+/// than this, in both presets.
+const REDUCE_DB_THRESHOLD: usize = 4_000;
 
 /// Linear-search PBO solver (no lower bounding).
 ///
@@ -76,34 +55,21 @@ impl Default for LinearSearchOptions {
 /// ```
 #[derive(Clone, Debug)]
 pub struct LinearSearch {
-    options: LinearSearchOptions,
+    /// The Galena-like preset: probing and the eqs. 11–13 cost cuts.
+    galena: bool,
+    budget: Budget,
 }
 
 impl LinearSearch {
-    /// Creates a solver with explicit options.
-    pub fn new(options: LinearSearchOptions) -> LinearSearch {
-        LinearSearch { options }
-    }
-
     /// The PBS-like preset: plain SAT linear search.
     pub fn pbs_like(budget: Budget) -> LinearSearch {
-        LinearSearch::new(LinearSearchOptions { budget, ..LinearSearchOptions::default() })
+        LinearSearch { galena: false, budget }
     }
 
     /// The Galena-like preset: linear search with probing and
     /// cardinality cost cuts.
     pub fn galena_like(budget: Budget) -> LinearSearch {
-        LinearSearch::new(LinearSearchOptions {
-            probing: true,
-            cardinality_cuts: true,
-            budget,
-            ..LinearSearchOptions::default()
-        })
-    }
-
-    /// The active configuration.
-    pub fn options(&self) -> &LinearSearchOptions {
-        &self.options
+        LinearSearch { galena: true, budget }
     }
 
     /// Solves `instance` by linear search on the cost function.
@@ -135,7 +101,7 @@ impl LinearSearch {
                 return finish(SolveStatus::Infeasible, None, stats, Some(&engine));
             }
         }
-        if self.options.probing {
+        if self.galena {
             match probe(instance, &mut engine) {
                 ProbeOutcome::Infeasible => {
                     return finish(SolveStatus::Infeasible, None, stats, Some(&engine))
@@ -145,15 +111,15 @@ impl LinearSearch {
         }
 
         let mut best: Option<(i64, Vec<bool>)> = None;
-        let mut restarts = self.options.restart_base.map(LubyRestarts::new);
-        let mut conflicts_until_restart = restarts.as_mut().and_then(|r| r.next());
+        let mut restarts = LubyRestarts::new(RESTART_BASE);
+        let mut conflicts_until_restart = restarts.next().expect("luby sequence is infinite");
         let mut conflicts_at_last_restart = 0u64;
         // The cost cuts are the tail of the PB store; each improvement
         // tightens or replaces the superseded ones.
-        let mut cost_cuts = CostCuts::new(instance, self.options.cardinality_cuts);
+        let mut cost_cuts = CostCuts::new(instance, self.galena);
 
         loop {
-            if self.options.budget.exhausted(
+            if self.budget.exhausted(
                 start.elapsed(),
                 engine.stats.conflicts,
                 engine.stats.decisions,
@@ -173,14 +139,15 @@ impl LinearSearch {
                         return finish(status, best, stats, Some(&engine));
                     }
                     Resolution::Backjumped { .. } => {
-                        if let Some(limit) = conflicts_until_restart {
-                            if engine.stats.conflicts - conflicts_at_last_restart >= limit {
-                                engine.restart();
-                                conflicts_at_last_restart = engine.stats.conflicts;
-                                conflicts_until_restart = restarts.as_mut().and_then(|r| r.next());
-                            }
+                        if engine.stats.conflicts - conflicts_at_last_restart
+                            >= conflicts_until_restart
+                        {
+                            engine.restart();
+                            conflicts_at_last_restart = engine.stats.conflicts;
+                            conflicts_until_restart =
+                                restarts.next().expect("luby sequence is infinite");
                         }
-                        if engine.num_learnts() > self.options.reduce_db_threshold {
+                        if engine.num_learnts() > REDUCE_DB_THRESHOLD {
                             engine.reduce_learnts();
                         }
                         continue;

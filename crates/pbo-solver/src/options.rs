@@ -143,14 +143,17 @@ pub struct BsoloOptions {
     /// with or without [`BsoloOptions::deterministic_join`]; a cube
     /// deeper than a fixed cap is no longer re-split. 0 acts as 1.
     pub resplit_conflicts: u64,
-    /// Deterministic parallel mode: each subtree runs against a private
-    /// incumbent snapshot, and cube results are reduced in a fixed
-    /// (cube-lexicographic) order. With the conflict-count re-split
-    /// schedule both modes share, a parallel run's status, cost, model
-    /// and merged counters are a pure function of instance + options,
-    /// independent of thread scheduling. Costs some pruning (no
-    /// cross-worker incumbent races); intended for parity suites and
-    /// debugging.
+    /// Deterministic parallel mode: the cube pool runs with one worker.
+    /// The head start runs and the root is split into as many cubes as
+    /// the racing mode would start from; then one thread takes the
+    /// cubes in FIFO order, re-splits on the conflict schedule the
+    /// racing mode uses and shares the caller's incumbent cell. With one
+    /// writer of that cell and no timing in the schedule, a parallel
+    /// run's status, cost, model and counters are a pure function of
+    /// instance and options, as long as the solve ends within its budget
+    /// and no other thread writes the caller's cell while it runs. The
+    /// pool then uses one core, whatever the worker count; intended for
+    /// parity suites and debugging.
     /// Under it the portfolio's walker also never races the search:
     /// [`SolveStrategy::LsSeeded`] walks, then searches, on any number
     /// of cores.

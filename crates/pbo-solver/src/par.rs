@@ -79,11 +79,13 @@
 //! With `threads == 1` the driver delegates to the sequential
 //! [`Bsolo`] verbatim — bit-identical optimum, node count and stats —
 //! so the parallel path is strictly opt-in. With
-//! [`BsoloOptions::deterministic_join`] set, every cube task runs
-//! against a private incumbent cell and results reduce in
-//! cube-lexicographic order; since the re-split schedule reads no queue
-//! timing either, a run's optimum and stats are the same on every run
-//! regardless of thread scheduling.
+//! [`BsoloOptions::deterministic_join`] set, the same pool runs with one
+//! worker: the head start, the split into `threads` cubes, then one
+//! thread that takes the cubes in FIFO order, re-splits on the conflict
+//! schedule and publishes to (and adopts from) the caller's cell like
+//! any racing worker. With one writer of the cell and a schedule that
+//! reads no timing, a run's status, cost, model and counters are the
+//! same on every run.
 
 use std::collections::VecDeque;
 use std::sync::atomic::AtomicBool;
@@ -94,7 +96,7 @@ use pbo_core::{verify_solution, Instance, Lit, Value, Var};
 use pbo_engine::Engine;
 use pbo_fault::failpoint;
 use pbo_ls::{IncumbentCell, LsOptions};
-use pbo_trace::{TraceEvent, Tracer, LS_LANE_BASE};
+use pbo_trace::{TraceEvent, Tracer};
 
 use crate::bsolo::{under_budget_deadline, Bsolo, SearchState};
 use crate::options::BsoloOptions;
@@ -443,7 +445,7 @@ struct SubtreeResult {
     /// exhausted); `false` means a budget ran out mid-cube.
     all_closed: bool,
     /// The cheapest incumbent this worker's searches held, each verified
-    /// by its search (racing mode only; det-join keeps per-cube records).
+    /// by its search.
     best: Option<(i64, Vec<bool>)>,
 }
 
@@ -454,7 +456,9 @@ struct SubtreeResult {
 /// sequential trajectory — optimum, node count, every stat — is
 /// bit-identical). With more threads the root is split into cubes and
 /// solved by a worker pool; the optimum and its proof are unchanged,
-/// node counts become timing-dependent.
+/// node counts become timing-dependent. Under
+/// [`BsoloOptions::deterministic_join`] one worker drains that pool, and
+/// they repeat.
 ///
 /// # Examples
 ///
@@ -542,30 +546,17 @@ impl ParBsolo {
         // costs transfer 1:1 across the cell.
         let inst = &crate::preprocess::simplify(instance);
         let owned_cell;
-        let outer_cell: &IncumbentCell = match cell {
+        let cell: &IncumbentCell = match cell {
             Some(c) => c,
             None => {
                 owned_cell = IncumbentCell::new();
                 &owned_cell
             }
         };
-        // Deterministic-join mode runs the head and every cube task
-        // against *private* incumbent cells — seeded once from whatever
-        // the outer cell held at solve start — so no timing-dependent
-        // incumbent race can steer any subtree; the final best reaches
-        // the outer cell only at the end, merged with the instants its
-        // finds were made at. See [`BsoloOptions::deterministic_join`].
-        let det = worker_options.deterministic_join;
-        let det_cell_store;
-        let run_cell: &IncumbentCell = if det {
-            det_cell_store = IncumbentCell::new();
-            if let Some((c, m)) = outer_cell.snapshot() {
-                det_cell_store.offer(c, &m);
-            }
-            &det_cell_store
-        } else {
-            outer_cell
-        };
+        // Deterministic join drains the pool with one worker, so no
+        // incumbent race can steer any subtree: the cell has one writer
+        // at a time (see [`BsoloOptions::deterministic_join`]).
+        let workers = if self.options.deterministic_join { 1 } else { self.threads };
 
         let mut stats = SolverStats::default();
         // Driver-lane tracer (lane 0): head-start events, splitter
@@ -594,7 +585,7 @@ impl ParBsolo {
         let (head_status, head_best) = match SearchState::init(
             inst,
             &head_options,
-            Some(run_cell),
+            Some(cell),
             start,
             &mut stats,
             &[],
@@ -610,20 +601,15 @@ impl ParBsolo {
             }
             Err(()) => (SolveStatus::Infeasible, None),
         };
-        // The private cells whose finds reach the outer cell at the end
-        // of a deterministic-join solve: the head's, then the winning
-        // cube task's.
-        let mut det_cells = if det { vec![run_cell] } else { Vec::new() };
         if matches!(head_status, SolveStatus::Optimal | SolveStatus::Infeasible) {
             // The head start already finished the proof (small instance
             // or a root-contradictory cost cut): no need to go parallel.
             // One serial line of execution did all the nodes; the other
             // worker slots report zero.
-            stats.nodes_per_worker = vec![0; self.threads];
+            stats.nodes_per_worker = vec![0; workers];
             stats.nodes_per_worker[0] = stats.decisions;
             stats.trace.extend(driver_tracer.drain());
-            let bests = [run_cell.snapshot(), head_best];
-            return assemble(inst, bests, true, outer_cell, &det_cells, start, stats);
+            return assemble(inst, [cell.snapshot(), head_best], true, cell, start, stats);
         }
         let head_nodes = stats.decisions;
         let split = CubeSplitter::split(inst, self.threads);
@@ -640,7 +626,7 @@ impl ParBsolo {
         }
         // Solutions found by propagation during splitting seed the cell.
         for (_, cost, model) in &split.solved {
-            if verify_solution(inst, model) == Ok(*cost) && run_cell.offer(*cost, model) {
+            if verify_solution(inst, model) == Ok(*cost) && cell.offer(*cost, model) {
                 stats.solutions_found += 1;
                 driver_tracer.emit(TraceEvent::Solution { cost: *cost });
             }
@@ -648,26 +634,17 @@ impl ParBsolo {
         let queue = CubeQueue::new(split.open);
         stats.trace.extend(driver_tracer.drain());
 
-        // Deterministic join: the seed snapshot is taken *after* the
-        // (deterministic) head and split contributed, so every cube task
-        // starts from the same incumbent no matter when it is scheduled.
-        let det_join = det.then(|| DetJoin {
-            seed_incumbent: run_cell.snapshot(),
-            records: Mutex::new(Vec::new()),
-        });
-
         let ctx = WorkerCtx {
             instance: inst,
             options: &worker_options,
-            cell: run_cell,
+            cell,
             queue: &queue,
             start,
             lp_stop: lp_stop.as_ref(),
-            det: det_join.as_ref(),
             polish,
         };
         let outcomes: Vec<SubtreeResult> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.threads)
+            let handles: Vec<_> = (0..workers)
                 .map(|w| {
                     let ctx = &ctx;
                     scope.spawn(move || run_worker(ctx, w))
@@ -701,56 +678,6 @@ impl ParBsolo {
         let quarantined = queue.quarantined_count();
         stats.cubes_quarantined += quarantined;
         let mut all_closed = !queue.was_aborted() && quarantined == 0;
-        if let Some(dj) = det_join {
-            // Fixed-order reduction: per-cube records sorted by cube
-            // literals (a scheduling-independent key — every cube is a
-            // distinct literal prefix), then folded in that order. Status,
-            // cost, model and the merged integer counters become a pure
-            // function of instance + options; wall-clock durations are
-            // excluded from the claim (queue wait is zeroed, it is pure
-            // scheduling noise).
-            let mut records = dj.records.into_inner().unwrap_or_else(|p| p.into_inner());
-            records.sort_by(|a, b| a.cube.cmp(&b.cube));
-            // Worker-level robustness flags live outside the per-cube
-            // records (a quarantined cube never filed one): fold them in
-            // from the join results. Zero on every fault-free run, so
-            // the deterministic-join claim is unaffected.
-            for o in &outcomes {
-                stats.workers_lost += o.stats.workers_lost;
-                stats.cancelled |= o.stats.cancelled;
-            }
-            // The seed came from a cell, which stores but does not vouch.
-            let mut best =
-                dj.seed_incumbent.filter(|(cost, model)| verify_solution(inst, model) == Ok(*cost));
-            let mut winner = None;
-            let mut nodes_per_worker = Vec::with_capacity(records.len());
-            for (i, r) in records.iter_mut().enumerate() {
-                // Re-lane by cube position: the lane a record's events
-                // were emitted on is the (scheduling-dependent) worker
-                // index, but the sorted cube position is deterministic —
-                // after this rewrite the whole event sequence is a pure
-                // function of instance + options, like the counters.
-                // Polish walks keep to the LS lane of their B&B lane.
-                let lane = (i + 1) as u32;
-                for ev in &mut r.stats.trace {
-                    ev.lane = if ev.lane >= LS_LANE_BASE { LS_LANE_BASE + lane } else { lane };
-                }
-                stats.absorb(&r.stats);
-                nodes_per_worker.push(r.stats.decisions);
-                all_closed &= r.closed;
-                if let (Some(c), Some(m)) = (r.cost, &r.model) {
-                    if best.as_ref().is_none_or(|(bc, _)| c < *bc) {
-                        best = Some((c, m.clone()));
-                        winner = Some(i);
-                    }
-                }
-            }
-            stats.nodes_per_worker = nodes_per_worker;
-            stats.queue_wait_total = std::time::Duration::ZERO;
-            det_cells.extend(winner.map(|i| &records[i].cell));
-            return assemble(inst, [best], all_closed, outer_cell, &det_cells, start, stats);
-        }
-
         let mut nodes_per_worker = Vec::with_capacity(outcomes.len());
         for o in &outcomes {
             stats.absorb(&o.stats);
@@ -760,9 +687,8 @@ impl ParBsolo {
         stats.nodes_per_worker = nodes_per_worker;
         // The global best lives in the cell, unless an unverifiable entry
         // there undercuts every search's own best.
-        let bests =
-            std::iter::once(run_cell.snapshot()).chain(outcomes.into_iter().map(|o| o.best));
-        assemble(inst, bests, all_closed, outer_cell, &[], start, stats)
+        let bests = std::iter::once(cell.snapshot()).chain(outcomes.into_iter().map(|o| o.best));
+        assemble(inst, bests, all_closed, cell, start, stats)
     }
 }
 
@@ -771,16 +697,13 @@ impl ParBsolo {
 /// but a cell stores, it does not vouch: a caller's cell may hold an
 /// unverifiable entry that undercuts every real incumbent), the first
 /// winning a tie. The status follows from that best and from whether
-/// every cube closed, and the clocks are stamped. With a verified best,
-/// the private cells of a deterministic-join solve (`det_cells`, in
-/// order) hand their finds to `outer`, with the instants they were
-/// found at, before `time_to_best` is read off `outer`.
+/// every cube closed, and the clocks are stamped (`time_to_best` off
+/// `cell`'s history).
 fn assemble(
     inst: &Instance,
     bests: impl IntoIterator<Item = Option<(i64, Vec<bool>)>>,
     all_closed: bool,
-    outer: &IncumbentCell,
-    det_cells: &[&IncumbentCell],
+    cell: &IncumbentCell,
     start: Instant,
     mut stats: SolverStats,
 ) -> SolveResult {
@@ -789,12 +712,7 @@ fn assemble(
         .flatten()
         .filter(|(cost, model)| verify_solution(inst, model) == Ok(*cost))
         .reduce(|a, b| if b.0 < a.0 { b } else { a });
-    if best.is_some() {
-        for cell in det_cells {
-            outer.absorb(cell);
-        }
-    }
-    if let Some((at, _)) = outer.history_since(start).last() {
+    if let Some((at, _)) = cell.history_since(start).last() {
         stats.time_to_best = *at;
     }
     let status = match (&best, all_closed) {
@@ -819,37 +737,9 @@ struct WorkerCtx<'a> {
     /// The raw cancel flag the workers' LP pivot loops poll (see
     /// [`under_budget_deadline`]).
     lp_stop: Option<&'a Arc<AtomicBool>>,
-    /// Deterministic-join state (`None` in the default racing mode).
-    det: Option<&'a DetJoin>,
     /// The polish walk's configuration, when cube tasks polish their
     /// improving incumbents.
     polish: Option<&'a LsOptions>,
-}
-
-/// Deterministic-join bookkeeping: the incumbent snapshot every cube
-/// task starts from, and the per-cube result records the driver reduces
-/// in cube-lexicographic order at join.
-struct DetJoin {
-    seed_incumbent: Option<(i64, Vec<bool>)>,
-    records: Mutex<Vec<CubeRecord>>,
-}
-
-/// One cube task's result under deterministic join.
-struct CubeRecord {
-    /// The cube as taken from the queue (the sort key; re-splits deepen
-    /// the task's cube but never this record key).
-    cube: Vec<Lit>,
-    /// Subtree exhausted (as opposed to a budget abort).
-    closed: bool,
-    /// Best cost this task holds (its own finds, or the adopted seed).
-    cost: Option<i64>,
-    /// The matching model.
-    model: Option<Vec<bool>>,
-    /// The task's private incumbent cell: its history carries the
-    /// instants the task's incumbents were found.
-    cell: IncumbentCell,
-    /// The task's private effort counters.
-    stats: SolverStats,
 }
 
 /// One worker: pull cubes until the frontier drains or the solve
@@ -859,6 +749,12 @@ fn run_worker(ctx: &WorkerCtx<'_>, worker: usize) -> SubtreeResult {
     let mut total = SolverStats::default();
     let mut all_closed = true;
     let mut worker_best: Option<(i64, Vec<bool>)> = None;
+    // The worker's lane is `worker + 1` (lane 0 is the driver).
+    let tracer = if ctx.options.trace {
+        Tracer::buffered(worker as u32 + 1, ctx.start)
+    } else {
+        Tracer::off()
+    };
     loop {
         // Cooperative cancellation between cubes: stop taking work and
         // abort the queue so waiting siblings drain instead of blocking
@@ -881,22 +777,9 @@ fn run_worker(ctx: &WorkerCtx<'_>, worker: usize) -> SubtreeResult {
         let wait = wait_from.elapsed();
         total.queue_wait_total += wait;
         let mut stats = SolverStats::default();
-        // One tracer (and so one contiguous buffer) per cube task, on
-        // lane `worker + 1` (lane 0 is the driver). Per-cube buffers are
-        // what lets deterministic join re-lane events by sorted cube
-        // position instead of by (scheduling-dependent) thread.
-        let tracer = if ctx.options.trace {
-            Tracer::buffered(worker as u32 + 1, ctx.start)
-        } else {
-            Tracer::off()
-        };
-        if ctx.det.is_none() {
-            // Queue-wait spans are pure scheduling noise; deterministic
-            // join excludes them (it also zeroes the wait counter).
-            tracer.emit(TraceEvent::QueueWait {
-                wait_ns: u64::try_from(wait.as_nanos()).unwrap_or(u64::MAX),
-            });
-        }
+        tracer.emit(TraceEvent::QueueWait {
+            wait_ns: u64::try_from(wait.as_nanos()).unwrap_or(u64::MAX),
+        });
         let depth = cube.lits.len() as u32;
         let cube_from = tracer.now_ns();
         tracer.emit(TraceEvent::CubeStart { depth });
@@ -905,24 +788,12 @@ fn run_worker(ctx: &WorkerCtx<'_>, worker: usize) -> SubtreeResult {
         // but not the solve. The guard quarantines the in-flight cube,
         // the partial effort counters are still folded in (no kernel
         // charges its timer before returning, so nothing double-counts),
-        // and the surviving N−1 workers keep draining the frontier.
+        // and the surviving N−1 workers keep draining the frontier (the
+        // deterministic pool's one worker leaves the rest unexplored).
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // Deterministic mode: a private incumbent cell per cube task,
-            // seeded once — the subtree's trajectory depends only on
-            // (instance, options, cube, seed incumbent), never on what
-            // sibling workers found first.
-            let det_cell = ctx.det.map(|det| {
-                let cell = IncumbentCell::new();
-                if let Some((c, m)) = &det.seed_incumbent {
-                    cell.offer(*c, m);
-                }
-                cell
-            });
-            let cell = det_cell.as_ref().unwrap_or(ctx.cell);
-            let (status, best) = solve_cube(ctx, &cube, cell, &mut stats, tracer.clone());
-            (status, best, det_cell)
+            solve_cube(ctx, &cube, &mut stats, tracer.clone())
         }));
-        let (status, best, det_cell) = match outcome {
+        let (status, best) = match outcome {
             Ok(r) => r,
             Err(_) => {
                 total.workers_lost += 1;
@@ -942,12 +813,7 @@ fn run_worker(ctx: &WorkerCtx<'_>, worker: usize) -> SubtreeResult {
             dur_ns: tracer.now_ns().saturating_sub(cube_from),
         });
         stats.trace.extend(tracer.drain());
-        if let (Some(det), Some(cell)) = (ctx.det, det_cell) {
-            let (cost, model) = best;
-            let record =
-                CubeRecord { cube: cube.lits, closed, cost, model, cell, stats: stats.clone() };
-            det.records.lock().unwrap_or_else(|p| p.into_inner()).push(record);
-        } else if let (Some(cost), Some(model)) = best {
+        if let (Some(cost), Some(model)) = best {
             if worker_best.as_ref().is_none_or(|(b, _)| cost < *b) {
                 worker_best = Some((cost, model));
             }
@@ -964,14 +830,12 @@ fn run_worker(ctx: &WorkerCtx<'_>, worker: usize) -> SubtreeResult {
 
 /// Solves one subtree task to exhaustion (or budget): the sequential
 /// search loop, rooted in `cube`, publishing incumbents to (and
-/// adopting from) `cell` (the shared cell, or the task's private one
-/// under deterministic join) — re-splitting its remaining subtree back
-/// to the queue each time it spends its conflict allowance. Returns the
-/// final status and the task's best (cost, model).
+/// adopting from) the shared cell — re-splitting its remaining subtree
+/// back to the queue each time it spends its conflict allowance.
+/// Returns the final status and the task's best (cost, model).
 fn solve_cube(
     ctx: &WorkerCtx<'_>,
     cube: &Cube,
-    cell: &IncumbentCell,
     stats: &mut SolverStats,
     tracer: Tracer,
 ) -> (SolveStatus, (Option<i64>, Option<Vec<bool>>)) {
@@ -982,7 +846,7 @@ fn solve_cube(
     match SearchState::init(
         ctx.instance,
         ctx.options,
-        Some(cell),
+        Some(ctx.cell),
         ctx.start,
         stats,
         &cube.lits,
@@ -1046,7 +910,7 @@ fn solve_cube(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     use crate::options::{Budget, LbMethod};
@@ -1082,8 +946,9 @@ mod tests {
     /// A denser generator for the re-split tests: enough
     /// constraint structure that a search survives a few dozen conflicts
     /// (the sparse `random_instance` family often closes in one or two,
-    /// which never triggers the pause-and-re-split machinery).
-    fn dense_instance(rng: &mut ChaCha8Rng, n: usize) -> Instance {
+    /// which never triggers the pause-and-re-split machinery). From
+    /// about 24 variables on, the head start rarely finishes it.
+    pub(crate) fn dense_instance(rng: &mut ChaCha8Rng, n: usize) -> Instance {
         let mut b = InstanceBuilder::new();
         let vars = b.new_vars(n);
         for _ in 0..3 * n {
@@ -1484,34 +1349,51 @@ mod tests {
         }
     }
 
+    /// Whether cube workers searched: the head start charges every node
+    /// to worker 0, while once cubes launch the head's and the
+    /// splitter's nodes are no worker's.
+    pub(crate) fn workers_searched(stats: &SolverStats) -> bool {
+        let workers = &stats.nodes_per_worker;
+        workers.iter().sum::<u64>() < stats.decisions && workers.iter().any(|&n| n > 0)
+    }
+
     #[test]
     fn deterministic_join_is_reproducible_and_exact() {
+        // Instances the head start cannot finish, so the one worker
+        // drains the cube pool, re-splitting every two conflicts.
         let mut rng = ChaCha8Rng::seed_from_u64(0xde7);
-        for round in 0..12 {
-            let inst = random_instance(&mut rng, 9);
+        let mut resplit = false;
+        for round in 0..3 {
+            let inst = dense_instance(&mut rng, 32);
             let mut options = BsoloOptions::with_lb(LbMethod::Mis);
+            let seq = Bsolo::new(options.clone()).solve(&inst);
             options.deterministic_join = true;
             options.resplit_conflicts = 2;
-            let seq = Bsolo::new(BsoloOptions::with_lb(LbMethod::Mis)).solve(&inst);
-            let a = ParBsolo::new(options.clone(), 3).solve(&inst);
-            let b = ParBsolo::new(options.clone(), 3).solve(&inst);
-            let label = format!("round {round}");
-            // Two runs are bit-equal on everything the mode promises:
-            // status, cost, model, and the merged integer counters.
-            assert_eq!(a.status, b.status, "{label}: status");
-            assert_eq!(a.best_cost, b.best_cost, "{label}: cost");
-            assert_eq!(a.best_assignment, b.best_assignment, "{label}: model");
-            assert_eq!(a.stats.decisions, b.stats.decisions, "{label}: decisions");
-            assert_eq!(a.stats.conflicts, b.stats.conflicts, "{label}: conflicts");
-            assert_eq!(a.stats.propagations, b.stats.propagations, "{label}: propagations");
-            assert_eq!(a.stats.resplits, b.stats.resplits, "{label}: resplits");
-            assert_eq!(a.stats.solutions_found, b.stats.solutions_found, "{label}: solutions");
-            assert_eq!(a.stats.nodes_per_worker, b.stats.nodes_per_worker, "{label}: nodes");
-            assert_eq!(a.stats.queue_wait_total, std::time::Duration::ZERO, "{label}: queue wait");
-            // And the answer agrees with the sequential solver.
-            assert_eq!(a.status, seq.status, "{label}: vs sequential status");
-            assert_eq!(a.best_cost, seq.best_cost, "{label}: vs sequential cost");
+            for threads in [2usize, 8] {
+                let a = ParBsolo::new(options.clone(), threads).solve(&inst);
+                let b = ParBsolo::new(options.clone(), threads).solve(&inst);
+                let label = format!("round {round} x{threads}");
+                // Two runs are bit-equal on everything the mode promises:
+                // status, cost, model, and the merged integer counters.
+                assert_eq!(a.status, b.status, "{label}: status");
+                assert_eq!(a.best_cost, b.best_cost, "{label}: cost");
+                assert_eq!(a.best_assignment, b.best_assignment, "{label}: model");
+                assert_eq!(a.stats.decisions, b.stats.decisions, "{label}: decisions");
+                assert_eq!(a.stats.conflicts, b.stats.conflicts, "{label}: conflicts");
+                assert_eq!(a.stats.propagations, b.stats.propagations, "{label}: propagations");
+                assert_eq!(a.stats.resplits, b.stats.resplits, "{label}: resplits");
+                assert_eq!(a.stats.solutions_found, b.stats.solutions_found, "{label}: solutions");
+                assert_eq!(a.stats.nodes_per_worker, b.stats.nodes_per_worker, "{label}: nodes");
+                // One worker drained the pool.
+                assert_eq!(a.stats.nodes_per_worker.len(), 1, "{label}: one worker");
+                assert!(workers_searched(&a.stats), "{label}: {:?}", a.stats.nodes_per_worker);
+                resplit |= a.stats.resplits > 0;
+                // And the answer agrees with the sequential solver.
+                assert_eq!(a.status, seq.status, "{label}: vs sequential status");
+                assert_eq!(a.best_cost, seq.best_cost, "{label}: vs sequential cost");
+            }
         }
+        assert!(resplit, "no round re-split a cube");
     }
 
     #[test]
@@ -1579,14 +1461,38 @@ mod tests {
                 let label = format!("{n} variables, det {det}");
                 assert_eq!(got.status, SolveStatus::Optimal, "{label}");
                 assert_eq!(got.best_cost, expected.best_cost, "{label}");
-                let launched = got.stats.nodes_per_worker.iter().filter(|&&w| w > 0).count();
-                assert_eq!(
-                    launched > 1,
-                    n == 24,
-                    "{label}: workers {:?}",
-                    got.stats.nodes_per_worker
-                );
+                // Racing, both workers search; deterministic, the one
+                // worker drains the pool.
+                let busy = got.stats.nodes_per_worker.iter().filter(|&&w| w > 0).count();
+                let launched = if det { workers_searched(&got.stats) } else { busy > 1 };
+                assert_eq!(launched, n == 24, "{label}: workers {:?}", got.stats.nodes_per_worker);
             }
+        }
+    }
+
+    /// A deterministic solve of a decision instance ends soon after its
+    /// first model: the one worker shares the caller's cell, so every
+    /// later cube prunes against that model instead of being run to
+    /// exhaustion.
+    #[test]
+    #[ignore = "release-sized: the acc-seq decision shape, 2,040 variables"]
+    fn deterministic_join_ends_a_decision_solve_at_its_model() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        // Not scoped: a hung solve must fail the test, not hang it too.
+        std::thread::spawn(move || {
+            let inst = pbo_benchgen::AccSchedParams { teams: 16, home_away: true }.generate(0);
+            let options = BsoloOptions { deterministic_join: true, ..BsoloOptions::default() };
+            let got = ParBsolo::new(options, 2).solve(&inst);
+            let model = got.best_assignment.as_ref();
+            let verified = model.is_some_and(|m| verify_solution(&inst, m).is_ok());
+            let _ = tx.send((got.status, verified));
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+            Ok((status, verified)) => {
+                assert_eq!(status, SolveStatus::Optimal, "a decision instance with a model");
+                assert!(verified, "the model must verify");
+            }
+            Err(_) => panic!("the deterministic solve did not end within 10 s"),
         }
     }
 

@@ -60,7 +60,7 @@ const DEFAULT_SOLVES: [SolvePin; 3] = [
 
 const EXACT_SOLVES: [SolvePin; 3] = [
     (SolveStatus::Optimal, Some(516), 6_222, 28, 8_998, 5_909, 4_403, 0),
-    (SolveStatus::Optimal, Some(122), 1_778, 61, 3_567, 1_285, 3_650, 0),
+    (SolveStatus::Optimal, Some(122), 1_640, 54, 3_264, 1_136, 3_578, 0),
     (SolveStatus::Optimal, Some(0), 3_835, 2_233, 213_898, 0, 0, 0),
 ];
 

@@ -199,12 +199,12 @@ impl Portfolio {
     /// ([`IncumbentCell::history_since`]) after the solve, or to seed the
     /// solve with a known solution.
     ///
-    /// Under `deterministic_join` with more than one worker, each cube
-    /// task runs against a private cell: its incumbents reach `cell` at
-    /// the join, merged with the instants they were found at
-    /// ([`IncumbentCell::absorb`]), so the trajectory read afterwards is
-    /// complete, but a caller watching `cell` while the solve runs sees
-    /// them only at the end.
+    /// Every strategy publishes each incumbent to `cell` when it is
+    /// found, so a caller watching `cell` sees the trajectory as it
+    /// grows. Under `deterministic_join` a run repeats only while no
+    /// other thread writes `cell` during the solve: the solve itself
+    /// writes it from one thread at a time (it walks, then searches, and
+    /// its cube pool has one worker).
     pub fn solve_with_cell(&self, instance: &Instance, cell: &IncumbentCell) -> SolveResult {
         let start = Instant::now();
         let mut result = match self.options.strategy {
@@ -1030,8 +1030,8 @@ mod tests {
 
     #[test]
     fn deterministic_join_reports_when_its_best_was_found() {
-        // A cube task publishes its best only at the join, but with the
-        // instant it found it: before the cube's own `CubeEnd`, so before
+        // The one cube worker publishes each best to the caller's cell
+        // when it finds it: before the cube's own `CubeEnd`, so before
         // the exact side's last event.
         let bsolo =
             BsoloOptions { deterministic_join: true, trace: true, ..BsoloOptions::default() };

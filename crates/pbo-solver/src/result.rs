@@ -139,9 +139,8 @@ pub struct SolverStats {
     /// solve, merged at join (see [`crate::ParBsolo`]). Empty for plain
     /// sequential solves; a single-element vector equal to
     /// [`SolverStats::decisions`] when a parallel driver ran with one
-    /// worker. In deterministic-join mode the entries are per-*cube*
-    /// decision counts in cube-lexicographic order (scheduling-
-    /// independent), not per-thread totals.
+    /// worker. Under [`crate::BsoloOptions::deterministic_join`] the
+    /// cube pool has one worker, so there is one entry.
     pub nodes_per_worker: Vec<u64>,
     /// Dynamic re-splits performed by parallel workers: each takes one
     /// long-running cube and returns the complement cubes of the

@@ -11,6 +11,7 @@ use rand_chacha::ChaCha8Rng;
 use pbo_core::{Instance, InstanceBuilder, Lit, RelOp};
 use pbo_trace::{Event, TraceEvent, LS_LANE_BASE};
 
+use crate::par::tests::{dense_instance, workers_searched};
 use crate::{
     Bsolo, BsoloOptions, LbMethod, ParBsolo, Portfolio, PortfolioOptions, SolveStrategy,
     SolverStats, LB_METHOD_NAMES,
@@ -160,35 +161,37 @@ fn parallel_racing_trace_counts_match_stats() {
 
 #[test]
 fn deterministic_join_trace_is_reproducible_and_coherent() {
+    // Instances the head start cannot finish, so the trace covers the
+    // one worker's cube tasks and their re-splits.
     let mut rng = ChaCha8Rng::seed_from_u64(0xde7);
-    for round in 0..8 {
-        let inst = random_instance(&mut rng, 9);
+    let mut resplit = false;
+    for round in 0..2 {
+        let inst = dense_instance(&mut rng, 32);
         // Lpr rides along: its bound margins (via stable_key) must
         // reproduce run-to-run like every other event payload.
         for lb in [LbMethod::Mis, LbMethod::Lpr] {
             let mut options = traced(lb);
             options.deterministic_join = true;
-            let a = ParBsolo::new(options.clone(), 4).solve(&inst);
-            let b = ParBsolo::new(options, 4).solve(&inst);
-            assert_coherent(&format!("round {round} {lb:?} det run a"), &a.stats);
-            assert_coherent(&format!("round {round} {lb:?} det run b"), &b.stats);
-            // The wall-clock-free view of the event sequence — kind, lane
-            // and payload in emission order — must be a pure function of
-            // instance + options, like every other det-join output.
-            let ka: Vec<String> = a.stats.trace.iter().map(Event::stable_key).collect();
-            let kb: Vec<String> = b.stats.trace.iter().map(Event::stable_key).collect();
-            assert_eq!(
-                ka, kb,
-                "round {round} {lb:?}: det-join event sequence drifted between runs"
-            );
-            // Deterministic mode never reports queue waits, so that
-            // event kind must be absent outright.
-            assert!(
-                !a.stats.trace.iter().any(|e| matches!(e.data, TraceEvent::QueueWait { .. })),
-                "round {round} {lb:?}: queue events in deterministic mode"
-            );
+            options.resplit_conflicts = 2;
+            for threads in [2usize, 8] {
+                let label = format!("round {round} {lb:?} x{threads}");
+                let a = ParBsolo::new(options.clone(), threads).solve(&inst);
+                let b = ParBsolo::new(options.clone(), threads).solve(&inst);
+                assert_coherent(&format!("{label} det run a"), &a.stats);
+                assert_coherent(&format!("{label} det run b"), &b.stats);
+                assert!(workers_searched(&a.stats), "{label}: {:?}", a.stats.nodes_per_worker);
+                resplit |= a.stats.resplits > 0;
+                // The wall-clock-free view of the event sequence — kind,
+                // lane and payload in emission order — must be a pure
+                // function of instance + options, like every other
+                // deterministic-mode output.
+                let ka: Vec<String> = a.stats.trace.iter().map(Event::stable_key).collect();
+                let kb: Vec<String> = b.stats.trace.iter().map(Event::stable_key).collect();
+                assert_eq!(ka, kb, "{label}: event sequence drifted between runs");
+            }
         }
     }
+    assert!(resplit, "no round re-split a cube");
 }
 
 #[test]

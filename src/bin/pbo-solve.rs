@@ -38,14 +38,14 @@
 //! accepts `auto` (or `0`): the count resolves to the machine's
 //! available parallelism, and the resolved value is reported in
 //! `--stats-json`. Workers re-split long-running cubes back onto the
-//! shared cube queue; `--deterministic` trades the incumbent racing for
-//! reproducibility (private incumbent snapshots, fixed re-split
-//! schedule, cube-ordered join) so repeated runs report identical
-//! status, cost, model and counters — for the default strategy too,
-//! which then walks, then searches, with a step-bounded seed phase, as
-//! long as the solve finishes within its budget: under `--timeout-ms`
-//! the seed phase's wall-clock cap (a fifth of the budget) can cut it
-//! short at a different step.
+//! shared cube queue on a fixed conflict schedule. `--deterministic`
+//! trades the parallel workers for reproducibility: the same cube pool
+//! runs on one worker thread, which takes the N cubes in order, so
+//! repeated runs report identical status, cost, model and counters —
+//! for the default strategy too, which then walks, then searches, with
+//! a step-bounded seed phase, as long as the solve finishes within its
+//! budget: under `--timeout-ms` the seed phase's wall-clock cap (a fifth
+//! of the budget) can cut it short at a different step.
 //!
 //! Output follows the pseudo-Boolean competition conventions:
 //! `s OPTIMUM FOUND` / `s SATISFIABLE` / `s UNSATISFIABLE` /
@@ -93,10 +93,11 @@ fn usage() -> ! {
          \n                        otherwise local search seeds the branch-and-bound and\
          \n                        polishes each incumbent it finds\
          \n  --strategy exact      the paper's solver: branch-and-bound only\
-         \n  --deterministic       reproducible runs (the default then always seeds) when\
-         \n                        the solve finishes within its budget (under\
-         \n                        --timeout-ms the seed phase's budget/5 wall-clock\
-         \n                        cap can end it at a different step)"
+         \n  --deterministic       reproducible runs when the solve finishes within its\
+         \n                        budget: the cube pool runs on one worker thread and\
+         \n                        the default always seeds (under --timeout-ms the seed\
+         \n                        phase's budget/5 wall-clock cap can end it at a\
+         \n                        different step)"
     );
     std::process::exit(2);
 }
