@@ -174,10 +174,6 @@ impl LagrangianBound {
 }
 
 impl LowerBound for LagrangianBound {
-    fn name(&self) -> &'static str {
-        "lgr"
-    }
-
     fn lower_bound_into(&mut self, sub: &Subproblem<'_>, upper: Option<i64>, out: &mut LbOutcome) {
         let assignment = sub.assignment();
         let instance = sub.instance();

@@ -118,32 +118,25 @@ impl LbOutcome {
 /// basis, the Lagrangian multipliers); the solver calls the bound once
 /// per search node.
 ///
-/// Implement **at least one** of [`lower_bound`](LowerBound::lower_bound)
-/// and [`lower_bound_into`](LowerBound::lower_bound_into) — each defaults
-/// to the other. Allocation-free kernels (MIS, LGR) implement the `into`
-/// variant, writing the explanation into the caller's reusable buffer;
-/// per-node callers (the solver's bound pipeline) hold one [`LbOutcome`]
-/// and call `lower_bound_into` so the steady state performs no heap
-/// allocation at all.
+/// Implementations provide [`lower_bound_into`](LowerBound::lower_bound_into),
+/// which writes the outcome into a caller-owned [`LbOutcome`], reusing
+/// its explanation and fixing buffers: per-node callers (the solver's
+/// bound pipeline) hold one outcome, so the steady state performs no
+/// heap allocation at all. [`lower_bound`](LowerBound::lower_bound)
+/// wraps it for one-off calls.
 pub trait LowerBound {
-    /// Short identifier used in benchmark tables (`"mis"`, `"lgr"`,
-    /// `"lpr"`, `"none"`).
-    fn name(&self) -> &'static str;
+    /// Computes a lower bound for the residual problem into `out`.
+    /// `upper` is the current best solution (`P.upper`), which
+    /// implementations may use for early termination once the bound
+    /// already prunes.
+    fn lower_bound_into(&mut self, sub: &Subproblem<'_>, upper: Option<i64>, out: &mut LbOutcome);
 
-    /// Computes a lower bound for the residual problem. `upper` is the
-    /// current best solution (`P.upper`), which implementations may use
-    /// for early termination once the bound already prunes.
+    /// Like [`lower_bound_into`](LowerBound::lower_bound_into), but
+    /// returns a fresh outcome.
     fn lower_bound(&mut self, sub: &Subproblem<'_>, upper: Option<i64>) -> LbOutcome {
         let mut out = LbOutcome::bound(0, Vec::new());
         self.lower_bound_into(sub, upper, &mut out);
         out
-    }
-
-    /// Like [`lower_bound`](LowerBound::lower_bound), but writes the
-    /// result into a caller-owned outcome, reusing the explanation
-    /// buffer's capacity across calls.
-    fn lower_bound_into(&mut self, sub: &Subproblem<'_>, upper: Option<i64>, out: &mut LbOutcome) {
-        *out = self.lower_bound(sub, upper);
     }
 }
 
@@ -161,10 +154,6 @@ impl NoBound {
 }
 
 impl LowerBound for NoBound {
-    fn name(&self) -> &'static str {
-        "none"
-    }
-
     fn lower_bound_into(&mut self, sub: &Subproblem<'_>, _upper: Option<i64>, out: &mut LbOutcome) {
         out.bound = sub.path_cost();
         out.infeasible = false;

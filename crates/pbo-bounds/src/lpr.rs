@@ -199,7 +199,9 @@ impl LprBound {
     }
 
     /// Number of trail literals currently mirrored into the simplex
-    /// bounds — the mark to hand to the engine's `sync_trail`.
+    /// bounds. The solver syncs this mirror together with its residual
+    /// state, so it equals the mark the state hands to the engine's
+    /// `sync_trail`.
     #[inline]
     pub fn synced_len(&self) -> usize {
         self.mirror.len()
@@ -302,10 +304,6 @@ impl LprBound {
 }
 
 impl LowerBound for LprBound {
-    fn name(&self) -> &'static str {
-        "lpr"
-    }
-
     fn lower_bound_into(&mut self, sub: &Subproblem<'_>, upper: Option<i64>, out: &mut LbOutcome) {
         if self.trail_mode {
             // The caller already synced the bounds through the trail

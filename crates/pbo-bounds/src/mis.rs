@@ -63,10 +63,8 @@ const MAX_CLOSURE_ROUNDS: usize = 8;
 /// assert_eq!(out.bound, 4);
 /// # Ok::<(), pbo_core::BuildError>(())
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct MisBound {
-    /// Run the implied-literal closure and reduced-cost fixing.
-    implied: bool,
     // --- per-call materialized free-term CSR (reused across calls) ---
     /// Offsets into the `free_*` arrays per active-row position
     /// (length `active + 1`). Each span is stored in **fractional-cover
@@ -114,32 +112,6 @@ pub struct MisBound {
     stamp: u32,
 }
 
-impl Default for MisBound {
-    fn default() -> MisBound {
-        MisBound {
-            implied: true,
-            free_start: Vec::new(),
-            free_coeff: Vec::new(),
-            free_lit: Vec::new(),
-            free_cost: Vec::new(),
-            free_sum0: Vec::new(),
-            free_max: Vec::new(),
-            num_local: 0,
-            scored: Vec::new(),
-            used_stamp: Vec::new(),
-            val_stamp: Vec::new(),
-            val: Vec::new(),
-            sel_stamp: Vec::new(),
-            sel_cost: Vec::new(),
-            need: Vec::new(),
-            free_sum: Vec::new(),
-            expl_rows: Vec::new(),
-            implied_here: Vec::new(),
-            stamp: 0,
-        }
-    }
-}
-
 /// Outcome of one closure pass.
 enum ClosureStep {
     /// Fixpoint reached; accumulated objective cost of implied literals.
@@ -150,20 +122,9 @@ enum ClosureStep {
 }
 
 impl MisBound {
-    /// Creates the bound procedure (implied-literal reasoning enabled).
+    /// Creates the bound procedure.
     pub fn new() -> MisBound {
         MisBound::default()
-    }
-
-    /// Creates the bound procedure with implied-literal reasoning
-    /// switched on or off (the plain paper MIS), for ablations.
-    pub fn with_implied(implied: bool) -> MisBound {
-        MisBound { implied, ..MisBound::default() }
-    }
-
-    /// Returns `true` if implied-literal reasoning is enabled.
-    pub fn implied_enabled(&self) -> bool {
-        self.implied
     }
 
     /// Bumps the shared stamp counter, clearing every stamped array on
@@ -523,10 +484,6 @@ fn ceil_eps(x: f64) -> i64 {
 }
 
 impl LowerBound for MisBound {
-    fn name(&self) -> &'static str {
-        "mis"
-    }
-
     fn lower_bound_into(&mut self, sub: &Subproblem<'_>, upper: Option<i64>, out: &mut LbOutcome) {
         out.explanation.clear();
         out.fixings.clear();
@@ -553,16 +510,11 @@ impl LowerBound for MisBound {
         let mut implied_cost = 0i64;
 
         // --- Pass 0: implication closure over the raw residual. ---
-        if self.implied {
-            match self.closure(sub, active, val_epoch, &mut implied_cost) {
-                ClosureStep::Done => {}
-                ClosureStep::Infeasible(k) => {
-                    return self.infeasible_into(sub, active[k].index, false, upper, out);
-                }
+        match self.closure(sub, active, val_epoch, &mut implied_cost) {
+            ClosureStep::Done => {}
+            ClosureStep::Infeasible(k) => {
+                return self.infeasible_into(sub, active[k].index, false, upper, out);
             }
-        } else {
-            // Plain MIS still needs the per-row requirements.
-            self.recompute_rows(active, val_epoch);
         }
 
         // --- Pass 1: greedy independent-set partition. ---
@@ -583,69 +535,54 @@ impl LowerBound for MisBound {
         };
         let mut bound = sub.path_cost() + implied_cost + ceil_eps(total);
 
-        // --- Pass 2 (optional): reduced-cost fixing against `upper`. ---
+        // --- Pass 2: reduced-cost fixing against `upper`. ---
         // A free costed literal whose cost plus the bound portions
         // independent of its variable reaches `upper` cannot be true in
         // any improving completion; fixing it shrinks rows, which can
         // cascade into implications or a (bound-conditional) wipeout.
-        if self.implied {
-            if let (Some(u), Some(obj)) = (upper, sub.instance().objective()) {
-                if bound < u {
-                    let path = sub.path_cost();
-                    let mut fixed_any = false;
-                    for &(c, l) in obj.terms() {
-                        if c <= 0
-                            || sub.assignment().lit_value(l) != pbo_core::Value::Unassigned
-                            || self.local_value(val_epoch, l.var().index()).is_some()
-                        {
-                            continue;
-                        }
-                        let v = l.var().index();
-                        let sel =
-                            if self.sel_stamp[v] == self.stamp { self.sel_cost[v] } else { 0.0 };
-                        let independent = total - sel;
-                        if path + implied_cost + ceil_eps(independent) + c >= u {
-                            self.val_stamp[v] = val_epoch;
-                            self.val[v] = !l.is_positive();
-                            self.num_local += 1;
-                            fixed_any = true;
+        if let (Some(u), Some(obj)) = (upper, sub.instance().objective()) {
+            if bound < u {
+                let path = sub.path_cost();
+                let mut fixed_any = false;
+                for &(c, l) in obj.terms() {
+                    if c <= 0
+                        || sub.assignment().lit_value(l) != pbo_core::Value::Unassigned
+                        || self.local_value(val_epoch, l.var().index()).is_some()
+                    {
+                        continue;
+                    }
+                    let v = l.var().index();
+                    let sel = if self.sel_stamp[v] == self.stamp { self.sel_cost[v] } else { 0.0 };
+                    let independent = total - sel;
+                    if path + implied_cost + ceil_eps(independent) + c >= u {
+                        self.val_stamp[v] = val_epoch;
+                        self.val[v] = !l.is_positive();
+                        self.num_local += 1;
+                        fixed_any = true;
+                    }
+                }
+                if fixed_any {
+                    match self.closure(sub, active, val_epoch, &mut implied_cost) {
+                        ClosureStep::Done => {}
+                        ClosureStep::Infeasible(k) => {
+                            return self.infeasible_into(sub, active[k].index, true, upper, out);
                         }
                     }
-                    if fixed_any {
-                        match self.closure(sub, active, val_epoch, &mut implied_cost) {
-                            ClosureStep::Done => {}
-                            ClosureStep::Infeasible(k) => {
-                                return self.infeasible_into(
-                                    sub,
-                                    active[k].index,
-                                    true,
-                                    upper,
-                                    out,
-                                );
-                            }
+                    match self.greedy_pass(
+                        sub,
+                        active,
+                        val_epoch,
+                        implied_cost,
+                        upper,
+                        &mut out.explanation,
+                    ) {
+                        Ok(t) => total = t,
+                        Err(k) => {
+                            return self.infeasible_into(sub, active[k].index, true, upper, out);
                         }
-                        match self.greedy_pass(
-                            sub,
-                            active,
-                            val_epoch,
-                            implied_cost,
-                            upper,
-                            &mut out.explanation,
-                        ) {
-                            Ok(t) => total = t,
-                            Err(k) => {
-                                return self.infeasible_into(
-                                    sub,
-                                    active[k].index,
-                                    true,
-                                    upper,
-                                    out,
-                                );
-                            }
-                        }
-                        // Both passes produced valid bounds; keep the max.
-                        bound = bound.max(sub.path_cost() + implied_cost + ceil_eps(total));
                     }
+                    // Both passes produced valid bounds; keep the max.
+                    bound = bound.max(sub.path_cost() + implied_cost + ceil_eps(total));
                 }
             }
         }
@@ -695,37 +632,33 @@ mod tests {
 
     #[test]
     fn fractional_cover_of_general_constraint() {
-        // 3x1 + 2x2 >= 4 with costs 3, 4. Plain fractional cover: x1
-        // covers 3, x2 covers the remaining 1 of 2 -> 3 + 4*0.5 = 5. The
-        // closure sees both literals are forced (5 - 3 < 4, 5 - 2 < 4)
-        // and reaches the true optimum 7.
+        // 3x1 + 2x2 >= 4 with costs 3, 4. The fractional cover alone
+        // would stop at 5 (x1 covers 3, x2 the remaining 1 of 2 -> 3 +
+        // 4*0.5); the closure sees both literals are forced (5 - 3 < 4,
+        // 5 - 2 < 4) and reaches the true optimum 7.
         let mut b = InstanceBuilder::new();
         let v = b.new_vars(2);
         b.add_linear(vec![(3, v[0].positive()), (2, v[1].positive())], pbo_core::RelOp::Ge, 4);
         b.minimize([(3, v[0].positive()), (4, v[1].positive())]);
         let inst = b.build().unwrap();
         let a = Assignment::new(2);
-        let plain = MisBound::with_implied(false).lower_bound(&Subproblem::new(&inst, &a), None);
-        assert_eq!(plain.bound, 5);
-        let implied = MisBound::new().lower_bound(&Subproblem::new(&inst, &a), None);
-        assert_eq!(implied.bound, 7);
+        let out = MisBound::new().lower_bound(&Subproblem::new(&inst, &a), None);
+        assert_eq!(out.bound, 7);
         assert_eq!(brute_force(&inst).cost(), Some(7));
     }
 
     #[test]
     fn implied_literals_raise_the_bound() {
-        // 3x1 + x2 >= 3 forces x1 (cost 4): plain fractional cover gives
-        // 3/4 of x1's cost-per-unit mix; the closure pockets the full 4.
+        // 3x1 + x2 >= 3 forces x1 (cost 4): the fractional cover alone
+        // would mix in the free x2; the closure pockets the full 4.
         let mut b = InstanceBuilder::new();
         let v = b.new_vars(2);
         b.add_linear(vec![(3, v[0].positive()), (1, v[1].positive())], pbo_core::RelOp::Ge, 3);
         b.minimize([(4, v[0].positive()), (0, v[1].positive())]);
         let inst = b.build().unwrap();
         let a = Assignment::new(2);
-        let plain = MisBound::with_implied(false).lower_bound(&Subproblem::new(&inst, &a), None);
-        let implied = MisBound::new().lower_bound(&Subproblem::new(&inst, &a), None);
-        assert_eq!(implied.bound, 4, "x1 is implied, its cost is certain");
-        assert!(plain.bound <= implied.bound);
+        let out = MisBound::new().lower_bound(&Subproblem::new(&inst, &a), None);
+        assert_eq!(out.bound, 4, "x1 is implied, its cost is certain");
         assert_eq!(brute_force(&inst).cost(), Some(4));
     }
 
@@ -744,9 +677,6 @@ mod tests {
         let out = MisBound::new().lower_bound(&Subproblem::new(&inst, &a), None);
         assert!(out.infeasible, "closure must find the x1 contradiction");
         assert_eq!(brute_force(&inst).cost(), None, "instance really is infeasible");
-        // Plain MIS misses it (both rows are individually coverable).
-        let plain = MisBound::with_implied(false).lower_bound(&Subproblem::new(&inst, &a), None);
-        assert!(!plain.infeasible);
     }
 
     #[test]
@@ -755,7 +685,7 @@ mod tests {
         // selects one clause (they overlap on x2): bound 5, no prune.
         // Fixing: x2 true already costs 9 >= upper, so x2 is fixed
         // false; the closure then forces both x1 and x3 (5 + 5 = 10 >=
-        // 9) — the node prunes where plain MIS cannot.
+        // 9) — the node prunes where the greedy bound alone cannot.
         let mut b = InstanceBuilder::new();
         let v = b.new_vars(3);
         b.add_clause([v[0].positive(), v[1].positive()]);
@@ -764,8 +694,6 @@ mod tests {
         let inst = b.build().unwrap();
         let a = Assignment::new(3);
         let sub = Subproblem::new(&inst, &a);
-        let plain = MisBound::with_implied(false).lower_bound(&sub, Some(9));
-        assert!(!plain.prunes(9), "plain MIS must not see it: bound {}", plain.bound);
         let fixed = MisBound::new().lower_bound(&sub, Some(9));
         assert!(fixed.prunes(9), "fixing must prune: bound {}", fixed.bound);
         assert!(!fixed.infeasible, "upper-conditional wipeout must stay a bound fact");

@@ -24,11 +24,14 @@
 //! so `apply`/`unwind` walk two flat arrays instead of pointer-chasing
 //! per-literal `Vec`s. Only the per-row counters are state-local.
 //!
-//! Synchronisation with the search engine uses the engine's trail
-//! low-watermark (`Engine::sync_trail` in `pbo-engine`): the engine
-//! reports the longest still-valid prefix, the state unwinds to it and
-//! replays the new suffix. The rebuild path stays available as the
-//! differential-testing oracle (see `tests/residual_differential.rs`).
+//! Synchronisation with the search engine uses the engine's one trail
+//! low watermark (`Engine::sync_trail` in `pbo-engine`): the engine
+//! reports the longest still-valid prefix, and the solver's bound
+//! pipeline unwinds this state to it and replays the new suffix — in the
+//! same loop as the LP bound's variable-fixing mirror
+//! ([`LprBound::apply`](crate::LprBound::apply)), which holds the same
+//! prefix. The rebuild path stays available as the differential-testing
+//! oracle (see `tests/residual_differential.rs`).
 
 use pbo_core::{Assignment, Instance, Lit};
 

@@ -9,13 +9,13 @@
 use pbo_benchgen::RandomParams;
 use pbo_bounds::{LagrangianBound, LowerBound, LprBound, MisBound, ResidualState, Subproblem};
 use pbo_core::{brute_force, Instance, Lit, RelOp, Value};
-use pbo_engine::{Engine, Resolution, TrailObserver};
+use pbo_engine::{Engine, Resolution};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// Syncs `state` to the engine trail through the low-watermark protocol.
-fn sync(state: &mut ResidualState, instance: &Instance, engine: &mut Engine, obs: TrailObserver) {
-    let keep = engine.sync_trail(obs, state.len());
+/// Syncs `state` to the engine trail through its low watermark.
+fn sync(state: &mut ResidualState, instance: &Instance, engine: &mut Engine) {
+    let keep = engine.sync_trail(state.len());
     state.unwind_to(instance, keep);
     for &lit in &engine.trail()[keep..] {
         state.apply(instance, lit);
@@ -61,7 +61,6 @@ fn random_walk(instance: &Instance, walk_seed: u64, steps: usize) {
             .expect("walk instances must be root-consistent, or the walk tests nothing");
     }
     let mut state = ResidualState::new(instance);
-    let obs = engine.register_trail_observer();
     let mut rng = ChaCha8Rng::seed_from_u64(walk_seed);
     // Also feed both view flavours to warm-started bound procedures: they
     // must stay in lockstep along the whole walk.
@@ -105,7 +104,7 @@ fn random_walk(instance: &Instance, walk_seed: u64, steps: usize) {
             engine.restart();
         }
 
-        sync(&mut state, instance, &mut engine, obs);
+        sync(&mut state, instance, &mut engine);
         let context = format!("step {step}");
         assert_views_identical(&mut state, instance, &engine, &context);
 
@@ -309,7 +308,6 @@ fn deep_backjump_after_long_descent_resyncs_in_one_step() {
         engine.add_constraint(c).expect("monotone instances are root-consistent");
     }
     let mut state = ResidualState::new(&instance);
-    let obs = engine.register_trail_observer();
     let mut rng = ChaCha8Rng::seed_from_u64(99);
     for _ in 0..instance.num_vars() {
         let unassigned: Vec<usize> = (0..instance.num_vars())
@@ -321,11 +319,11 @@ fn deep_backjump_after_long_descent_resyncs_in_one_step() {
             break;
         }
     }
-    sync(&mut state, &instance, &mut engine, obs);
+    sync(&mut state, &instance, &mut engine);
     assert_views_identical(&mut state, &instance, &engine, "after descent");
     let deep_len = state.len();
     engine.backjump_to(0);
-    sync(&mut state, &instance, &mut engine, obs);
+    sync(&mut state, &instance, &mut engine);
     assert!(state.len() <= deep_len);
     assert_views_identical(&mut state, &instance, &engine, "after root backjump");
     assert_eq!(state.len(), engine.trail_len(), "everything above the root must have been unwound");

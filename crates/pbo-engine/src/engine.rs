@@ -8,7 +8,9 @@
 //! conflicting clauses (sec. 4 of the paper) and with reduced-cost
 //! fixings implied under the bound's explanation
 //! ([`Engine::imply_explained`]), the linear-search baselines drive it
-//! as a plain SAT engine.
+//! as a plain SAT engine. One trail low watermark
+//! ([`Engine::sync_trail`]) tells the bound pipeline how much of the
+//! trail its mirrors may keep at each node.
 
 use pbo_core::{Assignment, Lit, PbConstraint, PbTerm, Value, Var};
 
@@ -23,16 +25,6 @@ const CANCEL_CHECK_INTERVAL: u32 = 512;
 /// Stable identifier of a pseudo-Boolean constraint inside the engine.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct PbId(pub(crate) u32);
-
-/// Handle of a registered trail observer (see
-/// [`Engine::register_trail_observer`]).
-///
-/// Each observer mirrors a prefix of the trail and owns its own low
-/// watermark, so several consumers (e.g. the incremental residual state
-/// and the LP bound's variable-fixing mirror) can reconcile against the
-/// same engine independently.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub struct TrailObserver(u32);
 
 impl PbId {
     /// Raw index value (for diagnostics).
@@ -192,10 +184,10 @@ pub struct Engine {
     phase: Vec<bool>,
     seen: Vec<bool>,
     root_unsat: bool,
-    /// Per-observer low watermark: the lowest trail length reached since
-    /// that observer's last [`Engine::sync_trail`] call — its
-    /// reconciliation point. Indexed by [`TrailObserver`].
-    trail_low: Vec<usize>,
+    /// Trail low watermark: the lowest trail length reached since the
+    /// last [`Engine::sync_trail`] call — the mirror's reconciliation
+    /// point.
+    trail_low: usize,
     /// Telemetry sink; [`pbo_trace::Tracer::off`] by default, so the
     /// emission sites below cost one branch when tracing is disabled.
     tracer: pbo_trace::Tracer,
@@ -253,7 +245,7 @@ impl Engine {
             phase: vec![false; num_vars],
             seen: vec![false; num_vars],
             root_unsat: false,
-            trail_low: Vec::new(),
+            trail_low: 0,
             tracer: pbo_trace::Tracer::off(),
             cancel: None,
             cancel_clock: 0,
@@ -319,45 +311,28 @@ impl Engine {
         self.trail.len()
     }
 
-    /// Registers a new trail observer and returns its handle.
+    /// Reconciles the caller's trail mirror (the residual state of the
+    /// bound pipeline, and under LPR the LP bound's variable fixings,
+    /// both synced in the same call) in O(Δ) instead of O(trail).
     ///
-    /// An observer mirrors a prefix of the trail (initially the empty
-    /// prefix) and reconciles with [`Engine::sync_trail`]. Each observer
-    /// carries its own low watermark, so any number of independent
-    /// consumers — the incremental residual state, the LP bound's
-    /// variable-fixing mirror, future incremental analyses — can track
-    /// the same engine in O(Δ) each.
-    pub fn register_trail_observer(&mut self) -> TrailObserver {
-        let id = TrailObserver(self.trail_low.len() as u32);
-        // A fresh observer has seen nothing, so its first sync passes
-        // `synced_len == 0` and `keep` is 0 regardless of the watermark;
-        // starting at the current trail length keeps the invariant
-        // "lowest length reached since last sync".
-        self.trail_low.push(self.trail.len());
-        id
-    }
-
-    /// Reconciles the registered trail observer `obs` (e.g. the residual
-    /// state maintained by a lower-bound procedure) in O(Δ) instead of
-    /// O(trail).
-    ///
-    /// The observer mirrors a prefix of the trail: it last saw
-    /// `synced_len` literals. Because backjumping only ever *truncates*
-    /// the trail and assignment only *appends*, the trail the observer
-    /// saw and the current trail share a prefix of length at least
+    /// The mirror holds a prefix of the trail: it last saw `synced_len`
+    /// literals. Because backjumping only ever *truncates* the trail and
+    /// assignment only *appends*, the trail the mirror saw and the
+    /// current trail share a prefix of length at least
     /// `min(synced_len, low)`, where `low` is the lowest trail length
-    /// reached since the observer last synced. This method returns that
-    /// `keep` point; the contract is that the caller immediately
+    /// reached since the last sync. This method returns that `keep`
+    /// point and resets the watermark; the contract is that the caller
+    /// immediately
     ///
     /// 1. unwinds its mirrored state down to `keep` literals, then
     /// 2. replays `self.trail()[keep..]`,
     ///
-    /// after which the observer is exactly in sync. Only `obs`'s
-    /// watermark is reset; other observers are unaffected.
-    pub fn sync_trail(&mut self, obs: TrailObserver, synced_len: usize) -> usize {
-        let low = &mut self.trail_low[obs.0 as usize];
-        let keep = synced_len.min(*low);
-        *low = self.trail.len();
+    /// after which the mirror is exactly in sync. There is one
+    /// watermark, so every mirror must be reconciled to the returned
+    /// `keep` before the next call.
+    pub fn sync_trail(&mut self, synced_len: usize) -> usize {
+        let keep = synced_len.min(self.trail_low);
+        self.trail_low = self.trail.len();
         keep
     }
 
@@ -370,17 +345,6 @@ impl Engine {
     /// Saved phase (preferred polarity) of a variable.
     pub fn phase_of(&self, var: Var) -> bool {
         self.phase[var.index()]
-    }
-
-    /// Overrides the saved phase of a variable.
-    pub fn set_phase(&mut self, var: Var, value: bool) {
-        self.phase[var.index()] = value;
-    }
-
-    /// Bumps the VSIDS activity of a variable (used by solvers to inform
-    /// branching, e.g. from LP fractionality).
-    pub fn bump_var(&mut self, var: Var) {
-        self.vsids.bump(var);
     }
 
     /// Extracts the complete model as booleans.
@@ -845,9 +809,7 @@ impl Engine {
             self.expls.pop();
             self.expl_lits.truncate(start as usize);
         }
-        for low in &mut self.trail_low {
-            *low = (*low).min(new_len);
-        }
+        self.trail_low = self.trail_low.min(new_len);
     }
 
     /// Restarts the search (backjump to the root, keep learned clauses).

@@ -586,15 +586,14 @@ fn stats_track_activity() {
 fn sync_trail_reports_appended_literals() {
     let mut e = Engine::new(4);
     e.add_constraint(&PbConstraint::clause([lit(0, true), lit(1, true)])).unwrap();
-    let obs = e.register_trail_observer();
     // First sync from scratch sees the whole trail.
-    let keep = e.sync_trail(obs, 0);
+    let keep = e.sync_trail(0);
     assert_eq!(keep, 0);
     let synced = e.trail_len();
     e.decide(lit(0, false));
     assert!(e.propagate().is_none()); // forces x2
                                       // Only the delta is replayed: keep == old mark, suffix is new.
-    let keep = e.sync_trail(obs, synced);
+    let keep = e.sync_trail(synced);
     assert_eq!(keep, synced);
     assert_eq!(e.trail()[keep..].len(), e.trail_len() - synced);
     assert!(e.trail()[keep..].contains(&lit(0, false)));
@@ -604,18 +603,17 @@ fn sync_trail_reports_appended_literals() {
 #[test]
 fn sync_trail_watermark_survives_backjump_and_regrowth() {
     let mut e = Engine::new(6);
-    let obs = e.register_trail_observer();
-    // Observer synced at depth 3; engine backjumps to depth 1 and grows a
+    // Mirror synced at depth 3; engine backjumps to depth 1 and grows a
     // different branch: keep must be the low watermark, not the mark.
     e.decide(lit(0, true));
     e.decide(lit(1, true));
     e.decide(lit(2, true));
     let mark = e.trail_len();
-    assert_eq!(e.sync_trail(obs, 0), 0); // observer now mirrors 3 literals
+    assert_eq!(e.sync_trail(0), 0); // the mirror now holds 3 literals
     e.backjump_to(1); // lose x2, x3
     e.decide(lit(3, false));
     e.decide(lit(4, false));
-    let keep = e.sync_trail(obs, mark);
+    let keep = e.sync_trail(mark);
     assert_eq!(keep, 1, "only the level-1 prefix survived");
     let replay: Vec<Lit> = e.trail()[keep..].to_vec();
     assert_eq!(replay, vec![lit(3, false), lit(4, false)]);
@@ -624,37 +622,14 @@ fn sync_trail_watermark_survives_backjump_and_regrowth() {
 #[test]
 fn sync_trail_watermark_resets_after_ack() {
     let mut e = Engine::new(4);
-    let obs = e.register_trail_observer();
     e.decide(lit(0, true));
-    assert_eq!(e.sync_trail(obs, 0), 0);
+    assert_eq!(e.sync_trail(0), 0);
     // No backjump since the ack: the whole synced prefix is still valid.
     e.decide(lit(1, true));
-    assert_eq!(e.sync_trail(obs, 1), 1);
+    assert_eq!(e.sync_trail(1), 1);
     // Backjump to root invalidates everything.
     e.backjump_to(0);
-    assert_eq!(e.sync_trail(obs, 2), 0);
-}
-
-#[test]
-fn trail_observers_have_independent_watermarks() {
-    let mut e = Engine::new(6);
-    let a = e.register_trail_observer();
-    e.decide(lit(0, true));
-    e.decide(lit(1, true));
-    // Observer `a` acks the 2-literal trail; observer `b` registers late
-    // and has seen nothing yet.
-    assert_eq!(e.sync_trail(a, 0), 0);
-    let b = e.register_trail_observer();
-    e.decide(lit(2, true));
-    // `b`'s first sync replays from scratch without disturbing `a`.
-    assert_eq!(e.sync_trail(b, 0), 0);
-    assert_eq!(e.sync_trail(a, 2), 2);
-    // A backjump invalidates both, from their own sync points.
-    e.backjump_to(1);
-    e.decide(lit(3, false));
-    assert_eq!(e.sync_trail(a, 3), 1);
-    // `a`'s ack must not have reset `b`'s watermark.
-    assert_eq!(e.sync_trail(b, 3), 1);
+    assert_eq!(e.sync_trail(2), 0);
 }
 
 /// Literals implied through `imply_explained` take the current level

@@ -44,9 +44,7 @@ mod luby;
 mod vsids;
 
 pub use clause::{Clause, ClauseDb, ClauseId};
-pub use engine::{
-    Conflict, Engine, EngineStats, PbId, Reason, Resolution, RootConflict, TrailObserver,
-};
+pub use engine::{Conflict, Engine, EngineStats, PbId, Reason, Resolution, RootConflict};
 pub use luby::{luby, LubyRestarts};
 pub use vsids::Vsids;
 

@@ -32,9 +32,8 @@
 //!   free-term counters are synced to the engine trail in O(Δ) per node
 //!   instead of rebuilding the subproblem from scratch (the O(instance)
 //!   rebuild survives only as the tests' differential oracle). The LP
-//!   bound's variable fixings ride the same trail protocol through a
-//!   second engine observer, so LP bound sync is O(changed vars) per
-//!   node too;
+//!   bound's variable fixings replay the same trail suffix in the same
+//!   sync, so LP bound sync is O(changed vars) per node too;
 //! * LP-guided branching when the LP relaxation is the bound procedure
 //!   (sec. 5): branch on the fractional variable closest to 0.5,
 //!   VSIDS tie-break;
@@ -148,7 +147,7 @@ impl Bsolo {
         polish: Option<&LsOptions>,
     ) -> SolveResult {
         let start = Instant::now();
-        let mut stats = SolverStats::default();
+        let mut stats = SolverStats { lb_method: self.options.lb_method, ..SolverStats::default() };
         let (options, lp_stop) = under_budget_deadline(&self.options);
         // Covering-style simplification preserves the variable space and
         // the exact feasible set, so models and costs transfer 1:1 (which
@@ -195,12 +194,12 @@ impl Bsolo {
 /// The options a solve runs under, and the raw flag its LP pivot loop
 /// polls. A wall-clock budget reaches the layers the between-node budget
 /// check cannot — the LP pivot loop and the propagation loop — through
-/// the cancel token's deadline. When the caller's token has none of its
-/// own, the solve runs under a [`CancelToken::child`] carrying the
-/// budget's deadline, so the caller's token leaves the solve as it came
-/// in and can be reused. A child latches its raw flag only when something
-/// polls it, so the LP keeps polling the caller's flag, beside the
-/// child's deadline.
+/// the cancel token's deadline. With a caller's token, a budgeted solve
+/// runs under a [`CancelToken::child`] carrying the budget's deadline: it
+/// reports the earlier of that and the caller's own deadline, and the
+/// caller's token leaves the solve as it came in and can be reused. A
+/// child latches its raw flag only when something polls it, so the LP
+/// keeps polling the caller's flag, beside the child's deadline.
 ///
 /// [`CancelToken::child`]: pbo_core::CancelToken::child
 pub(crate) fn under_budget_deadline(
@@ -209,11 +208,9 @@ pub(crate) fn under_budget_deadline(
     let mut options = options.clone();
     let lp_stop = options.cancel.as_ref().map(|cancel| cancel.flag());
     if let (Some(cancel), Some(t)) = (&options.cancel, options.budget.time) {
-        if cancel.deadline().is_none() {
-            let child = cancel.child();
-            child.deadline_in(t);
-            options.cancel = Some(child);
-        }
+        let child = cancel.child();
+        child.deadline_in(t);
+        options.cancel = Some(child);
     }
     (options, lp_stop)
 }
@@ -233,7 +230,7 @@ pub(crate) struct SearchState<'a> {
     options: &'a BsoloOptions,
     engine: Engine,
     /// The bounding subsystem: bound procedure, residual state, trail
-    /// observers and gating policy.
+    /// sync and gating policy.
     pipeline: BoundPipeline,
     /// Shared incumbent cell of the portfolio, if any.
     cell: Option<&'a IncumbentCell>,
@@ -322,7 +319,7 @@ impl<'a> SearchState<'a> {
                 return Err(());
             }
         }
-        let mut pipeline = BoundPipeline::new(instance, options, &mut engine);
+        let mut pipeline = BoundPipeline::new(instance, options);
         pipeline.set_tracer(tracer.clone());
         // Thread the cancel token into the two kernels that can outlive
         // a between-node budget check: unit propagation and the LP

@@ -73,12 +73,8 @@ pub use portfolio::{
     IncumbentCell, LocalSearch, LsOptions, LsResult, LsStats, Portfolio, PortfolioOptions,
 };
 pub use preprocess::{probe, simplify, ProbeOutcome};
-pub use result::{
-    LbMethodStats, ServiceStatus, SolveResult, SolveStatus, SolverStats, LB_METHOD_NAMES,
-};
+pub use result::{ServiceStatus, SolveResult, SolveStatus, SolverStats};
 
-#[cfg(test)]
-mod method_bucket_tests;
 #[cfg(test)]
 mod pin_tests;
 #[cfg(test)]

@@ -171,13 +171,15 @@ pub struct BsoloOptions {
     /// the LP relaxation's pivot loop, local-search steps and the
     /// parallel cube queue — so a cancel (external or deadline) tears
     /// the solve down in bounded time with the best verified incumbent
-    /// intact and `SolverStats::cancelled` set. A token without a
-    /// deadline of its own gets [`Budget::time`]'s through a child token
-    /// the solve runs under, so the token itself leaves the solve
-    /// unchanged and can be reused.
-    /// `None` keeps the seed behaviour: the budget is only checked
-    /// between search-loop iterations, which an expensive LP solve can
-    /// overshoot.
+    /// intact and `SolverStats::cancelled` set. With [`Budget::time`]
+    /// set, the solve runs under a child of the token armed with the
+    /// budget's deadline, so those layers stop at the earlier of the
+    /// budget's and the token's own deadline, an expired budget is
+    /// reported as budget exhaustion, and the token itself leaves the
+    /// solve unchanged and can be reused.
+    /// With `None`, the budget's deadline still reaches the LP pivot
+    /// loop; propagation is bounded by the between-node budget check
+    /// alone.
     pub cancel: Option<pbo_core::CancelToken>,
 }
 

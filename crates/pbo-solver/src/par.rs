@@ -558,7 +558,7 @@ impl ParBsolo {
         // at a time (see [`BsoloOptions::deterministic_join`]).
         let workers = if self.options.deterministic_join { 1 } else { self.threads };
 
-        let mut stats = SolverStats::default();
+        let mut stats = SolverStats { lb_method: self.options.lb_method, ..SolverStats::default() };
         // Driver-lane tracer (lane 0): head-start events, splitter
         // decisions and split-time solutions. Worker lanes are created
         // inside the worker threads (the buffer is worker-owned).

@@ -2,10 +2,13 @@
 //! bound needs.
 //!
 //! Before this module existed, `bsolo.rs` wired each piece ad hoc — the
-//! bound-procedure dispatch, the incremental [`ResidualState`], its
-//! engine trail observer, the LP bound's second observer, and the
-//! per-method gating rules were separate fields threaded through the
-//! search loop. [`BoundPipeline`] owns all of it.
+//! bound-procedure dispatch, the incremental [`ResidualState`], the LP
+//! bound's variable-fixing mirror, their trail syncs and the per-method
+//! gating rules were separate fields threaded through the search loop.
+//! [`BoundPipeline`] owns all of it. Both mirrors follow the engine's
+//! one trail watermark ([`Engine::sync_trail`]): each call syncs once,
+//! unwinds both to the kept prefix and replays the new literals into
+//! both in one loop.
 //!
 //! Every bound reads one row set, the instance's. The eq. 10 and eqs.
 //! 11–13 cost cuts live only in the engine, and no learned clause ever
@@ -42,7 +45,7 @@ use pbo_bounds::{
     LagrangianBound, LbOutcome, LowerBound, LprBound, MisBound, NoBound, ResidualState, Subproblem,
 };
 use pbo_core::Instance;
-use pbo_engine::{Engine, TrailObserver};
+use pbo_engine::Engine;
 use pbo_fault::failpoint;
 
 use crate::options::{BsoloOptions, LbMethod};
@@ -68,16 +71,6 @@ impl Bound {
     }
 }
 
-/// `SolverStats::lb_methods` bucket of a method.
-fn method_bucket(method: LbMethod) -> usize {
-    match method {
-        LbMethod::None => 0,
-        LbMethod::Mis => 1,
-        LbMethod::Lagrangian => 2,
-        LbMethod::Lpr => 3,
-    }
-}
-
 #[cfg(test)]
 thread_local! {
     /// The rebuild oracle's switch: a pipeline built on this thread
@@ -100,16 +93,13 @@ pub(crate) fn with_rebuild_oracle<R>(solve: impl FnOnce() -> R) -> R {
 }
 
 /// Owner of the bounding subsystem: bound procedure, residual state,
-/// trail observers and gating policy.
+/// trail sync and gating policy.
 pub(crate) struct BoundPipeline {
     bound: Bound,
-    /// Trail-mirrored residual problem and the engine trail observer
-    /// backing it; `None` on a decision instance, which never computes
-    /// a bound.
-    residual: Option<(ResidualState, TrailObserver)>,
-    /// Engine trail observer backing the LP bound's variable-fixing
-    /// mirror ([`LbMethod::Lpr`] only).
-    lpr_obs: Option<TrailObserver>,
+    /// Trail-mirrored residual problem; `None` on a decision instance,
+    /// which never computes a bound. Under LPR the LP bound's
+    /// variable fixings mirror the same trail prefix.
+    residual: Option<ResidualState>,
     /// Reusable per-node outcome (explanation buffer included).
     out: LbOutcome,
     method: LbMethod,
@@ -119,7 +109,7 @@ pub(crate) struct BoundPipeline {
 }
 
 impl BoundPipeline {
-    pub fn new(instance: &Instance, options: &BsoloOptions, engine: &mut Engine) -> BoundPipeline {
+    pub fn new(instance: &Instance, options: &BsoloOptions) -> BoundPipeline {
         // A decision instance never computes a bound, so it builds none:
         // an LP relaxation would copy every row into the LP for nothing.
         let method = if instance.is_optimization() { options.lb_method } else { LbMethod::None };
@@ -131,19 +121,14 @@ impl BoundPipeline {
         };
         // Every optimization instance mirrors the engine trail into the
         // residual state and, under LPR, into the LP bound's variable
-        // fixings through a second observer: O(Δ) per node each.
+        // fixings: O(Δ) per node.
         #[cfg(not(test))]
         let mirror = instance.is_optimization();
         #[cfg(test)]
         let mirror = instance.is_optimization() && !REBUILD_ORACLE.get();
-        let residual =
-            mirror.then(|| (ResidualState::new(instance), engine.register_trail_observer()));
-        let lpr_obs =
-            (mirror && matches!(bound, Bound::Lpr(_))).then(|| engine.register_trail_observer());
         BoundPipeline {
             bound,
-            residual,
-            lpr_obs,
+            residual: mirror.then(|| ResidualState::new(instance)),
             out: LbOutcome::bound(0, Vec::new()),
             method,
             tracer: pbo_trace::Tracer::off(),
@@ -201,23 +186,30 @@ impl BoundPipeline {
         stats: &mut SolverStats,
     ) {
         let sub_start = Instant::now();
-        let BoundPipeline { bound, residual, lpr_obs, out, method, tracer } = self;
-        // Keep the LP bound's variable fixings in lockstep with the
-        // trail (O(Δ) per node) through its own observer.
-        if let (Some(obs), Bound::Lpr(lpr)) = (*lpr_obs, &mut *bound) {
-            let keep = engine.sync_trail(obs, lpr.synced_len());
-            lpr.unwind_to(keep);
-            for &lit in &engine.trail()[keep..] {
-                lpr.apply(lit);
-            }
-        }
-        // Produce the residual view: O(Δ) sync + O(active) snapshot.
+        let BoundPipeline { bound, residual, out, method, tracer } = self;
+        // Produce the residual view: one O(Δ) trail sync for the residual
+        // state and the LP bound's variable fixings, then an O(active)
+        // snapshot.
         let sub = match residual {
-            Some((state, obs)) => {
-                let keep = engine.sync_trail(*obs, state.len());
+            Some(state) => {
+                let mut lpr = match bound {
+                    Bound::Lpr(lpr) => Some(lpr.as_mut()),
+                    _ => None,
+                };
+                debug_assert!(
+                    lpr.as_ref().is_none_or(|lpr| lpr.synced_len() == state.len()),
+                    "the LP mirror drifted from the residual state"
+                );
+                let keep = engine.sync_trail(state.len());
                 state.unwind_to(instance, keep);
+                if let Some(lpr) = &mut lpr {
+                    lpr.unwind_to(keep);
+                }
                 for &lit in &engine.trail()[keep..] {
                     state.apply(instance, lit);
+                    if let Some(lpr) = &mut lpr {
+                        lpr.apply(lit);
+                    }
                 }
                 state.view(instance, engine.assignment())
             }
@@ -238,11 +230,6 @@ impl BoundPipeline {
         stats.lb_calls += 1;
         let lb_elapsed = lb_start.elapsed();
         stats.lb_time_total += lb_elapsed;
-        let bucket = &mut stats.lb_methods[method_bucket(*method)];
-        bucket.calls += 1;
-        bucket.time_total += lb_elapsed;
-        let pruned = out.infeasible || upper.is_some_and(|u| out.prunes(u));
-        bucket.prunes += u64::from(pruned);
         if !out.infeasible {
             stats.lb_margin_sum += out.bound.saturating_sub(path).max(0) as u64;
         }
@@ -293,7 +280,7 @@ mod fault_tests {
         for c in inst.constraints() {
             engine.add_constraint(c).unwrap();
         }
-        let mut pipeline = BoundPipeline::new(&inst, &options, &mut engine);
+        let mut pipeline = BoundPipeline::new(&inst, &options);
         let mut stats = SolverStats::default();
 
         pipeline.compute(&mut engine, &inst, None, &mut stats);

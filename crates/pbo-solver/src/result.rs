@@ -21,6 +21,8 @@ use std::time::Duration;
 
 use pbo_trace::Event;
 
+use crate::options::LbMethod;
+
 /// Final status of a solve.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum SolveStatus {
@@ -47,33 +49,6 @@ impl fmt::Display for SolveStatus {
     }
 }
 
-/// Stable JSON/bucket names of the per-method breakdown, in bucket
-/// order (see [`SolverStats::lb_methods`]).
-pub const LB_METHOD_NAMES: [&str; 4] = ["plain", "mis", "lgr", "lpr"];
-
-/// Per-bounding-method effort breakdown: one bucket per bound kernel. A
-/// solve charges exactly one bucket, so the bucket totals always sum to
-/// [`SolverStats::lb_calls`] / [`SolverStats::lb_time_total`].
-#[derive(Copy, Clone, Default, Debug, PartialEq, Eq)]
-pub struct LbMethodStats {
-    /// Bound-kernel calls charged to this method.
-    pub calls: u64,
-    /// Wall time inside this method's kernel, summed across workers at
-    /// join (CPU-like, same semantics as [`SolverStats::lb_time_total`]).
-    pub time_total: Duration,
-    /// Calls whose outcome closed the node (pruned or proved the
-    /// residual infeasible).
-    pub prunes: u64,
-}
-
-impl LbMethodStats {
-    fn absorb(&mut self, other: &LbMethodStats) {
-        self.calls += other.calls;
-        self.time_total += other.time_total;
-        self.prunes += other.prunes;
-    }
-}
-
 /// Effort counters for one solve.
 #[derive(Clone, Default, Debug)]
 pub struct SolverStats {
@@ -88,9 +63,12 @@ pub struct SolverStats {
     /// Literals implied by reduced cost: the LP bound's fixings
     /// ([`pbo_bounds::LbOutcome::fixings`]) the search assigned.
     pub lb_fixings: u64,
-    /// Per-method breakdown of `lb_calls`/`lb_time_total`, indexed in
-    /// [`LB_METHOD_NAMES`] order (`plain`, `mis`, `lgr`, `lpr`).
-    pub lb_methods: [LbMethodStats; 4],
+    /// The bound method of the solve ([`crate::BsoloOptions::lb_method`]),
+    /// recorded once by the solver that builds these stats. Every bound
+    /// call of a solve runs it, so `lb_calls`, `lb_time_total` and
+    /// `bound_conflicts` are its totals, and `--stats-json` reports them
+    /// as its `lb_methods` entry.
+    pub lb_method: LbMethod,
     /// Sum over finite lower-bound outcomes of `bound - path_cost` (the
     /// per-node bound margin); divided by `lb_calls` this is the mean
     /// per-node bound strength (reported in `--stats-json`).
@@ -182,16 +160,13 @@ impl SolverStats {
     /// wall-clock effort spent *inside* the bound machinery, which
     /// therefore reads as CPU time, not elapsed time, for parallel
     /// solves — while the wall fields (`solve_time`, `time_to_best`,
-    /// `ls_time`) are left to the driver.
+    /// `ls_time`) and `lb_method` are left to the driver.
     pub fn absorb(&mut self, other: &SolverStats) {
         self.decisions += other.decisions;
         self.conflicts += other.conflicts;
         self.bound_conflicts += other.bound_conflicts;
         self.lb_calls += other.lb_calls;
         self.lb_fixings += other.lb_fixings;
-        for (mine, theirs) in self.lb_methods.iter_mut().zip(other.lb_methods.iter()) {
-            mine.absorb(theirs);
-        }
         self.lb_margin_sum += other.lb_margin_sum;
         self.lb_time_total += other.lb_time_total;
         self.sub_time_total += other.sub_time_total;
@@ -239,7 +214,10 @@ impl SolverStats {
     /// `clauses_shared` and `clauses_imported` are always 0: the cube
     /// queue has no stealing and workers trade no clauses, and the keys
     /// stay in the schema for existing readers (`pbobench/run.py` reads
-    /// them).
+    /// them). `lb_methods` has one entry per method (`plain`, `mis`,
+    /// `lgr`, `lpr`): [`SolverStats::lb_method`]'s carries `lb_calls`,
+    /// `lb_time_total` and `bound_conflicts` as its `calls`,
+    /// `time_total_ms` and `prunes`, and the other three read zero.
     pub fn to_json(&self) -> String {
         let ms = |d: Duration| d.as_secs_f64() * 1e3;
         let mut s = String::from("{");
@@ -279,16 +257,23 @@ impl SolverStats {
             self.cancelled,
         );
         s.push_str("\"lb_methods\":{");
-        for (i, (name, m)) in LB_METHOD_NAMES.iter().zip(self.lb_methods.iter()).enumerate() {
+        for (i, method) in [LbMethod::None, LbMethod::Mis, LbMethod::Lagrangian, LbMethod::Lpr]
+            .into_iter()
+            .enumerate()
+        {
             if i > 0 {
                 s.push(',');
             }
+            let (calls, time_total, prunes) = if method == self.lb_method {
+                (self.lb_calls, self.lb_time_total, self.bound_conflicts)
+            } else {
+                (0, Duration::ZERO, 0)
+            };
             let _ = write!(
                 s,
-                "\"{name}\":{{\"calls\":{},\"time_total_ms\":{:.3},\"prunes\":{}}}",
-                m.calls,
-                ms(m.time_total),
-                m.prunes
+                "\"{}\":{{\"calls\":{calls},\"time_total_ms\":{:.3},\"prunes\":{prunes}}}",
+                method.name(),
+                ms(time_total),
             );
         }
         s.push_str("},");
@@ -458,6 +443,22 @@ mod tests {
         total.absorb(&SolverStats { lb_fixings: 4, ..SolverStats::default() });
         assert_eq!(total.lb_fixings, 7);
         assert!(total.to_json().contains("\"lb_fixings\":7,"), "{}", total.to_json());
+    }
+
+    #[test]
+    fn json_charges_the_bound_totals_to_the_solve_method() {
+        let stats = SolverStats {
+            lb_method: LbMethod::Mis,
+            lb_calls: 5,
+            lb_time_total: Duration::from_millis(2),
+            bound_conflicts: 3,
+            ..SolverStats::default()
+        };
+        let zero = r#"{"calls":0,"time_total_ms":0.000,"prunes":0}"#;
+        let own = r#"{"calls":5,"time_total_ms":2.000,"prunes":3}"#;
+        let want =
+            format!(r#""lb_methods":{{"plain":{zero},"mis":{own},"lgr":{zero},"lpr":{zero}}},"#);
+        assert!(stats.to_json().contains(&want), "{}", stats.to_json());
     }
 
     #[test]

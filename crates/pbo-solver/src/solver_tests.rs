@@ -279,18 +279,10 @@ fn budgeted_solve_leaves_a_reused_cancel_token_unarmed() {
     }
 }
 
-/// A time budget bounds a single LP solve even when the caller passes no
-/// cancel token (`pbo-solve --timeout-ms`, `pbo::solve`, Table 1): on a
-/// tall random instance one root relaxation solve outlasts a 300 ms
-/// budget, and the search must still end within a second of it,
-/// reporting budget exhaustion rather than a cancellation.
-/// Wall-clock-sensitive, so ignored by default; CI runs it in release.
-#[test]
-#[ignore = "timing-sensitive: run with --release -- --ignored (CI does)"]
-fn budget_bounds_a_long_lp_solve_without_a_cancel_token() {
-    use std::time::{Duration, Instant};
-    // Tall covering rows: eight variables each, a third of the weight
-    // required.
+/// Tall covering rows, eight variables each, a third of the weight
+/// required: one root relaxation solve of this instance outlasts a 300 ms
+/// budget.
+fn tall_covering_instance() -> Instance {
     let mut rng = ChaCha8Rng::seed_from_u64(0x7a11);
     let mut b = InstanceBuilder::new();
     let vars = b.new_vars(300);
@@ -306,7 +298,20 @@ fn budget_bounds_a_long_lp_solve_without_a_cancel_token() {
         b.add_linear(terms, RelOp::Ge, rhs);
     }
     b.minimize(vars.iter().map(|v| (rng.gen_range(1..10), v.positive())));
-    let inst = b.build().expect("covering rows are satisfiable");
+    b.build().expect("covering rows are satisfiable")
+}
+
+/// A time budget bounds a single LP solve even when the caller passes no
+/// cancel token (`pbo-solve --timeout-ms`, `pbo::solve`, Table 1): on
+/// [`tall_covering_instance`] the search must still end within a second
+/// of a 300 ms budget, reporting budget exhaustion rather than a
+/// cancellation.
+/// Wall-clock-sensitive, so ignored by default; CI runs it in release.
+#[test]
+#[ignore = "timing-sensitive: run with --release -- --ignored (CI does)"]
+fn budget_bounds_a_long_lp_solve_without_a_cancel_token() {
+    use std::time::{Duration, Instant};
+    let inst = tall_covering_instance();
     let budget = Duration::from_millis(300);
     let start = Instant::now();
     let got = Bsolo::new(BsoloOptions::default().budget(Budget::time_limit(budget))).solve(&inst);
@@ -318,6 +323,52 @@ fn budget_bounds_a_long_lp_solve_without_a_cancel_token() {
         got.status
     );
     assert!(!got.stats.cancelled, "budget exhaustion reported as a cancellation");
+}
+
+/// The same budget binds when the caller's cancel token carries a
+/// deadline of its own, ten minutes away: the solve runs under a child of
+/// the token armed with the budget, so propagation and the LP pivot loop
+/// stop at the budget, the expiry is reported as budget exhaustion, and
+/// the token still reports only its own deadline. Sequential and
+/// parallel. Wall-clock-sensitive, so ignored by default; CI runs it in
+/// release.
+#[test]
+#[ignore = "timing-sensitive: run with --release -- --ignored (CI does)"]
+fn budget_bounds_a_long_lp_solve_under_a_later_token_deadline() {
+    use std::time::{Duration, Instant};
+    let inst = tall_covering_instance();
+    let budget = Duration::from_millis(300);
+    for threads in [1usize, 2] {
+        let cancel = pbo_core::CancelToken::new();
+        let own = Instant::now() + Duration::from_secs(600);
+        cancel.set_deadline(own);
+        let options = BsoloOptions { cancel: Some(cancel.clone()), ..BsoloOptions::default() }
+            .budget(Budget::time_limit(budget));
+        let start = Instant::now();
+        let got = match threads {
+            1 => Bsolo::new(options).solve(&inst),
+            n => crate::ParBsolo::new(options, n).solve(&inst),
+        };
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < budget + Duration::from_secs(1),
+            "{threads} thread(s): 300 ms budget ran {elapsed:?}"
+        );
+        assert!(
+            matches!(got.status, SolveStatus::Unknown | SolveStatus::Feasible),
+            "{threads} thread(s): {:?} under an expired budget",
+            got.status
+        );
+        assert!(
+            !got.stats.cancelled,
+            "{threads} thread(s): budget exhaustion reported as a cancellation"
+        );
+        assert_eq!(cancel.deadline(), Some(own), "{threads} thread(s): the token's deadline moved");
+        assert!(
+            !cancel.is_cancelled(),
+            "{threads} thread(s): the budget tripped the caller's token"
+        );
+    }
 }
 
 #[test]

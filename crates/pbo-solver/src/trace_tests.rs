@@ -14,7 +14,7 @@ use pbo_trace::{Event, TraceEvent, LS_LANE_BASE};
 use crate::par::tests::{dense_instance, workers_searched};
 use crate::{
     Bsolo, BsoloOptions, LbMethod, ParBsolo, Portfolio, PortfolioOptions, SolveStrategy,
-    SolverStats, LB_METHOD_NAMES,
+    SolverStats,
 };
 
 /// Random optimization instance (the solver_tests generator shape).
@@ -51,28 +51,21 @@ struct Tally {
     solutions: u64,
     resplits: u64,
     bound_calls: u64,
-    /// Per-method splits of `bound_calls` and of closing outcomes
-    /// (pruned/infeasible), in [`LB_METHOD_NAMES`] order.
-    bound_calls_by: [u64; 4],
-    bound_prunes_by: [u64; 4],
+    /// Bound calls whose outcome closed the node (pruned or infeasible).
+    bound_prunes: u64,
 }
 
-fn tally(events: &[Event]) -> Tally {
+/// Tallies `events`, asserting that every bound call ran `method`.
+fn tally(events: &[Event], method: LbMethod, label: &str) -> Tally {
     let mut t = Tally::default();
     // LS lanes carry the local search's own incumbents and restarts,
     // which the branch-and-bound counters do not include.
     for ev in events.iter().filter(|e| e.lane < LS_LANE_BASE) {
         match ev.data {
-            TraceEvent::Bound { method, outcome, .. } => {
+            TraceEvent::Bound { method: ran, outcome, .. } => {
+                assert_eq!(ran, method.name(), "{label}: a bound event names another method");
                 t.bound_calls += 1;
-                let bucket = LB_METHOD_NAMES
-                    .iter()
-                    .position(|&n| n == method)
-                    .unwrap_or_else(|| panic!("unknown bound method in trace: {method}"));
-                t.bound_calls_by[bucket] += 1;
-                if outcome != pbo_trace::BoundOutcome::Open {
-                    t.bound_prunes_by[bucket] += 1;
-                }
+                t.bound_prunes += u64::from(outcome != pbo_trace::BoundOutcome::Open);
             }
             TraceEvent::Decision => t.decisions += 1,
             // The splitter's lookahead decisions are recorded in bulk.
@@ -88,26 +81,16 @@ fn tally(events: &[Event]) -> Tally {
 }
 
 fn assert_coherent(label: &str, stats: &SolverStats) {
-    let t = tally(&stats.trace);
+    let t = tally(&stats.trace, stats.lb_method, label);
     assert_eq!(t.decisions, stats.decisions, "{label}: decisions");
     assert_eq!(t.conflicts, stats.conflicts, "{label}: conflicts");
     assert_eq!(t.restarts, stats.restarts, "{label}: restarts");
     assert_eq!(t.solutions, stats.solutions_found, "{label}: solutions");
     assert_eq!(t.resplits, stats.resplits, "{label}: resplits");
+    // Every closing bound outcome is one bound conflict, also after the
+    // parallel join has absorbed every worker's stats.
     assert_eq!(t.bound_calls, stats.lb_calls, "{label}: bound calls");
-    for (i, name) in LB_METHOD_NAMES.iter().enumerate() {
-        assert_eq!(t.bound_calls_by[i], stats.lb_methods[i].calls, "{label}: {name} bucket calls");
-        assert_eq!(
-            t.bound_prunes_by[i], stats.lb_methods[i].prunes,
-            "{label}: {name} bucket prunes"
-        );
-    }
-    // The per-method buckets partition the global bound counters, also
-    // after the parallel join has absorbed every worker's stats.
-    let calls: u64 = stats.lb_methods.iter().map(|m| m.calls).sum();
-    assert_eq!(calls, stats.lb_calls, "{label}: bucket calls drifted from lb_calls");
-    let time: std::time::Duration = stats.lb_methods.iter().map(|m| m.time_total).sum();
-    assert_eq!(time, stats.lb_time_total, "{label}: bucket time drifted from lb_time_total");
+    assert_eq!(t.bound_prunes, stats.bound_conflicts, "{label}: closing bound outcomes");
 }
 
 fn traced(lb: LbMethod) -> BsoloOptions {
